@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure during
 training.  All commands are deterministic given identical inputs, flags and
-seed; with ``--jobs`` the per-sentence work is farmed out to processes but
-output order always matches input order.
+seed.  Decoding runs in length-sorted batches; with ``--jobs`` the batches'
+Viterbi runs in worker processes, and output order always matches input
+order.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 from . import __version__
 from .corpus import (
@@ -28,11 +29,19 @@ from .corpus import (
     write_relations,
     write_tagged_corpus,
 )
-from .crf import TaggerModel, load_model, save_model, viterbi_decode
-from .encoder import external_emissions
+from .crf import (
+    TaggerModel,
+    batch_viterbi,
+    decoding_transitions,
+    length_buckets,
+    load_model,
+    pad_batch,
+    save_model,
+)
+from .encoder import external_emissions, score_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
 from .tag2relation import match
-from .tagscheme import tags_to_entities
+from .tagscheme import tags_from_indices, tags_to_entities
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
@@ -136,24 +145,63 @@ def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence
     return items
 
 
-def _decode_one(model: TaggerModel, constrain: bool, emission_map, sentence: Sentence) -> TagSequence:
+def _worker_count(jobs) -> int:
+    """Validate ``--jobs`` (from a flag or ``--config``); clamp it to the
+    number of CPUs."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValueError(f"--jobs must be an integer of at least 1, got {jobs!r}")
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _emission_batch(model: TaggerModel, sentences, emission_map):
+    """Padded emissions and lengths for one batch of sentences."""
     if emission_map is None:
-        return model.decode(sentence, constrain_bio=constrain)
-    if sentence.id not in emission_map:
-        raise CorpusFormatError(f"no emission block for sentence {sentence.id!r}")
-    emissions = external_emissions(sentence, emission_map[sentence.id])
-    return viterbi_decode(emissions, model.transitions, constrain_bio=constrain)
+        ids, lengths = pad_batch([model.vocab.feature_ids(s) for s in sentences])
+        return score_ids(model.weights.weights, ids), lengths
+    blocks = []
+    for sentence in sentences:
+        if sentence.id not in emission_map:
+            raise CorpusFormatError(f"no emission block for sentence {sentence.id!r}")
+        blocks.append(external_emissions(sentence, emission_map[sentence.id]).scores)
+    return pad_batch(blocks)
+
+
+def _viterbi_task(emissions, lengths, transitions):
+    return batch_viterbi(emissions, transitions, lengths)
+
+
+def _pool_paths(batches, transitions, jobs):
+    """Viterbi paths of each batch, in order, computed by ``jobs`` worker
+    processes.  Each task carries only its own batch, and at most two per
+    worker are in flight, so batches are built as the workers need them."""
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending = deque()
+        for emissions, lengths in batches:
+            pending.append(pool.submit(_viterbi_task, emissions, lengths, transitions))
+            if len(pending) >= 2 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _decode_all(model, sentences, constrain, emissions_file, jobs) -> list[TagSequence]:
     emission_map = None
     if emissions_file:
         emission_map = {m.sentence_id: m for m in read_emissions_many(emissions_file)}
-    worker = partial(_decode_one, model, constrain, emission_map)
-    if jobs > 1 and len(sentences) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, sentences, chunksize=16))
-    return [worker(s) for s in sentences]
+    transitions = decoding_transitions(model.transitions, constrain)
+    buckets = length_buckets([len(s) for s in sentences])
+    batches = (_emission_batch(model, [sentences[i] for i in bucket], emission_map)
+               for bucket in buckets)
+    if jobs > 1 and len(buckets) > 1:
+        paths = _pool_paths(batches, transitions, jobs)
+    else:
+        paths = (batch_viterbi(emissions, transitions, lengths) for emissions, lengths in batches)
+    decoded: list[TagSequence | None] = [None] * len(sentences)
+    for bucket, batch_paths in zip(buckets, paths):
+        for i, path in zip(bucket, batch_paths):
+            sentence = sentences[i]
+            decoded[i] = tags_from_indices(sentence.id, path[:len(sentence)].tolist())
+    return decoded
 
 
 def _cmd_train(args) -> int:
@@ -188,10 +236,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tag(args) -> int:
+    jobs = _worker_count(args.jobs)
     model = load_model(args.model)
     items = _load_sentences(args.input, args.input_format)
     sentences = [s for s, _ in items]
-    decoded = _decode_all(model, sentences, args.constrain, args.emissions_file, args.jobs)
+    decoded = _decode_all(model, sentences, args.constrain, args.emissions_file, jobs)
     write_tagged_corpus(list(zip(sentences, decoded)), args.out)
     return EXIT_OK
 
@@ -201,6 +250,7 @@ def _cmd_extract(args) -> int:
         raise CorpusFormatError(
             f"a dictionary is required: pass --dict or set ${DICT_ENV}"
         )
+    jobs = _worker_count(args.jobs)
     model = load_model(args.model)
     dictionary = read_dictionary(args.dict_path)
     items = _load_sentences(args.input, args.input_format)
@@ -211,7 +261,7 @@ def _cmd_extract(args) -> int:
             raise CorpusFormatError("--from-tags requires --input-format tsv")
         decoded = [t for _, t in items]
     else:
-        decoded = _decode_all(model, sentences, args.constrain, args.emissions_file, args.jobs)
+        decoded = _decode_all(model, sentences, args.constrain, args.emissions_file, jobs)
 
     all_quads, quad_ids = [], []
     all_relations, relation_ids = [], []

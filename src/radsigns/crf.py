@@ -10,12 +10,24 @@ virtual start/end tags at indices 7 and 8.  The partition function, path
 probabilities and marginals come from the forward-backward algorithm; all
 accumulation is in log space with max-shifted logsumexp so long sentences
 cannot overflow.
+
+There is one implementation of each recursion, and it works on batches.  A
+batch is a zero-padded ``(B, n_max, 7)`` emission array ``P`` plus a
+``lengths`` vector: row ``b`` holds a sentence of ``lengths[b]`` positions
+(at least 1) followed by padding.  Gold paths are ``(B, n_max)`` integer
+arrays padded the same way; :func:`pad_batch` builds both.  Forward, backward
+and Viterbi step through positions once per batch, so padded positions
+compute values that no result reads.  Padding is excluded by selection
+(``np.where``, boolean indexing, slicing), never by multiplying with a 0/1
+mask: a row that overflowed holds inf there, and inf * 0 is NaN.  The
+single-sentence functions are the batch-size-1 case.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +43,9 @@ MODEL_FORMAT = "radsigns-crf-linear/1"
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
+    m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+    return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +80,187 @@ class TransitionMatrix:
         return cls(np.zeros((FULL_SIZE, FULL_SIZE)))
 
 
+def _bio_transition_mask() -> np.ndarray:
+    mask = np.ones((FULL_SIZE, FULL_SIZE), dtype=bool)
+    for label in TAG_LABELS:
+        if not label.startswith("I-"):
+            continue
+        dest = TAG_INDEX[label]
+        allowed = {TAG_INDEX["B-" + label[2:]], dest}
+        for src in range(FULL_SIZE):
+            if src not in allowed:
+                mask[src, dest] = False
+    mask.setflags(write=False)
+    return mask
+
+
+# Boolean (k+2) x (k+2) matrix; False marks transitions into I-X from
+# anything other than B-X or I-X.
+BIO_TRANSITION_MASK = _bio_transition_mask()
+
+
+def decoding_transitions(transitions: TransitionMatrix, constrain_bio: bool) -> np.ndarray:
+    """The transition scores Viterbi uses: with ``constrain_bio`` the masked
+    transitions score -inf, so a decoded path never opens an entity with an
+    inside tag.  Training stays unconstrained."""
+    if not constrain_bio:
+        return transitions.matrix
+    return np.where(BIO_TRANSITION_MASK, transitions.matrix, -np.inf)
+
+
+def pad_batch(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack arrays of shape ``(n_i, ...)`` into one zero-padded
+    ``(B, n_max, ...)`` array; also return the lengths ``n_i``."""
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    first = np.asarray(rows[0])
+    batch = np.zeros((len(rows), int(lengths.max()), *first.shape[1:]), dtype=first.dtype)
+    for b, row in enumerate(rows):
+        batch[b, :len(row)] = row
+    return batch, lengths
+
+
+# Sentences per decoding batch.  Batches are cut from a length-sorted order,
+# so each pads to a length close to that of all its members.
+DECODE_BATCH = 64
+
+
+def length_buckets(lengths: Sequence[int]) -> list[list[int]]:
+    """Indices into ``lengths``, sorted by length (ties keep input order)
+    and cut into batches of at most ``DECODE_BATCH``."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    return [order[lo:lo + DECODE_BATCH] for lo in range(0, len(order), DECODE_BATCH)]
+
+
+def _check_batch(P: np.ndarray, lengths: np.ndarray) -> None:
+    if P.ndim != 3 or P.shape[2] != NUM_TAGS or P.shape[1] == 0:
+        raise ValueError(f"emission batch must be B x n_max x {NUM_TAGS}, got {P.shape}")
+    if lengths.shape != P.shape[:1] or (lengths < 1).any() or (lengths > P.shape[1]).any():
+        raise ValueError(f"lengths must be one value in [1, {P.shape[1]}] per row")
+
+
+def _forward(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(B, n_max, k) forward log scores; entries past a row's length are
+    never read."""
+    B, n_max, k = P.shape
+    alpha = np.empty((B, n_max, k))
+    alpha[:, 0] = A[START, :k] + P[:, 0]
+    for i in range(1, n_max):
+        alpha[:, i] = _logsumexp(alpha[:, i - 1, :, None] + A[:k, :k], axis=1) + P[:, i]
+    return alpha
+
+
+def _backward(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(B, n_max, k) backward log scores, excluding the emission at i; each
+    row restarts from the exit scores at its own last position."""
+    B, n_max, k = P.shape
+    beta = np.empty((B, n_max, k))
+    beta[:, n_max - 1] = A[:k, END]
+    for i in range(n_max - 2, -1, -1):
+        inner = _logsumexp(A[:k, :k] + (P[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2)
+        beta[:, i] = np.where((i + 1 < lengths)[:, None], inner, A[:k, END])
+    return beta
+
+
+def _last(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each row's entry at its last position."""
+    return x[np.arange(len(lengths)), lengths - 1]
+
+
+def _path_scores(P: np.ndarray, A: np.ndarray, lengths: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    positions = np.arange(P.shape[1])
+    valid = positions < lengths[:, None]
+    emitted = np.take_along_axis(P, Y[:, :, None], axis=2)[:, :, 0]
+    moved = A[Y[:, :-1], Y[:, 1:]]
+    return (
+        A[START, Y[:, 0]]
+        + np.where(valid, emitted, 0.0).sum(axis=1)
+        + np.where(valid[:, 1:], moved, 0.0).sum(axis=1)
+        + A[_last(Y, lengths), END]
+    )
+
+
+def batch_log_partition(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """log of the summed exp-scores of all paths, one value per row."""
+    _check_batch(P, lengths)
+    return _logsumexp(_last(_forward(P, A), lengths) + A[:NUM_TAGS, END], axis=1)
+
+
+def batch_nll_and_gradient(
+    P: np.ndarray, A: np.ndarray, lengths: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row NLL of the gold paths ``Y`` with both gradients, from one
+    forward-backward pass over the batch.
+
+    Returns values ``(B,)``, emission gradients ``(B, n_max, k)`` that are 0
+    on padding, and transition gradients ``(B, k+2, k+2)``.
+    """
+    _check_batch(P, lengths)
+    B, n_max, k = P.shape
+    alpha = _forward(P, A)
+    beta = _backward(P, A, lengths)
+    log_z = _logsumexp(_last(alpha, lengths) + A[:k, END], axis=1)
+
+    positions = np.arange(n_max)
+    valid = positions < lengths[:, None]
+    pair = valid[:, 1:]     # transition from position i to i + 1 lies inside the row
+    rows, cols = np.nonzero(valid)
+    pair_rows, pair_cols = np.nonzero(pair)
+
+    # alpha includes the emission at i, beta does not, so their sum is the
+    # full log mass of paths through (i, tag)
+    gamma = np.zeros((B, n_max, k))
+    gamma[valid] = np.exp(alpha[valid] + beta[valid] - log_z[rows, None])
+    grad_p = gamma.copy()
+    grad_p[rows, cols, Y[rows, cols]] -= 1.0
+
+    pairwise = np.zeros((B, n_max - 1, k, k))
+    pairwise[pair] = np.exp(
+        alpha[:, :-1][pair][:, :, None]
+        + A[:k, :k]
+        + (P[:, 1:] + beta[:, 1:])[pair][:, None, :]
+        - log_z[pair_rows, None, None]
+    )
+    grad_a = np.zeros((B, FULL_SIZE, FULL_SIZE))
+    grad_a[:, :k, :k] = pairwise.sum(axis=1)
+    np.add.at(
+        grad_a,
+        (pair_rows, Y[pair_rows, pair_cols], Y[pair_rows, pair_cols + 1]),
+        -1.0,
+    )
+    batch = np.arange(B)
+    grad_a[:, START, :k] += gamma[:, 0]
+    grad_a[batch, START, Y[:, 0]] -= 1.0
+    grad_a[:, :k, END] += _last(gamma, lengths)
+    grad_a[batch, _last(Y, lengths), END] -= 1.0
+
+    values = log_z - _path_scores(P, A, lengths, Y)
+    return values, grad_p, grad_a
+
+
+def batch_viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Highest-scoring tag path per row as a ``(B, n_max)`` index array;
+    entries past a row's length are meaningless.  Ties break toward the
+    lowest tag index."""
+    _check_batch(P, lengths)
+    B, n_max, k = P.shape
+    delta = A[START, :k] + P[:, 0]
+    back = np.zeros((B, n_max, k), dtype=np.intp)
+    for i in range(1, n_max):
+        candidates = delta[:, :, None] + A[:k, :k]
+        back[:, i] = candidates.argmax(axis=1)
+        delta = np.where((i < lengths)[:, None], candidates.max(axis=1) + P[:, i], delta)
+    # rows that ended early kept the delta of their last position
+    tag = np.argmax(delta + A[:k, END], axis=1)
+
+    batch = np.arange(B)
+    paths = np.zeros((B, n_max), dtype=np.intp)
+    for i in range(n_max - 1, 0, -1):
+        paths[:, i] = tag
+        tag = np.where(i < lengths, back[batch, i, tag], tag)
+    paths[:, 0] = tag
+    return paths
+
+
 def _check_length(emissions: EmissionMatrix, tags: TagSequence) -> None:
     if len(tags) != emissions.n:
         raise ValueError(
@@ -76,93 +269,41 @@ def _check_length(emissions: EmissionMatrix, tags: TagSequence) -> None:
         )
 
 
-def _score_path(P: np.ndarray, A: np.ndarray, y: np.ndarray) -> float:
-    score = A[START, y[0]] + A[y[-1], END] + P[np.arange(len(y)), y].sum()
-    if len(y) > 1:
-        score += A[y[:-1], y[1:]].sum()
-    return float(score)
-
-
-def _forward(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    n, k = P.shape
-    alpha = np.empty((n, k))
-    alpha[0] = A[START, :k] + P[0]
-    for i in range(1, n):
-        alpha[i] = _logsumexp(alpha[i - 1][:, None] + A[:k, :k], axis=0) + P[i]
-    return alpha
-
-
-def _backward(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    n, k = P.shape
-    beta = np.empty((n, k))
-    beta[n - 1] = A[:k, END]
-    for i in range(n - 2, -1, -1):
-        beta[i] = _logsumexp(A[:k, :k] + (P[i + 1] + beta[i + 1])[None, :], axis=1)
-    return beta
-
-
-def _log_partition(P: np.ndarray, A: np.ndarray) -> float:
-    alpha = _forward(P, A)
-    return float(_logsumexp(alpha[-1] + A[:NUM_TAGS, END], axis=0))
-
-
-def _nll_and_gradient(
-    P: np.ndarray, A: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    n, k = P.shape
-    alpha = _forward(P, A)
-    beta = _backward(P, A)
-    log_z = float(_logsumexp(alpha[-1] + A[:k, END], axis=0))
-
-    # alpha includes the emission at i, beta does not, so their sum is the
-    # full log mass of paths through (i, tag)
-    gamma = np.exp(alpha + beta - log_z)
-
-    grad_p = gamma.copy()
-    grad_p[np.arange(n), y] -= 1.0
-
-    grad_a = np.zeros_like(A)
-    for i in range(n - 1):
-        pairwise = np.exp(
-            alpha[i][:, None] + A[:k, :k] + (P[i + 1] + beta[i + 1])[None, :] - log_z
-        )
-        grad_a[:k, :k] += pairwise
-    if n > 1:
-        np.add.at(grad_a, (y[:-1], y[1:]), -1.0)
-    grad_a[START, :k] += gamma[0]
-    grad_a[START, y[0]] -= 1.0
-    grad_a[:k, END] += gamma[-1]
-    grad_a[y[-1], END] -= 1.0
-
-    value = log_z - _score_path(P, A, y)
-    return value, grad_p, grad_a
+def _single(emissions: EmissionMatrix, tags: TagSequence | None = None):
+    """The batch-size-1 arguments for one sentence."""
+    P = emissions.scores[None]
+    lengths = np.array([emissions.n], dtype=np.intp)
+    if tags is None:
+        return P, lengths
+    _check_length(emissions, tags)
+    return P, lengths, np.array([tag_indices(tags)], dtype=np.intp)
 
 
 def path_score(emissions: EmissionMatrix, transitions: TransitionMatrix, tags: TagSequence) -> float:
     """Unnormalized log-score of one tag path."""
-    _check_length(emissions, tags)
-    y = np.asarray(tag_indices(tags), dtype=np.intp)
-    return _score_path(emissions.scores, transitions.matrix, y)
+    P, lengths, Y = _single(emissions, tags)
+    return float(_path_scores(P, transitions.matrix, lengths, Y)[0])
 
 
 def log_partition(emissions: EmissionMatrix, transitions: TransitionMatrix) -> float:
     """log of the summed exp-scores of all 7^n paths, via the forward pass."""
-    return _log_partition(emissions.scores, transitions.matrix)
+    P, lengths = _single(emissions)
+    return float(batch_log_partition(P, transitions.matrix, lengths)[0])
 
 
 def log_partition_backward(emissions: EmissionMatrix, transitions: TransitionMatrix) -> float:
     """Same quantity computed with the backward recursion; cross-check only."""
-    P, A = emissions.scores, transitions.matrix
-    beta = _backward(P, A)
-    return float(_logsumexp(A[START, :NUM_TAGS] + P[0] + beta[0], axis=0))
+    P, lengths = _single(emissions)
+    A = transitions.matrix
+    beta = _backward(P, A, lengths)
+    return float(_logsumexp(A[START, :NUM_TAGS] + P[0, 0] + beta[0, 0], axis=0))
 
 
 def nll(emissions: EmissionMatrix, transitions: TransitionMatrix, gold: TagSequence) -> float:
     """Negated log-likelihood of the gold path; non-negative."""
-    _check_length(emissions, gold)
-    y = np.asarray(tag_indices(gold), dtype=np.intp)
-    P, A = emissions.scores, transitions.matrix
-    return _log_partition(P, A) - _score_path(P, A, y)
+    P, lengths, Y = _single(emissions, gold)
+    A = transitions.matrix
+    return float(batch_log_partition(P, A, lengths)[0] - _path_scores(P, A, lengths, Y)[0])
 
 
 def nll_gradient(
@@ -178,24 +319,9 @@ def nll_and_gradient(
     emissions: EmissionMatrix, transitions: TransitionMatrix, gold: TagSequence
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """NLL value together with both gradients (one forward-backward pass)."""
-    _check_length(emissions, gold)
-    y = np.asarray(tag_indices(gold), dtype=np.intp)
-    return _nll_and_gradient(emissions.scores, transitions.matrix, y)
-
-
-def bio_transition_mask() -> np.ndarray:
-    """Boolean (k+2) x (k+2) matrix; False marks transitions into I-X from
-    anything other than B-X or I-X."""
-    mask = np.ones((FULL_SIZE, FULL_SIZE), dtype=bool)
-    for label in TAG_LABELS:
-        if not label.startswith("I-"):
-            continue
-        dest = TAG_INDEX[label]
-        allowed = {TAG_INDEX["B-" + label[2:]], dest}
-        for src in range(FULL_SIZE):
-            if src not in allowed:
-                mask[src, dest] = False
-    return mask
+    P, lengths, Y = _single(emissions, gold)
+    values, grad_p, grad_a = batch_nll_and_gradient(P, transitions.matrix, lengths, Y)
+    return float(values[0]), grad_p[0], grad_a[0]
 
 
 def viterbi_decode(
@@ -205,28 +331,11 @@ def viterbi_decode(
 ) -> TagSequence:
     """Highest-scoring tag path; ties break toward the lowest tag index.
 
-    With ``constrain_bio`` the masked transitions score -inf, so the decoded
-    path never opens an entity with an inside tag.  Training stays
-    unconstrained; the mask applies only here.
+    With ``constrain_bio`` the transitions are masked as in
+    :func:`decoding_transitions`.
     """
-    P = emissions.scores
-    A = transitions.matrix
-    if constrain_bio:
-        A = np.where(bio_transition_mask(), A, -np.inf)
-    n, k = P.shape
-
-    delta = A[START, :k] + P[0]
-    back = np.zeros((n, k), dtype=np.intp)
-    for i in range(1, n):
-        candidates = delta[:, None] + A[:k, :k]
-        back[i] = np.argmax(candidates, axis=0)
-        delta = np.max(candidates, axis=0) + P[i]
-    delta = delta + A[:k, END]
-
-    path = np.zeros(n, dtype=np.intp)
-    path[-1] = int(np.argmax(delta))
-    for i in range(n - 1, 0, -1):
-        path[i - 1] = back[i, path[i]]
+    P, lengths = _single(emissions)
+    path = batch_viterbi(P, decoding_transitions(transitions, constrain_bio), lengths)[0]
     return tags_from_indices(emissions.sentence_id, path.tolist())
 
 
@@ -259,18 +368,41 @@ def save_model(model: TaggerModel, path) -> None:
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_model(path) -> TaggerModel:
-    with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
+    """Read a model file; any malformed document raises ``ValueError``
+    naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            document = json.load(fh)
+    except ValueError as exc:   # undecodable bytes or invalid JSON
+        raise ValueError(f"{path}: not a JSON model file: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ValueError(f"{path}: model file must hold a JSON object")
     if document.get("format") != MODEL_FORMAT:
         raise ValueError(
             f"{path}: unsupported model format {document.get('format')!r}"
         )
-    if tuple(document.get("tags", ())) != TAG_LABELS:
+    tags = document.get("tags")
+    if not isinstance(tags, list) or tuple(tags) != TAG_LABELS:
         raise ValueError(f"{path}: model tag set does not match {TAG_LABELS}")
-    vocab = FeatureVocabulary(document["features"], document["unk_index"])
-    weights = LinearScorerParams(np.array(document["weights"]))
+    features = document.get("features")
+    if not isinstance(features, dict) or not all(map(_is_int, features.values())):
+        raise ValueError(f"{path}: 'features' must map feature strings to integer columns")
+    if not _is_int(document.get("unk_index")):
+        raise ValueError(f"{path}: 'unk_index' must be an integer")
+    for key in ("weights", "transitions"):
+        if not isinstance(document.get(key), list):
+            raise ValueError(f"{path}: {key!r} must be a list of rows")
+    try:
+        vocab = FeatureVocabulary(features, document["unk_index"])
+        weights = LinearScorerParams(np.array(document["weights"], dtype=np.float64))
+        transitions = TransitionMatrix(np.array(document["transitions"], dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if weights.weights.shape[0] != vocab.size:
         raise ValueError(f"{path}: weight rows do not match feature count")
-    transitions = TransitionMatrix(np.array(document["transitions"]))
     return TaggerModel(vocab, weights, transitions)

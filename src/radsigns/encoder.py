@@ -132,8 +132,14 @@ def score_sentence(
             f"scorer has {params.weights.shape[0]} rows but vocabulary has "
             f"{vocab.size} features"
         )
-    ids = vocab.feature_ids(sentence)
-    return EmissionMatrix(sentence.id, params.weights[ids].sum(axis=1))
+    return EmissionMatrix(sentence.id, score_ids(params.weights, vocab.feature_ids(sentence)))
+
+
+def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Emission scores for feature ids of shape ``(..., 9)``: each position's
+    weight rows summed, shape ``(..., 7)``.  Works on one sentence's ids and
+    on a padded batch alike."""
+    return weights[ids].sum(axis=-2)
 
 
 def external_emissions(sentence: Sentence, matrix: EmissionMatrix) -> EmissionMatrix:

@@ -16,10 +16,19 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Sentence, TagSequence
-from .crf import FULL_SIZE, TaggerModel, TransitionMatrix, _nll_and_gradient
-from .encoder import FeatureVocabulary, LinearScorerParams
+from .crf import (
+    FULL_SIZE,
+    TaggerModel,
+    TransitionMatrix,
+    batch_nll_and_gradient,
+    batch_viterbi,
+    decoding_transitions,
+    length_buckets,
+    pad_batch,
+)
+from .encoder import FeatureVocabulary, LinearScorerParams, score_ids
 from .evaluation import entity_prf
-from .tagscheme import TAG_INDEX, tags_to_entities
+from .tagscheme import TAG_INDEX, tags_from_indices, tags_to_entities
 
 CorpusPairs = Sequence[tuple[Sentence, TagSequence]]
 
@@ -99,15 +108,34 @@ def _snapshot(vocab: FeatureVocabulary, weights: np.ndarray, transitions: np.nda
     )
 
 
+class _DevSet:
+    """Dev sentences with their feature ids cut into length-sorted padded
+    batches, and their gold entities; built once, decoded every epoch."""
+
+    def __init__(self, dev: CorpusPairs, features: Sequence[np.ndarray]):
+        self.sentences = [sentence for sentence, _ in dev]
+        self.batches = [
+            (bucket, *pad_batch([features[j] for j in bucket]))
+            for bucket in length_buckets([len(ids) for ids in features])
+        ]
+        self.gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
+
+    def f1(self, model: TaggerModel) -> float:
+        transitions = decoding_transitions(model.transitions, constrain_bio=True)
+        pred = {}
+        for bucket, ids, lengths in self.batches:
+            paths = batch_viterbi(score_ids(model.weights.weights, ids), transitions, lengths)
+            for j, path, n in zip(bucket, paths, lengths):
+                sentence = self.sentences[j]
+                tags = tags_from_indices(sentence.id, path[:n].tolist())
+                pred[sentence.id] = tags_to_entities(sentence, tags)
+        return entity_prf(pred, self.gold).overall.f1
+
+
 def evaluate_dev(model: TaggerModel, dev: CorpusPairs) -> float:
     """Strict entity F1 (0-100) of constrained decoding against dev tags."""
-    pred = {}
-    gold = {}
-    for sentence, tags in dev:
-        decoded = model.decode(sentence, constrain_bio=True)
-        pred[sentence.id] = tags_to_entities(sentence, decoded)
-        gold[sentence.id] = tags_to_entities(sentence, tags)
-    return entity_prf(pred, gold).overall.f1
+    features, _ = _prepare(dev, model.vocab)
+    return _DevSet(dev, features).f1(model)
 
 
 def train(
@@ -125,6 +153,7 @@ def train(
 
     vocab = FeatureVocabulary.build(s for s, _ in corpus)
     features, golds = _prepare(corpus, vocab)
+    dev_set = _DevSet(dev, _prepare(dev, vocab)[0])
     weights = np.zeros((vocab.size, len(TAG_INDEX)))
     transitions = np.zeros((FULL_SIZE, FULL_SIZE))
 
@@ -141,25 +170,21 @@ def train(
         epoch_nll = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo:lo + config.batch_size]
+            ids, lengths = pad_batch([features[j] for j in batch])
+            gold, _ = pad_batch([golds[j] for j in batch])
+            values, grad_p, grad_a = batch_nll_and_gradient(
+                score_ids(weights, ids), transitions, lengths, gold
+            )
+            finite = np.isfinite(values)
+            if not finite.all():
+                b = int(np.argmin(finite))   # first non-finite row, in batch order
+                raise NonFiniteLossError(corpus[batch[b]][0].id, float(values[b]))
+            epoch_nll += float(values.sum())
+            valid = np.arange(ids.shape[1]) < lengths[:, None]
             grad_w = np.zeros_like(weights)
-            grad_a = np.zeros_like(transitions)
-            for j in batch:
-                ids = features[j]
-                emissions = weights[ids].sum(axis=1)
-                value, grad_p, grad_a_j = _nll_and_gradient(
-                    emissions, transitions, golds[j]
-                )
-                if not np.isfinite(value):
-                    raise NonFiniteLossError(corpus[j][0].id, value)
-                epoch_nll += value
-                np.add.at(
-                    grad_w,
-                    ids.ravel(),
-                    np.repeat(grad_p, ids.shape[1], axis=0),
-                )
-                grad_a += grad_a_j
+            np.add.at(grad_w, ids[valid], grad_p[valid][:, None, :])
             grad_w /= len(batch)
-            grad_a /= len(batch)
+            grad_a = grad_a.sum(axis=0) / len(batch)
             if config.l2 > 0:
                 grad_w += config.l2 * weights
                 grad_a += config.l2 * transitions
@@ -171,7 +196,7 @@ def train(
                 )
 
         model = _snapshot(vocab, weights, transitions)
-        dev_f1 = evaluate_dev(model, dev)
+        dev_f1 = dev_set.f1(model)
         nll_history.append(epoch_nll / len(corpus))
         f1_history.append(dev_f1)
         if dev_f1 > best_f1:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from radsigns import cli
 from radsigns.cli import main
 from radsigns.corpus import (
     EmissionMatrix,
@@ -237,6 +238,72 @@ class TestTagAndExtract:
         assert main(["tag", str(text_path), "--model", str(workspace["model"]),
                      "--out", str(parallel), "--jobs", "2"]) == 0
         assert serial.read_text(encoding="utf-8") == parallel.read_text(encoding="utf-8")
+
+    def test_jobs_2_output_is_byte_identical_to_jobs_1(self, workspace, tmp_path):
+        # more sentences than one decode batch holds, of mixed lengths, so the
+        # pool gets several batches and order restoration is exercised
+        corpus = build_rule_corpus(np.random.default_rng(43), 150, prefix="s")
+        texts = [s.text for s, _ in corpus]
+        texts += [texts[i] + texts[i + 1] + texts[i + 2] for i in range(0, 30, 3)]
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        rng = np.random.default_rng(44)
+        emissions_path = tmp_path / "emissions.txt"
+        write_emissions(
+            [EmissionMatrix(f"s{i + 1}", 3 * rng.standard_normal((len(t), 7)))
+             for i, t in enumerate(texts)],
+            emissions_path,
+        )
+        outputs = {}
+        for jobs in ("1", "2"):
+            quads, relations = tmp_path / f"q{jobs}.jsonl", tmp_path / f"r{jobs}.jsonl"
+            tagged = tmp_path / f"t{jobs}.tsv"
+            assert main(["extract", str(text_path), "--model", str(workspace["model"]),
+                         "--dict", str(workspace["dict"]), "--out", str(quads),
+                         "--relations-out", str(relations), "--jobs", jobs]) == 0
+            assert main(["tag", str(text_path), "--model", str(workspace["model"]),
+                         "--emissions-file", str(emissions_path), "--out", str(tagged),
+                         "--jobs", jobs]) == 0
+            outputs[jobs] = [path.read_bytes() for path in (quads, relations, tagged)]
+        assert outputs["2"] == outputs["1"]
+        assert [s.text for s, _ in read_tagged_corpus(tmp_path / "t2.tsv")] == texts
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, workspace, tmp_path, capsys, jobs):
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        for command in (["tag"], ["extract", "--dict", str(workspace["dict"])]):
+            code = main([*command, str(text_path), "--model", str(workspace["model"]),
+                         "--out", str(tmp_path / "out"), "--jobs", jobs])
+            assert code == 2
+            assert "--jobs must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        assert cli._worker_count(1) == 1
+        assert cli._worker_count(2) == 1
+
+    def test_model_without_features_is_usage_error(self, workspace, tmp_path, capsys):
+        document = json.loads(workspace["model"].read_text(encoding="utf-8"))
+        del document["features"]
+        model_path = tmp_path / "broken.json"
+        model_path.write_text(json.dumps(document), encoding="utf-8")
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        code = main(["tag", str(text_path), "--model", str(model_path),
+                     "--out", str(tmp_path / "t.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model_path) in err and "features" in err
+
+    def test_model_json_list_is_usage_error(self, workspace, tmp_path, capsys):
+        model_path = tmp_path / "list.json"
+        model_path.write_text("[1, 2, 3]\n", encoding="utf-8")
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        code = main(["extract", str(text_path), "--model", str(model_path),
+                     "--dict", str(workspace["dict"]), "--out", str(tmp_path / "q.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model_path) in err and "JSON object" in err
 
 
 def write_entity_corpus(path, sentence, entities):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,15 +8,19 @@ from radsigns.corpus import EmissionMatrix, Sentence
 from radsigns.crf import (
     END,
     START,
+    BIO_TRANSITION_MASK,
     TaggerModel,
     TransitionMatrix,
-    bio_transition_mask,
+    batch_log_partition,
+    batch_nll_and_gradient,
+    batch_viterbi,
     load_model,
     log_partition,
     log_partition_backward,
     nll,
     nll_and_gradient,
     nll_gradient,
+    pad_batch,
     path_score,
     save_model,
     viterbi_decode,
@@ -35,6 +40,59 @@ def random_instance(rng, n):
 
 def random_gold(rng, n):
     return tags_from_indices("x", rng.integers(0, 7, size=n).tolist())
+
+
+# ---------------------------------------------------------------------------
+# Per-sentence loop reference: the forward-backward and Viterbi recursions
+# written one position at a time, for checking the batched implementation.
+
+
+def _lse(a, axis):
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+
+
+def loop_nll_and_gradient(P, A, y):
+    n, k = P.shape
+    alpha = np.empty((n, k))
+    alpha[0] = A[START, :k] + P[0]
+    for i in range(1, n):
+        alpha[i] = _lse(alpha[i - 1][:, None] + A[:k, :k], axis=0) + P[i]
+    beta = np.empty((n, k))
+    beta[n - 1] = A[:k, END]
+    for i in range(n - 2, -1, -1):
+        beta[i] = _lse(A[:k, :k] + (P[i + 1] + beta[i + 1])[None, :], axis=1)
+    log_z = float(_lse(alpha[-1] + A[:k, END], axis=0))
+    gamma = np.exp(alpha + beta - log_z)
+    grad_p = gamma.copy()
+    grad_p[np.arange(n), y] -= 1.0
+    grad_a = np.zeros_like(A)
+    for i in range(n - 1):
+        grad_a[:k, :k] += np.exp(
+            alpha[i][:, None] + A[:k, :k] + (P[i + 1] + beta[i + 1])[None, :] - log_z
+        )
+        grad_a[y[i], y[i + 1]] -= 1.0
+    grad_a[START, :k] += gamma[0]
+    grad_a[START, y[0]] -= 1.0
+    grad_a[:k, END] += gamma[-1]
+    grad_a[y[-1], END] -= 1.0
+    score = A[START, y[0]] + A[y[-1], END] + sum(P[i, y[i]] for i in range(n))
+    score += sum(A[y[i], y[i + 1]] for i in range(n - 1))
+    return log_z, log_z - score, grad_p, grad_a
+
+
+def loop_viterbi(P, A):
+    n, k = P.shape
+    delta = A[START, :k] + P[0]
+    back = np.zeros((n, k), dtype=np.intp)
+    for i in range(1, n):
+        candidates = delta[:, None] + A[:k, :k]
+        back[i] = np.argmax(candidates, axis=0)
+        delta = np.max(candidates, axis=0) + P[i]
+    path = [int(np.argmax(delta + A[:k, END]))]
+    for i in range(n - 1, 0, -1):
+        path.append(int(back[i, path[-1]]))
+    return path[::-1]
 
 
 class TestPathScore:
@@ -255,7 +313,7 @@ class TestViterbi:
         assert validate_path(constrained) == []
 
     def test_mask_shape_and_content(self):
-        mask = bio_transition_mask()
+        mask = BIO_TRANSITION_MASK
         assert mask.shape == (9, 9)
         assert not mask[TAG_INDEX["O"], TAG_INDEX["I-P"]]
         assert not mask[START, TAG_INDEX["I-D"]]
@@ -273,6 +331,92 @@ class TestViterbi:
         em = EmissionMatrix("x", np.zeros((4, 7)))
         decoded = viterbi_decode(em, TransitionMatrix.zeros())
         assert decoded.tags == ("O",) * 4
+
+
+class TestBatch:
+    def ragged_batch(self, rng, lengths):
+        emissions = [rng.standard_normal((n, 7)) for n in lengths]
+        golds = [rng.integers(0, 7, size=n) for n in lengths]
+        P, lens = pad_batch(emissions)
+        Y, _ = pad_batch(golds)
+        return emissions, golds, P, lens, Y
+
+    def test_ragged_batch_matches_single_sentences(self):
+        rng = np.random.default_rng(70)
+        lengths = [1, 4, 1, 9, 2, 6, 1, 3]
+        emissions, golds, P, lens, Y = self.ragged_batch(rng, lengths)
+        # two equally good columns in a row: the tie must go to the lower index
+        emissions[5] = np.zeros((6, 7))
+        emissions[5][:, [2, 5]] = 10.0
+        P[5, :6] = emissions[5]
+        A = rng.standard_normal((9, 9))
+        A[[2, 5], :] = 0.0
+        A[:, [2, 5]] = 0.0
+
+        log_z = batch_log_partition(P, A, lens)
+        values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
+        paths = batch_viterbi(P, A, lens)
+        assert lens.tolist() == lengths
+        for b, n in enumerate(lengths):
+            em = EmissionMatrix("x", emissions[b])
+            tm = TransitionMatrix(A)
+            gold = tags_from_indices("x", golds[b].tolist())
+            ref_z, ref_nll, ref_p, ref_a = loop_nll_and_gradient(emissions[b], A, golds[b])
+            assert log_z[b] == pytest.approx(ref_z, abs=1e-12)
+            assert log_z[b] == pytest.approx(log_partition(em, tm), abs=1e-12)
+            assert values[b] == pytest.approx(ref_nll, abs=1e-12)
+            assert values[b] == pytest.approx(nll(em, tm, gold), abs=1e-12)
+            np.testing.assert_allclose(grad_p[b, :n], ref_p, atol=1e-12)
+            np.testing.assert_array_equal(grad_p[b, n:], 0.0)
+            np.testing.assert_allclose(grad_a[b], ref_a, atol=1e-12)
+            assert paths[b, :n].tolist() == loop_viterbi(emissions[b], A)
+            assert paths[b, :n].tolist() == tag_indices(viterbi_decode(em, tm))
+        assert paths[5, :6].tolist() == [2] * 6
+
+    def test_brute_force_oracles_hold_on_batches(self):
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            lengths = rng.integers(1, 6, size=int(rng.integers(1, 6))).tolist()
+            emissions, golds, P, lens, Y = self.ragged_batch(rng, lengths)
+            A = rng.standard_normal((9, 9))
+            log_z = batch_log_partition(P, A, lens)
+            values, _, _ = batch_nll_and_gradient(P, A, lens, Y)
+            paths = batch_viterbi(P, A, lens)
+            for b, n in enumerate(lengths):
+                expected_z = brute_force_log_partition(emissions[b], A)
+                assert log_z[b] == pytest.approx(expected_z, rel=1e-10)
+                assert paths[b, :n].tolist() == brute_force_argmax(emissions[b], A)
+                all_paths, scores = enumerate_paths(emissions[b], A)
+                gold_score = scores[np.all(all_paths == golds[b], axis=1)][0]
+                assert values[b] == pytest.approx(expected_z - gold_score, rel=1e-9)
+
+    def test_overflowing_row_leaves_short_row_finite(self):
+        rng = np.random.default_rng(72)
+        short = rng.standard_normal((5, 7))
+        long = np.full((2000, 7), 1e306)
+        long[:, 0] = -1e306
+        P, lens = pad_batch([short, long])
+        P[0, 5:] = np.inf   # padding gathered from overflowing weight rows
+        Y = np.zeros((2, 2000), dtype=np.intp)
+        A = rng.standard_normal((9, 9))
+        with np.errstate(all="ignore"):
+            values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
+            log_z = batch_log_partition(P, A, lens)
+            paths = batch_viterbi(P, A, lens)
+        assert not np.isfinite(values[1])
+        ref_z, ref_nll, ref_p, ref_a = loop_nll_and_gradient(short, A, Y[0, :5])
+        assert values[0] == pytest.approx(ref_nll, abs=1e-12)
+        assert log_z[0] == pytest.approx(ref_z, abs=1e-12)
+        np.testing.assert_allclose(grad_p[0, :5], ref_p, atol=1e-12)
+        np.testing.assert_array_equal(grad_p[0, 5:], 0.0)
+        np.testing.assert_allclose(grad_a[0], ref_a, atol=1e-12)
+        assert paths[0, :5].tolist() == loop_viterbi(short, A)
+
+    def test_lengths_outside_the_padded_width_rejected(self):
+        P = np.zeros((2, 3, 7))
+        for lengths in ([0, 3], [3, 4], [3]):
+            with pytest.raises(ValueError, match="lengths"):
+                batch_log_partition(P, np.zeros((9, 9)), np.array(lengths))
 
 
 class TestDistributionProperties:
@@ -335,6 +479,32 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         path.write_text('{"format": "something-else/9"}', encoding="utf-8")
         with pytest.raises(ValueError, match="unsupported model format"):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", [
+        {"features": ["c0=肺"]},
+        {"features": {"c0=肺": "0"}},
+        {"unk_index": "0"},
+        {"unk_index": 99},
+        {"weights": [[0.0] * 7, [0.0] * 6]},
+        {"weights": [["x"] * 7]},
+        {"transitions": None},
+        {"tags": "O"},
+    ])
+    def test_malformed_document_names_the_path(self, tmp_path, change):
+        _, model = self.build_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document.update(change)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ValueError, match=str(path)):
+            load_model(path)
+
+    def test_invalid_json_names_the_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff{")
+        with pytest.raises(ValueError, match=str(path)):
             load_model(path)
 
     def test_transition_matrix_validation(self):

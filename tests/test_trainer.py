@@ -10,7 +10,8 @@ from radsigns.crf import (
     nll_and_gradient,
 )
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_sentence
-from radsigns.tagscheme import TAG_INDEX
+from radsigns.evaluation import entity_prf
+from radsigns.tagscheme import TAG_INDEX, tags_to_entities
 from radsigns.trainer import (
     NonFiniteLossError,
     TrainConfig,
@@ -59,10 +60,7 @@ class TestTraining:
         assert report.dev_f1[report.selected_epoch] == 100.0
         assert evaluate_dev(model, dev) == 100.0
 
-    def test_single_full_batch_update_matches_analytic_step(self):
-        rng = np.random.default_rng(101)
-        corpus = build_rule_corpus(rng, 5, prefix="t")
-        dev = build_rule_corpus(rng, 2, prefix="d")
+    def assert_one_step_matches_per_sentence_gradients(self, corpus, dev):
         config = TrainConfig(epochs=1, batch_size=len(corpus), seed=0)
         model, report = train(corpus, dev, config)
         assert len(report.train_nll) == 1
@@ -73,11 +71,13 @@ class TestTraining:
         grad_w = np.zeros((vocab.size, 7))
         grad_a = np.zeros((FULL_SIZE, FULL_SIZE))
         zero_w = LinearScorerParams.zeros(vocab.size)
+        total = 0.0
         for sentence, tags in corpus:
             emissions = score_sentence(sentence, zero_w, vocab)
-            _, grad_p, grad_a_j = nll_and_gradient(
+            value, grad_p, grad_a_j = nll_and_gradient(
                 emissions, TransitionMatrix.zeros(), tags
             )
+            total += value
             ids = vocab.feature_ids(sentence)
             np.add.at(grad_w, ids.ravel(), np.repeat(grad_p, ids.shape[1], axis=0))
             grad_a += grad_a_j
@@ -89,6 +89,39 @@ class TestTraining:
         np.testing.assert_allclose(
             model.transitions.matrix, -config.lr_initial * grad_a, atol=1e-12
         )
+        assert report.train_nll[0] == pytest.approx(total / len(corpus), rel=1e-12)
+
+    def test_single_full_batch_update_matches_analytic_step(self):
+        rng = np.random.default_rng(101)
+        corpus = build_rule_corpus(rng, 5, prefix="t")
+        dev = build_rule_corpus(rng, 2, prefix="d")
+        self.assert_one_step_matches_per_sentence_gradients(corpus, dev)
+
+    def test_ragged_minibatch_with_one_char_sentences_matches_analytic_step(self):
+        rng = np.random.default_rng(111)
+        corpus = build_rule_corpus(rng, 6, prefix="t")
+        corpus += [
+            (Sentence.from_text("t-one-a", "肺"), TagSequence("t-one-a", ("B-P",))),
+            (Sentence.from_text("t-one-b", "。"), TagSequence("t-one-b", ("O",))),
+        ]
+        corpus.insert(2, corpus.pop())
+        dev = build_rule_corpus(rng, 2, prefix="d")
+        self.assert_one_step_matches_per_sentence_gradients(corpus, dev)
+
+    def test_features_are_extracted_once_per_sentence(self, monkeypatch):
+        rng = np.random.default_rng(112)
+        corpus = build_rule_corpus(rng, 20, prefix="t")
+        dev = build_rule_corpus(rng, 7, prefix="d")
+        calls = []
+        original = FeatureVocabulary.feature_ids
+
+        def counting(vocab, sentence):
+            calls.append(sentence.id)
+            return original(vocab, sentence)
+
+        monkeypatch.setattr(FeatureVocabulary, "feature_ids", counting)
+        train(corpus, dev, TrainConfig(epochs=3, batch_size=8, seed=5))
+        assert sorted(calls) == sorted(s.id for s, _ in corpus + dev)
 
     def test_same_seed_gives_identical_runs(self):
         rng = np.random.default_rng(102)
@@ -211,6 +244,17 @@ class TestEvaluateDev:
         )
         # zero scores everywhere: ties resolve to O, so nothing is predicted
         assert evaluate_dev(model, dev) == 0.0
+
+    def test_batched_dev_decoding_matches_per_sentence_decoding(self):
+        rng = np.random.default_rng(113)
+        corpus = build_rule_corpus(rng, 40, prefix="t")
+        dev = build_rule_corpus(rng, 150, prefix="d")   # several decode batches
+        model, _ = train(corpus, dev, TrainConfig(epochs=1, batch_size=8, seed=6))
+        pred = {s.id: tags_to_entities(s, model.decode(s)) for s, _ in dev}
+        gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
+        expected = entity_prf(pred, gold).overall.f1
+        assert 0.0 < expected < 100.0
+        assert evaluate_dev(model, dev) == expected
 
     def test_gold_equivalent_model_scores_hundred(self):
         rng = np.random.default_rng(110)
