@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure during
 training.  All commands are deterministic given identical inputs, flags and
-seed.  Decoding runs in length-sorted batches; with ``--jobs`` the batches'
-Viterbi runs in worker processes, and output order always matches input
-order.
+seed.  Decoding runs in one process, in length-sorted batches, and output
+order always matches input order; ``--jobs`` is validated but accepted for
+compatibility only.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .corpus import (
@@ -31,8 +29,7 @@ from .corpus import (
 )
 from .crf import (
     TaggerModel,
-    batch_viterbi,
-    decoding_transitions,
+    decode_batches,
     length_buckets,
     load_model,
     pad_batch,
@@ -41,7 +38,7 @@ from .crf import (
 from .encoder import external_emissions, score_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
 from .tag2relation import match
-from .tagscheme import tags_from_indices, tags_to_entities
+from .tagscheme import tags_to_entities
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
@@ -129,14 +126,15 @@ def _add_decode_arguments(p: argparse.ArgumentParser) -> None:
                    help="decode without the BIO transition mask")
     p.add_argument("--emissions-file",
                    help="use precomputed emission blocks keyed by sentence id")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; decoding always runs in one process")
 
 
 def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence | None]]:
     if input_format == "tsv":
         return [(s, t) for s, t in read_tagged_corpus(path)]
     items: list[tuple[Sentence, TagSequence | None]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:   # drops a leading BOM
         for line in fh:
             text = line.rstrip("\n").rstrip("\r")
             if not text:
@@ -145,12 +143,11 @@ def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence
     return items
 
 
-def _worker_count(jobs) -> int:
-    """Validate ``--jobs`` (from a flag or ``--config``); clamp it to the
-    number of CPUs."""
+def _check_jobs(jobs) -> None:
+    """Validate ``--jobs`` (from a flag or ``--config``); its value is not
+    otherwise used."""
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ValueError(f"--jobs must be an integer of at least 1, got {jobs!r}")
-    return min(jobs, os.cpu_count() or 1)
 
 
 def _emission_batch(model: TaggerModel, sentences, emission_map):
@@ -166,42 +163,13 @@ def _emission_batch(model: TaggerModel, sentences, emission_map):
     return pad_batch(blocks)
 
 
-def _viterbi_task(emissions, lengths, transitions):
-    return batch_viterbi(emissions, transitions, lengths)
-
-
-def _pool_paths(batches, transitions, jobs):
-    """Viterbi paths of each batch, in order, computed by ``jobs`` worker
-    processes.  Each task carries only its own batch, and at most two per
-    worker are in flight, so batches are built as the workers need them."""
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending = deque()
-        for emissions, lengths in batches:
-            pending.append(pool.submit(_viterbi_task, emissions, lengths, transitions))
-            if len(pending) >= 2 * jobs:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def _decode_all(model, sentences, constrain, emissions_file, jobs) -> list[TagSequence]:
+def _decode_all(model, sentences, constrain, emissions_file) -> list[TagSequence]:
     emission_map = None
     if emissions_file:
         emission_map = {m.sentence_id: m for m in read_emissions_many(emissions_file)}
-    transitions = decoding_transitions(model.transitions, constrain)
-    buckets = length_buckets([len(s) for s in sentences])
-    batches = (_emission_batch(model, [sentences[i] for i in bucket], emission_map)
-               for bucket in buckets)
-    if jobs > 1 and len(buckets) > 1:
-        paths = _pool_paths(batches, transitions, jobs)
-    else:
-        paths = (batch_viterbi(emissions, transitions, lengths) for emissions, lengths in batches)
-    decoded: list[TagSequence | None] = [None] * len(sentences)
-    for bucket, batch_paths in zip(buckets, paths):
-        for i, path in zip(bucket, batch_paths):
-            sentence = sentences[i]
-            decoded[i] = tags_from_indices(sentence.id, path[:len(sentence)].tolist())
-    return decoded
+    batches = ((bucket, *_emission_batch(model, [sentences[i] for i in bucket], emission_map))
+               for bucket in length_buckets([len(s) for s in sentences]))
+    return decode_batches(sentences, batches, model.transitions, constrain)
 
 
 def _cmd_train(args) -> int:
@@ -236,11 +204,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tag(args) -> int:
-    jobs = _worker_count(args.jobs)
+    _check_jobs(args.jobs)
     model = load_model(args.model)
     items = _load_sentences(args.input, args.input_format)
     sentences = [s for s, _ in items]
-    decoded = _decode_all(model, sentences, args.constrain, args.emissions_file, jobs)
+    decoded = _decode_all(model, sentences, args.constrain, args.emissions_file)
     write_tagged_corpus(list(zip(sentences, decoded)), args.out)
     return EXIT_OK
 
@@ -250,7 +218,7 @@ def _cmd_extract(args) -> int:
         raise CorpusFormatError(
             f"a dictionary is required: pass --dict or set ${DICT_ENV}"
         )
-    jobs = _worker_count(args.jobs)
+    _check_jobs(args.jobs)
     model = load_model(args.model)
     dictionary = read_dictionary(args.dict_path)
     items = _load_sentences(args.input, args.input_format)
@@ -261,7 +229,7 @@ def _cmd_extract(args) -> int:
             raise CorpusFormatError("--from-tags requires --input-format tsv")
         decoded = [t for _, t in items]
     else:
-        decoded = _decode_all(model, sentences, args.constrain, args.emissions_file, jobs)
+        decoded = _decode_all(model, sentences, args.constrain, args.emissions_file)
 
     all_quads, quad_ids = [], []
     all_relations, relation_ids = [], []

@@ -32,7 +32,9 @@ TAG_LABELS = ("O", "B-P", "I-P", "B-D", "I-D", "B-Abn", "I-Abn")
 NUM_TAGS = len(TAG_LABELS)
 
 ENTITY_KINDS = ("P", "D", "Abn")
-RELATION_KINDS = ("P2Abn", "D2Abn", "P2P")
+# Relation kind -> (head entity kind, tail entity kind)
+RELATION_ENDPOINTS = {"P2Abn": ("P", "Abn"), "D2Abn": ("D", "Abn"), "P2P": ("P", "P")}
+RELATION_KINDS = tuple(RELATION_ENDPOINTS)
 
 
 class CorpusFormatError(ValueError):
@@ -121,8 +123,7 @@ class Relation:
     def __post_init__(self):
         if self.kind not in RELATION_KINDS:
             raise ValueError(f"unknown relation kind {self.kind!r}")
-        expected = {"P2Abn": ("P", "Abn"), "D2Abn": ("D", "Abn"), "P2P": ("P", "P")}
-        head_kind, tail_kind = expected[self.kind]
+        head_kind, tail_kind = RELATION_ENDPOINTS[self.kind]
         if self.head.kind != head_kind or self.tail.kind != tail_kind:
             raise ValueError(
                 f"{self.kind} relation cannot link {self.head.kind} -> {self.tail.kind}"

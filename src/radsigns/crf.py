@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -261,6 +261,27 @@ def batch_viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarr
     return paths
 
 
+def decode_batches(
+    sentences: Sequence[Sentence],
+    batches: Iterable[tuple[Sequence[int], np.ndarray, np.ndarray]],
+    transitions: TransitionMatrix,
+    constrain_bio: bool,
+) -> list[TagSequence]:
+    """Viterbi tags of every sentence, in input order.
+
+    Each batch is ``(bucket, P, lengths)``: ``bucket`` indexes
+    ``sentences`` as cut by :func:`length_buckets`, and ``P`` and
+    ``lengths`` are its padded emissions.  Batches are consumed one at a
+    time, so a generator builds each only when it is decoded.
+    """
+    A = decoding_transitions(transitions, constrain_bio)
+    decoded: list[TagSequence | None] = [None] * len(sentences)
+    for bucket, P, lengths in batches:
+        for i, path, n in zip(bucket, batch_viterbi(P, A, lengths), lengths):
+            decoded[i] = tags_from_indices(sentences[i].id, path[:n].tolist())
+    return decoded
+
+
 def _check_length(emissions: EmissionMatrix, tags: TagSequence) -> None:
     if len(tags) != emissions.n:
         raise ValueError(
@@ -306,19 +327,12 @@ def nll(emissions: EmissionMatrix, transitions: TransitionMatrix, gold: TagSeque
     return float(batch_log_partition(P, A, lengths)[0] - _path_scores(P, A, lengths, Y)[0])
 
 
-def nll_gradient(
-    emissions: EmissionMatrix, transitions: TransitionMatrix, gold: TagSequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the NLL: per-position tag marginals minus gold indicators,
-    and the transition analogue from pairwise marginals."""
-    value, grad_p, grad_a = nll_and_gradient(emissions, transitions, gold)
-    return grad_p, grad_a
-
-
 def nll_and_gradient(
     emissions: EmissionMatrix, transitions: TransitionMatrix, gold: TagSequence
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """NLL value together with both gradients (one forward-backward pass)."""
+    """NLL value together with both gradients, from one forward-backward
+    pass: per-position tag marginals minus gold indicators, and the
+    transition analogue from pairwise marginals."""
     P, lengths, Y = _single(emissions, gold)
     values, grad_p, grad_a = batch_nll_and_gradient(P, transitions.matrix, lengths, Y)
     return float(values[0]), grad_p[0], grad_a[0]

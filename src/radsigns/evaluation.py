@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ENTITY_KINDS, Entity, Relation
+from .corpus import ENTITY_KINDS, RELATION_KINDS, Entity, Relation
 
 ERROR_CATEGORIES = ("TYPE", "EXTENT", "SPURIOUS", "MISSING")
 EXTENT_SUBTYPES = ("SHORT", "LONG", "S&L")
@@ -114,7 +114,7 @@ def relation_prf(
     overall = _corpus_counts(pred, gold)
     by_kind = {
         kind: _corpus_counts(pred, gold, keep=lambda r, k=kind: r.kind == k)
-        for kind in ("P2Abn", "D2Abn", "P2P")
+        for kind in RELATION_KINDS
     }
     return PrfBreakdown(overall, by_kind)
 

@@ -19,7 +19,7 @@ combination attached to it; empty slots stay null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
@@ -33,7 +33,6 @@ class Chunk:
     start: int
     end: int
     primary: Entity | None
-    members: tuple[Entity, ...]
 
 
 def find_primary_parts(
@@ -50,13 +49,13 @@ def chunk_sentence(sentence: Sentence, primaries: Sequence[Entity]) -> list[Chun
     """Partition [0, n) at the primaries' start offsets."""
     n = len(sentence)
     if not primaries:
-        return [Chunk(0, 0, n, None, ())]
+        return [Chunk(0, 0, n, None)]
     chunks: list[Chunk] = []
     if primaries[0].start > 0:
-        chunks.append(Chunk(0, 0, primaries[0].start, None, ()))
+        chunks.append(Chunk(0, 0, primaries[0].start, None))
     for i, primary in enumerate(primaries):
         end = primaries[i + 1].start if i + 1 < len(primaries) else n
-        chunks.append(Chunk(len(chunks), primary.start, end, primary, (primary,)))
+        chunks.append(Chunk(len(chunks), primary.start, end, primary))
     return chunks
 
 
@@ -89,15 +88,12 @@ def match(
 
     relations: list[Relation] = []
     quadruples: list[Quadruple] = []
-    for bare in chunks:
-        chunk = replace(
-            bare,
-            members=tuple(e for e in ordered if bare.start <= e.start < bare.end),
-        )
+    for chunk in chunks:
         primary = chunk.primary
-        signs = [e for e in chunk.members if e.kind == "Abn"]
-        degrees = [e for e in chunk.members if e.kind == "D"]
-        secondaries = [e for e in chunk.members if e.kind == "P" and e != primary]
+        members = [e for e in ordered if chunk.start <= e.start < chunk.end]
+        signs = [e for e in members if e.kind == "Abn"]
+        degrees = [e for e in members if e.kind == "D"]
+        secondaries = [e for e in members if e.kind == "P" and e != primary]
 
         attached_sp: dict[Entity, list[Entity]] = {s: [] for s in signs}
         attached_d: dict[Entity, list[Entity]] = {s: [] for s in signs}

@@ -21,14 +21,13 @@ from .crf import (
     TaggerModel,
     TransitionMatrix,
     batch_nll_and_gradient,
-    batch_viterbi,
-    decoding_transitions,
+    decode_batches,
     length_buckets,
     pad_batch,
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, score_ids
 from .evaluation import entity_prf
-from .tagscheme import TAG_INDEX, tags_from_indices, tags_to_entities
+from .tagscheme import TAG_INDEX, tag_indices, tags_to_entities
 
 CorpusPairs = Sequence[tuple[Sentence, TagSequence]]
 
@@ -98,7 +97,7 @@ def _prepare(corpus: CorpusPairs, vocab: FeatureVocabulary):
                 f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags"
             )
         features.append(vocab.feature_ids(sentence))
-        golds.append(np.array([TAG_INDEX[t] for t in tags.tags], dtype=np.intp))
+        golds.append(np.array(tag_indices(tags), dtype=np.intp))
     return features, golds
 
 
@@ -121,14 +120,11 @@ class _DevSet:
         self.gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
 
     def f1(self, model: TaggerModel) -> float:
-        transitions = decoding_transitions(model.transitions, constrain_bio=True)
-        pred = {}
-        for bucket, ids, lengths in self.batches:
-            paths = batch_viterbi(score_ids(model.weights.weights, ids), transitions, lengths)
-            for j, path, n in zip(bucket, paths, lengths):
-                sentence = self.sentences[j]
-                tags = tags_from_indices(sentence.id, path[:n].tolist())
-                pred[sentence.id] = tags_to_entities(sentence, tags)
+        weights = model.weights.weights
+        batches = ((bucket, score_ids(weights, ids), lengths)
+                   for bucket, ids, lengths in self.batches)
+        decoded = decode_batches(self.sentences, batches, model.transitions, constrain_bio=True)
+        pred = {s.id: tags_to_entities(s, tags) for s, tags in zip(self.sentences, decoded)}
         return entity_prf(pred, self.gold).overall.f1
 
 

@@ -17,7 +17,7 @@ from radsigns.corpus import (
     Sentence,
     TagSequence,
 )
-from radsigns.crf import TransitionMatrix, log_partition, nll, nll_gradient, viterbi_decode
+from radsigns.crf import TransitionMatrix, log_partition, nll, nll_and_gradient, viterbi_decode
 from radsigns.evaluation import (
     PrfScores,
     agreement_f1,
@@ -91,7 +91,7 @@ def test_criterion_2_gradient_correctness():
         n = int(rng.integers(1, 7))
         emissions, transitions = random_crf_instance(rng, n)
         gold = tags_from_indices("x", rng.integers(0, 7, size=n).tolist())
-        grad_p, grad_a = nll_gradient(emissions, transitions, gold)
+        _, grad_p, grad_a = nll_and_gradient(emissions, transitions, gold)
 
         P, A = emissions.scores, transitions.matrix
         for i in range(n):

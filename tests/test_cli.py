@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from radsigns import cli
 from radsigns.cli import main
 from radsigns.corpus import (
     EmissionMatrix,
@@ -240,8 +239,9 @@ class TestTagAndExtract:
         assert serial.read_text(encoding="utf-8") == parallel.read_text(encoding="utf-8")
 
     def test_jobs_2_output_is_byte_identical_to_jobs_1(self, workspace, tmp_path):
-        # more sentences than one decode batch holds, of mixed lengths, so the
-        # pool gets several batches and order restoration is exercised
+        # more sentences than one decode batch holds, of mixed lengths, so
+        # decoding runs several length-sorted batches and must restore input
+        # order; --jobs is accepted but decoding stays in one process
         corpus = build_rule_corpus(np.random.default_rng(43), 150, prefix="s")
         texts = [s.text for s, _ in corpus]
         texts += [texts[i] + texts[i + 1] + texts[i + 2] for i in range(0, 30, 3)]
@@ -278,10 +278,48 @@ class TestTagAndExtract:
             assert "--jobs must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-        assert cli._worker_count(1) == 1
-        assert cli._worker_count(2) == 1
+    @pytest.mark.parametrize("jobs", ["0", "true"])
+    def test_jobs_below_one_from_config_is_usage_error(self, workspace, tmp_path, capsys, jobs):
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"jobs": %s}' % jobs, encoding="utf-8")
+        for command in (["tag"], ["extract", "--dict", str(workspace["dict"])]):
+            code = main(["--config", str(config_path), *command, str(text_path),
+                         "--model", str(workspace["model"]), "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert "--jobs must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def write_with_bom(self, workspace, tmp_path):
+        text_path, corpus = self.write_input(workspace, tmp_path)
+        bom_path = tmp_path / "bom.txt"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + text_path.read_bytes())
+        return text_path, bom_path
+
+    def test_tag_drops_leading_bom(self, workspace, tmp_path):
+        text_path, bom_path = self.write_with_bom(workspace, tmp_path)
+        outputs = []
+        for path in (text_path, bom_path):
+            out = tmp_path / f"{path.stem}.tsv"
+            assert main(["tag", str(path), "--model", str(workspace["model"]),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert "\ufeff" not in outputs[1].decode("utf-8")
+
+    def test_extract_drops_leading_bom(self, workspace, tmp_path):
+        text_path, bom_path = self.write_with_bom(workspace, tmp_path)
+        outputs = []
+        for path in (text_path, bom_path):
+            quads, relations = tmp_path / f"{path.stem}.q", tmp_path / f"{path.stem}.r"
+            assert main(["extract", str(path), "--model", str(workspace["model"]),
+                         "--dict", str(workspace["dict"]), "--out", str(quads),
+                         "--relations-out", str(relations)]) == 0
+            outputs.append([quads.read_bytes(), relations.read_bytes()])
+        assert outputs[1] == outputs[0]
+        # the first sentence's entities are in the compared files, offsets included
+        first = [json.loads(line) for line in outputs[1][1].decode("utf-8").splitlines()]
+        assert any(r["sentence_id"] == "s1" for r in first)
 
     def test_model_without_features_is_usage_error(self, workspace, tmp_path, capsys):
         document = json.loads(workspace["model"].read_text(encoding="utf-8"))
