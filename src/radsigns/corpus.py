@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -270,70 +272,88 @@ def read_dictionary(path) -> SecondaryPartDictionary:
     return SecondaryPartDictionary(frozenset(terms))
 
 
-def read_emissions_many(path) -> list[EmissionMatrix]:
-    """Read every emission block in the file, in order."""
-    with open(path, encoding="utf-8") as fh:
-        rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1)]
-    rows = [(lineno, line) for lineno, line in rows if line]
-
-    matrices: list[EmissionMatrix] = []
-    i = 0
-    while i < len(rows):
-        lineno, header = rows[i]
-        fields = header.split()
-        if len(fields) != 3:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
-            )
-        sid = fields[0]
+def _raise_row_error(path, rows, k: int) -> NoReturn:
+    """Raise the first bad row's error, checking each row for its token
+    count, then a non-numeric value, then a non-finite one."""
+    for lineno, row in rows:
+        values = row.split()
+        if len(values) != k:
+            raise CorpusFormatError(f"{path}:{lineno}: expected {k} values, got {len(values)}")
         try:
-            n, k = int(fields[1]), int(fields[2])
+            floats = [float(v) for v in values]
         except ValueError:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: header dimensions must be integers, got {header!r}"
-            ) from None
-        if k != NUM_TAGS:
-            raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
-        if n < 1:
-            raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
-        if i + 1 + n > len(rows):
-            raise CorpusFormatError(
-                f"{path}:{lineno}: header promises {n} rows for {sid!r} "
-                f"but only {len(rows) - i - 1} follow"
-            )
-        block = np.empty((n, k))
-        for r in range(n):
-            row_lineno, row = rows[i + 1 + r]
-            values = row.split()
-            if len(values) != k:
-                raise CorpusFormatError(
-                    f"{path}:{row_lineno}: expected {k} values, got {len(values)}"
-                )
+            raise CorpusFormatError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
+        if not all(map(math.isfinite, floats)):
+            raise CorpusFormatError(f"{path}:{lineno}: non-finite value in {row!r}")
+
+
+def _parse_block(path, rows, k: int) -> np.ndarray:
+    """The block's n x k scores from one float pass and one finiteness
+    check; rows are checked one by one only when those fail."""
+    tokens = [row.split() for _, row in rows]
+    if all(len(t) == k for t in tokens):
+        try:
+            block = np.fromiter(map(float, chain.from_iterable(tokens)), np.float64, len(rows) * k)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(block).all():
+                return block.reshape(len(rows), k)
+    _raise_row_error(path, rows, k)
+
+
+def _undecodable_line(path, exc: UnicodeDecodeError) -> CorpusFormatError:
+    """Locate an undecodable byte by re-reading the file as bytes, splitting
+    lines where text mode does."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh.read().splitlines(), 1):
             try:
-                block[r] = [float(v) for v in values]
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}:{row_lineno}: non-numeric value in {row!r}"
-                ) from None
-            if not all(math.isfinite(v) for v in block[r]):
-                raise CorpusFormatError(
-                    f"{path}:{row_lineno}: non-finite value in {row!r}"
-                )
-        matrices.append(EmissionMatrix(sid, block))
-        i += 1 + n
+                line.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return CorpusFormatError(f"{path}:{lineno}: {line_exc}")
+    return CorpusFormatError(f"{path}: {exc}")
+
+
+def read_emissions_many(path) -> list[EmissionMatrix]:
+    """Read every emission block in the file, in order.
+
+    The file is streamed one block at a time: each block's values are parsed
+    with Python ``float``, so its grammar decides which tokens are valid.
+    """
+    matrices: list[EmissionMatrix] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # (lineno, stripped line) for each non-blank line, read lazily
+            lines = ((i, line) for i, line in enumerate(map(str.strip, fh), 1) if line)
+            for lineno, header in lines:
+                fields = header.split()
+                if len(fields) != 3:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
+                    )
+                sid = fields[0]
+                try:
+                    n, k = int(fields[1]), int(fields[2])
+                except ValueError:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: header dimensions must be integers, got {header!r}"
+                    ) from None
+                if k != NUM_TAGS:
+                    raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
+                if n < 1:
+                    raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
+                rows = list(islice(lines, min(n, sys.maxsize)))
+                if len(rows) < n:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: header promises {n} rows for {sid!r} "
+                        f"but only {len(rows)} follow"
+                    )
+                matrices.append(EmissionMatrix(sid, _parse_block(path, rows, k)))
+    except UnicodeDecodeError as exc:
+        raise _undecodable_line(path, exc) from None
     if not matrices:
         raise CorpusFormatError(f"{path}: no emission blocks found")
     return matrices
-
-
-def read_emissions(path) -> EmissionMatrix:
-    """Read a file holding exactly one emission block."""
-    matrices = read_emissions_many(path)
-    if len(matrices) != 1:
-        raise CorpusFormatError(
-            f"{path}: expected a single emission block, found {len(matrices)}"
-        )
-    return matrices[0]
 
 
 def write_emissions(matrices: Iterable[EmissionMatrix], path) -> None:
@@ -407,12 +427,18 @@ def read_relations(path) -> dict[str, list[Relation]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: bad JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: relation record must be a JSON object"
+                )
             if "sentence_id" not in record:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: relation record lacks a sentence_id"
                 )
+            if not isinstance(record["sentence_id"], str):
+                raise CorpusFormatError(f"{path}:{lineno}: sentence_id must be a string")
             try:
                 relation = Relation(
                     record["kind"],

@@ -312,14 +312,6 @@ def log_partition(emissions: EmissionMatrix, transitions: TransitionMatrix) -> f
     return float(batch_log_partition(P, transitions.matrix, lengths)[0])
 
 
-def log_partition_backward(emissions: EmissionMatrix, transitions: TransitionMatrix) -> float:
-    """Same quantity computed with the backward recursion; cross-check only."""
-    P, lengths = _single(emissions)
-    A = transitions.matrix
-    beta = _backward(P, A, lengths)
-    return float(_logsumexp(A[START, :NUM_TAGS] + P[0, 0] + beta[0, 0], axis=0))
-
-
 def nll(emissions: EmissionMatrix, transitions: TransitionMatrix, gold: TagSequence) -> float:
     """Negated log-likelihood of the gold path; non-negative."""
     P, lengths, Y = _single(emissions, gold)

@@ -416,6 +416,18 @@ class TestEval:
         assert code == 0
         assert "F1=100.00" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line, message", [
+        ("5", "relation record must be a JSON object"),
+        ('{"sentence_id": ["s1"], "kind": "P2P", "head": {}, "tail": {}}',
+         "sentence_id must be a string"),
+    ])
+    def test_non_object_relation_line_exits_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "relations.jsonl"
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        code = main(["eval", "--mode", "relation", "--pred", str(path), "--gold", str(path)])
+        assert code == 2
+        assert f"{path}:2: {message}" in capsys.readouterr().err
+
     def test_agreement_mode(self, tmp_path, capsys):
         sentence = Sentence("s1", tuple("字" for _ in range(10)))
 

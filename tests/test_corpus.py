@@ -1,7 +1,12 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radsigns.corpus import (
     CorpusFormatError,
@@ -13,7 +18,6 @@ from radsigns.corpus import (
     Sentence,
     TagSequence,
     read_dictionary,
-    read_emissions,
     read_emissions_many,
     read_relations,
     read_tagged_corpus,
@@ -124,10 +128,126 @@ class TestDictionary:
             SecondaryPartDictionary(frozenset({""}))
 
 
+# ---------------------------------------------------------------------------
+# Row-by-row reference: the emission reader as it was before blocks were
+# parsed in one pass, kept to check the streaming reader against.
+
+
+def reference_read_emissions(path):
+    with open(path, encoding="utf-8") as fh:
+        rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1)]
+    rows = [(lineno, line) for lineno, line in rows if line]
+
+    matrices = []
+    i = 0
+    while i < len(rows):
+        lineno, header = rows[i]
+        fields = header.split()
+        if len(fields) != 3:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
+            )
+        sid = fields[0]
+        try:
+            n, k = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: header dimensions must be integers, got {header!r}"
+            ) from None
+        if k != 7:
+            raise CorpusFormatError(f"{path}:{lineno}: k must be 7, got {k}")
+        if n < 1:
+            raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
+        if i + 1 + n > len(rows):
+            raise CorpusFormatError(
+                f"{path}:{lineno}: header promises {n} rows for {sid!r} "
+                f"but only {len(rows) - i - 1} follow"
+            )
+        block = np.empty((n, k))
+        for r in range(n):
+            row_lineno, row = rows[i + 1 + r]
+            values = row.split()
+            if len(values) != k:
+                raise CorpusFormatError(
+                    f"{path}:{row_lineno}: expected {k} values, got {len(values)}"
+                )
+            try:
+                block[r] = [float(v) for v in values]
+            except ValueError:
+                raise CorpusFormatError(
+                    f"{path}:{row_lineno}: non-numeric value in {row!r}"
+                ) from None
+            if not all(math.isfinite(v) for v in block[r]):
+                raise CorpusFormatError(
+                    f"{path}:{row_lineno}: non-finite value in {row!r}"
+                )
+        matrices.append(EmissionMatrix(sid, block))
+        i += 1 + n
+    if not matrices:
+        raise CorpusFormatError(f"{path}: no emission blocks found")
+    return matrices
+
+
+def outcome(reader, path):
+    """(ids, matrix bytes) on success, (exception type, message) on failure."""
+    try:
+        matrices = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [m.sentence_id for m in matrices], [(m.scores.shape, m.scores.tobytes()) for m in matrices]
+
+
+GOOD_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["0", "-0", ".5", "+2", "1e-3", "5e-324", "1.7976931348623157e308", "1E5"]),
+)
+BAD_TOKENS = ["nan", "inf", "1e400", "1_0", "\u0663", "x"]
+
+
+@st.composite
+def emission_files(draw):
+    """Text of a valid emission file with 0-2 injected defects."""
+    lines, headers = [], []
+    for b in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        headers.append((len(lines), f"s{b}", str(n)))
+        lines.append([f"s{b}", str(n), "7"])
+        lines.extend(draw(st.lists(GOOD_TOKENS, min_size=7, max_size=7)) for _ in range(n))
+    for defect in draw(st.lists(st.sampled_from(
+            ["extra", "missing", "bad", "blank", "drop", "header"]), max_size=2)):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if defect == "extra" and lines:
+            lines[i].insert(draw(st.integers(0, len(lines[i]))), draw(GOOD_TOKENS))
+        elif defect == "missing" and lines and lines[i]:
+            del lines[i][draw(st.integers(0, len(lines[i]) - 1))]
+        elif defect == "bad" and lines and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        elif defect == "blank":
+            lines.insert(i, [])
+        elif defect == "drop" and lines:
+            del lines[i]
+        elif defect == "header":
+            h, sid, n = draw(st.sampled_from(headers))
+            if h < len(lines):
+                lines[h] = draw(st.sampled_from([
+                    [sid, n], [sid, "x", "7"], [sid, n, "8"], [sid, "0", "7"],
+                    [sid, "-1", "7"], [sid, "1" + "0" * 30, "7"], [sid, "\u0662", "7"],
+                    [sid, str(int(n) + 1), "7"], [sid, str(int(n) - 1), "7"],
+                ]))
+    parts = []
+    for tokens in lines:
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        parts.append(pad + sep.join(tokens) + draw(st.sampled_from(["", " ", "\t"])))
+        parts.append(draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(parts)
+
+
 class TestEmissions:
     def test_read_block(self, tmp_path):
         content = "s1 2 7\n" + "0 1 2 3 4 5 6\n" + ".5 .5 .5 .5 .5 .5 .5\n"
-        m = read_emissions(write_text(tmp_path / "e.txt", content))
+        [m] = read_emissions_many(write_text(tmp_path / "e.txt", content))
         assert m.sentence_id == "s1"
         assert m.scores.shape == (2, 7)
         assert m.scores[0, 3] == 3.0
@@ -135,22 +255,22 @@ class TestEmissions:
     def test_missing_row_is_dimension_mismatch(self, tmp_path):
         content = "s1 2 7\n0 1 2 3 4 5 6\n"
         with pytest.raises(CorpusFormatError, match="promises 2 rows"):
-            read_emissions(write_text(tmp_path / "e.txt", content))
+            read_emissions_many(write_text(tmp_path / "e.txt", content))
 
     def test_nan_rejected(self, tmp_path):
         content = "s1 1 7\n0 0 nan 0 0 0 0\n"
         with pytest.raises(CorpusFormatError, match="non-finite"):
-            read_emissions(write_text(tmp_path / "e.txt", content))
+            read_emissions_many(write_text(tmp_path / "e.txt", content))
 
     def test_wrong_k_rejected(self, tmp_path):
         content = "s1 1 8\n0 0 0 0 0 0 0 0\n"
         with pytest.raises(CorpusFormatError, match="k must be 7"):
-            read_emissions(write_text(tmp_path / "e.txt", content))
+            read_emissions_many(write_text(tmp_path / "e.txt", content))
 
     def test_short_row_rejected(self, tmp_path):
         content = "s1 1 7\n0 0 0\n"
         with pytest.raises(CorpusFormatError, match="expected 7 values"):
-            read_emissions(write_text(tmp_path / "e.txt", content))
+            read_emissions_many(write_text(tmp_path / "e.txt", content))
 
     def test_many_blocks_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -165,10 +285,42 @@ class TestEmissions:
         for original, copy in zip(matrices, loaded):
             np.testing.assert_array_equal(original.scores, copy.scores)
 
-    def test_single_reader_rejects_multiple_blocks(self, tmp_path):
-        content = "a 1 7\n0 0 0 0 0 0 0\nb 1 7\n0 0 0 0 0 0 0\n"
-        with pytest.raises(CorpusFormatError, match="single emission block"):
-            read_emissions(write_text(tmp_path / "e.txt", content))
+    def test_first_bad_row_wins_over_later_rows(self, tmp_path):
+        content = "s1 3 7\n0 0 0 0 0 0 0\n0 0 x 0 0 0 0\n0 0\n"
+        with pytest.raises(CorpusFormatError, match=r"e\.txt:3: non-numeric value in '0 0 x 0 0 0 0'"):
+            read_emissions_many(write_text(tmp_path / "e.txt", content))
+
+    def test_huge_row_count_is_dimension_mismatch(self, tmp_path):
+        content = f"s1 {10**30} 7\n0 0 0 0 0 0 0\n"
+        with pytest.raises(CorpusFormatError, match=f"promises {10**30} rows .* only 1 follow"):
+            read_emissions_many(write_text(tmp_path / "e.txt", content))
+
+    def test_undecodable_byte_names_path_and_line(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"s1 1 7\r\n0 0 0 0 0 0 0\r\n\r\ns2 1 7\n0 0 \xff 0 0 0 0\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:5: 'utf-8' codec can't decode byte 0xff in position 4"):
+            read_emissions_many(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=emission_files())
+    def test_matches_row_by_row_reference(self, tmp_path, text):
+        path = tmp_path / "e.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(read_emissions_many, path) == outcome(reference_read_emissions, path)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blocks=st.lists(
+        arrays(np.float64, st.tuples(st.integers(1, 5), st.just(7)),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=4))
+    def test_write_read_round_trip_is_bit_exact(self, tmp_path, blocks):
+        matrices = [EmissionMatrix(f"s{i}", scores) for i, scores in enumerate(blocks)]
+        path = tmp_path / "e.txt"
+        write_emissions(matrices, path)
+        loaded = read_emissions_many(path)
+        assert [m.sentence_id for m in loaded] == [m.sentence_id for m in matrices]
+        assert [m.scores.tobytes() for m in loaded] == [m.scores.tobytes() for m in matrices]
 
     def test_scores_are_read_only(self):
         m = EmissionMatrix("s1", np.zeros((2, 7)))
