@@ -3,6 +3,8 @@ findings in Chinese radiology report sentences."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .corpus import (
     ENTITY_KINDS,
     NUM_TAGS,
@@ -36,6 +38,7 @@ from .encoder import (
     LinearScorerParams,
     extract_features,
     external_emissions,
+    feature_id_batch,
     score_sentence,
 )
 from .evaluation import (
@@ -52,53 +55,8 @@ from .tag2relation import Chunk, chunk_sentence, find_primary_parts, match
 from .tagscheme import entities_to_tags, tags_to_entities, validate_path
 from .trainer import TrainConfig, TrainReport, evaluate_dev, train
 
-__all__ = [
-    "CorpusFormatError",
-    "Chunk",
-    "ConfusionMatrix",
-    "EmissionMatrix",
-    "Entity",
-    "ErrorRecord",
-    "FeatureVocabulary",
-    "LinearScorerParams",
-    "PrfBreakdown",
-    "PrfScores",
-    "Quadruple",
-    "Relation",
-    "SecondaryPartDictionary",
-    "Sentence",
-    "TagSequence",
-    "TaggerModel",
-    "TrainConfig",
-    "TrainReport",
-    "TransitionMatrix",
-    "ENTITY_KINDS",
-    "NUM_TAGS",
-    "RELATION_KINDS",
-    "TAG_LABELS",
-    "agreement_f1",
-    "chunk_sentence",
-    "classify_errors",
-    "entities_to_tags",
-    "entity_prf",
-    "evaluate_dev",
-    "extract_features",
-    "external_emissions",
-    "find_primary_parts",
-    "load_model",
-    "log_partition",
-    "match",
-    "nll",
-    "path_score",
-    "read_dictionary",
-    "read_tagged_corpus",
-    "relation_prf",
-    "save_model",
-    "score_sentence",
-    "tags_to_entities",
-    "train",
-    "validate_path",
-    "viterbi_decode",
-    "write_quadruples",
-    "write_tagged_corpus",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -23,6 +23,7 @@ from .corpus import (
     read_emissions_many,
     read_relations,
     read_tagged_corpus,
+    read_text_sentences,
     write_quadruples,
     write_relations,
     write_tagged_corpus,
@@ -35,7 +36,7 @@ from .crf import (
     pad_batch,
     save_model,
 )
-from .encoder import external_emissions, score_ids
+from .encoder import external_emissions, feature_id_batch, score_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
 from .tag2relation import match
 from .tagscheme import tags_to_entities
@@ -133,14 +134,7 @@ def _add_decode_arguments(p: argparse.ArgumentParser) -> None:
 def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence | None]]:
     if input_format == "tsv":
         return [(s, t) for s, t in read_tagged_corpus(path)]
-    items: list[tuple[Sentence, TagSequence | None]] = []
-    with open(path, encoding="utf-8-sig") as fh:   # drops a leading BOM
-        for line in fh:
-            text = line.rstrip("\n").rstrip("\r")
-            if not text:
-                continue
-            items.append((Sentence.from_text(f"s{len(items) + 1}", text), None))
-    return items
+    return [(s, None) for s in read_text_sentences(path)]
 
 
 def _check_jobs(jobs) -> None:
@@ -153,7 +147,7 @@ def _check_jobs(jobs) -> None:
 def _emission_batch(model: TaggerModel, sentences, emission_map):
     """Padded emissions and lengths for one batch of sentences."""
     if emission_map is None:
-        ids, lengths = pad_batch([model.vocab.feature_ids(s) for s in sentences])
+        ids, lengths = feature_id_batch(model.vocab, sentences)
         return score_ids(model.weights.weights, ids), lengths
     blocks = []
     for sentence in sentences:
@@ -329,8 +323,11 @@ def _load_config_defaults(argv) -> dict | None:
     found, _ = scanner.parse_known_args(argv)
     if not found.config:
         return None
-    with open(found.config, encoding="utf-8") as fh:
-        values = json.load(fh)
+    try:
+        with open(found.config, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (ValueError, RecursionError) as exc:   # undecodable bytes, bad or too deep JSON
+        raise CorpusFormatError(f"{found.config}: not a JSON config file: {exc}") from None
     if not isinstance(values, dict):
         raise CorpusFormatError(f"{found.config}: config must be a JSON object")
     return values

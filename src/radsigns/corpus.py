@@ -7,6 +7,8 @@ vocabulary is fixed, with these exact spellings for interchange:
 
 File formats handled here:
 
+* text input: one sentence per line, blank lines skipped, UTF-8 with an
+  optional leading BOM;
 * tagged corpus: one ``<char>\\t<tag>`` per line, blank line between
   sentences, UTF-8 without BOM;
 * secondary-part dictionary: one term per line, ``#`` starts a comment;
@@ -14,6 +16,7 @@ File formats handled here:
   floats (one or more such blocks per file);
 * quadruples and relations: JSON Lines, UTF-8.
 
+An undecodable byte in any input file is reported as ``path:line``.
 Readers are pure functions and every returned value is immutable, so results
 are safe to share across threads.
 """
@@ -24,6 +27,7 @@ import json
 import math
 import sys
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, NoReturn, Sequence
@@ -218,7 +222,7 @@ def read_tagged_corpus(path) -> list[tuple[Sentence, TagSequence]]:
             chars.clear()
             tags.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if line.endswith("\r"):
@@ -261,7 +265,7 @@ def write_tagged_corpus(pairs: Sequence[tuple[Sentence, TagSequence]], path) -> 
 
 def read_dictionary(path) -> SecondaryPartDictionary:
     terms = set()
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -314,6 +318,29 @@ def _undecodable_line(path, exc: UnicodeDecodeError) -> CorpusFormatError:
     return CorpusFormatError(f"{path}: {exc}")
 
 
+@contextmanager
+def _open_text(path, encoding: str = "utf-8"):
+    """Open a file for reading text; an undecodable byte met while reading
+    raises ``CorpusFormatError`` naming its line."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise _undecodable_line(path, exc) from None
+
+
+def read_text_sentences(path) -> list[Sentence]:
+    """One sentence per non-blank line, with ids ``s1``, ``s2``, ... in
+    order; a leading BOM is dropped."""
+    sentences: list[Sentence] = []
+    with _open_text(path, "utf-8-sig") as fh:
+        for line in fh:
+            text = line.rstrip("\n").rstrip("\r")
+            if text:
+                sentences.append(Sentence.from_text(f"s{len(sentences) + 1}", text))
+    return sentences
+
+
 def read_emissions_many(path) -> list[EmissionMatrix]:
     """Read every emission block in the file, in order.
 
@@ -321,36 +348,33 @@ def read_emissions_many(path) -> list[EmissionMatrix]:
     with Python ``float``, so its grammar decides which tokens are valid.
     """
     matrices: list[EmissionMatrix] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            # (lineno, stripped line) for each non-blank line, read lazily
-            lines = ((i, line) for i, line in enumerate(map(str.strip, fh), 1) if line)
-            for lineno, header in lines:
-                fields = header.split()
-                if len(fields) != 3:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
-                    )
-                sid = fields[0]
-                try:
-                    n, k = int(fields[1]), int(fields[2])
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: header dimensions must be integers, got {header!r}"
-                    ) from None
-                if k != NUM_TAGS:
-                    raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
-                if n < 1:
-                    raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
-                rows = list(islice(lines, min(n, sys.maxsize)))
-                if len(rows) < n:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: header promises {n} rows for {sid!r} "
-                        f"but only {len(rows)} follow"
-                    )
-                matrices.append(EmissionMatrix(sid, _parse_block(path, rows, k)))
-    except UnicodeDecodeError as exc:
-        raise _undecodable_line(path, exc) from None
+    with _open_text(path) as fh:
+        # (lineno, stripped line) for each non-blank line, read lazily
+        lines = ((i, line) for i, line in enumerate(map(str.strip, fh), 1) if line)
+        for lineno, header in lines:
+            fields = header.split()
+            if len(fields) != 3:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
+                )
+            sid = fields[0]
+            try:
+                n, k = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: header dimensions must be integers, got {header!r}"
+                ) from None
+            if k != NUM_TAGS:
+                raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
+            if n < 1:
+                raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
+            rows = list(islice(lines, min(n, sys.maxsize)))
+            if len(rows) < n:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: header promises {n} rows for {sid!r} "
+                    f"but only {len(rows)} follow"
+                )
+            matrices.append(EmissionMatrix(sid, _parse_block(path, rows, k)))
     if not matrices:
         raise CorpusFormatError(f"{path}: no emission blocks found")
     return matrices
@@ -420,7 +444,7 @@ def write_relations(
 def read_relations(path) -> dict[str, list[Relation]]:
     """Read a relations JSONL file into a sentence_id -> relations map."""
     by_sentence: dict[str, list[Relation]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:

@@ -384,7 +384,7 @@ def load_model(path) -> TaggerModel:
     try:
         with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
-    except ValueError as exc:   # undecodable bytes or invalid JSON
+    except (ValueError, RecursionError) as exc:   # undecodable bytes, bad or too deep JSON
         raise ValueError(f"{path}: not a JSON model file: {exc}") from exc
     if not isinstance(document, dict):
         raise ValueError(f"{path}: model file must hold a JSON object")

@@ -3,13 +3,20 @@
 Two sources are supported: a trainable sparse linear scorer over character
 indicator features, and pass-through of score matrices computed offline by
 an external encoder.  Both produce the same n x 7 emission matrix.
+
+Features are defined as strings (:func:`extract_features`), and the model
+file stores them as strings.  Feature ids are not looked up string by
+string: each vocabulary compiles its strings once into integer tables over
+character ids, and :func:`feature_id_batch` gathers a whole batch of
+sentences from them with one dict lookup per character.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,6 +27,8 @@ UNK = "<unk>"
 
 # fixed template set: 5 char windows, 2 bigrams, 1 char class, 1 bias
 FEATURES_PER_POSITION = 9
+WINDOW_TEMPLATES = ("c-2", "c-1", "c0", "c+1", "c+2")
+CHAR_CLASSES = ("digit", "latin", "punct", "cjk", "other")
 
 
 def char_class(ch: str) -> str:
@@ -93,11 +102,123 @@ class FeatureVocabulary:
         return self.index.get(feature, self.unk_index)
 
     def feature_ids(self, sentence: Sentence) -> np.ndarray:
-        ids = np.empty((len(sentence), FEATURES_PER_POSITION), dtype=np.intp)
-        for i in range(len(sentence)):
-            for j, feature in enumerate(extract_features(sentence, i)):
-                ids[i, j] = self.index.get(feature, self.unk_index)
-        return ids
+        """The ``(n, 9)`` feature ids of one sentence."""
+        ids, _ = feature_id_batch(self, [sentence])
+        return ids[0]
+
+    @cached_property
+    def _tables(self) -> _TemplateTables:
+        return _TemplateTables(self.index, self.unk_index)
+
+
+_CLASS_INDEX = {name: k for k, name in enumerate(CHAR_CLASSES)}
+_WINDOW_ROWS = np.arange(len(WINDOW_TEMPLATES))
+_NO_KEY = np.iinfo(np.int64).max
+
+
+class _TemplateTables:
+    """A vocabulary's feature strings compiled to integer lookups.
+
+    Characters get ids: 0 is the pad sentinel, then every character that
+    some window or bigram feature names, then one id per character class
+    for the characters no feature names.  ``table`` holds one row per
+    window template and a last row for the class feature, indexed by char
+    id.  Each bigram template has a sorted key array (left id * width +
+    right id, ending in a sentinel no pair reaches) and its feature ids.
+    Feature strings that no sentence can produce, such as ``c0=<pad>`` or
+    ``bi-1=x<pad>``, are left out of the tables, so they never fire.
+    """
+
+    def __init__(self, index: dict[str, int], unk: int):
+        self.unk = unk
+        self.char_ids = {PAD: 0}
+        self.bias = index.get("bias", unk)
+        windows, classes = [], {}
+        bigrams = {"bi-1": [], "bi0": []}
+        for feature, column in index.items():
+            template, _, value = feature.partition("=")
+            if template in WINDOW_TEMPLATES and (len(value) == 1 or value == PAD):
+                windows.append((WINDOW_TEMPLATES.index(template), self._char(value), column))
+            elif template in bigrams and (pair := _bigram_chars(template, value)):
+                bigrams[template].append((*map(self._char, pair), column))
+            elif template == "cls0" and value in _CLASS_INDEX:
+                classes[value] = column
+        self.unseen = len(self.char_ids)
+        self.width = self.unseen + len(CHAR_CLASSES)
+
+        self.table = np.full((len(WINDOW_TEMPLATES) + 1, self.width), unk, dtype=np.intp)
+        for row, char, column in windows:
+            self.table[row, char] = column
+        class_ids = [classes.get(name, unk) for name in CHAR_CLASSES]
+        for ch, char in self.char_ids.items():
+            if char:
+                self.table[-1, char] = class_ids[_CLASS_INDEX[char_class(ch)]]
+        self.table[-1, self.unseen:] = class_ids
+
+        self.bigrams = []
+        for entries in bigrams.values():
+            pairs = sorted((left * self.width + right, column) for left, right, column in entries)
+            keys = np.array([key for key, _ in pairs] + [_NO_KEY], dtype=np.int64)
+            values = np.array([column for _, column in pairs] + [unk], dtype=np.intp)
+            self.bigrams.append((keys, values))
+
+    def _char(self, ch: str) -> int:
+        return self.char_ids.setdefault(ch, len(self.char_ids))
+
+    def unseen_id(self, ch: str) -> int:
+        """Char id of a character that no feature names: its class's id."""
+        return self.unseen + _CLASS_INDEX[char_class(ch)]
+
+    def bigram_ids(self, which: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Feature ids of template ``bi-1`` (0) or ``bi0`` (1) for char id pairs."""
+        keys, values = self.bigrams[which]
+        query = left * np.int64(self.width) + right
+        at = np.searchsorted(keys, query)
+        return np.where(keys[at] == query, values[at], self.unk)
+
+
+def _bigram_chars(template: str, value: str) -> tuple[str, str] | None:
+    """The (left, right) characters of a bigram feature value that some
+    sentence can produce: two characters, or the pad sentinel before the
+    first (``bi-1``) or after the last (``bi0``) character."""
+    if len(value) == 2:
+        return value[0], value[1]
+    if len(value) == len(PAD) + 1:
+        if template == "bi-1" and value.startswith(PAD):
+            return PAD, value[-1]
+        if template == "bi0" and value.endswith(PAD):
+            return value[0], PAD
+    return None
+
+
+def feature_id_batch(
+    vocab: FeatureVocabulary, sentences: Sequence[Sentence]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature ids of a batch of sentences, zero-padded to ``(B, n_max, 9)``,
+    and the sentence lengths: what ``crf.pad_batch`` makes of each
+    sentence's ids.  Equal, position by position, to looking up every
+    :func:`extract_features` string in ``vocab.index``, with unseen strings
+    mapped to ``vocab.unk_index``."""
+    tables = vocab._tables
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    n_max = int(lengths.max(initial=0))
+    valid = np.arange(n_max) < lengths[:, None]
+    # char ids with two pad ids (0) on either side of every sentence
+    chars = np.zeros((len(sentences), n_max + 4), dtype=np.intp)
+    get, unseen = tables.char_ids.get, tables.unseen_id
+    chars[:, 2:-2][valid] = [get(ch) or unseen(ch) for s in sentences for ch in s.chars]
+    # (positions, 5): char ids at offsets -2..+2 of every valid position
+    context = np.stack([chars[:, k:k + n_max][valid] for k in range(5)], axis=1)
+
+    flat = np.empty((len(context), FEATURES_PER_POSITION), dtype=np.intp)
+    flat[:, :5] = tables.table[_WINDOW_ROWS, context]
+    flat[:, 5] = tables.bigram_ids(0, context[:, 1], context[:, 2])
+    flat[:, 6] = tables.bigram_ids(1, context[:, 2], context[:, 3])
+    flat[:, 7] = tables.table[-1, context[:, 2]]
+    flat[:, 8] = tables.bias
+    ids = np.zeros((len(sentences), n_max, FEATURES_PER_POSITION), dtype=np.intp)
+    ids[valid] = flat
+    return ids, lengths
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from .crf import (
     length_buckets,
     pad_batch,
 )
-from .encoder import FeatureVocabulary, LinearScorerParams, score_ids
+from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
 from .evaluation import entity_prf
 from .tagscheme import TAG_INDEX, tag_indices, tags_to_entities
 
@@ -89,16 +89,25 @@ class TrainReport:
 
 
 def _prepare(corpus: CorpusPairs, vocab: FeatureVocabulary):
-    features = []
-    golds = []
+    """Each sentence's feature ids, extracted in length-sorted batches, and
+    its gold tag indices."""
     for sentence, tags in corpus:
         if len(tags) != len(sentence):
             raise ValueError(
                 f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags"
             )
-        features.append(vocab.feature_ids(sentence))
-        golds.append(np.array(tag_indices(tags), dtype=np.intp))
+    features = [None] * len(corpus)
+    for bucket, ids, lengths in _feature_batches([s for s, _ in corpus], vocab):
+        for j, row, n in zip(bucket, ids, lengths):
+            features[j] = row[:n]
+    golds = [np.array(tag_indices(tags), dtype=np.intp) for _, tags in corpus]
     return features, golds
+
+
+def _feature_batches(sentences: Sequence[Sentence], vocab: FeatureVocabulary):
+    """``(bucket, ids, lengths)`` for each length-sorted batch of sentences."""
+    return [(bucket, *feature_id_batch(vocab, [sentences[j] for j in bucket]))
+            for bucket in length_buckets([len(s) for s in sentences])]
 
 
 def _snapshot(vocab: FeatureVocabulary, weights: np.ndarray, transitions: np.ndarray) -> TaggerModel:
@@ -111,13 +120,10 @@ class _DevSet:
     """Dev sentences with their feature ids cut into length-sorted padded
     batches, and their gold entities; built once, decoded every epoch."""
 
-    def __init__(self, dev: CorpusPairs, features: Sequence[np.ndarray]):
+    def __init__(self, dev: CorpusPairs, vocab: FeatureVocabulary):
         self.sentences = [sentence for sentence, _ in dev]
-        self.batches = [
-            (bucket, *pad_batch([features[j] for j in bucket]))
-            for bucket in length_buckets([len(ids) for ids in features])
-        ]
         self.gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
+        self.batches = _feature_batches(self.sentences, vocab)
 
     def f1(self, model: TaggerModel) -> float:
         weights = model.weights.weights
@@ -130,8 +136,7 @@ class _DevSet:
 
 def evaluate_dev(model: TaggerModel, dev: CorpusPairs) -> float:
     """Strict entity F1 (0-100) of constrained decoding against dev tags."""
-    features, _ = _prepare(dev, model.vocab)
-    return _DevSet(dev, features).f1(model)
+    return _DevSet(dev, model.vocab).f1(model)
 
 
 def train(
@@ -149,7 +154,7 @@ def train(
 
     vocab = FeatureVocabulary.build(s for s, _ in corpus)
     features, golds = _prepare(corpus, vocab)
-    dev_set = _DevSet(dev, _prepare(dev, vocab)[0])
+    dev_set = _DevSet(dev, vocab)
     weights = np.zeros((vocab.size, len(TAG_INDEX)))
     transitions = np.zeros((FULL_SIZE, FULL_SIZE))
 

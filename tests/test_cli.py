@@ -333,6 +333,15 @@ class TestTagAndExtract:
         err = capsys.readouterr().err
         assert str(model_path) in err and "features" in err
 
+    def test_deeply_nested_model_is_usage_error(self, workspace, tmp_path, capsys):
+        model_path = tmp_path / "deep.json"
+        model_path.write_text("[" * 100_000, encoding="utf-8")
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        code = main(["tag", str(text_path), "--model", str(model_path),
+                     "--out", str(tmp_path / "t.tsv")])
+        assert code == 2
+        assert f"{model_path}: not a JSON model file" in capsys.readouterr().err
+
     def test_model_json_list_is_usage_error(self, workspace, tmp_path, capsys):
         model_path = tmp_path / "list.json"
         model_path.write_text("[1, 2, 3]\n", encoding="utf-8")
@@ -462,6 +471,28 @@ class TestEval:
         assert csv_path.read_text(encoding="utf-8").startswith("gold\\pred")
 
 
+class TestUndecodableInput:
+    """An undecodable byte in any input file exits 2 naming its path and line."""
+
+    @pytest.mark.parametrize("command", [
+        ["train", "{bad}", "{train}", "--model-out", "{out}"],
+        ["eval", "--pred", "{bad}", "--gold", "{bad}"],
+        ["tag", "{bad}", "--input-format", "tsv", "--model", "{model}", "--out", "{out}"],
+        ["tag", "{bad}", "--model", "{model}", "--out", "{out}"],
+        ["extract", "{train}", "--input-format", "tsv", "--model", "{model}",
+         "--dict", "{bad}", "--out", "{out}"],
+        ["eval", "--mode", "relation", "--pred", "{bad}", "--gold", "{bad}"],
+    ], ids=["train-corpus", "eval-corpus", "tag-tsv", "tag-text", "dictionary",
+            "relations"])
+    def test_exits_2_with_path_and_line(self, workspace, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\n\xff\n")
+        paths = {"bad": bad, "train": workspace["train"], "model": workspace["model"],
+                 "out": tmp_path / "out"}
+        assert main([arg.format(**paths) for arg in command]) == 2
+        assert f"{bad}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_flag(self, capsys):
         assert main(["train", "--bogus"]) == 2
@@ -501,6 +532,13 @@ class TestConfigFile:
         assert main(["--config", str(config_path), "eval",
                      "--pred", "x", "--gold", "y"]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        config_path = tmp_path / "deep.json"
+        config_path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["--config", str(config_path), "eval",
+                     "--pred", "x", "--gold", "y"]) == 2
+        assert f"{config_path}: not a JSON config file" in capsys.readouterr().err
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.json"), "eval",

@@ -21,6 +21,7 @@ from radsigns.corpus import (
     read_emissions_many,
     read_relations,
     read_tagged_corpus,
+    read_text_sentences,
     write_emissions,
     write_quadruples,
     write_relations,
@@ -376,6 +377,30 @@ class TestRelationsIO:
         path.write_text(json.dumps(line) + "\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="sentence_id"):
             read_relations(path)
+
+
+class TestTextInput:
+    def test_blank_lines_skipped_and_bom_dropped(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes("\ufeff肺炎\r\n\n右肺\n".encode("utf-8"))
+        assert read_text_sentences(path) == [Sentence.from_text("s1", "肺炎"),
+                                             Sentence.from_text("s2", "右肺")]
+
+
+class TestUndecodableBytes:
+    """Every reader names the path and line of an undecodable byte."""
+
+    @pytest.mark.parametrize("reader, content", [
+        (read_tagged_corpus, b"\xe8\x82\xba\tB-P\r\n\n\xff\tO\n"),
+        (read_dictionary, b"# parts\r\n\n\xff\n"),
+        (read_relations, b"{}\r\n\n\xff\n"),
+        (read_text_sentences, b"\xef\xbb\xbf\xe8\x82\xba\r\n\n\xff\n"),
+    ], ids=lambda value: getattr(value, "__name__", ""))
+    def test_names_path_and_line(self, tmp_path, reader, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:3: 'utf-8' codec can't decode byte 0xff in position 0"):
+            reader(path)
 
 
 class TestDomainTypes:

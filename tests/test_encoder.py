@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radsigns.corpus import EmissionMatrix, Sentence
+from radsigns.crf import pad_batch
 from radsigns.encoder import (
     FEATURES_PER_POSITION,
     PAD,
@@ -10,9 +13,47 @@ from radsigns.encoder import (
     char_class,
     extract_features,
     external_emissions,
+    feature_id_batch,
     score_sentence,
 )
 from radsigns.tagscheme import TAG_INDEX
+
+
+def reference_feature_ids(vocab, sentence):
+    """The string path: every position's feature strings looked up one by one."""
+    ids = np.empty((len(sentence), FEATURES_PER_POSITION), dtype=np.intp)
+    for i in range(len(sentence)):
+        for j, feature in enumerate(extract_features(sentence, i)):
+            ids[i, j] = vocab.index.get(feature, vocab.unk_index)
+    return ids
+
+
+# Characters the vocabulary may see in training: the letters of the pad
+# sentinel, CJK, digits, punctuation and a non-BMP character.
+SEEN = "<pad>右上肺见影1。，x😀"
+# Characters only test sentences use, one per class and two outside the BMP.
+UNSEEN = "肝7；Z𝟘😺あ"
+# Feature strings shaped like the templates that no sentence can produce.
+NEVER_FIRING = ("c0=<pad>", "bi-1=x<pad>", "bi0=<pad>x", "c0=ab", "c-2=<pa",
+                "bi-1=<pad>", "bi0=<pad><pad>", "cls0=nonsense", "cls0=", "bias=")
+
+
+def sentences(alphabet, max_size=9):
+    return st.lists(st.text(alphabet, min_size=1, max_size=max_size), min_size=1, max_size=6)
+
+
+@st.composite
+def vocabularies(draw):
+    """A vocabulary built from drawn sentences, perhaps without ``bias``,
+    with never-firing strings added, columns shuffled and any unk index."""
+    texts = draw(sentences(SEEN))
+    built = FeatureVocabulary.build(Sentence.from_text(f"v{k}", t) for k, t in enumerate(texts))
+    features = [f for f in built.index if f != "bias" or draw(st.booleans())]
+    features += [f for f in draw(st.lists(st.sampled_from(NEVER_FIRING), unique=True))
+                 if f not in features]
+    columns = draw(st.permutations(range(len(features))))
+    unk_index = draw(st.integers(0, len(features) - 1))
+    return FeatureVocabulary(dict(zip(features, columns)), unk_index)
 
 
 class TestFeatureExtraction:
@@ -80,6 +121,36 @@ class TestFeatureVocabulary:
         vocab = FeatureVocabulary.build([shadow_sentence])
         ids = vocab.feature_ids(shadow_sentence)
         assert ids.shape == (len(shadow_sentence), FEATURES_PER_POSITION)
+
+
+class TestFeatureIdBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(vocab=vocabularies(), texts=sentences(SEEN + UNSEEN, max_size=12))
+    def test_matches_string_lookups_and_pads_with_zero(self, vocab, texts):
+        batch = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
+        ids, lengths = feature_id_batch(vocab, batch)
+        expected, expected_lengths = pad_batch([reference_feature_ids(vocab, s) for s in batch])
+        assert ids.dtype == np.intp
+        np.testing.assert_array_equal(lengths, expected_lengths)
+        np.testing.assert_array_equal(ids, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vocab=vocabularies(), text=st.text(SEEN + UNSEEN, min_size=1, max_size=12))
+    def test_single_sentence_method_matches_string_lookups(self, vocab, text):
+        sentence = Sentence.from_text("s1", text)
+        np.testing.assert_array_equal(vocab.feature_ids(sentence),
+                                      reference_feature_ids(vocab, sentence))
+
+    def test_never_firing_strings_stay_unk(self):
+        vocab = FeatureVocabulary({"<unk>": 0, **{f: k for k, f in enumerate(NEVER_FIRING, 1)}})
+        ids, _ = feature_id_batch(vocab, [Sentence.from_text("s1", "x<pad>"),
+                                          Sentence.from_text("s2", "a")])
+        np.testing.assert_array_equal(ids, 0)
+
+    def test_empty_batch(self, shadow_sentence):
+        vocab = FeatureVocabulary.build([shadow_sentence])
+        ids, lengths = feature_id_batch(vocab, [])
+        assert ids.shape == (0, 0, FEATURES_PER_POSITION) and lengths.shape == (0,)
 
 
 class TestScoreSentence:

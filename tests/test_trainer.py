@@ -10,6 +10,7 @@ from radsigns.crf import (
     nll_and_gradient,
 )
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_sentence
+from radsigns import trainer
 from radsigns.evaluation import entity_prf
 from radsigns.tagscheme import TAG_INDEX, tags_to_entities
 from radsigns.trainer import (
@@ -113,13 +114,13 @@ class TestTraining:
         corpus = build_rule_corpus(rng, 20, prefix="t")
         dev = build_rule_corpus(rng, 7, prefix="d")
         calls = []
-        original = FeatureVocabulary.feature_ids
+        original = trainer.feature_id_batch
 
-        def counting(vocab, sentence):
-            calls.append(sentence.id)
-            return original(vocab, sentence)
+        def counting(vocab, sentences):
+            calls.extend(sentence.id for sentence in sentences)
+            return original(vocab, sentences)
 
-        monkeypatch.setattr(FeatureVocabulary, "feature_ids", counting)
+        monkeypatch.setattr(trainer, "feature_id_batch", counting)
         train(corpus, dev, TrainConfig(epochs=3, batch_size=8, seed=5))
         assert sorted(calls) == sorted(s.id for s, _ in corpus + dev)
 
