@@ -52,7 +52,7 @@ from .evaluation import (
     relation_prf,
 )
 from .tag2relation import Chunk, chunk_sentence, find_primary_parts, match
-from .tagscheme import entities_to_tags, tags_to_entities, validate_path
+from .tagscheme import entities_from_indices, entities_to_tags, tags_to_entities, validate_path
 from .trainer import TrainConfig, TrainReport, evaluate_dev, train
 
 # every public name imported above, and nothing else

@@ -13,10 +13,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .corpus import (
     CorpusFormatError,
+    RecordLines,
     Sentence,
     TagSequence,
     read_dictionary,
@@ -24,8 +26,6 @@ from .corpus import (
     read_relations,
     read_tagged_corpus,
     read_text_sentences,
-    write_quadruples,
-    write_relations,
     write_tagged_corpus,
 )
 from .crf import (
@@ -39,7 +39,7 @@ from .crf import (
 from .encoder import external_emissions, feature_id_batch, score_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
 from .tag2relation import match
-from .tagscheme import tags_to_entities
+from .tagscheme import entities_from_indices, tag_indices, tags_from_indices, tags_to_entities
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
@@ -133,7 +133,7 @@ def _add_decode_arguments(p: argparse.ArgumentParser) -> None:
 
 def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence | None]]:
     if input_format == "tsv":
-        return [(s, t) for s, t in read_tagged_corpus(path)]
+        return read_tagged_corpus(path)
     return [(s, None) for s in read_text_sentences(path)]
 
 
@@ -157,13 +157,13 @@ def _emission_batch(model: TaggerModel, sentences, emission_map):
     return pad_batch(blocks)
 
 
-def _decode_all(model, sentences, constrain, emissions_file) -> list[TagSequence]:
+def _decode_all(model, sentences, constrain, emissions_file) -> list[list[int]]:
     emission_map = None
     if emissions_file:
         emission_map = {m.sentence_id: m for m in read_emissions_many(emissions_file)}
     batches = ((bucket, *_emission_batch(model, [sentences[i] for i in bucket], emission_map))
                for bucket in length_buckets([len(s) for s in sentences]))
-    return decode_batches(sentences, batches, model.transitions, constrain)
+    return decode_batches(len(sentences), batches, model.transitions, constrain)
 
 
 def _cmd_train(args) -> int:
@@ -179,7 +179,7 @@ def _cmd_train(args) -> int:
     corpus = read_tagged_corpus(args.train_path)
     # dev ids restart at s1; prefix them so the two corpora stay disjoint
     dev = [
-        (Sentence(f"dev-{s.id}", s.chars, s.source_report_id),
+        (Sentence(f"dev-{s.id}", s.chars),
          TagSequence(f"dev-{s.id}", t.tags))
         for s, t in read_tagged_corpus(args.dev_path)
     ]
@@ -202,8 +202,9 @@ def _cmd_tag(args) -> int:
     model = load_model(args.model)
     items = _load_sentences(args.input, args.input_format)
     sentences = [s for s, _ in items]
-    decoded = _decode_all(model, sentences, args.constrain, args.emissions_file)
-    write_tagged_corpus(list(zip(sentences, decoded)), args.out)
+    paths = _decode_all(model, sentences, args.constrain, args.emissions_file)
+    write_tagged_corpus([(s, tags_from_indices(s.id, path)) for s, path in zip(sentences, paths)],
+                        args.out)
     return EXIT_OK
 
 
@@ -221,61 +222,43 @@ def _cmd_extract(args) -> int:
     if args.from_tags:
         if args.input_format != "tsv":
             raise CorpusFormatError("--from-tags requires --input-format tsv")
-        decoded = [t for _, t in items]
+        paths = [tag_indices(t) for _, t in items]
     else:
-        decoded = _decode_all(model, sentences, args.constrain, args.emissions_file)
+        paths = _decode_all(model, sentences, args.constrain, args.emissions_file)
 
-    all_quads, quad_ids = [], []
-    all_relations, relation_ids = [], []
-    for sentence, tags in zip(sentences, decoded):
-        entities = tags_to_entities(sentence, tags)
-        relations, quadruples = match(sentence, entities, dictionary)
-        all_quads.extend(quadruples)
-        quad_ids.extend(sentence.id for _ in quadruples)
-        all_relations.extend(relations)
-        relation_ids.extend(sentence.id for _ in relations)
-
-    write_quadruples(all_quads, args.out, sentence_ids=quad_ids)
-    if args.relations_out:
-        write_relations(all_relations, args.relations_out, sentence_ids=relation_ids)
+    with open(args.out, "w", encoding="utf-8", newline="\n") as quads_out, (
+        open(args.relations_out, "w", encoding="utf-8", newline="\n")
+        if args.relations_out else nullcontext()
+    ) as relations_out:
+        for sentence, path in zip(sentences, paths):
+            relations, quads = match(sentence, entities_from_indices(sentence, path), dictionary)
+            lines = RecordLines(sentence.id)
+            quads_out.writelines(map(lines.quadruple, quads))
+            if relations_out:
+                relations_out.writelines(map(lines.relation, relations))
     return EXIT_OK
 
 
-def _entities_by_sentence(path):
-    pairs = read_tagged_corpus(path)
-    return (
-        {s.id: tags_to_entities(s, t) for s, t in pairs},
-        [(s.id, s.text) for s, _ in pairs],
-    )
+def _aligned_entities(pred_path, gold_path):
+    """Entities by sentence id of two tagged corpora of the same sentences."""
+    pred, gold = read_tagged_corpus(pred_path), read_tagged_corpus(gold_path)
+    if [s.text for s, _ in pred] != [s.text for s, _ in gold]:
+        raise CorpusFormatError("pred and gold corpora do not contain the same sentences")
+    return tuple({s.id: tags_to_entities(s, t) for s, t in pairs} for pairs in (pred, gold))
 
 
-def _check_aligned(pred_shape, gold_shape) -> None:
-    if pred_shape != gold_shape:
-        raise CorpusFormatError(
-            "pred and gold corpora do not contain the same sentences"
-        )
-
-
-def _print_breakdown(label: str, breakdown, fmt: str) -> dict:
-    report = {"mode": label, **breakdown.to_dict()}
-    if fmt == "json":
-        print(json.dumps(report, ensure_ascii=False))
-    else:
-        print(f"{label} overall {breakdown.overall}")
-        for kind, scores in breakdown.by_kind.items():
-            print(f"{label} {kind} {scores}")
-    return report
+def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:
+    """The JSON report and the text lines of a P/R/F1 breakdown."""
+    lines = [f"{label} overall {breakdown.overall}"]
+    lines += [f"{label} {kind} {scores}" for kind, scores in breakdown.by_kind.items()]
+    return {"mode": label, **breakdown.to_dict()}, "\n".join(lines)
 
 
 def _cmd_eval(args, mode: str) -> int:
-    fmt = args.format
-    report: dict
     if mode in ("entity", "errors"):
-        pred, pred_shape = _entities_by_sentence(args.pred)
-        gold, gold_shape = _entities_by_sentence(args.gold)
-        _check_aligned(pred_shape, gold_shape)
+        pred, gold = _aligned_entities(args.pred, args.gold)
         if mode == "entity":
-            report = _print_breakdown("entity", entity_prf(pred, gold), fmt)
+            report, text = _breakdown_report("entity", entity_prf(pred, gold))
         else:
             records, confusion, summary = classify_errors(pred, gold)
             report = {
@@ -284,32 +267,23 @@ def _cmd_eval(args, mode: str) -> int:
                 "confusion": confusion.counts.tolist(),
                 "records": len(records),
             }
-            if fmt == "json":
-                print(json.dumps(report, ensure_ascii=False))
-            else:
-                print(summary.format_text())
-                print(confusion.to_csv())
-            if args.confusion_csv:
-                with open(args.confusion_csv, "w", encoding="utf-8") as fh:
-                    fh.write(confusion.to_csv())
+            text = summary.format_text() + "\n" + confusion.to_csv()
     elif mode == "relation":
         pred = read_relations(args.pred)
         gold = read_relations(args.gold)
-        report = _print_breakdown("relation", relation_prf(pred, gold), fmt)
+        report, text = _breakdown_report("relation", relation_prf(pred, gold))
     else:  # agreement
         if args.items == "relation":
             annot_a, annot_b = read_relations(args.pred), read_relations(args.gold)
         else:
-            (annot_a, a_shape) = _entities_by_sentence(args.pred)
-            (annot_b, b_shape) = _entities_by_sentence(args.gold)
-            _check_aligned(a_shape, b_shape)
+            annot_a, annot_b = _aligned_entities(args.pred, args.gold)
         scores = agreement_f1(annot_a, annot_b)
-        report = {"mode": "agreement", "overall": scores.to_dict()}
-        if fmt == "json":
-            print(json.dumps(report, ensure_ascii=False))
-        else:
-            print(f"agreement {scores}")
+        report, text = {"mode": "agreement", "overall": scores.to_dict()}, f"agreement {scores}"
 
+    print(json.dumps(report, ensure_ascii=False) if args.format == "json" else text)
+    if mode == "errors" and args.confusion_csv:
+        with open(args.confusion_csv, "w", encoding="utf-8") as fh:
+            fh.write(confusion.to_csv())
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, ensure_ascii=False)

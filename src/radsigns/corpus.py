@@ -29,7 +29,8 @@ import sys
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -53,7 +54,6 @@ class Sentence:
 
     id: str
     chars: tuple[str, ...]
-    source_report_id: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "chars", tuple(self.chars))
@@ -66,8 +66,8 @@ class Sentence:
                 )
 
     @classmethod
-    def from_text(cls, sentence_id: str, text: str, source_report_id: str | None = None) -> "Sentence":
-        return cls(sentence_id, tuple(text), source_report_id)
+    def from_text(cls, sentence_id: str, text: str) -> "Sentence":
+        return cls(sentence_id, tuple(text))
 
     @property
     def text(self) -> str:
@@ -401,6 +401,59 @@ def entity_from_dict(data: dict) -> Entity:
     return Entity(data["kind"], data["start"], data["end"], data["text"])
 
 
+class RecordLines:
+    """JSON Lines for one sentence's quadruples and relations, each equal to
+    ``json.dumps(record, ensure_ascii=False)`` of the writers' record; each
+    entity object is serialized once and its fragment reused."""
+
+    NO_ID = object()   # the default: lines without a sentence_id field
+
+    def __init__(self, sentence_id=NO_ID):
+        if sentence_id is self.NO_ID:
+            self._end = "}\n"
+        else:
+            sid = (encode_basestring(sentence_id) if isinstance(sentence_id, str)
+                   else json.dumps(sentence_id, ensure_ascii=False))
+            self._end = f', "sentence_id": {sid}}}\n'
+        # id(entity) -> (entity, fragment); holding the entity keeps its id unique
+        self._fragments: dict[int, tuple[Entity, str]] = {}
+
+    def _entity(self, entity: Entity | None) -> str:
+        if entity is None:
+            return "null"
+        cached = self._fragments.get(id(entity))
+        if cached is None:
+            if type(entity.text) is str and type(entity.start) is type(entity.end) is int:
+                fragment = (f'{{"kind": {encode_basestring(entity.kind)}, "start": {entity.start}, '
+                            f'"end": {entity.end}, "text": {encode_basestring(entity.text)}}}')
+            else:   # json spells a bool start as true and rejects numpy ints
+                fragment = json.dumps(entity_to_dict(entity), ensure_ascii=False)
+            cached = self._fragments[id(entity)] = (entity, fragment)
+        return cached[1]
+
+    def quadruple(self, quad: Quadruple) -> str:
+        pp, sp, d, abn = map(self._entity, (quad.pp, quad.sp, quad.d, quad.abn))
+        return f'{{"pp": {pp}, "sp": {sp}, "d": {d}, "abn": {abn}{self._end}'
+
+    def relation(self, rel: Relation) -> str:
+        head, tail = self._entity(rel.head), self._entity(rel.tail)
+        return f'{{"kind": {encode_basestring(rel.kind)}, "head": {head}, "tail": {tail}{self._end}'
+
+
+def _write_records(records: Sequence, what: str, path, sentence_ids: Sequence | None, line) -> None:
+    """Write each record with one :class:`RecordLines` per run of records from one sentence."""
+    if sentence_ids is not None and len(sentence_ids) != len(records):
+        raise ValueError(f"sentence_ids must align with {what}")
+    ids = repeat(RecordLines.NO_ID) if sentence_ids is None else sentence_ids
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        lines = last = None
+        for sentence_id, record in zip(ids, records):
+            # compared by identity: equal ids such as 1 and True serialize differently
+            if lines is None or sentence_id is not last:
+                lines, last = RecordLines(sentence_id), sentence_id
+            fh.write(line(lines, record))
+
+
 def write_quadruples(
     quads: Sequence[Quadruple], path, sentence_ids: Sequence[str] | None = None
 ) -> None:
@@ -409,36 +462,13 @@ def write_quadruples(
     ``sentence_ids`` (aligned with ``quads``) adds a ``sentence_id`` field to
     each line so downstream evaluation can key records by sentence.
     """
-    if sentence_ids is not None and len(sentence_ids) != len(quads):
-        raise ValueError("sentence_ids must align with quads")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, quad in enumerate(quads):
-            record = {
-                "pp": entity_to_dict(quad.pp) if quad.pp else None,
-                "sp": entity_to_dict(quad.sp) if quad.sp else None,
-                "d": entity_to_dict(quad.d) if quad.d else None,
-                "abn": entity_to_dict(quad.abn),
-            }
-            if sentence_ids is not None:
-                record["sentence_id"] = sentence_ids[i]
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    _write_records(quads, "quads", path, sentence_ids, RecordLines.quadruple)
 
 
 def write_relations(
     relations: Sequence[Relation], path, sentence_ids: Sequence[str] | None = None
 ) -> None:
-    if sentence_ids is not None and len(sentence_ids) != len(relations):
-        raise ValueError("sentence_ids must align with relations")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, rel in enumerate(relations):
-            record = {
-                "kind": rel.kind,
-                "head": entity_to_dict(rel.head),
-                "tail": entity_to_dict(rel.tail),
-            }
-            if sentence_ids is not None:
-                record["sentence_id"] = sentence_ids[i]
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    _write_records(relations, "relations", path, sentence_ids, RecordLines.relation)
 
 
 def read_relations(path) -> dict[str, list[Relation]]:

@@ -262,32 +262,26 @@ def batch_viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarr
 
 
 def decode_batches(
-    sentences: Sequence[Sentence],
+    count: int,
     batches: Iterable[tuple[Sequence[int], np.ndarray, np.ndarray]],
     transitions: TransitionMatrix,
     constrain_bio: bool,
-) -> list[TagSequence]:
-    """Viterbi tags of every sentence, in input order.
+) -> list[list[int]]:
+    """The Viterbi tag index path of each of ``count`` sentences, as a list
+    of ints in input order; ``tagscheme`` turns a path into labels or
+    entities.
 
-    Each batch is ``(bucket, P, lengths)``: ``bucket`` indexes
-    ``sentences`` as cut by :func:`length_buckets`, and ``P`` and
-    ``lengths`` are its padded emissions.  Batches are consumed one at a
-    time, so a generator builds each only when it is decoded.
+    Each batch is ``(bucket, P, lengths)``: ``bucket`` holds the input
+    positions of its sentences as cut by :func:`length_buckets`, and ``P``
+    and ``lengths`` are their padded emissions.  Batches are consumed one at
+    a time, so a generator builds each only when it is decoded.
     """
     A = decoding_transitions(transitions, constrain_bio)
-    decoded: list[TagSequence | None] = [None] * len(sentences)
+    paths: list[list[int] | None] = [None] * count
     for bucket, P, lengths in batches:
-        for i, path, n in zip(bucket, batch_viterbi(P, A, lengths), lengths):
-            decoded[i] = tags_from_indices(sentences[i].id, path[:n].tolist())
-    return decoded
-
-
-def _check_length(emissions: EmissionMatrix, tags: TagSequence) -> None:
-    if len(tags) != emissions.n:
-        raise ValueError(
-            f"emission matrix has {emissions.n} rows but tag sequence "
-            f"for {tags.sentence_id!r} has {len(tags)}"
-        )
+        for i, path, n in zip(bucket, batch_viterbi(P, A, lengths).tolist(), lengths.tolist()):
+            paths[i] = path[:n]
+    return paths
 
 
 def _single(emissions: EmissionMatrix, tags: TagSequence | None = None):
@@ -296,7 +290,11 @@ def _single(emissions: EmissionMatrix, tags: TagSequence | None = None):
     lengths = np.array([emissions.n], dtype=np.intp)
     if tags is None:
         return P, lengths
-    _check_length(emissions, tags)
+    if len(tags) != emissions.n:
+        raise ValueError(
+            f"emission matrix has {emissions.n} rows but tag sequence "
+            f"for {tags.sentence_id!r} has {len(tags)}"
+        )
     return P, lengths, np.array([tag_indices(tags)], dtype=np.intp)
 
 

@@ -95,28 +95,24 @@ def _corpus_counts(pred, gold, keep=lambda item: True) -> PrfScores:
     return PrfScores(correct, predicted, total_gold)
 
 
+def _breakdown(pred, gold, kinds: Sequence[str]) -> PrfBreakdown:
+    by_kind = {kind: _corpus_counts(pred, gold, keep=lambda item, k=kind: item.kind == k)
+               for kind in kinds}
+    return PrfBreakdown(_corpus_counts(pred, gold), by_kind)
+
+
 def entity_prf(
     pred: Mapping[str, Sequence[Entity]], gold: Mapping[str, Sequence[Entity]]
 ) -> PrfBreakdown:
     """Strict entity scores, overall and per kind, keyed by sentence id."""
-    overall = _corpus_counts(pred, gold)
-    by_kind = {
-        kind: _corpus_counts(pred, gold, keep=lambda e, k=kind: e.kind == k)
-        for kind in ENTITY_KINDS
-    }
-    return PrfBreakdown(overall, by_kind)
+    return _breakdown(pred, gold, ENTITY_KINDS)
 
 
 def relation_prf(
     pred: Mapping[str, Sequence[Relation]], gold: Mapping[str, Sequence[Relation]]
 ) -> PrfBreakdown:
     """Strict relation scores: kind and both entities must match exactly."""
-    overall = _corpus_counts(pred, gold)
-    by_kind = {
-        kind: _corpus_counts(pred, gold, keep=lambda r, k=kind: r.kind == k)
-        for kind in RELATION_KINDS
-    }
-    return PrfBreakdown(overall, by_kind)
+    return _breakdown(pred, gold, RELATION_KINDS)
 
 
 def agreement_f1(annot_a: Mapping[str, Sequence], annot_b: Mapping[str, Sequence]) -> PrfScores:
@@ -320,18 +316,14 @@ def classify_errors(
 
         for p in leftover:
             overlapping = [(g, _overlap(p, g)) for g in golds if _overlap(p, g) > 0]
-            if not overlapping:
-                records.append(ErrorRecord(sid, "SPURIOUS", None, p, None))
-                spurious_by_kind[p.kind] += 1
-                counts[axis("O"), axis(p.kind)] += 1
-                continue
-            best, _ = min(overlapping, key=lambda item: (-item[1], item[0].start))
-            if (best.start, best.end) == (p.start, p.end):
+            best, _ = min(overlapping, key=lambda item: (-item[1], item[0].start),
+                          default=(None, 0))
+            if best is not None and (best.start, best.end) == (p.start, p.end):
                 records.append(ErrorRecord(sid, "TYPE", None, p, best))
                 type_matched.add(best)
                 consumed.add(best)
                 counts[axis(best.kind), axis(p.kind)] += 1
-            elif best.kind == p.kind:
+            elif best is not None and best.kind == p.kind:
                 subtype = _extent_subtype(p, best)
                 records.append(ErrorRecord(sid, "EXTENT", subtype, p, best))
                 extent_counts[subtype][p.kind] += 1

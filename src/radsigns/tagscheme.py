@@ -1,5 +1,8 @@
 """Conversions between entity spans and per-character BIO tag paths.
 
+Entities are decoded from tag index paths, the lists of indices into
+``TAG_LABELS`` that Viterbi returns; label sequences go through them too.
+
 Decoding is total: any tag sequence over the 7-tag vocabulary yields a valid
 entity set.  An I-X with no live run of the same kind opens a new entity
 (orphan-I repair), and a kind switch inside a run starts a new entity at the
@@ -14,10 +17,8 @@ from .corpus import NUM_TAGS, TAG_LABELS, Entity, Sentence, TagSequence
 
 TAG_INDEX = {label: i for i, label in enumerate(TAG_LABELS)}
 
-BEGIN_LABEL = {"P": "B-P", "D": "B-D", "Abn": "B-Abn"}
-INSIDE_LABEL = {"P": "I-P", "D": "I-D", "Abn": "I-Abn"}
-KIND_OF_LABEL = {label: kind for kind, label in BEGIN_LABEL.items()}
-KIND_OF_LABEL.update({label: kind for kind, label in INSIDE_LABEL.items()})
+# entity kind of each tag index; None for O
+_KIND_OF_INDEX = tuple(label[2:] or None for label in TAG_LABELS)
 
 
 def tag_indices(tags: TagSequence) -> list[int]:
@@ -52,47 +53,42 @@ def entities_to_tags(sentence: Sentence, entities: Sequence[Entity]) -> TagSeque
                 f"entity text {entity.text!r} does not match sentence "
                 f"{sentence.id!r} at [{entity.start}, {entity.end})"
             )
-        labels[entity.start] = BEGIN_LABEL[entity.kind]
+        labels[entity.start] = "B-" + entity.kind
         for i in range(entity.start + 1, entity.end):
-            labels[i] = INSIDE_LABEL[entity.kind]
+            labels[i] = "I-" + entity.kind
         prev_end = entity.end
         prev = entity
     return TagSequence(sentence.id, tuple(labels))
 
 
-def tags_to_entities(sentence: Sentence, tags: TagSequence) -> list[Entity]:
-    """Decode maximal B-X (I-X)* runs into entities, sorted by start offset.
-
-    Inverse of :func:`entities_to_tags` on well-formed input; repairs
-    malformed paths as described in the module docstring.
-    """
-    if len(tags) != len(sentence):
+def entities_from_indices(sentence: Sentence, indices: Sequence[int]) -> list[Entity]:
+    """Decode maximal B-X (I-X)* runs of a tag index path into entities,
+    sorted by start offset; repairs malformed paths as the module docstring
+    says.  O tags form runs of no kind, so a run ends at every B tag and at
+    every change of kind."""
+    n = len(sentence)
+    if len(indices) != n:
         raise ValueError(
-            f"sentence {sentence.id!r} has {len(sentence)} chars "
-            f"but tag sequence has {len(tags)}"
+            f"sentence {sentence.id!r} has {n} chars but tag sequence has {len(indices)}"
         )
+    text = sentence.text
     entities: list[Entity] = []
-    start: int | None = None
-    kind = ""
-
-    def close(end: int):
-        if start is not None:
-            entities.append(Entity(kind, start, end, sentence.text[start:end]))
-
-    for i, label in enumerate(tags.tags):
-        if label == "O":
-            close(i)
-            start = None
-        elif label.startswith("B-"):
-            close(i)
-            kind, start = KIND_OF_LABEL[label], i
-        else:
-            run_kind = KIND_OF_LABEL[label]
-            if start is None or run_kind != kind:
-                close(i)
-                kind, start = run_kind, i
-    close(len(sentence))
+    kind, start = None, 0
+    for i, index in enumerate(indices):
+        if not 0 <= index < NUM_TAGS:
+            raise ValueError(f"tag index {index} out of range")
+        if index & 1 or _KIND_OF_INDEX[index] != kind:   # B tags have odd indices
+            if kind is not None:
+                entities.append(Entity(kind, start, i, text[start:i]))
+            kind, start = _KIND_OF_INDEX[index], i
+    if kind is not None:
+        entities.append(Entity(kind, start, n, text[start:n]))
     return entities
+
+
+def tags_to_entities(sentence: Sentence, tags: TagSequence) -> list[Entity]:
+    """:func:`entities_from_indices` of a label sequence."""
+    return entities_from_indices(sentence, tag_indices(tags))
 
 
 def validate_path(tags: TagSequence) -> list[int]:

@@ -27,7 +27,7 @@ from .crf import (
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
 from .evaluation import entity_prf
-from .tagscheme import TAG_INDEX, tag_indices, tags_to_entities
+from .tagscheme import TAG_INDEX, entities_from_indices, tag_indices, tags_to_entities
 
 CorpusPairs = Sequence[tuple[Sentence, TagSequence]]
 
@@ -56,12 +56,13 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.lr_initial <= 0 or self.lr_decayed <= 0:
-            raise ValueError("learning rates must be positive")
+        # written so that NaN fails too
+        if not (0 < self.lr_initial < np.inf and 0 < self.lr_decayed < np.inf):
+            raise ValueError("learning rates must be positive and finite")
         if self.decay_epoch < 1:
             raise ValueError(f"decay epoch must be >= 1, got {self.decay_epoch}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be non-negative, got {self.l2}")
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError(f"l2 must be non-negative and finite, got {self.l2}")
 
     def rate_for_epoch(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch number."""
@@ -129,8 +130,8 @@ class _DevSet:
         weights = model.weights.weights
         batches = ((bucket, score_ids(weights, ids), lengths)
                    for bucket, ids, lengths in self.batches)
-        decoded = decode_batches(self.sentences, batches, model.transitions, constrain_bio=True)
-        pred = {s.id: tags_to_entities(s, tags) for s, tags in zip(self.sentences, decoded)}
+        paths = decode_batches(len(self.sentences), batches, model.transitions, constrain_bio=True)
+        pred = {s.id: entities_from_indices(s, path) for s, path in zip(self.sentences, paths)}
         return entity_prf(pred, self.gold).overall.f1
 
 

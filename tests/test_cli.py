@@ -5,20 +5,25 @@ import pytest
 
 from radsigns.cli import main
 from radsigns.corpus import (
+    TAG_LABELS,
     EmissionMatrix,
     Entity,
     Sentence,
     TagSequence,
+    read_dictionary,
+    read_emissions_many,
     read_tagged_corpus,
     write_emissions,
     write_tagged_corpus,
 )
-from radsigns.crf import TaggerModel, TransitionMatrix, save_model
+from radsigns.crf import TaggerModel, TransitionMatrix, load_model, save_model, viterbi_decode
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
-from radsigns.tagscheme import entities_to_tags
+from radsigns.tag2relation import match
+from radsigns.tagscheme import entities_to_tags, tags_to_entities
 
 from _synth import build_rule_corpus
 from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT
+from test_corpus import reference_write_quadruples, reference_write_relations
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +119,108 @@ class TestTrain:
             ])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--l2", "nan"], ["--l2", "inf"], ["--lr", "nan"], ["--lr", "inf"],
+        ["--lr-decayed", "inf", "--epochs", "1"], ["--lr-decayed", "nan"],
+    ], ids=" ".join)
+    def test_non_finite_rate_or_l2_is_usage_error(self, workspace, tmp_path, capsys, flags):
+        model_path = tmp_path / "m.json"
+        code = main(["train", str(workspace["train"]), str(workspace["dev"]),
+                     "--model-out", str(model_path), *flags])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not model_path.exists()
+
+
+@pytest.fixture(scope="module")
+def decode_inputs(tmp_path_factory):
+    """The same sentences as text and as a tagged corpus, and a noisy emission
+    block for each.  One sentence in three carries random tags, so reading
+    them with --from-tags meets orphan I tags and kind switches."""
+    root = tmp_path_factory.mktemp("decode")
+    rng = np.random.default_rng(45)
+    corpus = build_rule_corpus(rng, 160, prefix="s")
+    corpus += [(Sentence.from_text(f"s{161 + i}", text), None)
+               for i, text in enumerate(['右上肺"见\\斑片影', "支气管\u2028积液𠀀", "食管"])]
+    pairs = []
+    for i, (sentence, tags) in enumerate(corpus):
+        if tags is None or i % 3 == 0:
+            random_tags = rng.integers(0, 7, len(sentence))
+            tags = TagSequence(sentence.id, [TAG_LABELS[t] for t in random_tags])
+        pairs.append((sentence, tags))
+    paths = {"text": root / "input.txt", "tsv": root / "input.tsv", "emissions": root / "em.txt"}
+    paths["text"].write_text("".join(s.text + "\n" for s, _ in pairs), encoding="utf-8")
+    write_tagged_corpus(pairs, paths["tsv"])
+    write_emissions([EmissionMatrix(s.id, 3 * rng.standard_normal((len(s), 7))) for s, _ in pairs],
+                    paths["emissions"])
+    return paths
+
+
+class TestOutputsMatchPublicApi:
+    """``extract`` writes the bytes that the public per-sentence API gives:
+    Viterbi tags -> tags_to_entities -> match -> the json.dumps-per-record
+    reference writers."""
+
+    CASES = {
+        "text": [],
+        "tsv": ["--input-format", "tsv"],
+        "from-tags": ["--input-format", "tsv", "--from-tags"],
+        "no-constrain": ["--no-constrain"],
+        "emissions-file": ["--emissions-file", "{emissions}"],
+        "emissions-file-no-constrain": ["--emissions-file", "{emissions}", "--no-constrain"],
+    }
+
+    def reference_tags(self, case, model, pairs, emissions_path):
+        constrain = "no-constrain" not in case
+        if case == "from-tags":
+            return [tags for _, tags in pairs]
+        if case.startswith("emissions-file"):
+            blocks = {m.sentence_id: m for m in read_emissions_many(emissions_path)}
+            return [viterbi_decode(blocks[s.id], model.transitions, constrain) for s, _ in pairs]
+        return [model.decode(s, constrain) for s, _ in pairs]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_extract_equals_reference_writers(self, workspace, decode_inputs, tmp_path, case):
+        flags = [flag.format(emissions=decode_inputs["emissions"]) for flag in self.CASES[case]]
+        source = decode_inputs["tsv" if "--input-format" in flags else "text"]
+        got_q, got_r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+        assert main(["extract", str(source), "--model", str(workspace["model"]),
+                     "--dict", str(workspace["dict"]), "--out", str(got_q),
+                     "--relations-out", str(got_r), *flags]) == 0
+
+        model = load_model(workspace["model"])
+        dictionary = read_dictionary(workspace["dict"])
+        pairs = read_tagged_corpus(decode_inputs["tsv"])
+        quads, quad_ids, relations, relation_ids = [], [], [], []
+        for (sentence, _), tags in zip(
+                pairs, self.reference_tags(case, model, pairs, decode_inputs["emissions"])):
+            rels, qs = match(sentence, tags_to_entities(sentence, tags), dictionary)
+            quads += qs
+            quad_ids += [sentence.id] * len(qs)
+            relations += rels
+            relation_ids += [sentence.id] * len(rels)
+        want_q, want_r = tmp_path / "want_q.jsonl", tmp_path / "want_r.jsonl"
+        reference_write_quadruples(quads, want_q, sentence_ids=quad_ids)
+        reference_write_relations(relations, want_r, sentence_ids=relation_ids)
+        assert quads and relations
+        assert got_q.read_bytes() == want_q.read_bytes()
+        assert got_r.read_bytes() == want_r.read_bytes()
+
+    @pytest.mark.parametrize("constrain", [[], ["--no-constrain"]])
+    def test_tag_is_identical_with_the_models_own_emissions_file(
+            self, workspace, decode_inputs, tmp_path, constrain):
+        model = load_model(workspace["model"])
+        emissions = tmp_path / "own.txt"
+        write_emissions([model.emissions(s) for s, _ in read_tagged_corpus(decode_inputs["tsv"])],
+                        emissions)
+        outputs = []
+        for extra in ([], ["--emissions-file", str(emissions)]):
+            out = tmp_path / f"tagged{len(extra)}.tsv"
+            assert main(["tag", str(decode_inputs["text"]), "--model", str(workspace["model"]),
+                         "--out", str(out), *constrain, *extra]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
 
 
 class TestTagAndExtract:

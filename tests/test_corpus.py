@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radsigns.corpus import (
+    RELATION_ENDPOINTS,
     CorpusFormatError,
     EmissionMatrix,
     Entity,
     Quadruple,
+    RecordLines,
     Relation,
     SecondaryPartDictionary,
     Sentence,
     TagSequence,
+    entity_to_dict,
     read_dictionary,
     read_emissions_many,
     read_relations,
@@ -361,6 +364,140 @@ class TestQuadrupleOutput:
         for slot in ("pp", "d", "abn"):
             e = record[slot]
             assert e["text"] == shadow_sentence.text[e["start"]:e["end"]]
+
+
+def reference_write_quadruples(quads, path, sentence_ids=None):
+    """The writer that built a dict and called ``json.dumps`` per record."""
+    if sentence_ids is not None and len(sentence_ids) != len(quads):
+        raise ValueError("sentence_ids must align with quads")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i, quad in enumerate(quads):
+            record = {
+                "pp": entity_to_dict(quad.pp) if quad.pp else None,
+                "sp": entity_to_dict(quad.sp) if quad.sp else None,
+                "d": entity_to_dict(quad.d) if quad.d else None,
+                "abn": entity_to_dict(quad.abn),
+            }
+            if sentence_ids is not None:
+                record["sentence_id"] = sentence_ids[i]
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def reference_write_relations(relations, path, sentence_ids=None):
+    """The writer that built a dict and called ``json.dumps`` per record."""
+    if sentence_ids is not None and len(sentence_ids) != len(relations):
+        raise ValueError("sentence_ids must align with relations")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i, rel in enumerate(relations):
+            record = {
+                "kind": rel.kind,
+                "head": entity_to_dict(rel.head),
+                "tail": entity_to_dict(rel.tail),
+            }
+            if sentence_ids is not None:
+                record["sentence_id"] = sentence_ids[i]
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+# characters JSON escapes: quotes, backslashes, control characters, line
+# and paragraph separators; and non-BMP characters
+AWKWARD_CHARS = st.one_of(
+    st.sampled_from('"\\\x00\x01\x08\x1f\x7f\u2028\u2029\U00020000\U0001F600/'),
+    st.characters(codec="utf-8"),
+)
+# lone surrogates, which UTF-8 cannot encode
+LONE_SURROGATES = st.sampled_from(["\ud800", "\udfff"])
+
+
+@st.composite
+def entities_of(draw, kind, exotic):
+    """An entity with an awkward text; when ``exotic``, the text may end in
+    a lone surrogate and the start may be a numpy int (which JSON rejects)
+    or True."""
+    start = draw(st.integers(0, 30))
+    text = draw(st.text(AWKWARD_CHARS, min_size=1, max_size=4))
+    if exotic and draw(st.booleans()):
+        text += draw(LONE_SURROGATES)
+    end = start + len(text)
+    if exotic and draw(st.booleans()):
+        start = True if start == 1 else np.int64(start)
+    return Entity(kind, start, end, text)
+
+
+SLOT = st.integers(-1, 2)   # an index into an entity pool, -1 for a null slot
+SENTENCE_IDS = ['s1', 's"2', "s\\3", "\u2028", 1, True, None]
+
+
+@st.composite
+def record_batches(draw):
+    """Quadruples and relations over small entity pools, so entities are
+    shared by many records, plus sentence ids for each list (or None)."""
+    exotic = draw(st.integers(0, 4)) == 0
+    pool = {kind: draw(st.lists(entities_of(kind, exotic), min_size=size, max_size=3))
+            for kind, size in (("P", 2), ("D", 1), ("Abn", 1))}
+
+    def pick(kind, slot):
+        return None if slot < 0 else pool[kind][slot % len(pool[kind])]
+
+    quads = [Quadruple(pick("P", pp), pick("P", sp), pick("D", d), pick("Abn", abn % 3))
+             for pp, sp, d, abn in draw(st.lists(st.tuples(SLOT, SLOT, SLOT, SLOT), max_size=12))]
+    relations = []
+    for kind, head, tail in draw(st.lists(
+            st.tuples(st.sampled_from(["P2Abn", "D2Abn", "P2P"]), SLOT, SLOT), max_size=12)):
+        head_kind, tail_kind = RELATION_ENDPOINTS[kind]
+        head, tail = pick(head_kind, head % 3), pick(tail_kind, tail % 3)
+        if head != tail:
+            relations.append(Relation(kind, head, tail))
+    one_id = st.sampled_from(SENTENCE_IDS + (["\ud800"] if exotic else []))
+    id_lists = []
+    for records in (quads, relations):
+        ids = draw(st.one_of(st.none(), st.lists(one_id, min_size=12, max_size=12)))
+        id_lists.append(None if ids is None else ids[:len(records)])
+    return quads, relations, id_lists
+
+
+def write_outcome(writer, records, path, sentence_ids):
+    """The file's bytes, and the exception type if the writer raised."""
+    try:
+        writer(records, path, sentence_ids=sentence_ids)
+        error = None
+    except (TypeError, UnicodeEncodeError) as exc:
+        error = type(exc)
+    return path.read_bytes(), error
+
+
+class TestJsonLinesMatchReference:
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(batch=record_batches())
+    def test_bytes_equal_json_dumps_per_record(self, tmp_path, batch):
+        quads, relations, (quad_ids, relation_ids) = batch
+        for writer, reference, records, ids in (
+            (write_quadruples, reference_write_quadruples, quads, quad_ids),
+            (write_relations, reference_write_relations, relations, relation_ids),
+        ):
+            got = write_outcome(writer, records, tmp_path / "got.jsonl", ids)
+            want = write_outcome(reference, records, tmp_path / "want.jsonl", ids)
+            assert got == want
+
+    def test_shared_entity_and_quoted_id(self, tmp_path):
+        abn = Entity("Abn", 2, 4, 'a"')
+        pp = Entity("P", 0, 2, "\\\u2028")
+        quads = [Quadruple(pp, None, None, abn)] * 3 + [Quadruple(None, pp, None, abn)]
+        ids = ['x"y'] * 2 + ["z"] * 2
+        write_quadruples(quads, tmp_path / "got.jsonl", sentence_ids=ids)
+        reference_write_quadruples(quads, tmp_path / "want.jsonl", sentence_ids=ids)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_record_lines_is_the_writers_format(self, occlusion_entities):
+        pp, sp, d, abn = occlusion_entities
+        lines = RecordLines("s1")
+        assert json.loads(lines.quadruple(Quadruple(pp, sp, d, abn))) == {
+            "pp": entity_to_dict(pp), "sp": entity_to_dict(sp), "d": entity_to_dict(d),
+            "abn": entity_to_dict(abn), "sentence_id": "s1",
+        }
+        assert RecordLines().relation(Relation("P2P", sp, pp)) == json.dumps(
+            {"kind": "P2P", "head": entity_to_dict(sp), "tail": entity_to_dict(pp)},
+            ensure_ascii=False) + "\n"
 
 
 class TestRelationsIO:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from radsigns.corpus import Entity, Sentence, TagSequence
 from radsigns.tagscheme import (
+    entities_from_indices,
     entities_to_tags,
     tags_from_indices,
     tags_to_entities,
@@ -15,6 +18,41 @@ from conftest import FIG_LABELS
 
 def make_sentence(n, sid="s1"):
     return Sentence(sid, tuple("字" for _ in range(n)))
+
+
+KIND_OF_LABEL = {"B-P": "P", "I-P": "P", "B-D": "D", "I-D": "D", "B-Abn": "Abn", "I-Abn": "Abn"}
+
+
+def reference_tags_to_entities(sentence, tags):
+    """The label-string decoder the index-path one replaced: maximal
+    B-X (I-X)* runs, with orphan-I and kind-switch repair."""
+    if len(tags) != len(sentence):
+        raise ValueError(
+            f"sentence {sentence.id!r} has {len(sentence)} chars "
+            f"but tag sequence has {len(tags)}"
+        )
+    entities = []
+    start = None
+    kind = ""
+
+    def close(end):
+        if start is not None:
+            entities.append(Entity(kind, start, end, sentence.text[start:end]))
+
+    for i, label in enumerate(tags.tags):
+        if label == "O":
+            close(i)
+            start = None
+        elif label.startswith("B-"):
+            close(i)
+            kind, start = KIND_OF_LABEL[label], i
+        else:
+            run_kind = KIND_OF_LABEL[label]
+            if start is None or run_kind != kind:
+                close(i)
+                kind, start = run_kind, i
+    close(len(sentence))
+    return entities
 
 
 class TestTagIndex:
@@ -91,6 +129,41 @@ class TestTagsToEntities:
         s = make_sentence(3)
         with pytest.raises(ValueError, match="3 chars"):
             tags_to_entities(s, TagSequence("s1", ("O",)))
+
+
+class TestEntitiesFromIndices:
+    # 0 O, 1 B-P, 2 I-P, 3 B-D, 4 I-D, 5 B-Abn, 6 I-Abn
+    @given(
+        path=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+        chars=st.text(alphabet="肺影a𠀀\"", min_size=40, max_size=40),
+    )
+    @example(path=[0] * 7, chars="字" * 40)                  # all O
+    @example(path=[2, 2, 0, 6], chars="字" * 40)             # orphan I at the start and after O
+    @example(path=[5, 6, 2, 2, 4, 3, 4], chars="字" * 40)    # kind switches inside runs
+    @example(path=[1, 1, 2, 6, 6, 0, 0, 4], chars="字" * 40)
+    def test_equals_label_reference(self, path, chars):
+        sentence = Sentence.from_text("s1", chars[:len(path)])
+        tags = tags_from_indices("s1", path)
+        expected = reference_tags_to_entities(sentence, tags)
+        assert entities_from_indices(sentence, path) == expected
+        assert tags_to_entities(sentence, tags) == expected
+
+    @given(
+        path=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+        bad=st.sampled_from([-1, 7, 100]),
+        at=st.integers(0, 39),
+    )
+    def test_out_of_range_index_rejected(self, path, bad, at):
+        path[at % len(path)] = bad
+        sentence = make_sentence(len(path))
+        with pytest.raises(ValueError, match="out of range"):
+            entities_from_indices(sentence, path)
+        with pytest.raises(ValueError, match="out of range"):
+            tags_from_indices("s1", path)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3 chars"):
+            entities_from_indices(make_sentence(3), [0, 1])
 
 
 class TestValidatePath:
