@@ -49,13 +49,9 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
-    """Build the argument parser.
-
-    ``config_defaults`` (from ``--config``) overrides built-in defaults but
-    is itself overridden by explicit flags.  Required path arguments must
-    still be given on the command line.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """Build the argument parser.  ``--config`` values reach it as option
+    tokens (see :func:`_apply_config`)."""
     parser = argparse.ArgumentParser(
         prog="radsigns",
         description="Extract {primary part, secondary part, degree, sign} "
@@ -109,12 +105,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         p.add_argument("--report-out", help="write the report as JSON")
         p.add_argument("--confusion-csv", help="write the confusion matrix as CSV (errors mode)")
 
-    if config_defaults:
-        for action in sub.choices.values():
-            known = {a.dest for a in action._actions}
-            overrides = {k: v for k, v in config_defaults.items() if k in known}
-            if overrides:
-                action.set_defaults(**overrides)
     return parser
 
 
@@ -127,21 +117,25 @@ def _add_decode_arguments(p: argparse.ArgumentParser) -> None:
                    help="decode without the BIO transition mask")
     p.add_argument("--emissions-file",
                    help="use precomputed emission blocks keyed by sentence id")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="accepted for compatibility; decoding always runs in one process")
+
+
+def _jobs(text: str) -> int:
+    """The ``--jobs`` type: an integer of at least 1, otherwise unused."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be an integer of at least 1, got {text!r}")
+    return jobs
 
 
 def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence | None]]:
     if input_format == "tsv":
         return read_tagged_corpus(path)
     return [(s, None) for s in read_text_sentences(path)]
-
-
-def _check_jobs(jobs) -> None:
-    """Validate ``--jobs`` (from a flag or ``--config``); its value is not
-    otherwise used."""
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError(f"--jobs must be an integer of at least 1, got {jobs!r}")
 
 
 def _emission_batch(model: TaggerModel, sentences, emission_map):
@@ -166,6 +160,10 @@ def _decode_all(model, sentences, constrain, emissions_file) -> list[list[int]]:
     return decode_batches(len(sentences), batches, model.transitions, constrain)
 
 
+def _print_epoch(epoch: int, loss: float, f1: float) -> None:
+    print(f"epoch {epoch} train_nll {loss:.4f} dev_f1 {f1:.2f}", flush=True)
+
+
 def _cmd_train(args) -> int:
     config = TrainConfig(
         epochs=args.epochs,
@@ -183,9 +181,7 @@ def _cmd_train(args) -> int:
          TagSequence(f"dev-{s.id}", t.tags))
         for s, t in read_tagged_corpus(args.dev_path)
     ]
-    model, report = train(corpus, dev, config)
-    for epoch, (loss, f1) in enumerate(zip(report.train_nll, report.dev_f1), 1):
-        print(f"epoch {epoch} train_nll {loss:.4f} dev_f1 {f1:.2f}")
+    model, report = train(corpus, dev, config, on_epoch=_print_epoch)
     print(
         f"selected epoch {report.selected_epoch + 1} "
         f"dev_f1 {report.dev_f1[report.selected_epoch]:.2f}"
@@ -198,7 +194,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tag(args) -> int:
-    _check_jobs(args.jobs)
     model = load_model(args.model)
     items = _load_sentences(args.input, args.input_format)
     sentences = [s for s, _ in items]
@@ -213,7 +208,6 @@ def _cmd_extract(args) -> int:
         raise CorpusFormatError(
             f"a dictionary is required: pass --dict or set ${DICT_ENV}"
         )
-    _check_jobs(args.jobs)
     model = load_model(args.model)
     dictionary = read_dictionary(args.dict_path)
     items = _load_sentences(args.input, args.input_format)
@@ -291,12 +285,43 @@ def _cmd_eval(args, mode: str) -> int:
     return EXIT_OK
 
 
-def _load_config_defaults(argv) -> dict | None:
+def _config_tokens(path, values: dict, commands: dict, command: str) -> list[str]:
+    """The option tokens that stand for the ``--config`` values ``command``
+    takes: ``--name=value``, or the bare flag for a boolean that differs from
+    the default.  Values for options of other commands are skipped."""
+    options = {name: {a.dest: a for a in p._actions if a.option_strings and a.dest != "help"}
+               for name, p in commands.items()}
+    tokens = []
+    for key, value in values.items():
+        if not any(key in own for own in options.values()):
+            raise CorpusFormatError(f"{path}: {key}: no command has this option")
+        if isinstance(value, (list, dict)) or value is None:
+            raise CorpusFormatError(f"{path}: {key}: expected a string, number or boolean, "
+                                    f"got {json.dumps(value)}")
+        action = options[command].get(key)
+        if action is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:   # store_true / store_false
+            if not isinstance(value, bool):
+                raise CorpusFormatError(f"{path}: {key}: expected true or false, got {value!r}")
+            tokens += [flag] if value == action.const else []
+        elif action.type is None and not isinstance(value, str):
+            raise CorpusFormatError(f"{path}: {key}: expected a string, got {value!r}")
+        else:
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
+
+
+def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """``argv`` with the values of its ``--config`` file inserted as option
+    tokens right after the subcommand: argparse checks their types and
+    choices as it checks flags, and the flags that follow still win."""
     scanner = argparse.ArgumentParser(add_help=False)
     scanner.add_argument("--config")
     found, _ = scanner.parse_known_args(argv)
     if not found.config:
-        return None
+        return argv
     try:
         with open(found.config, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -304,18 +329,26 @@ def _load_config_defaults(argv) -> dict | None:
         raise CorpusFormatError(f"{found.config}: not a JSON config file: {exc}") from None
     if not isinstance(values, dict):
         raise CorpusFormatError(f"{found.config}: config must be a JSON object")
-    return values
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    at = 0      # the subcommand's position; a --config value is skipped
+    while at < len(argv) and argv[at] not in commands:
+        at += 2 if len(argv[at]) > 2 and "--config".startswith(argv[at]) else 1
+    if at == len(argv):
+        return argv
+    tokens = _config_tokens(found.config, values, commands, argv[at])
+    return [*argv[:at + 1], *tokens, *argv[at + 1:]]
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    parser = build_parser()
     try:
-        config_defaults = _load_config_defaults(argv)
+        argv = _apply_config(list(argv), parser)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser(config_defaults)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

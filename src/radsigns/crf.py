@@ -6,10 +6,19 @@ A tag path is scored as
              + sum_i P[i, y_i]
 
 where P is the n x 7 emission matrix and A the 9 x 9 transition matrix with
-virtual start/end tags at indices 7 and 8.  The partition function, path
-probabilities and marginals come from the forward-backward algorithm; all
-accumulation is in log space with max-shifted logsumexp so long sentences
-cannot overflow.
+virtual start/end tags at indices 7 and 8.
+
+Training's forward-backward (:func:`batch_nll_and_gradient`) runs the scaled
+recursion of Rabiner (1989, "A Tutorial on Hidden Markov Models", section
+V-A) in probability space.  ``exp(A)`` and ``exp(P - rowmax(P))`` are taken
+once per batch; each step is one ``(B, k) @ (k, k)`` matmul, after which
+every row is divided by its sum, and log Z is the sum of the logs of those
+scales and row maxima.  A row the recursion cannot carry in floats (a scale
+that underflows below the smallest normal float or overflows, or a
+non-finite log Z or marginal) is recomputed on its own by the log-space
+recursion with max-shifted logsumexp, as is every row when ``exp(A)`` is not
+finite.  :func:`batch_log_partition` keeps the log-space forward pass, and
+Viterbi stays in log space because max-plus needs no exp.
 
 There is one implementation of each recursion, and it works on batches.  A
 batch is a zero-padded ``(B, n_max, 7)`` emission array ``P`` plus a
@@ -185,6 +194,82 @@ def batch_log_partition(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np
     return _logsumexp(_last(_forward(P, A), lengths) + A[:NUM_TAGS, END], axis=1)
 
 
+def _log_marginals(P: np.ndarray, A: np.ndarray, lengths: np.ndarray):
+    """Log-space forward-backward: ``(log_z, gamma, pairwise)`` with the tag
+    marginals ``(B, n_max, k)``, 0 on padding, and the pairwise marginals
+    summed over each row's positions ``(B, k, k)``."""
+    B, n_max, k = P.shape
+    alpha = _forward(P, A)
+    beta = _backward(P, A, lengths)
+    log_z = _logsumexp(_last(alpha, lengths) + A[:k, END], axis=1)
+
+    valid = np.arange(n_max) < lengths[:, None]
+    pair = valid[:, 1:]     # transition from position i to i + 1 lies inside the row
+    # alpha includes the emission at i, beta does not, so their sum is the
+    # full log mass of paths through (i, tag)
+    gamma = np.zeros((B, n_max, k))
+    gamma[valid] = np.exp(alpha[valid] + beta[valid] - log_z[np.nonzero(valid)[0], None])
+    pairwise = np.zeros((B, n_max - 1, k, k))
+    pairwise[pair] = np.exp(
+        alpha[:, :-1][pair][:, :, None]
+        + A[:k, :k]
+        + (P[:, 1:] + beta[:, 1:])[pair][:, None, :]
+        - log_z[np.nonzero(pair)[0], None, None]
+    )
+    return log_z, gamma, pairwise.sum(axis=1)
+
+
+_TINY = np.finfo(np.float64).tiny
+
+
+def _scaled_marginals(P: np.ndarray, A: np.ndarray, lengths: np.ndarray):
+    """The same ``(log_z, gamma, pairwise)`` as :func:`_log_marginals`, from
+    the scaled recursion in probability space.  ``log_z`` is NaN on each row
+    the recursion cannot carry: a scale that is not a positive normal float,
+    or a non-finite log Z or marginal."""
+    B, n_max, k = P.shape
+    T = np.exp(A[:k, :k])
+    start = np.exp(A[START, :k])
+    end = np.exp(A[:k, END])
+    if not all(np.isfinite(x).all() for x in (T, start, end)):
+        return np.full(B, np.nan), np.zeros((B, n_max, k)), np.zeros((B, k, k))
+    shift = P.max(axis=2)
+    E = np.exp(P - shift[:, :, None])
+    valid = np.arange(n_max) < lengths[:, None]
+
+    # alpha[:, i] sums to 1; c[:, i] is the mass it was divided by
+    alpha = np.empty((B, n_max, k))
+    c = np.empty((B, n_max))
+    step = start * E[:, 0]
+    for i in range(n_max):
+        if i:
+            step = (alpha[:, i - 1] @ T) * E[:, i]
+        c[:, i] = step.sum(axis=1)
+        alpha[:, i] = step / c[:, i, None]
+    # beta[:, i] is the backward mass divided by the scales after i, and
+    # weighted[:, i] the term each step feeds through T
+    beta = np.empty((B, n_max, k))
+    weighted = E / c[:, :, None]
+    beta[:, n_max - 1] = end
+    for i in range(n_max - 1, 0, -1):
+        weighted[:, i] *= beta[:, i]
+        beta[:, i - 1] = np.where(valid[:, i, None], weighted[:, i] @ T.T, end)
+
+    exit_mass = _last(alpha, lengths) @ end
+    scales = np.where(valid, c, 1.0)
+    log_z = (np.log(scales) + np.where(valid, shift, 0.0)).sum(axis=1) + np.log(exit_mass)
+    gamma = np.where(valid[:, :, None], alpha * beta, 0.0) / exit_mass[:, None, None]
+    pair = valid[:, 1:, None]
+    pairwise = np.einsum(
+        "bik,bil->bkl", np.where(pair, alpha[:, :-1], 0.0), np.where(pair, weighted[:, 1:], 0.0)
+    ) * T / exit_mass[:, None, None]
+    carried = (
+        (scales.min(axis=1) >= _TINY) & (exit_mass >= _TINY)
+        & np.isfinite(log_z + gamma.sum(axis=(1, 2)) + pairwise.sum(axis=(1, 2)))
+    )
+    return np.where(carried, log_z, np.nan), gamma, pairwise
+
+
 def batch_nll_and_gradient(
     P: np.ndarray, A: np.ndarray, lengths: np.ndarray, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,32 +281,17 @@ def batch_nll_and_gradient(
     """
     _check_batch(P, lengths)
     B, n_max, k = P.shape
-    alpha = _forward(P, A)
-    beta = _backward(P, A, lengths)
-    log_z = _logsumexp(_last(alpha, lengths) + A[:k, END], axis=1)
+    with np.errstate(all="ignore"):
+        log_z, gamma, pairwise = _scaled_marginals(P, A, lengths)
+    slow = np.isnan(log_z)
+    if slow.any():
+        log_z[slow], gamma[slow], pairwise[slow] = _log_marginals(P[slow], A, lengths[slow])
 
-    positions = np.arange(n_max)
-    valid = positions < lengths[:, None]
-    pair = valid[:, 1:]     # transition from position i to i + 1 lies inside the row
+    valid = np.arange(n_max) < lengths[:, None]
     rows, cols = np.nonzero(valid)
-    pair_rows, pair_cols = np.nonzero(pair)
-
-    # alpha includes the emission at i, beta does not, so their sum is the
-    # full log mass of paths through (i, tag)
-    gamma = np.zeros((B, n_max, k))
-    gamma[valid] = np.exp(alpha[valid] + beta[valid] - log_z[rows, None])
-    grad_p = gamma.copy()
-    grad_p[rows, cols, Y[rows, cols]] -= 1.0
-
-    pairwise = np.zeros((B, n_max - 1, k, k))
-    pairwise[pair] = np.exp(
-        alpha[:, :-1][pair][:, :, None]
-        + A[:k, :k]
-        + (P[:, 1:] + beta[:, 1:])[pair][:, None, :]
-        - log_z[pair_rows, None, None]
-    )
+    pair_rows, pair_cols = np.nonzero(valid[:, 1:])
     grad_a = np.zeros((B, FULL_SIZE, FULL_SIZE))
-    grad_a[:, :k, :k] = pairwise.sum(axis=1)
+    grad_a[:, :k, :k] = pairwise
     np.add.at(
         grad_a,
         (pair_rows, Y[pair_rows, pair_cols], Y[pair_rows, pair_cols + 1]),
@@ -232,6 +302,8 @@ def batch_nll_and_gradient(
     grad_a[batch, START, Y[:, 0]] -= 1.0
     grad_a[:, :k, END] += _last(gamma, lengths)
     grad_a[batch, _last(Y, lengths), END] -= 1.0
+    grad_p = gamma      # gamma is not read again
+    grad_p[rows, cols, Y[rows, cols]] -= 1.0
 
     values = log_z - _path_scores(P, A, lengths, Y)
     return values, grad_p, grad_a

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,26 +89,34 @@ class TrainReport:
         return json.dumps(self.to_dict())
 
 
-def _prepare(corpus: CorpusPairs, vocab: FeatureVocabulary):
-    """Each sentence's feature ids, extracted in length-sorted batches, and
-    its gold tag indices."""
+def _prepare(corpus: CorpusPairs, vocab: FeatureVocabulary) -> list[np.ndarray]:
+    """Each sentence as one ``(n, 10)`` integer array: its 9 feature ids per
+    position, extracted in length-sorted batches, then its gold tag index."""
     for sentence, tags in corpus:
         if len(tags) != len(sentence):
             raise ValueError(
                 f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags"
             )
-    features = [None] * len(corpus)
+    rows = [None] * len(corpus)
     for bucket, ids, lengths in _feature_batches([s for s, _ in corpus], vocab):
         for j, row, n in zip(bucket, ids, lengths):
-            features[j] = row[:n]
-    golds = [np.array(tag_indices(tags), dtype=np.intp) for _, tags in corpus]
-    return features, golds
+            rows[j] = np.column_stack((row[:n], tag_indices(corpus[j][1])))
+    return rows
 
 
 def _feature_batches(sentences: Sequence[Sentence], vocab: FeatureVocabulary):
     """``(bucket, ids, lengths)`` for each length-sorted batch of sentences."""
     return [(bucket, *feature_id_batch(vocab, [sentences[j] for j in bucket]))
             for bucket in length_buckets([len(s) for s in sentences])]
+
+
+def _feature_gradient(ids: np.ndarray, grad_p: np.ndarray, size: int) -> np.ndarray:
+    """``(size, k)`` sums of each position's emission gradient row into the
+    weight rows of its ``(positions, 9)`` feature ids, one ``bincount`` per
+    tag column."""
+    flat = ids.ravel()
+    columns = np.repeat(grad_p.T, ids.shape[1], axis=1)
+    return np.stack([np.bincount(flat, column, size) for column in columns], axis=1)
 
 
 def _snapshot(vocab: FeatureVocabulary, weights: np.ndarray, transitions: np.ndarray) -> TaggerModel:
@@ -141,9 +149,15 @@ def evaluate_dev(model: TaggerModel, dev: CorpusPairs) -> float:
 
 
 def train(
-    corpus: CorpusPairs, dev: CorpusPairs, config: TrainConfig
+    corpus: CorpusPairs,
+    dev: CorpusPairs,
+    config: TrainConfig,
+    on_epoch: Callable[[int, float, float], None] | None = None,
 ) -> tuple[TaggerModel, TrainReport]:
-    """Train on ``corpus``, select by dev F1.  Deterministic given the seed."""
+    """Train on ``corpus``, select by dev F1.  Deterministic given the seed.
+
+    ``on_epoch``, if given, is called as each epoch finishes with its 1-based
+    number, mean train NLL and dev F1."""
     if not corpus:
         raise ValueError("empty training corpus")
     if not dev:
@@ -154,7 +168,7 @@ def train(
         raise ValueError(f"dev set shares sentence ids with training set: {sorted(shared)[:5]}")
 
     vocab = FeatureVocabulary.build(s for s, _ in corpus)
-    features, golds = _prepare(corpus, vocab)
+    rows = _prepare(corpus, vocab)
     dev_set = _DevSet(dev, vocab)
     weights = np.zeros((vocab.size, len(TAG_INDEX)))
     transitions = np.zeros((FULL_SIZE, FULL_SIZE))
@@ -172,10 +186,10 @@ def train(
         epoch_nll = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo:lo + config.batch_size]
-            ids, lengths = pad_batch([features[j] for j in batch])
-            gold, _ = pad_batch([golds[j] for j in batch])
+            padded, lengths = pad_batch([rows[j] for j in batch])
+            ids = padded[:, :, :-1]
             values, grad_p, grad_a = batch_nll_and_gradient(
-                score_ids(weights, ids), transitions, lengths, gold
+                score_ids(weights, ids), transitions, lengths, padded[:, :, -1]
             )
             finite = np.isfinite(values)
             if not finite.all():
@@ -183,9 +197,7 @@ def train(
                 raise NonFiniteLossError(corpus[batch[b]][0].id, float(values[b]))
             epoch_nll += float(values.sum())
             valid = np.arange(ids.shape[1]) < lengths[:, None]
-            grad_w = np.zeros_like(weights)
-            np.add.at(grad_w, ids[valid], grad_p[valid][:, None, :])
-            grad_w /= len(batch)
+            grad_w = _feature_gradient(ids[valid], grad_p[valid], vocab.size) / len(batch)
             grad_a = grad_a.sum(axis=0) / len(batch)
             if config.l2 > 0:
                 grad_w += config.l2 * weights
@@ -201,6 +213,8 @@ def train(
         dev_f1 = dev_set.f1(model)
         nll_history.append(epoch_nll / len(corpus))
         f1_history.append(dev_f1)
+        if on_epoch is not None:
+            on_epoch(epoch, nll_history[-1], dev_f1)
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             best_model = model

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from radsigns.cli import main
+from radsigns.cli import _apply_config, build_parser, main
 from radsigns.corpus import (
     TAG_LABELS,
     EmissionMatrix,
@@ -101,7 +101,7 @@ class TestTrain:
         assert code == 2
         assert "epochs" in capsys.readouterr().err
 
-    def test_non_finite_loss_exits_3(self, tmp_path, capsys):
+    def train_to_overflow(self, tmp_path, rate):
         chars = "字" * 2000
         pairs = [
             (Sentence.from_text("a", "字字字字字"), TagSequence("a", ("O",) * 5)),
@@ -112,13 +112,24 @@ class TestTrain:
         write_tagged_corpus(pairs, train_path)
         write_tagged_corpus(pairs[:1], dev_path)
         with np.errstate(all="ignore"):
-            code = main([
+            return main([
                 "train", str(train_path), str(dev_path),
                 "--model-out", str(tmp_path / "m.json"),
-                "--epochs", "2", "--batch-size", "2", "--lr", "1e306",
+                "--epochs", "2", "--batch-size", "2", "--lr", rate,
             ])
-        assert code == 3
+
+    def test_non_finite_loss_exits_3(self, tmp_path, capsys):
+        assert self.train_to_overflow(tmp_path, "1e306") == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_epoch_line_is_printed_when_its_epoch_ends(self, tmp_path, capsys):
+        # at this rate epoch 1 stays finite and the long sentence's loss
+        # overflows in epoch 2
+        assert self.train_to_overflow(tmp_path, "1e303") == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("epoch 1 train_nll ")
+        assert captured.out.count("\n") == 1
+        assert "non-finite loss" in captured.err
 
     @pytest.mark.parametrize("flags", [
         ["--l2", "nan"], ["--l2", "inf"], ["--lr", "nan"], ["--lr", "inf"],
@@ -646,6 +657,70 @@ class TestConfigFile:
         assert main(["--config", str(config_path), "eval",
                      "--pred", "x", "--gold", "y"]) == 2
         assert f"{config_path}: not a JSON config file" in capsys.readouterr().err
+
+    def train_with_config(self, workspace, tmp_path, config, *flags):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config, encoding="utf-8")
+        return main(["--config", str(config_path), "train",
+                     str(workspace["train"]), str(workspace["dev"]),
+                     "--model-out", str(tmp_path / "m.json"), *flags])
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"seed": 1.5}', "argument --seed: invalid int value: '1.5'"),
+        ('{"epochs": true}', "argument --epochs: invalid int value: 'true'"),
+        ('{"batch_size": [1]}', "config.json: batch_size: expected a string, number or boolean, got [1]"),
+        ('{"lr": null}', "config.json: lr: expected a string, number or boolean, got null"),
+        ('{"l2": {}}', "config.json: l2: expected a string, number or boolean, got {}"),
+        ('{"report_out": 1}', "config.json: report_out: expected a string, got 1"),
+        ('{"bogus_key": 1}', "config.json: bogus_key: no command has this option"),
+        ('{"train_path": "x.tsv"}', "config.json: train_path: no command has this option"),
+    ])
+    def test_mistyped_or_unknown_config_value_is_usage_error(
+        self, workspace, tmp_path, capsys, config, message
+    ):
+        assert self.train_with_config(workspace, tmp_path, config, "--epochs", "1") == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "m.json").exists()
+
+    def test_config_values_pass_the_flags_checks(self, workspace, tmp_path, capsys):
+        assert self.train_with_config(workspace, tmp_path, '{"lr": 1e400}', "--epochs", "1") == 2
+        assert "finite" in capsys.readouterr().err
+        config_path = tmp_path / "config.json"
+        for config in ('{"mode": "bogus"}', '{"format": "xml"}'):
+            config_path.write_text(config, encoding="utf-8")
+            assert main(["--config", str(config_path), "eval", "--pred", "x", "--gold", "y"]) == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+    def test_config_values_equal_their_flags(self, workspace, tmp_path, monkeypatch):
+        # "-" starts the relative path, and "mode" belongs to eval, so train skips it
+        monkeypatch.chdir(tmp_path)
+        config = '{"epochs": "2", "seed": 3, "lr": 0.25, "report_out": "-r.json", "mode": "relation"}'
+        assert self.train_with_config(workspace, tmp_path, config) == 0
+        from_config = [(tmp_path / name).read_bytes() for name in ("m.json", "-r.json")]
+        assert main(["train", str(workspace["train"]), str(workspace["dev"]),
+                     "--model-out", str(tmp_path / "m.json"), "--report-out", str(tmp_path / "r.json"),
+                     "--epochs", "2", "--seed", "3", "--lr", "0.25"]) == 0
+        assert from_config == [(tmp_path / name).read_bytes() for name in ("m.json", "r.json")]
+
+    def parse_with_config(self, tmp_path, config, argv):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config, encoding="utf-8")
+        parser = build_parser()
+        return parser.parse_args(_apply_config(["--config", str(config_path), *argv], parser))
+
+    def test_config_booleans_map_to_their_flags(self, tmp_path, capsys):
+        tag = ["tag", "in.txt", "--model", "m.json", "--out", "o"]
+        extract = ["extract", "in.tsv", "--model", "m.json", "--out", "o"]
+        for value in (False, True):
+            setting = json.dumps(value)
+            assert self.parse_with_config(tmp_path, f'{{"constrain": {setting}}}', tag).constrain is value
+            assert self.parse_with_config(tmp_path, f'{{"from_tags": {setting}}}', extract).from_tags is value
+        assert self.parse_with_config(tmp_path, '{"constrain": true}', [*tag, "--no-constrain"]).constrain is False
+        (tmp_path / "config.json").write_text('{"constrain": "no"}', encoding="utf-8")
+        assert main(["--config", str(tmp_path / "config.json"), *tag]) == 2
+        assert "constrain: expected true or false" in capsys.readouterr().err
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.json"), "eval",

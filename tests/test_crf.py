@@ -1,8 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radsigns import crf
 
 from radsigns.corpus import EmissionMatrix, Sentence
 from radsigns.crf import (
@@ -417,6 +422,57 @@ class TestBatch:
         np.testing.assert_array_equal(grad_p[0, 5:], 0.0)
         np.testing.assert_allclose(grad_a[0], ref_a, atol=1e-12)
         assert paths[0, :5].tolist() == loop_viterbi(short, A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 60), min_size=1, max_size=20),
+        emission_scale=st.floats(0.1, 20),
+        transition_scale=st.floats(0.1, 20),
+        overflow_row=st.booleans(),
+        extreme_transitions=st.sampled_from([None, 800.0, -800.0]),
+        inf_padding=st.booleans(),
+    )
+    def test_scaled_recursion_matches_log_space_reference(
+        self, seed, lengths, emission_scale, transition_scale, overflow_row,
+        extreme_transitions, inf_padding,
+    ):
+        rng = np.random.default_rng(seed)
+        emissions = [emission_scale * rng.standard_normal((n, 7)) for n in lengths]
+        golds = [rng.integers(0, 7, size=n) for n in lengths]
+        A = transition_scale * rng.standard_normal((9, 9))
+        if extreme_transitions is not None:
+            # exp(A) overflows (+800) or underflows to 0 (-800) at these entries
+            A[rng.random((9, 9)) < 0.2] = extreme_transitions
+        if overflow_row:
+            # a row whose log Z overflows even in log space
+            long = np.full((200, 7), 1e306)
+            long[:, 0] = -1e306
+            emissions.append(long)
+            golds.append(np.zeros(200, dtype=np.intp))
+        P, lens = pad_batch(emissions)
+        Y, _ = pad_batch(golds)
+        if inf_padding:
+            P[np.arange(P.shape[1]) >= lens[:, None]] = np.inf
+        spy = mock.patch.object(crf, "_log_marginals", wraps=crf._log_marginals)
+        with spy as fallback, np.errstate(all="ignore"):
+            values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
+        fell_back = [n for call in fallback.call_args_list for n in call.args[2]]
+        if overflow_row:
+            assert not np.isfinite(values[-1])
+            assert 200 in fell_back
+        if extreme_transitions is None:   # only the overflowing row falls back
+            assert fell_back == ([200] if overflow_row else [])
+        for b, n in enumerate(lengths):
+            with np.errstate(over="ignore"):
+                ref_z, ref_nll, ref_p, ref_a = loop_nll_and_gradient(emissions[b], A, golds[b])
+            # the reference rounds in log space, by about eps times the
+            # largest log score; up to 100 this is the 1e-12 used above
+            tol = max(1e-12, 1e-14 * max(abs(ref_z), abs(ref_z - ref_nll)))
+            assert values[b] == pytest.approx(ref_nll, abs=tol)
+            np.testing.assert_allclose(grad_p[b, :n], ref_p, atol=tol)
+            np.testing.assert_array_equal(grad_p[b, n:], 0.0)
+            np.testing.assert_allclose(grad_a[b], ref_a, atol=tol)
 
     def test_lengths_outside_the_padded_width_rejected(self):
         P = np.zeros((2, 3, 7))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from radsigns import crf
+from radsigns.cli import main
 from radsigns.corpus import Sentence, TagSequence
 from radsigns.crf import (
     FULL_SIZE,
@@ -21,7 +23,7 @@ from radsigns.trainer import (
     train,
 )
 
-from _synth import RULE_CHAR_TAG, build_rule_corpus
+from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus
 
 
 def all_o_pair(sid, n):
@@ -139,6 +141,16 @@ class TestTraining:
             model_a.transitions.matrix, model_b.transitions.matrix
         )
 
+    def test_on_epoch_sees_each_epoch_as_reported(self):
+        rng = np.random.default_rng(115)
+        corpus = build_rule_corpus(rng, 20, prefix="t")
+        dev = build_rule_corpus(rng, 5, prefix="d")
+        seen = []
+        _, report = train(corpus, dev, TrainConfig(epochs=3, batch_size=8, seed=8),
+                          on_epoch=lambda *args: seen.append(args))
+        assert seen == [(epoch, loss, f1) for epoch, loss, f1
+                        in zip((1, 2, 3), report.train_nll, report.dev_f1)]
+
     def test_first_epochs_decrease_train_nll_on_separable_data(self):
         rng = np.random.default_rng(103)
         corpus = build_rule_corpus(rng, 50, prefix="t")
@@ -221,6 +233,61 @@ class TestTraining:
             train(corpus, dev, config)
         assert excinfo.value.sentence_id == "t2"
         assert "loss" in str(excinfo.value)
+
+
+class TestScaledForwardBackward:
+    """Training runs on the scaled recursion, and the log-space recursion
+    it replaced gives the same model up to rounding."""
+
+    def decoded_outputs(self, model, dev, tmp_path, name):
+        model_path = tmp_path / f"{name}.json"
+        crf.save_model(model, model_path)
+        text_path = tmp_path / "dev.txt"
+        text_path.write_text("".join(s.text + "\n" for s, _ in dev), encoding="utf-8")
+        dict_path = tmp_path / "parts.txt"
+        dict_path.write_text("".join(term + "\n" for term in SP_TERMS), encoding="utf-8")
+        outputs = [tmp_path / f"{name}.{suffix}" for suffix in ("tsv", "quads", "relations")]
+        assert main(["tag", str(text_path), "--model", str(model_path),
+                     "--out", str(outputs[0])]) == 0
+        assert main(["extract", str(text_path), "--model", str(model_path),
+                     "--dict", str(dict_path), "--out", str(outputs[1]),
+                     "--relations-out", str(outputs[2])]) == 0
+        return [path.read_bytes() for path in outputs]
+
+    def test_no_training_row_falls_back_and_log_space_gives_the_same_model(
+        self, monkeypatch, tmp_path
+    ):
+        rng = np.random.default_rng(116)
+        corpus = build_rule_corpus(rng, 120, prefix="t")
+        dev = build_rule_corpus(rng, 40, prefix="d")
+        # small rates, so dev F1 still climbs and the model still errs
+        config = TrainConfig(epochs=4, batch_size=8, seed=11, lr_initial=0.02, lr_decayed=0.05)
+
+        def no_fallback(*args):
+            raise AssertionError("a training row fell back to the log-space recursion")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(crf, "_log_marginals", no_fallback)
+            scaled_model, scaled_report = train(corpus, dev, config)
+
+        scaled = crf._scaled_marginals
+
+        def scaled_off(P, A, lengths):
+            log_z, gamma, pairwise = scaled(P, A, lengths)
+            return np.full_like(log_z, np.nan), gamma, pairwise
+
+        monkeypatch.setattr(crf, "_scaled_marginals", scaled_off)
+        log_model, log_report = train(corpus, dev, config)
+        monkeypatch.undo()
+
+        for got, expected in ((scaled_model.weights.weights, log_model.weights.weights),
+                              (scaled_model.transitions.matrix, log_model.transitions.matrix)):
+            assert np.abs(got - expected).max() / np.abs(expected).max() < 1e-9
+        assert scaled_report.dev_f1 == log_report.dev_f1
+        assert scaled_report.selected_epoch == log_report.selected_epoch
+        np.testing.assert_allclose(scaled_report.train_nll, log_report.train_nll, rtol=1e-9)
+        assert (self.decoded_outputs(scaled_model, dev, tmp_path, "scaled")
+                == self.decoded_outputs(log_model, dev, tmp_path, "log"))
 
 
 class TestEvaluateDev:
