@@ -51,7 +51,7 @@ from .evaluation import (
     entity_prf,
     relation_prf,
 )
-from .tag2relation import Chunk, chunk_sentence, find_primary_parts, match
+from .tag2relation import find_primary_parts, match
 from .tagscheme import entities_from_indices, entities_to_tags, tags_to_entities, validate_path
 from .trainer import TrainConfig, TrainReport, evaluate_dev, train
 

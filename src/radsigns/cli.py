@@ -138,7 +138,7 @@ def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence
     return [(s, None) for s in read_text_sentences(path)]
 
 
-def _emission_batch(model: TaggerModel, sentences, emission_map):
+def _emission_batch(model: TaggerModel, sentences, emissions_file, emission_map):
     """Padded emissions and lengths for one batch of sentences."""
     if emission_map is None:
         ids, lengths = feature_id_batch(model.vocab, sentences)
@@ -146,8 +146,12 @@ def _emission_batch(model: TaggerModel, sentences, emission_map):
     blocks = []
     for sentence in sentences:
         if sentence.id not in emission_map:
-            raise CorpusFormatError(f"no emission block for sentence {sentence.id!r}")
-        blocks.append(external_emissions(sentence, emission_map[sentence.id]).scores)
+            raise CorpusFormatError(
+                f"{emissions_file}: no emission block for sentence {sentence.id!r}")
+        try:
+            blocks.append(external_emissions(sentence, emission_map[sentence.id]).scores)
+        except ValueError as exc:
+            raise CorpusFormatError(f"{emissions_file}: {exc}") from None
     return pad_batch(blocks)
 
 
@@ -155,7 +159,8 @@ def _decode_all(model, sentences, constrain, emissions_file) -> list[list[int]]:
     emission_map = None
     if emissions_file:
         emission_map = {m.sentence_id: m for m in read_emissions_many(emissions_file)}
-    batches = ((bucket, *_emission_batch(model, [sentences[i] for i in bucket], emission_map))
+    batches = ((bucket, *_emission_batch(model, [sentences[i] for i in bucket],
+                                         emissions_file, emission_map))
                for bucket in length_buckets([len(s) for s in sentences]))
     return decode_batches(len(sentences), batches, model.transitions, constrain)
 
@@ -288,28 +293,35 @@ def _cmd_eval(args, mode: str) -> int:
 def _config_tokens(path, values: dict, commands: dict, command: str) -> list[str]:
     """The option tokens that stand for the ``--config`` values ``command``
     takes: ``--name=value``, or the bare flag for a boolean that differs from
-    the default.  Values for options of other commands are skipped."""
-    options = {name: {a.dest: a for a in p._actions if a.option_strings and a.dest != "help"}
-               for name, p in commands.items()}
+    the default.  Every value is checked against the type and choices of each
+    option it stands for, so a value for another command's option is checked
+    too, then skipped."""
     tokens = []
     for key, value in values.items():
-        if not any(key in own for own in options.values()):
+        owners = [(name, a) for name, p in commands.items() for a in p._actions
+                  if a.dest == key and a.option_strings and a.dest != "help"]
+        if not owners:
             raise CorpusFormatError(f"{path}: {key}: no command has this option")
         if isinstance(value, (list, dict)) or value is None:
             raise CorpusFormatError(f"{path}: {key}: expected a string, number or boolean, "
                                     f"got {json.dumps(value)}")
-        action = options[command].get(key)
-        if action is None:
-            continue
-        flag = action.option_strings[0]
-        if action.nargs == 0:   # store_true / store_false
-            if not isinstance(value, bool):
-                raise CorpusFormatError(f"{path}: {key}: expected true or false, got {value!r}")
-            tokens += [flag] if value == action.const else []
-        elif action.type is None and not isinstance(value, str):
-            raise CorpusFormatError(f"{path}: {key}: expected a string, got {value!r}")
-        else:
-            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+        for name, action in owners:
+            flag = action.option_strings[0]
+            if action.nargs == 0:   # store_true / store_false
+                if not isinstance(value, bool):
+                    raise CorpusFormatError(f"{path}: {key}: expected true or false, got {value!r}")
+                own = [flag] if value == action.const else []
+            elif action.type is None and not isinstance(value, str):
+                raise CorpusFormatError(f"{path}: {key}: expected a string, got {value!r}")
+            else:
+                text = value if isinstance(value, str) else json.dumps(value)
+                try:
+                    commands[name]._get_values(action, [text])
+                except argparse.ArgumentError as exc:
+                    raise CorpusFormatError(f"{path}: {key}: {exc}") from None
+                own = [f"{flag}={text}"]
+            if name == command:
+                tokens += own
     return tokens
 
 

@@ -342,12 +342,14 @@ def read_text_sentences(path) -> list[Sentence]:
 
 
 def read_emissions_many(path) -> list[EmissionMatrix]:
-    """Read every emission block in the file, in order.
+    """Read every emission block in the file, in order; sentence ids must be
+    unique.
 
     The file is streamed one block at a time: each block's values are parsed
     with Python ``float``, so its grammar decides which tokens are valid.
     """
     matrices: list[EmissionMatrix] = []
+    seen: set[str] = set()
     with _open_text(path) as fh:
         # (lineno, stripped line) for each non-blank line, read lazily
         lines = ((i, line) for i, line in enumerate(map(str.strip, fh), 1) if line)
@@ -358,6 +360,10 @@ def read_emissions_many(path) -> list[EmissionMatrix]:
                     f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
                 )
             sid = fields[0]
+            if sid in seen:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: a second emission block for sentence {sid!r}")
+            seen.add(sid)
             try:
                 n, k = int(fields[1]), int(fields[2])
             except ValueError:

@@ -83,22 +83,20 @@ class PrfBreakdown:
         }
 
 
-def _corpus_counts(pred, gold, keep=lambda item: True) -> PrfScores:
-    ids = sorted(set(pred) | set(gold))
-    correct = predicted = total_gold = 0
-    for sid in ids:
-        p = Counter(item for item in pred.get(sid, ()) if keep(item))
-        g = Counter(item for item in gold.get(sid, ()) if keep(item))
-        correct += sum((p & g).values())
-        predicted += sum(p.values())
-        total_gold += sum(g.values())
-    return PrfScores(correct, predicted, total_gold)
-
-
-def _breakdown(pred, gold, kinds: Sequence[str]) -> PrfBreakdown:
-    by_kind = {kind: _corpus_counts(pred, gold, keep=lambda item, k=kind: item.kind == k)
-               for kind in kinds}
-    return PrfBreakdown(_corpus_counts(pred, gold), by_kind)
+def _breakdown(pred, gold, kinds: Sequence[str] = ()) -> PrfBreakdown:
+    """Strict counts overall and for each of ``kinds``, from one pair of
+    ``Counter``s per sentence; items of other kinds count overall only."""
+    correct, predicted, total_gold = Counter(), Counter(), Counter()   # by item kind
+    for sid in set(pred) | set(gold):
+        p, g = Counter(pred.get(sid, ())), Counter(gold.get(sid, ()))
+        for item, count in p.items():
+            predicted[item.kind] += count
+            correct[item.kind] += min(count, g[item])
+        for item, count in g.items():
+            total_gold[item.kind] += count
+    overall = PrfScores(*(sum(c.values()) for c in (correct, predicted, total_gold)))
+    return PrfBreakdown(overall, {k: PrfScores(correct[k], predicted[k], total_gold[k])
+                                  for k in kinds})
 
 
 def entity_prf(
@@ -121,7 +119,7 @@ def agreement_f1(annot_a: Mapping[str, Sequence], annot_b: Mapping[str, Sequence
     Precision divides the identical items by annotator A's total, recall by
     annotator B's total; items may be entities or relations.
     """
-    return _corpus_counts(annot_a, annot_b)
+    return _breakdown(annot_a, annot_b).overall
 
 
 @dataclass(frozen=True)

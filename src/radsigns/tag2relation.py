@@ -1,14 +1,14 @@
 """Dictionary-driven chunk matching of attributes to abnormal signs.
 
 A body part whose text is absent from the secondary-part dictionary is a
-primary part.  Primary parts split the sentence into chunks: each chunk
-begins at its primary's start offset and runs to the next primary's start
-(a non-empty prefix before the first primary forms an unheaded chunk).
-Inside a chunk:
+primary part.  An entity belongs to the chunk of the last primary part that
+starts at or before it; entities that start before every primary part form
+the unheaded chunk.  Inside a chunk:
 
 * the primary part attaches to every sign in the chunk;
-* each secondary part and each degree attaches to the single closest sign
-  (gap in characters between span ends; ties go to the later sign);
+* each other part (a secondary part) and each degree attaches to the single
+  closest sign (gap in characters between span ends; ties go to the later
+  sign);
 * each secondary part is linked to the chunk's primary as a subdivision,
   whether or not the chunk contains a sign;
 * attributes in a chunk without signs attach to nothing.
@@ -19,20 +19,11 @@ combination attached to it; empty slots stay null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from itertools import groupby
 from typing import Sequence
 
 from .corpus import Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """One matching scope: a primary-headed span (or the unheaded prefix)."""
-
-    index: int
-    start: int
-    end: int
-    primary: Entity | None
 
 
 def find_primary_parts(
@@ -45,20 +36,6 @@ def find_primary_parts(
     )
 
 
-def chunk_sentence(sentence: Sentence, primaries: Sequence[Entity]) -> list[Chunk]:
-    """Partition [0, n) at the primaries' start offsets."""
-    n = len(sentence)
-    if not primaries:
-        return [Chunk(0, 0, n, None)]
-    chunks: list[Chunk] = []
-    if primaries[0].start > 0:
-        chunks.append(Chunk(0, 0, primaries[0].start, None))
-    for i, primary in enumerate(primaries):
-        end = primaries[i + 1].start if i + 1 < len(primaries) else n
-        chunks.append(Chunk(len(chunks), primary.start, end, primary))
-    return chunks
-
-
 def span_gap(a: Entity, b: Entity) -> int:
     """Characters between the closest ends of two spans; 0 if they touch."""
     if a.end <= b.start:
@@ -66,11 +43,6 @@ def span_gap(a: Entity, b: Entity) -> int:
     if b.end <= a.start:
         return a.start - b.end
     return 0
-
-
-def _closest_sign(attribute: Entity, signs: Sequence[Entity]) -> Entity:
-    # ties go to the later sign
-    return min(signs, key=lambda s: (span_gap(attribute, s), -s.start))
 
 
 def match(
@@ -81,44 +53,38 @@ def match(
     """Assemble relations and quadruples from decoded entities.
 
     Output is deterministic and invariant under permutation of ``entities``.
+    ``sentence`` is not read; the entities carry their own spans and text.
     """
     ordered = sorted(entities, key=lambda e: (e.start, e.end, e.kind))
     primaries = find_primary_parts(ordered, dictionary)
-    chunks = chunk_sentence(sentence, primaries)
+    starts = [p.start for p in primaries]
 
     relations: list[Relation] = []
     quadruples: list[Quadruple] = []
-    for chunk in chunks:
-        primary = chunk.primary
-        members = [e for e in ordered if chunk.start <= e.start < chunk.end]
+    # chunk i > 0 is headed by primaries[i - 1]; chunk 0 is the unheaded prefix
+    for index, group in groupby(ordered, key=lambda e: bisect_right(starts, e.start)):
+        members = list(group)
+        primary = primaries[index - 1] if index else None
         signs = [e for e in members if e.kind == "Abn"]
-        degrees = [e for e in members if e.kind == "D"]
-        secondaries = [e for e in members if e.kind == "P" and e != primary]
-
-        attached_sp: dict[Entity, list[Entity]] = {s: [] for s in signs}
-        attached_d: dict[Entity, list[Entity]] = {s: [] for s in signs}
-
+        # the secondary parts and the degrees of each sign, by its position in ``signs``
+        attached: dict[str, list[list[Entity]]] = {"P": [[] for _ in signs],
+                                                   "D": [[] for _ in signs]}
         if primary is not None:
-            for sign in signs:
-                relations.append(Relation("P2Abn", primary, sign))
-        for secondary in secondaries:
-            if signs:
-                sign = _closest_sign(secondary, signs)
-                relations.append(Relation("P2Abn", secondary, sign))
-                attached_sp[sign].append(secondary)
-            if primary is not None:
-                relations.append(Relation("P2P", secondary, primary))
-        for degree in degrees:
-            if signs:
-                sign = _closest_sign(degree, signs)
-                relations.append(Relation("D2Abn", degree, sign))
-                attached_d[sign].append(degree)
+            relations.extend(Relation("P2Abn", primary, sign) for sign in signs)
+        for e in members:
+            if e.kind == "Abn" or (e.kind == "P" and e == primary):
+                continue
+            if signs:   # the closest sign; ties go to the later one
+                i = min(range(len(signs)), key=lambda i: (span_gap(e, signs[i]), -signs[i].start))
+                relations.append(Relation(f"{e.kind}2Abn", e, signs[i]))
+                attached[e.kind][i].append(e)
+            if e.kind == "P" and primary is not None:
+                relations.append(Relation("P2P", e, primary))
 
         for sign in signs:
-            sp_slots = attached_sp[sign] or [None]
-            d_slots = attached_d[sign] or [None]
-            for sp in sp_slots:
-                for d in d_slots:
+            i = signs.index(sign)   # equal copies of a sign share the first one's attributes
+            for sp in attached["P"][i] or [None]:
+                for d in attached["D"][i] or [None]:
                     quadruples.append(Quadruple(pp=primary, sp=sp, d=d, abn=sign))
 
     relations.sort(

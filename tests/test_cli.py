@@ -346,6 +346,38 @@ class TestTagAndExtract:
         assert code == 0
         assert read_tagged_corpus(out)[0][1].tags == forced
 
+    def run_with_emissions(self, workspace, tmp_path, texts, blocks):
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        emissions_path = tmp_path / "emissions.txt"
+        write_emissions([EmissionMatrix(sid, np.zeros((n, 7))) for sid, n in blocks],
+                        emissions_path)
+        code = main(["tag", str(text_path), "--model", str(workspace["model"]),
+                     "--emissions-file", str(emissions_path), "--out", str(tmp_path / "out")])
+        return code, emissions_path
+
+    def test_missing_emission_block_names_the_file(self, workspace, tmp_path, capsys):
+        code, path = self.run_with_emissions(
+            workspace, tmp_path, ["右肺", "见斑影", "左肺"], [("s1", 2), ("s2", 3)])
+        assert code == 2
+        assert f"{path}: no emission block for sentence 's3'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_emission_row_count_mismatch_names_the_file(self, workspace, tmp_path, capsys):
+        code, path = self.run_with_emissions(workspace, tmp_path, ["见斑影"], [("s1", 2)])
+        assert code == 2
+        assert (f"{path}: emission matrix has 2 rows but sentence 's1' has 3 characters"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_emission_block_is_usage_error(self, workspace, tmp_path, capsys):
+        code, path = self.run_with_emissions(
+            workspace, tmp_path, ["右肺", "见斑影"], [("s1", 2), ("s2", 3), ("s1", 2)])
+        assert code == 2
+        # blocks of 2 and 3 rows take lines 1-7, so the repeated header is line 8
+        assert f"{path}:8: a second emission block for sentence 's1'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_jobs_flag_preserves_output(self, workspace, tmp_path):
         text_path, _ = self.write_input(workspace, tmp_path, count=6)
         serial = tmp_path / "serial.tsv"
@@ -692,6 +724,47 @@ class TestConfigFile:
             config_path.write_text(config, encoding="utf-8")
             assert main(["--config", str(config_path), "eval", "--pred", "x", "--gold", "y"]) == 2
             assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"mode": "bogus"}', "config.json: mode: argument --mode: invalid choice: 'bogus'"),
+        ('{"lr": "abc"}', "config.json: lr: argument --lr: invalid float value: 'abc'"),
+    ])
+    def test_bad_value_for_another_commands_option_is_usage_error_everywhere(
+        self, workspace, tmp_path, capsys, config, message
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config, encoding="utf-8")
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("右肺见斑影\n", encoding="utf-8")
+        decode = [str(text_path), "--model", str(workspace["model"]),
+                  "--out", str(tmp_path / "out")]
+        commands = [
+            ["train", str(workspace["train"]), str(workspace["dev"]),
+             "--model-out", str(tmp_path / "m.json"), "--epochs", "1"],
+            ["tag", *decode],
+            ["extract", *decode, "--dict", str(workspace["dict"])],
+            ["eval", "--pred", str(workspace["dev"]), "--gold", str(workspace["dev"])],
+            ["errors", "--pred", str(workspace["dev"]), "--gold", str(workspace["dev"])],
+        ]
+        for command in commands:
+            assert main(["--config", str(config_path), *command]) == 2, command
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
+        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_shared_config_runs_train_and_eval(self, workspace, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"epochs": 1, "seed": 3, "lr": 0.25, "mode": "entity", '
+                               '"format": "json", "constrain": false, "jobs": 2}',
+                               encoding="utf-8")
+        assert main(["--config", str(config_path), "train", str(workspace["train"]),
+                     str(workspace["dev"]), "--model-out", str(tmp_path / "m.json")]) == 0
+        assert "selected epoch 1" in capsys.readouterr().out
+        assert main(["--config", str(config_path), "eval",
+                     "--pred", str(workspace["dev"]), "--gold", str(workspace["dev"])]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"]["f1"] == 100.0
 
     def test_config_values_equal_their_flags(self, workspace, tmp_path, monkeypatch):
         # "-" starts the relative path, and "mode" belongs to eval, so train skips it

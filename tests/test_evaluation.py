@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radsigns.corpus import Entity, Relation, Sentence
+from radsigns.corpus import (
+    ENTITY_KINDS,
+    RELATION_ENDPOINTS,
+    RELATION_KINDS,
+    Entity,
+    Relation,
+    Sentence,
+)
 from radsigns.evaluation import (
     CONFUSION_AXES,
     ErrorRecord,
@@ -72,6 +81,48 @@ class TestEntityPrf:
         assert result.by_kind["P"].f1 == 100.0
         assert result.by_kind["Abn"].f1 == 0.0
         assert result.by_kind["D"].gold == 0
+
+
+# small spans over few sentences, so that predictions, golds and duplicates collide
+ENTITIES = st.builds(lambda kind, start, length: ent(kind, start, start + length),
+                     st.sampled_from(ENTITY_KINDS), st.integers(0, 4), st.integers(1, 2))
+RELATIONS = st.sampled_from(RELATION_KINDS).flatmap(lambda kind: st.builds(
+    lambda a, b: Relation(kind, ent(RELATION_ENDPOINTS[kind][0], a, a + 1),
+                          ent(RELATION_ENDPOINTS[kind][1], b, b + 1)),
+    st.integers(0, 2), st.integers(3, 5)))
+
+
+def corpora(items):
+    corpus = st.dictionaries(st.sampled_from(["s1", "s2", "s3"]), st.lists(items, max_size=8))
+    return st.tuples(corpus, corpus)
+
+
+def recount(pred, gold, kind=None):
+    """Strict counts of one kind (all kinds for None), pairing each
+    prediction with an unused equal gold item."""
+    correct = predicted = total_gold = 0
+    for sid in set(pred) | set(gold):
+        p = [x for x in pred.get(sid, []) if kind in (None, x.kind)]
+        unused = [x for x in gold.get(sid, []) if kind in (None, x.kind)]
+        predicted, total_gold = predicted + len(p), total_gold + len(unused)
+        for x in p:
+            if x in unused:
+                unused.remove(x)
+                correct += 1
+    return PrfScores(correct, predicted, total_gold)
+
+
+class TestBreakdownMatchesRecount:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(
+        st.tuples(st.just(entity_prf), st.just(ENTITY_KINDS), corpora(ENTITIES)),
+        st.tuples(st.just(relation_prf), st.just(RELATION_KINDS), corpora(RELATIONS))))
+    def test_overall_and_per_kind_counts(self, data):
+        score, kinds, (pred, gold) = data
+        result = score(pred, gold)
+        assert result.overall == recount(pred, gold)
+        assert dict(result.by_kind) == {kind: recount(pred, gold, kind) for kind in kinds}
+        assert agreement_f1(pred, gold) == result.overall
 
 
 class TestRelationPrf:

@@ -1,7 +1,9 @@
+from bisect import bisect_right
+
 import numpy as np
 
 from radsigns.corpus import Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
-from radsigns.tag2relation import chunk_sentence, find_primary_parts, match, span_gap
+from radsigns.tag2relation import find_primary_parts, match, span_gap
 from radsigns.tagscheme import tags_to_entities
 
 from _synth import brute_force_match, random_match_instance
@@ -35,49 +37,6 @@ class TestFindPrimaryParts:
         parts = [entity(s, "P", 8, 10), entity(s, "P", 0, 2)]
         primaries = find_primary_parts(parts, bronchus_dictionary)
         assert [e.start for e in primaries] == [0, 8]
-
-
-class TestChunkSentence:
-    def test_four_primaries_four_chunks(self):
-        s = padded_sentence(30)
-        primaries = [entity(s, "P", a, a + 3) for a in (0, 8, 15, 22)]
-        chunks = chunk_sentence(s, primaries)
-        assert [c.start for c in chunks] == [0, 8, 15, 22]
-        assert [c.end for c in chunks] == [8, 15, 22, 30]
-        assert [c.primary.start for c in chunks] == [0, 8, 15, 22]
-        assert [c.index for c in chunks] == [0, 1, 2, 3]
-
-    def test_no_primaries_single_headless_chunk(self):
-        s = padded_sentence(9)
-        chunks = chunk_sentence(s, [])
-        assert len(chunks) == 1
-        assert (chunks[0].start, chunks[0].end) == (0, 9)
-        assert chunks[0].primary is None
-
-    def test_single_primary_at_zero(self):
-        s = padded_sentence(9)
-        chunks = chunk_sentence(s, [entity(s, "P", 0, 2)])
-        assert len(chunks) == 1
-        assert chunks[0].primary.start == 0
-
-    def test_leading_prefix_forms_headless_chunk(self):
-        s = padded_sentence(10)
-        chunks = chunk_sentence(s, [entity(s, "P", 4, 6)])
-        assert [(c.start, c.end) for c in chunks] == [(0, 4), (4, 10)]
-        assert chunks[0].primary is None
-        assert chunks[1].primary.start == 4
-
-    def test_chunks_partition_sentence(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            s = padded_sentence(int(rng.integers(4, 30)))
-            starts = sorted(set(rng.integers(0, len(s) - 1, size=rng.integers(0, 4))))
-            primaries = [entity(s, "P", a, a + 1) for a in starts]
-            chunks = chunk_sentence(s, primaries)
-            assert chunks[0].start == 0
-            assert chunks[-1].end == len(s)
-            for left, right in zip(chunks, chunks[1:]):
-                assert left.end == right.start
 
 
 class TestMatch:
@@ -155,13 +114,10 @@ class TestMatch:
         rng = np.random.default_rng(7)
         for _ in range(200):
             sentence, entities, dictionary = random_match_instance(rng)
-            primaries = find_primary_parts(entities, dictionary)
-            chunks = chunk_sentence(sentence, primaries)
+            starts = [p.start for p in find_primary_parts(entities, dictionary)]
 
             def chunk_of(e):
-                return next(
-                    c.index for c in chunks if c.start <= e.start < c.end
-                )
+                return bisect_right(starts, e.start)
 
             relations, _ = match(sentence, entities, dictionary)
             for r in relations:
@@ -196,6 +152,34 @@ class TestMatch:
             assert match(sentence, entities, dictionary) == brute_force_match(
                 sentence, entities, dictionary
             )
+
+    def test_matches_brute_force_reference_at_report_length(self):
+        # many chunks, chunks without signs, equal gaps, several secondaries per sign
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            sentence, entities, dictionary = random_match_instance(rng, 80, 20)
+            assert match(sentence, entities, dictionary) == brute_force_match(
+                sentence, entities, dictionary
+            )
+
+    def test_equal_copy_of_the_primary_is_not_a_secondary_part(self):
+        s = padded_sentence(12)
+        pp, copy = entity(s, "P", 0, 2), entity(s, "P", 0, 2)
+        abn = entity(s, "Abn", 6, 8)
+        relations, quadruples = match(s, [pp, copy, abn], EMPTY_DICT_FALLBACK)
+        assert relations == [Relation("P2Abn", pp, abn)]
+        assert quadruples == [Quadruple(pp, None, None, abn)]
+
+    def test_equal_copies_of_a_sign_share_its_attributes(self):
+        s = padded_sentence(12)
+        pp = entity(s, "P", 0, 2)
+        d = entity(s, "D", 3, 5)
+        abn, copy = entity(s, "Abn", 6, 8), entity(s, "Abn", 6, 8)
+        entities = [pp, d, abn, copy]
+        relations, quadruples = match(s, entities, EMPTY_DICT_FALLBACK)
+        assert (relations, quadruples) == brute_force_match(s, entities, EMPTY_DICT_FALLBACK)
+        assert [r for r in relations if r.kind == "D2Abn"] == [Relation("D2Abn", d, abn)]
+        assert quadruples == [Quadruple(pp, None, d, abn)] * 2
 
     def test_multiple_attributes_cross_product_in_quadruples(self):
         s = padded_sentence(20)
