@@ -49,10 +49,20 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that rejects ``--`` as an option's value, which
+    some Python versions strip to an empty list and others keep."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument, got '--'")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser.  ``--config`` values reach it as option
     tokens (see :func:`_apply_config`)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radsigns",
         description="Extract {primary part, secondary part, degree, sign} "
         "quadruples from character-level report sentences.",
@@ -374,16 +384,13 @@ def main(argv=None) -> int:
             return _cmd_extract(args)
         if args.command == "eval":
             return _cmd_eval(args, args.mode)
-        if args.command == "errors":
-            return _cmd_eval(args, "errors")
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_eval(args, "errors")
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CorpusFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -100,7 +100,9 @@ class TagSequence:
 
 @dataclass(frozen=True)
 class Entity:
-    """A typed character span.  ``text`` is the covered substring."""
+    """A typed character span.  ``start`` and ``end`` are ``int`` (not
+    ``bool`` or a numpy integer) and ``text``, the covered substring, is
+    ``str``."""
 
     kind: str
     start: int
@@ -110,6 +112,10 @@ class Entity:
     def __post_init__(self):
         if self.kind not in ENTITY_KINDS:
             raise ValueError(f"unknown entity kind {self.kind!r}")
+        if type(self.start) is not int or type(self.end) is not int:
+            raise ValueError(f"span [{self.start!r}, {self.end!r}) must hold two ints")
+        if type(self.text) is not str:
+            raise ValueError(f"entity text must be a string, got {self.text!r}")
         if not (0 <= self.start < self.end):
             raise ValueError(f"bad span [{self.start}, {self.end})")
         if len(self.text) != self.end - self.start:
@@ -225,8 +231,6 @@ def read_tagged_corpus(path) -> list[tuple[Sentence, TagSequence]]:
     with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
             if line == "":
                 flush()
                 continue
@@ -335,7 +339,7 @@ def read_text_sentences(path) -> list[Sentence]:
     sentences: list[Sentence] = []
     with _open_text(path, "utf-8-sig") as fh:
         for line in fh:
-            text = line.rstrip("\n").rstrip("\r")
+            text = line.rstrip("\n")
             if text:
                 sentences.append(Sentence.from_text(f"s{len(sentences) + 1}", text))
     return sentences
@@ -429,11 +433,8 @@ class RecordLines:
             return "null"
         cached = self._fragments.get(id(entity))
         if cached is None:
-            if type(entity.text) is str and type(entity.start) is type(entity.end) is int:
-                fragment = (f'{{"kind": {encode_basestring(entity.kind)}, "start": {entity.start}, '
-                            f'"end": {entity.end}, "text": {encode_basestring(entity.text)}}}')
-            else:   # json spells a bool start as true and rejects numpy ints
-                fragment = json.dumps(entity_to_dict(entity), ensure_ascii=False)
+            fragment = (f'{{"kind": {encode_basestring(entity.kind)}, "start": {entity.start}, '
+                        f'"end": {entity.end}, "text": {encode_basestring(entity.text)}}}')
             cached = self._fragments[id(entity)] = (entity, fragment)
         return cached[1]
 

@@ -10,12 +10,16 @@ category:
 * TYPE      same span, wrong kind;
 * EXTENT    overlapping span, same kind (SHORT inside the gold span, LONG
             covering it, S&L neither);
-* SPURIOUS  no overlap with any gold entity, or overlap with only
-            kind-mismatched, span-mismatched golds.
+* SPURIOUS  no overlap with any gold entity, or a gold of maximal overlap
+            with another kind and another span.
 
 Every gold entity is exactly matched, involved in a TYPE/EXTENT record, or
 MISSING.  A prediction overlapping several golds pairs with the one of
 maximal overlap (ties to the earlier gold); the others stay unmatched.
+
+The taxonomy assumes that the entities on each side of a sentence do not
+overlap, as entities decoded from one tag sequence never do;
+:func:`classify_errors` rejects a side that breaks this, duplicates included.
 """
 
 from __future__ import annotations
@@ -275,77 +279,61 @@ def _extent_subtype(pred: Entity, gold: Entity) -> str:
     return "S&L"
 
 
+def _disjoint(sentence_id: str, entities: Sequence[Entity]) -> list[Entity]:
+    """``entities`` sorted by span; two that overlap raise ``ValueError``."""
+    ordered = sorted(entities, key=lambda e: (e.start, e.end))
+    for a, b in zip(ordered, ordered[1:]):
+        if b.start < a.end:
+            raise ValueError(f"sentence {sentence_id!r}: entities {a} and {b} overlap")
+    return ordered
+
+
 def classify_errors(
     pred: Mapping[str, Sequence[Entity]], gold: Mapping[str, Sequence[Entity]]
 ) -> tuple[list[ErrorRecord], ConfusionMatrix, ErrorSummary]:
-    """Classify every non-exact prediction and unmatched gold entity."""
+    """Classify every non-exact prediction and unmatched gold entity.
+
+    The entities on each side of a sentence must not overlap, duplicates
+    included; a side that does raises ``ValueError`` naming the sentence and
+    two of its entities.
+    """
     records: list[ErrorRecord] = []
     counts = np.zeros((4, 4), dtype=np.int64)
-    extent_counts = {s: {k: 0 for k in ENTITY_KINDS} for s in EXTENT_SUBTYPES}
-    missing_by_kind = {k: 0 for k in ENTITY_KINDS}
-    spurious_by_kind = {k: 0 for k in ENTITY_KINDS}
-    gold_totals = {k: 0 for k in ENTITY_KINDS}
-    predicted_totals = {k: 0 for k in ENTITY_KINDS}
-
-    def axis(kind: str) -> int:
-        return CONFUSION_AXES.index(kind)
-
+    gold_totals, predicted_totals = Counter(), Counter()
+    axis, other = CONFUSION_AXES.index, CONFUSION_AXES.index("O")
     for sid in sorted(set(pred) | set(gold)):
-        preds = sorted(pred.get(sid, ()), key=lambda e: (e.start, e.end, e.kind))
-        golds = sorted(gold.get(sid, ()), key=lambda e: (e.start, e.end, e.kind))
-        for e in golds:
-            gold_totals[e.kind] += 1
-        for e in preds:
-            predicted_totals[e.kind] += 1
-
-        exact_keys = {(g.kind, g.start, g.end): g for g in golds}
-        consumed: set[Entity] = set()        # golds paired with a TYPE/EXTENT record
-        exact_matched: set[Entity] = set()
-        type_matched: set[Entity] = set()
-
-        leftover = []
+        preds, golds = _disjoint(sid, pred.get(sid, ())), _disjoint(sid, gold.get(sid, ()))
+        gold_totals.update(g.kind for g in golds)
+        predicted_totals.update(p.kind for p in preds)
+        unshared = {(g.start, g.end): g for g in golds}   # golds no prediction shares a span with
+        held = set()                                      # spans of golds in EXTENT records
         for p in preds:
-            g = exact_keys.get((p.kind, p.start, p.end))
-            if g is not None and g not in exact_matched:
-                exact_matched.add(g)
+            g = unshared.pop((p.start, p.end), None)
+            if g is not None:
                 counts[axis(g.kind), axis(p.kind)] += 1
-            else:
-                leftover.append(p)
-
-        for p in leftover:
-            overlapping = [(g, _overlap(p, g)) for g in golds if _overlap(p, g) > 0]
-            best, _ = min(overlapping, key=lambda item: (-item[1], item[0].start),
-                          default=(None, 0))
-            if best is not None and (best.start, best.end) == (p.start, p.end):
-                records.append(ErrorRecord(sid, "TYPE", None, p, best))
-                type_matched.add(best)
-                consumed.add(best)
-                counts[axis(best.kind), axis(p.kind)] += 1
-            elif best is not None and best.kind == p.kind:
-                subtype = _extent_subtype(p, best)
-                records.append(ErrorRecord(sid, "EXTENT", subtype, p, best))
-                extent_counts[subtype][p.kind] += 1
-                consumed.add(best)
+                if g.kind != p.kind:
+                    records.append(ErrorRecord(sid, "TYPE", None, p, g))
+                continue
+            g = max(golds, key=lambda g: _overlap(p, g), default=None)   # ties: earlier gold
+            if g is not None and g.kind == p.kind and _overlap(p, g):
+                records.append(ErrorRecord(sid, "EXTENT", _extent_subtype(p, g), p, g))
+                held.add((g.start, g.end))
             else:
                 records.append(ErrorRecord(sid, "SPURIOUS", None, p, None))
-                spurious_by_kind[p.kind] += 1
-                counts[axis("O"), axis(p.kind)] += 1
-
-        for g in golds:
-            if g in exact_matched or g in type_matched:
-                continue
-            counts[axis(g.kind), axis("O")] += 1
-            if g not in consumed:
+                counts[other, axis(p.kind)] += 1
+        for span, g in unshared.items():
+            counts[axis(g.kind), other] += 1
+            if span not in held:
                 records.append(ErrorRecord(sid, "MISSING", None, None, g))
-                missing_by_kind[g.kind] += 1
 
+    tally = Counter((r.category, r.extent_subtype, (r.predicted or r.gold).kind)
+                    for r in records)
     summary = ErrorSummary(
-        category_counts={
-            c: sum(1 for r in records if r.category == c) for c in ERROR_CATEGORIES
-        },
-        extent_counts=extent_counts,
-        missing_by_kind=missing_by_kind,
-        spurious_by_kind=spurious_by_kind,
+        category_counts={c: sum(r.category == c for r in records) for c in ERROR_CATEGORIES},
+        extent_counts={s: {k: tally["EXTENT", s, k] for k in ENTITY_KINDS}
+                       for s in EXTENT_SUBTYPES},
+        missing_by_kind={k: tally["MISSING", None, k] for k in ENTITY_KINDS},
+        spurious_by_kind={k: tally["SPURIOUS", None, k] for k in ENTITY_KINDS},
         gold_totals=gold_totals,
         predicted_totals=predicted_totals,
     )

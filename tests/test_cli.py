@@ -101,6 +101,15 @@ class TestTrain:
         assert code == 2
         assert "epochs" in capsys.readouterr().err
 
+    def test_zero_decay_epoch_is_usage_error(self, workspace, tmp_path, capsys):
+        code = main([
+            "train", str(workspace["train"]), str(workspace["dev"]),
+            "--model-out", str(tmp_path / "m.json"), "--decay-epoch", "0",
+        ])
+        assert code == 2
+        assert "decay epoch must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def train_to_overflow(self, tmp_path, rate):
         chars = "字" * 2000
         pairs = [
@@ -370,6 +379,21 @@ class TestTagAndExtract:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_emission_file_without_blocks_is_usage_error(self, workspace, tmp_path, capsys):
+        code, path = self.run_with_emissions(workspace, tmp_path, ["右肺"], [])
+        assert code == 2
+        assert f"{path}: no emission blocks found" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_from_tags_needs_tsv_input(self, workspace, tmp_path, capsys):
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        code = main(["extract", str(text_path), "--model", str(workspace["model"]),
+                     "--dict", str(workspace["dict"]), "--from-tags",
+                     "--out", str(tmp_path / "q.jsonl")])
+        assert code == 2
+        assert "--from-tags requires --input-format tsv" in capsys.readouterr().err
+        assert not (tmp_path / "q.jsonl").exists()
+
     def test_duplicate_emission_block_is_usage_error(self, workspace, tmp_path, capsys):
         code, path = self.run_with_emissions(
             workspace, tmp_path, ["右肺", "见斑影"], [("s1", 2), ("s2", 3), ("s1", 2)])
@@ -483,6 +507,18 @@ class TestTagAndExtract:
         err = capsys.readouterr().err
         assert str(model_path) in err and "features" in err
 
+    def test_model_weight_rows_must_match_features(self, workspace, tmp_path, capsys):
+        document = json.loads(workspace["model"].read_text(encoding="utf-8"))
+        document["weights"].pop()
+        model_path = tmp_path / "short.json"
+        model_path.write_text(json.dumps(document), encoding="utf-8")
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        code = main(["tag", str(text_path), "--model", str(model_path),
+                     "--out", str(tmp_path / "t.tsv")])
+        assert code == 2
+        assert f"{model_path}: weight rows do not match feature count" in capsys.readouterr().err
+        assert not (tmp_path / "t.tsv").exists()
+
     def test_deeply_nested_model_is_usage_error(self, workspace, tmp_path, capsys):
         model_path = tmp_path / "deep.json"
         model_path.write_text("[" * 100_000, encoding="utf-8")
@@ -587,6 +623,42 @@ class TestEval:
         assert code == 2
         assert f"{path}:2: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"sentence_id": "s1", "kind": "P2Abn", ', "bad JSON"),
+        ('{"sentence_id": "s1", "kind": "P2Abn", "head": {}, "tail": {}}', "bad relation"),
+        ('{"sentence_id": "s1", "kind": "P2Abn", '
+         '"head": {"kind": "P", "start": 0, "end": 2, "text": ["右", "肺"]}, '
+         '"tail": {"kind": "Abn", "start": 3, "end": 5, "text": "斑影"}}',
+         "bad relation: entity text must be a string"),
+        ('{"sentence_id": "s1", "kind": "P2Abn", '
+         '"head": {"kind": "P", "start": 0, "end": 2, "text": "右肺"}, '
+         '"tail": {"kind": "Abn", "start": 3.0, "end": 5, "text": "斑影"}}',
+         "bad relation: span [3.0, 5) must hold two ints"),
+    ], ids=["bad-json", "bad-record", "list-text", "float-offset"])
+    def test_bad_relation_line_exits_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "relations.jsonl"
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        for mode in (["--mode", "relation"], ["--mode", "agreement", "--items", "relation"]):
+            code = main(["eval", *mode, "--pred", str(path), "--gold", str(path)])
+            assert code == 2
+            assert f"{path}:2: {message}" in capsys.readouterr().err
+
+    def test_agreement_mode_over_relations(self, tmp_path, capsys):
+        def line(kind, head, tail):
+            return json.dumps({"sentence_id": "s1", "kind": kind, "head": head, "tail": tail})
+
+        pp = {"kind": "P", "start": 0, "end": 2, "text": "右肺"}
+        sp = {"kind": "P", "start": 2, "end": 4, "text": "下叶"}
+        abn = {"kind": "Abn", "start": 5, "end": 7, "text": "斑影"}
+        a_path, b_path = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a_path.write_text(line("P2Abn", pp, abn) + "\n" + line("P2P", sp, pp) + "\n",
+                          encoding="utf-8")
+        b_path.write_text(line("P2Abn", pp, abn) + "\n", encoding="utf-8")
+        code = main(["eval", "--mode", "agreement", "--items", "relation",
+                     "--pred", str(a_path), "--gold", str(b_path)])
+        assert code == 0
+        assert "P=50.00 R=100.00 F1=66.67" in capsys.readouterr().out
+
     def test_agreement_mode(self, tmp_path, capsys):
         sentence = Sentence("s1", tuple("字" for _ in range(10)))
 
@@ -654,6 +726,14 @@ class TestUsage:
         assert main(["--version"]) == 0
         assert "radsigns" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, option", [
+        (["train", "t.tsv", "d.tsv", "--model-out", "m.json", "--epochs=--"], "--epochs"),
+        (["eval", "--pred", "p.tsv", "--gold", "g.tsv", "--mode=--"], "--mode"),
+    ])
+    def test_double_dash_value_is_usage_error(self, tmp_path, capsys, command, option):
+        assert main(command) == 2
+        assert f"argument {option}: expected one argument, got '--'" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_provides_defaults_flags_override(self, workspace, tmp_path):
@@ -704,6 +784,7 @@ class TestConfigFile:
         ('{"lr": null}', "config.json: lr: expected a string, number or boolean, got null"),
         ('{"l2": {}}', "config.json: l2: expected a string, number or boolean, got {}"),
         ('{"report_out": 1}', "config.json: report_out: expected a string, got 1"),
+        ('{"epochs": "--"}', "config.json: epochs: argument --epochs: expected one argument, got '--'"),
         ('{"bogus_key": 1}', "config.json: bogus_key: no command has this option"),
         ('{"train_path": "x.tsv"}', "config.json: train_path: no command has this option"),
     ])

@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from radsigns.corpus import (
 )
 from radsigns.evaluation import (
     CONFUSION_AXES,
+    ERROR_CATEGORIES,
+    EXTENT_SUBTYPES,
     ErrorRecord,
     PrfScores,
     agreement_f1,
@@ -260,6 +265,15 @@ class TestClassifyErrors:
         assert by_category["MISSING"].gold.start == 4
         assert confusion.cell("P", "O") == 2
 
+    def test_tied_overlap_goes_to_the_earlier_gold(self):
+        pred = {"s1": [ent("P", 1, 3)]}
+        records, _, _ = classify_errors(pred, {"s1": [ent("D", 2, 4), ent("P", 0, 2)]})
+        assert [(r.category, r.gold) for r in records] == [
+            ("EXTENT", ent("P", 0, 2)), ("MISSING", ent("D", 2, 4))]
+        records, _, _ = classify_errors(pred, {"s1": [ent("P", 2, 4), ent("D", 0, 2)]})
+        assert [(r.category, r.gold) for r in records] == [
+            ("SPURIOUS", None), ("MISSING", ent("D", 0, 2)), ("MISSING", ent("P", 2, 4))]
+
     def test_overlap_with_kind_and_span_mismatch_is_spurious_plus_missing(self):
         s = Sentence.from_text("s1", "左肺纹理增多")
         gold = {"s1": [span(s, "Abn", 2, 6)]}
@@ -348,6 +362,71 @@ class TestClassifyErrors:
         assert "EXTENT" in text and "LONG" in text
         csv = confusion.to_csv()
         assert csv.splitlines()[0] == "gold\\pred," + ",".join(CONFUSION_AXES) + ",total"
+
+
+@st.composite
+def disjoint_corpus(draw):
+    """Sentence id -> shuffled entities whose spans do not overlap."""
+    corpus = {}
+    for sid in draw(st.sets(st.sampled_from(["s1", "s2", "s3"]))):
+        entities, at = [], 0
+        for gap, length, kind in draw(st.lists(st.tuples(
+                st.integers(0, 2), st.integers(1, 4), st.sampled_from(ENTITY_KINDS)), max_size=8)):
+            entities.append(ent(kind, at + gap, at + gap + length))
+            at += gap + length
+        corpus[sid] = draw(st.permutations(entities))
+    return corpus
+
+
+class TestClassifyErrorsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(pred=disjoint_corpus(), gold=disjoint_corpus())
+    def test_records_partition_both_sides_and_agree_with_prf(self, pred, gold):
+        records, confusion, summary = classify_errors(pred, gold)
+        exact = [(sid, p) for sid, ps in pred.items() for p in ps if p in gold.get(sid, ())]
+        assert len(exact) == entity_prf(pred, gold).overall.correct
+        assert np.trace(confusion.counts[:3, :3]) == len(exact)
+
+        predicted = Counter((r.sentence_id, r.predicted) for r in records if r.predicted)
+        assert all(n == 1 for n in predicted.values())
+        assert set(predicted) | set(exact) == {(sid, p) for sid, ps in pred.items() for p in ps}
+        assert not set(predicted) & set(exact)
+        paired = {(r.sentence_id, r.gold) for r in records if r.category in ("TYPE", "EXTENT")}
+        missing = Counter((r.sentence_id, r.gold) for r in records if r.category == "MISSING")
+        assert all(n == 1 for n in missing.values())
+        for sid, gs in gold.items():
+            for g in gs:
+                found = [g in pred.get(sid, ()), (sid, g) in paired, (sid, g) in missing]
+                assert sum(found) == 1
+
+        categories = Counter(r.category for r in records)
+        assert summary.category_counts == {c: categories[c] for c in ERROR_CATEGORIES}
+        by_kind = Counter((r.category, r.extent_subtype, (r.predicted or r.gold).kind)
+                          for r in records)
+        for kind in ENTITY_KINDS:
+            gold_total = sum(g.kind == kind for gs in gold.values() for g in gs)
+            assert confusion.row_total(kind) == summary.gold_totals[kind] == gold_total
+            assert summary.predicted_totals[kind] == sum(
+                p.kind == kind for ps in pred.values() for p in ps)
+            assert summary.missing_by_kind[kind] == by_kind["MISSING", None, kind]
+            assert summary.spurious_by_kind[kind] == by_kind["SPURIOUS", None, kind]
+            for subtype in EXTENT_SUBTYPES:
+                assert summary.extent_counts[subtype][kind] == by_kind["EXTENT", subtype, kind]
+
+    @pytest.mark.parametrize("entities", [
+        [ent("P", 0, 2), ent("P", 0, 2)],
+        [ent("P", 0, 2), ent("D", 0, 2)],
+        [ent("Abn", 3, 6), ent("P", 0, 4)],
+        [ent("P", 0, 5), ent("D", 2, 3)],
+    ])
+    def test_overlapping_side_is_rejected(self, entities):
+        other = {"s2": [ent("P", 0, 2)]}
+        first, second = sorted(entities, key=lambda e: (e.start, e.end))
+        message = re.escape(f"sentence 's2': entities {first} and {second} overlap")
+        with pytest.raises(ValueError, match=message):
+            classify_errors({"s2": entities}, other)
+        with pytest.raises(ValueError, match=message):
+            classify_errors(other, {"s2": entities})
 
 
 class TestErrorRecordInvariants:
