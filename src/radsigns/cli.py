@@ -23,6 +23,7 @@ from .corpus import (
     TagSequence,
     read_dictionary,
     read_emissions_many,
+    read_json_object,
     read_relations,
     read_tagged_corpus,
     read_text_sentences,
@@ -175,11 +176,21 @@ def _decode_all(model, sentences, constrain, emissions_file) -> list[list[int]]:
     return decode_batches(len(sentences), batches, model.transitions, constrain)
 
 
+def _distinct_outputs(args, first: str, second: str) -> None:
+    """Reject two output options that name one file: the later write would
+    replace or interleave with the earlier one."""
+    one, other = getattr(args, first), getattr(args, second)
+    if one and other and os.path.realpath(one) == os.path.realpath(other):
+        flags = " and ".join("--" + dest.replace("_", "-") for dest in (first, second))
+        raise CorpusFormatError(f"{flags} name the same file: {other}")
+
+
 def _print_epoch(epoch: int, loss: float, f1: float) -> None:
     print(f"epoch {epoch} train_nll {loss:.4f} dev_f1 {f1:.2f}", flush=True)
 
 
 def _cmd_train(args) -> int:
+    _distinct_outputs(args, "model_out", "report_out")
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -219,6 +230,7 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    _distinct_outputs(args, "out", "relations_out")
     if not args.dict_path:
         raise CorpusFormatError(
             f"a dictionary is required: pass --dict or set ${DICT_ENV}"
@@ -264,6 +276,8 @@ def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:
 
 
 def _cmd_eval(args, mode: str) -> int:
+    if mode == "errors":
+        _distinct_outputs(args, "report_out", "confusion_csv")
     if mode in ("entity", "errors"):
         pred, gold = _aligned_entities(args.pred, args.gold)
         if mode == "entity":
@@ -344,13 +358,7 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     found, _ = scanner.parse_known_args(argv)
     if not found.config:
         return argv
-    try:
-        with open(found.config, encoding="utf-8") as fh:
-            values = json.load(fh)
-    except (ValueError, RecursionError) as exc:   # undecodable bytes, bad or too deep JSON
-        raise CorpusFormatError(f"{found.config}: not a JSON config file: {exc}") from None
-    if not isinstance(values, dict):
-        raise CorpusFormatError(f"{found.config}: config must be a JSON object")
+    values = read_json_object(found.config, "config")
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     at = 0      # the subcommand's position; a --config value is skipped

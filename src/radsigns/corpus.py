@@ -5,18 +5,20 @@ vocabulary is fixed, with these exact spellings for interchange:
 
     O, B-P, I-P, B-D, I-D, B-Abn, I-Abn
 
-File formats handled here:
+Every input file is opened by ``_open_text``: it is read as UTF-8, a
+leading BOM is dropped, and an undecodable byte is reported as
+``path:line``.  File formats handled here:
 
-* text input: one sentence per line, blank lines skipped, UTF-8 with an
-  optional leading BOM;
-* tagged corpus: one ``<char>\\t<tag>`` per line, blank line between
-  sentences, UTF-8 without BOM;
+* text input: one sentence per line, blank lines skipped;
+* tagged corpus: one ``<char>\\t<tag>`` per line, split at the line's last
+  tab so the character may itself be a tab, blank line between sentences;
 * secondary-part dictionary: one term per line, ``#`` starts a comment;
 * emission file: header ``<sentence_id> <n> <k>`` followed by n rows of k
   floats (one or more such blocks per file);
-* quadruples and relations: JSON Lines, UTF-8.
+* quadruples and relations: JSON Lines;
+* model and config files: one JSON object each, read by
+  :func:`read_json_object`.
 
-An undecodable byte in any input file is reported as ``path:line``.
 Readers are pure functions and every returned value is immutable, so results
 are safe to share across threads.
 """
@@ -234,12 +236,11 @@ def read_tagged_corpus(path) -> list[tuple[Sentence, TagSequence]]:
             if line == "":
                 flush()
                 continue
-            fields = line.split("\t")
-            if len(fields) != 2:
+            ch, tab, tag = line.rpartition("\t")   # the character may itself be a tab
+            if not tab:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected '<char>\\t<tag>', got {line!r}"
                 )
-            ch, tag = fields
             if len(ch) != 1:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: first field must be a single character, got {ch!r}"
@@ -261,8 +262,12 @@ def write_tagged_corpus(pairs: Sequence[tuple[Sentence, TagSequence]], path) -> 
                 raise ValueError(
                     f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags"
                 )
+            if "\n" in sentence.chars or "\r" in sentence.chars:
+                raise ValueError(f"sentence {sentence.id!r}: a line break cannot be a corpus character")
             if i:
                 fh.write("\n")
+            elif sentence.chars[0] == "\ufeff":   # readers drop one leading BOM
+                fh.write("\ufeff")
             for ch, tag in zip(sentence.chars, tags.tags):
                 fh.write(f"{ch}\t{tag}\n")
 
@@ -323,21 +328,34 @@ def _undecodable_line(path, exc: UnicodeDecodeError) -> CorpusFormatError:
 
 
 @contextmanager
-def _open_text(path, encoding: str = "utf-8"):
-    """Open a file for reading text; an undecodable byte met while reading
-    raises ``CorpusFormatError`` naming its line."""
+def _open_text(path):
+    """Open a UTF-8 file for reading text, dropping a leading BOM; an
+    undecodable byte met while reading raises ``CorpusFormatError`` naming its line."""
     try:
-        with open(path, encoding=encoding) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise _undecodable_line(path, exc) from None
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object that makes up a whole ``what`` file (model, config);
+    any other content raises ``CorpusFormatError`` naming the path."""
+    with _open_text(path) as fh:
+        text = fh.read()
+    try:
+        document = json.loads(text)
+    except (ValueError, RecursionError) as exc:   # bad or too deep JSON
+        raise CorpusFormatError(f"{path}: not a JSON {what} file: {exc}") from None
+    if not isinstance(document, dict):
+        raise CorpusFormatError(f"{path}: {what} file must hold a JSON object")
+    return document
+
+
 def read_text_sentences(path) -> list[Sentence]:
-    """One sentence per non-blank line, with ids ``s1``, ``s2``, ... in
-    order; a leading BOM is dropped."""
+    """One sentence per non-blank line, with ids ``s1``, ``s2``, ... in order."""
     sentences: list[Sentence] = []
-    with _open_text(path, "utf-8-sig") as fh:
+    with _open_text(path) as fh:
         for line in fh:
             text = line.rstrip("\n")
             if text:
@@ -392,7 +410,9 @@ def read_emissions_many(path) -> list[EmissionMatrix]:
 
 def write_emissions(matrices: Iterable[EmissionMatrix], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for m in matrices:
+        for i, m in enumerate(matrices):
+            if i == 0 and m.sentence_id.startswith("\ufeff"):   # readers drop one leading BOM
+                fh.write("\ufeff")
             fh.write(f"{m.sentence_id} {m.n} {NUM_TAGS}\n")
             for row in m.scores:
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import NUM_TAGS, TAG_LABELS, EmissionMatrix, Sentence, TagSequence
+from .corpus import NUM_TAGS, TAG_LABELS, EmissionMatrix, Sentence, TagSequence, read_json_object
 from .encoder import FeatureVocabulary, LinearScorerParams, score_sentence
 from .tagscheme import TAG_INDEX, tag_indices, tags_from_indices
 
@@ -451,13 +451,7 @@ def _is_int(value) -> bool:
 def load_model(path) -> TaggerModel:
     """Read a model file; any malformed document raises ``ValueError``
     naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except (ValueError, RecursionError) as exc:   # undecodable bytes, bad or too deep JSON
-        raise ValueError(f"{path}: not a JSON model file: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ValueError(f"{path}: model file must hold a JSON object")
+    document = read_json_object(path, "model")
     if document.get("format") != MODEL_FORMAT:
         raise ValueError(
             f"{path}: unsupported model format {document.get('format')!r}"

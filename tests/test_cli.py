@@ -1,8 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from radsigns import cli
 from radsigns.cli import _apply_config, build_parser, main
 from radsigns.corpus import (
     TAG_LABELS,
@@ -14,6 +18,7 @@ from radsigns.corpus import (
     read_emissions_many,
     read_tagged_corpus,
     write_emissions,
+    write_relations,
     write_tagged_corpus,
 )
 from radsigns.crf import TaggerModel, TransitionMatrix, load_model, save_model, viterbi_decode
@@ -304,6 +309,15 @@ class TestTagAndExtract:
         assert kinds == ["D2Abn", "P2Abn", "P2Abn", "P2P"]
         p2p = next(r for r in relations if r["kind"] == "P2P")
         assert (p2p["head"]["text"], p2p["tail"]["text"]) == ("支气管", "右上肺")
+
+    def test_tab_in_text_input_round_trips_through_eval(self, workspace, tmp_path):
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("左肺\t见斑影\n", encoding="utf-8")
+        out = tmp_path / "tagged.tsv"
+        assert main(["tag", str(text_path), "--model", str(workspace["model"]),
+                     "--out", str(out)]) == 0
+        assert main(["eval", "--pred", str(out), "--gold", str(out)]) == 0
+        assert [s.text for s, _ in read_tagged_corpus(out)] == ["左肺\t见斑影"]
 
     def test_empty_input_gives_empty_outputs(self, workspace, tmp_path):
         empty = tmp_path / "empty.txt"
@@ -704,8 +718,12 @@ class TestUndecodableInput:
         ["extract", "{train}", "--input-format", "tsv", "--model", "{model}",
          "--dict", "{bad}", "--out", "{out}"],
         ["eval", "--mode", "relation", "--pred", "{bad}", "--gold", "{bad}"],
+        ["tag", "{train}", "--input-format", "tsv", "--model", "{bad}", "--out", "{out}"],
+        ["--config", "{bad}", "eval", "--pred", "{train}", "--gold", "{train}"],
+        ["tag", "{train}", "--input-format", "tsv", "--model", "{model}",
+         "--emissions-file", "{bad}", "--out", "{out}"],
     ], ids=["train-corpus", "eval-corpus", "tag-tsv", "tag-text", "dictionary",
-            "relations"])
+            "relations", "model", "config", "emission-file"])
     def test_exits_2_with_path_and_line(self, workspace, tmp_path, capsys, command):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\n\xff\n")
@@ -713,6 +731,89 @@ class TestUndecodableInput:
                  "out": tmp_path / "out"}
         assert main([arg.format(**paths) for arg in command]) == 2
         assert f"{bad}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """Every input kind gives the same run with and without a leading UTF-8 BOM."""
+
+    @pytest.fixture
+    def inputs(self, workspace, decode_inputs, tmp_path):
+        sentence = Sentence.from_text("s1", OCCLUSION_TEXT)
+        tags = TagSequence("s1", OCCLUSION_LABELS)
+        relations, _ = match(sentence, tags_to_entities(sentence, tags),
+                             read_dictionary(workspace["dict"]))
+        paths = {"text": decode_inputs["text"], "emissions": decode_inputs["emissions"],
+                 "tsv": tmp_path / "gold.tsv", "dict": workspace["dict"],
+                 "relations": tmp_path / "relations.jsonl", "model": workspace["model"],
+                 "config": tmp_path / "config.json"}
+        write_tagged_corpus([(sentence, tags)], paths["tsv"])
+        write_relations(relations, paths["relations"], sentence_ids=["s1"] * len(relations))
+        paths["config"].write_text('{"constrain": false, "input_format": "text"}', encoding="utf-8")
+        return paths
+
+    COMMANDS = {
+        "text": ["tag", "{text}", "--model", "{model}", "--out", "{out}"],
+        "tsv": ["tag", "{tsv}", "--input-format", "tsv", "--model", "{model}", "--out", "{out}"],
+        "dict": ["extract", "{tsv}", "--input-format", "tsv", "--from-tags", "--model", "{model}",
+                 "--dict", "{dict}", "--out", "{out}", "--relations-out", "{rel}"],
+        "emissions": ["tag", "{text}", "--model", "{model}", "--emissions-file", "{emissions}",
+                      "--out", "{out}"],
+        "relations": ["eval", "--mode", "relation", "--pred", "{relations}",
+                      "--gold", "{relations}", "--report-out", "{out}"],
+        "model": ["extract", "{text}", "--model", "{model}", "--dict", "{dict}",
+                  "--out", "{out}", "--relations-out", "{rel}"],
+        "config": ["--config", "{config}", "tag", "{text}", "--model", "{model}", "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("kind", COMMANDS)
+    def test_same_run_with_and_without_bom(self, inputs, tmp_path, capsys, kind):
+        bom = tmp_path / f"bom-{inputs[kind].name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + inputs[kind].read_bytes())
+        runs = []
+        for source in (inputs[kind], bom):
+            out_dir = tmp_path / f"out{len(runs)}"
+            out_dir.mkdir()
+            paths = {**inputs, kind: source, "out": out_dir / "out", "rel": out_dir / "rel"}
+            code = main([arg.format(**paths) for arg in self.COMMANDS[kind]])
+            outputs = sorted((p.name, p.read_bytes()) for p in out_dir.iterdir())
+            runs.append((code, capsys.readouterr().out, outputs))
+        assert runs[0][0] == 0 and runs[0][2]
+        assert runs[1] == runs[0]
+
+
+class TestDistinctOutputs:
+    """Two outputs of one command that name the same file exit 2 before any work."""
+
+    def test_train_model_and_report(self, workspace, tmp_path, capsys):
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        code = main(["train", str(workspace["train"]), str(workspace["dev"]),
+                     "--model-out", str(tmp_path / "x.json"),
+                     "--report-out", str(tmp_path / "link" / "x.json"), "--epochs", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--model-out and --report-out name the same file" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x.json").exists()
+
+    def test_extract_quadruples_and_relations(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["extract", str(workspace["train"]), "--input-format", "tsv",
+                     "--model", str(workspace["model"]), "--dict", str(workspace["dict"]),
+                     "--out", "x.jsonl", "--relations-out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert "--out and --relations-out name the same file" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("command", [["errors"], ["eval", "--mode", "errors"]])
+    def test_errors_report_and_confusion(self, workspace, tmp_path, capsys, command):
+        same = tmp_path / "x.out"
+        code = main([*command, "--pred", str(workspace["dev"]), "--gold", str(workspace["dev"]),
+                     "--report-out", str(same), "--confusion-csv", str(same)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--report-out and --confusion-csv name the same file" in captured.err
+        assert captured.out == ""
+        assert not same.exists()
 
 
 class TestUsage:
@@ -733,6 +834,25 @@ class TestUsage:
     def test_double_dash_value_is_usage_error(self, tmp_path, capsys, command, option):
         assert main(command) == 2
         assert f"argument {option}: expected one argument, got '--'" in capsys.readouterr().err
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+CONFIG_KEYS = sorted({a.dest for p in SUBCOMMANDS.values() for a in p._actions
+                      if a.option_strings and a.dest != "help"})
+REQUIRED_ARGS = {
+    "train": ["t.tsv", "d.tsv", "--model-out", "m.json"],
+    "tag": ["in.txt", "--model", "m.json", "--out", "o"],
+    "extract": ["in.txt", "--model", "m.json", "--out", "o"],
+    "eval": ["--pred", "p.tsv", "--gold", "g.tsv"],
+    "errors": ["--pred", "p.tsv", "--gold", "g.tsv"],
+}
+# each JSON value type, plus strings that some option accepts
+CONFIG_VALUES = st.one_of(
+    st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from(["--", "3", "-1", "0.5", "nan", "tsv", "json", "relation", "errors", "x.json"]),
+)
 
 
 class TestConfigFile:
@@ -875,6 +995,35 @@ class TestConfigFile:
         (tmp_path / "config.json").write_text('{"constrain": "no"}', encoding="utf-8")
         assert main(["--config", str(tmp_path / "config.json"), *tag]) == 2
         assert "constrain: expected true or false" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(REQUIRED_ARGS)), key=st.sampled_from(CONFIG_KEYS),
+           value=CONFIG_VALUES)
+    def test_every_option_and_json_type_parses_as_its_flag(
+        self, tmp_path, monkeypatch, capsys, command, key, value
+    ):
+        parsed = []
+        for name in ("train", "tag", "extract", "eval"):
+            monkeypatch.setattr(cli, f"_cmd_{name}", lambda args, *_: parsed.append(args) or 0)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+        code = main(["--config", str(config_path), command, *REQUIRED_ARGS[command]])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 2:
+            return
+        flags = []
+        for action in SUBCOMMANDS[command]._actions:
+            if action.dest == key and action.option_strings:
+                flag = action.option_strings[0]
+                if action.nargs == 0:
+                    flags = [flag] if value == action.const else []
+                else:
+                    flags = [f"{flag}={value if isinstance(value, str) else json.dumps(value)}"]
+        assert main([command, *flags, *REQUIRED_ARGS[command]]) == 0
+        from_config, from_flags = parsed
+        assert repr({**vars(from_config), "config": None}) == repr(vars(from_flags))
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.json"), "eval",

@@ -4,12 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radsigns.corpus import (
     RELATION_ENDPOINTS,
+    RELATION_KINDS,
+    TAG_LABELS,
     CorpusFormatError,
     EmissionMatrix,
     Entity,
@@ -37,6 +39,15 @@ from conftest import FIG_LABELS, FIG_TEXT
 def write_text(path, content):
     path.write_text(content, encoding="utf-8")
     return path
+
+
+# any character a tagged corpus can hold: all but line breaks and lone
+# surrogates, with tabs, spaces, a BOM and separators that str.splitlines
+# (but not a text-mode file) breaks lines at drawn often
+CORPUS_CHARS = st.one_of(
+    st.sampled_from("\t \ufeff\x0b\x0c\x1c\x85\u2028"),
+    st.characters(codec="utf-8", exclude_characters="\n\r"),
+)
 
 
 class TestTaggedCorpusReader:
@@ -95,6 +106,30 @@ class TestTaggedCorpusReader:
         pair = (Sentence.from_text("s1", "肺炎"), TagSequence("s1", ("O",)))
         with pytest.raises(ValueError, match="2 chars but 1 tags"):
             write_tagged_corpus([pair], tmp_path / "out.tsv")
+
+    def test_extra_field_names_path_and_line(self, tmp_path):
+        path = write_text(tmp_path / "bad.tsv", "肺\tO\n肺\t炎\tO\n")
+        message = f"{path}:2: first field must be a single character, got {'肺' + chr(9) + '炎'!r}"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            read_tagged_corpus(path)
+
+    @pytest.mark.parametrize("char", ["\n", "\r"])
+    def test_writer_rejects_line_breaks(self, tmp_path, char):
+        pair = (Sentence.from_text("s1", "肺" + char), TagSequence("s1", ("O", "O")))
+        with pytest.raises(ValueError, match="line break"):
+            write_tagged_corpus([pair], tmp_path / "out.tsv")
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sentences=st.lists(st.lists(st.tuples(CORPUS_CHARS, st.sampled_from(TAG_LABELS)),
+                                       min_size=1, max_size=6), min_size=1, max_size=4))
+    @example(sentences=[[("\t", "O")], [("\ufeff", "B-P")]])
+    @example(sentences=[[("\ufeff", "O"), ("\t", "B-P")]])
+    def test_write_read_round_trip_is_exact(self, tmp_path, sentences):
+        pairs = [(Sentence(f"s{i}", [c for c, _ in rows]), TagSequence(f"s{i}", [t for _, t in rows]))
+                 for i, rows in enumerate(sentences, 1)]
+        path = tmp_path / "c.tsv"
+        write_tagged_corpus(pairs, path)
+        assert read_tagged_corpus(path) == pairs
 
 
 class TestDictionary:
@@ -288,6 +323,14 @@ class TestEmissions:
         assert [m.sentence_id for m in loaded] == ["a", "b"]
         for original, copy in zip(matrices, loaded):
             np.testing.assert_array_equal(original.scores, copy.scores)
+
+    def test_bom_read_is_dropped_but_a_written_leading_u_feff_survives(self, tmp_path):
+        bom = write_text(tmp_path / "bom.txt", "\ufeffs1 1 7\n0 0 0 0 0 0 0\n")
+        assert [m.sentence_id for m in read_emissions_many(bom)] == ["s1"]
+        path = tmp_path / "e.txt"
+        write_emissions([EmissionMatrix("\ufeffs1", np.zeros((1, 7))),
+                         EmissionMatrix("\ufeffs2", np.ones((1, 7)))], path)
+        assert [m.sentence_id for m in read_emissions_many(path)] == ["\ufeffs1", "\ufeffs2"]
 
     def test_first_bad_row_wins_over_later_rows(self, tmp_path):
         content = "s1 3 7\n0 0 0 0 0 0 0\n0 0 x 0 0 0 0\n0 0\n"
@@ -503,6 +546,24 @@ class TestRelationsIO:
         path = tmp_path / "r.jsonl"
         write_relations(relations, path, sentence_ids=["s1", "s1"])
         assert read_relations(path) == {"s1": relations}
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_write_read_round_trip_is_exact(self, tmp_path, data):
+        relations = []
+        for kind in data.draw(st.lists(st.sampled_from(RELATION_KINDS), max_size=8)):
+            head_kind, tail_kind = RELATION_ENDPOINTS[kind]
+            head, tail = data.draw(entities_of(head_kind, False)), data.draw(entities_of(tail_kind, False))
+            if head != tail:
+                relations.append(Relation(kind, head, tail))
+        pool = data.draw(st.lists(st.text(AWKWARD_CHARS, max_size=4), min_size=1, max_size=3))
+        ids = [data.draw(st.sampled_from(pool)) for _ in relations]
+        path = tmp_path / "r.jsonl"
+        write_relations(relations, path, sentence_ids=ids)
+        expected: dict[str, list[Relation]] = {}
+        for sentence_id, relation in zip(ids, relations):
+            expected.setdefault(sentence_id, []).append(relation)
+        assert list(read_relations(path).items()) == list(expected.items())
 
     def test_missing_sentence_id_rejected(self, tmp_path):
         path = tmp_path / "r.jsonl"

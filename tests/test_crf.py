@@ -4,8 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radsigns import crf
 
@@ -536,6 +537,28 @@ class TestModelPersistence:
         np.testing.assert_array_equal(
             loaded.transitions.matrix, model.transitions.matrix
         )
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path, data):
+        features = data.draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=6),
+                                      min_size=1, max_size=8, unique=True))
+        columns = data.draw(st.permutations(range(len(features))))
+        weight = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]))
+        model = TaggerModel(
+            FeatureVocabulary(dict(zip(features, columns)),
+                              data.draw(st.integers(0, len(features) - 1))),
+            LinearScorerParams(data.draw(arrays(np.float64, (len(features), 7), elements=weight))),
+            TransitionMatrix(data.draw(arrays(np.float64, (9, 9), elements=weight))),
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert list(loaded.vocab.index.items()) == list(model.vocab.index.items())
+        assert loaded.vocab.unk_index == model.vocab.unk_index
+        assert loaded.weights.weights.tobytes() == model.weights.weights.tobytes()
+        assert loaded.transitions.matrix.tobytes() == model.transitions.matrix.tobytes()
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "model.json"

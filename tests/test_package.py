@@ -18,3 +18,42 @@ def test_every_public_import_is_exported():
     }
     assert set(radsigns.__all__) == {name for name in imported if not name.startswith("_")}
     assert len(radsigns.__all__) == len(set(radsigns.__all__))
+
+
+def calls_with_owner(node, owner=None):
+    """(name of the innermost enclosing function, call) for each call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from calls_with_owner(child, child.name if is_function else owner)
+
+
+def open_mode(call):
+    """The mode an ``open`` call passes, "r" when it passes none, or None
+    when it is not a constant."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return mode.value if isinstance(mode, ast.Constant) else None
+
+
+def test_src_reads_files_only_through_the_corpus_opener():
+    """One opener, ``corpus._open_text``, reads every input file, so every
+    format gets one decoding policy; the byte re-read that locates an
+    undecodable line is the one other read."""
+    allowed = {("corpus.py", "_open_text"): "r", ("corpus.py", "_undecodable_line"): "rb"}
+    offenders = []
+    for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
+        for owner, call in calls_with_owner(ast.parse(path.read_text(encoding="utf-8"))):
+            func, where = call.func, f"{path.name}:{call.lineno}"
+            if isinstance(func, ast.Attribute) and (
+                    func.attr in ("open", "read_text", "read_bytes")
+                    or func.attr == "load" and isinstance(func.value, ast.Name)
+                    and func.value.id == "json"):
+                offenders.append(where)
+            elif isinstance(func, ast.Name) and func.id == "open":
+                mode = open_mode(call)
+                writes = mode is not None and any(c in mode for c in "wax+")
+                if not writes and mode != allowed.get((path.name, owner)):
+                    offenders.append(where)
+    assert offenders == []
