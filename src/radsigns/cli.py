@@ -40,7 +40,7 @@ from .crf import (
 from .encoder import external_emissions, feature_id_batch, score_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
 from .tag2relation import match
-from .tagscheme import entities_from_indices, tag_indices, tags_from_indices, tags_to_entities
+from .tagscheme import entities_from_indices, tags_from_indices, tags_to_entities
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
@@ -203,8 +203,7 @@ def _cmd_train(args) -> int:
     corpus = read_tagged_corpus(args.train_path)
     # dev ids restart at s1; prefix them so the two corpora stay disjoint
     dev = [
-        (Sentence(f"dev-{s.id}", s.chars),
-         TagSequence(f"dev-{s.id}", t.tags))
+        (Sentence.from_text(f"dev-{s.id}", s.text), tags_from_indices(f"dev-{s.id}", t.indices))
         for s, t in read_tagged_corpus(args.dev_path)
     ]
     model, report = train(corpus, dev, config, on_epoch=_print_epoch)
@@ -243,7 +242,7 @@ def _cmd_extract(args) -> int:
     if args.from_tags:
         if args.input_format != "tsv":
             raise CorpusFormatError("--from-tags requires --input-format tsv")
-        paths = [tag_indices(t) for _, t in items]
+        paths = [t.indices for _, t in items]
     else:
         paths = _decode_all(model, sentences, args.constrain, args.emissions_file)
 

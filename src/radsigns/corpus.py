@@ -1,7 +1,7 @@
 """Data model and file I/O for character-level report sentences and annotations.
 
 All offsets are 0-based Unicode scalar-value indices, never bytes.  The tag
-vocabulary is fixed, with these exact spellings for interchange:
+vocabulary is fixed, with these exact spellings, in index order (each B-X odd, its I-X next):
 
     O, B-P, I-P, B-D, I-D, B-Abn, I-Abn
 
@@ -39,6 +39,7 @@ import numpy as np
 
 TAG_LABELS = ("O", "B-P", "I-P", "B-D", "I-D", "B-Abn", "I-Abn")
 NUM_TAGS = len(TAG_LABELS)
+TAG_INDEX = {label: i for i, label in enumerate(TAG_LABELS)}
 
 ENTITY_KINDS = ("P", "D", "Abn")
 # Relation kind -> (head entity kind, tail entity kind)
@@ -50,54 +51,75 @@ class CorpusFormatError(ValueError):
     """An input file does not follow its documented format."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Sentence:
-    """A report sentence as an ordered, non-empty sequence of characters."""
+    """A report sentence stored as its non-empty ``text``; built from a string
+    or any sequence of single characters, which ``chars`` returns as a tuple."""
 
     id: str
-    chars: tuple[str, ...]
+    text: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "chars", tuple(self.chars))
-        if not self.chars:
-            raise ValueError(f"sentence {self.id!r} has no characters")
-        for ch in self.chars:
-            if not isinstance(ch, str) or len(ch) != 1:
-                raise ValueError(
-                    f"sentence {self.id!r}: {ch!r} is not a single character"
-                )
+    def __init__(self, id: str, chars: Iterable[str]):
+        text = chars
+        if not isinstance(chars, str):
+            chars = tuple(chars)
+            text = "".join(map(str, chars))   # a non-string element then fails the check
+            if tuple(text) != chars:
+                bad = next(ch for ch in chars if not isinstance(ch, str) or len(ch) != 1)
+                raise ValueError(f"sentence {id!r}: {bad!r} is not a single character")
+        if not text:
+            raise ValueError(f"sentence {id!r} has no characters")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "text", text)
 
     @classmethod
     def from_text(cls, sentence_id: str, text: str) -> "Sentence":
-        return cls(sentence_id, tuple(text))
+        return cls(sentence_id, text)
 
     @property
-    def text(self) -> str:
-        return "".join(self.chars)
+    def chars(self) -> tuple[str, ...]:
+        return tuple(self.text)
 
     def __len__(self) -> int:
-        return len(self.chars)
+        return len(self.text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class TagSequence:
-    """Per-character labels for one sentence, same length as the sentence."""
+    """Per-character labels for one sentence, stored as ``indices``: one byte
+    per label, its index into ``TAG_LABELS``; ``tags`` returns the labels as a tuple."""
 
     sentence_id: str
-    tags: tuple[str, ...]
+    indices: bytes
 
-    def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(self.tags))
-        if not self.tags:
-            raise ValueError(f"tag sequence for {self.sentence_id!r} is empty")
-        for tag in self.tags:
-            if tag not in TAG_LABELS:
-                raise ValueError(
-                    f"unknown tag {tag!r} in sequence for {self.sentence_id!r}"
-                )
+    def __init__(self, sentence_id: str, tags: Iterable[str]):
+        tags = tuple(tags)
+        try:
+            indices = bytes(map(TAG_INDEX.__getitem__, tags))
+        except (KeyError, TypeError):   # an unknown or unhashable label
+            bad = next(tag for tag in tags if tag not in TAG_LABELS)
+            raise ValueError(f"unknown tag {bad!r} in sequence for {sentence_id!r}") from None
+        self._fill(sentence_id, indices)
+
+    @classmethod
+    def _from_indices(cls, sentence_id: str, indices: bytes) -> "TagSequence":
+        """The sequence of ``indices``, each already known to be below ``NUM_TAGS``."""
+        tags = cls.__new__(cls)
+        tags._fill(sentence_id, indices)
+        return tags
+
+    def _fill(self, sentence_id: str, indices: bytes) -> None:
+        if not indices:
+            raise ValueError(f"tag sequence for {sentence_id!r} is empty")
+        object.__setattr__(self, "sentence_id", sentence_id)
+        object.__setattr__(self, "indices", indices)
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        return tuple(map(TAG_LABELS.__getitem__, self.indices))
 
     def __len__(self) -> int:
-        return len(self.tags)
+        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -222,19 +244,15 @@ def read_tagged_corpus(path) -> list[tuple[Sentence, TagSequence]]:
     pairs: list[tuple[Sentence, TagSequence]] = []
     chars: list[str] = []
     tags: list[str] = []
-
-    def flush():
-        if chars:
-            sid = f"s{len(pairs) + 1}"
-            pairs.append((Sentence(sid, tuple(chars)), TagSequence(sid, tuple(tags))))
-            chars.clear()
-            tags.clear()
-
     with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
+        # a blank line ends a sentence; one more after the file ends the last
+        for lineno, raw in enumerate(chain(fh, [""]), 1):
             line = raw.rstrip("\n")
             if line == "":
-                flush()
+                if chars:
+                    sid = f"s{len(pairs) + 1}"
+                    pairs.append((Sentence(sid, "".join(chars)), TagSequence(sid, tags)))
+                    chars, tags = [], []
                 continue
             ch, tab, tag = line.rpartition("\t")   # the character may itself be a tab
             if not tab:
@@ -245,11 +263,10 @@ def read_tagged_corpus(path) -> list[tuple[Sentence, TagSequence]]:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: first field must be a single character, got {ch!r}"
                 )
-            if tag not in TAG_LABELS:
+            if tag not in TAG_INDEX:
                 raise CorpusFormatError(f"{path}:{lineno}: unknown tag {tag!r}")
             chars.append(ch)
             tags.append(tag)
-    flush()
     if not pairs:
         raise CorpusFormatError(f"{path}: no sentences found")
     return pairs
@@ -262,14 +279,13 @@ def write_tagged_corpus(pairs: Sequence[tuple[Sentence, TagSequence]], path) -> 
                 raise ValueError(
                     f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags"
                 )
-            if "\n" in sentence.chars or "\r" in sentence.chars:
+            if "\n" in sentence.text or "\r" in sentence.text:
                 raise ValueError(f"sentence {sentence.id!r}: a line break cannot be a corpus character")
             if i:
                 fh.write("\n")
-            elif sentence.chars[0] == "\ufeff":   # readers drop one leading BOM
+            elif sentence.text[0] == "\ufeff":   # readers drop one leading BOM
                 fh.write("\ufeff")
-            for ch, tag in zip(sentence.chars, tags.tags):
-                fh.write(f"{ch}\t{tag}\n")
+            fh.writelines(f"{ch}\t{TAG_LABELS[t]}\n" for ch, t in zip(sentence.text, tags.indices))
 
 
 def read_dictionary(path) -> SecondaryPartDictionary:
@@ -279,7 +295,7 @@ def read_dictionary(path) -> SecondaryPartDictionary:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            terms.add(unicodedata.normalize("NFC", line))
+            terms.add(line)
     if not terms:
         raise CorpusFormatError(f"{path}: dictionary is empty")
     return SecondaryPartDictionary(frozenset(terms))
@@ -409,8 +425,13 @@ def read_emissions_many(path) -> list[EmissionMatrix]:
 
 
 def write_emissions(matrices: Iterable[EmissionMatrix], path) -> None:
+    """One block per matrix; an id that its reader rejects raises ``ValueError``."""
+    seen: set[str] = set()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, m in enumerate(matrices):
+            if m.sentence_id.split() != [m.sentence_id] or m.sentence_id in seen:
+                raise ValueError(f"emission id {m.sentence_id!r} is empty, has whitespace or repeats")
+            seen.add(m.sentence_id)
             if i == 0 and m.sentence_id.startswith("\ufeff"):   # readers drop one leading BOM
                 fh.write("\ufeff")
             fh.write(f"{m.sentence_id} {m.n} {NUM_TAGS}\n")

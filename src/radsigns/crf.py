@@ -42,7 +42,7 @@ import numpy as np
 
 from .corpus import NUM_TAGS, TAG_LABELS, EmissionMatrix, Sentence, TagSequence, read_json_object
 from .encoder import FeatureVocabulary, LinearScorerParams, score_sentence
-from .tagscheme import TAG_INDEX, tag_indices, tags_from_indices
+from .tagscheme import tags_from_indices
 
 START = NUM_TAGS        # virtual start tag, row START is read for entry scores
 END = NUM_TAGS + 1      # virtual end tag, column END is read for exit scores
@@ -91,14 +91,9 @@ class TransitionMatrix:
 
 def _bio_transition_mask() -> np.ndarray:
     mask = np.ones((FULL_SIZE, FULL_SIZE), dtype=bool)
-    for label in TAG_LABELS:
-        if not label.startswith("I-"):
-            continue
-        dest = TAG_INDEX[label]
-        allowed = {TAG_INDEX["B-" + label[2:]], dest}
-        for src in range(FULL_SIZE):
-            if src not in allowed:
-                mask[src, dest] = False
+    for inside in range(2, NUM_TAGS, 2):   # I-X tags; B-X is inside - 1
+        mask[:, inside] = False
+        mask[inside - 1:inside + 1, inside] = True
     mask.setflags(write=False)
     return mask
 
@@ -367,7 +362,7 @@ def _single(emissions: EmissionMatrix, tags: TagSequence | None = None):
             f"emission matrix has {emissions.n} rows but tag sequence "
             f"for {tags.sentence_id!r} has {len(tags)}"
         )
-    return P, lengths, np.array([tag_indices(tags)], dtype=np.intp)
+    return P, lengths, np.frombuffer(tags.indices, np.uint8)[None].astype(np.intp)
 
 
 def path_score(emissions: EmissionMatrix, transitions: TransitionMatrix, tags: TagSequence) -> float:

@@ -51,9 +51,9 @@ def extract_features(sentence: Sentence, i: int) -> list[str]:
         raise ValueError(f"position {i} outside sentence of length {n}")
 
     def at(j: int) -> str:
-        return sentence.chars[j] if 0 <= j < n else PAD
+        return sentence.text[j] if 0 <= j < n else PAD
 
-    c0 = sentence.chars[i]
+    c0 = sentence.text[i]
     c_m1, c_p1 = at(i - 1), at(i + 1)
     return [
         f"c-2={at(i - 2)}",
@@ -206,7 +206,7 @@ def feature_id_batch(
     # char ids with two pad ids (0) on either side of every sentence
     chars = np.zeros((len(sentences), n_max + 4), dtype=np.intp)
     get, unseen = tables.char_ids.get, tables.unseen_id
-    chars[:, 2:-2][valid] = [get(ch) or unseen(ch) for s in sentences for ch in s.chars]
+    chars[:, 2:-2][valid] = [get(ch) or unseen(ch) for s in sentences for ch in s.text]
     # (positions, 5): char ids at offsets -2..+2 of every valid position
     context = np.stack([chars[:, k:k + n_max][valid] for k in range(5)], axis=1)
 

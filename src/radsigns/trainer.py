@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, TagSequence
+from .corpus import NUM_TAGS, Sentence, TagSequence
 from .crf import (
     FULL_SIZE,
     TaggerModel,
@@ -27,7 +27,7 @@ from .crf import (
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
 from .evaluation import entity_prf
-from .tagscheme import TAG_INDEX, entities_from_indices, tag_indices, tags_to_entities
+from .tagscheme import entities_from_indices, tags_to_entities
 
 CorpusPairs = Sequence[tuple[Sentence, TagSequence]]
 
@@ -100,7 +100,7 @@ def _prepare(corpus: CorpusPairs, vocab: FeatureVocabulary) -> list[np.ndarray]:
     rows = [None] * len(corpus)
     for bucket, ids, lengths in _feature_batches([s for s, _ in corpus], vocab):
         for j, row, n in zip(bucket, ids, lengths):
-            rows[j] = np.column_stack((row[:n], tag_indices(corpus[j][1])))
+            rows[j] = np.column_stack((row[:n], np.frombuffer(corpus[j][1].indices, np.uint8)))
     return rows
 
 
@@ -170,7 +170,7 @@ def train(
     vocab = FeatureVocabulary.build(s for s, _ in corpus)
     rows = _prepare(corpus, vocab)
     dev_set = _DevSet(dev, vocab)
-    weights = np.zeros((vocab.size, len(TAG_INDEX)))
+    weights = np.zeros((vocab.size, NUM_TAGS))
     transitions = np.zeros((FULL_SIZE, FULL_SIZE))
 
     rng = np.random.default_rng(config.seed)

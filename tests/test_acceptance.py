@@ -28,7 +28,6 @@ from radsigns.evaluation import (
 from radsigns.tag2relation import match
 from radsigns.tagscheme import (
     entities_to_tags,
-    tag_indices,
     tags_from_indices,
     tags_to_entities,
     validate_path,
@@ -68,7 +67,7 @@ def test_criterion_1_crf_oracle_equivalence():
     for _ in range(200):
         n = int(rng.integers(1, 6))
         emissions, transitions = random_crf_instance(rng, n)
-        decoded = tag_indices(viterbi_decode(emissions, transitions))
+        decoded = list(viterbi_decode(emissions, transitions).indices)
         if decoded != brute_force_argmax(emissions.scores, transitions.matrix):
             ok = False
             break

@@ -372,9 +372,10 @@ class TestTagAndExtract:
     def run_with_emissions(self, workspace, tmp_path, texts, blocks):
         text_path = tmp_path / "input.txt"
         text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        # written by hand, not by write_emissions, which refuses a repeated id
         emissions_path = tmp_path / "emissions.txt"
-        write_emissions([EmissionMatrix(sid, np.zeros((n, 7))) for sid, n in blocks],
-                        emissions_path)
+        emissions_path.write_text("".join(f"{sid} {n} 7\n" + "0 0 0 0 0 0 0\n" * n
+                                          for sid, n in blocks), encoding="utf-8")
         code = main(["tag", str(text_path), "--model", str(workspace["model"]),
                      "--emissions-file", str(emissions_path), "--out", str(tmp_path / "out")])
         return code, emissions_path

@@ -32,6 +32,7 @@ from radsigns.corpus import (
     write_relations,
     write_tagged_corpus,
 )
+from radsigns.tagscheme import tags_from_indices
 
 from conftest import FIG_LABELS, FIG_TEXT
 
@@ -40,6 +41,13 @@ def write_text(path, content):
     path.write_text(content, encoding="utf-8")
     return path
 
+
+# sentence id characters: plain ones, whitespace of several kinds, a BOM and
+# any other encodable character
+EMISSION_ID_CHARS = st.one_of(
+    st.sampled_from("s1 \t\u00a0\u2028\x1c\x85\ufeff"),
+    st.characters(codec="utf-8"),
+)
 
 # any character a tagged corpus can hold: all but line breaks and lone
 # surrogates, with tabs, spaces, a BOM and separators that str.splitlines
@@ -178,6 +186,7 @@ def reference_read_emissions(path):
     rows = [(lineno, line) for lineno, line in rows if line]
 
     matrices = []
+    seen = set()
     i = 0
     while i < len(rows):
         lineno, header = rows[i]
@@ -187,6 +196,9 @@ def reference_read_emissions(path):
                 f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
             )
         sid = fields[0]
+        if sid in seen:
+            raise CorpusFormatError(f"{path}:{lineno}: a second emission block for sentence {sid!r}")
+        seen.add(sid)
         try:
             n, k = int(fields[1]), int(fields[2])
         except ValueError:
@@ -351,19 +363,31 @@ class TestEmissions:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=emission_files())
+    @example(text="nan 1 7\n0 0 0 0 0 0 0\nnan 1 7\n0 0 0 0 0 0 0\n")   # two "bad" defects gave a repeated id
     def test_matches_row_by_row_reference(self, tmp_path, text):
         path = tmp_path / "e.txt"
         path.write_text(text, encoding="utf-8", newline="")
         assert outcome(read_emissions_many, path) == outcome(reference_read_emissions, path)
 
-    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(blocks=st.lists(
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), blocks=st.lists(
         arrays(np.float64, st.tuples(st.integers(1, 5), st.just(7)),
                elements=st.floats(allow_nan=False, allow_infinity=False)),
         min_size=1, max_size=4))
-    def test_write_read_round_trip_is_bit_exact(self, tmp_path, blocks):
-        matrices = [EmissionMatrix(f"s{i}", scores) for i, scores in enumerate(blocks)]
+    def test_write_read_round_trip_is_bit_exact(self, tmp_path, data, blocks):
+        # empty, whitespace-holding and repeated ids all come up; the writer
+        # must refuse exactly those
+        ids = data.draw(st.lists(st.text(EMISSION_ID_CHARS, max_size=3),
+                                 min_size=len(blocks), max_size=len(blocks)))
+        matrices = [EmissionMatrix(sid, scores) for sid, scores in zip(ids, blocks)]
         path = tmp_path / "e.txt"
+        unreadable = len(set(ids)) < len(ids) or any(
+            not sid or any(c.isspace() for c in sid) for sid in ids)
+        if unreadable:
+            with pytest.raises(ValueError, match="is empty, has whitespace or repeats"):
+                write_emissions(matrices, path)
+            return
         write_emissions(matrices, path)
         loaded = read_emissions_many(path)
         assert [m.sentence_id for m in loaded] == [m.sentence_id for m in matrices]
@@ -617,6 +641,27 @@ class TestDomainTypes:
     def test_tag_sequence_validates_labels(self):
         with pytest.raises(ValueError, match="unknown tag"):
             TagSequence("s1", ("O", "B-X"))
+
+    @given(text=st.text(CORPUS_CHARS, min_size=1, max_size=8),
+           labels=st.lists(st.sampled_from(TAG_LABELS), min_size=1, max_size=8))
+    def test_stored_fields_give_back_the_views(self, text, labels):
+        sentence = Sentence("s1", tuple(text))
+        assert sentence == Sentence("s1", text) == Sentence.from_text("s1", text)
+        assert sentence.text == text
+        assert type(sentence.chars) is tuple and sentence.chars == tuple(text)
+        tags = TagSequence("s1", labels)
+        assert type(tags.tags) is tuple and tags.tags == tuple(labels)
+        assert tags_from_indices("s1", [TAG_LABELS.index(t) for t in labels]) == tags
+
+    @pytest.mark.parametrize("elements", [["ab"], ["", "ab"], [1], [], ""])
+    def test_sentence_rejects_other_than_single_characters(self, elements):
+        with pytest.raises(ValueError):
+            Sentence("s1", elements)
+
+    @pytest.mark.parametrize("labels", [["ab"], ["", "ab"], [1], ["O", "B-X"], [["O"]], []])
+    def test_tag_sequence_rejects_other_than_labels(self, labels):
+        with pytest.raises(ValueError):
+            TagSequence("s1", labels)
 
     def test_entity_span_and_text_must_agree(self):
         with pytest.raises(ValueError):

@@ -57,3 +57,16 @@ def test_src_reads_files_only_through_the_corpus_opener():
                 if not writes and mode != allowed.get((path.name, owner)):
                     offenders.append(where)
     assert offenders == []
+
+
+def test_only_corpus_reads_the_tuple_views():
+    """``Sentence.chars`` and ``TagSequence.tags`` build a tuple on each
+    access, so src reads the stored ``text`` and ``indices`` instead: one
+    view read inside a per-position loop would make linear work quadratic."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(radsigns.__file__).parent.glob("*.py")) if path.name != "corpus.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("chars", "tags")
+    ]
+    assert offenders == []
