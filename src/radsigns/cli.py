@@ -39,11 +39,15 @@ from .crf import (
 )
 from .encoder import external_emissions, feature_id_batch, score_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
-from .tag2relation import match
-from .tagscheme import entities_from_indices, tags_from_indices, tags_to_entities
+from .tag2relation import match_arrays
+from .tagscheme import batch_entities, find_runs, tags_from_indices
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
+
+# sentences that extract matches and writes per array pass; bounds the
+# memory of its entity texts, fragments and index lists
+MATCH_WINDOW = 256
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -242,6 +246,8 @@ def _cmd_extract(args) -> int:
     if args.from_tags:
         if args.input_format != "tsv":
             raise CorpusFormatError("--from-tags requires --input-format tsv")
+        if args.emissions_file:
+            raise CorpusFormatError("--from-tags and --emissions-file cannot be combined")
         paths = [t.indices for _, t in items]
     else:
         paths = _decode_all(model, sentences, args.constrain, args.emissions_file)
@@ -250,12 +256,16 @@ def _cmd_extract(args) -> int:
         open(args.relations_out, "w", encoding="utf-8", newline="\n")
         if args.relations_out else nullcontext()
     ) as relations_out:
-        for sentence, path in zip(sentences, paths):
-            relations, quads = match(sentence, entities_from_indices(sentence, path), dictionary)
-            lines = RecordLines(sentence.id)
-            quads_out.writelines(map(lines.quadruple, quads))
+        for lo in range(0, len(sentences), MATCH_WINDOW):
+            window = sentences[lo:lo + MATCH_WINDOW]
+            rows, starts, ends, kinds, texts = find_runs(window, paths[lo:lo + MATCH_WINDOW])
+            relations, quads = match_arrays(rows, starts, ends, kinds, texts, dictionary)
+            lines = RecordLines(zip(kinds.tolist(), starts.tolist(), ends.tolist(), texts),
+                                [s.id for s in window])
+            quads_out.writelines(lines.quadruples(*(a.tolist() for a in (rows[quads[3]], *quads))))
             if relations_out:
-                relations_out.writelines(map(lines.relation, relations))
+                relations_out.writelines(lines.relations(
+                    *(a.tolist() for a in (rows[relations[1]], *relations))))
     return EXIT_OK
 
 
@@ -264,7 +274,8 @@ def _aligned_entities(pred_path, gold_path):
     pred, gold = read_tagged_corpus(pred_path), read_tagged_corpus(gold_path)
     if [s.text for s, _ in pred] != [s.text for s, _ in gold]:
         raise CorpusFormatError("pred and gold corpora do not contain the same sentences")
-    return tuple({s.id: tags_to_entities(s, t) for s, t in pairs} for pairs in (pred, gold))
+    return tuple(batch_entities([s for s, _ in pred], [t.indices for _, t in pairs])
+                 for pairs in (pred, gold))
 
 
 def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:

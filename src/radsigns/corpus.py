@@ -31,9 +31,9 @@ import sys
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -453,53 +453,51 @@ def entity_from_dict(data: dict) -> Entity:
 
 
 class RecordLines:
-    """JSON Lines for one sentence's quadruples and relations, each equal to
-    ``json.dumps(record, ensure_ascii=False)`` of the writers' record; each
-    entity object is serialized once and its fragment reused."""
+    """JSON Lines of quadruples and relations, each line equal to
+    ``json.dumps(record, ensure_ascii=False)`` of the writers' record.
 
-    NO_ID = object()   # the default: lines without a sentence_id field
+    Records refer to entities by index into ``entities``, whose ``(kind index
+    into ENTITY_KINDS, start, end, text)`` tuples are serialized once each;
+    -1 is an empty slot.  Each record also names a row of ``sentence_ids``,
+    whose id ends its line; ``NO_ID`` leaves the ``sentence_id`` field out."""
 
-    def __init__(self, sentence_id=NO_ID):
-        if sentence_id is self.NO_ID:
-            self._end = "}\n"
-        else:
-            sid = (encode_basestring(sentence_id) if isinstance(sentence_id, str)
-                   else json.dumps(sentence_id, ensure_ascii=False))
-            self._end = f', "sentence_id": {sid}}}\n'
-        # id(entity) -> (entity, fragment); holding the entity keeps its id unique
-        self._fragments: dict[int, tuple[Entity, str]] = {}
+    NO_ID = object()
 
-    def _entity(self, entity: Entity | None) -> str:
-        if entity is None:
-            return "null"
-        cached = self._fragments.get(id(entity))
-        if cached is None:
-            fragment = (f'{{"kind": {encode_basestring(entity.kind)}, "start": {entity.start}, '
-                        f'"end": {entity.end}, "text": {encode_basestring(entity.text)}}}')
-            cached = self._fragments[id(entity)] = (entity, fragment)
-        return cached[1]
+    def __init__(self, entities: Iterable[tuple[int, int, int, str]], sentence_ids: Sequence):
+        self._entities = [f'{{"kind": "{ENTITY_KINDS[k]}", "start": {a}, "end": {b}, '
+                          f'"text": {encode_basestring(t)}}}' for k, a, b, t in entities] + ["null"]
+        self._ends = ["}\n" if sid is self.NO_ID else ', "sentence_id": %s}\n' % (
+            encode_basestring(sid) if isinstance(sid, str) else json.dumps(sid, ensure_ascii=False))
+            for sid in sentence_ids]
 
-    def quadruple(self, quad: Quadruple) -> str:
-        pp, sp, d, abn = map(self._entity, (quad.pp, quad.sp, quad.d, quad.abn))
-        return f'{{"pp": {pp}, "sp": {sp}, "d": {d}, "abn": {abn}{self._end}'
+    def quadruples(self, rows, pp, sp, d, abn) -> Iterator[str]:
+        e, ends = self._entities, self._ends
+        return (f'{{"pp": {e[p]}, "sp": {e[s]}, "d": {e[g]}, "abn": {e[a]}{ends[r]}'
+                for r, p, s, g, a in zip(rows, pp, sp, d, abn))
 
-    def relation(self, rel: Relation) -> str:
-        head, tail = self._entity(rel.head), self._entity(rel.tail)
-        return f'{{"kind": {encode_basestring(rel.kind)}, "head": {head}, "tail": {tail}{self._end}'
+    def relations(self, rows, kinds, heads, tails) -> Iterator[str]:
+        e, ends = self._entities, self._ends
+        return (f'{{"kind": {encode_basestring(k)}, "head": {e[h]}, "tail": {e[t]}{ends[r]}'
+                for r, k, h, t in zip(rows, kinds, heads, tails))
 
 
-def _write_records(records: Sequence, what: str, path, sentence_ids: Sequence | None, line) -> None:
-    """Write each record with one :class:`RecordLines` per run of records from one sentence."""
+def _write_records(records: Sequence, what: str, path, sentence_ids: Sequence | None,
+                   slots: Sequence[str], write) -> None:
+    """Write ``write(lines, rows, *columns)``: a :class:`RecordLines` over the
+    records' entities, each record's row, and per slot each record's entity."""
     if sentence_ids is not None and len(sentence_ids) != len(records):
         raise ValueError(f"sentence_ids must align with {what}")
-    ids = repeat(RecordLines.NO_ID) if sentence_ids is None else sentence_ids
+    columns = [[getattr(record, slot) for record in records] for slot in slots]
+    # each entity object once, keyed by id; the records keep the ids unique
+    entities = {id(e): e for column in columns for e in column if e is not None}
+    index = {key: i for i, key in enumerate(entities)} | {id(None): -1}
+    if sentence_ids is None:
+        sentence_ids = [RecordLines.NO_ID] * len(records)
+    lines = RecordLines([(ENTITY_KINDS.index(e.kind), e.start, e.end, e.text)
+                         for e in entities.values()], sentence_ids)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        lines = last = None
-        for sentence_id, record in zip(ids, records):
-            # compared by identity: equal ids such as 1 and True serialize differently
-            if lines is None or sentence_id is not last:
-                lines, last = RecordLines(sentence_id), sentence_id
-            fh.write(line(lines, record))
+        fh.writelines(write(lines, range(len(records)),
+                            *([index[id(e)] for e in column] for column in columns)))
 
 
 def write_quadruples(
@@ -510,13 +508,16 @@ def write_quadruples(
     ``sentence_ids`` (aligned with ``quads``) adds a ``sentence_id`` field to
     each line so downstream evaluation can key records by sentence.
     """
-    _write_records(quads, "quads", path, sentence_ids, RecordLines.quadruple)
+    _write_records(quads, "quads", path, sentence_ids, ("pp", "sp", "d", "abn"),
+                   RecordLines.quadruples)
 
 
 def write_relations(
     relations: Sequence[Relation], path, sentence_ids: Sequence[str] | None = None
 ) -> None:
-    _write_records(relations, "relations", path, sentence_ids, RecordLines.relation)
+    kinds = [relation.kind for relation in relations]
+    _write_records(relations, "relations", path, sentence_ids, ("head", "tail"),
+                   lambda lines, rows, *ends: lines.relations(rows, kinds, *ends))
 
 
 def read_relations(path) -> dict[str, list[Relation]]:

@@ -15,15 +15,21 @@ the unheaded chunk.  Inside a chunk:
 
 One quadruple is assembled per sign and per (secondary part, degree)
 combination attached to it; empty slots stay null.
+
+:func:`match_arrays` matches a whole batch of sentences in one array pass;
+:func:`match` is its batch-size-1 call on entity objects.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import groupby
 from typing import Sequence
 
-from .corpus import Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
+import numpy as np
+
+from .corpus import ENTITY_KINDS, Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
+
+_RELATION_KINDS = np.array(["D2Abn", "P2Abn", "P2P"])   # in name order, which relations sort by
+_P, _D, _ABN = range(3)   # indices into ENTITY_KINDS, which is in reverse name order
 
 
 def find_primary_parts(
@@ -34,15 +40,6 @@ def find_primary_parts(
         (e for e in entities if e.kind == "P" and e.text not in dictionary),
         key=lambda e: e.start,
     )
-
-
-def span_gap(a: Entity, b: Entity) -> int:
-    """Characters between the closest ends of two spans; 0 if they touch."""
-    if a.end <= b.start:
-        return b.start - a.end
-    if b.end <= a.start:
-        return a.start - b.end
-    return 0
 
 
 def match(
@@ -56,45 +53,70 @@ def match(
     ``sentence`` is not read; the entities carry their own spans and text.
     """
     ordered = sorted(entities, key=lambda e: (e.start, e.end, e.kind))
-    primaries = find_primary_parts(ordered, dictionary)
-    starts = [p.start for p in primaries]
+    spans = np.array([(e.start, e.end, ENTITY_KINDS.index(e.kind)) for e in ordered], np.intp)
+    relations, quadruples = match_arrays(np.zeros(len(ordered), np.intp), *spans.reshape(-1, 3).T,
+                                         [e.text for e in ordered], dictionary)
+    at = [*ordered, None].__getitem__   # index -1 is an empty slot
+    return ([Relation(k, at(h), at(t)) for k, h, t in zip(*(a.tolist() for a in relations))],
+            [Quadruple(*map(at, q)) for q in zip(*(a.tolist() for a in quadruples))])
 
-    relations: list[Relation] = []
-    quadruples: list[Quadruple] = []
-    # chunk i > 0 is headed by primaries[i - 1]; chunk 0 is the unheaded prefix
-    for index, group in groupby(ordered, key=lambda e: bisect_right(starts, e.start)):
-        members = list(group)
-        primary = primaries[index - 1] if index else None
-        signs = [e for e in members if e.kind == "Abn"]
-        # the secondary parts and the degrees of each sign, by its position in ``signs``
-        attached: dict[str, list[list[Entity]]] = {"P": [[] for _ in signs],
-                                                   "D": [[] for _ in signs]}
-        if primary is not None:
-            relations.extend(Relation("P2Abn", primary, sign) for sign in signs)
-        for e in members:
-            if e.kind == "Abn" or (e.kind == "P" and e == primary):
-                continue
-            if signs:   # the closest sign; ties go to the later one
-                i = min(range(len(signs)), key=lambda i: (span_gap(e, signs[i]), -signs[i].start))
-                relations.append(Relation(f"{e.kind}2Abn", e, signs[i]))
-                attached[e.kind][i].append(e)
-            if e.kind == "P" and primary is not None:
-                relations.append(Relation("P2P", e, primary))
 
-        for sign in signs:
-            i = signs.index(sign)   # equal copies of a sign share the first one's attributes
-            for sp in attached["P"][i] or [None]:
-                for d in attached["D"][i] or [None]:
-                    quadruples.append(Quadruple(pp=primary, sp=sp, d=d, abn=sign))
+def match_arrays(rows, starts, ends, kinds, texts: Sequence[str],
+                 dictionary: SecondaryPartDictionary):
+    """Relations ``(kind, head, tail)`` and quadruples ``(pp, sp, d, abn)``,
+    as arrays of relation kind names and of entity indices (-1: an empty
+    slot), sorted by sentence, then as :func:`match` sorts them.
+    Entity ``i`` is in sentence ``rows[i]`` at ``[starts[i], ends[i])``, of
+    kind ``ENTITY_KINDS[kinds[i]]`` and text ``texts[i]``.  Entities come
+    sorted by sentence, start, end and kind name, and may overlap; those of
+    one sentence are equal when kind and span are."""
+    width = int(ends.max(initial=0)) + 1
+    key = rows * width + starts   # ascending
+    span = key * width + ends     # equal for equal spans of one sentence
 
-    relations.sort(
-        key=lambda r: (r.head.start, r.head.end, r.tail.start, r.tail.end, r.kind)
-    )
-    quadruples.sort(
-        key=lambda q: (
-            q.abn.start,
-            q.sp.start if q.sp else -1,
-            q.d.start if q.d else -1,
-        )
-    )
-    return relations, quadruples
+    # each chunk's primary: the last one at or before each entity in its sentence, else -1
+    primary = np.flatnonzero(kinds == _P)
+    primary = primary[[texts[i] not in dictionary for i in primary.tolist()]]
+    head = np.append(primary, -1)[np.searchsorted(key[primary], key, "right") - 1]
+    head[rows[head] != rows] = -1
+    chunk = np.cumsum((np.diff(rows, prepend=-1) != 0) | (np.diff(head, prepend=-2) != 0))
+
+    # each attribute's closest sign in its chunk: least (gap, -start), then the first copy
+    sign = np.flatnonzero(kinds == _ABN)
+    is_head = (kinds == _P) & (head >= 0) & (span == span[head])   # the head or an equal copy
+    attribute = np.flatnonzero((kinds != _ABN) & ~is_head)
+    pair, cand = _expand(chunk[attribute], chunk[sign], sign)
+    attr, cand = attribute[pair[cand >= 0]], cand[cand >= 0]
+    gap = np.maximum(0, np.maximum(starts[cand] - ends[attr], starts[attr] - ends[cand]))
+    best = np.lexsort((-starts[cand], gap, attr))[np.flatnonzero(np.diff(attr, prepend=-1))]
+    linked, closest = attr[best], cand[best]
+
+    headed = sign[head[sign] >= 0]
+    subpart = attribute[(kinds[attribute] == _P) & (head[attribute] >= 0)]
+    kind, source, target = (np.concatenate(c) for c in zip(   # P2Abn from the head, X2Abn, P2P
+        (np.ones_like(headed), head[headed], headed),
+        ((kinds[linked] == _P).astype(int), linked, closest),
+        (np.full_like(subpart, 2), subpart, head[subpart])))
+    by = np.lexsort((kind, ends[target], starts[target], ends[source], starts[source], rows[source]))
+
+    # each sign with each part, then each degree, attached to its first copy
+    first_copy = sign[np.searchsorted(span[sign], span[sign])]
+    part = kinds[linked] == _P
+    quad, sp = _expand(first_copy, closest[part], linked[part])
+    quad_d, d = _expand(first_copy[quad], closest[~part], linked[~part])
+    abn, sp = sign[quad[quad_d]], sp[quad_d]
+    by_q = np.lexsort((np.where(d >= 0, starts[d], -1), np.where(sp >= 0, starts[sp], -1),
+                       starts[abn], rows[abn]))
+    return ((_RELATION_KINDS[kind[by]], source[by], target[by]),
+            (head[abn][by_q], sp[by_q], d[by_q], abn[by_q]))
+
+
+def _expand(owners, member_owners, members):
+    """Each owner's members, in order, or -1 for an owner with none, as
+    ``(position in owners, member)`` arrays."""
+    by_owner = np.argsort(member_owners, kind="stable")
+    lo, hi = (np.searchsorted(member_owners[by_owner], owners, side) for side in ("left", "right"))
+    counts = np.maximum(hi - lo, 1)
+    owner = np.repeat(np.arange(len(owners)), counts)
+    place = lo[owner] + np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    return owner, np.where(hi[owner] > lo[owner], np.append(members[by_owner], -1)[place], -1)

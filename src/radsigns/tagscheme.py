@@ -2,22 +2,24 @@
 
 Entities are decoded from tag index paths, sequences of indices into
 ``TAG_LABELS``: the lists that Viterbi returns and the ``indices`` bytes
-that a ``TagSequence`` stores.
+that a ``TagSequence`` stores.  :func:`find_runs` decodes a batch of paths
+in one array pass; the per-sentence decoders are its batch-size-1 calls.
 
 Decoding is total: any tag sequence over the 7-tag vocabulary yields a valid
-entity set.  An I-X with no live run of the same kind opens a new entity
-(orphan-I repair), and a kind switch inside a run starts a new entity at the
-switch position.
+entity set.  A run breaks at every sentence start, at every B tag and at
+every change of kind, so an I-X with no live run of the same kind opens a
+new entity (orphan-I repair), and a kind switch inside a run starts a new
+entity at the switch position.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
-from .corpus import NUM_TAGS, TAG_INDEX, TAG_LABELS, Entity, Sentence, TagSequence
+import numpy as np
 
-# entity kind of each tag index; None for O
-_KIND_OF_INDEX = tuple(label[2:] or None for label in TAG_LABELS)
+from .corpus import ENTITY_KINDS, NUM_TAGS, TAG_INDEX, Entity, Sentence, TagSequence
 
 
 def tags_from_indices(sentence_id: str, indices: Sequence[int]) -> TagSequence:
@@ -52,28 +54,49 @@ def entities_to_tags(sentence: Sentence, entities: Sequence[Entity]) -> TagSeque
     return TagSequence._from_indices(sentence.id, bytes(indices))
 
 
+def find_runs(sentences: Sequence[Sentence], paths: Sequence[Sequence[int]]):
+    """The maximal B-X (I-X)* runs of each sentence's tag index path, in
+    order, repaired as the module docstring says: int arrays ``(row, start,
+    end, kind)``, the sentence's position, the span in it and an index into
+    ``ENTITY_KINDS``, then the runs' texts."""
+    lengths = [len(path) for path in paths]
+    for sentence, n in zip(sentences, lengths, strict=True):
+        if n != len(sentence):
+            raise ValueError(f"sentence {sentence.id!r} has {len(sentence)} chars "
+                             f"but tag sequence has {n}")
+    offsets = np.cumsum([0, *lengths])   # the paths laid end to end
+    try:
+        flat = np.fromiter(chain.from_iterable(paths), np.intp, offsets[-1])
+    except OverflowError:   # an index too large for any tag array
+        raise ValueError("tag index out of range") from None
+    if flat.size and not 0 <= flat.min() <= flat.max() < NUM_TAGS:
+        raise ValueError(f"tag index {flat[(flat < 0) | (flat >= NUM_TAGS)][0]} out of range")
+    kind = (flat + 1) >> 1   # 0 for O, then 1 + the ENTITY_KINDS index; B tags are odd
+    breaks = np.ones(flat.size + 1, bool)   # a run ends at the next break
+    breaks[1:-1] = (flat[1:] & 1).astype(bool) | (kind[1:] != kind[:-1])
+    breaks[offsets] = True
+    bounds = np.flatnonzero(breaks)
+    live = kind[bounds[:-1]] > 0   # O tags form runs of no kind
+    starts, ends = bounds[:-1][live], bounds[1:][live]
+    text = "".join(s.text for s in sentences)
+    rows = np.searchsorted(offsets, starts, "right") - 1
+    return (rows, starts - offsets[rows], ends - offsets[rows], kind[starts] - 1,
+            [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
+
+
+def batch_entities(sentences: Sequence[Sentence],
+                   paths: Sequence[Sequence[int]]) -> dict[str, list[Entity]]:
+    """By sentence id, the entities of each sentence's tag index path, sorted by start."""
+    entities: list[list[Entity]] = [[] for _ in paths]
+    rows, *spans, texts = find_runs(sentences, paths)
+    for row, start, end, kind, text in zip(*(a.tolist() for a in (rows, *spans)), texts):
+        entities[row].append(Entity(ENTITY_KINDS[kind], start, end, text))
+    return dict(zip((s.id for s in sentences), entities))
+
+
 def entities_from_indices(sentence: Sentence, indices: Sequence[int]) -> list[Entity]:
-    """Decode maximal B-X (I-X)* runs of a tag index path into entities,
-    sorted by start offset; repairs malformed paths as the module docstring
-    says.  O tags form runs of no kind, so a run ends at every B tag and at
-    every change of kind."""
-    n = len(sentence)
-    if len(indices) != n:
-        raise ValueError(
-            f"sentence {sentence.id!r} has {n} chars but tag sequence has {len(indices)}"
-        )
-    entities: list[Entity] = []
-    kind, start = None, 0
-    for i, index in enumerate(indices):
-        if not 0 <= index < NUM_TAGS:
-            raise ValueError(f"tag index {index} out of range")
-        if index & 1 or _KIND_OF_INDEX[index] != kind:   # B tags have odd indices
-            if kind is not None:
-                entities.append(Entity(kind, start, i, sentence.text[start:i]))
-            kind, start = _KIND_OF_INDEX[index], i
-    if kind is not None:
-        entities.append(Entity(kind, start, n, sentence.text[start:n]))
-    return entities
+    """:func:`batch_entities` of one sentence."""
+    return batch_entities([sentence], [indices])[sentence.id]
 
 
 def tags_to_entities(sentence: Sentence, tags: TagSequence) -> list[Entity]:

@@ -27,7 +27,7 @@ from .crf import (
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
 from .evaluation import entity_prf
-from .tagscheme import entities_from_indices, tags_to_entities
+from .tagscheme import batch_entities
 
 CorpusPairs = Sequence[tuple[Sentence, TagSequence]]
 
@@ -131,7 +131,7 @@ class _DevSet:
 
     def __init__(self, dev: CorpusPairs, vocab: FeatureVocabulary):
         self.sentences = [sentence for sentence, _ in dev]
-        self.gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
+        self.gold = batch_entities(self.sentences, [tags.indices for _, tags in dev])
         self.batches = _feature_batches(self.sentences, vocab)
 
     def f1(self, model: TaggerModel) -> float:
@@ -139,8 +139,7 @@ class _DevSet:
         batches = ((bucket, score_ids(weights, ids), lengths)
                    for bucket, ids, lengths in self.batches)
         paths = decode_batches(len(self.sentences), batches, model.transitions, constrain_bio=True)
-        pred = {s.id: entities_from_indices(s, path) for s, path in zip(self.sentences, paths)}
-        return entity_prf(pred, self.gold).overall.f1
+        return entity_prf(batch_entities(self.sentences, paths), self.gold).overall.f1
 
 
 def evaluate_dev(model: TaggerModel, dev: CorpusPairs) -> float:

@@ -26,9 +26,10 @@ from radsigns.encoder import FeatureVocabulary, LinearScorerParams
 from radsigns.tag2relation import match
 from radsigns.tagscheme import entities_to_tags, tags_to_entities
 
-from _synth import build_rule_corpus
+from _synth import brute_force_match, build_rule_corpus
 from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT
 from test_corpus import reference_write_quadruples, reference_write_relations
+from test_tagscheme import reference_tags_to_entities
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +186,10 @@ def decode_inputs(tmp_path_factory):
 class TestOutputsMatchPublicApi:
     """``extract`` writes the bytes that the public per-sentence API gives:
     Viterbi tags -> tags_to_entities -> match -> the json.dumps-per-record
-    reference writers."""
+    reference writers.  It also writes the bytes of the test-side oracles,
+    which share no code with the batched run finder and matcher:
+    reference_tags_to_entities -> _synth.brute_force_match -> the same
+    writers."""
 
     CASES = {
         "text": [],
@@ -217,20 +221,36 @@ class TestOutputsMatchPublicApi:
         model = load_model(workspace["model"])
         dictionary = read_dictionary(workspace["dict"])
         pairs = read_tagged_corpus(decode_inputs["tsv"])
-        quads, quad_ids, relations, relation_ids = [], [], [], []
-        for (sentence, _), tags in zip(
-                pairs, self.reference_tags(case, model, pairs, decode_inputs["emissions"])):
-            rels, qs = match(sentence, tags_to_entities(sentence, tags), dictionary)
-            quads += qs
-            quad_ids += [sentence.id] * len(qs)
-            relations += rels
-            relation_ids += [sentence.id] * len(rels)
-        want_q, want_r = tmp_path / "want_q.jsonl", tmp_path / "want_r.jsonl"
-        reference_write_quadruples(quads, want_q, sentence_ids=quad_ids)
-        reference_write_relations(relations, want_r, sentence_ids=relation_ids)
-        assert quads and relations
-        assert got_q.read_bytes() == want_q.read_bytes()
-        assert got_r.read_bytes() == want_r.read_bytes()
+        tag_sequences = self.reference_tags(case, model, pairs, decode_inputs["emissions"])
+        for name, entities_of, matcher in (("api", tags_to_entities, match),
+                                           ("oracle", reference_tags_to_entities, brute_force_match)):
+            quads, quad_ids, relations, relation_ids = [], [], [], []
+            for (sentence, _), tags in zip(pairs, tag_sequences):
+                rels, qs = matcher(sentence, entities_of(sentence, tags), dictionary)
+                quads += qs
+                quad_ids += [sentence.id] * len(qs)
+                relations += rels
+                relation_ids += [sentence.id] * len(rels)
+            want_q, want_r = tmp_path / f"{name}_q.jsonl", tmp_path / f"{name}_r.jsonl"
+            reference_write_quadruples(quads, want_q, sentence_ids=quad_ids)
+            reference_write_relations(relations, want_r, sentence_ids=relation_ids)
+            assert quads and relations
+            assert got_q.read_bytes() == want_q.read_bytes(), name
+            assert got_r.read_bytes() == want_r.read_bytes(), name
+
+    @pytest.mark.parametrize("flags", [[], ["--input-format", "tsv", "--from-tags"]])
+    def test_extract_bytes_do_not_depend_on_the_match_window(
+            self, workspace, decode_inputs, tmp_path, monkeypatch, flags):
+        source = decode_inputs["tsv" if flags else "text"]
+        outputs = set()
+        for window in (cli.MATCH_WINDOW, 7, 1):
+            monkeypatch.setattr(cli, "MATCH_WINDOW", window)
+            quads, relations = tmp_path / f"q{window}.jsonl", tmp_path / f"r{window}.jsonl"
+            assert main(["extract", str(source), "--model", str(workspace["model"]),
+                         "--dict", str(workspace["dict"]), "--out", str(quads),
+                         "--relations-out", str(relations), *flags]) == 0
+            outputs.add((quads.read_bytes(), relations.read_bytes()))
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("constrain", [[], ["--no-constrain"]])
     def test_tag_is_identical_with_the_models_own_emissions_file(
@@ -407,6 +427,17 @@ class TestTagAndExtract:
                      "--out", str(tmp_path / "q.jsonl")])
         assert code == 2
         assert "--from-tags requires --input-format tsv" in capsys.readouterr().err
+        assert not (tmp_path / "q.jsonl").exists()
+
+    def test_from_tags_with_emissions_file_is_usage_error(self, workspace, tmp_path, capsys):
+        _, corpus = self.write_input(workspace, tmp_path, count=2)
+        write_tagged_corpus(corpus, tmp_path / "input.tsv")
+        code = main(["extract", str(tmp_path / "input.tsv"), "--input-format", "tsv",
+                     "--from-tags", "--emissions-file", str(tmp_path / "absent.txt"),
+                     "--model", str(workspace["model"]), "--dict", str(workspace["dict"]),
+                     "--out", str(tmp_path / "q.jsonl")])
+        assert code == 2
+        assert "--from-tags and --emissions-file cannot be combined" in capsys.readouterr().err
         assert not (tmp_path / "q.jsonl").exists()
 
     def test_duplicate_emission_block_is_usage_error(self, workspace, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radsigns.corpus import (
+    ENTITY_KINDS,
     RELATION_ENDPOINTS,
     RELATION_KINDS,
     TAG_LABELS,
@@ -553,14 +554,16 @@ class TestJsonLinesMatchReference:
 
     def test_record_lines_is_the_writers_format(self, occlusion_entities):
         pp, sp, d, abn = occlusion_entities
-        lines = RecordLines("s1")
-        assert json.loads(lines.quadruple(Quadruple(pp, sp, d, abn))) == {
+        table = [(ENTITY_KINDS.index(e.kind), e.start, e.end, e.text) for e in occlusion_entities]
+        lines = RecordLines(table, ["s1", RecordLines.NO_ID])
+        [quadruple] = lines.quadruples([0], [0], [1], [2], [3])
+        assert json.loads(quadruple) == {
             "pp": entity_to_dict(pp), "sp": entity_to_dict(sp), "d": entity_to_dict(d),
             "abn": entity_to_dict(abn), "sentence_id": "s1",
         }
-        assert RecordLines().relation(Relation("P2P", sp, pp)) == json.dumps(
+        assert list(lines.relations([1], ["P2P"], [1], [0])) == [json.dumps(
             {"kind": "P2P", "head": entity_to_dict(sp), "tail": entity_to_dict(pp)},
-            ensure_ascii=False) + "\n"
+            ensure_ascii=False) + "\n"]
 
 
 class TestRelationsIO:

@@ -1,9 +1,11 @@
 from bisect import bisect_right
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from radsigns.corpus import Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
-from radsigns.tag2relation import find_primary_parts, match, span_gap
+from radsigns.corpus import ENTITY_KINDS, Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
+from radsigns.tag2relation import find_primary_parts, match, match_arrays
 from radsigns.tagscheme import tags_to_entities
 
 from _synth import brute_force_match, random_match_instance
@@ -79,6 +81,16 @@ class TestMatch:
         relations, _ = match(s, [pp, earlier, d, later], EMPTY_DICT_FALLBACK)
         attached = [r for r in relations if r.kind == "D2Abn"]
         assert attached == [Relation("D2Abn", d, later)]
+
+    def test_touching_sign_is_at_gap_zero(self):
+        # the gap runs between the closest span ends, in either order, and is 0 when they touch
+        s = padded_sentence(12)
+        pp = entity(s, "P", 0, 1)
+        touching = entity(s, "Abn", 1, 3)   # ends where d starts: gap 0
+        d = entity(s, "D", 3, 5)
+        later = entity(s, "Abn", 6, 8)      # gap 1
+        relations, _ = match(s, [pp, touching, d, later], EMPTY_DICT_FALLBACK)
+        assert [r for r in relations if r.kind == "D2Abn"] == [Relation("D2Abn", d, touching)]
 
     def test_primary_attaches_to_every_sign_in_chunk(self):
         s = padded_sentence(14)
@@ -203,12 +215,40 @@ class TestMatch:
         )
 
 
-class TestSpanGap:
-    def test_gap_between_separated_spans(self):
-        s = padded_sentence(12)
-        assert span_gap(entity(s, "D", 0, 2), entity(s, "Abn", 5, 7)) == 3
-        assert span_gap(entity(s, "Abn", 5, 7), entity(s, "D", 0, 2)) == 3
+def random_batch(seed, size, report_length):
+    rng = np.random.default_rng(seed)
+    return [random_match_instance(rng, *((80, 20) if report_length else (31, 6)))
+            for _ in range(size)]
 
-    def test_adjacent_spans_have_zero_gap(self):
-        s = padded_sentence(6)
-        assert span_gap(entity(s, "D", 0, 2), entity(s, "Abn", 2, 4)) == 0
+
+class TestMatchArrays:
+    def test_pinned_batches_hold_overlapping_entities(self):
+        for seed, report_length in ((36, False), (0, True)):
+            batch = random_batch(seed, 4, report_length)
+            assert any(a.start < b.end and b.start < a.end
+                       for _, entities, _ in batch
+                       for i, a in enumerate(entities) for b in entities[i + 1:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8), report_length=st.booleans())
+    @example(seed=36, size=4, report_length=False)
+    @example(seed=0, size=4, report_length=True)
+    def test_batch_equals_brute_force_per_sentence(self, seed, size, report_length):
+        batch = random_batch(seed, size, report_length)
+        # every sentence's entities in one table, sorted as the batched matcher takes them
+        table = sorted(((row, e) for row, (_, entities, _) in enumerate(batch) for e in entities),
+                       key=lambda item: (item[0], item[1].start, item[1].end, item[1].kind))
+        rows = np.array([row for row, _ in table], np.intp)
+        spans = np.array([(e.start, e.end, ENTITY_KINDS.index(e.kind)) for _, e in table], np.intp)
+        (kinds, heads, tails), quads = match_arrays(
+            rows, *spans.reshape(-1, 3).T, [e.text for _, e in table], batch[0][2])
+        at = [*(e for _, e in table), None]
+        relations = [(rows[h], Relation(k, at[h], at[t]))
+                     for k, h, t in zip(kinds, heads, tails)]
+        quadruples = [(rows[abn], Quadruple(at[pp], at[sp], at[d], at[abn]))
+                      for pp, sp, d, abn in zip(*quads)]
+        assert [row for row, _ in relations] == sorted(row for row, _ in relations)
+        assert [row for row, _ in quadruples] == sorted(row for row, _ in quadruples)
+        for row, (sentence, entities, dictionary) in enumerate(batch):
+            assert ([r for i, r in relations if i == row], [q for i, q in quadruples if i == row]) \
+                == brute_force_match(sentence, entities, dictionary)

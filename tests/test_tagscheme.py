@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from radsigns.corpus import Entity, Sentence, TagSequence
 from radsigns.tagscheme import (
+    batch_entities,
     entities_from_indices,
     entities_to_tags,
+    find_runs,
     tags_from_indices,
     tags_to_entities,
     validate_path,
@@ -150,7 +152,7 @@ class TestEntitiesFromIndices:
 
     @given(
         path=st.lists(st.integers(0, 6), min_size=1, max_size=40),
-        bad=st.sampled_from([-1, 7, 100]),
+        bad=st.sampled_from([-1, 7, 100, 2**70]),
         at=st.integers(0, 39),
     )
     def test_out_of_range_index_rejected(self, path, bad, at):
@@ -164,6 +166,50 @@ class TestEntitiesFromIndices:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="3 chars"):
             entities_from_indices(make_sentence(3), [0, 1])
+
+
+# a batch of (tag index path, text) pairs of equal length, orphan I tags included
+BATCHES = st.lists(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 6), min_size=n, max_size=n),
+    st.text(alphabet="肺影a𠀀\"", min_size=n, max_size=n))), min_size=1, max_size=8)
+
+
+class TestFindRuns:
+    @given(batch=BATCHES)
+    @example(batch=[([1, 2, 2], "字" * 3), ([2, 2], "字" * 2)])    # I-P runs on across a sentence start
+    @example(batch=[([5], "a"), ([2], "b"), ([0], "c"), ([6], "d")])   # length-1 sentences
+    @example(batch=[([0, 4], "字" * 2), ([4, 4, 0], "字" * 3)])    # orphan I-D at a sentence start
+    def test_batch_equals_label_reference_per_sentence(self, batch):
+        sentences = [Sentence.from_text(f"s{i}", text) for i, (_, text) in enumerate(batch)]
+        paths = [path for path, _ in batch]
+        expected = {s.id: reference_tags_to_entities(s, tags_from_indices(s.id, path))
+                    for s, path in zip(sentences, paths)}
+        assert batch_entities(sentences, paths) == expected
+        assert batch_entities(sentences, [bytes(path) for path in paths]) == expected
+
+    def runs(self, paths):
+        rows, starts, ends, kinds, texts = find_runs(
+            [make_sentence(len(path), f"s{i}") for i, path in enumerate(paths)], paths)
+        return rows.tolist(), starts.tolist(), ends.tolist(), kinds.tolist(), texts
+
+    def test_run_ends_at_a_sentence_start(self):
+        # sentence 1 ends in I-P and sentence 2 starts with I-P: two entities, not one
+        assert self.runs([[1, 2, 2], [2, 2]]) == ([0, 1], [0, 0], [3, 2], [0, 0], ["字" * 3, "字" * 2])
+
+    def test_length_one_sentences(self):
+        # B-Abn | I-P | O | I-Abn: each tag its own sentence, each I an orphan
+        assert self.runs([[5], [2], [0], [6]]) == ([0, 1, 3], [0, 0, 0], [1, 1, 1], [2, 0, 2], ["字"] * 3)
+
+    def test_orphan_inside_at_a_sentence_start(self):
+        assert self.runs([[0, 4], [4, 4, 0]]) == ([0, 1], [1, 0], [2, 2], [1, 1], ["字", "字字"])
+
+    def test_empty_batch(self):
+        assert self.runs([]) == ([], [], [], [], [])
+        assert batch_entities([], []) == {}
+
+    def test_path_count_must_match(self):
+        with pytest.raises(ValueError):
+            batch_entities([make_sentence(2)], [[0, 0], [0]])
 
 
 class TestValidatePath:
