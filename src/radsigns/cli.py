@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure during
 training.  All commands are deterministic given identical inputs, flags and
-seed.  Decoding runs in one process, in length-sorted batches, and output
-order always matches input order; ``--jobs`` is validated but accepted for
+seed.  ``tag`` and ``extract`` decode, match and write in windows of
+``MATCH_WINDOW`` sentences in input order, in one process, each window in
+one flat Viterbi pass; ``--jobs`` is validated but accepted for
 compatibility only.
 """
 
@@ -14,6 +15,8 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+
+import numpy as np
 
 from . import __version__
 from .corpus import (
@@ -29,14 +32,7 @@ from .corpus import (
     read_text_sentences,
     write_tagged_corpus,
 )
-from .crf import (
-    TaggerModel,
-    decode_batches,
-    length_buckets,
-    load_model,
-    pad_batch,
-    save_model,
-)
+from .crf import TaggerModel, decoding_transitions, load_model, save_model, viterbi
 from .encoder import external_emissions, feature_id_batch, score_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
 from .tag2relation import match_arrays
@@ -45,8 +41,8 @@ from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
 
-# sentences that extract matches and writes per array pass; bounds the
-# memory of its entity texts, fragments and index lists
+# sentences that tag and extract decode, match and write per array pass;
+# bounds the memory of their emissions, entity texts and index lists
 MATCH_WINDOW = 256
 
 EXIT_OK = 0
@@ -87,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decayed", type=float, default=0.1)
     p.add_argument("--decay-epoch", type=int, default=2)
     p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("tag", help="decode tags for input sentences")
     _add_decode_arguments(p)
@@ -147,17 +143,28 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: an integer of at least 0, as numpy's generators
+    take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return seed
+
+
 def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence | None]]:
     if input_format == "tsv":
         return read_tagged_corpus(path)
     return [(s, None) for s in read_text_sentences(path)]
 
 
-def _emission_batch(model: TaggerModel, sentences, emissions_file, emission_map):
-    """Padded emissions and lengths for one batch of sentences."""
-    if emission_map is None:
-        ids, lengths = feature_id_batch(model.vocab, sentences)
-        return score_ids(model.weights.weights, ids), lengths
+def _emission_blocks(emissions_file, sentences) -> list[np.ndarray]:
+    """Each sentence's block of the emission file, in input order; the first
+    sentence, in input order, without a block of its length is an error."""
+    emission_map = {m.sentence_id: m for m in read_emissions_many(emissions_file)}
     blocks = []
     for sentence in sentences:
         if sentence.id not in emission_map:
@@ -167,17 +174,30 @@ def _emission_batch(model: TaggerModel, sentences, emissions_file, emission_map)
             blocks.append(external_emissions(sentence, emission_map[sentence.id]).scores)
         except ValueError as exc:
             raise CorpusFormatError(f"{emissions_file}: {exc}") from None
-    return pad_batch(blocks)
+    return blocks
 
 
-def _decode_all(model, sentences, constrain, emissions_file) -> list[list[int]]:
-    emission_map = None
-    if emissions_file:
-        emission_map = {m.sentence_id: m for m in read_emissions_many(emissions_file)}
-    batches = ((bucket, *_emission_batch(model, [sentences[i] for i in bucket],
-                                         emissions_file, emission_map))
-               for bucket in length_buckets([len(s) for s in sentences]))
-    return decode_batches(len(sentences), batches, model.transitions, constrain)
+def _tag_windows(model: TaggerModel, sentences, args, tags=None):
+    """``(sentences, lengths, flat tag path)`` of each window of
+    ``MATCH_WINDOW`` sentences in input order; the paths are ``tags`` (each
+    sentence's ``indices``) joined if given, else one Viterbi pass.  Every
+    emission block is checked before this returns, before any output."""
+    A = decoding_transitions(model.transitions, args.constrain)
+    blocks = _emission_blocks(args.emissions_file, sentences) if args.emissions_file else None
+
+    def decode(lo):
+        window = sentences[lo:lo + MATCH_WINDOW]
+        lengths = np.array([len(s) for s in window])
+        if tags is not None:
+            return window, lengths, b"".join(tags[lo:lo + MATCH_WINDOW])
+        if blocks is None:
+            P = score_ids(model.weights.weights, feature_id_batch(model.vocab, window)[0])
+        else:   # the window's copy replaces its blocks, so each is held once
+            P = np.concatenate(blocks[lo:lo + MATCH_WINDOW])
+            blocks[lo:lo + MATCH_WINDOW] = [None] * len(window)
+        return window, lengths, viterbi(P, A, lengths)
+
+    return map(decode, range(0, len(sentences), MATCH_WINDOW))
 
 
 def _distinct_outputs(args, first: str, second: str) -> None:
@@ -224,11 +244,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_tag(args) -> int:
     model = load_model(args.model)
-    items = _load_sentences(args.input, args.input_format)
-    sentences = [s for s, _ in items]
-    paths = _decode_all(model, sentences, args.constrain, args.emissions_file)
-    write_tagged_corpus([(s, tags_from_indices(s.id, path)) for s, path in zip(sentences, paths)],
-                        args.out)
+    sentences = [s for s, _ in _load_sentences(args.input, args.input_format)]
+    windows = _tag_windows(model, sentences, args)
+
+    def pairs():
+        for window, lengths, path in windows:
+            indices, ends = path.tobytes(), np.cumsum(lengths).tolist()
+            for sentence, a, b in zip(window, [0, *ends], ends):
+                yield sentence, tags_from_indices(sentence.id, indices[a:b])
+
+    write_tagged_corpus(pairs(), args.out)
     return EXIT_OK
 
 
@@ -241,24 +266,20 @@ def _cmd_extract(args) -> int:
     model = load_model(args.model)
     dictionary = read_dictionary(args.dict_path)
     items = _load_sentences(args.input, args.input_format)
-    sentences = [s for s, _ in items]
-
     if args.from_tags:
         if args.input_format != "tsv":
             raise CorpusFormatError("--from-tags requires --input-format tsv")
         if args.emissions_file:
             raise CorpusFormatError("--from-tags and --emissions-file cannot be combined")
-        paths = [t.indices for _, t in items]
-    else:
-        paths = _decode_all(model, sentences, args.constrain, args.emissions_file)
+    windows = _tag_windows(model, [s for s, _ in items], args,
+                           [t.indices for _, t in items] if args.from_tags else None)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as quads_out, (
         open(args.relations_out, "w", encoding="utf-8", newline="\n")
         if args.relations_out else nullcontext()
     ) as relations_out:
-        for lo in range(0, len(sentences), MATCH_WINDOW):
-            window = sentences[lo:lo + MATCH_WINDOW]
-            rows, starts, ends, kinds, texts = find_runs(window, paths[lo:lo + MATCH_WINDOW])
+        for window, lengths, path in windows:
+            rows, starts, ends, kinds, texts = find_runs(window, path, lengths)
             relations, quads = match_arrays(rows, starts, ends, kinds, texts, dictionary)
             lines = RecordLines(zip(kinds.tolist(), starts.tolist(), ends.tolist(), texts),
                                 [s.id for s in window])
@@ -274,7 +295,8 @@ def _aligned_entities(pred_path, gold_path):
     pred, gold = read_tagged_corpus(pred_path), read_tagged_corpus(gold_path)
     if [s.text for s, _ in pred] != [s.text for s, _ in gold]:
         raise CorpusFormatError("pred and gold corpora do not contain the same sentences")
-    return tuple(batch_entities([s for s, _ in pred], [t.indices for _, t in pairs])
+    sentences, lengths = [s for s, _ in pred], [len(s) for s, _ in pred]
+    return tuple(batch_entities(sentences, b"".join(t.indices for _, t in pairs), lengths)
                  for pairs in (pred, gold))
 
 

@@ -20,15 +20,17 @@ recursion with max-shifted logsumexp, as is every row when ``exp(A)`` is not
 finite.  :func:`batch_log_partition` keeps the log-space forward pass, and
 Viterbi stays in log space because max-plus needs no exp.
 
-There is one implementation of each recursion, and it works on batches.  A
-batch is a zero-padded ``(B, n_max, 7)`` emission array ``P`` plus a
-``lengths`` vector: row ``b`` holds a sentence of ``lengths[b]`` positions
-(at least 1) followed by padding.  Gold paths are ``(B, n_max)`` integer
-arrays padded the same way; :func:`pad_batch` builds both.  Forward, backward
-and Viterbi step through positions once per batch, so padded positions
-compute values that no result reads.  Padding is excluded by selection
-(``np.where``, boolean indexing, slicing), never by multiplying with a 0/1
-mask: a row that overflowed holds inf there, and inf * 0 is NaN.  The
+There is one implementation of each recursion.  Training's recursions work
+on padded batches: a zero-padded ``(B, n_max, 7)`` emission array ``P`` plus
+a ``lengths`` vector, row ``b`` holding a sentence of ``lengths[b]``
+positions (at least 1) followed by padding.  Gold paths are ``(B, n_max)``
+integer arrays padded the same way; :func:`pad_batch` builds both.  They
+step through positions once per batch, so padded positions compute values
+that no result reads.  Padding is excluded by selection (``np.where``,
+boolean indexing, slicing), never by multiplying with a 0/1 mask: a row that
+overflowed holds inf there, and inf * 0 is NaN.  :func:`viterbi` is flat:
+its ``(sum(lengths), 7)`` emissions hold the sentences end to end, and each
+step works on the rows still running only, so there is no padding.  The
 single-sentence functions are the batch-size-1 case.
 """
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,18 +123,6 @@ def pad_batch(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     for b, row in enumerate(rows):
         batch[b, :len(row)] = row
     return batch, lengths
-
-
-# Sentences per decoding batch.  Batches are cut from a length-sorted order,
-# so each pads to a length close to that of all its members.
-DECODE_BATCH = 64
-
-
-def length_buckets(lengths: Sequence[int]) -> list[list[int]]:
-    """Indices into ``lengths``, sorted by length (ties keep input order)
-    and cut into batches of at most ``DECODE_BATCH``."""
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    return [order[lo:lo + DECODE_BATCH] for lo in range(0, len(order), DECODE_BATCH)]
 
 
 def _check_batch(P: np.ndarray, lengths: np.ndarray) -> None:
@@ -304,51 +294,41 @@ def batch_nll_and_gradient(
     return values, grad_p, grad_a
 
 
-def batch_viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Highest-scoring tag path per row as a ``(B, n_max)`` index array;
-    entries past a row's length are meaningless.  Ties break toward the
-    lowest tag index."""
-    _check_batch(P, lengths)
-    B, n_max, k = P.shape
-    delta = A[START, :k] + P[:, 0]
-    back = np.zeros((B, n_max, k), dtype=np.intp)
-    for i in range(1, n_max):
-        candidates = delta[:, :, None] + A[:k, :k]
-        back[:, i] = candidates.argmax(axis=1)
-        delta = np.where((i < lengths)[:, None], candidates.max(axis=1) + P[:, i], delta)
+def viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Highest-scoring tag path of each row of flat ``(sum(lengths), 7)``
+    emissions, the rows laid end to end, as one flat ``uint8`` index path in
+    the same layout.  Ties break toward the lowest tag index."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if P.ndim != 2 or P.shape[1] != NUM_TAGS or (lengths < 1).any() or lengths.sum() != len(P):
+        raise ValueError(f"emissions must be sum(lengths) x {NUM_TAGS} for lengths of at "
+                         f"least 1, got {P.shape} for {lengths.size} rows")
+    k = NUM_TAGS
+    path = np.empty(len(P), dtype=np.uint8)
+    # longest row first, so the rows still running at step i are the first
+    # active[i]; no step touches a row that has ended
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left")
+    moves = np.ascontiguousarray(A[:k, :k].T)   # (to, from)
+    # row r's first entry in a flat (m, to) array is r * k, and its (r, to)
+    # cell's first candidate in a flat (m, to, from) array is (r * k + to) * k
+    cells = np.arange(0, len(lengths) * k * k, k)
+    delta = A[START, :k] + P[starts]
+    back = [None]
+    for i, m in enumerate(active[1:].tolist(), 1):
+        candidates = (delta[:m, None, :] + moves).ravel()
+        best = candidates.reshape(m * k, k).argmax(axis=1)
+        back.append(best.astype(np.uint8))
+        # the max read back at the argmax: the same float a max() returns
+        delta[:m] = candidates[cells[:m * k] + best].reshape(m, k) + P[starts[:m] + i]
     # rows that ended early kept the delta of their last position
     tag = np.argmax(delta + A[:k, END], axis=1)
-
-    batch = np.arange(B)
-    paths = np.zeros((B, n_max), dtype=np.intp)
-    for i in range(n_max - 1, 0, -1):
-        paths[:, i] = tag
-        tag = np.where(i < lengths, back[batch, i, tag], tag)
-    paths[:, 0] = tag
-    return paths
-
-
-def decode_batches(
-    count: int,
-    batches: Iterable[tuple[Sequence[int], np.ndarray, np.ndarray]],
-    transitions: TransitionMatrix,
-    constrain_bio: bool,
-) -> list[list[int]]:
-    """The Viterbi tag index path of each of ``count`` sentences, as a list
-    of ints in input order; ``tagscheme`` turns a path into labels or
-    entities.
-
-    Each batch is ``(bucket, P, lengths)``: ``bucket`` holds the input
-    positions of its sentences as cut by :func:`length_buckets`, and ``P``
-    and ``lengths`` are their padded emissions.  Batches are consumed one at
-    a time, so a generator builds each only when it is decoded.
-    """
-    A = decoding_transitions(transitions, constrain_bio)
-    paths: list[list[int] | None] = [None] * count
-    for bucket, P, lengths in batches:
-        for i, path, n in zip(bucket, batch_viterbi(P, A, lengths).tolist(), lengths.tolist()):
-            paths[i] = path[:n]
-    return paths
+    for i in range(len(active) - 1, 0, -1):
+        m = active[i]
+        path[starts[:m] + i] = tag[:m]
+        tag[:m] = back[i][cells[:m] + tag[:m]]
+    path[starts] = tag
+    return path
 
 
 def _single(emissions: EmissionMatrix, tags: TagSequence | None = None):
@@ -405,9 +385,9 @@ def viterbi_decode(
     With ``constrain_bio`` the transitions are masked as in
     :func:`decoding_transitions`.
     """
-    P, lengths = _single(emissions)
-    path = batch_viterbi(P, decoding_transitions(transitions, constrain_bio), lengths)[0]
-    return tags_from_indices(emissions.sentence_id, path.tolist())
+    A = decoding_transitions(transitions, constrain_bio)
+    path = viterbi(emissions.scores, A, np.array([emissions.n]))
+    return tags_from_indices(emissions.sentence_id, path)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,10 @@ an external encoder.  Both produce the same n x 7 emission matrix.
 Features are defined as strings (:func:`extract_features`), and the model
 file stores them as strings.  Feature ids are not looked up string by
 string: each vocabulary compiles its strings once into integer tables over
-character ids, and :func:`feature_id_batch` gathers a whole batch of
-sentences from them with one dict lookup per character.
+character ids, and :func:`feature_id_batch` gathers the ids of a batch of
+sentences laid end to end, with one dict lookup per character, as one flat
+``(sum(lengths), 9)`` array; :func:`score_ids` turns it into the batch's
+flat emissions.
 """
 
 from __future__ import annotations
@@ -103,8 +105,7 @@ class FeatureVocabulary:
 
     def feature_ids(self, sentence: Sentence) -> np.ndarray:
         """The ``(n, 9)`` feature ids of one sentence."""
-        ids, _ = feature_id_batch(self, [sentence])
-        return ids[0]
+        return feature_id_batch(self, [sentence])[0]
 
     @cached_property
     def _tables(self) -> _TemplateTables:
@@ -112,7 +113,6 @@ class FeatureVocabulary:
 
 
 _CLASS_INDEX = {name: k for k, name in enumerate(CHAR_CLASSES)}
-_WINDOW_ROWS = np.arange(len(WINDOW_TEMPLATES))
 _NO_KEY = np.iinfo(np.int64).max
 
 
@@ -194,31 +194,29 @@ def _bigram_chars(template: str, value: str) -> tuple[str, str] | None:
 def feature_id_batch(
     vocab: FeatureVocabulary, sentences: Sequence[Sentence]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature ids of a batch of sentences, zero-padded to ``(B, n_max, 9)``,
-    and the sentence lengths: what ``crf.pad_batch`` makes of each
-    sentence's ids.  Equal, position by position, to looking up every
-    :func:`extract_features` string in ``vocab.index``, with unseen strings
-    mapped to ``vocab.unk_index``."""
+    """Feature ids of a batch of sentences laid end to end, shape
+    ``(sum(lengths), 9)``, and the sentence lengths.  Equal, position by
+    position, to looking up every :func:`extract_features` string in
+    ``vocab.index``, with unseen strings mapped to ``vocab.unk_index``."""
     tables = vocab._tables
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    n_max = int(lengths.max(initial=0))
-    valid = np.arange(n_max) < lengths[:, None]
-    # char ids with two pad ids (0) on either side of every sentence
-    chars = np.zeros((len(sentences), n_max + 4), dtype=np.intp)
+    # char ids with two pad ids (0) before, between and after the sentences;
+    # the pads are placed by position, so every character keeps its own id
+    where = np.arange(lengths.sum()) + 2 * np.repeat(np.arange(1, len(sentences) + 1), lengths)
+    chars = np.zeros(len(where) + 2 * len(sentences) + 2, dtype=np.intp)
     get, unseen = tables.char_ids.get, tables.unseen_id
-    chars[:, 2:-2][valid] = [get(ch) or unseen(ch) for s in sentences for ch in s.text]
-    # (positions, 5): char ids at offsets -2..+2 of every valid position
-    context = np.stack([chars[:, k:k + n_max][valid] for k in range(5)], axis=1)
-
-    flat = np.empty((len(context), FEATURES_PER_POSITION), dtype=np.intp)
-    flat[:, :5] = tables.table[_WINDOW_ROWS, context]
-    flat[:, 5] = tables.bigram_ids(0, context[:, 1], context[:, 2])
-    flat[:, 6] = tables.bigram_ids(1, context[:, 2], context[:, 3])
-    flat[:, 7] = tables.table[-1, context[:, 2]]
-    flat[:, 8] = tables.bias
-    ids = np.zeros((len(sentences), n_max, FEATURES_PER_POSITION), dtype=np.intp)
-    ids[valid] = flat
-    return ids, lengths
+    chars[where] = [get(ch) or unseen(ch) for s in sentences for ch in s.text]
+    # (9, positions) ids of every position but the outer pads, each template
+    # read from shifted slices of chars, then the sentences' columns
+    n = max(len(chars) - 4, 0)
+    ids = np.empty((FEATURES_PER_POSITION, n), dtype=np.intp)
+    for j in range(len(WINDOW_TEMPLATES)):
+        tables.table[j].take(chars[j:j + n], out=ids[j])
+    ids[5] = tables.bigram_ids(0, chars[1:n + 1], chars[2:n + 2])
+    ids[6] = tables.bigram_ids(1, chars[2:n + 2], chars[3:n + 3])
+    tables.table[-1].take(chars[2:n + 2], out=ids[7])
+    ids[8] = tables.bias
+    return ids[:, where - 2].T, lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,9 +256,12 @@ def score_sentence(
 
 def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Emission scores for feature ids of shape ``(..., 9)``: each position's
-    weight rows summed, shape ``(..., 7)``.  Works on one sentence's ids and
-    on a padded batch alike."""
-    return weights[ids].sum(axis=-2)
+    weight rows summed from left to right, shape ``(..., 7)``.  Works on flat
+    and padded ids alike."""
+    scores = weights.take(ids[..., 0], axis=0)
+    for j in range(1, ids.shape[-1]):
+        scores += weights.take(ids[..., j], axis=0)
+    return scores
 
 
 def external_emissions(sentence: Sentence, matrix: EmissionMatrix) -> EmissionMatrix:

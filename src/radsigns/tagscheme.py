@@ -1,9 +1,10 @@
 """Conversions between entity spans and per-character BIO tag paths.
 
 Entities are decoded from tag index paths, sequences of indices into
-``TAG_LABELS``: the lists that Viterbi returns and the ``indices`` bytes
-that a ``TagSequence`` stores.  :func:`find_runs` decodes a batch of paths
-in one array pass; the per-sentence decoders are its batch-size-1 calls.
+``TAG_LABELS``: the flat ``uint8`` arrays that Viterbi returns and the
+``indices`` bytes that a ``TagSequence`` stores.  :func:`find_runs` decodes
+a batch of paths, laid end to end, in one array pass; the per-sentence
+decoders are its batch-size-1 calls.
 
 Decoding is total: any tag sequence over the 7-tag vocabulary yields a valid
 entity set.  A run breaks at every sentence start, at every B tag and at
@@ -14,7 +15,6 @@ entity at the switch position.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -54,23 +54,25 @@ def entities_to_tags(sentence: Sentence, entities: Sequence[Entity]) -> TagSeque
     return TagSequence._from_indices(sentence.id, bytes(indices))
 
 
-def find_runs(sentences: Sequence[Sentence], paths: Sequence[Sequence[int]]):
-    """The maximal B-X (I-X)* runs of each sentence's tag index path, in
-    order, repaired as the module docstring says: int arrays ``(row, start,
-    end, kind)``, the sentence's position, the span in it and an index into
-    ``ENTITY_KINDS``, then the runs' texts."""
-    lengths = [len(path) for path in paths]
-    for sentence, n in zip(sentences, lengths, strict=True):
+def find_runs(sentences: Sequence[Sentence], path, lengths: Sequence[int]):
+    """The maximal B-X (I-X)* runs of the sentences' tag index paths, laid
+    end to end in ``path`` (a 1-D integer array or ``bytes``) with the given
+    ``lengths``, in order, repaired as the module docstring says: int arrays
+    ``(row, start, end, kind)``, the sentence's position, the span in it and
+    an index into ``ENTITY_KINDS``, then the runs' texts."""
+    for sentence, n in zip(sentences, np.asarray(lengths).tolist(), strict=True):
         if n != len(sentence):
             raise ValueError(f"sentence {sentence.id!r} has {len(sentence)} chars "
                              f"but tag sequence has {n}")
-    offsets = np.cumsum([0, *lengths])   # the paths laid end to end
     try:
-        flat = np.fromiter(chain.from_iterable(paths), np.intp, offsets[-1])
+        flat = np.frombuffer(path, np.uint8) if isinstance(path, bytes) else np.asarray(path, np.intp)
     except OverflowError:   # an index too large for any tag array
         raise ValueError("tag index out of range") from None
     if flat.size and not 0 <= flat.min() <= flat.max() < NUM_TAGS:
         raise ValueError(f"tag index {flat[(flat < 0) | (flat >= NUM_TAGS)][0]} out of range")
+    offsets = np.cumsum([0, *lengths])
+    if flat.shape != (offsets[-1],):
+        raise ValueError(f"a tag path of {flat.size} indices for {offsets[-1]} chars")
     kind = (flat + 1) >> 1   # 0 for O, then 1 + the ENTITY_KINDS index; B tags are odd
     breaks = np.ones(flat.size + 1, bool)   # a run ends at the next break
     breaks[1:-1] = (flat[1:] & 1).astype(bool) | (kind[1:] != kind[:-1])
@@ -84,11 +86,12 @@ def find_runs(sentences: Sequence[Sentence], paths: Sequence[Sequence[int]]):
             [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
 
 
-def batch_entities(sentences: Sequence[Sentence],
-                   paths: Sequence[Sequence[int]]) -> dict[str, list[Entity]]:
-    """By sentence id, the entities of each sentence's tag index path, sorted by start."""
-    entities: list[list[Entity]] = [[] for _ in paths]
-    rows, *spans, texts = find_runs(sentences, paths)
+def batch_entities(sentences: Sequence[Sentence], path,
+                   lengths: Sequence[int]) -> dict[str, list[Entity]]:
+    """By sentence id, the entities of each sentence's part of the flat tag
+    index path, sorted by start; the arguments are :func:`find_runs`'."""
+    entities: list[list[Entity]] = [[] for _ in sentences]
+    rows, *spans, texts = find_runs(sentences, path, lengths)
     for row, start, end, kind, text in zip(*(a.tolist() for a in (rows, *spans)), texts):
         entities[row].append(Entity(ENTITY_KINDS[kind], start, end, text))
     return dict(zip((s.id for s in sentences), entities))
@@ -96,7 +99,7 @@ def batch_entities(sentences: Sequence[Sentence],
 
 def entities_from_indices(sentence: Sentence, indices: Sequence[int]) -> list[Entity]:
     """:func:`batch_entities` of one sentence."""
-    return batch_entities([sentence], [indices])[sentence.id]
+    return batch_entities([sentence], indices, [len(indices)])[sentence.id]
 
 
 def tags_to_entities(sentence: Sentence, tags: TagSequence) -> list[Entity]:

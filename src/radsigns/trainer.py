@@ -21,9 +21,9 @@ from .crf import (
     TaggerModel,
     TransitionMatrix,
     batch_nll_and_gradient,
-    decode_batches,
-    length_buckets,
+    decoding_transitions,
     pad_batch,
+    viterbi,
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
 from .evaluation import entity_prf
@@ -91,23 +91,15 @@ class TrainReport:
 
 def _prepare(corpus: CorpusPairs, vocab: FeatureVocabulary) -> list[np.ndarray]:
     """Each sentence as one ``(n, 10)`` integer array: its 9 feature ids per
-    position, extracted in length-sorted batches, then its gold tag index."""
+    position, extracted in one batch, then its gold tag index."""
     for sentence, tags in corpus:
         if len(tags) != len(sentence):
             raise ValueError(
                 f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags"
             )
-    rows = [None] * len(corpus)
-    for bucket, ids, lengths in _feature_batches([s for s, _ in corpus], vocab):
-        for j, row, n in zip(bucket, ids, lengths):
-            rows[j] = np.column_stack((row[:n], np.frombuffer(corpus[j][1].indices, np.uint8)))
-    return rows
-
-
-def _feature_batches(sentences: Sequence[Sentence], vocab: FeatureVocabulary):
-    """``(bucket, ids, lengths)`` for each length-sorted batch of sentences."""
-    return [(bucket, *feature_id_batch(vocab, [sentences[j] for j in bucket]))
-            for bucket in length_buckets([len(s) for s in sentences])]
+    ids, lengths = feature_id_batch(vocab, [s for s, _ in corpus])
+    gold = np.frombuffer(b"".join(t.indices for _, t in corpus), np.uint8)
+    return np.split(np.column_stack((ids, gold)), np.cumsum(lengths)[:-1])
 
 
 def _feature_gradient(ids: np.ndarray, grad_p: np.ndarray, size: int) -> np.ndarray:
@@ -126,20 +118,19 @@ def _snapshot(vocab: FeatureVocabulary, weights: np.ndarray, transitions: np.nda
 
 
 class _DevSet:
-    """Dev sentences with their feature ids cut into length-sorted padded
-    batches, and their gold entities; built once, decoded every epoch."""
+    """Dev sentences with their flat feature ids and gold entities; built
+    once, decoded every epoch."""
 
     def __init__(self, dev: CorpusPairs, vocab: FeatureVocabulary):
         self.sentences = [sentence for sentence, _ in dev]
-        self.gold = batch_entities(self.sentences, [tags.indices for _, tags in dev])
-        self.batches = _feature_batches(self.sentences, vocab)
+        self.ids, self.lengths = feature_id_batch(vocab, self.sentences)
+        self.gold = batch_entities(self.sentences, b"".join(t.indices for _, t in dev),
+                                   self.lengths)
 
     def f1(self, model: TaggerModel) -> float:
-        weights = model.weights.weights
-        batches = ((bucket, score_ids(weights, ids), lengths)
-                   for bucket, ids, lengths in self.batches)
-        paths = decode_batches(len(self.sentences), batches, model.transitions, constrain_bio=True)
-        return entity_prf(batch_entities(self.sentences, paths), self.gold).overall.f1
+        P = score_ids(model.weights.weights, self.ids)
+        path = viterbi(P, decoding_transitions(model.transitions, True), self.lengths)
+        return entity_prf(batch_entities(self.sentences, path, self.lengths), self.gold).overall.f1
 
 
 def evaluate_dev(model: TaggerModel, dev: CorpusPairs) -> float:

@@ -107,6 +107,17 @@ class TestTrain:
         assert code == 2
         assert "epochs" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error_naming_the_flag(self, workspace, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"seed": -1}', encoding="utf-8")
+        message = "argument --seed: expected an integer of at least 0, got '-1'"
+        for prefix, flags in ([], ["--seed", "-1"]), (["--config", str(config_path)], []):
+            code = main([*prefix, "train", str(workspace["train"]), str(workspace["dev"]),
+                         "--model-out", str(tmp_path / "m.json"), *flags])
+            assert code == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_zero_decay_epoch_is_usage_error(self, workspace, tmp_path, capsys):
         code = main([
             "train", str(workspace["train"]), str(workspace["dev"]),
@@ -238,10 +249,15 @@ class TestOutputsMatchPublicApi:
             assert got_q.read_bytes() == want_q.read_bytes(), name
             assert got_r.read_bytes() == want_r.read_bytes(), name
 
-    @pytest.mark.parametrize("flags", [[], ["--input-format", "tsv", "--from-tags"]])
+    WINDOW_FLAGS = [[], ["--no-constrain"], ["--emissions-file", "{emissions}"],
+                    ["--emissions-file", "{emissions}", "--no-constrain"]]
+
+    @pytest.mark.parametrize("flags", [[], ["--input-format", "tsv", "--from-tags"],
+                                       *WINDOW_FLAGS[1:]])
     def test_extract_bytes_do_not_depend_on_the_match_window(
             self, workspace, decode_inputs, tmp_path, monkeypatch, flags):
-        source = decode_inputs["tsv" if flags else "text"]
+        flags = [flag.format(emissions=decode_inputs["emissions"]) for flag in flags]
+        source = decode_inputs["tsv" if "--from-tags" in flags else "text"]
         outputs = set()
         for window in (cli.MATCH_WINDOW, 7, 1):
             monkeypatch.setattr(cli, "MATCH_WINDOW", window)
@@ -251,6 +267,23 @@ class TestOutputsMatchPublicApi:
                          "--relations-out", str(relations), *flags]) == 0
             outputs.add((quads.read_bytes(), relations.read_bytes()))
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("flags", WINDOW_FLAGS)
+    def test_tag_bytes_do_not_depend_on_the_match_window(
+            self, workspace, decode_inputs, tmp_path, monkeypatch, flags):
+        # windows of one sentence, of 7 (the 163 sentences end in a short
+        # window) and of all of them decode each sentence alike
+        flags = [flag.format(emissions=decode_inputs["emissions"]) for flag in flags]
+        outputs = set()
+        for window in (cli.MATCH_WINDOW, 7, 1):
+            monkeypatch.setattr(cli, "MATCH_WINDOW", window)
+            tagged = tmp_path / f"t{window}.tsv"
+            assert main(["tag", str(decode_inputs["text"]), "--model", str(workspace["model"]),
+                         "--out", str(tagged), *flags]) == 0
+            outputs.add(tagged.read_bytes())
+        assert len(outputs) == 1
+        assert [s.text for s, _ in read_tagged_corpus(tagged)] == \
+            [s.text for s, _ in read_tagged_corpus(decode_inputs["tsv"])]
 
     @pytest.mark.parametrize("constrain", [[], ["--no-constrain"]])
     def test_tag_is_identical_with_the_models_own_emissions_file(
@@ -414,6 +447,32 @@ class TestTagAndExtract:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["tag", "extract"])
+    def test_first_bad_emission_block_in_input_order_is_named_before_any_output(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        # s2 (4 chars) has a short block and s5 (2 chars) none; both lie past
+        # the first window, and a length-sorted order would meet s5 first
+        monkeypatch.setattr(cli, "MATCH_WINDOW", 1)
+        texts = ["右肺", "右上肺影", "见斑影", "左肺", "食管"]
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        emissions_path = tmp_path / "emissions.txt"
+        write_emissions([EmissionMatrix(f"s{i}", np.zeros((n, 7)))
+                         for i, n in ((1, 2), (2, 3), (3, 3), (4, 2))], emissions_path)
+        outputs = [tmp_path / "out"]
+        flags = ["--out", str(outputs[0])]
+        if command == "extract":
+            outputs.append(tmp_path / "relations.jsonl")
+            flags += ["--dict", str(workspace["dict"]), "--relations-out", str(outputs[1])]
+        code = main([command, str(text_path), "--model", str(workspace["model"]),
+                     "--emissions-file", str(emissions_path), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"{emissions_path}: emission matrix has 3 rows but sentence 's2' has 4 "
+                "characters" in err)
+        assert "s5" not in err
+        assert not any(path.exists() for path in outputs)
+
     def test_emission_file_without_blocks_is_usage_error(self, workspace, tmp_path, capsys):
         code, path = self.run_with_emissions(workspace, tmp_path, ["右肺"], [])
         assert code == 2
@@ -459,9 +518,9 @@ class TestTagAndExtract:
         assert serial.read_text(encoding="utf-8") == parallel.read_text(encoding="utf-8")
 
     def test_jobs_2_output_is_byte_identical_to_jobs_1(self, workspace, tmp_path):
-        # more sentences than one decode batch holds, of mixed lengths, so
-        # decoding runs several length-sorted batches and must restore input
-        # order; --jobs is accepted but decoding stays in one process
+        # sentences of mixed lengths, which Viterbi steps through longest
+        # first, so output must come back in input order; --jobs is accepted
+        # but decoding stays in one process
         corpus = build_rule_corpus(np.random.default_rng(43), 150, prefix="s")
         texts = [s.text for s, _ in corpus]
         texts += [texts[i] + texts[i + 1] + texts[i + 2] for i in range(0, 30, 3)]

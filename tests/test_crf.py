@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,7 +19,6 @@ from radsigns.crf import (
     TransitionMatrix,
     batch_log_partition,
     batch_nll_and_gradient,
-    batch_viterbi,
     load_model,
     log_partition,
     nll,
@@ -27,6 +26,7 @@ from radsigns.crf import (
     pad_batch,
     path_score,
     save_model,
+    viterbi,
     viterbi_decode,
 )
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
@@ -90,6 +90,11 @@ def loop_nll_and_gradient(P, A, y):
     score = A[START, y[0]] + A[y[-1], END] + sum(P[i, y[i]] for i in range(n))
     score += sum(A[y[i], y[i + 1]] for i in range(n - 1))
     return log_z, log_z - score, grad_p, grad_a
+
+
+def split_path(path, lengths):
+    """A flat Viterbi path cut back into one list per row."""
+    return [part.tolist() for part in np.split(path, np.cumsum(lengths)[:-1])]
 
 
 def loop_viterbi(P, A):
@@ -367,7 +372,7 @@ class TestBatch:
 
         log_z = batch_log_partition(P, A, lens)
         values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
-        paths = batch_viterbi(P, A, lens)
+        paths = split_path(viterbi(np.concatenate(emissions), A, lens), lens)
         assert lens.tolist() == lengths
         for b, n in enumerate(lengths):
             em = EmissionMatrix("x", emissions[b])
@@ -381,9 +386,9 @@ class TestBatch:
             np.testing.assert_allclose(grad_p[b, :n], ref_p, atol=1e-12)
             np.testing.assert_array_equal(grad_p[b, n:], 0.0)
             np.testing.assert_allclose(grad_a[b], ref_a, atol=1e-12)
-            assert paths[b, :n].tolist() == loop_viterbi(emissions[b], A)
-            assert paths[b, :n].tolist() == list(viterbi_decode(em, tm).indices)
-        assert paths[5, :6].tolist() == [2] * 6
+            assert paths[b] == loop_viterbi(emissions[b], A)
+            assert paths[b] == list(viterbi_decode(em, tm).indices)
+        assert paths[5] == [2] * 6
 
     def test_brute_force_oracles_hold_on_batches(self):
         rng = np.random.default_rng(71)
@@ -393,11 +398,11 @@ class TestBatch:
             A = rng.standard_normal((9, 9))
             log_z = batch_log_partition(P, A, lens)
             values, _, _ = batch_nll_and_gradient(P, A, lens, Y)
-            paths = batch_viterbi(P, A, lens)
+            paths = split_path(viterbi(np.concatenate(emissions), A, lens), lens)
             for b, n in enumerate(lengths):
                 expected_z = brute_force_log_partition(emissions[b], A)
                 assert log_z[b] == pytest.approx(expected_z, rel=1e-10)
-                assert paths[b, :n].tolist() == brute_force_argmax(emissions[b], A)
+                assert paths[b] == brute_force_argmax(emissions[b], A)
                 all_paths, scores = enumerate_paths(emissions[b], A)
                 gold_score = scores[np.all(all_paths == golds[b], axis=1)][0]
                 assert values[b] == pytest.approx(expected_z - gold_score, rel=1e-9)
@@ -414,7 +419,7 @@ class TestBatch:
         with np.errstate(all="ignore"):
             values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
             log_z = batch_log_partition(P, A, lens)
-            paths = batch_viterbi(P, A, lens)
+            paths = split_path(viterbi(np.concatenate([short, long]), A, lens), lens)
         assert not np.isfinite(values[1])
         ref_z, ref_nll, ref_p, ref_a = loop_nll_and_gradient(short, A, Y[0, :5])
         assert values[0] == pytest.approx(ref_nll, abs=1e-12)
@@ -422,7 +427,7 @@ class TestBatch:
         np.testing.assert_allclose(grad_p[0, :5], ref_p, atol=1e-12)
         np.testing.assert_array_equal(grad_p[0, 5:], 0.0)
         np.testing.assert_allclose(grad_a[0], ref_a, atol=1e-12)
-        assert paths[0, :5].tolist() == loop_viterbi(short, A)
+        assert paths[0] == loop_viterbi(short, A)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -480,6 +485,57 @@ class TestBatch:
         for lengths in ([0, 3], [3, 4], [3]):
             with pytest.raises(ValueError, match="lengths"):
                 batch_log_partition(P, np.zeros((9, 9)), np.array(lengths))
+
+
+class TestFlatViterbi:
+    """:func:`viterbi` on ragged sets laid end to end, row by row against the
+    one-row loop reference and brute-force enumeration."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+        constrain=st.booleans(),
+        ties=st.booleans(),
+    )
+    @example(seed=0, lengths=[1], constrain=False, ties=False)
+    @example(seed=1, lengths=[1, 1, 1], constrain=True, ties=True)
+    @example(seed=2, lengths=[2, 5, 1, 5, 2, 9, 1], constrain=True, ties=True)
+    @example(seed=3, lengths=[4, 4, 4, 4], constrain=False, ties=True)
+    def test_matches_loop_and_brute_force_per_row(self, seed, lengths, constrain, ties):
+        rng = np.random.default_rng(seed)
+        if ties:   # small integers: many paths tie exactly
+            P = rng.integers(-1, 2, (sum(lengths), 7)).astype(float)
+            A = rng.integers(-1, 2, (9, 9)).astype(float)
+        else:
+            P, A = rng.standard_normal((sum(lengths), 7)), rng.standard_normal((9, 9))
+        if constrain:
+            A = np.where(BIO_TRANSITION_MASK, A, -np.inf)
+        path = viterbi(P, A, np.array(lengths))
+        assert path.dtype == np.uint8 and path.shape == (sum(lengths),)
+        rows = np.split(P, np.cumsum(lengths)[:-1])
+        for row, emissions in zip(split_path(path, lengths), rows):
+            assert row == loop_viterbi(emissions, A)
+            if constrain:
+                assert validate_path(tags_from_indices("x", row)) == []
+            if len(row) <= 4:
+                paths, scores = enumerate_paths(emissions, A)
+                if ties:   # integer scores are exact in any order of summation
+                    assert scores[np.all(paths == row, axis=1)][0] == scores.max()
+                else:
+                    assert row == brute_force_argmax(emissions, A)
+
+    def test_empty_set(self):
+        path = viterbi(np.zeros((0, 7)), np.zeros((9, 9)), np.array([], dtype=np.intp))
+        assert path.dtype == np.uint8 and path.shape == (0,)
+
+    def test_lengths_must_cover_the_rows(self):
+        P = np.zeros((5, 7))
+        for lengths in ([2, 2], [2, 4], [5, 0], [6, -1]):
+            with pytest.raises(ValueError, match="lengths"):
+                viterbi(P, np.zeros((9, 9)), np.array(lengths))
+        with pytest.raises(ValueError, match="lengths"):
+            viterbi(np.zeros((5, 6)), np.zeros((9, 9)), np.array([5]))
 
 
 class TestDistributionProperties:

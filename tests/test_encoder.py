@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radsigns.corpus import EmissionMatrix, Sentence
-from radsigns.crf import pad_batch
 from radsigns.encoder import (
     FEATURES_PER_POSITION,
     PAD,
@@ -29,8 +28,8 @@ def reference_feature_ids(vocab, sentence):
 
 
 # Characters the vocabulary may see in training: the letters of the pad
-# sentinel, CJK, digits, punctuation and a non-BMP character.
-SEEN = "<pad>右上肺见影1。，x😀"
+# sentinel, U+0000, CJK, digits, punctuation and a non-BMP character.
+SEEN = "<pad>\x00右上肺见影1。，x😀"
 # Characters only test sentences use, one per class and two outside the BMP.
 UNSEEN = "肝7；Z𝟘😺あ"
 # Feature strings shaped like the templates that no sentence can produce.
@@ -126,10 +125,12 @@ class TestFeatureVocabulary:
 class TestFeatureIdBatch:
     @settings(max_examples=300, deadline=None)
     @given(vocab=vocabularies(), texts=sentences(SEEN + UNSEEN, max_size=12))
-    def test_matches_string_lookups_and_pads_with_zero(self, vocab, texts):
+    def test_matches_string_lookups_laid_end_to_end(self, vocab, texts):
         batch = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
         ids, lengths = feature_id_batch(vocab, batch)
-        expected, expected_lengths = pad_batch([reference_feature_ids(vocab, s) for s in batch])
+        references = [reference_feature_ids(vocab, s) for s in batch]
+        expected = np.concatenate(references)
+        expected_lengths = [len(r) for r in references]
         assert ids.dtype == np.intp
         np.testing.assert_array_equal(lengths, expected_lengths)
         np.testing.assert_array_equal(ids, expected)
@@ -150,7 +151,7 @@ class TestFeatureIdBatch:
     def test_empty_batch(self, shadow_sentence):
         vocab = FeatureVocabulary.build([shadow_sentence])
         ids, lengths = feature_id_batch(vocab, [])
-        assert ids.shape == (0, 0, FEATURES_PER_POSITION) and lengths.shape == (0,)
+        assert ids.shape == (0, FEATURES_PER_POSITION) and lengths.shape == (0,)
 
 
 class TestScoreSentence:

@@ -184,12 +184,15 @@ class TestFindRuns:
         paths = [path for path, _ in batch]
         expected = {s.id: reference_tags_to_entities(s, tags_from_indices(s.id, path))
                     for s, path in zip(sentences, paths)}
-        assert batch_entities(sentences, paths) == expected
-        assert batch_entities(sentences, [bytes(path) for path in paths]) == expected
+        lengths = [len(path) for path in paths]
+        assert batch_entities(sentences, sum(paths, []), lengths) == expected
+        assert batch_entities(sentences, b"".join(map(bytes, paths)), lengths) == expected
+        assert batch_entities(sentences, np.array(sum(paths, []), np.uint8), lengths) == expected
 
     def runs(self, paths):
         rows, starts, ends, kinds, texts = find_runs(
-            [make_sentence(len(path), f"s{i}") for i, path in enumerate(paths)], paths)
+            [make_sentence(len(path), f"s{i}") for i, path in enumerate(paths)],
+            sum(paths, []), [len(path) for path in paths])
         return rows.tolist(), starts.tolist(), ends.tolist(), kinds.tolist(), texts
 
     def test_run_ends_at_a_sentence_start(self):
@@ -205,11 +208,13 @@ class TestFindRuns:
 
     def test_empty_batch(self):
         assert self.runs([]) == ([], [], [], [], [])
-        assert batch_entities([], []) == {}
+        assert batch_entities([], [], []) == {}
 
     def test_path_count_must_match(self):
         with pytest.raises(ValueError):
-            batch_entities([make_sentence(2)], [[0, 0], [0]])
+            batch_entities([make_sentence(2)], [0, 0, 0], [2, 1])
+        with pytest.raises(ValueError, match="3 indices for 2 chars"):
+            batch_entities([make_sentence(2)], [0, 0, 0], [2])
 
 
 class TestValidatePath:

@@ -316,7 +316,7 @@ class TestEvaluateDev:
     def test_batched_dev_decoding_matches_per_sentence_decoding(self):
         rng = np.random.default_rng(113)
         corpus = build_rule_corpus(rng, 40, prefix="t")
-        dev = build_rule_corpus(rng, 150, prefix="d")   # several decode batches
+        dev = build_rule_corpus(rng, 150, prefix="d")   # mixed lengths, one flat pass
         model, _ = train(corpus, dev, TrainConfig(epochs=1, batch_size=8, seed=6))
         pred = {s.id: tags_to_entities(s, model.decode(s)) for s, _ in dev}
         gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
