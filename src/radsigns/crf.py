@@ -11,26 +11,24 @@ virtual start/end tags at indices 7 and 8.
 Training's forward-backward (:func:`batch_nll_and_gradient`) runs the scaled
 recursion of Rabiner (1989, "A Tutorial on Hidden Markov Models", section
 V-A) in probability space.  ``exp(A)`` and ``exp(P - rowmax(P))`` are taken
-once per batch; each step is one ``(B, k) @ (k, k)`` matmul, after which
-every row is divided by its sum, and log Z is the sum of the logs of those
-scales and row maxima.  A row the recursion cannot carry in floats (a scale
-that underflows below the smallest normal float or overflows, or a
-non-finite log Z or marginal) is recomputed on its own by the log-space
-recursion with max-shifted logsumexp, as is every row when ``exp(A)`` is not
-finite.  :func:`batch_log_partition` keeps the log-space forward pass, and
-Viterbi stays in log space because max-plus needs no exp.
+once per batch; each step is one ``(m, k) @ (k, k)`` matmul over the m rows
+still running, after which every row is divided by its sum, and log Z is the
+sum of the logs of those scales and row maxima.  A row the recursion cannot
+carry in floats (a scale that underflows below the smallest normal float or
+overflows, or a non-finite log Z or marginal) is recomputed on its own by
+the log-space recursion with max-shifted logsumexp, as is every row when
+``exp(A)`` is not finite.  :func:`batch_log_partition` keeps the log-space
+forward pass, and Viterbi stays in log space because max-plus needs no exp.
 
-There is one implementation of each recursion.  Training's recursions work
-on padded batches: a zero-padded ``(B, n_max, 7)`` emission array ``P`` plus
-a ``lengths`` vector, row ``b`` holding a sentence of ``lengths[b]``
-positions (at least 1) followed by padding.  Gold paths are ``(B, n_max)``
-integer arrays padded the same way; :func:`pad_batch` builds both.  They
-step through positions once per batch, so padded positions compute values
-that no result reads.  Padding is excluded by selection (``np.where``,
-boolean indexing, slicing), never by multiplying with a 0/1 mask: a row that
-overflowed holds inf there, and inf * 0 is NaN.  :func:`viterbi` is flat:
-its ``(sum(lengths), 7)`` emissions hold the sentences end to end, and each
-step works on the rows still running only, so there is no padding.  The
+There is one implementation of each recursion, and one batch layout.  Every
+batch function takes flat ``(sum(lengths), 7)`` emissions ``P``, the
+sentences laid end to end, with a ``lengths`` vector (each at least 1) and,
+for training, flat ``(sum(lengths),)`` gold tag indices ``Y``.  Each
+recursion repacks the rows step-major, the layout of PyTorch's
+``PackedSequence``: step i holds position i of every row longer than i in
+one contiguous slice, longest row first, so the rows that go on to step
+i + 1 are a prefix of that slice and a step reads and writes slices only.
+Nothing is padded.  Per-row results are reduced over the flat rows.  The
 single-sentence functions are the batch-size-1 case.
 """
 
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,94 +112,84 @@ def decoding_transitions(transitions: TransitionMatrix, constrain_bio: bool) -> 
     return np.where(BIO_TRANSITION_MASK, transitions.matrix, -np.inf)
 
 
-def pad_batch(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack arrays of shape ``(n_i, ...)`` into one zero-padded
-    ``(B, n_max, ...)`` array; also return the lengths ``n_i``."""
-    lengths = np.array([len(row) for row in rows], dtype=np.intp)
-    first = np.asarray(rows[0])
-    batch = np.zeros((len(rows), int(lengths.max()), *first.shape[1:]), dtype=first.dtype)
-    for b, row in enumerate(rows):
-        batch[b, :len(row)] = row
-    return batch, lengths
+class _Packed(NamedTuple):
+    """Flat rows repacked step-major, as the module docstring describes:
+    ``flat[perm]`` is packed and ``packed[inv]`` flat again."""
+
+    lengths: np.ndarray
+    starts: np.ndarray      # each row's first flat position
+    order: np.ndarray       # rows longest first: the order of every step's slice
+    perm: np.ndarray
+    inv: np.ndarray
+    last: np.ndarray        # each row's last packed position
+    pairs: list             # per step i >= 1: (prefix of step i - 1, step i) slices
 
 
-def _check_batch(P: np.ndarray, lengths: np.ndarray) -> None:
-    if P.ndim != 3 or P.shape[2] != NUM_TAGS or P.shape[1] == 0:
-        raise ValueError(f"emission batch must be B x n_max x {NUM_TAGS}, got {P.shape}")
-    if lengths.shape != P.shape[:1] or (lengths < 1).any() or (lengths > P.shape[1]).any():
-        raise ValueError(f"lengths must be one value in [1, {P.shape[1]}] per row")
+def _pack(P: np.ndarray, lengths) -> _Packed:
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (P.ndim != 2 or P.shape[1] != NUM_TAGS or lengths.ndim != 1 or (lengths < 1).any()
+            or lengths.sum() != len(P)):
+        raise ValueError(f"emissions must be sum(lengths) x {NUM_TAGS} for lengths of at "
+                         f"least 1, got {P.shape} for {lengths.size} rows")
+    order = np.argsort(-lengths, kind="stable")
+    ends = np.cumsum(lengths)
+    # active[i] rows are longer than i; step i is packed[off[i]:off[i] + active[i]]
+    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left")
+    off = np.cumsum(active) - active
+    slot = np.arange(len(P)) - np.repeat(off, active)   # rank of each packed position's row
+    perm = (ends - lengths)[order][slot] + np.repeat(np.arange(len(active)), active)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(P))
+    pairs = [(slice(a, a + m), slice(b, b + m))
+             for a, b, m in zip(off.tolist(), off[1:].tolist(), active[1:].tolist())]
+    return _Packed(lengths, ends - lengths, order, perm, inv, inv[ends - 1], pairs)
 
 
-def _forward(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """(B, n_max, k) forward log scores; entries past a row's length are
-    never read."""
-    B, n_max, k = P.shape
-    alpha = np.empty((B, n_max, k))
-    alpha[:, 0] = A[START, :k] + P[:, 0]
-    for i in range(1, n_max):
-        alpha[:, i] = _logsumexp(alpha[:, i - 1, :, None] + A[:k, :k], axis=1) + P[:, i]
-    return alpha
-
-
-def _backward(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """(B, n_max, k) backward log scores, excluding the emission at i; each
-    row restarts from the exit scores at its own last position."""
-    B, n_max, k = P.shape
-    beta = np.empty((B, n_max, k))
-    beta[:, n_max - 1] = A[:k, END]
-    for i in range(n_max - 2, -1, -1):
-        inner = _logsumexp(A[:k, :k] + (P[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2)
-        beta[:, i] = np.where((i + 1 < lengths)[:, None], inner, A[:k, END])
-    return beta
-
-
-def _last(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each row's entry at its last position."""
-    return x[np.arange(len(lengths)), lengths - 1]
+def _forward(P: np.ndarray, A: np.ndarray, pack: _Packed) -> tuple[np.ndarray, np.ndarray]:
+    """Forward log scores of packed emissions ``P``, and each row's log Z."""
+    k, B = NUM_TAGS, len(pack.lengths)
+    alpha = np.empty_like(P)
+    alpha[:B] = A[START, :k] + P[:B]
+    for prev, cur in pack.pairs:
+        alpha[cur] = _logsumexp(alpha[prev][:, :, None] + A[:k, :k], axis=1) + P[cur]
+    return alpha, _logsumexp(alpha[pack.last] + A[:k, END], axis=1)
 
 
 def _path_scores(P: np.ndarray, A: np.ndarray, lengths: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    positions = np.arange(P.shape[1])
-    valid = positions < lengths[:, None]
-    emitted = np.take_along_axis(P, Y[:, :, None], axis=2)[:, :, 0]
-    moved = A[Y[:, :-1], Y[:, 1:]]
-    return (
-        A[START, Y[:, 0]]
-        + np.where(valid, emitted, 0.0).sum(axis=1)
-        + np.where(valid[:, 1:], moved, 0.0).sum(axis=1)
-        + A[_last(Y, lengths), END]
-    )
+    ends = np.cumsum(lengths)
+    moved_from = np.roll(Y, 1)
+    moved_from[ends - lengths] = START
+    steps = P[np.arange(len(Y)), Y] + A[moved_from, Y]
+    return np.add.reduceat(steps, ends - lengths) + A[Y[ends - 1], END]
 
 
 def batch_log_partition(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """log of the summed exp-scores of all paths, one value per row."""
-    _check_batch(P, lengths)
-    return _logsumexp(_last(_forward(P, A), lengths) + A[:NUM_TAGS, END], axis=1)
+    pack = _pack(P, lengths)
+    return _forward(P[pack.perm], A, pack)[1]
 
 
 def _log_marginals(P: np.ndarray, A: np.ndarray, lengths: np.ndarray):
-    """Log-space forward-backward: ``(log_z, gamma, pairwise)`` with the tag
-    marginals ``(B, n_max, k)``, 0 on padding, and the pairwise marginals
-    summed over each row's positions ``(B, k, k)``."""
-    B, n_max, k = P.shape
-    alpha = _forward(P, A)
-    beta = _backward(P, A, lengths)
-    log_z = _logsumexp(_last(alpha, lengths) + A[:k, END], axis=1)
-
-    valid = np.arange(n_max) < lengths[:, None]
-    pair = valid[:, 1:]     # transition from position i to i + 1 lies inside the row
-    # alpha includes the emission at i, beta does not, so their sum is the
-    # full log mass of paths through (i, tag)
-    gamma = np.zeros((B, n_max, k))
-    gamma[valid] = np.exp(alpha[valid] + beta[valid] - log_z[np.nonzero(valid)[0], None])
-    pairwise = np.zeros((B, n_max - 1, k, k))
-    pairwise[pair] = np.exp(
-        alpha[:, :-1][pair][:, :, None]
-        + A[:k, :k]
-        + (P[:, 1:] + beta[:, 1:])[pair][:, None, :]
-        - log_z[np.nonzero(pair)[0], None, None]
-    )
-    return log_z, gamma, pairwise.sum(axis=1)
+    """Log-space forward-backward: ``(log_z, gamma, pairwise)`` with the flat
+    tag marginals ``(sum(lengths), k)`` and the pairwise marginals summed
+    over each row's positions ``(B, k, k)``."""
+    pack = _pack(P, lengths)
+    k = NUM_TAGS
+    P = P[pack.perm]
+    alpha, log_z = _forward(P, A, pack)
+    sorted_z = log_z[pack.order, None, None]
+    # beta excludes the emission at a position and alpha includes it, so
+    # their sum is the full log mass of paths through (position, tag)
+    beta = np.tile(A[:k, END], (len(P), 1))
+    pairwise = np.zeros((len(log_z), k, k))
+    for prev, cur in reversed(pack.pairs):
+        ahead = (P[cur] + beta[cur])[:, None, :]
+        beta[prev] = _logsumexp(A[:k, :k] + ahead, axis=2)
+        m = cur.stop - cur.start
+        pairwise[:m] += np.exp(alpha[prev][:, :, None] + A[:k, :k] + ahead - sorted_z[:m])
+    gamma = np.exp((alpha + beta)[pack.inv] - np.repeat(log_z, pack.lengths)[:, None])
+    pairwise[pack.order] = pairwise.copy()
+    return log_z, gamma, pairwise
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -212,45 +200,45 @@ def _scaled_marginals(P: np.ndarray, A: np.ndarray, lengths: np.ndarray):
     the scaled recursion in probability space.  ``log_z`` is NaN on each row
     the recursion cannot carry: a scale that is not a positive normal float,
     or a non-finite log Z or marginal."""
-    B, n_max, k = P.shape
+    pack = _pack(P, lengths)
+    B, k = len(pack.lengths), NUM_TAGS
     T = np.exp(A[:k, :k])
     start = np.exp(A[START, :k])
     end = np.exp(A[:k, END])
     if not all(np.isfinite(x).all() for x in (T, start, end)):
-        return np.full(B, np.nan), np.zeros((B, n_max, k)), np.zeros((B, k, k))
-    shift = P.max(axis=2)
-    E = np.exp(P - shift[:, :, None])
-    valid = np.arange(n_max) < lengths[:, None]
+        return np.full(B, np.nan), np.zeros_like(P), np.zeros((B, k, k))
+    shift = P.max(axis=1)
+    E = np.exp(P - shift[:, None])[pack.perm]
 
-    # alpha[:, i] sums to 1; c[:, i] is the mass it was divided by
-    alpha = np.empty((B, n_max, k))
-    c = np.empty((B, n_max))
-    step = start * E[:, 0]
-    for i in range(n_max):
-        if i:
-            step = (alpha[:, i - 1] @ T) * E[:, i]
-        c[:, i] = step.sum(axis=1)
-        alpha[:, i] = step / c[:, i, None]
-    # beta[:, i] is the backward mass divided by the scales after i, and
-    # weighted[:, i] the term each step feeds through T
-    beta = np.empty((B, n_max, k))
-    weighted = E / c[:, :, None]
-    beta[:, n_max - 1] = end
-    for i in range(n_max - 1, 0, -1):
-        weighted[:, i] *= beta[:, i]
-        beta[:, i - 1] = np.where(valid[:, i, None], weighted[:, i] @ T.T, end)
+    # each alpha row sums to 1; c is the mass it was divided by
+    alpha = np.empty_like(E)
+    c = np.empty(len(E))
+    step = start * E[:B]
+    for prev, cur in [(None, slice(0, B)), *pack.pairs]:
+        if prev is not None:
+            step = (alpha[prev] @ T) * E[cur]
+        c[cur] = step.sum(axis=1)
+        alpha[cur] = step / c[cur, None]
+    # beta is the backward mass divided by the scales after its position,
+    # and weighted the term each step feeds through T; pairwise sums each
+    # step's outer products, its rows longest first
+    beta = np.tile(end, (len(E), 1))
+    weighted = E / c[:, None]
+    pairwise = np.zeros((B, k, k))
+    for prev, cur in reversed(pack.pairs):
+        weighted[cur] *= beta[cur]
+        beta[prev] = weighted[cur] @ T.T
+        pairwise[:cur.stop - cur.start] += alpha[prev][:, :, None] * weighted[cur][:, None, :]
 
-    exit_mass = _last(alpha, lengths) @ end
-    scales = np.where(valid, c, 1.0)
-    log_z = (np.log(scales) + np.where(valid, shift, 0.0)).sum(axis=1) + np.log(exit_mass)
-    gamma = np.where(valid[:, :, None], alpha * beta, 0.0) / exit_mass[:, None, None]
-    pair = valid[:, 1:, None]
-    pairwise = np.einsum(
-        "bik,bil->bkl", np.where(pair, alpha[:, :-1], 0.0), np.where(pair, weighted[:, 1:], 0.0)
-    ) * T / exit_mass[:, None, None]
+    exit_mass = alpha[pack.last] @ end
+    c = c[pack.inv]
+    log_z = np.add.reduceat(np.log(c) + shift, pack.starts) + np.log(exit_mass)
+    gamma = (alpha * beta)[pack.inv] / np.repeat(exit_mass, pack.lengths)[:, None]
+    pairwise[pack.order] = pairwise * T / exit_mass[pack.order, None, None]
     carried = (
-        (scales.min(axis=1) >= _TINY) & (exit_mass >= _TINY)
-        & np.isfinite(log_z + gamma.sum(axis=(1, 2)) + pairwise.sum(axis=(1, 2)))
+        (np.minimum.reduceat(c, pack.starts) >= _TINY) & (exit_mass >= _TINY)
+        & np.isfinite(log_z + np.add.reduceat(gamma.sum(axis=1), pack.starts)
+                      + pairwise.sum(axis=(1, 2)))
     )
     return np.where(carried, log_z, np.nan), gamma, pairwise
 
@@ -261,34 +249,31 @@ def batch_nll_and_gradient(
     """Per-row NLL of the gold paths ``Y`` with both gradients, from one
     forward-backward pass over the batch.
 
-    Returns values ``(B,)``, emission gradients ``(B, n_max, k)`` that are 0
-    on padding, and transition gradients ``(B, k+2, k+2)``.
+    Returns values ``(B,)``, flat emission gradients ``(sum(lengths), k)``
+    and transition gradients ``(B, k+2, k+2)``.
     """
-    _check_batch(P, lengths)
-    B, n_max, k = P.shape
+    if Y.shape != P.shape[:1]:
+        raise ValueError(f"gold path shape {Y.shape} does not match emission shape {P.shape}")
+    lengths = np.asarray(lengths, dtype=np.intp)
     with np.errstate(all="ignore"):
         log_z, gamma, pairwise = _scaled_marginals(P, A, lengths)
-    slow = np.isnan(log_z)
-    if slow.any():
-        log_z[slow], gamma[slow], pairwise[slow] = _log_marginals(P[slow], A, lengths[slow])
+        slow = np.isnan(log_z)
+        if slow.any():
+            rows = np.repeat(slow, lengths)
+            log_z[slow], gamma[rows], pairwise[slow] = _log_marginals(P[rows], A, lengths[slow])
 
-    valid = np.arange(n_max) < lengths[:, None]
-    rows, cols = np.nonzero(valid)
-    pair_rows, pair_cols = np.nonzero(valid[:, 1:])
+    B, k = len(lengths), NUM_TAGS
+    ends = np.cumsum(lengths)
     grad_a = np.zeros((B, FULL_SIZE, FULL_SIZE))
     grad_a[:, :k, :k] = pairwise
-    np.add.at(
-        grad_a,
-        (pair_rows, Y[pair_rows, pair_cols], Y[pair_rows, pair_cols + 1]),
-        -1.0,
-    )
-    batch = np.arange(B)
-    grad_a[:, START, :k] += gamma[:, 0]
-    grad_a[batch, START, Y[:, 0]] -= 1.0
-    grad_a[:, :k, END] += _last(gamma, lengths)
-    grad_a[batch, _last(Y, lengths), END] -= 1.0
+    grad_a[:, START, :k] += gamma[ends - lengths]
+    grad_a[:, :k, END] += gamma[ends - 1]
+    moved_from = np.roll(Y, 1)
+    moved_from[ends - lengths] = START
+    np.add.at(grad_a, (np.repeat(np.arange(B), lengths), moved_from, Y), -1.0)
+    grad_a[np.arange(B), Y[ends - 1], END] -= 1.0
     grad_p = gamma      # gamma is not read again
-    grad_p[rows, cols, Y[rows, cols]] -= 1.0
+    grad_p[np.arange(len(Y)), Y] -= 1.0
 
     values = log_z - _path_scores(P, A, lengths, Y)
     return values, grad_p, grad_a
@@ -298,42 +283,36 @@ def viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Highest-scoring tag path of each row of flat ``(sum(lengths), 7)``
     emissions, the rows laid end to end, as one flat ``uint8`` index path in
     the same layout.  Ties break toward the lowest tag index."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if P.ndim != 2 or P.shape[1] != NUM_TAGS or (lengths < 1).any() or lengths.sum() != len(P):
-        raise ValueError(f"emissions must be sum(lengths) x {NUM_TAGS} for lengths of at "
-                         f"least 1, got {P.shape} for {lengths.size} rows")
+    pack = _pack(P, lengths)
     k = NUM_TAGS
+    P = P[pack.perm]
     path = np.empty(len(P), dtype=np.uint8)
-    # longest row first, so the rows still running at step i are the first
-    # active[i]; no step touches a row that has ended
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left")
     moves = np.ascontiguousarray(A[:k, :k].T)   # (to, from)
     # row r's first entry in a flat (m, to) array is r * k, and its (r, to)
     # cell's first candidate in a flat (m, to, from) array is (r * k + to) * k
-    cells = np.arange(0, len(lengths) * k * k, k)
-    delta = A[START, :k] + P[starts]
-    back = [None]
-    for i, m in enumerate(active[1:].tolist(), 1):
+    cells = np.arange(0, len(pack.lengths) * k * k, k)
+    delta = A[START, :k] + P[:len(pack.lengths)]
+    back = []
+    for _, cur in pack.pairs:
+        m = cur.stop - cur.start
         candidates = (delta[:m, None, :] + moves).ravel()
         best = candidates.reshape(m * k, k).argmax(axis=1)
         back.append(best.astype(np.uint8))
         # the max read back at the argmax: the same float a max() returns
-        delta[:m] = candidates[cells[:m * k] + best].reshape(m, k) + P[starts[:m] + i]
+        delta[:m] = candidates[cells[:m * k] + best].reshape(m, k) + P[cur]
     # rows that ended early kept the delta of their last position
     tag = np.argmax(delta + A[:k, END], axis=1)
-    for i in range(len(active) - 1, 0, -1):
-        m = active[i]
-        path[starts[:m] + i] = tag[:m]
-        tag[:m] = back[i][cells[:m] + tag[:m]]
-    path[starts] = tag
-    return path
+    for (_, cur), best in zip(reversed(pack.pairs), reversed(back)):
+        m = cur.stop - cur.start
+        path[cur] = tag[:m]
+        tag[:m] = best[cells[:m] + tag[:m]]
+    path[:len(tag)] = tag
+    return path[pack.inv]
 
 
 def _single(emissions: EmissionMatrix, tags: TagSequence | None = None):
     """The batch-size-1 arguments for one sentence."""
-    P = emissions.scores[None]
+    P = emissions.scores
     lengths = np.array([emissions.n], dtype=np.intp)
     if tags is None:
         return P, lengths
@@ -342,7 +321,7 @@ def _single(emissions: EmissionMatrix, tags: TagSequence | None = None):
             f"emission matrix has {emissions.n} rows but tag sequence "
             f"for {tags.sentence_id!r} has {len(tags)}"
         )
-    return P, lengths, np.frombuffer(tags.indices, np.uint8)[None].astype(np.intp)
+    return P, lengths, np.frombuffer(tags.indices, np.uint8).astype(np.intp)
 
 
 def path_score(emissions: EmissionMatrix, transitions: TransitionMatrix, tags: TagSequence) -> float:
@@ -372,7 +351,7 @@ def nll_and_gradient(
     transition analogue from pairwise marginals."""
     P, lengths, Y = _single(emissions, gold)
     values, grad_p, grad_a = batch_nll_and_gradient(P, transitions.matrix, lengths, Y)
-    return float(values[0]), grad_p[0], grad_a[0]
+    return float(values[0]), grad_p, grad_a[0]
 
 
 def viterbi_decode(

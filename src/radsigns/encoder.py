@@ -256,8 +256,7 @@ def score_sentence(
 
 def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Emission scores for feature ids of shape ``(..., 9)``: each position's
-    weight rows summed from left to right, shape ``(..., 7)``.  Works on flat
-    and padded ids alike."""
+    weight rows summed from left to right, shape ``(..., 7)``."""
     scores = weights.take(ids[..., 0], axis=0)
     for j in range(1, ids.shape[-1]):
         scores += weights.take(ids[..., j], axis=0)

@@ -22,7 +22,6 @@ from .crf import (
     TransitionMatrix,
     batch_nll_and_gradient,
     decoding_transitions,
-    pad_batch,
     viterbi,
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
@@ -89,9 +88,11 @@ class TrainReport:
         return json.dumps(self.to_dict())
 
 
-def _prepare(corpus: CorpusPairs, vocab: FeatureVocabulary) -> list[np.ndarray]:
-    """Each sentence as one ``(n, 10)`` integer array: its 9 feature ids per
-    position, extracted in one batch, then its gold tag index."""
+def _prepare(
+    corpus: CorpusPairs, vocab: FeatureVocabulary
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each sentence as one ``(n, 10)`` integer array (its 9 feature ids per
+    position, extracted in one batch, then its gold tag index) and the lengths."""
     for sentence, tags in corpus:
         if len(tags) != len(sentence):
             raise ValueError(
@@ -99,7 +100,7 @@ def _prepare(corpus: CorpusPairs, vocab: FeatureVocabulary) -> list[np.ndarray]:
             )
     ids, lengths = feature_id_batch(vocab, [s for s, _ in corpus])
     gold = np.frombuffer(b"".join(t.indices for _, t in corpus), np.uint8)
-    return np.split(np.column_stack((ids, gold)), np.cumsum(lengths)[:-1])
+    return np.split(np.column_stack((ids, gold)), np.cumsum(lengths)[:-1]), lengths
 
 
 def _feature_gradient(ids: np.ndarray, grad_p: np.ndarray, size: int) -> np.ndarray:
@@ -158,7 +159,7 @@ def train(
         raise ValueError(f"dev set shares sentence ids with training set: {sorted(shared)[:5]}")
 
     vocab = FeatureVocabulary.build(s for s, _ in corpus)
-    rows = _prepare(corpus, vocab)
+    rows, lengths = _prepare(corpus, vocab)
     dev_set = _DevSet(dev, vocab)
     weights = np.zeros((vocab.size, NUM_TAGS))
     transitions = np.zeros((FULL_SIZE, FULL_SIZE))
@@ -176,24 +177,25 @@ def train(
         epoch_nll = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo:lo + config.batch_size]
-            padded, lengths = pad_batch([rows[j] for j in batch])
-            ids = padded[:, :, :-1]
+            flat = np.concatenate([rows[j] for j in batch])
+            ids = flat[:, :-1]
             values, grad_p, grad_a = batch_nll_and_gradient(
-                score_ids(weights, ids), transitions, lengths, padded[:, :, -1]
+                score_ids(weights, ids), transitions, lengths[batch], flat[:, -1]
             )
             finite = np.isfinite(values)
             if not finite.all():
                 b = int(np.argmin(finite))   # first non-finite row, in batch order
                 raise NonFiniteLossError(corpus[batch[b]][0].id, float(values[b]))
             epoch_nll += float(values.sum())
-            valid = np.arange(ids.shape[1]) < lengths[:, None]
-            grad_w = _feature_gradient(ids[valid], grad_p[valid], vocab.size) / len(batch)
+            grad_w = _feature_gradient(ids, grad_p, vocab.size) / len(batch)
             grad_a = grad_a.sum(axis=0) / len(batch)
-            if config.l2 > 0:
-                grad_w += config.l2 * weights
-                grad_a += config.l2 * transitions
-            weights -= rate * grad_w
-            transitions -= rate * grad_a
+            # a diverging update overflows here; the check below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                if config.l2 > 0:
+                    grad_w += config.l2 * weights
+                    grad_a += config.l2 * transitions
+                weights -= rate * grad_w
+                transitions -= rate * grad_a
             if not (np.isfinite(weights).all() and np.isfinite(transitions).all()):
                 raise NonFiniteLossError(
                     corpus[batch[0]][0].id, float("inf"), what="parameter update"

@@ -81,9 +81,10 @@ def brute_force_match(
         chunk_relations: list[Relation] = []
 
         # the primary keeps every sign candidate
-        for a, b in pairs:
-            if primary is not None and a == primary and b.kind == "Abn":
-                chunk_relations.append(Relation("P2Abn", a, b))
+        if primary is not None:
+            for sign in group:
+                if sign.kind == "Abn":
+                    chunk_relations.append(Relation("P2Abn", primary, sign))
         # each other attribute keeps only the closest sign
         for attr in group:
             is_secondary = attr.kind == "P" and attr != primary
@@ -97,9 +98,10 @@ def brute_force_match(
                 kind = "P2Abn" if attr.kind == "P" else "D2Abn"
                 chunk_relations.append(Relation(kind, a, b))
         # secondary-to-primary subdivision pairs survive unconditionally
-        for a, b in pairs:
-            if a.kind == "P" and a != primary and primary is not None and b == primary:
-                chunk_relations.append(Relation("P2P", a, b))
+        if primary is not None:
+            for part in group:
+                if part.kind == "P" and part != primary:
+                    chunk_relations.append(Relation("P2P", part, primary))
 
         relations.extend(chunk_relations)
         for sign in (e for e in group if e.kind == "Abn"):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,16 @@ class TestTrain:
         assert captured.out.startswith("epoch 1 train_nll ")
         assert captured.out.count("\n") == 1
         assert "non-finite loss" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--lr", "1e308"], ["--l2", "1e300"]], ids=" ".join)
+    def test_diverging_run_exits_3_without_numpy_warnings(self, workspace, tmp_path, capsys,
+                                                          flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train", str(workspace["train"]), str(workspace["dev"]),
+                         "--model-out", str(tmp_path / "m.json"), "--epochs", "2", *flags])
+        assert code == 3
+        assert "non-finite parameter update" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--l2", "nan"], ["--l2", "inf"], ["--lr", "nan"], ["--lr", "inf"],

@@ -23,7 +23,6 @@ from radsigns.crf import (
     log_partition,
     nll,
     nll_and_gradient,
-    pad_batch,
     path_score,
     save_model,
     viterbi,
@@ -354,9 +353,7 @@ class TestBatch:
     def ragged_batch(self, rng, lengths):
         emissions = [rng.standard_normal((n, 7)) for n in lengths]
         golds = [rng.integers(0, 7, size=n) for n in lengths]
-        P, lens = pad_batch(emissions)
-        Y, _ = pad_batch(golds)
-        return emissions, golds, P, lens, Y
+        return emissions, golds, np.concatenate(emissions), np.array(lengths), np.concatenate(golds)
 
     def test_ragged_batch_matches_single_sentences(self):
         rng = np.random.default_rng(70)
@@ -365,14 +362,15 @@ class TestBatch:
         # two equally good columns in a row: the tie must go to the lower index
         emissions[5] = np.zeros((6, 7))
         emissions[5][:, [2, 5]] = 10.0
-        P[5, :6] = emissions[5]
+        P = np.concatenate(emissions)
         A = rng.standard_normal((9, 9))
         A[[2, 5], :] = 0.0
         A[:, [2, 5]] = 0.0
 
         log_z = batch_log_partition(P, A, lens)
         values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
-        paths = split_path(viterbi(np.concatenate(emissions), A, lens), lens)
+        grad_p = np.split(grad_p, np.cumsum(lengths)[:-1])
+        paths = split_path(viterbi(P, A, lens), lens)
         assert lens.tolist() == lengths
         for b, n in enumerate(lengths):
             em = EmissionMatrix("x", emissions[b])
@@ -383,8 +381,7 @@ class TestBatch:
             assert log_z[b] == pytest.approx(log_partition(em, tm), abs=1e-12)
             assert values[b] == pytest.approx(ref_nll, abs=1e-12)
             assert values[b] == pytest.approx(nll(em, tm, gold), abs=1e-12)
-            np.testing.assert_allclose(grad_p[b, :n], ref_p, atol=1e-12)
-            np.testing.assert_array_equal(grad_p[b, n:], 0.0)
+            np.testing.assert_allclose(grad_p[b], ref_p, atol=1e-12)
             np.testing.assert_allclose(grad_a[b], ref_a, atol=1e-12)
             assert paths[b] == loop_viterbi(emissions[b], A)
             assert paths[b] == list(viterbi_decode(em, tm).indices)
@@ -398,7 +395,7 @@ class TestBatch:
             A = rng.standard_normal((9, 9))
             log_z = batch_log_partition(P, A, lens)
             values, _, _ = batch_nll_and_gradient(P, A, lens, Y)
-            paths = split_path(viterbi(np.concatenate(emissions), A, lens), lens)
+            paths = split_path(viterbi(P, A, lens), lens)
             for b, n in enumerate(lengths):
                 expected_z = brute_force_log_partition(emissions[b], A)
                 assert log_z[b] == pytest.approx(expected_z, rel=1e-10)
@@ -412,22 +409,69 @@ class TestBatch:
         short = rng.standard_normal((5, 7))
         long = np.full((2000, 7), 1e306)
         long[:, 0] = -1e306
-        P, lens = pad_batch([short, long])
-        P[0, 5:] = np.inf   # padding gathered from overflowing weight rows
-        Y = np.zeros((2, 2000), dtype=np.intp)
+        P, lens = np.concatenate([short, long]), np.array([5, 2000])
+        Y = np.zeros(2005, dtype=np.intp)
         A = rng.standard_normal((9, 9))
         with np.errstate(all="ignore"):
             values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
             log_z = batch_log_partition(P, A, lens)
-            paths = split_path(viterbi(np.concatenate([short, long]), A, lens), lens)
+            paths = split_path(viterbi(P, A, lens), lens)
         assert not np.isfinite(values[1])
-        ref_z, ref_nll, ref_p, ref_a = loop_nll_and_gradient(short, A, Y[0, :5])
+        ref_z, ref_nll, ref_p, ref_a = loop_nll_and_gradient(short, A, Y[:5])
         assert values[0] == pytest.approx(ref_nll, abs=1e-12)
         assert log_z[0] == pytest.approx(ref_z, abs=1e-12)
-        np.testing.assert_allclose(grad_p[0, :5], ref_p, atol=1e-12)
-        np.testing.assert_array_equal(grad_p[0, 5:], 0.0)
+        np.testing.assert_allclose(grad_p[:5], ref_p, atol=1e-12)
         np.testing.assert_allclose(grad_a[0], ref_a, atol=1e-12)
         assert paths[0] == loop_viterbi(short, A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=10),
+        equal_lengths=st.booleans(),
+        overflow_row=st.booleans(),
+    )
+    @example(seed=0, lengths=[1], equal_lengths=False, overflow_row=False)
+    @example(seed=1, lengths=[1, 1, 1], equal_lengths=False, overflow_row=True)
+    @example(seed=2, lengths=[4, 1, 7], equal_lengths=True, overflow_row=True)
+    def test_batch_composition_does_not_change_a_rows_result(
+        self, seed, lengths, equal_lengths, overflow_row
+    ):
+        rng = np.random.default_rng(seed)
+        if equal_lengths:
+            lengths = [lengths[0]] * len(lengths)
+        emissions = [rng.standard_normal((n, 7)) for n in lengths]
+        golds = [rng.integers(0, 7, size=n) for n in lengths]
+        if overflow_row:   # its log Z overflows even in log space
+            long = np.full((200, 7), 1e306)
+            long[:, 0] = -1e306
+            emissions.append(long)
+            golds.append(np.zeros(200, dtype=np.intp))
+        order = rng.permutation(len(emissions))
+        emissions, golds = [emissions[b] for b in order], [golds[b] for b in order]
+        P, Y = np.concatenate(emissions), np.concatenate(golds)
+        lens = np.array([len(row) for row in emissions])
+        A = rng.standard_normal((9, 9))
+        with np.errstate(all="ignore"):
+            values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
+            log_z = batch_log_partition(P, A, lens)
+            paths = split_path(viterbi(P, A, lens), lens)
+            for b, (row, gold, row_grad_p) in enumerate(
+                zip(emissions, golds, np.split(grad_p, np.cumsum(lens)[:-1]))
+            ):
+                one = np.array([len(row)])
+                value, one_grad_p, one_grad_a = batch_nll_and_gradient(row, A, one, gold)
+                # assert_allclose also requires NaN and inf at the same places
+                np.testing.assert_allclose(values[b], value[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(row_grad_p, one_grad_p, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(grad_a[b], one_grad_a[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(log_z[b], batch_log_partition(row, A, one)[0],
+                                           rtol=0, atol=1e-12)
+                assert paths[b] == viterbi(row, A, one).tolist()
+        assert np.isfinite(values).sum() == len(lengths)
+        for wrong in (Y[:-1], np.append(Y, 0), Y[None]):
+            with pytest.raises(ValueError, match="gold"):
+                batch_nll_and_gradient(P, A, lens, wrong)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -437,11 +481,10 @@ class TestBatch:
         transition_scale=st.floats(0.1, 20),
         overflow_row=st.booleans(),
         extreme_transitions=st.sampled_from([None, 800.0, -800.0]),
-        inf_padding=st.booleans(),
     )
     def test_scaled_recursion_matches_log_space_reference(
         self, seed, lengths, emission_scale, transition_scale, overflow_row,
-        extreme_transitions, inf_padding,
+        extreme_transitions,
     ):
         rng = np.random.default_rng(seed)
         emissions = [emission_scale * rng.standard_normal((n, 7)) for n in lengths]
@@ -456,13 +499,12 @@ class TestBatch:
             long[:, 0] = -1e306
             emissions.append(long)
             golds.append(np.zeros(200, dtype=np.intp))
-        P, lens = pad_batch(emissions)
-        Y, _ = pad_batch(golds)
-        if inf_padding:
-            P[np.arange(P.shape[1]) >= lens[:, None]] = np.inf
+        P, Y = np.concatenate(emissions), np.concatenate(golds)
+        lens = np.array([len(row) for row in emissions])
         spy = mock.patch.object(crf, "_log_marginals", wraps=crf._log_marginals)
         with spy as fallback, np.errstate(all="ignore"):
             values, grad_p, grad_a = batch_nll_and_gradient(P, A, lens, Y)
+        grad_p = np.split(grad_p, np.cumsum(lens)[:-1])
         fell_back = [n for call in fallback.call_args_list for n in call.args[2]]
         if overflow_row:
             assert not np.isfinite(values[-1])
@@ -476,15 +518,8 @@ class TestBatch:
             # largest log score; up to 100 this is the 1e-12 used above
             tol = max(1e-12, 1e-14 * max(abs(ref_z), abs(ref_z - ref_nll)))
             assert values[b] == pytest.approx(ref_nll, abs=tol)
-            np.testing.assert_allclose(grad_p[b, :n], ref_p, atol=tol)
-            np.testing.assert_array_equal(grad_p[b, n:], 0.0)
+            np.testing.assert_allclose(grad_p[b], ref_p, atol=tol)
             np.testing.assert_allclose(grad_a[b], ref_a, atol=tol)
-
-    def test_lengths_outside_the_padded_width_rejected(self):
-        P = np.zeros((2, 3, 7))
-        for lengths in ([0, 3], [3, 4], [3]):
-            with pytest.raises(ValueError, match="lengths"):
-                batch_log_partition(P, np.zeros((9, 9)), np.array(lengths))
 
 
 class TestFlatViterbi:
@@ -530,12 +565,19 @@ class TestFlatViterbi:
         assert path.dtype == np.uint8 and path.shape == (0,)
 
     def test_lengths_must_cover_the_rows(self):
+        entries = (
+            viterbi,
+            batch_log_partition,
+            lambda P, A, lengths: batch_nll_and_gradient(P, A, lengths, np.zeros(len(P), int)),
+        )
         P = np.zeros((5, 7))
-        for lengths in ([2, 2], [2, 4], [5, 0], [6, -1]):
-            with pytest.raises(ValueError, match="lengths"):
-                viterbi(P, np.zeros((9, 9)), np.array(lengths))
-        with pytest.raises(ValueError, match="lengths"):
-            viterbi(np.zeros((5, 6)), np.zeros((9, 9)), np.array([5]))
+        for entry in entries:
+            for lengths in ([2, 2], [2, 4], [5, 0], [6, -1], [0, 5], [3, 3]):
+                with pytest.raises(ValueError, match="lengths"):
+                    entry(P, np.zeros((9, 9)), np.array(lengths))
+            for bad_P, lengths in ((np.zeros((5, 6)), [5]), (np.zeros((1, 5, 7)), [5]), (P, [[5]])):
+                with pytest.raises(ValueError, match="lengths"):
+                    entry(bad_P, np.zeros((9, 9)), np.array(lengths))
 
 
 class TestDistributionProperties:

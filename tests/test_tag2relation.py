@@ -174,6 +174,23 @@ class TestMatch:
                 sentence, entities, dictionary
             )
 
+    def test_matches_brute_force_reference_with_equal_copies(self):
+        # equal copies of 1 to 3 drawn entities, appended to the same draws
+        rng = np.random.default_rng(12)
+        copies = np.random.default_rng(13)
+        for report_length in (False, True):
+            for _ in range(150):
+                sentence, entities, dictionary = random_match_instance(
+                    rng, *((80, 20) if report_length else (31, 6)))
+                if not entities:
+                    continue
+                picks = copies.choice(len(entities), size=int(copies.integers(1, 4)))
+                entities += [Entity(e.kind, e.start, e.end, e.text)
+                             for e in (entities[i] for i in picks)]
+                assert match(sentence, entities, dictionary) == brute_force_match(
+                    sentence, entities, dictionary
+                )
+
     def test_equal_copy_of_the_primary_is_not_a_secondary_part(self):
         s = padded_sentence(12)
         pp, copy = entity(s, "P", 0, 2), entity(s, "P", 0, 2)
