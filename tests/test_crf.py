@@ -424,6 +424,14 @@ class TestBatch:
         np.testing.assert_allclose(grad_a[0], ref_a, atol=1e-12)
         assert paths[0] == loop_viterbi(short, A)
 
+    def test_lengths_outside_the_padded_width_rejected(self):
+        # the flat rows are the whole width: an empty row, rows past the end
+        # and rows that stop short of it are all rejected
+        P = np.zeros((6, 7))
+        for lengths in ([0, 6], [3, 4], [3]):
+            with pytest.raises(ValueError, match="lengths"):
+                batch_log_partition(P, np.zeros((9, 9)), np.array(lengths))
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
