@@ -200,13 +200,29 @@ def _tag_windows(model: TaggerModel, sentences, args, tags=None):
     return map(decode, range(0, len(sentences), MATCH_WINDOW))
 
 
-def _distinct_outputs(args, first: str, second: str) -> None:
-    """Reject two output options that name one file: the later write would
-    replace or interleave with the earlier one."""
-    one, other = getattr(args, first), getattr(args, second)
-    if one and other and os.path.realpath(one) == os.path.realpath(other):
-        flags = " and ".join("--" + dest.replace("_", "-") for dest in (first, second))
-        raise CorpusFormatError(f"{flags} name the same file: {other}")
+_DECODE_INPUTS = ("input", "model", "emissions_file")
+
+
+def _distinct_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
+    """Reject an output option that names the same file as one of the
+    command's inputs or another output: the write would replace the input
+    or interleave with the other output.  Inputs may share a file."""
+    named = {}   # real path -> the first option that names it
+    for dest in (*inputs, *outputs):
+        path = getattr(args, dest)
+        if not path:
+            continue
+        first = named.setdefault(os.path.realpath(path), dest)
+        if first != dest and dest in outputs:
+            raise CorpusFormatError(
+                f"{_option_name(first)} and {_option_name(dest)} name the same file: {path}")
+
+
+def _option_name(dest: str) -> str:
+    """How the command line spells the option or argument stored in ``dest``."""
+    if dest in ("train_path", "dev_path", "input"):
+        return dest
+    return "--dict" if dest == "dict_path" else "--" + dest.replace("_", "-")
 
 
 def _print_epoch(epoch: int, loss: float, f1: float) -> None:
@@ -214,7 +230,7 @@ def _print_epoch(epoch: int, loss: float, f1: float) -> None:
 
 
 def _cmd_train(args) -> int:
-    _distinct_outputs(args, "model_out", "report_out")
+    _distinct_outputs(args, ("train_path", "dev_path"), ("model_out", "report_out"))
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -243,6 +259,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tag(args) -> int:
+    _distinct_outputs(args, _DECODE_INPUTS, ("out",))
     model = load_model(args.model)
     sentences = [s for s, _ in _load_sentences(args.input, args.input_format)]
     windows = _tag_windows(model, sentences, args)
@@ -258,7 +275,7 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    _distinct_outputs(args, "out", "relations_out")
+    _distinct_outputs(args, (*_DECODE_INPUTS, "dict_path"), ("out", "relations_out"))
     if not args.dict_path:
         raise CorpusFormatError(
             f"a dictionary is required: pass --dict or set ${DICT_ENV}"
@@ -308,8 +325,8 @@ def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:
 
 
 def _cmd_eval(args, mode: str) -> int:
-    if mode == "errors":
-        _distinct_outputs(args, "report_out", "confusion_csv")
+    _distinct_outputs(args, ("pred", "gold"),
+                      ("report_out", "confusion_csv") if mode == "errors" else ("report_out",))
     if mode in ("entity", "errors"):
         pred, gold = _aligned_entities(args.pred, args.gold)
         if mode == "entity":
@@ -341,8 +358,7 @@ def _cmd_eval(args, mode: str) -> int:
             fh.write(confusion.to_csv())
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, ensure_ascii=False)
-            fh.write("\n")
+            fh.write(json.dumps(report, ensure_ascii=False) + "\n")
     return EXIT_OK
 
 

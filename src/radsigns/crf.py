@@ -155,11 +155,17 @@ def _forward(P: np.ndarray, A: np.ndarray, pack: _Packed) -> tuple[np.ndarray, n
     return alpha, _logsumexp(alpha[pack.last] + A[:k, END], axis=1)
 
 
+def _previous_tags(Y: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each flat position's previous gold tag, ``START`` at a row's start."""
+    previous = np.empty_like(Y)
+    previous[1:] = Y[:-1]
+    previous[starts] = START
+    return previous
+
+
 def _path_scores(P: np.ndarray, A: np.ndarray, lengths: np.ndarray, Y: np.ndarray) -> np.ndarray:
     ends = np.cumsum(lengths)
-    moved_from = np.roll(Y, 1)
-    moved_from[ends - lengths] = START
-    steps = P[np.arange(len(Y)), Y] + A[moved_from, Y]
+    steps = P[np.arange(len(Y)), Y] + A[_previous_tags(Y, ends - lengths), Y]
     return np.add.reduceat(steps, ends - lengths) + A[Y[ends - 1], END]
 
 
@@ -268,9 +274,8 @@ def batch_nll_and_gradient(
     grad_a[:, :k, :k] = pairwise
     grad_a[:, START, :k] += gamma[ends - lengths]
     grad_a[:, :k, END] += gamma[ends - 1]
-    moved_from = np.roll(Y, 1)
-    moved_from[ends - lengths] = START
-    np.add.at(grad_a, (np.repeat(np.arange(B), lengths), moved_from, Y), -1.0)
+    previous = _previous_tags(Y, ends - lengths)
+    np.add.at(grad_a, (np.repeat(np.arange(B), lengths), previous, Y), -1.0)
     grad_a[np.arange(B), Y[ends - 1], END] -= 1.0
     grad_p = gamma      # gamma is not read again
     grad_p[np.arange(len(Y)), Y] -= 1.0
@@ -393,9 +398,9 @@ def save_model(model: TaggerModel, path) -> None:
         "weights": model.weights.weights.tolist(),
         "transitions": model.transitions.matrix.tolist(),
     }
+    # one json.dumps call runs the C encoder; json.dump would run the Python one
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(json.dumps(document, ensure_ascii=False) + "\n")
 
 
 def _is_int(value) -> bool:

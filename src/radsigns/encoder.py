@@ -5,12 +5,16 @@ indicator features, and pass-through of score matrices computed offline by
 an external encoder.  Both produce the same n x 7 emission matrix.
 
 Features are defined as strings (:func:`extract_features`), and the model
-file stores them as strings.  Feature ids are not looked up string by
-string: each vocabulary compiles its strings once into integer tables over
-character ids, and :func:`feature_id_batch` gathers the ids of a batch of
-sentences laid end to end, with one dict lookup per character, as one flat
-``(sum(lengths), 9)`` array; :func:`score_ids` turns it into the batch's
-flat emissions.
+file stores them as strings.  Neither building a vocabulary nor looking ids
+up works string by string.  Both lay the sentences end to end as char ids
+with pads between them.  :meth:`FeatureVocabulary.build` reads each
+template's values as integers over the training corpus's own char ids and
+writes out only the distinct values as strings, in order of first
+appearance, so the model file is what the string loop would write.  Each
+vocabulary compiles its strings once into integer tables over character
+ids, and :func:`feature_id_batch` gathers the ids of a batch, with one dict
+lookup per character, as one flat ``(sum(lengths), 9)`` array;
+:func:`score_ids` turns it into the batch's flat emissions.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ UNK = "<unk>"
 # fixed template set: 5 char windows, 2 bigrams, 1 char class, 1 bias
 FEATURES_PER_POSITION = 9
 WINDOW_TEMPLATES = ("c-2", "c-1", "c0", "c+1", "c+2")
+_BIGRAM_TEMPLATES = ("bi-1", "bi0")
 CHAR_CLASSES = ("digit", "latin", "punct", "cjk", "other")
 
 
@@ -89,11 +94,40 @@ class FeatureVocabulary:
 
     @classmethod
     def build(cls, sentences: Iterable[Sentence]) -> "FeatureVocabulary":
+        """Every :func:`extract_features` string of the sentences, numbered
+        from 1 in order of first appearance (position by position, template
+        by template), after ``<unk>`` at 0.  Each template's values are
+        collected as integers over the corpus's own char ids, and only the
+        distinct values are written out as strings."""
+        sentences = list(sentences)
+        text = "".join(s.text for s in sentences)
+        alphabet, inverse = np.unique(
+            np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32),
+            return_inverse=True)
+        names = [PAD, *map(chr, alphabet.tolist())]   # by char id, the pad id 0 first
+        # each char id's class index; the pad (id 0) is never c0
+        classes = np.array([0] + [_CLASS_INDEX[char_class(ch)] for ch in names[1:]])
+        chars, where = _padded_chars([len(s) for s in sentences], inverse + 1)
+        # per template, in extract_features' order: the char id of a window,
+        # left * width + right of a bigram, the class index, 0 for the bias
+        width = len(names)
+        window = [chars[where + j - 2] for j in range(len(WINDOW_TEMPLATES))]
+        columns = [*window, window[1] * width + window[2], window[2] * width + window[3],
+                   classes[window[2]], np.zeros_like(where)]
+        found = [np.unique(column, return_index=True) for column in columns]
+        templates = np.repeat(np.arange(len(columns)), [len(v) for v, _ in found])
+        values = np.concatenate([v for v, _ in found])
+        order = np.argsort(np.concatenate([first * len(columns) + t
+                                           for t, (_, first) in enumerate(found)]))
         index = {UNK: 0}
-        for sentence in sentences:
-            for i in range(len(sentence)):
-                for feature in extract_features(sentence, i):
-                    index.setdefault(feature, len(index))
+        for t, v in zip(templates[order].tolist(), values[order].tolist()):
+            if t < 5:
+                feature = f"{WINDOW_TEMPLATES[t]}={names[v]}"
+            elif t < 7:
+                feature = f"{_BIGRAM_TEMPLATES[t - 5]}={names[v // width]}{names[v % width]}"
+            else:
+                feature = f"cls0={CHAR_CLASSES[v]}" if t == 7 else "bias"
+            index[feature] = len(index)
         return cls(index, unk_index=0)
 
     @property
@@ -134,7 +168,7 @@ class _TemplateTables:
         self.char_ids = {PAD: 0}
         self.bias = index.get("bias", unk)
         windows, classes = [], {}
-        bigrams = {"bi-1": [], "bi0": []}
+        bigrams = {template: [] for template in _BIGRAM_TEMPLATES}
         for feature, column in index.items():
             template, _, value = feature.partition("=")
             if template in WINDOW_TEMPLATES and (len(value) == 1 or value == PAD):
@@ -191,6 +225,19 @@ def _bigram_chars(template: str, value: str) -> tuple[str, str] | None:
     return None
 
 
+def _padded_chars(lengths, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Char ids of sentences of the given lengths laid end to end, with two
+    pad ids (0) before, between and after them, and each character's index
+    in that array.  The pads are placed by position, so every character
+    keeps its own id, and template j of the character at index w reads the
+    char id at w - 2 + j."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    where = np.arange(lengths.sum()) + 2 * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    chars = np.zeros(len(where) + 2 * len(lengths) + 2, dtype=np.intp)
+    chars[where] = ids
+    return chars, where
+
+
 def feature_id_batch(
     vocab: FeatureVocabulary, sentences: Sequence[Sentence]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -199,13 +246,10 @@ def feature_id_batch(
     position, to looking up every :func:`extract_features` string in
     ``vocab.index``, with unseen strings mapped to ``vocab.unk_index``."""
     tables = vocab._tables
-    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    # char ids with two pad ids (0) before, between and after the sentences;
-    # the pads are placed by position, so every character keeps its own id
-    where = np.arange(lengths.sum()) + 2 * np.repeat(np.arange(1, len(sentences) + 1), lengths)
-    chars = np.zeros(len(where) + 2 * len(sentences) + 2, dtype=np.intp)
     get, unseen = tables.char_ids.get, tables.unseen_id
-    chars[where] = [get(ch) or unseen(ch) for s in sentences for ch in s.text]
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    chars, where = _padded_chars(lengths, [get(ch) or unseen(ch)
+                                           for s in sentences for ch in s.text])
     # (9, positions) ids of every position but the outer pads, each template
     # read from shifted slices of chars, then the sentences' columns
     n = max(len(chars) - 4, 0)

@@ -10,12 +10,13 @@ the snapshot from the best epoch (earliest on ties) is returned.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import NUM_TAGS, Sentence, TagSequence
+from .corpus import ENTITY_KINDS, NUM_TAGS, Sentence, TagSequence
 from .crf import (
     FULL_SIZE,
     TaggerModel,
@@ -25,8 +26,8 @@ from .crf import (
     viterbi,
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
-from .evaluation import entity_prf
-from .tagscheme import batch_entities
+from .evaluation import PrfScores
+from .tagscheme import find_runs
 
 CorpusPairs = Sequence[tuple[Sentence, TagSequence]]
 
@@ -105,8 +106,8 @@ def _prepare(
 
 def _feature_gradient(ids: np.ndarray, grad_p: np.ndarray, size: int) -> np.ndarray:
     """``(size, k)`` sums of each position's emission gradient row into the
-    weight rows of its ``(positions, 9)`` feature ids, one ``bincount`` per
-    tag column."""
+    weight rows of its ``(positions, 9)`` feature ids: one ``bincount`` per
+    tag column, each bin summed in (position, template) order."""
     flat = ids.ravel()
     columns = np.repeat(grad_p.T, ids.shape[1], axis=1)
     return np.stack([np.bincount(flat, column, size) for column in columns], axis=1)
@@ -119,19 +120,31 @@ def _snapshot(vocab: FeatureVocabulary, weights: np.ndarray, transitions: np.nda
 
 
 class _DevSet:
-    """Dev sentences with their flat feature ids and gold entities; built
-    once, decoded every epoch."""
+    """Dev sentences with their flat feature ids and gold entity keys; built
+    once, decoded every epoch.  An entity is keyed by its sentence's row, its
+    span and its kind, so strict entity F1 is a count of shared keys."""
 
     def __init__(self, dev: CorpusPairs, vocab: FeatureVocabulary):
         self.sentences = [sentence for sentence, _ in dev]
+        ids = Counter(s.id for s in self.sentences)
+        if len(ids) < len(self.sentences):   # the most common id repeats
+            raise ValueError(f"dev sentence id {ids.most_common(1)[0][0]!r} repeats")
         self.ids, self.lengths = feature_id_batch(vocab, self.sentences)
-        self.gold = batch_entities(self.sentences, b"".join(t.indices for _, t in dev),
-                                   self.lengths)
+        self.gold = self._keys(b"".join(t.indices for _, t in dev))
+
+    def _keys(self, path) -> np.ndarray:
+        """The int64 keys of the entities of a flat tag index path, distinct
+        and ascending because the runs are disjoint and in order."""
+        rows, starts, ends, kinds, _ = find_runs(self.sentences, path, self.lengths)
+        width = int(self.lengths.max(initial=0)) + 1
+        return np.ravel_multi_index((rows, starts, ends, kinds),
+                                    (len(self.sentences), width, width, len(ENTITY_KINDS)))
 
     def f1(self, model: TaggerModel) -> float:
         P = score_ids(model.weights.weights, self.ids)
-        path = viterbi(P, decoding_transitions(model.transitions, True), self.lengths)
-        return entity_prf(batch_entities(self.sentences, path, self.lengths), self.gold).overall.f1
+        pred = self._keys(viterbi(P, decoding_transitions(model.transitions, True), self.lengths))
+        correct = len(np.intersect1d(pred, self.gold, assume_unique=True))
+        return PrfScores(correct, len(pred), len(self.gold)).f1
 
 
 def evaluate_dev(model: TaggerModel, dev: CorpusPairs) -> float:

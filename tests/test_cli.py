@@ -918,6 +918,73 @@ class TestDistinctOutputs:
         assert not same.exists()
 
 
+class TestOutputNamesAnInput:
+    """An output that names one of the command's own inputs exits 2 before
+    any work, naming both options, and leaves the input as it was."""
+
+    @staticmethod
+    def copy(workspace, tmp_path, key):
+        copy = tmp_path / workspace[key].name
+        copy.write_bytes(workspace[key].read_bytes())
+        return copy
+
+    def assert_refused(self, capsys, argv, flags, kept):
+        before = kept.read_bytes()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{flags} name the same file: " in captured.err
+        assert captured.out == ""
+        assert kept.read_bytes() == before
+
+    @pytest.mark.parametrize("which, output", [(0, "--model-out"), (1, "--report-out")])
+    def test_train(self, workspace, tmp_path, capsys, which, output):
+        paths = [self.copy(workspace, tmp_path, key) for key in ("train", "dev")]
+        argv = ["train", *map(str, paths), "--model-out", str(tmp_path / "m.json"),
+                "--epochs", "1", output, str(paths[which])]
+        flags = f"{('train_path', 'dev_path')[which]} and {output}"
+        self.assert_refused(capsys, argv, flags, paths[which])
+
+    @pytest.mark.parametrize("option", ["input", "--model", "--emissions-file"])
+    def test_tag(self, workspace, tmp_path, capsys, option):
+        model, corpus = (self.copy(workspace, tmp_path, key) for key in ("model", "dev"))
+        kept = {"input": corpus, "--model": model}.get(option, tmp_path / "e.txt")
+        if option == "--emissions-file":
+            kept.write_text("", encoding="utf-8")
+        argv = ["tag", str(corpus), "--input-format", "tsv", "--model", str(model),
+                "--out", str(kept)]
+        if option == "--emissions-file":
+            argv += ["--emissions-file", str(kept)]
+        self.assert_refused(capsys, argv, f"{option} and --out", kept)
+
+    @pytest.mark.parametrize("option, output", [
+        ("--dict", "--relations-out"), ("input", "--out"), ("--model", "--relations-out")])
+    def test_extract(self, workspace, tmp_path, capsys, option, output):
+        corpus, model, dictionary = (self.copy(workspace, tmp_path, key)
+                                     for key in ("dev", "model", "dict"))
+        kept = {"input": corpus, "--model": model, "--dict": dictionary}[option]
+        argv = ["extract", str(corpus), "--input-format", "tsv", "--model", str(model),
+                "--dict", str(dictionary), "--out", str(tmp_path / "q.jsonl"), output, str(kept)]
+        self.assert_refused(capsys, argv, f"{option} and {output}", kept)
+
+    def test_eval(self, workspace, tmp_path, capsys):
+        pred = self.copy(workspace, tmp_path, "dev")
+        argv = ["eval", "--pred", str(pred), "--gold", str(workspace["dev"]),
+                "--report-out", str(pred)]
+        self.assert_refused(capsys, argv, "--pred and --report-out", pred)
+
+    def test_errors(self, workspace, tmp_path, capsys):
+        gold = self.copy(workspace, tmp_path, "dev")
+        argv = ["errors", "--pred", str(workspace["dev"]), "--gold", str(gold),
+                "--confusion-csv", str(gold)]
+        self.assert_refused(capsys, argv, "--gold and --confusion-csv", gold)
+
+    def test_inputs_may_share_a_file(self, workspace, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["eval", "--pred", str(workspace["dev"]), "--gold", str(workspace["dev"]),
+                     "--report-out", str(report)]) == 0
+        assert json.loads(report.read_text(encoding="utf-8"))["overall"]["f1"] == 100.0
+
+
 class TestUsage:
     def test_unknown_flag(self, capsys):
         assert main(["train", "--bogus"]) == 2

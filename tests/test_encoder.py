@@ -7,6 +7,7 @@ from radsigns.corpus import EmissionMatrix, Sentence
 from radsigns.encoder import (
     FEATURES_PER_POSITION,
     PAD,
+    UNK,
     FeatureVocabulary,
     LinearScorerParams,
     char_class,
@@ -25,6 +26,17 @@ def reference_feature_ids(vocab, sentence):
         for j, feature in enumerate(extract_features(sentence, i)):
             ids[i, j] = vocab.index.get(feature, vocab.unk_index)
     return ids
+
+
+def reference_build(sentences):
+    """The string loop: every position's feature strings numbered in order
+    of first appearance, after ``<unk>`` at 0."""
+    index = {UNK: 0}
+    for sentence in sentences:
+        for i in range(len(sentence)):
+            for feature in extract_features(sentence, i):
+                index.setdefault(feature, len(index))
+    return index
 
 
 # Characters the vocabulary may see in training: the letters of the pad
@@ -111,6 +123,19 @@ class TestFeatureVocabulary:
         a = FeatureVocabulary.build(sentences)
         b = FeatureVocabulary.build(sentences)
         assert a.index == b.index
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(SEEN + UNSEEN + "\t", min_size=1, max_size=9), max_size=6)
+           .map(lambda texts: texts + texts[::2]))   # with repeated sentences
+    def test_build_equals_the_string_loop(self, texts):
+        sentences = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
+        built = FeatureVocabulary.build(iter(sentences))
+        assert list(built.index.items()) == list(reference_build(sentences).items())
+        assert built.unk_index == 0
+
+    def test_build_of_nothing_holds_only_unk(self):
+        assert FeatureVocabulary.build(iter(())).index == {UNK: 0}
+        assert FeatureVocabulary.build([]).size == 1
 
     def test_injectivity_enforced(self):
         with pytest.raises(ValueError, match="injective"):

@@ -70,3 +70,16 @@ def test_only_corpus_reads_the_tuple_views():
         if isinstance(node, ast.Attribute) and node.attr in ("chars", "tags")
     ]
     assert offenders == []
+
+
+def test_src_writes_json_with_one_dumps_call():
+    """``json.dump`` streams through the pure-Python encoder; ``json.dumps``
+    runs the C encoder and writes the same text."""
+    offenders = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(Path(radsigns.__file__).parent.glob("*.py"))
+        for _, call in calls_with_owner(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "dump"
+        and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"
+    ]
+    assert offenders == []

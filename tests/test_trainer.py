@@ -14,7 +14,7 @@ from radsigns.crf import (
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_sentence
 from radsigns import trainer
 from radsigns.evaluation import entity_prf
-from radsigns.tagscheme import TAG_INDEX, tags_to_entities
+from radsigns.tagscheme import TAG_INDEX, batch_entities, tags_from_indices, tags_to_entities
 from radsigns.trainer import (
     NonFiniteLossError,
     TrainConfig,
@@ -329,6 +329,73 @@ class TestEvaluateDev:
         dev = build_rule_corpus(rng, 20, prefix="d")
         model = self.build_rule_model(dev)
         assert evaluate_dev(model, dev) == 100.0
+
+
+class TestDevScoring:
+    """``_DevSet.f1`` counts shared entity keys; ``entity_prf`` over
+    ``Entity`` objects is the reference."""
+
+    @staticmethod
+    def random_dev(rng, count):
+        """Sentences of 1-6 characters with random gold tag paths: orphan I
+        tags, kind switches and all-O sentences all occur."""
+        dev = []
+        for k in range(count):
+            n = int(rng.integers(1, 7))
+            indices = rng.integers(0, 7, n) * (rng.random(n) < 0.7)
+            dev.append((Sentence.from_text(f"d{k}", "字" * n), tags_from_indices(f"d{k}", indices)))
+        return dev
+
+    def test_f1_equals_entity_prf_on_random_paths(self, monkeypatch):
+        rng = np.random.default_rng(120)
+        for trial in range(300):
+            dev = self.random_dev(rng, int(rng.integers(1, 9)))
+            vocab = FeatureVocabulary.build(s for s, _ in dev)
+            model = TaggerModel(vocab, LinearScorerParams.zeros(vocab.size), TransitionMatrix.zeros())
+            dev_set = trainer._DevSet(dev, vocab)
+            lengths = [len(s) for s, _ in dev]
+            n = sum(lengths)
+            if trial % 5 == 0:   # all O: nothing predicted
+                path = np.zeros(n, np.uint8)
+            elif trial % 5 == 1:   # the gold path itself
+                path = np.frombuffer(b"".join(t.indices for _, t in dev), np.uint8)
+            else:
+                path = (rng.integers(0, 7, n) * (rng.random(n) < 0.6)).astype(np.uint8)
+            monkeypatch.setattr(trainer, "viterbi", lambda P, A, lengths: path)
+            sentences = [s for s, _ in dev]
+            gold = {s.id: tags_to_entities(s, t) for s, t in dev}
+            expected = entity_prf(batch_entities(sentences, path, lengths), gold).overall.f1
+            assert dev_set.f1(model) == expected
+
+    def test_repeated_dev_id_is_rejected(self):
+        rng = np.random.default_rng(121)
+        corpus = build_rule_corpus(rng, 5, prefix="t")
+        dev = build_rule_corpus(rng, 3, prefix="d")
+        sid, (sentence, tags) = dev[0][0].id, dev[2]
+        dev.append((Sentence.from_text(sid, sentence.text), tags_from_indices(sid, tags.indices)))
+        with pytest.raises(ValueError, match=f"dev sentence id '{sid}' repeats"):
+            train(corpus, dev, TrainConfig(epochs=1))
+
+
+class TestFeatureGradient:
+    @staticmethod
+    def reference_feature_gradient(ids, grad_p, size):
+        """Each position's gradient row added to the row of each of its
+        feature ids, one at a time, in (position, template) order."""
+        out = np.zeros((size, grad_p.shape[1]))
+        for position, row in enumerate(ids.tolist()):
+            for feature in row:
+                out[feature] += grad_p[position]
+        return out
+
+    def test_sums_in_position_then_template_order(self):
+        rng = np.random.default_rng(122)
+        for _ in range(200):
+            positions, size = int(rng.integers(0, 30)), int(rng.integers(1, 12))
+            ids = rng.integers(0, size, (positions, 9))   # ids repeat within a position
+            grad_p = rng.standard_normal((positions, 7)) * 10.0 ** rng.integers(-8, 8, (positions, 1))
+            assert np.array_equal(trainer._feature_gradient(ids, grad_p, size),
+                                  self.reference_feature_gradient(ids, grad_p, size))
 
 
 class TestTrainReport:
