@@ -310,8 +310,11 @@ def _cmd_extract(args) -> int:
 def _aligned_entities(pred_path, gold_path):
     """Entities by sentence id of two tagged corpora of the same sentences."""
     pred, gold = read_tagged_corpus(pred_path), read_tagged_corpus(gold_path)
-    if [s.text for s, _ in pred] != [s.text for s, _ in gold]:
-        raise CorpusFormatError("pred and gold corpora do not contain the same sentences")
+    differ = [p.id for (p, _), (g, _) in zip(pred, gold) if p.text != g.text]
+    if differ or len(pred) != len(gold):
+        where = f"sentence {differ[0]!r} differs" if differ else f"{len(pred)} against {len(gold)}"
+        raise CorpusFormatError(f"pred {pred_path} and gold {gold_path} do not contain the same "
+                                f"sentences: {where}")
     sentences, lengths = [s for s, _ in pred], [len(s) for s, _ in pred]
     return tuple(batch_entities(sentences, b"".join(t.indices for _, t in pairs), lengths)
                  for pairs in (pred, gold))
@@ -325,8 +328,9 @@ def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:
 
 
 def _cmd_eval(args, mode: str) -> int:
-    _distinct_outputs(args, ("pred", "gold"),
-                      ("report_out", "confusion_csv") if mode == "errors" else ("report_out",))
+    if args.confusion_csv and mode != "errors":
+        raise ValueError("--confusion-csv needs --mode errors")
+    _distinct_outputs(args, ("pred", "gold"), ("report_out", "confusion_csv"))
     if mode in ("entity", "errors"):
         pred, gold = _aligned_entities(args.pred, args.gold)
         if mode == "entity":
@@ -353,7 +357,7 @@ def _cmd_eval(args, mode: str) -> int:
         report, text = {"mode": "agreement", "overall": scores.to_dict()}, f"agreement {scores}"
 
     print(json.dumps(report, ensure_ascii=False) if args.format == "json" else text)
-    if mode == "errors" and args.confusion_csv:
+    if args.confusion_csv:
         with open(args.confusion_csv, "w", encoding="utf-8") as fh:
             fh.write(confusion.to_csv())
     if args.report_out:

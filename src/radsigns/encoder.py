@@ -4,17 +4,16 @@ Two sources are supported: a trainable sparse linear scorer over character
 indicator features, and pass-through of score matrices computed offline by
 an external encoder.  Both produce the same n x 7 emission matrix.
 
-Features are defined as strings (:func:`extract_features`), and the model
-file stores them as strings.  Neither building a vocabulary nor looking ids
-up works string by string.  Both lay the sentences end to end as char ids
-with pads between them.  :meth:`FeatureVocabulary.build` reads each
-template's values as integers over the training corpus's own char ids and
-writes out only the distinct values as strings, in order of first
-appearance, so the model file is what the string loop would write.  Each
-vocabulary compiles its strings once into integer tables over character
-ids, and :func:`feature_id_batch` gathers the ids of a batch, with one dict
-lookup per character, as one flat ``(sum(lengths), 9)`` array;
-:func:`score_ids` turns it into the batch's flat emissions.
+Features are defined as strings (:func:`extract_features`) and the model
+file stores them as strings, but building and looking up work on one
+integer layout: char ids over a sorted alphabet of code points, the
+sentences laid end to end between pads, and an integer value per template
+(:func:`_template_values`).  :meth:`FeatureVocabulary.build` writes out the
+distinct values as strings, in order of first appearance, and keeps them
+as the vocabulary's tables; a vocabulary read from a model file parses its
+strings into the same tables once.  :func:`feature_id_batch` gathers a
+batch's ids as one flat ``(sum(lengths), 9)`` array, and :func:`score_ids`
+turns it into the batch's flat emissions.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ UNK = "<unk>"
 # fixed template set: 5 char windows, 2 bigrams, 1 char class, 1 bias
 FEATURES_PER_POSITION = 9
 WINDOW_TEMPLATES = ("c-2", "c-1", "c0", "c+1", "c+2")
-_BIGRAM_TEMPLATES = ("bi-1", "bi0")
+_TEMPLATES = WINDOW_TEMPLATES + ("bi-1", "bi0")   # those whose values name chars
 CHAR_CLASSES = ("digit", "latin", "punct", "cjk", "other")
 
 
@@ -97,38 +96,33 @@ class FeatureVocabulary:
         """Every :func:`extract_features` string of the sentences, numbered
         from 1 in order of first appearance (position by position, template
         by template), after ``<unk>`` at 0.  Each template's values are
-        collected as integers over the corpus's own char ids, and only the
-        distinct values are written out as strings."""
+        collected as integers over the corpus's alphabet, only the distinct
+        values are written out as strings, and the vocabulary keeps them as
+        its lookup tables."""
         sentences = list(sentences)
-        text = "".join(s.text for s in sentences)
-        alphabet, inverse = np.unique(
-            np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32),
-            return_inverse=True)
-        names = [PAD, *map(chr, alphabet.tolist())]   # by char id, the pad id 0 first
-        # each char id's class index; the pad (id 0) is never c0
-        classes = np.array([0] + [_CLASS_INDEX[char_class(ch)] for ch in names[1:]])
-        chars, where = _padded_chars([len(s) for s in sentences], inverse + 1)
-        # per template, in extract_features' order: the char id of a window,
-        # left * width + right of a bigram, the class index, 0 for the bias
-        width = len(names)
-        window = [chars[where + j - 2] for j in range(len(WINDOW_TEMPLATES))]
-        columns = [*window, window[1] * width + window[2], window[2] * width + window[3],
-                   classes[window[2]], np.zeros_like(where)]
-        found = [np.unique(column, return_index=True) for column in columns]
-        templates = np.repeat(np.arange(len(columns)), [len(v) for v, _ in found])
+        codes = _code_points("".join(s.text for s in sentences))
+        alphabet = np.unique(codes)
+        classes = _char_classes(alphabet)
+        found = [np.unique(values, return_index=True) for values in _template_values(
+            [len(s) for s in sentences], _char_ids(codes, alphabet), classes)]
+        templates = np.repeat(np.arange(len(found)), [len(v) for v, _ in found])
         values = np.concatenate([v for v, _ in found])
-        order = np.argsort(np.concatenate([first * len(columns) + t
+        order = np.argsort(np.concatenate([first * len(found) + t
                                            for t, (_, first) in enumerate(found)]))
+        names, width = [PAD, *map(chr, alphabet.tolist())], len(classes)
         index = {UNK: 0}
         for t, v in zip(templates[order].tolist(), values[order].tolist()):
             if t < 5:
-                feature = f"{WINDOW_TEMPLATES[t]}={names[v]}"
+                feature = f"{_TEMPLATES[t]}={names[v]}"
             elif t < 7:
-                feature = f"{_BIGRAM_TEMPLATES[t - 5]}={names[v // width]}{names[v % width]}"
+                feature = f"{_TEMPLATES[t]}={names[v // width]}{names[v % width]}"
             else:
                 feature = f"cls0={CHAR_CLASSES[v]}" if t == 7 else "bias"
             index[feature] = len(index)
-        return cls(index, unk_index=0)
+        vocab = cls(index, unk_index=0)
+        columns = np.argsort(order) + 1   # each distinct value's column
+        vocab.__dict__["_tables"] = _Tables(alphabet, classes, templates, values, columns, 0)
+        return vocab
 
     @property
     def size(self) -> int:
@@ -142,100 +136,102 @@ class FeatureVocabulary:
         return feature_id_batch(self, [sentence])[0]
 
     @cached_property
-    def _tables(self) -> _TemplateTables:
-        return _TemplateTables(self.index, self.unk_index)
+    def _tables(self) -> _Tables:
+        return _parse_tables(self.index, self.unk_index)
 
 
 _CLASS_INDEX = {name: k for k, name in enumerate(CHAR_CLASSES)}
+_NO_CODE = 0x110000   # one past the last code point
 _NO_KEY = np.iinfo(np.int64).max
+_TEMPLATE_INDEX = {name: t for t, name in enumerate(_TEMPLATES)}
 
 
-class _TemplateTables:
-    """A vocabulary's feature strings compiled to integer lookups.
-
-    Characters get ids: 0 is the pad sentinel, then every character that
-    some window or bigram feature names, then one id per character class
-    for the characters no feature names.  ``table`` holds one row per
-    window template and a last row for the class feature, indexed by char
-    id.  Each bigram template has a sorted key array (left id * width +
-    right id, ending in a sentinel no pair reaches) and its feature ids.
-    Feature strings that no sentence can produce, such as ``c0=<pad>`` or
-    ``bi-1=x<pad>``, are left out of the tables, so they never fire.
-    """
-
-    def __init__(self, index: dict[str, int], unk: int):
-        self.unk = unk
-        self.char_ids = {PAD: 0}
-        self.bias = index.get("bias", unk)
-        windows, classes = [], {}
-        bigrams = {template: [] for template in _BIGRAM_TEMPLATES}
-        for feature, column in index.items():
-            template, _, value = feature.partition("=")
-            if template in WINDOW_TEMPLATES and (len(value) == 1 or value == PAD):
-                windows.append((WINDOW_TEMPLATES.index(template), self._char(value), column))
-            elif template in bigrams and (pair := _bigram_chars(template, value)):
-                bigrams[template].append((*map(self._char, pair), column))
-            elif template == "cls0" and value in _CLASS_INDEX:
-                classes[value] = column
-        self.unseen = len(self.char_ids)
-        self.width = self.unseen + len(CHAR_CLASSES)
-
-        self.table = np.full((len(WINDOW_TEMPLATES) + 1, self.width), unk, dtype=np.intp)
-        for row, char, column in windows:
-            self.table[row, char] = column
-        class_ids = [classes.get(name, unk) for name in CHAR_CLASSES]
-        for ch, char in self.char_ids.items():
-            if char:
-                self.table[-1, char] = class_ids[_CLASS_INDEX[char_class(ch)]]
-        self.table[-1, self.unseen:] = class_ids
-
-        self.bigrams = []
-        for entries in bigrams.values():
-            pairs = sorted((left * self.width + right, column) for left, right, column in entries)
-            keys = np.array([key for key, _ in pairs] + [_NO_KEY], dtype=np.int64)
-            values = np.array([column for _, column in pairs] + [unk], dtype=np.intp)
-            self.bigrams.append((keys, values))
-
-    def _char(self, ch: str) -> int:
-        return self.char_ids.setdefault(ch, len(self.char_ids))
-
-    def unseen_id(self, ch: str) -> int:
-        """Char id of a character that no feature names: its class's id."""
-        return self.unseen + _CLASS_INDEX[char_class(ch)]
-
-    def bigram_ids(self, which: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Feature ids of template ``bi-1`` (0) or ``bi0`` (1) for char id pairs."""
-        keys, values = self.bigrams[which]
-        query = left * np.int64(self.width) + right
-        at = np.searchsorted(keys, query)
-        return np.where(keys[at] == query, values[at], self.unk)
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
 
 
-def _bigram_chars(template: str, value: str) -> tuple[str, str] | None:
-    """The (left, right) characters of a bigram feature value that some
-    sentence can produce: two characters, or the pad sentinel before the
-    first (``bi-1``) or after the last (``bi0``) character."""
-    if len(value) == 2:
-        return value[0], value[1]
-    if len(value) == len(PAD) + 1:
-        if template == "bi-1" and value.startswith(PAD):
-            return PAD, value[-1]
-        if template == "bi0" and value.endswith(PAD):
-            return value[0], PAD
-    return None
+def _char_classes(alphabet: np.ndarray) -> np.ndarray:
+    """The class index of every char id over a sorted alphabet of code
+    points: 0 for the pad (id 0, never ``c0``), the class of ``alphabet[i]``
+    for id ``i + 1``, then the class of each class's own id."""
+    return np.array([0, *(_CLASS_INDEX[char_class(chr(c))] for c in alphabet.tolist()),
+                     *range(len(CHAR_CLASSES))], dtype=np.intp)
 
 
-def _padded_chars(lengths, ids) -> tuple[np.ndarray, np.ndarray]:
-    """Char ids of sentences of the given lengths laid end to end, with two
-    pad ids (0) before, between and after them, and each character's index
-    in that array.  The pads are placed by position, so every character
-    keeps its own id, and template j of the character at index w reads the
-    char id at w - 2 + j."""
+def _char_ids(codes: np.ndarray, alphabet: np.ndarray) -> np.ndarray:
+    """Char ids of code points: ``i + 1`` for ``alphabet[i]``, and for any
+    other character the id of its class, after the alphabet's ids."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    ids = np.searchsorted(alphabet, distinct) + 1
+    unseen = np.append(alphabet, _NO_CODE)[ids - 1] != distinct
+    ids[unseen] = len(alphabet) + 1 + np.array(
+        [_CLASS_INDEX[char_class(chr(c))] for c in distinct[unseen].tolist()], dtype=np.intp)
+    return ids[inverse]
+
+
+def _template_values(lengths, char_ids: np.ndarray, classes: np.ndarray):
+    """Per template, in :func:`extract_features`' order, its integer value
+    at every character of sentences of the given lengths laid end to end,
+    with the given char ids: a window's char id, ``left * width + right``
+    for a bigram (``width = len(classes)``, the number of char ids), the
+    class index of ``c0``, 0 for the bias.  Two pad ids (0) go before,
+    between and after the sentences, placed by position, so every character
+    keeps its own id.  One template's array at a time."""
     lengths = np.asarray(lengths, dtype=np.intp)
     where = np.arange(lengths.sum()) + 2 * np.repeat(np.arange(1, len(lengths) + 1), lengths)
     chars = np.zeros(len(where) + 2 * len(lengths) + 2, dtype=np.intp)
-    chars[where] = ids
-    return chars, where
+    chars[where] = char_ids
+    for j in range(-2, 3):
+        yield chars[where + j]
+    yield chars[where - 1] * len(classes) + char_ids
+    yield char_ids * len(classes) + chars[where + 1]
+    yield classes[char_ids]
+    yield np.zeros_like(where)
+
+
+class _Tables:
+    """A vocabulary's feature columns by template value, built from one
+    ``(template, value, column)`` triple per feature, values as
+    :func:`_template_values` computes them over char ids of ``alphabet``.
+    A window, class or bias template indexes a dense row by value; a bigram
+    template has sorted keys, ending in a sentinel no pair reaches."""
+
+    def __init__(self, alphabet, classes, templates, values, columns, unk: int):
+        self.alphabet, self.classes, self.unk = alphabet, classes, unk
+        order = np.lexsort((values, templates))
+        templates, values, columns = templates[order], values[order], columns[order]
+        self.dense = np.full((FEATURES_PER_POSITION, len(classes)), unk, dtype=np.intp)
+        dense = (templates != 5) & (templates != 6)
+        self.dense[templates[dense], values[dense]] = columns[dense]
+        self.bigrams = {t: (np.append(values[templates == t], _NO_KEY),
+                            np.append(columns[templates == t], unk)) for t in (5, 6)}
+
+
+def _parse_tables(index: dict[str, int], unk: int) -> _Tables:
+    """The tables of a vocabulary's feature strings, over the characters its
+    window and bigram features name.  Strings that no sentence can produce,
+    such as ``bi-1=x<pad>`` or ``cls0=nonsense``, are left out, so they
+    never fire; ``c0=<pad>`` is kept, but ``c0`` is never the pad."""
+    named, rows = [], []   # (template, left, right, column) and (template, value, column)
+    for feature, column in index.items():
+        template, _, value = feature.partition("=")
+        t = _TEMPLATE_INDEX.get(template, 7)
+        if t < 7:   # only bi-1 can start and only bi0 can end with the pad
+            left, right = ((PAD, value) if t < 5 else (value[:-1], value[-1:]) if t == 5
+                           else (value[:1], value[1:]))
+            if (len(left) == 1 or left == PAD) and (len(right) == 1 or right == PAD):
+                named.append((t, left, right, column))
+        elif template == "cls0" and value in _CLASS_INDEX:
+            rows.append((7, _CLASS_INDEX[value], column))
+        elif feature == "bias":
+            rows.append((8, 0, column))
+    alphabet = np.unique(_code_points("".join(ch for _, *pair, _ in named for ch in pair if ch != PAD)))
+    classes = _char_classes(alphabet)
+    char_id = {ch: k for k, ch in enumerate([PAD, *map(chr, alphabet.tolist())])}
+    rows += [(t, char_id[left] * len(classes) + char_id[right], column)
+             for t, left, right, column in named]
+    templates, values, columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return _Tables(alphabet, classes, templates, values, columns, unk)
 
 
 def feature_id_batch(
@@ -246,21 +242,17 @@ def feature_id_batch(
     position, to looking up every :func:`extract_features` string in
     ``vocab.index``, with unseen strings mapped to ``vocab.unk_index``."""
     tables = vocab._tables
-    get, unseen = tables.char_ids.get, tables.unseen_id
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    chars, where = _padded_chars(lengths, [get(ch) or unseen(ch)
-                                           for s in sentences for ch in s.text])
-    # (9, positions) ids of every position but the outer pads, each template
-    # read from shifted slices of chars, then the sentences' columns
-    n = max(len(chars) - 4, 0)
-    ids = np.empty((FEATURES_PER_POSITION, n), dtype=np.intp)
-    for j in range(len(WINDOW_TEMPLATES)):
-        tables.table[j].take(chars[j:j + n], out=ids[j])
-    ids[5] = tables.bigram_ids(0, chars[1:n + 1], chars[2:n + 2])
-    ids[6] = tables.bigram_ids(1, chars[2:n + 2], chars[3:n + 3])
-    tables.table[-1].take(chars[2:n + 2], out=ids[7])
-    ids[8] = tables.bias
-    return ids[:, where - 2].T, lengths
+    char_ids = _char_ids(_code_points("".join(s.text for s in sentences)), tables.alphabet)
+    ids = np.empty((FEATURES_PER_POSITION, len(char_ids)), dtype=np.intp)
+    for t, values in enumerate(_template_values(lengths, char_ids, tables.classes)):
+        if t in tables.bigrams:
+            keys, columns = tables.bigrams[t]
+            at = np.searchsorted(keys, values)
+            ids[t] = np.where(keys[at] == values, columns[at], tables.unk)
+        else:
+            tables.dense[t].take(values, out=ids[t])
+    return ids.T, lengths
 
 
 @dataclass(frozen=True, eq=False)

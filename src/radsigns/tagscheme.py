@@ -64,6 +64,12 @@ def find_runs(sentences: Sequence[Sentence], path, lengths: Sequence[int]):
         if n != len(sentence):
             raise ValueError(f"sentence {sentence.id!r} has {len(sentence)} chars "
                              f"but tag sequence has {n}")
+    runs = _run_arrays(path, lengths)
+    return (*runs, [sentences[row].text[a:b] for row, a, b in zip(*(x.tolist() for x in runs[:3]))])
+
+
+def _run_arrays(path, lengths: Sequence[int]):
+    """:func:`find_runs` without the sentences: the int arrays only."""
     try:
         flat = np.frombuffer(path, np.uint8) if isinstance(path, bytes) else np.asarray(path, np.intp)
     except OverflowError:   # an index too large for any tag array
@@ -80,10 +86,8 @@ def find_runs(sentences: Sequence[Sentence], path, lengths: Sequence[int]):
     bounds = np.flatnonzero(breaks)
     live = kind[bounds[:-1]] > 0   # O tags form runs of no kind
     starts, ends = bounds[:-1][live], bounds[1:][live]
-    text = "".join(s.text for s in sentences)
     rows = np.searchsorted(offsets, starts, "right") - 1
-    return (rows, starts - offsets[rows], ends - offsets[rows], kind[starts] - 1,
-            [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
+    return rows, starts - offsets[rows], ends - offsets[rows], kind[starts] - 1
 
 
 def batch_entities(sentences: Sequence[Sentence], path,

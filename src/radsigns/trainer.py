@@ -27,7 +27,7 @@ from .crf import (
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
 from .evaluation import PrfScores
-from .tagscheme import find_runs
+from .tagscheme import _run_arrays
 
 CorpusPairs = Sequence[tuple[Sentence, TagSequence]]
 
@@ -135,9 +135,8 @@ class _DevSet:
     def _keys(self, path) -> np.ndarray:
         """The int64 keys of the entities of a flat tag index path, distinct
         and ascending because the runs are disjoint and in order."""
-        rows, starts, ends, kinds, _ = find_runs(self.sentences, path, self.lengths)
         width = int(self.lengths.max(initial=0)) + 1
-        return np.ravel_multi_index((rows, starts, ends, kinds),
+        return np.ravel_multi_index(_run_arrays(path, self.lengths),
                                     (len(self.sentences), width, width, len(ENTITY_KINDS)))
 
     def f1(self, model: TaggerModel) -> float:

@@ -1,6 +1,8 @@
 import argparse
 import json
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from radsigns.corpus import (
     read_emissions_many,
     read_tagged_corpus,
     write_emissions,
+    write_quadruples,
     write_relations,
     write_tagged_corpus,
 )
@@ -310,6 +313,30 @@ class TestOutputsMatchPublicApi:
                          "--out", str(out), *constrain, *extra]) == 0
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0]
+
+
+class TestReadmeLibrarySnippet:
+    def test_snippet_gives_the_tags_and_quadruples_of_the_cli(self, workspace, tmp_path,
+                                                              monkeypatch):
+        """The README's Library snippet, run as written on the workspace's
+        model and dictionary, gives the tags that ``radsigns tag`` writes and
+        the quadruples that ``radsigns extract`` writes for its sentence."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        snippet = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(workspace["model"], "model.json")
+        shutil.copy(workspace["dict"], "parts.txt")
+        namespace = {}
+        exec(snippet, namespace)
+        sentence, tags, quadruples = (namespace[k] for k in ("sentence", "tags", "quadruples"))
+        Path("input.txt").write_text(sentence.text + "\n", encoding="utf-8")
+        assert main(["tag", "input.txt", "--model", "model.json", "--out", "tagged.tsv"]) == 0
+        assert main(["extract", "input.txt", "--model", "model.json", "--dict", "parts.txt",
+                     "--out", "quads.jsonl"]) == 0
+        assert read_tagged_corpus("tagged.tsv") == [(sentence, tags)]
+        assert quadruples
+        write_quadruples(quadruples, "snippet.jsonl", sentence_ids=[sentence.id] * len(quadruples))
+        assert Path("quads.jsonl").read_bytes() == Path("snippet.jsonl").read_bytes()
 
 
 class TestTagAndExtract:
@@ -709,7 +736,31 @@ class TestEval:
         write_entity_corpus(other_path, other, [])
         code = main(["eval", "--pred", str(pred_path), "--gold", str(other_path)])
         assert code == 2
-        assert "same sentences" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "same sentences" in err
+        assert str(pred_path) in err and str(other_path) in err
+        assert "sentence 's1' differs" in err
+
+    def test_sentence_count_mismatch_names_both_counts(self, metric_fixture, tmp_path, capsys):
+        pred_path, gold_path = metric_fixture
+        longer = tmp_path / "longer.tsv"
+        longer.write_text(gold_path.read_text(encoding="utf-8") + "\n别\tO\n", encoding="utf-8")
+        assert main(["errors", "--pred", str(longer), "--gold", str(gold_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"pred {longer} and gold {gold_path} do not contain the same sentences" in err
+        assert "sentences: 2 against 1" in err
+
+    @pytest.mark.parametrize("mode", ["entity", "relation", "agreement"])
+    def test_confusion_csv_needs_errors_mode(self, metric_fixture, tmp_path, capsys, mode):
+        pred_path, gold_path = metric_fixture
+        csv_path = tmp_path / "c.csv"
+        code = main(["eval", "--mode", mode, "--pred", str(pred_path), "--gold", str(gold_path),
+                     "--confusion-csv", str(csv_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--confusion-csv" in captured.err and "--mode errors" in captured.err
+        assert captured.out == ""
+        assert not csv_path.exists()
 
     def test_relation_eval_identity(self, workspace, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"

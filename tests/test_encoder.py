@@ -167,6 +167,28 @@ class TestFeatureIdBatch:
         np.testing.assert_array_equal(vocab.feature_ids(sentence),
                                       reference_feature_ids(vocab, sentence))
 
+    @settings(max_examples=200, deadline=None)
+    @given(train=sentences(SEEN), texts=sentences(SEEN + UNSEEN, max_size=12))
+    def test_built_and_parsed_tables_agree(self, train, texts):
+        built = FeatureVocabulary.build(Sentence.from_text(f"v{k}", t) for k, t in enumerate(train))
+        parsed = FeatureVocabulary(built.index, built.unk_index)
+        batch = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
+        expected = np.concatenate([reference_feature_ids(built, s) for s in batch])
+        np.testing.assert_array_equal(feature_id_batch(built, batch)[0], expected)
+        np.testing.assert_array_equal(feature_id_batch(parsed, batch)[0], expected)
+
+    def test_an_empty_alphabet_knows_no_character(self):
+        # no feature names a character, so U+0000 and the last code point
+        # fall into their classes like any other character
+        batch = [Sentence.from_text("s1", "\x00" + UNSEEN), Sentence.from_text("s2", "\x001\U0010ffff")]
+        ids, _ = feature_id_batch(FeatureVocabulary.build([]), batch)
+        np.testing.assert_array_equal(ids, 0)
+        vocab = FeatureVocabulary({UNK: 0, "cls0=digit": 1, "cls0=other": 2, "bias": 3})
+        ids, _ = feature_id_batch(vocab, batch)
+        np.testing.assert_array_equal(ids, np.concatenate([reference_feature_ids(vocab, s)
+                                                           for s in batch]))
+        assert ids[0, 7] == ids[-1, 7] == 2 and ids[-2, 7] == 1
+
     def test_never_firing_strings_stay_unk(self):
         vocab = FeatureVocabulary({"<unk>": 0, **{f: k for k, f in enumerate(NEVER_FIRING, 1)}})
         ids, _ = feature_id_batch(vocab, [Sentence.from_text("s1", "x<pad>"),

@@ -12,7 +12,7 @@ from radsigns.crf import (
     nll_and_gradient,
 )
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_sentence
-from radsigns import trainer
+from radsigns import encoder, trainer
 from radsigns.evaluation import entity_prf
 from radsigns.tagscheme import TAG_INDEX, batch_entities, tags_from_indices, tags_to_entities
 from radsigns.trainer import (
@@ -125,6 +125,26 @@ class TestTraining:
         monkeypatch.setattr(trainer, "feature_id_batch", counting)
         train(corpus, dev, TrainConfig(epochs=3, batch_size=8, seed=5))
         assert sorted(calls) == sorted(s.id for s, _ in corpus + dev)
+
+    def test_train_never_parses_its_own_vocabulary(self, monkeypatch):
+        # build hands its vocabulary the tables it computed; only a vocabulary
+        # made from strings, such as a loaded model's, parses them
+        rng = np.random.default_rng(113)
+        corpus = build_rule_corpus(rng, 20, prefix="t")
+        dev = build_rule_corpus(rng, 7, prefix="d")
+        parsed = []
+        original = encoder._parse_tables
+
+        def counting(index, unk):
+            parsed.append(len(index))
+            return original(index, unk)
+
+        monkeypatch.setattr(encoder, "_parse_tables", counting)
+        model, _ = train(corpus, dev, TrainConfig(epochs=2, batch_size=8, seed=5))
+        model.vocab.feature_ids(dev[0][0])
+        assert parsed == []
+        FeatureVocabulary(model.vocab.index).feature_ids(dev[0][0])
+        assert parsed == [model.vocab.size]
 
     def test_same_seed_gives_identical_runs(self):
         rng = np.random.default_rng(102)
