@@ -6,6 +6,10 @@ seed.  ``tag`` and ``extract`` decode, match and write in windows of
 ``MATCH_WINDOW`` sentences in input order, in one process, each window in
 one flat Viterbi pass; ``--jobs`` is validated but accepted for
 compatibility only.
+
+The argument parser holds every decision about options: the function that
+runs each command, the files it reads and writes (no output may name one of
+them, the ``--config`` file included), and the ``--config`` values as defaults.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser.  ``--config`` values reach it as option
-    tokens (see :func:`_apply_config`)."""
+    """Build the argument parser.  Each command's defaults hold the function
+    that runs it (``run``) and the dests it reads (``inputs``) and writes
+    (``outputs``)."""
     parser = _Parser(
         prog="radsigns",
         description="Extract {primary part, secondary part, degree, sign} "
@@ -73,6 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a tagger and pick the dev-best epoch")
+    p.set_defaults(run=_cmd_train, outputs=("model_out", "report_out"),
+                   inputs=("train_path", "dev_path", "config"))
     p.add_argument("train_path", help="tagged training corpus (<char>\\t<tag>)")
     p.add_argument("dev_path", help="tagged development corpus")
     p.add_argument("--model-out", required=True)
@@ -86,10 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("tag", help="decode tags for input sentences")
+    p.set_defaults(run=_cmd_tag, outputs=("out",),
+                   inputs=("input", "model", "emissions_file", "config"))
     _add_decode_arguments(p)
     p.add_argument("--out", required=True, help="tagged corpus to write")
 
     p = sub.add_parser("extract", help="decode tags and emit relations/quadruples")
+    p.set_defaults(run=_cmd_extract, outputs=("out", "relations_out"),
+                   inputs=("input", "model", "emissions_file", "dict_path", "config"))
     _add_decode_arguments(p)
     p.add_argument("--dict", dest="dict_path", default=os.environ.get(DICT_ENV),
                    help=f"secondary-part dictionary (default: ${DICT_ENV})")
@@ -105,13 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
             if name == "eval"
             else "classify entity errors (eval --mode errors)",
         )
+        p.set_defaults(run=_cmd_eval, outputs=("report_out", "confusion_csv"),
+                       inputs=("pred", "gold", "config"))
         p.add_argument("--pred", required=True)
         p.add_argument("--gold", required=True)
         if name == "eval":
             p.add_argument("--mode", choices=("entity", "relation", "agreement", "errors"),
                            default="entity")
-            p.add_argument("--items", choices=("entity", "relation"), default="entity",
+            p.add_argument("--items", choices=("entity", "relation"),
                            help="item type for agreement mode")
+        else:
+            p.set_defaults(mode="errors", items=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--report-out", help="write the report as JSON")
         p.add_argument("--confusion-csv", help="write the confusion matrix as CSV (errors mode)")
@@ -200,29 +215,26 @@ def _tag_windows(model: TaggerModel, sentences, args, tags=None):
     return map(decode, range(0, len(sentences), MATCH_WINDOW))
 
 
-_DECODE_INPUTS = ("input", "model", "emissions_file")
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _distinct_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
-    """Reject an output option that names the same file as one of the
-    command's inputs or another output: the write would replace the input
-    or interleave with the other output.  Inputs may share a file."""
+def _distinct_outputs(args, parser: argparse.ArgumentParser) -> None:
+    """Reject an output of ``args.outputs`` that names the same file as one of
+    ``args.inputs`` or another output: the write would replace the input or
+    interleave with the other output.  Inputs may share a file."""
+    actions = [*parser._actions, *_commands(parser)[args.command]._actions]
+    spelling = {a.dest: (a.option_strings or [a.dest])[0] for a in actions}
     named = {}   # real path -> the first option that names it
-    for dest in (*inputs, *outputs):
+    for dest in (*args.inputs, *args.outputs):
         path = getattr(args, dest)
         if not path:
             continue
         first = named.setdefault(os.path.realpath(path), dest)
-        if first != dest and dest in outputs:
+        if first != dest and dest in args.outputs:
             raise CorpusFormatError(
-                f"{_option_name(first)} and {_option_name(dest)} name the same file: {path}")
-
-
-def _option_name(dest: str) -> str:
-    """How the command line spells the option or argument stored in ``dest``."""
-    if dest in ("train_path", "dev_path", "input"):
-        return dest
-    return "--dict" if dest == "dict_path" else "--" + dest.replace("_", "-")
+                f"{spelling[first]} and {spelling[dest]} name the same file: {path}")
 
 
 def _print_epoch(epoch: int, loss: float, f1: float) -> None:
@@ -230,7 +242,6 @@ def _print_epoch(epoch: int, loss: float, f1: float) -> None:
 
 
 def _cmd_train(args) -> int:
-    _distinct_outputs(args, ("train_path", "dev_path"), ("model_out", "report_out"))
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -259,7 +270,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tag(args) -> int:
-    _distinct_outputs(args, _DECODE_INPUTS, ("out",))
     model = load_model(args.model)
     sentences = [s for s, _ in _load_sentences(args.input, args.input_format)]
     windows = _tag_windows(model, sentences, args)
@@ -275,7 +285,6 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    _distinct_outputs(args, (*_DECODE_INPUTS, "dict_path"), ("out", "relations_out"))
     if not args.dict_path:
         raise CorpusFormatError(
             f"a dictionary is required: pass --dict or set ${DICT_ENV}"
@@ -327,13 +336,14 @@ def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:
     return {"mode": label, **breakdown.to_dict()}, "\n".join(lines)
 
 
-def _cmd_eval(args, mode: str) -> int:
-    if args.confusion_csv and mode != "errors":
+def _cmd_eval(args) -> int:
+    if args.confusion_csv and args.mode != "errors":
         raise ValueError("--confusion-csv needs --mode errors")
-    _distinct_outputs(args, ("pred", "gold"), ("report_out", "confusion_csv"))
-    if mode in ("entity", "errors"):
+    if args.items and args.mode != "agreement":
+        raise ValueError("--items needs --mode agreement")
+    if args.mode in ("entity", "errors"):
         pred, gold = _aligned_entities(args.pred, args.gold)
-        if mode == "entity":
+        if args.mode == "entity":
             report, text = _breakdown_report("entity", entity_prf(pred, gold))
         else:
             records, confusion, summary = classify_errors(pred, gold)
@@ -344,12 +354,12 @@ def _cmd_eval(args, mode: str) -> int:
                 "records": len(records),
             }
             text = summary.format_text() + "\n" + confusion.to_csv()
-    elif mode == "relation":
+    elif args.mode == "relation":
         pred = read_relations(args.pred)
         gold = read_relations(args.gold)
         report, text = _breakdown_report("relation", relation_prf(pred, gold))
     else:  # agreement
-        if args.items == "relation":
+        if args.items == "relation":   # not given reads as entity
             annot_a, annot_b = read_relations(args.pred), read_relations(args.gold)
         else:
             annot_a, annot_b = _aligned_entities(args.pred, args.gold)
@@ -366,60 +376,43 @@ def _cmd_eval(args, mode: str) -> int:
     return EXIT_OK
 
 
-def _config_tokens(path, values: dict, commands: dict, command: str) -> list[str]:
-    """The option tokens that stand for the ``--config`` values ``command``
-    takes: ``--name=value``, or the bare flag for a boolean that differs from
-    the default.  Every value is checked against the type and choices of each
-    option it stands for, so a value for another command's option is checked
-    too, then skipped."""
-    tokens = []
-    for key, value in values.items():
-        owners = [(name, a) for name, p in commands.items() for a in p._actions
+def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Make the values of ``argv``'s ``--config`` file the defaults of the
+    options they name, on each command that has the option, and return the
+    argv to parse.  A string or number is checked against the type and
+    choices of each option it stands for, as ``--name=value`` would be, and a
+    boolean sets a switch; so a value for another command's option is checked
+    too.  An option the file supplies is no longer required, and flags on the
+    command line still win."""
+    scanner = argparse.ArgumentParser(add_help=False)
+    scanner.add_argument("--config")
+    path = scanner.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    for key, value in read_json_object(path, "config").items():
+        owners = [(p, a) for p in _commands(parser).values() for a in p._actions
                   if a.dest == key and a.option_strings and a.dest != "help"]
         if not owners:
             raise CorpusFormatError(f"{path}: {key}: no command has this option")
         if isinstance(value, (list, dict)) or value is None:
             raise CorpusFormatError(f"{path}: {key}: expected a string, number or boolean, "
                                     f"got {json.dumps(value)}")
-        for name, action in owners:
-            flag = action.option_strings[0]
+        for p, action in owners:
             if action.nargs == 0:   # store_true / store_false
                 if not isinstance(value, bool):
                     raise CorpusFormatError(f"{path}: {key}: expected true or false, got {value!r}")
-                own = [flag] if value == action.const else []
+                default = value
             elif action.type is None and not isinstance(value, str):
                 raise CorpusFormatError(f"{path}: {key}: expected a string, got {value!r}")
             else:
                 text = value if isinstance(value, str) else json.dumps(value)
                 try:
-                    commands[name]._get_values(action, [text])
+                    default = p._get_values(action, [text])
                 except argparse.ArgumentError as exc:
                     raise CorpusFormatError(f"{path}: {key}: {exc}") from None
-                own = [f"{flag}={text}"]
-            if name == command:
-                tokens += own
-    return tokens
-
-
-def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """``argv`` with the values of its ``--config`` file inserted as option
-    tokens right after the subcommand: argparse checks their types and
-    choices as it checks flags, and the flags that follow still win."""
-    scanner = argparse.ArgumentParser(add_help=False)
-    scanner.add_argument("--config")
-    found, _ = scanner.parse_known_args(argv)
-    if not found.config:
-        return argv
-    values = read_json_object(found.config, "config")
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    at = 0      # the subcommand's position; a --config value is skipped
-    while at < len(argv) and argv[at] not in commands:
-        at += 2 if len(argv[at]) > 2 and "--config".startswith(argv[at]) else 1
-    if at == len(argv):
-        return argv
-    tokens = _config_tokens(found.config, values, commands, argv[at])
-    return [*argv[:at + 1], *tokens, *argv[at + 1:]]
+            p.set_defaults(**{key: default})
+            action.required = False
+    return argv
 
 
 def main(argv=None) -> int:
@@ -427,24 +420,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        argv = _apply_config(list(argv), parser)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = parser.parse_args(_apply_config(list(argv), parser))
+        _distinct_outputs(args, parser)
+        return args.run(args)
+    except SystemExit as exc:   # argparse: a usage error, --help or --version
         return int(exc.code or 0)
-    try:
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "tag":
-            return _cmd_tag(args)
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "eval":
-            return _cmd_eval(args, args.mode)
-        return _cmd_eval(args, "errors")
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -762,6 +762,21 @@ class TestEval:
         assert captured.out == ""
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("mode", ["entity", "relation", "errors"])
+    def test_items_needs_agreement_mode(self, metric_fixture, tmp_path, capsys, mode):
+        pred_path, gold_path = metric_fixture
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"items": "relation"}', encoding="utf-8")
+        report_path = tmp_path / "r.json"
+        command = ["eval", "--mode", mode, "--pred", str(pred_path), "--gold", str(gold_path),
+                   "--report-out", str(report_path)]
+        for argv in ([*command, "--items", "entity"], ["--config", str(config_path), *command]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "--items" in captured.err and "--mode agreement" in captured.err
+            assert captured.out == ""
+            assert not report_path.exists()
+
     def test_relation_eval_identity(self, workspace, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
         gold.write_text(
@@ -1029,6 +1044,35 @@ class TestOutputNamesAnInput:
                 "--confusion-csv", str(gold)]
         self.assert_refused(capsys, argv, "--gold and --confusion-csv", gold)
 
+    @pytest.mark.parametrize("command, output", [
+        ("train", "--model-out"), ("tag", "--out"), ("extract", "--relations-out"),
+        ("eval", "--report-out"), ("errors", "--confusion-csv")])
+    def test_config(self, workspace, tmp_path, capsys, command, output):
+        config = tmp_path / "c.json"
+        config.write_text('{"seed": 1, "jobs": 1}', encoding="utf-8")
+        decode = [str(workspace["dev"]), "--input-format", "tsv", "--model", str(workspace["model"])]
+        scores = ["--pred", str(workspace["dev"]), "--gold", str(workspace["dev"])]
+        argv = {
+            "train": [str(workspace["train"]), str(workspace["dev"]), "--epochs", "1",
+                      "--model-out", str(tmp_path / "m.json")],
+            "tag": [*decode, "--out", str(tmp_path / "o.tsv")],
+            "extract": [*decode, "--dict", str(workspace["dict"]), "--out", str(tmp_path / "q.jsonl")],
+            "eval": scores,
+            "errors": scores,
+        }[command]
+        self.assert_refused(capsys, ["--config", str(config), command, *argv, output, str(config)],
+                            f"--config and {output}", config)
+
+    def test_role_table_declares_every_output(self):
+        top_level = {a.dest for a in build_parser()._actions}
+        assert "config" in top_level
+        for name, parser in SUBCOMMANDS.items():
+            dests = {a.dest for a in parser._actions}
+            inputs, outputs = set(parser.get_default("inputs")), set(parser.get_default("outputs"))
+            assert {dest for dest in dests if dest.endswith(("out", "_csv"))} <= outputs, name
+            assert inputs | outputs <= dests | {"config"}, name
+            assert "config" in inputs and not inputs & outputs, name
+
     def test_inputs_may_share_a_file(self, workspace, tmp_path, capsys):
         report = tmp_path / "r.json"
         assert main(["eval", "--pred", str(workspace["dev"]), "--gold", str(workspace["dev"]),
@@ -1197,6 +1241,43 @@ class TestConfigFile:
                      "--model-out", str(tmp_path / "m.json"), "--report-out", str(tmp_path / "r.json"),
                      "--epochs", "2", "--seed", "3", "--lr", "0.25"]) == 0
         assert from_config == [(tmp_path / name).read_bytes() for name in ("m.json", "r.json")]
+
+    @pytest.mark.parametrize("command", ["train", "tag", "eval"])
+    def test_config_supplies_required_options(
+        self, workspace, metric_fixture, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        pred, gold = map(str, metric_fixture)
+        model = str(workspace["model"])
+        argv, required, flags = {
+            "train": ([str(workspace["train"]), str(workspace["dev"]), "--epochs", "2"],
+                      {"model_out": "out"}, ["--model-out", "out"]),
+            "tag": ([str(workspace["dev"]), "--input-format", "tsv"],
+                    {"model": model, "out": "out"}, ["--model", model, "--out", "out"]),
+            "eval": (["--report-out", "out"],
+                     {"pred": pred, "gold": gold}, ["--pred", pred, "--gold", gold]),
+        }[command]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(required), encoding="utf-8")
+        runs = []
+        for run in (["--config", str(config_path), command, *argv], [command, *argv, *flags]):
+            assert main(run) == 0
+            runs.append((capsys.readouterr().out, (tmp_path / "out").read_bytes()))
+            (tmp_path / "out").unlink()
+        assert runs[0] == runs[1]
+
+    def test_flag_wins_over_a_config_supplied_required_option(
+        self, workspace, metric_fixture, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        pred, gold = map(str, metric_fixture)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"model": str(workspace["model"]), "out": "config.tsv",
+                                           "pred": "missing.tsv", "gold": gold}), encoding="utf-8")
+        assert main(["--config", str(config_path), "tag", str(workspace["dev"]),
+                     "--input-format", "tsv", "--out", "flag.tsv"]) == 0
+        assert (tmp_path / "flag.tsv").exists() and not (tmp_path / "config.tsv").exists()
+        assert main(["--config", str(config_path), "eval", "--pred", pred]) == 0
 
     def parse_with_config(self, tmp_path, config, argv):
         config_path = tmp_path / "config.json"
