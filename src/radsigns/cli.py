@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 usage or input error, 3 numerical failure during
 training.  All commands are deterministic given identical inputs, flags and
 seed.  ``tag`` and ``extract`` decode, match and write in windows of
 ``MATCH_WINDOW`` sentences in input order, in one process, each window in
-one flat Viterbi pass; ``--jobs`` is validated but accepted for
-compatibility only.
+one flat Viterbi pass over its slice of the input's flat corpus; ``--jobs``
+is validated but accepted for compatibility only.
 
 The argument parser holds every decision about options: the function that
 runs each command, the files it reads and writes (no output may name one of
@@ -25,22 +25,23 @@ import numpy as np
 from . import __version__
 from .corpus import (
     CorpusFormatError,
+    FlatCorpus,
     RecordLines,
     Sentence,
-    TagSequence,
     read_dictionary,
-    read_emissions_many,
+    read_emission_blocks,
     read_json_object,
     read_relations,
     read_tagged_corpus,
-    read_text_sentences,
-    write_tagged_corpus,
+    read_tagged_flat,
+    read_text_flat,
+    write_tagged_flat,
 )
 from .crf import TaggerModel, decoding_transitions, load_model, save_model, viterbi
-from .encoder import external_emissions, feature_id_batch, score_ids
+from .encoder import score_ids, text_feature_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
 from .tag2relation import match_arrays
-from .tagscheme import batch_entities, find_runs, tags_from_indices
+from .tagscheme import batch_entities, tags_from_indices, text_runs
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
@@ -170,49 +171,43 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _load_sentences(path, input_format: str) -> list[tuple[Sentence, TagSequence | None]]:
-    if input_format == "tsv":
-        return read_tagged_corpus(path)
-    return [(s, None) for s in read_text_sentences(path)]
-
-
-def _emission_blocks(emissions_file, sentences) -> list[np.ndarray]:
+def _emission_blocks(emissions_file, corpus: FlatCorpus) -> list[np.ndarray]:
     """Each sentence's block of the emission file, in input order; the first
     sentence, in input order, without a block of its length is an error."""
-    emission_map = {m.sentence_id: m for m in read_emissions_many(emissions_file)}
-    blocks = []
-    for sentence in sentences:
-        if sentence.id not in emission_map:
-            raise CorpusFormatError(
-                f"{emissions_file}: no emission block for sentence {sentence.id!r}")
-        try:
-            blocks.append(external_emissions(sentence, emission_map[sentence.id]).scores)
-        except ValueError as exc:
-            raise CorpusFormatError(f"{emissions_file}: {exc}") from None
-    return blocks
+    blocks, ids = read_emission_blocks(emissions_file), corpus.ids
+    rows = np.array([len(blocks.get(sid, ())) for sid in ids], dtype=np.intp)   # 0: no block
+    bad = np.flatnonzero(rows != corpus.lengths)
+    if bad.size:
+        i = bad[0]
+        raise CorpusFormatError(
+            f"{emissions_file}: no emission block for sentence {ids[i]!r}" if not rows[i] else
+            f"{emissions_file}: emission matrix has {rows[i]} rows but sentence {ids[i]!r} "
+            f"has {corpus.lengths[i]} characters")
+    return [blocks[sid] for sid in ids]
 
 
-def _tag_windows(model: TaggerModel, sentences, args, tags=None):
-    """``(sentences, lengths, flat tag path)`` of each window of
-    ``MATCH_WINDOW`` sentences in input order; the paths are ``tags`` (each
-    sentence's ``indices``) joined if given, else one Viterbi pass.  Every
-    emission block is checked before this returns, before any output."""
+def _tag_windows(model: TaggerModel, corpus: FlatCorpus, args, from_tags: bool = False):
+    """``(window, flat tag path)`` of each window of ``MATCH_WINDOW``
+    sentences of ``corpus`` in input order, the window a
+    :meth:`FlatCorpus.window`; the path is the window's ``indices`` if
+    ``from_tags``, else one Viterbi pass.  Every emission block is checked
+    before this returns, before any output."""
     A = decoding_transitions(model.transitions, args.constrain)
-    blocks = _emission_blocks(args.emissions_file, sentences) if args.emissions_file else None
+    blocks = _emission_blocks(args.emissions_file, corpus) if args.emissions_file else None
 
     def decode(lo):
-        window = sentences[lo:lo + MATCH_WINDOW]
-        lengths = np.array([len(s) for s in window])
-        if tags is not None:
-            return window, lengths, b"".join(tags[lo:lo + MATCH_WINDOW])
+        window = corpus.window(lo, lo + MATCH_WINDOW)
+        if from_tags:
+            return window, window.indices
         if blocks is None:
-            P = score_ids(model.weights.weights, feature_id_batch(model.vocab, window)[0])
+            P = score_ids(model.weights.weights,
+                          text_feature_ids(model.vocab, window.text, window.lengths))
         else:   # the window's copy replaces its blocks, so each is held once
             P = np.concatenate(blocks[lo:lo + MATCH_WINDOW])
-            blocks[lo:lo + MATCH_WINDOW] = [None] * len(window)
-        return window, lengths, viterbi(P, A, lengths)
+            blocks[lo:lo + MATCH_WINDOW] = [None] * len(window.lengths)
+        return window, viterbi(P, A, window.lengths)
 
-    return map(decode, range(0, len(sentences), MATCH_WINDOW))
+    return map(decode, range(0, len(corpus.lengths), MATCH_WINDOW))
 
 
 def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -271,44 +266,35 @@ def _cmd_train(args) -> int:
 
 def _cmd_tag(args) -> int:
     model = load_model(args.model)
-    sentences = [s for s, _ in _load_sentences(args.input, args.input_format)]
-    windows = _tag_windows(model, sentences, args)
-
-    def pairs():
-        for window, lengths, path in windows:
-            indices, ends = path.tobytes(), np.cumsum(lengths).tolist()
-            for sentence, a, b in zip(window, [0, *ends], ends):
-                yield sentence, tags_from_indices(sentence.id, indices[a:b])
-
-    write_tagged_corpus(pairs(), args.out)
+    corpus = (read_tagged_flat if args.input_format == "tsv" else read_text_flat)(args.input)
+    paths = b"".join(path.tobytes() for _, path in _tag_windows(model, corpus, args))
+    write_tagged_flat(FlatCorpus(corpus.text, corpus.lengths, paths), args.out)
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
+    if args.from_tags and args.input_format != "tsv":
+        raise CorpusFormatError("--from-tags requires --input-format tsv")
+    if args.from_tags and args.emissions_file:
+        raise CorpusFormatError("--from-tags and --emissions-file cannot be combined")
     if not args.dict_path:
         raise CorpusFormatError(
             f"a dictionary is required: pass --dict or set ${DICT_ENV}"
         )
     model = load_model(args.model)
     dictionary = read_dictionary(args.dict_path)
-    items = _load_sentences(args.input, args.input_format)
-    if args.from_tags:
-        if args.input_format != "tsv":
-            raise CorpusFormatError("--from-tags requires --input-format tsv")
-        if args.emissions_file:
-            raise CorpusFormatError("--from-tags and --emissions-file cannot be combined")
-    windows = _tag_windows(model, [s for s, _ in items], args,
-                           [t.indices for _, t in items] if args.from_tags else None)
+    corpus = (read_tagged_flat if args.input_format == "tsv" else read_text_flat)(args.input)
+    windows = _tag_windows(model, corpus, args, args.from_tags)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as quads_out, (
         open(args.relations_out, "w", encoding="utf-8", newline="\n")
         if args.relations_out else nullcontext()
     ) as relations_out:
-        for window, lengths, path in windows:
-            rows, starts, ends, kinds, texts = find_runs(window, path, lengths)
+        for window, path in windows:
+            rows, starts, ends, kinds, texts = text_runs(window.text, path, window.lengths)
             relations, quads = match_arrays(rows, starts, ends, kinds, texts, dictionary)
             lines = RecordLines(zip(kinds.tolist(), starts.tolist(), ends.tolist(), texts),
-                                [s.id for s in window])
+                                window.ids)
             quads_out.writelines(lines.quadruples(*(a.tolist() for a in (rows[quads[3]], *quads))))
             if relations_out:
                 relations_out.writelines(lines.relations(

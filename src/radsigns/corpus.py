@@ -19,6 +19,10 @@ leading BOM is dropped, and an undecodable byte is reported as
 * model and config files: one JSON object each, read by
   :func:`read_json_object`.
 
+``\\r\\n`` and a lone ``\\r`` end a line, U+2028 and the like do not.  Text and
+tagged corpora are read and written as one :class:`FlatCorpus` in array
+passes over code points; only an error's report reads line by line.
+
 Readers are pure functions and every returned value is immutable, so results
 are safe to share across threads.
 """
@@ -27,10 +31,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from json.encoder import encode_basestring
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -40,6 +46,14 @@ import numpy as np
 TAG_LABELS = ("O", "B-P", "I-P", "B-D", "I-D", "B-Abn", "I-Abn")
 NUM_TAGS = len(TAG_LABELS)
 TAG_INDEX = {label: i for i, label in enumerate(TAG_LABELS)}
+
+_LABEL_SIZES = np.array([len(label) for label in TAG_LABELS], np.intp)
+_LABEL_CODES = np.array([[*map(ord, label.ljust(5))] for label in TAG_LABELS], np.uint32)
+# in a tagged corpus's text with a newline before and after it, a newline
+# that starts neither a blank line nor one of a character, a tab and a label
+_BAD_LINE = re.compile(r"\n(?!\n|[^\n]\t(?:%s)\n|\Z)" % "|".join(map(re.escape, TAG_LABELS)))
+_TAG_BY_LETTERS = np.zeros((128, 128), np.uint8)   # by a label's first and last letter
+_TAG_BY_LETTERS[_LABEL_CODES[:, 0], _LABEL_CODES[range(NUM_TAGS), _LABEL_SIZES - 1]] = range(NUM_TAGS)
 
 ENTITY_KINDS = ("P", "D", "Abn")
 # Relation kind -> (head entity kind, tail entity kind)
@@ -234,6 +248,54 @@ class EmissionMatrix:
         return int(self.scores.shape[0])
 
 
+@dataclass(frozen=True, eq=False)
+class FlatCorpus:
+    """Sentences laid end to end: ``text``, the read-only ``lengths`` and,
+    for a tagged corpus, ``indices``, one ``TAG_LABELS`` index byte per
+    character.  Ids are positional: ``s<first>``, ``s<first + 1>``, ..."""
+
+    text: str
+    lengths: np.ndarray
+    indices: bytes | None = None
+    first: int = 1
+
+    def __post_init__(self):
+        lengths = np.array(self.lengths, dtype=np.intp)
+        lengths.setflags(write=False)
+        object.__setattr__(self, "lengths", lengths)
+        if lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != len(self.text) or (
+                self.indices is not None and (len(self.indices) != len(self.text)
+                                              or max(self.indices, default=0) >= NUM_TAGS)):
+            raise ValueError("a flat corpus needs positive lengths that cover its text, "
+                             "and a tag index below NUM_TAGS per character")
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each sentence starts in ``text``, then where the last one ends."""
+        return np.concatenate(([0], np.cumsum(self.lengths)))
+
+    @property
+    def ids(self) -> list[str]:
+        return [f"s{i}" for i in range(self.first, self.first + len(self.lengths))]
+
+    def window(self, lo: int, hi: int) -> "FlatCorpus":
+        """Sentences ``lo`` up to ``hi`` (0-based), keeping their ids."""
+        a, b = self.offsets[[lo, min(hi, len(self.lengths))]].tolist()
+        return FlatCorpus(self.text[a:b], self.lengths[lo:hi],
+                          None if self.indices is None else self.indices[a:b], self.first + lo)
+
+    def pairs(self) -> list[tuple[Sentence, TagSequence | None]]:
+        """Each sentence and, in a tagged corpus, its tags, as the library's types."""
+        bounds = self.offsets.tolist()
+        return [(Sentence(sid, self.text[a:b]),
+                 None if self.indices is None else TagSequence._from_indices(sid, self.indices[a:b]))
+                for sid, a, b in zip(self.ids, bounds, bounds[1:])]
+
+
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+
+
 def read_tagged_corpus(path) -> list[tuple[Sentence, TagSequence]]:
     """Read a char/tag corpus file.
 
@@ -241,51 +303,87 @@ def read_tagged_corpus(path) -> list[tuple[Sentence, TagSequence]]:
     with :func:`write_tagged_corpus` and reading it back reproduces the
     sentences exactly.
     """
-    pairs: list[tuple[Sentence, TagSequence]] = []
-    chars: list[str] = []
-    tags: list[str] = []
+    return read_tagged_flat(path).pairs()
+
+
+def read_tagged_flat(path) -> FlatCorpus:
+    """:func:`read_tagged_corpus` as one flat corpus, with the same errors.
+    One search over the whole text finds any bad line, and each tag is read
+    off its label's first and last letter."""
+    try:
+        with _open_text(path) as fh:
+            text = "\n" + fh.read() + "\n"   # each line between two newlines
+    except CorpusFormatError:   # an undecodable byte, which a bad line may precede
+        _raise_tagged_error(path)
+    if _BAD_LINE.search(text) or "\t" not in text:
+        _raise_tagged_error(path)
+    codes = _code_points(text)
+    newlines = np.flatnonzero(codes == 10)
+    starts, ends = newlines[:-1] + 1, newlines[1:]
+    full = ends > starts   # blank lines end sentences
+    first = starts[full]
+    tags = _TAG_BY_LETTERS[codes[first + 2], codes[ends[full] - 1]]
+    # where each run of lines with text, one sentence, starts and ends
+    bounds = np.flatnonzero(np.diff(full, prepend=False, append=False))
+    return FlatCorpus(codes[first].tobytes().decode("utf-32-le"), bounds[1::2] - bounds[::2],
+                      tags.tobytes())
+
+
+def _raise_tagged_error(path) -> NoReturn:
+    """Raise the first error of a tagged corpus in file order, reading it
+    line by line."""
     with _open_text(path) as fh:
-        # a blank line ends a sentence; one more after the file ends the last
-        for lineno, raw in enumerate(chain(fh, [""]), 1):
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if line == "":
-                if chars:
-                    sid = f"s{len(pairs) + 1}"
-                    pairs.append((Sentence(sid, "".join(chars)), TagSequence(sid, tags)))
-                    chars, tags = [], []
                 continue
             ch, tab, tag = line.rpartition("\t")   # the character may itself be a tab
             if not tab:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected '<char>\\t<tag>', got {line!r}"
-                )
+                raise CorpusFormatError(f"{path}:{lineno}: expected '<char>\\t<tag>', got {line!r}")
             if len(ch) != 1:
                 raise CorpusFormatError(
-                    f"{path}:{lineno}: first field must be a single character, got {ch!r}"
-                )
+                    f"{path}:{lineno}: first field must be a single character, got {ch!r}")
             if tag not in TAG_INDEX:
                 raise CorpusFormatError(f"{path}:{lineno}: unknown tag {tag!r}")
-            chars.append(ch)
-            tags.append(tag)
-    if not pairs:
-        raise CorpusFormatError(f"{path}: no sentences found")
-    return pairs
+    raise CorpusFormatError(f"{path}: no sentences found")
 
 
 def write_tagged_corpus(pairs: Sequence[tuple[Sentence, TagSequence]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, (sentence, tags) in enumerate(pairs):
+    pairs = list(pairs)
+    text = "".join(sentence.text for sentence, _ in pairs)
+    sizes = np.array([(len(sentence), len(tags)) for sentence, tags in pairs],
+                     np.intp).reshape(-1, 2)
+    if (sizes[:, 0] != sizes[:, 1]).any() or "\n" in text or "\r" in text:
+        for sentence, tags in pairs:   # the first bad pair's error
             if len(tags) != len(sentence):
                 raise ValueError(
-                    f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags"
-                )
+                    f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags")
             if "\n" in sentence.text or "\r" in sentence.text:
                 raise ValueError(f"sentence {sentence.id!r}: a line break cannot be a corpus character")
-            if i:
-                fh.write("\n")
-            elif sentence.text[0] == "\ufeff":   # readers drop one leading BOM
-                fh.write("\ufeff")
-            fh.writelines(f"{ch}\t{TAG_LABELS[t]}\n" for ch, t in zip(sentence.text, tags.indices))
+    indices = b"".join(tags.indices for _, tags in pairs)
+    write_tagged_flat(FlatCorpus(text, sizes[:, 0], indices), path)
+
+
+def write_tagged_flat(corpus: FlatCorpus, path) -> None:
+    """Write a tagged flat corpus from one buffer of code points:
+    ``<char>\\t<tag>\\n`` per character, a blank line between sentences,
+    and one more BOM before a leading one, which readers drop."""
+    if "\n" in corpus.text or "\r" in corpus.text:
+        raise ValueError("a line break cannot be a corpus character")
+    tags = np.frombuffer(corpus.indices, np.uint8)
+    label_sizes = _LABEL_SIZES[tags]
+    sizes = label_sizes + 3   # the character, the tab, the label, the newline
+    sizes[corpus.offsets[1:-1] - 1] += 1   # a blank line after every sentence but the last
+    at = np.cumsum(sizes) - sizes
+    out = np.full(sizes.sum(), 10, np.uint32)   # newlines, unless overwritten
+    out[at] = _code_points(corpus.text)
+    out[at + 1] = 9
+    for j in range(_LABEL_CODES.shape[1]):   # the labels, one code point column at a time
+        has = label_sizes > j
+        out[at[has] + 2 + j] = _LABEL_CODES[tags[has], j]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\ufeff" * corpus.text.startswith("\ufeff"))
+        fh.write(out.tobytes().decode("utf-32-le", "surrogatepass"))
 
 
 def read_dictionary(path) -> SecondaryPartDictionary:
@@ -370,24 +468,31 @@ def read_json_object(path, what: str) -> dict:
 
 def read_text_sentences(path) -> list[Sentence]:
     """One sentence per non-blank line, with ids ``s1``, ``s2``, ... in order."""
-    sentences: list[Sentence] = []
+    return [sentence for sentence, _ in read_text_flat(path).pairs()]
+
+
+def read_text_flat(path) -> FlatCorpus:
+    """:func:`read_text_sentences` as one flat corpus."""
     with _open_text(path) as fh:
-        for line in fh:
-            text = line.rstrip("\n")
-            if text:
-                sentences.append(Sentence.from_text(f"s{len(sentences) + 1}", text))
-    return sentences
+        text = fh.read()
+    lengths = np.diff(np.flatnonzero(_code_points(text + "\n") == 10), prepend=-1) - 1
+    return FlatCorpus(text.replace("\n", ""), lengths[lengths > 0])
 
 
 def read_emissions_many(path) -> list[EmissionMatrix]:
     """Read every emission block in the file, in order; sentence ids must be
-    unique.
+    unique."""
+    return [EmissionMatrix(sid, scores) for sid, scores in read_emission_blocks(path).items()]
+
+
+def read_emission_blocks(path) -> dict[str, np.ndarray]:
+    """Every emission block in the file by sentence id, in order, as its
+    n x 7 array; sentence ids must be unique.
 
     The file is streamed one block at a time: each block's values are parsed
     with Python ``float``, so its grammar decides which tokens are valid.
     """
-    matrices: list[EmissionMatrix] = []
-    seen: set[str] = set()
+    blocks: dict[str, np.ndarray] = {}
     with _open_text(path) as fh:
         # (lineno, stripped line) for each non-blank line, read lazily
         lines = ((i, line) for i, line in enumerate(map(str.strip, fh), 1) if line)
@@ -398,10 +503,9 @@ def read_emissions_many(path) -> list[EmissionMatrix]:
                     f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
                 )
             sid = fields[0]
-            if sid in seen:
+            if sid in blocks:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: a second emission block for sentence {sid!r}")
-            seen.add(sid)
             try:
                 n, k = int(fields[1]), int(fields[2])
             except ValueError:
@@ -418,10 +522,10 @@ def read_emissions_many(path) -> list[EmissionMatrix]:
                     f"{path}:{lineno}: header promises {n} rows for {sid!r} "
                     f"but only {len(rows)} follow"
                 )
-            matrices.append(EmissionMatrix(sid, _parse_block(path, rows, k)))
-    if not matrices:
+            blocks[sid] = _parse_block(path, rows, k)
+    if not blocks:
         raise CorpusFormatError(f"{path}: no emission blocks found")
-    return matrices
+    return blocks
 
 
 def write_emissions(matrices: Iterable[EmissionMatrix], path) -> None:

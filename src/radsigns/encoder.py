@@ -11,8 +11,9 @@ sentences laid end to end between pads, and an integer value per template
 (:func:`_template_values`).  :meth:`FeatureVocabulary.build` writes out the
 distinct values as strings, in order of first appearance, and keeps them
 as the vocabulary's tables; a vocabulary read from a model file parses its
-strings into the same tables once.  :func:`feature_id_batch` gathers a
-batch's ids as one flat ``(sum(lengths), 9)`` array, and :func:`score_ids`
+strings into the same tables once.  :func:`text_feature_ids` gathers the
+ids of sentences laid end to end as one flat ``(sum(lengths), 9)`` array
+(:func:`feature_id_batch` for a list of sentences), and :func:`score_ids`
 turns it into the batch's flat emissions.
 """
 
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import NUM_TAGS, EmissionMatrix, Sentence
+from .corpus import NUM_TAGS, EmissionMatrix, Sentence, _code_points
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -146,10 +147,6 @@ _NO_KEY = np.iinfo(np.int64).max
 _TEMPLATE_INDEX = {name: t for t, name in enumerate(_TEMPLATES)}
 
 
-def _code_points(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-
-
 def _char_classes(alphabet: np.ndarray) -> np.ndarray:
     """The class index of every char id over a sorted alphabet of code
     points: 0 for the pad (id 0, never ``c0``), the class of ``alphabet[i]``
@@ -237,13 +234,18 @@ def _parse_tables(index: dict[str, int], unk: int) -> _Tables:
 def feature_id_batch(
     vocab: FeatureVocabulary, sentences: Sequence[Sentence]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature ids of a batch of sentences laid end to end, shape
-    ``(sum(lengths), 9)``, and the sentence lengths.  Equal, position by
-    position, to looking up every :func:`extract_features` string in
-    ``vocab.index``, with unseen strings mapped to ``vocab.unk_index``."""
-    tables = vocab._tables
+    """:func:`text_feature_ids` of the sentences laid end to end, and their lengths."""
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    char_ids = _char_ids(_code_points("".join(s.text for s in sentences)), tables.alphabet)
+    return text_feature_ids(vocab, "".join(s.text for s in sentences), lengths), lengths
+
+
+def text_feature_ids(vocab: FeatureVocabulary, text: str, lengths) -> np.ndarray:
+    """Feature ids of sentences of the given ``lengths`` laid end to end in
+    ``text``, shape ``(sum(lengths), 9)``.  Equal, position by position, to
+    looking up every :func:`extract_features` string in ``vocab.index``,
+    with unseen strings mapped to ``vocab.unk_index``."""
+    tables = vocab._tables
+    char_ids = _char_ids(_code_points(text), tables.alphabet)
     ids = np.empty((FEATURES_PER_POSITION, len(char_ids)), dtype=np.intp)
     for t, values in enumerate(_template_values(lengths, char_ids, tables.classes)):
         if t in tables.bigrams:
@@ -252,7 +254,7 @@ def feature_id_batch(
             ids[t] = np.where(keys[at] == values, columns[at], tables.unk)
         else:
             tables.dense[t].take(values, out=ids[t])
-    return ids.T, lengths
+    return ids.T
 
 
 @dataclass(frozen=True, eq=False)

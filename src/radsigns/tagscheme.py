@@ -2,9 +2,9 @@
 
 Entities are decoded from tag index paths, sequences of indices into
 ``TAG_LABELS``: the flat ``uint8`` arrays that Viterbi returns and the
-``indices`` bytes that a ``TagSequence`` stores.  :func:`find_runs` decodes
-a batch of paths, laid end to end, in one array pass; the per-sentence
-decoders are its batch-size-1 calls.
+``indices`` bytes that a ``TagSequence`` stores.  :func:`text_runs` decodes
+a batch of paths, laid end to end with their texts, in one array pass;
+:func:`find_runs` and the per-sentence decoders are its calls on sentences.
 
 Decoding is total: any tag sequence over the 7-tag vocabulary yields a valid
 entity set.  A run breaks at every sentence start, at every B tag and at
@@ -55,17 +55,28 @@ def entities_to_tags(sentence: Sentence, entities: Sequence[Entity]) -> TagSeque
 
 
 def find_runs(sentences: Sequence[Sentence], path, lengths: Sequence[int]):
-    """The maximal B-X (I-X)* runs of the sentences' tag index paths, laid
-    end to end in ``path`` (a 1-D integer array or ``bytes``) with the given
-    ``lengths``, in order, repaired as the module docstring says: int arrays
-    ``(row, start, end, kind)``, the sentence's position, the span in it and
-    an index into ``ENTITY_KINDS``, then the runs' texts."""
+    """:func:`text_runs` of the sentences laid end to end; each sentence's
+    length must be its entry of ``lengths``."""
     for sentence, n in zip(sentences, np.asarray(lengths).tolist(), strict=True):
         if n != len(sentence):
             raise ValueError(f"sentence {sentence.id!r} has {len(sentence)} chars "
                              f"but tag sequence has {n}")
+    return text_runs("".join(s.text for s in sentences), path, lengths)
+
+
+def text_runs(text: str, path, lengths: Sequence[int]):
+    """The maximal B-X (I-X)* runs of the tag index paths of sentences laid
+    end to end, their texts in ``text`` and their paths in ``path`` (a 1-D
+    integer array or ``bytes``), with the given ``lengths``, in order,
+    repaired as the module docstring says: int arrays ``(row, start, end,
+    kind)``, the sentence's position, the span in it and an index into
+    ``ENTITY_KINDS``, then the runs' texts."""
     runs = _run_arrays(path, lengths)
-    return (*runs, [sentences[row].text[a:b] for row, a, b in zip(*(x.tolist() for x in runs[:3]))])
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+    if len(text) != offsets[-1]:
+        raise ValueError(f"a text of {len(text)} chars for {offsets[-1]} tags")
+    at = offsets[runs[0]]
+    return (*runs, [text[a:b] for a, b in zip((runs[1] + at).tolist(), (runs[2] + at).tolist())])
 
 
 def _run_arrays(path, lengths: Sequence[int]):

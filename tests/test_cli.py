@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from radsigns import cli
@@ -32,7 +32,7 @@ from radsigns.tagscheme import entities_to_tags, tags_to_entities
 
 from _synth import brute_force_match, build_rule_corpus
 from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT
-from test_corpus import reference_write_quadruples, reference_write_relations
+from test_corpus import CORPUS_CHARS, reference_write_quadruples, reference_write_relations
 from test_tagscheme import reference_tags_to_entities
 
 
@@ -315,6 +315,36 @@ class TestOutputsMatchPublicApi:
         assert outputs[1] == outputs[0]
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.text(CORPUS_CHARS, max_size=6), max_size=6),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n\n"]),
+                     min_size=6, max_size=6),
+       final=st.booleans())
+@example(lines=["", "\ufeff右肺", " ", "a\u2028b\x85c\x1cd", "\t"],
+         ends=["\r\n", "\r", "\n\n", "\n", "\r", "\n"], final=False)
+def test_tag_on_text_equals_a_line_split_oracle(workspace, tmp_path, lines, ends, final):
+    """``tag``'s bytes equal a test-side reader and writer: universal
+    newlines, ``str.split("\\n")``, then one ``<char>\\t<label>`` line per
+    character of each non-blank line, a blank line between sentences, and an
+    extra BOM before a leading one."""
+    content = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not final:
+        content = content[:-len(ends[len(lines) - 1])]   # no line break after the last line
+    source, out = tmp_path / "in.txt", tmp_path / "tagged.tsv"
+    source.write_bytes(content.encode("utf-8"))
+    assert main(["tag", str(source), "--model", str(workspace["model"]), "--out", str(out)]) == 0
+
+    model = load_model(workspace["model"])
+    with open(source, encoding="utf-8-sig") as fh:
+        texts = [text for text in fh.read().split("\n") if text]
+    blocks = ["".join(f"{ch}\t{label}\n"
+                      for ch, label in zip(text, model.decode(Sentence(f"s{i}", text)).tags))
+              for i, text in enumerate(texts, 1)]
+    expected = "\ufeff" * texts[0].startswith("\ufeff") + "\n".join(blocks) if texts else ""
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
 class TestReadmeLibrarySnippet:
     def test_snippet_gives_the_tags_and_quadruples_of_the_cli(self, workspace, tmp_path,
                                                               monkeypatch):
@@ -535,6 +565,21 @@ class TestTagAndExtract:
                      "--out", str(tmp_path / "q.jsonl")])
         assert code == 2
         assert "--from-tags and --emissions-file cannot be combined" in capsys.readouterr().err
+        assert not (tmp_path / "q.jsonl").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "--from-tags requires --input-format tsv"),
+        (["--input-format", "tsv", "--emissions-file", "absent.txt"],
+         "--from-tags and --emissions-file cannot be combined"),
+    ])
+    def test_from_tags_is_checked_before_any_file_is_read(self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "absent"
+        code = main(["extract", str(missing / "input.txt"), "--from-tags", *flags,
+                     "--model", str(missing / "model.json"), "--dict", str(missing / "parts.txt"),
+                     "--out", str(tmp_path / "q.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "No such file" not in err
         assert not (tmp_path / "q.jsonl").exists()
 
     def test_duplicate_emission_block_is_usage_error(self, workspace, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from radsigns.corpus import (
     CorpusFormatError,
     EmissionMatrix,
     Entity,
+    FlatCorpus,
     Quadruple,
     RecordLines,
     Relation,
@@ -27,11 +29,14 @@ from radsigns.corpus import (
     read_emissions_many,
     read_relations,
     read_tagged_corpus,
+    read_tagged_flat,
+    read_text_flat,
     read_text_sentences,
     write_emissions,
     write_quadruples,
     write_relations,
     write_tagged_corpus,
+    write_tagged_flat,
 )
 from radsigns.tagscheme import tags_from_indices
 
@@ -127,6 +132,8 @@ class TestTaggedCorpusReader:
         pair = (Sentence.from_text("s1", "肺" + char), TagSequence("s1", ("O", "O")))
         with pytest.raises(ValueError, match="line break"):
             write_tagged_corpus([pair], tmp_path / "out.tsv")
+        with pytest.raises(ValueError, match="line break"):
+            write_tagged_flat(FlatCorpus("肺" + char, [2], bytes(2)), tmp_path / "out.tsv")
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(sentences=st.lists(st.lists(st.tuples(CORPUS_CHARS, st.sampled_from(TAG_LABELS)),
@@ -139,6 +146,195 @@ class TestTaggedCorpusReader:
         path = tmp_path / "c.tsv"
         write_tagged_corpus(pairs, path)
         assert read_tagged_corpus(path) == pairs
+
+
+def reference_lines(path):
+    """``(lineno, line)`` of a text file read line by line in text mode,
+    BOM dropped; an undecodable byte raises ``CorpusFormatError`` at the
+    first line whose bytes do not decode, text mode's line breaks being
+    ``\\n``, ``\\r\\n`` and ``\\r``."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield from enumerate((raw.rstrip("\n") for raw in fh), 1)
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh.read().splitlines(), 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    raise CorpusFormatError(f"{path}:{lineno}: {line_exc}") from None
+        raise CorpusFormatError(f"{path}: {exc}") from None
+
+
+def reference_read_tagged_corpus(path):
+    """The tagged corpus reader as a loop over lines, one character each."""
+    pairs, chars, tags = [], [], []
+    for lineno, line in chain(reference_lines(path), [(0, "")]):
+        if line == "":
+            if chars:
+                sid = f"s{len(pairs) + 1}"
+                pairs.append((Sentence(sid, "".join(chars)), TagSequence(sid, tags)))
+                chars, tags = [], []
+            continue
+        ch, tab, tag = line.rpartition("\t")
+        if not tab:
+            raise CorpusFormatError(f"{path}:{lineno}: expected '<char>\\t<tag>', got {line!r}")
+        if len(ch) != 1:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: first field must be a single character, got {ch!r}")
+        if tag not in TAG_LABELS:
+            raise CorpusFormatError(f"{path}:{lineno}: unknown tag {tag!r}")
+        chars.append(ch)
+        tags.append(tag)
+    if not pairs:
+        raise CorpusFormatError(f"{path}: no sentences found")
+    return pairs
+
+
+def reference_read_text_sentences(path):
+    lines = [line for _, line in reference_lines(path) if line]
+    return [Sentence(f"s{i}", line) for i, line in enumerate(lines, 1)]
+
+
+def reference_write_tagged_corpus(pairs, path):
+    """The tagged corpus writer as a loop over characters."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i, (sentence, tags) in enumerate(pairs):
+            if i:
+                fh.write("\n")
+            elif sentence.text[0] == "\ufeff":
+                fh.write("\ufeff")
+            for ch, tag in zip(sentence.text, tags.tags):
+                fh.write(f"{ch}\t{tag}\n")
+
+
+def read_outcome(reader, path):
+    """The reader's value, or its exception's type and message."""
+    try:
+        return reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def tagged_files(draw):
+    """Bytes of a tagged corpus file: lines of a character and a tag, blank
+    line runs, and lines with each error the reader reports, ended by
+    ``\\n``, ``\\r\\n`` or ``\\r``, the last one maybe by nothing; maybe a
+    BOM before them and an undecodable byte among them."""
+    label = st.sampled_from(TAG_LABELS)
+    line = st.one_of(
+        st.builds("{}\t{}".format, CORPUS_CHARS, label),
+        st.builds("{}\t{}".format, CORPUS_CHARS, label),   # good lines drawn twice as often
+        st.just(""),
+        st.builds("{}{}".format, CORPUS_CHARS, label),   # no tab
+        st.builds("{}\t{}".format, st.text(CORPUS_CHARS, max_size=3), label),   # 0 or 2+ characters
+        st.builds("{}\t{}".format, CORPUS_CHARS, st.text(CORPUS_CHARS, max_size=6)),   # any tag
+        st.builds("{}\t{}{}".format, CORPUS_CHARS, label, st.sampled_from(["\t", " ", "\x85", "\u2028"])),
+    )
+    lines = draw(st.lists(line, max_size=12))
+    ends = [draw(LINE_ENDS) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    content = ("\ufeff" if draw(st.booleans()) else "") + "".join(map("".join, zip(lines, ends)))
+    data = content.encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestFlatCorpusIO:
+    """The flat readers and writer equal loops over lines: the same values,
+    or the same error message."""
+
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=tagged_files())
+    @example(data="\ufeff\ufeff\tO\r\r\n\t\tB-P\x85\n\u2028\tI-P".encode())
+    @example(data="a\tO\n\n\n\nb\tB-Abn\r\n \tI-Abn".encode())
+    @example(data=b"a\tO\nab\tO\n\xff")
+    @example(data=b"\r\n\n\r")
+    @example(data=b"")
+    def test_tagged_reader_equals_the_line_loop(self, tmp_path, data):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(data)
+        expected = read_outcome(reference_read_tagged_corpus, path)
+        assert read_outcome(read_tagged_corpus, path) == expected
+        flat = read_outcome(read_tagged_flat, path)
+        if isinstance(expected, list):
+            assert flat.text == "".join(s.text for s, _ in expected)
+            assert flat.indices == b"".join(t.indices for _, t in expected)
+            assert flat.lengths.tolist() == [len(s) for s, _ in expected]
+            assert flat.ids == [s.id for s, _ in expected]
+        else:
+            assert flat == expected
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.text(CORPUS_CHARS, max_size=5), max_size=8), data=st.data())
+    @example(lines=["", "", " ", "\t", "\ufeffa\u2028b\x85c\x1c"], data=None)
+    def test_text_reader_equals_the_line_loop(self, tmp_path, lines, data):
+        ends = [data.draw(LINE_ENDS) for _ in lines] if data else ["\r\n"] * len(lines)
+        if data and ends and data.draw(st.booleans()):
+            ends[-1] = ""
+        content = "".join(map("".join, zip(lines, ends))).encode("utf-8")
+        if data and data.draw(st.booleans()):
+            content = b"\xef\xbb\xbf" + content
+        path = tmp_path / "in.txt"
+        path.write_bytes(content)
+        expected = reference_read_text_sentences(path)
+        assert read_text_sentences(path) == expected
+        flat = read_text_flat(path)
+        assert (flat.text, flat.lengths.tolist(), flat.indices) == (
+            "".join(s.text for s in expected), [len(s) for s in expected], None)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sentences=st.lists(st.lists(st.tuples(CORPUS_CHARS, st.sampled_from(TAG_LABELS)),
+                                       min_size=1, max_size=6), max_size=5))
+    @example(sentences=[[("\ufeff", "O")], [("\ufeff", "I-Abn")]])
+    def test_flat_writer_bytes_equal_the_pair_writers(self, tmp_path, sentences):
+        pairs = [(Sentence(f"s{i}", [c for c, _ in rows]), TagSequence(f"s{i}", [t for _, t in rows]))
+                 for i, rows in enumerate(sentences, 1)]
+        flat = FlatCorpus("".join(s.text for s, _ in pairs), [len(s) for s, _ in pairs],
+                          b"".join(t.indices for _, t in pairs))
+        written = {}
+        for name, write, value in (("flat", write_tagged_flat, flat),
+                                   ("pairs", write_tagged_corpus, pairs),
+                                   ("reference", reference_write_tagged_corpus, pairs)):
+            write(value, tmp_path / name)
+            written[name] = (tmp_path / name).read_bytes()
+        assert written["flat"] == written["pairs"] == written["reference"]
+
+    def test_a_bad_line_before_a_far_undecodable_byte_is_the_error(self, tmp_path):
+        # text mode decodes 8 KB at a time: a byte past the first chunk is
+        # not met before line 2 is read and found bad
+        path = tmp_path / "c.tsv"
+        path.write_bytes("肺\tO\n肺 O\n".encode() + "右\tB-P\n".encode() * 2000 + b"\xff\tO\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: expected"):
+            read_tagged_corpus(path)
+
+    def test_a_near_undecodable_byte_is_the_error(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes("肺\tO\n肺 O\n".encode() + "右\tB-P\n".encode() * 20 + b"\xff\tO\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:23: 'utf-8' codec"):
+            read_tagged_corpus(path)
+
+    def test_flat_corpus_windows_keep_their_ids_and_lengths_are_read_only(self):
+        flat = FlatCorpus("abcdef", [1, 2, 3], bytes([0, 1, 2, 3, 4, 5]))
+        window = flat.window(1, 5)
+        assert (window.text, window.lengths.tolist(), window.indices, window.ids) == (
+            "bcdef", [2, 3], bytes([1, 2, 3, 4, 5]), ["s2", "s3"])
+        assert [(s.id, s.text, t.tags) for s, t in window.pairs()] == [
+            ("s2", "bc", ("B-P", "I-P")), ("s3", "def", ("B-D", "I-D", "B-Abn"))]
+        with pytest.raises(ValueError):
+            flat.lengths[0] = 6
+        for lengths, indices in (([1, 2, 2], None), ([0, 6], None), ([6], bytes(5)), ([6], b"\0" * 5 + b"\7")):
+            with pytest.raises(ValueError, match="flat corpus"):
+                FlatCorpus("abcdef", lengths, indices)
 
 
 class TestDictionary:

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import radsigns
+from radsigns import cli
 
 
 def test_every_exported_name_resolves():
@@ -81,5 +82,21 @@ def test_src_writes_json_with_one_dumps_call():
         for _, call in calls_with_owner(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(call.func, ast.Attribute) and call.func.attr == "dump"
         and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"
+    ]
+    assert offenders == []
+
+
+def test_tag_and_extract_run_on_the_flat_corpus():
+    """``tag`` and ``extract`` read, decode and write one flat corpus: the
+    functions that run them name no per-sentence type, reader or writer."""
+    per_sentence = {"Sentence", "TagSequence", "tags_from_indices", "read_tagged_corpus",
+                    "read_text_sentences", "write_tagged_corpus", "read_emissions_many"}
+    functions = {node.name: node for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)}
+    offenders = [
+        f"{name}:{node.lineno} {node.id if isinstance(node, ast.Name) else node.attr}"
+        for name in ("_cmd_tag", "_cmd_extract", "_tag_windows")
+        for node in ast.walk(functions[name])
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in per_sentence
     ]
     assert offenders == []
