@@ -13,6 +13,7 @@ from .corpus import (
     CorpusFormatError,
     EmissionMatrix,
     Entity,
+    FlatCorpus,
     Quadruple,
     Relation,
     SecondaryPartDictionary,

@@ -27,12 +27,10 @@ from .corpus import (
     CorpusFormatError,
     FlatCorpus,
     RecordLines,
-    Sentence,
     read_dictionary,
     read_emission_blocks,
     read_json_object,
     read_relations,
-    read_tagged_corpus,
     read_tagged_flat,
     read_text_flat,
     write_tagged_flat,
@@ -41,7 +39,7 @@ from .crf import TaggerModel, decoding_transitions, load_model, save_model, vite
 from .encoder import score_ids, text_feature_ids
 from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
 from .tag2relation import match_arrays
-from .tagscheme import batch_entities, tags_from_indices, text_runs
+from .tagscheme import batch_entities, text_runs
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
@@ -246,13 +244,8 @@ def _cmd_train(args) -> int:
         l2=args.l2,
         seed=args.seed,
     )
-    corpus = read_tagged_corpus(args.train_path)
-    # dev ids restart at s1; prefix them so the two corpora stay disjoint
-    dev = [
-        (Sentence.from_text(f"dev-{s.id}", s.text), tags_from_indices(f"dev-{s.id}", t.indices))
-        for s, t in read_tagged_corpus(args.dev_path)
-    ]
-    model, report = train(corpus, dev, config, on_epoch=_print_epoch)
+    model, report = train(read_tagged_flat(args.train_path), read_tagged_flat(args.dev_path),
+                          config, on_epoch=_print_epoch)
     print(
         f"selected epoch {report.selected_epoch + 1} "
         f"dev_f1 {report.dev_f1[report.selected_epoch]:.2f}"
@@ -304,15 +297,16 @@ def _cmd_extract(args) -> int:
 
 def _aligned_entities(pred_path, gold_path):
     """Entities by sentence id of two tagged corpora of the same sentences."""
-    pred, gold = read_tagged_corpus(pred_path), read_tagged_corpus(gold_path)
-    differ = [p.id for (p, _), (g, _) in zip(pred, gold) if p.text != g.text]
-    if differ or len(pred) != len(gold):
-        where = f"sentence {differ[0]!r} differs" if differ else f"{len(pred)} against {len(gold)}"
+    pred, gold = read_tagged_flat(pred_path), read_tagged_flat(gold_path)
+    if pred.text != gold.text or not np.array_equal(pred.lengths, gold.lengths):
+        p, g = pred.offsets.tolist(), gold.offsets.tolist()   # the first differing sentence
+        differ = [sid for sid, a, b, c, d in zip(pred.ids, p, p[1:], g, g[1:])
+                  if pred.text[a:b] != gold.text[c:d]]
+        where = (f"sentence {differ[0]!r} differs" if differ
+                 else f"{len(pred.lengths)} against {len(gold.lengths)}")
         raise CorpusFormatError(f"pred {pred_path} and gold {gold_path} do not contain the same "
                                 f"sentences: {where}")
-    sentences, lengths = [s for s, _ in pred], [len(s) for s, _ in pred]
-    return tuple(batch_entities(sentences, b"".join(t.indices for _, t in pairs), lengths)
-                 for pairs in (pred, gold))
+    return tuple(batch_entities(pred.ids, pred.text, c.indices, pred.lengths) for c in (pred, gold))
 
 
 def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:

@@ -269,6 +269,18 @@ class FlatCorpus:
             raise ValueError("a flat corpus needs positive lengths that cover its text, "
                              "and a tag index below NUM_TAGS per character")
 
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[Sentence, TagSequence]]) -> "FlatCorpus":
+        """The tagged corpus of ``(sentence, tags)`` pairs laid end to end in
+        order; its ids are positional, whatever the pairs' ids."""
+        pairs = list(pairs)
+        for sentence, tags in pairs:
+            if len(tags) != len(sentence):
+                raise ValueError(
+                    f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags")
+        return cls("".join(s.text for s, _ in pairs), [len(s) for s, _ in pairs],
+                   b"".join(t.indices for _, t in pairs))
+
     @cached_property
     def offsets(self) -> np.ndarray:
         """Where each sentence starts in ``text``, then where the last one ends."""
@@ -277,6 +289,12 @@ class FlatCorpus:
     @property
     def ids(self) -> list[str]:
         return [f"s{i}" for i in range(self.first, self.first + len(self.lengths))]
+
+    def tag_path(self, what: str) -> np.ndarray:
+        """``indices`` as ``uint8``; untagged, a ``ValueError`` that ``what`` needs tags."""
+        if self.indices is None:
+            raise ValueError(f"{what} needs a tagged corpus, not an untagged one")
+        return np.frombuffer(self.indices, np.uint8)
 
     def window(self, lo: int, hi: int) -> "FlatCorpus":
         """Sentences ``lo`` up to ``hi`` (0-based), keeping their ids."""
@@ -350,18 +368,11 @@ def _raise_tagged_error(path) -> NoReturn:
 
 def write_tagged_corpus(pairs: Sequence[tuple[Sentence, TagSequence]], path) -> None:
     pairs = list(pairs)
-    text = "".join(sentence.text for sentence, _ in pairs)
-    sizes = np.array([(len(sentence), len(tags)) for sentence, tags in pairs],
-                     np.intp).reshape(-1, 2)
-    if (sizes[:, 0] != sizes[:, 1]).any() or "\n" in text or "\r" in text:
-        for sentence, tags in pairs:   # the first bad pair's error
-            if len(tags) != len(sentence):
-                raise ValueError(
-                    f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags")
-            if "\n" in sentence.text or "\r" in sentence.text:
-                raise ValueError(f"sentence {sentence.id!r}: a line break cannot be a corpus character")
-    indices = b"".join(tags.indices for _, tags in pairs)
-    write_tagged_flat(FlatCorpus(text, sizes[:, 0], indices), path)
+    for k, (sentence, _) in enumerate(pairs):
+        if "\n" in sentence.text or "\r" in sentence.text:
+            FlatCorpus.from_pairs(pairs[:k + 1])   # a length error up to here comes first
+            raise ValueError(f"sentence {sentence.id!r}: a line break cannot be a corpus character")
+    write_tagged_flat(FlatCorpus.from_pairs(pairs), path)
 
 
 def write_tagged_flat(corpus: FlatCorpus, path) -> None:
@@ -370,7 +381,7 @@ def write_tagged_flat(corpus: FlatCorpus, path) -> None:
     and one more BOM before a leading one, which readers drop."""
     if "\n" in corpus.text or "\r" in corpus.text:
         raise ValueError("a line break cannot be a corpus character")
-    tags = np.frombuffer(corpus.indices, np.uint8)
+    tags = corpus.tag_path("writing a tagged corpus")
     label_sizes = _LABEL_SIZES[tags]
     sizes = label_sizes + 3   # the character, the tab, the label, the newline
     sizes[corpus.offsets[1:-1] - 1] += 1   # a blank line after every sentence but the last

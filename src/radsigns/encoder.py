@@ -22,7 +22,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,19 +93,18 @@ class FeatureVocabulary:
             raise ValueError(f"unk index {self.unk_index} out of range")
 
     @classmethod
-    def build(cls, sentences: Iterable[Sentence]) -> "FeatureVocabulary":
-        """Every :func:`extract_features` string of the sentences, numbered
-        from 1 in order of first appearance (position by position, template
-        by template), after ``<unk>`` at 0.  Each template's values are
-        collected as integers over the corpus's alphabet, only the distinct
-        values are written out as strings, and the vocabulary keeps them as
-        its lookup tables."""
-        sentences = list(sentences)
-        codes = _code_points("".join(s.text for s in sentences))
+    def build(cls, text: str, lengths) -> "FeatureVocabulary":
+        """Every :func:`extract_features` string of the sentences of the given
+        ``lengths`` laid end to end in ``text``, numbered from 1 in order of
+        first appearance (position by position, template by template), after
+        ``<unk>`` at 0.  Each template's values are collected as integers
+        over the corpus's alphabet, only the distinct values are written out
+        as strings, and the vocabulary keeps them as its lookup tables."""
+        codes = _code_points(text)
         alphabet = np.unique(codes)
         classes = _char_classes(alphabet)
         found = [np.unique(values, return_index=True) for values in _template_values(
-            [len(s) for s in sentences], _char_ids(codes, alphabet), classes)]
+            lengths, _char_ids(codes, alphabet), classes)]
         templates = np.repeat(np.arange(len(found)), [len(v) for v, _ in found])
         values = np.concatenate([v for v, _ in found])
         order = np.argsort(np.concatenate([first * len(found) + t

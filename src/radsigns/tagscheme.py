@@ -4,7 +4,7 @@ Entities are decoded from tag index paths, sequences of indices into
 ``TAG_LABELS``: the flat ``uint8`` arrays that Viterbi returns and the
 ``indices`` bytes that a ``TagSequence`` stores.  :func:`text_runs` decodes
 a batch of paths, laid end to end with their texts, in one array pass;
-:func:`find_runs` and the per-sentence decoders are its calls on sentences.
+:func:`batch_entities` and the per-sentence decoders are its calls.
 
 Decoding is total: any tag sequence over the 7-tag vocabulary yields a valid
 entity set.  A run breaks at every sentence start, at every B tag and at
@@ -54,16 +54,6 @@ def entities_to_tags(sentence: Sentence, entities: Sequence[Entity]) -> TagSeque
     return TagSequence._from_indices(sentence.id, bytes(indices))
 
 
-def find_runs(sentences: Sequence[Sentence], path, lengths: Sequence[int]):
-    """:func:`text_runs` of the sentences laid end to end; each sentence's
-    length must be its entry of ``lengths``."""
-    for sentence, n in zip(sentences, np.asarray(lengths).tolist(), strict=True):
-        if n != len(sentence):
-            raise ValueError(f"sentence {sentence.id!r} has {len(sentence)} chars "
-                             f"but tag sequence has {n}")
-    return text_runs("".join(s.text for s in sentences), path, lengths)
-
-
 def text_runs(text: str, path, lengths: Sequence[int]):
     """The maximal B-X (I-X)* runs of the tag index paths of sentences laid
     end to end, their texts in ``text`` and their paths in ``path`` (a 1-D
@@ -80,7 +70,7 @@ def text_runs(text: str, path, lengths: Sequence[int]):
 
 
 def _run_arrays(path, lengths: Sequence[int]):
-    """:func:`find_runs` without the sentences: the int arrays only."""
+    """:func:`text_runs` without the texts: the int arrays only."""
     try:
         flat = np.frombuffer(path, np.uint8) if isinstance(path, bytes) else np.asarray(path, np.intp)
     except OverflowError:   # an index too large for any tag array
@@ -101,20 +91,21 @@ def _run_arrays(path, lengths: Sequence[int]):
     return rows, starts - offsets[rows], ends - offsets[rows], kind[starts] - 1
 
 
-def batch_entities(sentences: Sequence[Sentence], path,
+def batch_entities(ids: Sequence[str], text: str, path,
                    lengths: Sequence[int]) -> dict[str, list[Entity]]:
-    """By sentence id, the entities of each sentence's part of the flat tag
-    index path, sorted by start; the arguments are :func:`find_runs`'."""
-    entities: list[list[Entity]] = [[] for _ in sentences]
-    rows, *spans, texts = find_runs(sentences, path, lengths)
-    for row, start, end, kind, text in zip(*(a.tolist() for a in (rows, *spans)), texts):
-        entities[row].append(Entity(ENTITY_KINDS[kind], start, end, text))
-    return dict(zip((s.id for s in sentences), entities))
+    """By sentence id, one id per sentence in ``ids``, the entities of each
+    sentence's part of the flat tag index path, sorted by start; the other
+    arguments are :func:`text_runs`'."""
+    entities: list[list[Entity]] = [[] for _ in lengths]
+    rows, *spans, texts = text_runs(text, path, lengths)
+    for row, start, end, kind, covered in zip(*(a.tolist() for a in (rows, *spans)), texts):
+        entities[row].append(Entity(ENTITY_KINDS[kind], start, end, covered))
+    return dict(zip(ids, entities, strict=True))
 
 
 def entities_from_indices(sentence: Sentence, indices: Sequence[int]) -> list[Entity]:
     """:func:`batch_entities` of one sentence."""
-    return batch_entities([sentence], indices, [len(indices)])[sentence.id]
+    return batch_entities([sentence.id], sentence.text, indices, [len(indices)])[sentence.id]
 
 
 def tags_to_entities(sentence: Sentence, tags: TagSequence) -> list[Entity]:

@@ -4,19 +4,19 @@ Plain mini-batch gradient descent on summed sentence NLL, which is convex
 for the linear scorer, so everything starts at zero.  The learning rate is
 two-phase: a high first-epoch rate that decays once and then holds.  After
 every epoch the model is scored on the dev set with strict entity F1, and
-the snapshot from the best epoch (earliest on ties) is returned.
+the snapshot from the best epoch (earliest on ties) is returned.  Both
+corpora are tagged ``FlatCorpus`` values; dev entities are keyed by row.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .corpus import ENTITY_KINDS, NUM_TAGS, Sentence, TagSequence
+from .corpus import ENTITY_KINDS, NUM_TAGS, FlatCorpus
 from .crf import (
     FULL_SIZE,
     TaggerModel,
@@ -25,11 +25,9 @@ from .crf import (
     decoding_transitions,
     viterbi,
 )
-from .encoder import FeatureVocabulary, LinearScorerParams, feature_id_batch, score_ids
+from .encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
 from .evaluation import PrfScores
 from .tagscheme import _run_arrays
-
-CorpusPairs = Sequence[tuple[Sentence, TagSequence]]
 
 
 class NonFiniteLossError(RuntimeError):
@@ -89,19 +87,11 @@ class TrainReport:
         return json.dumps(self.to_dict())
 
 
-def _prepare(
-    corpus: CorpusPairs, vocab: FeatureVocabulary
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each sentence as one ``(n, 10)`` integer array (its 9 feature ids per
-    position, extracted in one batch, then its gold tag index) and the lengths."""
-    for sentence, tags in corpus:
-        if len(tags) != len(sentence):
-            raise ValueError(
-                f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags"
-            )
-    ids, lengths = feature_id_batch(vocab, [s for s, _ in corpus])
-    gold = np.frombuffer(b"".join(t.indices for _, t in corpus), np.uint8)
-    return np.split(np.column_stack((ids, gold)), np.cumsum(lengths)[:-1]), lengths
+def _prepare(corpus: FlatCorpus, vocab: FeatureVocabulary) -> list[np.ndarray]:
+    """Each sentence as one ``(n, 10)`` integer array: its 9 feature ids per
+    position, extracted in one pass, then its gold tag index."""
+    ids = text_feature_ids(vocab, corpus.text, corpus.lengths)
+    return np.split(np.column_stack((ids, corpus.tag_path("training"))), corpus.offsets[1:-1])
 
 
 def _feature_gradient(ids: np.ndarray, grad_p: np.ndarray, size: int) -> np.ndarray:
@@ -113,31 +103,22 @@ def _feature_gradient(ids: np.ndarray, grad_p: np.ndarray, size: int) -> np.ndar
     return np.stack([np.bincount(flat, column, size) for column in columns], axis=1)
 
 
-def _snapshot(vocab: FeatureVocabulary, weights: np.ndarray, transitions: np.ndarray) -> TaggerModel:
-    return TaggerModel(
-        vocab, LinearScorerParams(weights), TransitionMatrix(transitions)
-    )
-
-
 class _DevSet:
     """Dev sentences with their flat feature ids and gold entity keys; built
     once, decoded every epoch.  An entity is keyed by its sentence's row, its
     span and its kind, so strict entity F1 is a count of shared keys."""
 
-    def __init__(self, dev: CorpusPairs, vocab: FeatureVocabulary):
-        self.sentences = [sentence for sentence, _ in dev]
-        ids = Counter(s.id for s in self.sentences)
-        if len(ids) < len(self.sentences):   # the most common id repeats
-            raise ValueError(f"dev sentence id {ids.most_common(1)[0][0]!r} repeats")
-        self.ids, self.lengths = feature_id_batch(vocab, self.sentences)
-        self.gold = self._keys(b"".join(t.indices for _, t in dev))
+    def __init__(self, dev: FlatCorpus, vocab: FeatureVocabulary):
+        self.lengths = dev.lengths
+        self.gold = self._keys(dev.tag_path("dev scoring"))
+        self.ids = text_feature_ids(vocab, dev.text, dev.lengths)
 
     def _keys(self, path) -> np.ndarray:
         """The int64 keys of the entities of a flat tag index path, distinct
         and ascending because the runs are disjoint and in order."""
         width = int(self.lengths.max(initial=0)) + 1
         return np.ravel_multi_index(_run_arrays(path, self.lengths),
-                                    (len(self.sentences), width, width, len(ENTITY_KINDS)))
+                                    (len(self.lengths), width, width, len(ENTITY_KINDS)))
 
     def f1(self, model: TaggerModel) -> float:
         P = score_ids(model.weights.weights, self.ids)
@@ -146,14 +127,14 @@ class _DevSet:
         return PrfScores(correct, len(pred), len(self.gold)).f1
 
 
-def evaluate_dev(model: TaggerModel, dev: CorpusPairs) -> float:
+def evaluate_dev(model: TaggerModel, dev: FlatCorpus) -> float:
     """Strict entity F1 (0-100) of constrained decoding against dev tags."""
     return _DevSet(dev, model.vocab).f1(model)
 
 
 def train(
-    corpus: CorpusPairs,
-    dev: CorpusPairs,
+    corpus: FlatCorpus,
+    dev: FlatCorpus,
     config: TrainConfig,
     on_epoch: Callable[[int, float, float], None] | None = None,
 ) -> tuple[TaggerModel, TrainReport]:
@@ -161,17 +142,13 @@ def train(
 
     ``on_epoch``, if given, is called as each epoch finishes with its 1-based
     number, mean train NLL and dev F1."""
-    if not corpus:
+    if not len(corpus.lengths):
         raise ValueError("empty training corpus")
-    if not dev:
+    if not len(dev.lengths):
         raise ValueError("empty dev corpus")
-    train_ids = {s.id for s, _ in corpus}
-    shared = train_ids & {s.id for s, _ in dev}
-    if shared:
-        raise ValueError(f"dev set shares sentence ids with training set: {sorted(shared)[:5]}")
 
-    vocab = FeatureVocabulary.build(s for s, _ in corpus)
-    rows, lengths = _prepare(corpus, vocab)
+    vocab = FeatureVocabulary.build(corpus.text, corpus.lengths)
+    rows, lengths = _prepare(corpus, vocab), corpus.lengths
     dev_set = _DevSet(dev, vocab)
     weights = np.zeros((vocab.size, NUM_TAGS))
     transitions = np.zeros((FULL_SIZE, FULL_SIZE))
@@ -185,7 +162,7 @@ def train(
 
     for epoch in range(1, config.epochs + 1):
         rate = config.rate_for_epoch(epoch)
-        order = rng.permutation(len(corpus))
+        order = rng.permutation(len(lengths))
         epoch_nll = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo:lo + config.batch_size]
@@ -197,7 +174,7 @@ def train(
             finite = np.isfinite(values)
             if not finite.all():
                 b = int(np.argmin(finite))   # first non-finite row, in batch order
-                raise NonFiniteLossError(corpus[batch[b]][0].id, float(values[b]))
+                raise NonFiniteLossError(corpus.ids[batch[b]], float(values[b]))
             epoch_nll += float(values.sum())
             grad_w = _feature_gradient(ids, grad_p, vocab.size) / len(batch)
             grad_a = grad_a.sum(axis=0) / len(batch)
@@ -209,13 +186,11 @@ def train(
                 weights -= rate * grad_w
                 transitions -= rate * grad_a
             if not (np.isfinite(weights).all() and np.isfinite(transitions).all()):
-                raise NonFiniteLossError(
-                    corpus[batch[0]][0].id, float("inf"), what="parameter update"
-                )
+                raise NonFiniteLossError(corpus.ids[batch[0]], float("inf"), "parameter update")
 
-        model = _snapshot(vocab, weights, transitions)
+        model = TaggerModel(vocab, LinearScorerParams(weights), TransitionMatrix(transitions))
         dev_f1 = dev_set.f1(model)
-        nll_history.append(epoch_nll / len(corpus))
+        nll_history.append(epoch_nll / len(lengths))
         f1_history.append(dev_f1)
         if on_epoch is not None:
             on_epoch(epoch, nll_history[-1], dev_f1)

@@ -11,6 +11,7 @@ import numpy as np
 from radsigns.corpus import (
     EmissionMatrix,
     Entity,
+    FlatCorpus,
     Quadruple,
     Relation,
     SecondaryPartDictionary,
@@ -208,7 +209,7 @@ def test_criterion_7_end_to_end_learnability():
     corpus = build_rule_corpus(rng, 500, prefix="t")
     dev = build_rule_corpus(rng, 120, prefix="d")
     config = TrainConfig(epochs=50, batch_size=16, seed=11)
-    model, train_report = train(corpus, dev, config)
+    model, train_report = train(FlatCorpus.from_pairs(corpus), FlatCorpus.from_pairs(dev), config)
     entity_f1 = train_report.dev_f1[train_report.selected_epoch]
 
     pred_relations = {}
@@ -223,7 +224,7 @@ def test_criterion_7_end_to_end_learnability():
         )[0]
     relation_f1 = relation_prf(pred_relations, gold_relations).overall.f1
 
-    _, second_report = train(corpus, dev, config)
+    _, second_report = train(FlatCorpus.from_pairs(corpus), FlatCorpus.from_pairs(dev), config)
     deterministic = second_report == train_report
     elapsed = time.perf_counter() - started
     report(7, "end-to-end learnability",

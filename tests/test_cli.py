@@ -468,7 +468,7 @@ class TestTagAndExtract:
 
     def test_external_emissions_drive_decoding(self, tmp_path):
         sentence = Sentence.from_text("s1", "肺影好")
-        vocab = FeatureVocabulary.build([sentence])
+        vocab = FeatureVocabulary.build(sentence.text, [len(sentence)])
         model = TaggerModel(
             vocab, LinearScorerParams.zeros(vocab.size), TransitionMatrix.zeros()
         )
@@ -785,6 +785,19 @@ class TestEval:
         assert "same sentences" in err
         assert str(pred_path) in err and str(other_path) in err
         assert "sentence 's1' differs" in err
+        # the same text cut into other sentences, and a pred that is a strict prefix of gold
+        for pred, gold, where in (
+            ("a\tO\nb\tO\n\nc\tO\n", "a\tO\n\nb\tO\nc\tO\n", "sentence 's1' differs"),
+            ("a\tO\n\nb\tO\n", "a\tO\n\nb\tO\n\nc\tB-P\n", "2 against 3"),
+        ):
+            pred_path.write_text(pred, encoding="utf-8")
+            other_path.write_text(gold, encoding="utf-8")
+            for command in ("eval", "errors"):
+                assert main([command, "--pred", str(pred_path), "--gold", str(other_path)]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == (f"error: pred {pred_path} and gold {other_path} do not "
+                                        f"contain the same sentences: {where}\n")
+                assert captured.out == ""
 
     def test_sentence_count_mismatch_names_both_counts(self, metric_fixture, tmp_path, capsys):
         pred_path, gold_path = metric_fixture

@@ -135,6 +135,15 @@ class TestTaggedCorpusReader:
         with pytest.raises(ValueError, match="line break"):
             write_tagged_flat(FlatCorpus("肺" + char, [2], bytes(2)), tmp_path / "out.tsv")
 
+    def test_writer_reports_the_first_bad_pair(self, tmp_path):
+        broken = (Sentence.from_text("b", "肺\n"), TagSequence("b", ("O", "O")))
+        short = (Sentence.from_text("c", "肺炎"), TagSequence("c", ("O",)))
+        with pytest.raises(ValueError, match="sentence 'b': a line break"):
+            write_tagged_corpus([broken, short], tmp_path / "out.tsv")
+        with pytest.raises(ValueError, match="sentence 'c': 2 chars but 1 tags"):
+            write_tagged_corpus([short, broken], tmp_path / "out.tsv")
+        assert not (tmp_path / "out.tsv").exists()
+
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(sentences=st.lists(st.lists(st.tuples(CORPUS_CHARS, st.sampled_from(TAG_LABELS)),
                                        min_size=1, max_size=6), min_size=1, max_size=4))
@@ -270,6 +279,9 @@ class TestFlatCorpusIO:
             assert flat.indices == b"".join(t.indices for _, t in expected)
             assert flat.lengths.tolist() == [len(s) for s, _ in expected]
             assert flat.ids == [s.id for s, _ in expected]
+            joined = FlatCorpus.from_pairs(expected)
+            assert (joined.text, joined.lengths.tolist(), joined.indices, joined.ids) == (
+                flat.text, flat.lengths.tolist(), flat.indices, flat.ids)
         else:
             assert flat == expected
 
@@ -335,6 +347,11 @@ class TestFlatCorpusIO:
         for lengths, indices in (([1, 2, 2], None), ([0, 6], None), ([6], bytes(5)), ([6], b"\0" * 5 + b"\7")):
             with pytest.raises(ValueError, match="flat corpus"):
                 FlatCorpus("abcdef", lengths, indices)
+
+    def test_writing_an_untagged_corpus_needs_tags(self, tmp_path):
+        with pytest.raises(ValueError, match="needs a tagged corpus, not an untagged one"):
+            write_tagged_flat(FlatCorpus("ab", [2]), tmp_path / "out.tsv")
+        assert not (tmp_path / "out.tsv").exists()
 
 
 class TestDictionary:

@@ -625,7 +625,7 @@ class TestDistributionProperties:
 class TestModelPersistence:
     def build_model(self):
         sentence = Sentence.from_text("s1", "右上肺见阴影。")
-        vocab = FeatureVocabulary.build([sentence])
+        vocab = FeatureVocabulary.build(sentence.text, [len(sentence)])
         rng = np.random.default_rng(60)
         weights = LinearScorerParams(rng.standard_normal((vocab.size, 7)))
         transitions = TransitionMatrix(rng.standard_normal((9, 9)))

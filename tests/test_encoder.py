@@ -58,7 +58,7 @@ def vocabularies(draw):
     """A vocabulary built from drawn sentences, perhaps without ``bias``,
     with never-firing strings added, columns shuffled and any unk index."""
     texts = draw(sentences(SEEN))
-    built = FeatureVocabulary.build(Sentence.from_text(f"v{k}", t) for k, t in enumerate(texts))
+    built = FeatureVocabulary.build("".join(texts), [len(t) for t in texts])
     features = [f for f in built.index if f != "bias" or draw(st.booleans())]
     features += [f for f in draw(st.lists(st.sampled_from(NEVER_FIRING), unique=True))
                  if f not in features]
@@ -110,18 +110,19 @@ class TestFeatureExtraction:
 
 class TestFeatureVocabulary:
     def test_build_covers_training_features(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         assert vocab.lookup("c0=右") != vocab.unk_index
         assert vocab.lookup("bias") != vocab.unk_index
 
     def test_unknown_features_fold_into_unk(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         assert vocab.lookup("c0=肝") == vocab.unk_index
 
     def test_build_is_deterministic(self, shadow_sentence, occlusion_sentence):
         sentences = [shadow_sentence, occlusion_sentence]
-        a = FeatureVocabulary.build(sentences)
-        b = FeatureVocabulary.build(sentences)
+        text, lengths = "".join(s.text for s in sentences), [len(s) for s in sentences]
+        a = FeatureVocabulary.build(text, lengths)
+        b = FeatureVocabulary.build(text, lengths)
         assert a.index == b.index
 
     @settings(max_examples=300, deadline=None)
@@ -129,20 +130,20 @@ class TestFeatureVocabulary:
            .map(lambda texts: texts + texts[::2]))   # with repeated sentences
     def test_build_equals_the_string_loop(self, texts):
         sentences = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
-        built = FeatureVocabulary.build(iter(sentences))
+        built = FeatureVocabulary.build("".join(texts), [len(t) for t in texts])
         assert list(built.index.items()) == list(reference_build(sentences).items())
         assert built.unk_index == 0
 
     def test_build_of_nothing_holds_only_unk(self):
-        assert FeatureVocabulary.build(iter(())).index == {UNK: 0}
-        assert FeatureVocabulary.build([]).size == 1
+        assert FeatureVocabulary.build("", []).index == {UNK: 0}
+        assert FeatureVocabulary.build("", np.zeros(0, np.intp)).size == 1
 
     def test_injectivity_enforced(self):
         with pytest.raises(ValueError, match="injective"):
             FeatureVocabulary({"a": 0, "b": 0})
 
     def test_feature_ids_shape(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         ids = vocab.feature_ids(shadow_sentence)
         assert ids.shape == (len(shadow_sentence), FEATURES_PER_POSITION)
 
@@ -170,7 +171,7 @@ class TestFeatureIdBatch:
     @settings(max_examples=200, deadline=None)
     @given(train=sentences(SEEN), texts=sentences(SEEN + UNSEEN, max_size=12))
     def test_built_and_parsed_tables_agree(self, train, texts):
-        built = FeatureVocabulary.build(Sentence.from_text(f"v{k}", t) for k, t in enumerate(train))
+        built = FeatureVocabulary.build("".join(train), [len(t) for t in train])
         parsed = FeatureVocabulary(built.index, built.unk_index)
         batch = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
         expected = np.concatenate([reference_feature_ids(built, s) for s in batch])
@@ -181,7 +182,7 @@ class TestFeatureIdBatch:
         # no feature names a character, so U+0000 and the last code point
         # fall into their classes like any other character
         batch = [Sentence.from_text("s1", "\x00" + UNSEEN), Sentence.from_text("s2", "\x001\U0010ffff")]
-        ids, _ = feature_id_batch(FeatureVocabulary.build([]), batch)
+        ids, _ = feature_id_batch(FeatureVocabulary.build("", []), batch)
         np.testing.assert_array_equal(ids, 0)
         vocab = FeatureVocabulary({UNK: 0, "cls0=digit": 1, "cls0=other": 2, "bias": 3})
         ids, _ = feature_id_batch(vocab, batch)
@@ -196,21 +197,21 @@ class TestFeatureIdBatch:
         np.testing.assert_array_equal(ids, 0)
 
     def test_empty_batch(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         ids, lengths = feature_id_batch(vocab, [])
         assert ids.shape == (0, FEATURES_PER_POSITION) and lengths.shape == (0,)
 
 
 class TestScoreSentence:
     def test_zero_weights_give_zero_scores(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         params = LinearScorerParams.zeros(vocab.size)
         emissions = score_sentence(shadow_sentence, params, vocab)
         assert emissions.scores.shape == (len(shadow_sentence), 7)
         np.testing.assert_array_equal(emissions.scores, 0.0)
 
     def test_sparse_dot_product_hand_evaluated(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         weights = np.zeros((vocab.size, 7))
         b_p = TAG_INDEX["B-P"]
         weights[vocab.lookup("c0=右"), b_p] = 2.0
@@ -221,7 +222,7 @@ class TestScoreSentence:
         assert emissions.scores[1, b_p] == pytest.approx(0.5)
 
     def test_scoring_is_linear_in_weights(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         rng = np.random.default_rng(3)
         w1 = rng.standard_normal((vocab.size, 7))
         w2 = rng.standard_normal((vocab.size, 7))
@@ -235,7 +236,7 @@ class TestScoreSentence:
         np.testing.assert_allclose(combined.scores, parts, atol=1e-12)
 
     def test_unseen_characters_score_finite(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         rng = np.random.default_rng(4)
         params = LinearScorerParams(rng.standard_normal((vocab.size, 7)))
         unseen = Sentence.from_text("s9", "肝胆胰脾")
@@ -243,7 +244,7 @@ class TestScoreSentence:
         assert np.isfinite(emissions.scores).all()
 
     def test_weight_row_count_must_match_vocab(self, shadow_sentence):
-        vocab = FeatureVocabulary.build([shadow_sentence])
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         params = LinearScorerParams.zeros(vocab.size + 3)
         with pytest.raises(ValueError, match="rows"):
             score_sentence(shadow_sentence, params, vocab)

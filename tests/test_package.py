@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import radsigns
-from radsigns import cli
+from radsigns import cli, trainer
 
 
 def test_every_exported_name_resolves():
@@ -86,17 +86,29 @@ def test_src_writes_json_with_one_dumps_call():
     assert offenders == []
 
 
+def names(node):
+    """Every name and attribute that ``node`` holds, with its line."""
+    for child in ast.walk(node):
+        name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+        if name is not None:
+            yield child.lineno, name
+
+
 def test_tag_and_extract_run_on_the_flat_corpus():
-    """``tag`` and ``extract`` read, decode and write one flat corpus: the
-    functions that run them name no per-sentence type, reader or writer."""
+    """``tag``, ``extract``, ``train``, ``eval`` and ``errors`` read, decode,
+    train, score and write flat corpora: the functions that run them name no
+    per-sentence type, reader or writer, and neither does the trainer."""
     per_sentence = {"Sentence", "TagSequence", "tags_from_indices", "read_tagged_corpus",
                     "read_text_sentences", "write_tagged_corpus", "read_emissions_many"}
     functions = {node.name: node for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
                  if isinstance(node, ast.FunctionDef)}
     offenders = [
-        f"{name}:{node.lineno} {node.id if isinstance(node, ast.Name) else node.attr}"
-        for name in ("_cmd_tag", "_cmd_extract", "_tag_windows")
-        for node in ast.walk(functions[name])
-        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in per_sentence
+        f"{name}:{lineno} {found}"
+        for name in ("_cmd_tag", "_cmd_extract", "_tag_windows", "_cmd_train", "_aligned_entities")
+        for lineno, found in names(functions[name]) if found in per_sentence
     ]
+    per_pair = {"Sentence", "TagSequence", "tags_from_indices", "read_tagged_corpus", "pairs"}
+    offenders += [f"trainer.py:{lineno} {found}" for lineno, found
+                  in names(ast.parse(Path(trainer.__file__).read_text(encoding="utf-8")))
+                  if found in per_pair]
     assert offenders == []

@@ -8,9 +8,9 @@ from radsigns.tagscheme import (
     batch_entities,
     entities_from_indices,
     entities_to_tags,
-    find_runs,
     tags_from_indices,
     tags_to_entities,
+    text_runs,
     validate_path,
 )
 
@@ -185,13 +185,14 @@ class TestFindRuns:
         expected = {s.id: reference_tags_to_entities(s, tags_from_indices(s.id, path))
                     for s, path in zip(sentences, paths)}
         lengths = [len(path) for path in paths]
-        assert batch_entities(sentences, sum(paths, []), lengths) == expected
-        assert batch_entities(sentences, b"".join(map(bytes, paths)), lengths) == expected
-        assert batch_entities(sentences, np.array(sum(paths, []), np.uint8), lengths) == expected
+        ids, text = [s.id for s in sentences], "".join(text for _, text in batch)
+        assert batch_entities(ids, text, sum(paths, []), lengths) == expected
+        assert batch_entities(ids, text, b"".join(map(bytes, paths)), lengths) == expected
+        assert batch_entities(ids, text, np.array(sum(paths, []), np.uint8), lengths) == expected
 
     def runs(self, paths):
-        rows, starts, ends, kinds, texts = find_runs(
-            [make_sentence(len(path), f"s{i}") for i, path in enumerate(paths)],
+        rows, starts, ends, kinds, texts = text_runs(
+            "字" * sum(len(path) for path in paths),
             sum(paths, []), [len(path) for path in paths])
         return rows.tolist(), starts.tolist(), ends.tolist(), kinds.tolist(), texts
 
@@ -208,13 +209,13 @@ class TestFindRuns:
 
     def test_empty_batch(self):
         assert self.runs([]) == ([], [], [], [], [])
-        assert batch_entities([], [], []) == {}
+        assert batch_entities([], "", [], []) == {}
 
     def test_path_count_must_match(self):
         with pytest.raises(ValueError):
-            batch_entities([make_sentence(2)], [0, 0, 0], [2, 1])
+            batch_entities(["s1"], make_sentence(2).text, [0, 0, 0], [2, 1])
         with pytest.raises(ValueError, match="3 indices for 2 chars"):
-            batch_entities([make_sentence(2)], [0, 0, 0], [2])
+            batch_entities(["s1"], make_sentence(2).text, [0, 0, 0], [2])
 
 
 class TestValidatePath:

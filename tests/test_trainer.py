@@ -3,7 +3,7 @@ import pytest
 
 from radsigns import crf
 from radsigns.cli import main
-from radsigns.corpus import Sentence, TagSequence
+from radsigns.corpus import FlatCorpus, Sentence, TagSequence
 from radsigns.crf import (
     FULL_SIZE,
     TaggerModel,
@@ -24,6 +24,8 @@ from radsigns.trainer import (
 )
 
 from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus
+
+flat = FlatCorpus.from_pairs
 
 
 def all_o_pair(sid, n):
@@ -59,18 +61,18 @@ class TestTraining:
         corpus = build_rule_corpus(rng, 200, prefix="t")
         dev = build_rule_corpus(rng, 50, prefix="d")
         config = TrainConfig(epochs=20, batch_size=16, seed=1)
-        model, report = train(corpus, dev, config)
+        model, report = train(flat(corpus), flat(dev), config)
         assert report.dev_f1[report.selected_epoch] == 100.0
-        assert evaluate_dev(model, dev) == 100.0
+        assert evaluate_dev(model, flat(dev)) == 100.0
 
     def assert_one_step_matches_per_sentence_gradients(self, corpus, dev):
         config = TrainConfig(epochs=1, batch_size=len(corpus), seed=0)
-        model, report = train(corpus, dev, config)
+        model, report = train(flat(corpus), flat(dev), config)
         assert len(report.train_nll) == 1
         assert len(report.dev_f1) == 1
 
         # reproduce the single update by hand from the zero initialization
-        vocab = FeatureVocabulary.build(s for s, _ in corpus)
+        vocab = FeatureVocabulary.build(flat(corpus).text, flat(corpus).lengths)
         grad_w = np.zeros((vocab.size, 7))
         grad_a = np.zeros((FULL_SIZE, FULL_SIZE))
         zero_w = LinearScorerParams.zeros(vocab.size)
@@ -116,15 +118,16 @@ class TestTraining:
         corpus = build_rule_corpus(rng, 20, prefix="t")
         dev = build_rule_corpus(rng, 7, prefix="d")
         calls = []
-        original = trainer.feature_id_batch
+        original = trainer.text_feature_ids
 
-        def counting(vocab, sentences):
-            calls.extend(sentence.id for sentence in sentences)
-            return original(vocab, sentences)
+        def counting(vocab, text, lengths):
+            calls.append((text, lengths.tolist()))
+            return original(vocab, text, lengths)
 
-        monkeypatch.setattr(trainer, "feature_id_batch", counting)
-        train(corpus, dev, TrainConfig(epochs=3, batch_size=8, seed=5))
-        assert sorted(calls) == sorted(s.id for s, _ in corpus + dev)
+        monkeypatch.setattr(trainer, "text_feature_ids", counting)
+        train(flat(corpus), flat(dev), TrainConfig(epochs=3, batch_size=8, seed=5))
+        # one pass over each corpus: every sentence once
+        assert calls == [(c.text, c.lengths.tolist()) for c in (flat(corpus), flat(dev))]
 
     def test_train_never_parses_its_own_vocabulary(self, monkeypatch):
         # build hands its vocabulary the tables it computed; only a vocabulary
@@ -140,7 +143,7 @@ class TestTraining:
             return original(index, unk)
 
         monkeypatch.setattr(encoder, "_parse_tables", counting)
-        model, _ = train(corpus, dev, TrainConfig(epochs=2, batch_size=8, seed=5))
+        model, _ = train(flat(corpus), flat(dev), TrainConfig(epochs=2, batch_size=8, seed=5))
         model.vocab.feature_ids(dev[0][0])
         assert parsed == []
         FeatureVocabulary(model.vocab.index).feature_ids(dev[0][0])
@@ -151,8 +154,8 @@ class TestTraining:
         corpus = build_rule_corpus(rng, 30, prefix="t")
         dev = build_rule_corpus(rng, 10, prefix="d")
         config = TrainConfig(epochs=3, batch_size=8, seed=9)
-        model_a, report_a = train(corpus, dev, config)
-        model_b, report_b = train(corpus, dev, config)
+        model_a, report_a = train(flat(corpus), flat(dev), config)
+        model_b, report_b = train(flat(corpus), flat(dev), config)
         assert report_a == report_b
         np.testing.assert_array_equal(
             model_a.weights.weights, model_b.weights.weights
@@ -166,7 +169,7 @@ class TestTraining:
         corpus = build_rule_corpus(rng, 20, prefix="t")
         dev = build_rule_corpus(rng, 5, prefix="d")
         seen = []
-        _, report = train(corpus, dev, TrainConfig(epochs=3, batch_size=8, seed=8),
+        _, report = train(flat(corpus), flat(dev), TrainConfig(epochs=3, batch_size=8, seed=8),
                           on_epoch=lambda *args: seen.append(args))
         assert seen == [(epoch, loss, f1) for epoch, loss, f1
                         in zip((1, 2, 3), report.train_nll, report.dev_f1)]
@@ -175,7 +178,7 @@ class TestTraining:
         rng = np.random.default_rng(103)
         corpus = build_rule_corpus(rng, 50, prefix="t")
         dev = build_rule_corpus(rng, 10, prefix="d")
-        _, report = train(corpus, dev, TrainConfig(epochs=5, batch_size=8, seed=2))
+        _, report = train(flat(corpus), flat(dev), TrainConfig(epochs=5, batch_size=8, seed=2))
         assert report.train_nll[1] < report.train_nll[0]
         assert report.train_nll[-1] < report.train_nll[0]
 
@@ -183,7 +186,7 @@ class TestTraining:
         rng = np.random.default_rng(104)
         corpus = build_rule_corpus(rng, 1, prefix="t")
         sentence, tags = corpus[0]
-        vocab = FeatureVocabulary.build([sentence])
+        vocab = FeatureVocabulary.build(sentence.text, [len(sentence)])
         weights = LinearScorerParams.zeros(vocab.size)
         transitions = TransitionMatrix.zeros()
         emissions = score_sentence(sentence, weights, vocab)
@@ -202,7 +205,7 @@ class TestTraining:
         rng = np.random.default_rng(105)
         corpus = build_rule_corpus(rng, 80, prefix="t")
         dev = build_rule_corpus(rng, 20, prefix="d")
-        _, report = train(corpus, dev, TrainConfig(epochs=8, batch_size=8, seed=3))
+        _, report = train(flat(corpus), flat(dev), TrainConfig(epochs=8, batch_size=8, seed=3))
         best = max(report.dev_f1)
         assert report.dev_f1[report.selected_epoch] == best
         assert report.selected_epoch == report.dev_f1.index(best)
@@ -213,25 +216,28 @@ class TestTraining:
         dev = build_rule_corpus(rng, 5, prefix="d")
         base = TrainConfig(epochs=2, batch_size=5, seed=4, l2=0.0)
         ridged = TrainConfig(epochs=2, batch_size=5, seed=4, l2=0.5)
-        model_a, _ = train(corpus, dev, base)
-        model_b, _ = train(corpus, dev, ridged)
+        model_a, _ = train(flat(corpus), flat(dev), base)
+        model_b, _ = train(flat(corpus), flat(dev), ridged)
         assert not np.array_equal(model_a.weights.weights, model_b.weights.weights)
         # dev F1 is a pure function of the model, not of the penalty
-        assert evaluate_dev(model_a, dev) == evaluate_dev(model_a, dev)
+        assert evaluate_dev(model_a, flat(dev)) == evaluate_dev(model_a, flat(dev))
 
     def test_empty_corpora_rejected(self):
         rng = np.random.default_rng(107)
-        corpus = build_rule_corpus(rng, 3, prefix="t")
+        corpus = flat(build_rule_corpus(rng, 3, prefix="t"))
         with pytest.raises(ValueError, match="empty"):
-            train([], corpus, TrainConfig(epochs=1))
+            train(flat([]), corpus, TrainConfig(epochs=1))
         with pytest.raises(ValueError, match="empty"):
-            train(corpus, [], TrainConfig(epochs=1))
+            train(corpus, flat([]), TrainConfig(epochs=1))
 
-    def test_shared_sentence_ids_rejected(self):
+    def test_untagged_corpora_rejected(self):
         rng = np.random.default_rng(108)
-        corpus = build_rule_corpus(rng, 3, prefix="x")
-        with pytest.raises(ValueError, match="shares sentence ids"):
-            train(corpus, corpus, TrainConfig(epochs=1))
+        corpus = flat(build_rule_corpus(rng, 3, prefix="t"))
+        untagged = FlatCorpus(corpus.text, corpus.lengths)
+        with pytest.raises(ValueError, match="training needs a tagged corpus, not an untagged one"):
+            train(untagged, corpus, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="dev scoring needs a tagged corpus, not an untagged one"):
+            train(corpus, untagged, TrainConfig(epochs=1))
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_exploding_rate_raises_on_divergent_update(self):
@@ -239,8 +245,8 @@ class TestTraining:
         dev = [all_o_pair("d1", 3)]
         config = TrainConfig(epochs=2, batch_size=2, lr_initial=1e306, seed=0)
         with pytest.raises(NonFiniteLossError) as excinfo:
-            train(corpus, dev, config)
-        assert excinfo.value.sentence_id in ("t1", "t2")
+            train(flat(corpus), flat(dev), config)
+        assert excinfo.value.sentence_id in ("s1", "s2")
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_sentence_loss_names_the_sentence(self):
@@ -250,8 +256,8 @@ class TestTraining:
         dev = [all_o_pair("d1", 3)]
         config = TrainConfig(epochs=2, batch_size=2, lr_initial=1e303, seed=0)
         with pytest.raises(NonFiniteLossError) as excinfo:
-            train(corpus, dev, config)
-        assert excinfo.value.sentence_id == "t2"
+            train(flat(corpus), flat(dev), config)
+        assert excinfo.value.sentence_id == "s2"
         assert "loss" in str(excinfo.value)
 
 
@@ -288,7 +294,7 @@ class TestScaledForwardBackward:
 
         with monkeypatch.context() as patch:
             patch.setattr(crf, "_log_marginals", no_fallback)
-            scaled_model, scaled_report = train(corpus, dev, config)
+            scaled_model, scaled_report = train(flat(corpus), flat(dev), config)
 
         scaled = crf._scaled_marginals
 
@@ -297,7 +303,7 @@ class TestScaledForwardBackward:
             return np.full_like(log_z, np.nan), gamma, pairwise
 
         monkeypatch.setattr(crf, "_scaled_marginals", scaled_off)
-        log_model, log_report = train(corpus, dev, config)
+        log_model, log_report = train(flat(corpus), flat(dev), config)
         monkeypatch.undo()
 
         for got, expected in ((scaled_model.weights.weights, log_model.weights.weights),
@@ -313,7 +319,7 @@ class TestScaledForwardBackward:
 class TestEvaluateDev:
     def build_rule_model(self, corpus):
         """Hand-built scorer encoding the character rule directly."""
-        vocab = FeatureVocabulary.build(s for s, _ in corpus)
+        vocab = FeatureVocabulary.build(flat(corpus).text, flat(corpus).lengths)
         weights = np.zeros((vocab.size, 7))
         for ch, tag in RULE_CHAR_TAG.items():
             row = vocab.lookup(f"c0={ch}")
@@ -326,29 +332,29 @@ class TestEvaluateDev:
     def test_all_o_decoder_scores_zero(self):
         rng = np.random.default_rng(109)
         dev = build_rule_corpus(rng, 5, prefix="d")
-        vocab = FeatureVocabulary.build(s for s, _ in dev)
+        vocab = FeatureVocabulary.build(flat(dev).text, flat(dev).lengths)
         model = TaggerModel(
             vocab, LinearScorerParams.zeros(vocab.size), TransitionMatrix.zeros()
         )
         # zero scores everywhere: ties resolve to O, so nothing is predicted
-        assert evaluate_dev(model, dev) == 0.0
+        assert evaluate_dev(model, flat(dev)) == 0.0
 
     def test_batched_dev_decoding_matches_per_sentence_decoding(self):
         rng = np.random.default_rng(113)
         corpus = build_rule_corpus(rng, 40, prefix="t")
         dev = build_rule_corpus(rng, 150, prefix="d")   # mixed lengths, one flat pass
-        model, _ = train(corpus, dev, TrainConfig(epochs=1, batch_size=8, seed=6))
+        model, _ = train(flat(corpus), flat(dev), TrainConfig(epochs=1, batch_size=8, seed=6))
         pred = {s.id: tags_to_entities(s, model.decode(s)) for s, _ in dev}
         gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
         expected = entity_prf(pred, gold).overall.f1
         assert 0.0 < expected < 100.0
-        assert evaluate_dev(model, dev) == expected
+        assert evaluate_dev(model, flat(dev)) == expected
 
     def test_gold_equivalent_model_scores_hundred(self):
         rng = np.random.default_rng(110)
         dev = build_rule_corpus(rng, 20, prefix="d")
         model = self.build_rule_model(dev)
-        assert evaluate_dev(model, dev) == 100.0
+        assert evaluate_dev(model, flat(dev)) == 100.0
 
 
 class TestDevScoring:
@@ -370,9 +376,9 @@ class TestDevScoring:
         rng = np.random.default_rng(120)
         for trial in range(300):
             dev = self.random_dev(rng, int(rng.integers(1, 9)))
-            vocab = FeatureVocabulary.build(s for s, _ in dev)
+            vocab = FeatureVocabulary.build(flat(dev).text, flat(dev).lengths)
             model = TaggerModel(vocab, LinearScorerParams.zeros(vocab.size), TransitionMatrix.zeros())
-            dev_set = trainer._DevSet(dev, vocab)
+            dev_set = trainer._DevSet(flat(dev), vocab)
             lengths = [len(s) for s, _ in dev]
             n = sum(lengths)
             if trial % 5 == 0:   # all O: nothing predicted
@@ -384,17 +390,9 @@ class TestDevScoring:
             monkeypatch.setattr(trainer, "viterbi", lambda P, A, lengths: path)
             sentences = [s for s, _ in dev]
             gold = {s.id: tags_to_entities(s, t) for s, t in dev}
-            expected = entity_prf(batch_entities(sentences, path, lengths), gold).overall.f1
+            expected = entity_prf(batch_entities([s.id for s in sentences], flat(dev).text,
+                                                 path, lengths), gold).overall.f1
             assert dev_set.f1(model) == expected
-
-    def test_repeated_dev_id_is_rejected(self):
-        rng = np.random.default_rng(121)
-        corpus = build_rule_corpus(rng, 5, prefix="t")
-        dev = build_rule_corpus(rng, 3, prefix="d")
-        sid, (sentence, tags) = dev[0][0].id, dev[2]
-        dev.append((Sentence.from_text(sid, sentence.text), tags_from_indices(sid, tags.indices)))
-        with pytest.raises(ValueError, match=f"dev sentence id '{sid}' repeats"):
-            train(corpus, dev, TrainConfig(epochs=1))
 
 
 class TestFeatureGradient:
