@@ -20,9 +20,9 @@ from .corpus import (
     Sentence,
     TagSequence,
     read_dictionary,
-    read_tagged_corpus,
+    read_tagged_flat,
     write_quadruples,
-    write_tagged_corpus,
+    write_tagged_flat,
 )
 from .crf import (
     TaggerModel,
@@ -38,8 +38,6 @@ from .encoder import (
     FeatureVocabulary,
     LinearScorerParams,
     extract_features,
-    external_emissions,
-    feature_id_batch,
     score_sentence,
 )
 from .evaluation import (
@@ -53,7 +51,7 @@ from .evaluation import (
     relation_prf,
 )
 from .tag2relation import find_primary_parts, match
-from .tagscheme import entities_from_indices, entities_to_tags, tags_to_entities, validate_path
+from .tagscheme import entities_to_tags, tags_to_entities, validate_path
 from .trainer import TrainConfig, TrainReport, evaluate_dev, train
 
 # every public name imported above, and nothing else

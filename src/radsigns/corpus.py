@@ -7,14 +7,15 @@ vocabulary is fixed, with these exact spellings, in index order (each B-X odd, i
 
 Every input file is opened by ``_open_text``: it is read as UTF-8, a
 leading BOM is dropped, and an undecodable byte is reported as
-``path:line``.  File formats handled here:
+``path:line``.  Each file format has one reader and at most one writer:
 
-* text input: one sentence per line, blank lines skipped;
+* text input: one sentence per line, blank lines skipped (:func:`read_text_flat`);
 * tagged corpus: one ``<char>\\t<tag>`` per line, split at the line's last
-  tab so the character may itself be a tab, blank line between sentences;
+  tab so the character may itself be a tab, blank line between sentences
+  (:func:`read_tagged_flat`, :func:`write_tagged_flat`);
 * secondary-part dictionary: one term per line, ``#`` starts a comment;
 * emission file: header ``<sentence_id> <n> <k>`` followed by n rows of k
-  floats (one or more such blocks per file);
+  floats, one or more such blocks per file (:func:`read_emission_blocks`);
 * quadruples and relations: JSON Lines;
 * model and config files: one JSON object each, read by
   :func:`read_json_object`.
@@ -22,6 +23,8 @@ leading BOM is dropped, and an undecodable byte is reported as
 ``\\r\\n`` and a lone ``\\r`` end a line, U+2028 and the like do not.  Text and
 tagged corpora are read and written as one :class:`FlatCorpus` in array
 passes over code points; only an error's report reads line by line.
+:meth:`FlatCorpus.pairs` and :meth:`FlatCorpus.from_pairs` convert it to
+and from ``(Sentence, TagSequence)`` pairs.
 
 Readers are pure functions and every returned value is immutable, so results
 are safe to share across threads.
@@ -314,20 +317,11 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
 
 
-def read_tagged_corpus(path) -> list[tuple[Sentence, TagSequence]]:
-    """Read a char/tag corpus file.
-
-    Sentence ids are positional (``s1``, ``s2``, ...), so writing a corpus
-    with :func:`write_tagged_corpus` and reading it back reproduces the
-    sentences exactly.
-    """
-    return read_tagged_flat(path).pairs()
-
-
 def read_tagged_flat(path) -> FlatCorpus:
-    """:func:`read_tagged_corpus` as one flat corpus, with the same errors.
-    One search over the whole text finds any bad line, and each tag is read
-    off its label's first and last letter."""
+    """A char/tag corpus file as one tagged flat corpus, blank lines ending
+    sentences, so :func:`write_tagged_flat` and this reader round-trip it
+    exactly.  One search over the whole text finds any bad line, and each
+    tag is read off its label's first and last letter."""
     try:
         with _open_text(path) as fh:
             text = "\n" + fh.read() + "\n"   # each line between two newlines
@@ -366,21 +360,15 @@ def _raise_tagged_error(path) -> NoReturn:
     raise CorpusFormatError(f"{path}: no sentences found")
 
 
-def write_tagged_corpus(pairs: Sequence[tuple[Sentence, TagSequence]], path) -> None:
-    pairs = list(pairs)
-    for k, (sentence, _) in enumerate(pairs):
-        if "\n" in sentence.text or "\r" in sentence.text:
-            FlatCorpus.from_pairs(pairs[:k + 1])   # a length error up to here comes first
-            raise ValueError(f"sentence {sentence.id!r}: a line break cannot be a corpus character")
-    write_tagged_flat(FlatCorpus.from_pairs(pairs), path)
-
-
 def write_tagged_flat(corpus: FlatCorpus, path) -> None:
     """Write a tagged flat corpus from one buffer of code points:
     ``<char>\\t<tag>\\n`` per character, a blank line between sentences,
-    and one more BOM before a leading one, which readers drop."""
-    if "\n" in corpus.text or "\r" in corpus.text:
-        raise ValueError("a line break cannot be a corpus character")
+    and one more BOM before a leading one, which readers drop.  The first
+    sentence holding a line break raises ``ValueError`` before any write."""
+    breaks = [at for at in map(corpus.text.find, "\n\r") if at >= 0]
+    if breaks:
+        sid = corpus.ids[np.searchsorted(corpus.offsets, min(breaks), "right") - 1]
+        raise ValueError(f"sentence {sid!r}: a line break cannot be a corpus character")
     tags = corpus.tag_path("writing a tagged corpus")
     label_sizes = _LABEL_SIZES[tags]
     sizes = label_sizes + 3   # the character, the tab, the label, the newline
@@ -477,23 +465,13 @@ def read_json_object(path, what: str) -> dict:
     return document
 
 
-def read_text_sentences(path) -> list[Sentence]:
-    """One sentence per non-blank line, with ids ``s1``, ``s2``, ... in order."""
-    return [sentence for sentence, _ in read_text_flat(path).pairs()]
-
-
 def read_text_flat(path) -> FlatCorpus:
-    """:func:`read_text_sentences` as one flat corpus."""
+    """A text input file as one untagged flat corpus: one sentence per
+    non-blank line, with ids ``s1``, ``s2``, ... in order."""
     with _open_text(path) as fh:
         text = fh.read()
     lengths = np.diff(np.flatnonzero(_code_points(text + "\n") == 10), prepend=-1) - 1
     return FlatCorpus(text.replace("\n", ""), lengths[lengths > 0])
-
-
-def read_emissions_many(path) -> list[EmissionMatrix]:
-    """Read every emission block in the file, in order; sentence ids must be
-    unique."""
-    return [EmissionMatrix(sid, scores) for sid, scores in read_emission_blocks(path).items()]
 
 
 def read_emission_blocks(path) -> dict[str, np.ndarray]:

@@ -1,8 +1,6 @@
-"""Per-character emission scores for the CRF.
-
-Two sources are supported: a trainable sparse linear scorer over character
-indicator features, and pass-through of score matrices computed offline by
-an external encoder.  Both produce the same n x 7 emission matrix.
+"""Per-character emission scores for the CRF from a trainable sparse linear
+scorer over character indicator features.  Score matrices computed offline
+by an external encoder are read by ``corpus.read_emission_blocks`` instead.
 
 Features are defined as strings (:func:`extract_features`) and the model
 file stores them as strings, but building and looking up work on one
@@ -11,10 +9,10 @@ sentences laid end to end between pads, and an integer value per template
 (:func:`_template_values`).  :meth:`FeatureVocabulary.build` writes out the
 distinct values as strings, in order of first appearance, and keeps them
 as the vocabulary's tables; a vocabulary read from a model file parses its
-strings into the same tables once.  :func:`text_feature_ids` gathers the
-ids of sentences laid end to end as one flat ``(sum(lengths), 9)`` array
-(:func:`feature_id_batch` for a list of sentences), and :func:`score_ids`
-turns it into the batch's flat emissions.
+strings into the same tables once.  :func:`text_feature_ids`, the one
+feature-id function, gathers the ids of sentences laid end to end as one
+flat ``(sum(lengths), 9)`` array, and :func:`score_ids` turns it into the
+batch's flat emissions.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -131,10 +128,6 @@ class FeatureVocabulary:
     def lookup(self, feature: str) -> int:
         return self.index.get(feature, self.unk_index)
 
-    def feature_ids(self, sentence: Sentence) -> np.ndarray:
-        """The ``(n, 9)`` feature ids of one sentence."""
-        return feature_id_batch(self, [sentence])[0]
-
     @cached_property
     def _tables(self) -> _Tables:
         return _parse_tables(self.index, self.unk_index)
@@ -172,9 +165,13 @@ def _template_values(lengths, char_ids: np.ndarray, classes: np.ndarray):
     for a bigram (``width = len(classes)``, the number of char ids), the
     class index of ``c0``, 0 for the bias.  Two pad ids (0) go before,
     between and after the sentences, placed by position, so every character
-    keeps its own id.  One template's array at a time."""
+    keeps its own id.  One template's array at a time.  Lengths that are
+    not all positive or do not sum to the text's length raise ``ValueError``."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    where = np.arange(lengths.sum()) + 2 * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    if (lengths < 1).any() or lengths.sum() != len(char_ids):
+        raise ValueError(f"sentence lengths {lengths} must be positive and sum to "
+                         f"the text's length, {len(char_ids)}")
+    where = np.arange(len(char_ids)) + 2 * np.repeat(np.arange(1, len(lengths) + 1), lengths)
     chars = np.zeros(len(where) + 2 * len(lengths) + 2, dtype=np.intp)
     chars[where] = char_ids
     for j in range(-2, 3):
@@ -230,14 +227,6 @@ def _parse_tables(index: dict[str, int], unk: int) -> _Tables:
     return _Tables(alphabet, classes, templates, values, columns, unk)
 
 
-def feature_id_batch(
-    vocab: FeatureVocabulary, sentences: Sequence[Sentence]
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`text_feature_ids` of the sentences laid end to end, and their lengths."""
-    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    return text_feature_ids(vocab, "".join(s.text for s in sentences), lengths), lengths
-
-
 def text_feature_ids(vocab: FeatureVocabulary, text: str, lengths) -> np.ndarray:
     """Feature ids of sentences of the given ``lengths`` laid end to end in
     ``text``, shape ``(sum(lengths), 9)``.  Equal, position by position, to
@@ -288,7 +277,8 @@ def score_sentence(
             f"scorer has {params.weights.shape[0]} rows but vocabulary has "
             f"{vocab.size} features"
         )
-    return EmissionMatrix(sentence.id, score_ids(params.weights, vocab.feature_ids(sentence)))
+    ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
+    return EmissionMatrix(sentence.id, score_ids(params.weights, ids))
 
 
 def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -298,17 +288,3 @@ def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     for j in range(1, ids.shape[-1]):
         scores += weights.take(ids[..., j], axis=0)
     return scores
-
-
-def external_emissions(sentence: Sentence, matrix: EmissionMatrix) -> EmissionMatrix:
-    """Validate and pass through an offline-computed emission matrix."""
-    if matrix.sentence_id != sentence.id:
-        raise ValueError(
-            f"emission matrix is for {matrix.sentence_id!r}, not {sentence.id!r}"
-        )
-    if matrix.n != len(sentence):
-        raise ValueError(
-            f"emission matrix has {matrix.n} rows but sentence "
-            f"{sentence.id!r} has {len(sentence)} characters"
-        )
-    return matrix

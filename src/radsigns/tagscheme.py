@@ -4,7 +4,8 @@ Entities are decoded from tag index paths, sequences of indices into
 ``TAG_LABELS``: the flat ``uint8`` arrays that Viterbi returns and the
 ``indices`` bytes that a ``TagSequence`` stores.  :func:`text_runs` decodes
 a batch of paths, laid end to end with their texts, in one array pass;
-:func:`batch_entities` and the per-sentence decoders are its calls.
+:func:`batch_entities` calls it, and :func:`tags_to_entities` is
+:func:`batch_entities` of one sentence.
 
 Decoding is total: any tag sequence over the 7-tag vocabulary yields a valid
 entity set.  A run breaks at every sentence start, at every B tag and at
@@ -103,14 +104,9 @@ def batch_entities(ids: Sequence[str], text: str, path,
     return dict(zip(ids, entities, strict=True))
 
 
-def entities_from_indices(sentence: Sentence, indices: Sequence[int]) -> list[Entity]:
-    """:func:`batch_entities` of one sentence."""
-    return batch_entities([sentence.id], sentence.text, indices, [len(indices)])[sentence.id]
-
-
 def tags_to_entities(sentence: Sentence, tags: TagSequence) -> list[Entity]:
-    """:func:`entities_from_indices` of a tag sequence's indices."""
-    return entities_from_indices(sentence, tags.indices)
+    """:func:`batch_entities` of one sentence and its tag sequence."""
+    return batch_entities([sentence.id], sentence.text, tags.indices, [len(tags)])[sentence.id]
 
 
 def validate_path(tags: TagSequence) -> list[int]:

@@ -15,15 +15,16 @@ from radsigns.corpus import (
     TAG_LABELS,
     EmissionMatrix,
     Entity,
+    FlatCorpus,
     Sentence,
     TagSequence,
     read_dictionary,
-    read_emissions_many,
-    read_tagged_corpus,
+    read_emission_blocks,
+    read_tagged_flat,
     write_emissions,
     write_quadruples,
     write_relations,
-    write_tagged_corpus,
+    write_tagged_flat,
 )
 from radsigns.crf import TaggerModel, TransitionMatrix, load_model, save_model, viterbi_decode
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
@@ -45,8 +46,8 @@ def workspace(tmp_path_factory):
     dev_corpus = build_rule_corpus(rng, 30, prefix="s")
     train_path = root / "train.tsv"
     dev_path = root / "dev.tsv"
-    write_tagged_corpus(train_corpus, train_path)
-    write_tagged_corpus(dev_corpus, dev_path)
+    write_tagged_flat(FlatCorpus.from_pairs(train_corpus), train_path)
+    write_tagged_flat(FlatCorpus.from_pairs(dev_corpus), dev_path)
 
     dict_path = root / "parts.txt"
     dict_path.write_text("支气管\n食管\n", encoding="utf-8")
@@ -139,8 +140,8 @@ class TestTrain:
         ]
         train_path = tmp_path / "train.tsv"
         dev_path = tmp_path / "dev.tsv"
-        write_tagged_corpus(pairs, train_path)
-        write_tagged_corpus(pairs[:1], dev_path)
+        write_tagged_flat(FlatCorpus.from_pairs(pairs), train_path)
+        write_tagged_flat(FlatCorpus.from_pairs(pairs[:1]), dev_path)
         with np.errstate(all="ignore"):
             return main([
                 "train", str(train_path), str(dev_path),
@@ -202,7 +203,7 @@ def decode_inputs(tmp_path_factory):
         pairs.append((sentence, tags))
     paths = {"text": root / "input.txt", "tsv": root / "input.tsv", "emissions": root / "em.txt"}
     paths["text"].write_text("".join(s.text + "\n" for s, _ in pairs), encoding="utf-8")
-    write_tagged_corpus(pairs, paths["tsv"])
+    write_tagged_flat(FlatCorpus.from_pairs(pairs), paths["tsv"])
     write_emissions([EmissionMatrix(s.id, 3 * rng.standard_normal((len(s), 7))) for s, _ in pairs],
                     paths["emissions"])
     return paths
@@ -230,8 +231,9 @@ class TestOutputsMatchPublicApi:
         if case == "from-tags":
             return [tags for _, tags in pairs]
         if case.startswith("emissions-file"):
-            blocks = {m.sentence_id: m for m in read_emissions_many(emissions_path)}
-            return [viterbi_decode(blocks[s.id], model.transitions, constrain) for s, _ in pairs]
+            blocks = read_emission_blocks(emissions_path)
+            return [viterbi_decode(EmissionMatrix(s.id, blocks[s.id]), model.transitions, constrain)
+                    for s, _ in pairs]
         return [model.decode(s, constrain) for s, _ in pairs]
 
     @pytest.mark.parametrize("case", CASES)
@@ -245,7 +247,7 @@ class TestOutputsMatchPublicApi:
 
         model = load_model(workspace["model"])
         dictionary = read_dictionary(workspace["dict"])
-        pairs = read_tagged_corpus(decode_inputs["tsv"])
+        pairs = read_tagged_flat(decode_inputs["tsv"]).pairs()
         tag_sequences = self.reference_tags(case, model, pairs, decode_inputs["emissions"])
         for name, entities_of, matcher in (("api", tags_to_entities, match),
                                            ("oracle", reference_tags_to_entities, brute_force_match)):
@@ -296,15 +298,15 @@ class TestOutputsMatchPublicApi:
                          "--out", str(tagged), *flags]) == 0
             outputs.add(tagged.read_bytes())
         assert len(outputs) == 1
-        assert [s.text for s, _ in read_tagged_corpus(tagged)] == \
-            [s.text for s, _ in read_tagged_corpus(decode_inputs["tsv"])]
+        assert [s.text for s, _ in read_tagged_flat(tagged).pairs()] == \
+            [s.text for s, _ in read_tagged_flat(decode_inputs["tsv"]).pairs()]
 
     @pytest.mark.parametrize("constrain", [[], ["--no-constrain"]])
     def test_tag_is_identical_with_the_models_own_emissions_file(
             self, workspace, decode_inputs, tmp_path, constrain):
         model = load_model(workspace["model"])
         emissions = tmp_path / "own.txt"
-        write_emissions([model.emissions(s) for s, _ in read_tagged_corpus(decode_inputs["tsv"])],
+        write_emissions([model.emissions(s) for s, _ in read_tagged_flat(decode_inputs["tsv"]).pairs()],
                         emissions)
         outputs = []
         for extra in ([], ["--emissions-file", str(emissions)]):
@@ -363,7 +365,7 @@ class TestReadmeLibrarySnippet:
         assert main(["tag", "input.txt", "--model", "model.json", "--out", "tagged.tsv"]) == 0
         assert main(["extract", "input.txt", "--model", "model.json", "--dict", "parts.txt",
                      "--out", "quads.jsonl"]) == 0
-        assert read_tagged_corpus("tagged.tsv") == [(sentence, tags)]
+        assert read_tagged_flat("tagged.tsv").pairs() == [(sentence, tags)]
         assert quadruples
         write_quadruples(quadruples, "snippet.jsonl", sentence_ids=[sentence.id] * len(quadruples))
         assert Path("quads.jsonl").read_bytes() == Path("snippet.jsonl").read_bytes()
@@ -384,7 +386,7 @@ class TestTagAndExtract:
         code = main(["tag", str(text_path), "--model", str(workspace["model"]),
                      "--out", str(out)])
         assert code == 0
-        tagged = read_tagged_corpus(out)
+        tagged = read_tagged_flat(out).pairs()
         assert [s.text for s, _ in tagged] == [s.text for s, _ in corpus]
 
     def test_tag_then_extract_equals_extract(self, workspace, tmp_path):
@@ -438,7 +440,7 @@ class TestTagAndExtract:
         assert main(["tag", str(text_path), "--model", str(workspace["model"]),
                      "--out", str(out)]) == 0
         assert main(["eval", "--pred", str(out), "--gold", str(out)]) == 0
-        assert [s.text for s, _ in read_tagged_corpus(out)] == ["左肺\t见斑影"]
+        assert [s.text for s, _ in read_tagged_flat(out).pairs()] == ["左肺\t见斑影"]
 
     def test_empty_input_gives_empty_outputs(self, workspace, tmp_path):
         empty = tmp_path / "empty.txt"
@@ -488,7 +490,7 @@ class TestTagAndExtract:
         code = main(["tag", str(text_path), "--model", str(model_path),
                      "--emissions-file", str(emissions_path), "--out", str(out)])
         assert code == 0
-        assert read_tagged_corpus(out)[0][1].tags == forced
+        assert read_tagged_flat(out).pairs()[0][1].tags == forced
 
     def run_with_emissions(self, workspace, tmp_path, texts, blocks):
         text_path = tmp_path / "input.txt"
@@ -558,7 +560,7 @@ class TestTagAndExtract:
 
     def test_from_tags_with_emissions_file_is_usage_error(self, workspace, tmp_path, capsys):
         _, corpus = self.write_input(workspace, tmp_path, count=2)
-        write_tagged_corpus(corpus, tmp_path / "input.tsv")
+        write_tagged_flat(FlatCorpus.from_pairs(corpus), tmp_path / "input.tsv")
         code = main(["extract", str(tmp_path / "input.tsv"), "--input-format", "tsv",
                      "--from-tags", "--emissions-file", str(tmp_path / "absent.txt"),
                      "--model", str(workspace["model"]), "--dict", str(workspace["dict"]),
@@ -628,7 +630,7 @@ class TestTagAndExtract:
                          "--jobs", jobs]) == 0
             outputs[jobs] = [path.read_bytes() for path in (quads, relations, tagged)]
         assert outputs["2"] == outputs["1"]
-        assert [s.text for s, _ in read_tagged_corpus(tmp_path / "t2.tsv")] == texts
+        assert [s.text for s, _ in read_tagged_flat(tmp_path / "t2.tsv").pairs()] == texts
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, workspace, tmp_path, capsys, jobs):
@@ -729,7 +731,7 @@ class TestTagAndExtract:
 
 def write_entity_corpus(path, sentence, entities):
     tags = entities_to_tags(sentence, entities)
-    write_tagged_corpus([(sentence, tags)], path)
+    write_tagged_flat(FlatCorpus.from_pairs([(sentence, tags)]), path)
 
 
 @pytest.fixture
@@ -972,7 +974,7 @@ class TestByteOrderMark:
                  "tsv": tmp_path / "gold.tsv", "dict": workspace["dict"],
                  "relations": tmp_path / "relations.jsonl", "model": workspace["model"],
                  "config": tmp_path / "config.json"}
-        write_tagged_corpus([(sentence, tags)], paths["tsv"])
+        write_tagged_flat(FlatCorpus.from_pairs([(sentence, tags)]), paths["tsv"])
         write_relations(relations, paths["relations"], sentence_ids=["s1"] * len(relations))
         paths["config"].write_text('{"constrain": false, "input_format": "text"}', encoding="utf-8")
         return paths

@@ -26,16 +26,13 @@ from radsigns.corpus import (
     TagSequence,
     entity_to_dict,
     read_dictionary,
-    read_emissions_many,
+    read_emission_blocks,
     read_relations,
-    read_tagged_corpus,
     read_tagged_flat,
     read_text_flat,
-    read_text_sentences,
     write_emissions,
     write_quadruples,
     write_relations,
-    write_tagged_corpus,
     write_tagged_flat,
 )
 from radsigns.tagscheme import tags_from_indices
@@ -68,7 +65,7 @@ class TestTaggedCorpusReader:
     def test_example_sentence(self, tmp_path):
         lines = "".join(f"{c}\t{t}\n" for c, t in zip(FIG_TEXT, FIG_LABELS))
         path = write_text(tmp_path / "corpus.tsv", lines)
-        pairs = read_tagged_corpus(path)
+        pairs = read_tagged_flat(path).pairs()
         assert len(pairs) == 1
         sentence, tags = pairs[0]
         assert len(sentence) == 16
@@ -77,7 +74,7 @@ class TestTaggedCorpusReader:
 
     def test_single_line_sentence(self, tmp_path):
         path = write_text(tmp_path / "one.tsv", "肺\tO\n")
-        pairs = read_tagged_corpus(path)
+        pairs = read_tagged_flat(path).pairs()
         assert len(pairs) == 1
         assert len(pairs[0][0]) == 1
         assert pairs[0][1].tags == ("O",)
@@ -85,63 +82,65 @@ class TestTaggedCorpusReader:
     def test_space_separated_line_is_malformed(self, tmp_path):
         path = write_text(tmp_path / "bad.tsv", "肺 O B-P\n")
         with pytest.raises(CorpusFormatError, match="expected"):
-            read_tagged_corpus(path)
+            read_tagged_flat(path)
 
     def test_unknown_tag(self, tmp_path):
         path = write_text(tmp_path / "bad.tsv", "肺\tB-X\n")
         with pytest.raises(CorpusFormatError, match="unknown tag"):
-            read_tagged_corpus(path)
+            read_tagged_flat(path)
 
     def test_multichar_field(self, tmp_path):
         path = write_text(tmp_path / "bad.tsv", "肺炎\tO\n")
         with pytest.raises(CorpusFormatError, match="single character"):
-            read_tagged_corpus(path)
+            read_tagged_flat(path)
 
     def test_empty_file(self, tmp_path):
         path = write_text(tmp_path / "empty.tsv", "")
         with pytest.raises(CorpusFormatError, match="no sentences"):
-            read_tagged_corpus(path)
+            read_tagged_flat(path)
 
     def test_blank_lines_separate_sentences(self, tmp_path):
         path = write_text(tmp_path / "two.tsv", "肺\tO\n\n影\tB-Abn\n")
-        pairs = read_tagged_corpus(path)
+        pairs = read_tagged_flat(path).pairs()
         assert [s.text for s, _ in pairs] == ["肺", "影"]
         assert [s.id for s, _ in pairs] == ["s1", "s2"]
 
     def test_round_trip(self, tmp_path):
         lines = "".join(f"{c}\t{t}\n" for c, t in zip(FIG_TEXT, FIG_LABELS))
         lines += "\n肺\tO\n"
-        original = read_tagged_corpus(write_text(tmp_path / "a.tsv", lines))
+        original = read_tagged_flat(write_text(tmp_path / "a.tsv", lines)).pairs()
         out = tmp_path / "b.tsv"
-        write_tagged_corpus(original, out)
-        assert read_tagged_corpus(out) == original
+        write_tagged_flat(FlatCorpus.from_pairs(original), out)
+        assert read_tagged_flat(out).pairs() == original
 
     def test_writer_rejects_misaligned_tags(self, tmp_path):
         pair = (Sentence.from_text("s1", "肺炎"), TagSequence("s1", ("O",)))
         with pytest.raises(ValueError, match="2 chars but 1 tags"):
-            write_tagged_corpus([pair], tmp_path / "out.tsv")
+            FlatCorpus.from_pairs([pair])
 
     def test_extra_field_names_path_and_line(self, tmp_path):
         path = write_text(tmp_path / "bad.tsv", "肺\tO\n肺\t炎\tO\n")
         message = f"{path}:2: first field must be a single character, got {'肺' + chr(9) + '炎'!r}"
         with pytest.raises(CorpusFormatError, match=re.escape(message)):
-            read_tagged_corpus(path)
+            read_tagged_flat(path)
 
     @pytest.mark.parametrize("char", ["\n", "\r"])
     def test_writer_rejects_line_breaks(self, tmp_path, char):
         pair = (Sentence.from_text("s1", "肺" + char), TagSequence("s1", ("O", "O")))
         with pytest.raises(ValueError, match="line break"):
-            write_tagged_corpus([pair], tmp_path / "out.tsv")
+            write_tagged_flat(FlatCorpus.from_pairs([pair]), tmp_path / "out.tsv")
         with pytest.raises(ValueError, match="line break"):
             write_tagged_flat(FlatCorpus("肺" + char, [2], bytes(2)), tmp_path / "out.tsv")
 
     def test_writer_reports_the_first_bad_pair(self, tmp_path):
         broken = (Sentence.from_text("b", "肺\n"), TagSequence("b", ("O", "O")))
         short = (Sentence.from_text("c", "肺炎"), TagSequence("c", ("O",)))
-        with pytest.raises(ValueError, match="sentence 'b': a line break"):
-            write_tagged_corpus([broken, short], tmp_path / "out.tsv")
+        fine = (Sentence.from_text("a", "肺"), TagSequence("a", ("O",)))
         with pytest.raises(ValueError, match="sentence 'c': 2 chars but 1 tags"):
-            write_tagged_corpus([short, broken], tmp_path / "out.tsv")
+            FlatCorpus.from_pairs([short, broken])
+        # ids are positional: the first sentence with a line break is s2
+        with pytest.raises(ValueError, match="sentence 's2': a line break"):
+            write_tagged_flat(FlatCorpus.from_pairs([fine, broken, broken]), tmp_path / "out.tsv")
         assert not (tmp_path / "out.tsv").exists()
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -153,8 +152,8 @@ class TestTaggedCorpusReader:
         pairs = [(Sentence(f"s{i}", [c for c, _ in rows]), TagSequence(f"s{i}", [t for _, t in rows]))
                  for i, rows in enumerate(sentences, 1)]
         path = tmp_path / "c.tsv"
-        write_tagged_corpus(pairs, path)
-        assert read_tagged_corpus(path) == pairs
+        write_tagged_flat(FlatCorpus.from_pairs(pairs), path)
+        assert read_tagged_flat(path).pairs() == pairs
 
 
 def reference_lines(path):
@@ -272,9 +271,9 @@ class TestFlatCorpusIO:
         path = tmp_path / "c.tsv"
         path.write_bytes(data)
         expected = read_outcome(reference_read_tagged_corpus, path)
-        assert read_outcome(read_tagged_corpus, path) == expected
         flat = read_outcome(read_tagged_flat, path)
         if isinstance(expected, list):
+            assert flat.pairs() == expected
             assert flat.text == "".join(s.text for s, _ in expected)
             assert flat.indices == b"".join(t.indices for _, t in expected)
             assert flat.lengths.tolist() == [len(s) for s, _ in expected]
@@ -299,8 +298,8 @@ class TestFlatCorpusIO:
         path = tmp_path / "in.txt"
         path.write_bytes(content)
         expected = reference_read_text_sentences(path)
-        assert read_text_sentences(path) == expected
         flat = read_text_flat(path)
+        assert [s for s, _ in flat.pairs()] == expected
         assert (flat.text, flat.lengths.tolist(), flat.indices) == (
             "".join(s.text for s in expected), [len(s) for s in expected], None)
 
@@ -309,13 +308,15 @@ class TestFlatCorpusIO:
                                        min_size=1, max_size=6), max_size=5))
     @example(sentences=[[("\ufeff", "O")], [("\ufeff", "I-Abn")]])
     def test_flat_writer_bytes_equal_the_pair_writers(self, tmp_path, sentences):
+        # "pairs" writes the pairs through FlatCorpus.from_pairs
         pairs = [(Sentence(f"s{i}", [c for c, _ in rows]), TagSequence(f"s{i}", [t for _, t in rows]))
                  for i, rows in enumerate(sentences, 1)]
         flat = FlatCorpus("".join(s.text for s, _ in pairs), [len(s) for s, _ in pairs],
                           b"".join(t.indices for _, t in pairs))
         written = {}
         for name, write, value in (("flat", write_tagged_flat, flat),
-                                   ("pairs", write_tagged_corpus, pairs),
+                                   ("pairs", lambda pairs, path: write_tagged_flat(
+                                       FlatCorpus.from_pairs(pairs), path), pairs),
                                    ("reference", reference_write_tagged_corpus, pairs)):
             write(value, tmp_path / name)
             written[name] = (tmp_path / name).read_bytes()
@@ -327,13 +328,13 @@ class TestFlatCorpusIO:
         path = tmp_path / "c.tsv"
         path.write_bytes("肺\tO\n肺 O\n".encode() + "右\tB-P\n".encode() * 2000 + b"\xff\tO\n")
         with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: expected"):
-            read_tagged_corpus(path)
+            read_tagged_flat(path)
 
     def test_a_near_undecodable_byte_is_the_error(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_bytes("肺\tO\n肺 O\n".encode() + "右\tB-P\n".encode() * 20 + b"\xff\tO\n")
         with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:23: 'utf-8' codec"):
-            read_tagged_corpus(path)
+            read_tagged_flat(path)
 
     def test_flat_corpus_windows_keep_their_ids_and_lengths_are_read_only(self):
         flat = FlatCorpus("abcdef", [1, 2, 3], bytes([0, 1, 2, 3, 4, 5]))
@@ -399,8 +400,7 @@ def reference_read_emissions(path):
         rows = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1)]
     rows = [(lineno, line) for lineno, line in rows if line]
 
-    matrices = []
-    seen = set()
+    blocks = {}
     i = 0
     while i < len(rows):
         lineno, header = rows[i]
@@ -410,9 +410,8 @@ def reference_read_emissions(path):
                 f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
             )
         sid = fields[0]
-        if sid in seen:
+        if sid in blocks:
             raise CorpusFormatError(f"{path}:{lineno}: a second emission block for sentence {sid!r}")
-        seen.add(sid)
         try:
             n, k = int(fields[1]), int(fields[2])
         except ValueError:
@@ -446,20 +445,20 @@ def reference_read_emissions(path):
                 raise CorpusFormatError(
                     f"{path}:{row_lineno}: non-finite value in {row!r}"
                 )
-        matrices.append(EmissionMatrix(sid, block))
+        blocks[sid] = block
         i += 1 + n
-    if not matrices:
+    if not blocks:
         raise CorpusFormatError(f"{path}: no emission blocks found")
-    return matrices
+    return blocks
 
 
 def outcome(reader, path):
-    """(ids, matrix bytes) on success, (exception type, message) on failure."""
+    """(ids, block bytes) on success, (exception type, message) on failure."""
     try:
-        matrices = reader(path)
+        blocks = reader(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return [m.sentence_id for m in matrices], [(m.scores.shape, m.scores.tobytes()) for m in matrices]
+    return list(blocks), [(b.shape, b.tobytes()) for b in blocks.values()]
 
 
 GOOD_TOKENS = st.one_of(
@@ -512,30 +511,30 @@ def emission_files(draw):
 class TestEmissions:
     def test_read_block(self, tmp_path):
         content = "s1 2 7\n" + "0 1 2 3 4 5 6\n" + ".5 .5 .5 .5 .5 .5 .5\n"
-        [m] = read_emissions_many(write_text(tmp_path / "e.txt", content))
-        assert m.sentence_id == "s1"
-        assert m.scores.shape == (2, 7)
-        assert m.scores[0, 3] == 3.0
+        [(sid, scores)] = read_emission_blocks(write_text(tmp_path / "e.txt", content)).items()
+        assert sid == "s1"
+        assert scores.shape == (2, 7)
+        assert scores[0, 3] == 3.0
 
     def test_missing_row_is_dimension_mismatch(self, tmp_path):
         content = "s1 2 7\n0 1 2 3 4 5 6\n"
         with pytest.raises(CorpusFormatError, match="promises 2 rows"):
-            read_emissions_many(write_text(tmp_path / "e.txt", content))
+            read_emission_blocks(write_text(tmp_path / "e.txt", content))
 
     def test_nan_rejected(self, tmp_path):
         content = "s1 1 7\n0 0 nan 0 0 0 0\n"
         with pytest.raises(CorpusFormatError, match="non-finite"):
-            read_emissions_many(write_text(tmp_path / "e.txt", content))
+            read_emission_blocks(write_text(tmp_path / "e.txt", content))
 
     def test_wrong_k_rejected(self, tmp_path):
         content = "s1 1 8\n0 0 0 0 0 0 0 0\n"
         with pytest.raises(CorpusFormatError, match="k must be 7"):
-            read_emissions_many(write_text(tmp_path / "e.txt", content))
+            read_emission_blocks(write_text(tmp_path / "e.txt", content))
 
     def test_short_row_rejected(self, tmp_path):
         content = "s1 1 7\n0 0 0\n"
         with pytest.raises(CorpusFormatError, match="expected 7 values"):
-            read_emissions_many(write_text(tmp_path / "e.txt", content))
+            read_emission_blocks(write_text(tmp_path / "e.txt", content))
 
     def test_many_blocks_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -545,34 +544,34 @@ class TestEmissions:
         ]
         path = tmp_path / "e.txt"
         write_emissions(matrices, path)
-        loaded = read_emissions_many(path)
-        assert [m.sentence_id for m in loaded] == ["a", "b"]
-        for original, copy in zip(matrices, loaded):
-            np.testing.assert_array_equal(original.scores, copy.scores)
+        loaded = read_emission_blocks(path)
+        assert list(loaded) == ["a", "b"]
+        for original, copy in zip(matrices, loaded.values()):
+            np.testing.assert_array_equal(original.scores, copy)
 
     def test_bom_read_is_dropped_but_a_written_leading_u_feff_survives(self, tmp_path):
         bom = write_text(tmp_path / "bom.txt", "\ufeffs1 1 7\n0 0 0 0 0 0 0\n")
-        assert [m.sentence_id for m in read_emissions_many(bom)] == ["s1"]
+        assert list(read_emission_blocks(bom)) == ["s1"]
         path = tmp_path / "e.txt"
         write_emissions([EmissionMatrix("\ufeffs1", np.zeros((1, 7))),
                          EmissionMatrix("\ufeffs2", np.ones((1, 7)))], path)
-        assert [m.sentence_id for m in read_emissions_many(path)] == ["\ufeffs1", "\ufeffs2"]
+        assert list(read_emission_blocks(path)) == ["\ufeffs1", "\ufeffs2"]
 
     def test_first_bad_row_wins_over_later_rows(self, tmp_path):
         content = "s1 3 7\n0 0 0 0 0 0 0\n0 0 x 0 0 0 0\n0 0\n"
         with pytest.raises(CorpusFormatError, match=r"e\.txt:3: non-numeric value in '0 0 x 0 0 0 0'"):
-            read_emissions_many(write_text(tmp_path / "e.txt", content))
+            read_emission_blocks(write_text(tmp_path / "e.txt", content))
 
     def test_huge_row_count_is_dimension_mismatch(self, tmp_path):
         content = f"s1 {10**30} 7\n0 0 0 0 0 0 0\n"
         with pytest.raises(CorpusFormatError, match=f"promises {10**30} rows .* only 1 follow"):
-            read_emissions_many(write_text(tmp_path / "e.txt", content))
+            read_emission_blocks(write_text(tmp_path / "e.txt", content))
 
     def test_undecodable_byte_names_path_and_line(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_bytes(b"s1 1 7\r\n0 0 0 0 0 0 0\r\n\r\ns2 1 7\n0 0 \xff 0 0 0 0\n")
         with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:5: 'utf-8' codec can't decode byte 0xff in position 4"):
-            read_emissions_many(path)
+            read_emission_blocks(path)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -581,7 +580,7 @@ class TestEmissions:
     def test_matches_row_by_row_reference(self, tmp_path, text):
         path = tmp_path / "e.txt"
         path.write_text(text, encoding="utf-8", newline="")
-        assert outcome(read_emissions_many, path) == outcome(reference_read_emissions, path)
+        assert outcome(read_emission_blocks, path) == outcome(reference_read_emissions, path)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -603,9 +602,9 @@ class TestEmissions:
                 write_emissions(matrices, path)
             return
         write_emissions(matrices, path)
-        loaded = read_emissions_many(path)
-        assert [m.sentence_id for m in loaded] == [m.sentence_id for m in matrices]
-        assert [m.scores.tobytes() for m in loaded] == [m.scores.tobytes() for m in matrices]
+        loaded = read_emission_blocks(path)
+        assert list(loaded) == [m.sentence_id for m in matrices]
+        assert [b.tobytes() for b in loaded.values()] == [m.scores.tobytes() for m in matrices]
 
     def test_scores_are_read_only(self):
         m = EmissionMatrix("s1", np.zeros((2, 7)))
@@ -817,14 +816,14 @@ class TestTextInput:
     def test_blank_lines_skipped_and_bom_dropped(self, tmp_path):
         path = tmp_path / "in.txt"
         path.write_bytes("\ufeff肺炎\r\n\n右肺\n".encode("utf-8"))
-        assert read_text_sentences(path) == [Sentence.from_text("s1", "肺炎"),
-                                             Sentence.from_text("s2", "右肺")]
+        assert [s for s, _ in read_text_flat(path).pairs()] == [Sentence.from_text("s1", "肺炎"),
+                                                                Sentence.from_text("s2", "右肺")]
 
 
 @pytest.mark.parametrize("reader, content", [
-    (read_tagged_corpus, "右\tB-P\n肺\tI-P\n\n见\tO\n"),
-    (read_text_sentences, "右肺\n\n见斑影\n"),
-    (read_emissions_many, "s1 2 7\n0 1 2 3 4 5 6\n.5 .5 .5 .5 .5 .5 .5\n\ns2 1 7\n1 1 1 1 1 1 1\n"),
+    (read_tagged_flat, "右\tB-P\n肺\tI-P\n\n见\tO\n"),
+    (read_text_flat, "右肺\n\n见斑影\n"),
+    (read_emission_blocks, "s1 2 7\n0 1 2 3 4 5 6\n.5 .5 .5 .5 .5 .5 .5\n\ns2 1 7\n1 1 1 1 1 1 1\n"),
 ], ids=lambda value: getattr(value, "__name__", ""))
 def test_crlf_file_reads_as_its_lf_copy(tmp_path, reader, content):
     lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
@@ -837,10 +836,10 @@ class TestUndecodableBytes:
     """Every reader names the path and line of an undecodable byte."""
 
     @pytest.mark.parametrize("reader, content", [
-        (read_tagged_corpus, b"\xe8\x82\xba\tB-P\r\n\n\xff\tO\n"),
+        (read_tagged_flat, b"\xe8\x82\xba\tB-P\r\n\n\xff\tO\n"),
         (read_dictionary, b"# parts\r\n\n\xff\n"),
         (read_relations, b"{}\r\n\n\xff\n"),
-        (read_text_sentences, b"\xef\xbb\xbf\xe8\x82\xba\r\n\n\xff\n"),
+        (read_text_flat, b"\xef\xbb\xbf\xe8\x82\xba\r\n\n\xff\n"),
     ], ids=lambda value: getattr(value, "__name__", ""))
     def test_names_path_and_line(self, tmp_path, reader, content):
         path = tmp_path / "bad.txt"

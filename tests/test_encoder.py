@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radsigns.corpus import EmissionMatrix, Sentence
+from radsigns.corpus import Sentence
 from radsigns.encoder import (
     FEATURES_PER_POSITION,
     PAD,
@@ -12,9 +12,8 @@ from radsigns.encoder import (
     LinearScorerParams,
     char_class,
     extract_features,
-    external_emissions,
-    feature_id_batch,
     score_sentence,
+    text_feature_ids,
 )
 from radsigns.tagscheme import TAG_INDEX
 
@@ -47,6 +46,14 @@ UNSEEN = "肝7；Z𝟘😺あ"
 # Feature strings shaped like the templates that no sentence can produce.
 NEVER_FIRING = ("c0=<pad>", "bi-1=x<pad>", "bi0=<pad>x", "c0=ab", "c-2=<pa",
                 "bi-1=<pad>", "bi0=<pad><pad>", "cls0=nonsense", "cls0=", "bias=")
+
+
+# lengths too short, too long, with a negative or zero length, or none
+BAD_LENGTHS = [("abc", [2]), ("ab", [3]), ("ab", [3, -1]), ("ab", [0, 2]), ("ab", [])]
+
+
+def bad_lengths_message(text):
+    return rf"sentence lengths \[.*\] must be positive and sum to the text's length, {len(text)}$"
 
 
 def sentences(alphabet, max_size=9):
@@ -138,13 +145,18 @@ class TestFeatureVocabulary:
         assert FeatureVocabulary.build("", []).index == {UNK: 0}
         assert FeatureVocabulary.build("", np.zeros(0, np.intp)).size == 1
 
+    @pytest.mark.parametrize("text, lengths", BAD_LENGTHS)
+    def test_build_rejects_lengths_that_do_not_cover_the_text(self, text, lengths):
+        with pytest.raises(ValueError, match=bad_lengths_message(text)):
+            FeatureVocabulary.build(text, lengths)
+
     def test_injectivity_enforced(self):
         with pytest.raises(ValueError, match="injective"):
             FeatureVocabulary({"a": 0, "b": 0})
 
     def test_feature_ids_shape(self, shadow_sentence):
         vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
-        ids = vocab.feature_ids(shadow_sentence)
+        ids = text_feature_ids(vocab, shadow_sentence.text, [len(shadow_sentence)])
         assert ids.shape == (len(shadow_sentence), FEATURES_PER_POSITION)
 
 
@@ -153,19 +165,16 @@ class TestFeatureIdBatch:
     @given(vocab=vocabularies(), texts=sentences(SEEN + UNSEEN, max_size=12))
     def test_matches_string_lookups_laid_end_to_end(self, vocab, texts):
         batch = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
-        ids, lengths = feature_id_batch(vocab, batch)
-        references = [reference_feature_ids(vocab, s) for s in batch]
-        expected = np.concatenate(references)
-        expected_lengths = [len(r) for r in references]
+        ids = text_feature_ids(vocab, "".join(texts), [len(t) for t in texts])
+        expected = np.concatenate([reference_feature_ids(vocab, s) for s in batch])
         assert ids.dtype == np.intp
-        np.testing.assert_array_equal(lengths, expected_lengths)
         np.testing.assert_array_equal(ids, expected)
 
     @settings(max_examples=100, deadline=None)
     @given(vocab=vocabularies(), text=st.text(SEEN + UNSEEN, min_size=1, max_size=12))
     def test_single_sentence_method_matches_string_lookups(self, vocab, text):
         sentence = Sentence.from_text("s1", text)
-        np.testing.assert_array_equal(vocab.feature_ids(sentence),
+        np.testing.assert_array_equal(text_feature_ids(vocab, text, [len(text)]),
                                       reference_feature_ids(vocab, sentence))
 
     @settings(max_examples=200, deadline=None)
@@ -175,31 +184,38 @@ class TestFeatureIdBatch:
         parsed = FeatureVocabulary(built.index, built.unk_index)
         batch = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
         expected = np.concatenate([reference_feature_ids(built, s) for s in batch])
-        np.testing.assert_array_equal(feature_id_batch(built, batch)[0], expected)
-        np.testing.assert_array_equal(feature_id_batch(parsed, batch)[0], expected)
+        lengths = [len(t) for t in texts]
+        np.testing.assert_array_equal(text_feature_ids(built, "".join(texts), lengths), expected)
+        np.testing.assert_array_equal(text_feature_ids(parsed, "".join(texts), lengths), expected)
 
     def test_an_empty_alphabet_knows_no_character(self):
         # no feature names a character, so U+0000 and the last code point
         # fall into their classes like any other character
         batch = [Sentence.from_text("s1", "\x00" + UNSEEN), Sentence.from_text("s2", "\x001\U0010ffff")]
-        ids, _ = feature_id_batch(FeatureVocabulary.build("", []), batch)
+        text, lengths = "".join(s.text for s in batch), [len(s) for s in batch]
+        ids = text_feature_ids(FeatureVocabulary.build("", []), text, lengths)
         np.testing.assert_array_equal(ids, 0)
         vocab = FeatureVocabulary({UNK: 0, "cls0=digit": 1, "cls0=other": 2, "bias": 3})
-        ids, _ = feature_id_batch(vocab, batch)
+        ids = text_feature_ids(vocab, text, lengths)
         np.testing.assert_array_equal(ids, np.concatenate([reference_feature_ids(vocab, s)
                                                            for s in batch]))
         assert ids[0, 7] == ids[-1, 7] == 2 and ids[-2, 7] == 1
 
     def test_never_firing_strings_stay_unk(self):
         vocab = FeatureVocabulary({"<unk>": 0, **{f: k for k, f in enumerate(NEVER_FIRING, 1)}})
-        ids, _ = feature_id_batch(vocab, [Sentence.from_text("s1", "x<pad>"),
-                                          Sentence.from_text("s2", "a")])
+        ids = text_feature_ids(vocab, "x<pad>a", [6, 1])
         np.testing.assert_array_equal(ids, 0)
+
+    @pytest.mark.parametrize("text, lengths", BAD_LENGTHS)
+    def test_rejects_lengths_that_do_not_cover_the_text(self, shadow_sentence, text, lengths):
+        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+        with pytest.raises(ValueError, match=bad_lengths_message(text)):
+            text_feature_ids(vocab, text, lengths)
 
     def test_empty_batch(self, shadow_sentence):
         vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
-        ids, lengths = feature_id_batch(vocab, [])
-        assert ids.shape == (0, FEATURES_PER_POSITION) and lengths.shape == (0,)
+        ids = text_feature_ids(vocab, "", [])
+        assert ids.shape == (0, FEATURES_PER_POSITION)
 
 
 class TestScoreSentence:
@@ -249,18 +265,3 @@ class TestScoreSentence:
         with pytest.raises(ValueError, match="rows"):
             score_sentence(shadow_sentence, params, vocab)
 
-
-class TestExternalEmissions:
-    def test_pass_through(self, shadow_sentence):
-        matrix = EmissionMatrix("s1", np.zeros((len(shadow_sentence), 7)))
-        assert external_emissions(shadow_sentence, matrix) is matrix
-
-    def test_row_count_checked(self, shadow_sentence):
-        matrix = EmissionMatrix("s1", np.zeros((2, 7)))
-        with pytest.raises(ValueError, match="rows"):
-            external_emissions(shadow_sentence, matrix)
-
-    def test_sentence_id_checked(self, shadow_sentence):
-        matrix = EmissionMatrix("other", np.zeros((len(shadow_sentence), 7)))
-        with pytest.raises(ValueError, match="other"):
-            external_emissions(shadow_sentence, matrix)

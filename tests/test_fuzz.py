@@ -1,5 +1,7 @@
 """Seeded byte-level fuzzing of the tagged corpora that ``train`` reads
-(training and dev) and that ``eval`` and ``errors`` read (pred and gold).
+(training and dev) and that ``eval`` and ``errors`` read (pred and gold),
+of the text input of ``tag``, of the emission file of ``tag
+--emissions-file`` and of the dictionary of ``extract --dict``.
 
 Each case mutates one of a command's input files and runs the command
 through ``main``: it must return 0, 2 or 3 without raising, and an exit-2
@@ -11,9 +13,11 @@ import numpy as np
 import pytest
 
 from radsigns.cli import main
-from radsigns.corpus import write_tagged_corpus
+from radsigns.corpus import TAG_LABELS, EmissionMatrix, FlatCorpus, write_emissions, write_tagged_flat
+from radsigns.crf import TaggerModel, TransitionMatrix, save_model
+from radsigns.encoder import FeatureVocabulary, LinearScorerParams
 
-from _synth import build_rule_corpus
+from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus
 
 INSERTS = (b"\t", b"\r", b"\0", "\ufeff".encode(), "\u2028".encode())
 
@@ -44,7 +48,7 @@ def corpora(tmp_path):
     written = []
     for name, count in (("a", 6), ("b", 3)):
         path = tmp_path / f"{name}.tsv"
-        write_tagged_corpus(build_rule_corpus(rng, count, name), path)
+        write_tagged_flat(FlatCorpus.from_pairs(build_rule_corpus(rng, count, name)), path)
         written.append(path.read_bytes())
     return written
 
@@ -86,3 +90,46 @@ def test_eval_and_errors_pred_and_gold(tmp_path, capsys, corpora):
         return [*command, "--pred", str(paths[0]), "--gold", str(paths[1])]
 
     run_mutated(tmp_path, capsys, [pred, gold], argv, seed=192, cases=300)
+
+
+@pytest.fixture
+def decode_files(tmp_path):
+    """A text input, its emission file, a dictionary and a model whose
+    weights tag each rule character as the rule corpus does, so ``extract``
+    finds entities to match."""
+    rng = np.random.default_rng(193)
+    sentences = [s for s, _ in build_rule_corpus(rng, 5, "s")]
+    text = "".join(s.text for s in sentences)
+    vocab = FeatureVocabulary.build(text, [len(s) for s in sentences])
+    weights = np.zeros((vocab.size, len(TAG_LABELS)))
+    for ch, tag in RULE_CHAR_TAG.items():
+        weights[vocab.lookup(f"c0={ch}"), TAG_LABELS.index(tag)] = 5.0
+    files = {name: tmp_path / name for name in ("input.txt", "em.txt", "dict.txt", "model.json")}
+    files["input.txt"].write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
+    write_emissions([EmissionMatrix(s.id, rng.standard_normal((len(s), len(TAG_LABELS))))
+                     for s in sentences], files["em.txt"])
+    files["dict.txt"].write_text("# parts\n" + "".join(t + "\n" for t in SP_TERMS), encoding="utf-8")
+    save_model(TaggerModel(vocab, LinearScorerParams(weights), TransitionMatrix.zeros()),
+               files["model.json"])
+    return files
+
+
+@pytest.mark.parametrize("mutated, seed", [("input.txt", 194), ("em.txt", 195), ("dict.txt", 196)])
+def test_decode_inputs(tmp_path, capsys, decode_files, mutated, seed):
+    """One file of ``tag`` (text input), ``tag --emissions-file`` (the
+    emission file) or ``extract --dict`` (the dictionary) mutated, the
+    others left valid.  A mutated text input next to a valid emission file
+    may leave a sentence without its block, an error that names the
+    emission file, so the text input is fuzzed without one."""
+    files, out = {k: str(v) for k, v in decode_files.items()}, str(tmp_path / "out")
+
+    def argv(paths, rng):
+        given = {**files, mutated: str(paths[0])}
+        if mutated == "dict.txt":
+            return ["extract", given["input.txt"], "--model", given["model.json"],
+                    "--dict", given["dict.txt"], "--out", out,
+                    "--relations-out", str(tmp_path / "relations.jsonl")]
+        emissions = ["--emissions-file", given["em.txt"]] if mutated == "em.txt" else []
+        return ["tag", given["input.txt"], "--model", given["model.json"], *emissions, "--out", out]
+
+    run_mutated(tmp_path, capsys, [decode_files[mutated].read_bytes()], argv, seed=seed, cases=60)

@@ -1,8 +1,13 @@
 import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import radsigns
-from radsigns import cli, trainer
+from radsigns import cli, corpus, encoder, trainer
 
 
 def test_every_exported_name_resolves():
@@ -97,9 +102,8 @@ def names(node):
 def test_tag_and_extract_run_on_the_flat_corpus():
     """``tag``, ``extract``, ``train``, ``eval`` and ``errors`` read, decode,
     train, score and write flat corpora: the functions that run them name no
-    per-sentence type, reader or writer, and neither does the trainer."""
-    per_sentence = {"Sentence", "TagSequence", "tags_from_indices", "read_tagged_corpus",
-                    "read_text_sentences", "write_tagged_corpus", "read_emissions_many"}
+    per-sentence type and no ``FlatCorpus.pairs``, and neither does the trainer."""
+    per_sentence = {"Sentence", "TagSequence", "tags_from_indices", "pairs"}
     functions = {node.name: node for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
                  if isinstance(node, ast.FunctionDef)}
     offenders = [
@@ -107,8 +111,76 @@ def test_tag_and_extract_run_on_the_flat_corpus():
         for name in ("_cmd_tag", "_cmd_extract", "_tag_windows", "_cmd_train", "_aligned_entities")
         for lineno, found in names(functions[name]) if found in per_sentence
     ]
-    per_pair = {"Sentence", "TagSequence", "tags_from_indices", "read_tagged_corpus", "pairs"}
     offenders += [f"trainer.py:{lineno} {found}" for lineno, found
                   in names(ast.parse(Path(trainer.__file__).read_text(encoding="utf-8")))
-                  if found in per_pair]
+                  if found in per_sentence]
+    assert offenders == []
+
+
+def test_one_reader_and_one_writer_per_file_format():
+    """The public readers and writers of ``radsigns.corpus`` are one per file
+    format and direction, and ``text_feature_ids`` is the one feature-id
+    function of ``radsigns.encoder``."""
+    io = {name for name, value in vars(corpus).items()
+          if re.match(r"(read|write)_", name) and inspect.isfunction(value)}
+    assert io == {"read_tagged_flat", "read_text_flat", "read_emission_blocks", "read_dictionary",
+                  "read_json_object", "read_relations", "write_tagged_flat", "write_emissions",
+                  "write_quadruples", "write_relations"}
+    classes = [v for v in vars(encoder).values()
+               if inspect.isclass(v) and v.__module__ == encoder.__name__]
+    feature_ids = {name for owner in (encoder, *classes) for name in vars(owner)
+                   if "feature_id" in name and not name.startswith("_")}
+    assert feature_ids == {"text_feature_ids"}
+
+
+MODULES = {info.name: importlib.import_module(f"radsigns.{info.name}")
+           for info in pkgutil.iter_modules(radsigns.__path__)}
+
+
+def bound_names():
+    """Every name bound in ``radsigns`` or one of its modules, and every
+    attribute or dataclass field of a class defined there."""
+    found = set()
+    for module in (radsigns, *MODULES.values()):
+        found |= set(vars(module))
+        for value in vars(module).values():
+            if inspect.isclass(value) and value.__module__.startswith("radsigns."):
+                found |= set(dir(value))
+                if dataclasses.is_dataclass(value):
+                    found |= {field.name for field in dataclasses.fields(value)}
+    return found
+
+
+def resolves(dotted):
+    """Whether ``dotted``, a name or a module, each with attributes, with or
+    without a leading ``radsigns.``, is bound in ``radsigns``."""
+    first, *rest = dotted.removeprefix("radsigns.").split(".")
+    value = MODULES.get(first) or next(
+        (vars(m)[first] for m in (radsigns, *MODULES.values()) if first in vars(m)), None)
+    for attr in rest:
+        value = getattr(value, attr, None)
+    return value is not None
+
+
+def test_readme_names_only_what_radsigns_binds():
+    """Every backticked dotted name or call in README.md, and every
+    backticked snake_case word that is not an option's dest, is bound in
+    ``radsigns``: a deleted or renamed function cannot linger in the docs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    parser = cli.build_parser()
+    dests = {a.dest for p in [parser, *cli._commands(parser).values()] for a in p._actions}
+    bound = bound_names()
+    offenders = []
+    for span in spans:
+        call = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?", span, re.S)
+        if call is None:
+            continue
+        name = call.group(1)
+        if "." in name or call.group(2):
+            if not resolves(name):
+                offenders.append(span)
+        elif re.fullmatch(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+", name):
+            if name not in bound and name not in dests:
+                offenders.append(span)
     assert offenders == []

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from radsigns.corpus import Entity, Sentence, TagSequence
 from radsigns.tagscheme import (
     batch_entities,
-    entities_from_indices,
     entities_to_tags,
     tags_from_indices,
     tags_to_entities,
@@ -134,6 +133,7 @@ class TestTagsToEntities:
 
 
 class TestEntitiesFromIndices:
+    """``batch_entities`` of one sentence's tag index path."""
     # 0 O, 1 B-P, 2 I-P, 3 B-D, 4 I-D, 5 B-Abn, 6 I-Abn
     @given(
         path=st.lists(st.integers(0, 6), min_size=1, max_size=40),
@@ -147,7 +147,7 @@ class TestEntitiesFromIndices:
         sentence = Sentence.from_text("s1", chars[:len(path)])
         tags = tags_from_indices("s1", path)
         expected = reference_tags_to_entities(sentence, tags)
-        assert entities_from_indices(sentence, path) == expected
+        assert batch_entities(["s1"], sentence.text, path, [len(path)])["s1"] == expected
         assert tags_to_entities(sentence, tags) == expected
 
     @given(
@@ -159,13 +159,13 @@ class TestEntitiesFromIndices:
         path[at % len(path)] = bad
         sentence = make_sentence(len(path))
         with pytest.raises(ValueError, match="out of range"):
-            entities_from_indices(sentence, path)
+            batch_entities(["s1"], sentence.text, path, [len(path)])
         with pytest.raises(ValueError, match="out of range"):
             tags_from_indices("s1", path)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="3 chars"):
-            entities_from_indices(make_sentence(3), [0, 1])
+            batch_entities(["s1"], make_sentence(3).text, [0, 1], [2])
 
 
 # a batch of (tag index path, text) pairs of equal length, orphan I tags included

@@ -11,7 +11,7 @@ from radsigns.crf import (
     nll,
     nll_and_gradient,
 )
-from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_sentence
+from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_sentence, text_feature_ids
 from radsigns import encoder, trainer
 from radsigns.evaluation import entity_prf
 from radsigns.tagscheme import TAG_INDEX, batch_entities, tags_from_indices, tags_to_entities
@@ -83,7 +83,7 @@ class TestTraining:
                 emissions, TransitionMatrix.zeros(), tags
             )
             total += value
-            ids = vocab.feature_ids(sentence)
+            ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
             np.add.at(grad_w, ids.ravel(), np.repeat(grad_p, ids.shape[1], axis=0))
             grad_a += grad_a_j
         grad_w /= len(corpus)
@@ -144,9 +144,10 @@ class TestTraining:
 
         monkeypatch.setattr(encoder, "_parse_tables", counting)
         model, _ = train(flat(corpus), flat(dev), TrainConfig(epochs=2, batch_size=8, seed=5))
-        model.vocab.feature_ids(dev[0][0])
+        text = dev[0][0].text
+        text_feature_ids(model.vocab, text, [len(text)])
         assert parsed == []
-        FeatureVocabulary(model.vocab.index).feature_ids(dev[0][0])
+        text_feature_ids(FeatureVocabulary(model.vocab.index), text, [len(text)])
         assert parsed == [model.vocab.size]
 
     def test_same_seed_gives_identical_runs(self):
@@ -193,7 +194,7 @@ class TestTraining:
         before, grad_p, grad_a = nll_and_gradient(emissions, transitions, tags)
 
         step = 1e-3
-        ids = vocab.feature_ids(sentence)
+        ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
         new_w = np.zeros((vocab.size, 7))
         np.add.at(new_w, ids.ravel(), np.repeat(grad_p, ids.shape[1], axis=0))
         stepped_w = LinearScorerParams(-step * new_w)
