@@ -37,7 +37,7 @@ from .corpus import (
 )
 from .crf import TaggerModel, decoding_transitions, load_model, save_model, viterbi
 from .encoder import score_ids, text_feature_ids
-from .evaluation import agreement_f1, classify_errors, entity_prf, relation_prf
+from .evaluation import classify_errors, entity_keys, key_prf, relation_prf
 from .tag2relation import match_arrays
 from .tagscheme import batch_entities, text_runs
 from .trainer import NonFiniteLossError, TrainConfig, train
@@ -295,8 +295,8 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _aligned_entities(pred_path, gold_path):
-    """Entities by sentence id of two tagged corpora of the same sentences."""
+def _aligned_corpora(pred_path, gold_path) -> tuple[FlatCorpus, FlatCorpus]:
+    """Two tagged corpora, checked to hold the same sentences."""
     pred, gold = read_tagged_flat(pred_path), read_tagged_flat(gold_path)
     if pred.text != gold.text or not np.array_equal(pred.lengths, gold.lengths):
         p, g = pred.offsets.tolist(), gold.offsets.tolist()   # the first differing sentence
@@ -306,7 +306,7 @@ def _aligned_entities(pred_path, gold_path):
                  else f"{len(pred.lengths)} against {len(gold.lengths)}")
         raise CorpusFormatError(f"pred {pred_path} and gold {gold_path} do not contain the same "
                                 f"sentences: {where}")
-    return tuple(batch_entities(pred.ids, pred.text, c.indices, pred.lengths) for c in (pred, gold))
+    return pred, gold
 
 
 def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:
@@ -321,30 +321,28 @@ def _cmd_eval(args) -> int:
         raise ValueError("--confusion-csv needs --mode errors")
     if args.items and args.mode != "agreement":
         raise ValueError("--items needs --mode agreement")
-    if args.mode in ("entity", "errors"):
-        pred, gold = _aligned_entities(args.pred, args.gold)
-        if args.mode == "entity":
-            report, text = _breakdown_report("entity", entity_prf(pred, gold))
+    if args.mode == "errors":
+        pred, gold = _aligned_corpora(args.pred, args.gold)
+        records, confusion, summary = classify_errors(
+            *(batch_entities(pred.ids, pred.text, c.indices, pred.lengths) for c in (pred, gold)))
+        report = {
+            "mode": "errors",
+            "summary": summary.to_dict(),
+            "confusion": confusion.counts.tolist(),
+            "records": len(records),
+        }
+        text = summary.format_text() + "\n" + confusion.to_csv()
+    else:   # agreement reads entities when --items is not given
+        if args.mode == "relation" or args.items == "relation":
+            label, scores = "relation", relation_prf(*map(read_relations, (args.pred, args.gold)))
         else:
-            records, confusion, summary = classify_errors(pred, gold)
-            report = {
-                "mode": "errors",
-                "summary": summary.to_dict(),
-                "confusion": confusion.counts.tolist(),
-                "records": len(records),
-            }
-            text = summary.format_text() + "\n" + confusion.to_csv()
-    elif args.mode == "relation":
-        pred = read_relations(args.pred)
-        gold = read_relations(args.gold)
-        report, text = _breakdown_report("relation", relation_prf(pred, gold))
-    else:  # agreement
-        if args.items == "relation":   # not given reads as entity
-            annot_a, annot_b = read_relations(args.pred), read_relations(args.gold)
+            label, scores = "entity", key_prf(*(entity_keys(c.indices, c.lengths)
+                                                for c in _aligned_corpora(args.pred, args.gold)))
+        if args.mode == "agreement":
+            scores = scores.overall
+            report, text = {"mode": "agreement", "overall": scores.to_dict()}, f"agreement {scores}"
         else:
-            annot_a, annot_b = _aligned_entities(args.pred, args.gold)
-        scores = agreement_f1(annot_a, annot_b)
-        report, text = {"mode": "agreement", "overall": scores.to_dict()}, f"agreement {scores}"
+            report, text = _breakdown_report(label, scores)
 
     print(json.dumps(report, ensure_ascii=False) if args.format == "json" else text)
     if args.confusion_csv:

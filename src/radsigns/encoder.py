@@ -165,9 +165,12 @@ def _template_values(lengths, char_ids: np.ndarray, classes: np.ndarray):
     for a bigram (``width = len(classes)``, the number of char ids), the
     class index of ``c0``, 0 for the bias.  Two pad ids (0) go before,
     between and after the sentences, placed by position, so every character
-    keeps its own id.  One template's array at a time.  Lengths that are
-    not all positive or do not sum to the text's length raise ``ValueError``."""
-    lengths = np.asarray(lengths, dtype=np.intp)
+    keeps its own id.  One template's array at a time.  Lengths must be 1-D
+    integers, all positive, that sum to the text's length (``ValueError``)."""
+    given = np.asarray(lengths)
+    if given.ndim != 1 or given.size and given.dtype.kind not in "iu":
+        raise ValueError(f"sentence lengths must be a 1-D array of integers, got {lengths!r:.80}")
+    lengths = given.astype(np.intp)
     if (lengths < 1).any() or lengths.sum() != len(char_ids):
         raise ValueError(f"sentence lengths {lengths} must be positive and sum to "
                          f"the text's length, {len(char_ids)}")

@@ -2,7 +2,8 @@
 
 An entity is correct only when sentence, kind, start and end all match; a
 relation additionally needs its kind and both endpoints exact.  Scores are
-micro-averaged over the corpus and reported on a 0-100 scale.
+micro-averaged over the corpus and reported on a 0-100 scale.  :func:`key_prf`
+counts every score over int keys: :func:`entity_keys` of tag paths, or numbered items.
 
 Every prediction that is not an exact match falls into exactly one error
 category:
@@ -31,6 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import ENTITY_KINDS, RELATION_KINDS, Entity, Relation
+from .tagscheme import _run_arrays
 
 ERROR_CATEGORIES = ("TYPE", "EXTENT", "SPURIOUS", "MISSING")
 EXTENT_SUBTYPES = ("SHORT", "LONG", "S&L")
@@ -87,20 +89,33 @@ class PrfBreakdown:
         }
 
 
-def _breakdown(pred, gold, kinds: Sequence[str] = ()) -> PrfBreakdown:
-    """Strict counts overall and for each of ``kinds``, from one pair of
-    ``Counter``s per sentence; items of other kinds count overall only."""
-    correct, predicted, total_gold = Counter(), Counter(), Counter()   # by item kind
-    for sid in set(pred) | set(gold):
-        p, g = Counter(pred.get(sid, ())), Counter(gold.get(sid, ()))
-        for item, count in p.items():
-            predicted[item.kind] += count
-            correct[item.kind] += min(count, g[item])
-        for item, count in g.items():
-            total_gold[item.kind] += count
-    overall = PrfScores(*(sum(c.values()) for c in (correct, predicted, total_gold)))
-    return PrfBreakdown(overall, {k: PrfScores(correct[k], predicted[k], total_gold[k])
-                                  for k in kinds})
+def entity_keys(path, lengths: Sequence[int]) -> np.ndarray:
+    """Ascending int64 keys ``(flat start * (longest + 1) + length) * 3 + kind``
+    of the entities of a flat tag index path over sentences of ``lengths``:
+    two paths over the same lengths share a key exactly when they share an entity."""
+    _, starts, ends, kinds = _run_arrays(path, lengths)
+    return (starts * (int(np.max(lengths, initial=0)) + 1) + ends - starts) * len(ENTITY_KINDS) + kinds
+
+
+def key_prf(pred: np.ndarray, gold: np.ndarray, kinds: Sequence[str] = ENTITY_KINDS) -> PrfBreakdown:
+    """Strict counts of two multisets of int keys, overall and per ``kinds[key % len(kinds)]``;
+    a key in both is correct as often as the side that holds it fewer times."""
+    (p, p_count), (g, g_count) = (np.unique(keys, return_counts=True) for keys in (pred, gold))
+    shared, at_p, at_g = np.intersect1d(p, g, assume_unique=True, return_indices=True)
+    tallies = ((shared, np.minimum(p_count[at_p], g_count[at_g])), (p, p_count), (g, g_count))
+    counts = [np.bincount(keys % len(kinds), n, len(kinds)).astype(int).tolist() for keys, n in tallies]
+    by_kind = {kind: PrfScores(*c) for kind, *c in zip(kinds, *counts)}   # (correct, predicted, gold)
+    return PrfBreakdown(PrfScores(*map(sum, counts)), by_kind)
+
+
+def _breakdown(pred, gold, kinds: Sequence[str]) -> PrfBreakdown:
+    """:func:`key_prf` of two mappings from sentence id to items of ``kinds``, each
+    distinct ``(sentence id, item)`` keyed ``its number * len(kinds) + its kind's index``."""
+    numbers, index = {}, {kind: k for k, kind in enumerate(kinds)}
+    keys = [np.array([numbers.setdefault((sid, x), len(numbers)) * len(kinds) + index[x.kind]
+                      for sid, items in side.items() for x in items], dtype=np.int64)
+            for side in (pred, gold)]
+    return key_prf(*keys, kinds)
 
 
 def entity_prf(
@@ -123,7 +138,7 @@ def agreement_f1(annot_a: Mapping[str, Sequence], annot_b: Mapping[str, Sequence
     Precision divides the identical items by annotator A's total, recall by
     annotator B's total; items may be entities or relations.
     """
-    return _breakdown(annot_a, annot_b).overall
+    return _breakdown(annot_a, annot_b, ENTITY_KINDS + RELATION_KINDS).overall
 
 
 @dataclass(frozen=True)

@@ -62,16 +62,17 @@ def text_runs(text: str, path, lengths: Sequence[int]):
     repaired as the module docstring says: int arrays ``(row, start, end,
     kind)``, the sentence's position, the span in it and an index into
     ``ENTITY_KINDS``, then the runs' texts."""
-    runs = _run_arrays(path, lengths)
-    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
-    if len(text) != offsets[-1]:
-        raise ValueError(f"a text of {len(text)} chars for {offsets[-1]} tags")
-    at = offsets[runs[0]]
-    return (*runs, [text[a:b] for a, b in zip((runs[1] + at).tolist(), (runs[2] + at).tolist())])
+    rows, starts, ends, kinds = _run_arrays(path, lengths)
+    if len(text) != len(path):
+        raise ValueError(f"a text of {len(text)} chars for {len(path)} tags")
+    at = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))[rows]
+    texts = [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return rows, starts - at, ends - at, kinds, texts
 
 
 def _run_arrays(path, lengths: Sequence[int]):
-    """:func:`text_runs` without the texts: the int arrays only."""
+    """:func:`text_runs` without the texts, each span as flat offsets into
+    the path: ``(row, start, end, kind)`` int arrays."""
     try:
         flat = np.frombuffer(path, np.uint8) if isinstance(path, bytes) else np.asarray(path, np.intp)
     except OverflowError:   # an index too large for any tag array
@@ -89,7 +90,7 @@ def _run_arrays(path, lengths: Sequence[int]):
     live = kind[bounds[:-1]] > 0   # O tags form runs of no kind
     starts, ends = bounds[:-1][live], bounds[1:][live]
     rows = np.searchsorted(offsets, starts, "right") - 1
-    return rows, starts - offsets[rows], ends - offsets[rows], kind[starts] - 1
+    return rows, starts, ends, kind[starts] - 1
 
 
 def batch_entities(ids: Sequence[str], text: str, path,

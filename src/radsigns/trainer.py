@@ -5,7 +5,8 @@ for the linear scorer, so everything starts at zero.  The learning rate is
 two-phase: a high first-epoch rate that decays once and then holds.  After
 every epoch the model is scored on the dev set with strict entity F1, and
 the snapshot from the best epoch (earliest on ties) is returned.  Both
-corpora are tagged ``FlatCorpus`` values; dev entities are keyed by row.
+corpora are tagged ``FlatCorpus`` values; dev F1 counts int entity keys
+with ``evaluation.key_prf``, as ``eval`` does, and builds no ``Entity``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import ENTITY_KINDS, NUM_TAGS, FlatCorpus
+from .corpus import NUM_TAGS, FlatCorpus
 from .crf import (
     FULL_SIZE,
     TaggerModel,
@@ -26,8 +27,7 @@ from .crf import (
     viterbi,
 )
 from .encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
-from .evaluation import PrfScores
-from .tagscheme import _run_arrays
+from .evaluation import entity_keys, key_prf
 
 
 class NonFiniteLossError(RuntimeError):
@@ -104,27 +104,18 @@ def _feature_gradient(ids: np.ndarray, grad_p: np.ndarray, size: int) -> np.ndar
 
 
 class _DevSet:
-    """Dev sentences with their flat feature ids and gold entity keys; built
-    once, decoded every epoch.  An entity is keyed by its sentence's row, its
-    span and its kind, so strict entity F1 is a count of shared keys."""
+    """Dev sentences with their flat feature ids and gold entity keys
+    (:func:`evaluation.entity_keys`); built once, decoded every epoch."""
 
     def __init__(self, dev: FlatCorpus, vocab: FeatureVocabulary):
         self.lengths = dev.lengths
-        self.gold = self._keys(dev.tag_path("dev scoring"))
+        self.gold = entity_keys(dev.tag_path("dev scoring"), dev.lengths)
         self.ids = text_feature_ids(vocab, dev.text, dev.lengths)
-
-    def _keys(self, path) -> np.ndarray:
-        """The int64 keys of the entities of a flat tag index path, distinct
-        and ascending because the runs are disjoint and in order."""
-        width = int(self.lengths.max(initial=0)) + 1
-        return np.ravel_multi_index(_run_arrays(path, self.lengths),
-                                    (len(self.lengths), width, width, len(ENTITY_KINDS)))
 
     def f1(self, model: TaggerModel) -> float:
         P = score_ids(model.weights.weights, self.ids)
-        pred = self._keys(viterbi(P, decoding_transitions(model.transitions, True), self.lengths))
-        correct = len(np.intersect1d(pred, self.gold, assume_unique=True))
-        return PrfScores(correct, len(pred), len(self.gold)).f1
+        path = viterbi(P, decoding_transitions(model.transitions, True), self.lengths)
+        return key_prf(entity_keys(path, self.lengths), self.gold).overall.f1
 
 
 def evaluate_dev(model: TaggerModel, dev: FlatCorpus) -> float:

@@ -29,7 +29,8 @@ from radsigns.corpus import (
 from radsigns.crf import TaggerModel, TransitionMatrix, load_model, save_model, viterbi_decode
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
 from radsigns.tag2relation import match
-from radsigns.tagscheme import entities_to_tags, tags_to_entities
+from radsigns.evaluation import agreement_f1, entity_prf
+from radsigns.tagscheme import batch_entities, entities_to_tags, tags_to_entities
 
 from _synth import brute_force_match, build_rule_corpus
 from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT
@@ -916,6 +917,34 @@ class TestEval:
                      "--gold", str(b_path)])
         assert code == 0
         assert "P=50.00 R=100.00 F1=66.67" in capsys.readouterr().out
+
+    def test_key_scores_match_the_entity_reference_on_random_paths(self, tmp_path, capsys):
+        """``eval`` and ``eval --mode agreement`` count entity keys; on random
+        tag paths (orphan I tags, kind switches, all-O sentences) they print
+        what ``entity_prf`` and ``agreement_f1`` give over ``Entity`` objects."""
+        rng = np.random.default_rng(130)
+        pred_path, gold_path = tmp_path / "pred.tsv", tmp_path / "gold.tsv"
+        for trial in range(60):
+            lengths = rng.integers(1, 7, int(rng.integers(1, 9)))
+            text = "".join(rng.choice(list("字肺影a\t"), int(lengths.sum())))
+            gold = (rng.integers(0, 7, len(text)) * (rng.random(len(text)) < 0.7)).astype(np.uint8)
+            if trial % 5 == 0:   # all O: nothing predicted
+                pred = np.zeros(len(text), np.uint8)
+            elif trial % 5 == 1:   # the gold path itself
+                pred = gold.copy()
+            else:
+                pred = (rng.integers(0, 7, len(text)) * (rng.random(len(text)) < 0.6)).astype(np.uint8)
+            entities = []
+            for path, out in ((pred, pred_path), (gold, gold_path)):
+                corpus = FlatCorpus(text, lengths, path.tobytes())
+                write_tagged_flat(corpus, out)
+                entities.append(batch_entities(corpus.ids, text, path, lengths))
+            argv = ["--pred", str(pred_path), "--gold", str(gold_path)]
+            assert main(["eval", "--format", "json", *argv]) == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "mode": "entity", **entity_prf(*entities).to_dict()}
+            assert main(["eval", "--mode", "agreement", *argv]) == 0
+            assert capsys.readouterr().out == f"agreement {agreement_f1(*entities)}\n"
 
     def test_errors_subcommand_with_csv(self, tmp_path, capsys):
         sentence = Sentence("s1", tuple("字" for _ in range(12)))

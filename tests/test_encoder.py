@@ -1,3 +1,6 @@
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +152,14 @@ class TestFeatureVocabulary:
     def test_build_rejects_lengths_that_do_not_cover_the_text(self, text, lengths):
         with pytest.raises(ValueError, match=bad_lengths_message(text)):
             FeatureVocabulary.build(text, lengths)
+
+    @pytest.mark.parametrize("lengths", [[1.5, 1.5], [[1, 2]], ["1", "2"], [True, True, True]])
+    def test_lengths_must_be_a_1d_array_of_integers(self, lengths):
+        vocab = FeatureVocabulary.build("abc", [3])
+        for call in (FeatureVocabulary.build, partial(text_feature_ids, vocab)):
+            with pytest.raises(ValueError, match=r"^sentence lengths must be a 1-D array of "
+                                                 r"integers, got " + re.escape(repr(lengths))):
+                call("abc", lengths)
 
     def test_injectivity_enforced(self):
         with pytest.raises(ValueError, match="injective"):

@@ -22,9 +22,13 @@ from radsigns.evaluation import (
     PrfScores,
     agreement_f1,
     classify_errors,
+    entity_keys,
     entity_prf,
+    key_prf,
     relation_prf,
 )
+
+from radsigns.tagscheme import _run_arrays, batch_entities
 
 from _synth import random_entity_set
 
@@ -128,6 +132,52 @@ class TestBreakdownMatchesRecount:
         assert result.overall == recount(pred, gold)
         assert dict(result.by_kind) == {kind: recount(pred, gold, kind) for kind in kinds}
         assert agreement_f1(pred, gold) == result.overall
+
+
+class TestEntityKeys:
+    @staticmethod
+    def decoded(keys, lengths):
+        """``(flat start, length, kind)`` of each key, undoing its layout."""
+        width = int(np.max(lengths)) + 1
+        rest, kind = np.divmod(keys, len(ENTITY_KINDS))
+        return rest // width, rest % width, kind
+
+    def test_keys_decode_to_the_entities(self):
+        rng = np.random.default_rng(131)
+        for _ in range(200):
+            lengths = rng.integers(1, 7, int(rng.integers(1, 9)))
+            path = rng.integers(0, 7, int(lengths.sum())) * (rng.random(int(lengths.sum())) < 0.7)
+            entities = batch_entities([f"s{k}" for k in range(len(lengths))], "字" * int(lengths.sum()),
+                                      path, lengths)
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            expected = [(int(offsets[row]) + e.start, e.end - e.start, ENTITY_KINDS.index(e.kind))
+                        for row, found in enumerate(entities.values()) for e in found]
+            keys = entity_keys(path, lengths)
+            assert keys.dtype == np.int64
+            assert list(zip(*(a.tolist() for a in self.decoded(keys, lengths)))) == expected
+
+    def test_no_overflow_on_a_long_sentence_after_many_short_ones(self):
+        """2**20 one-character sentences and one of 2**21 characters overflow
+        a ``(row, start, end, kind)`` layout; the flat-start keys stay far
+        below the int64 limit and still decode to their entities."""
+        lengths = np.array([1] * 2**20 + [2**21])
+        path = np.random.default_rng(132).integers(0, 7, int(lengths.sum())).astype(np.uint8)
+        path[2**20:] = 2   # one I-P run, repaired into a P entity of 2**21 characters
+        keys = entity_keys(path, lengths)
+        _, starts, ends, kinds = _run_arrays(path, lengths)
+        flat_start, length, kind = self.decoded(keys, lengths)
+        assert np.array_equal(flat_start, starts)
+        assert np.array_equal(length, ends - starts) and np.array_equal(kind, kinds)
+        assert length[-1] == 2**21 and (np.diff(keys) > 0).all()
+        assert keys[-1] < len(ENTITY_KINDS) * lengths.sum() * (2**21 + 1)
+
+    def test_counts_repeated_keys_as_multisets(self):
+        result = key_prf(np.array([5, 5, 5, 7, 9]), np.array([5, 5, 9, 9, 10]))
+        assert result.overall == PrfScores(3, 5, 5)
+        assert dict(result.by_kind) == {"P": PrfScores(1, 1, 2), "D": PrfScores(0, 1, 1),
+                                        "Abn": PrfScores(2, 3, 2)}
+        assert all(type(v) is int for s in (result.overall, *result.by_kind.values())
+                   for v in vars(s).values())
 
 
 class TestRelationPrf:

@@ -1,7 +1,9 @@
 """Seeded byte-level fuzzing of the tagged corpora that ``train`` reads
 (training and dev) and that ``eval`` and ``errors`` read (pred and gold),
-of the text input of ``tag``, of the emission file of ``tag
---emissions-file`` and of the dictionary of ``extract --dict``.
+of the ``train --config`` file, of the text input and the model of ``tag``,
+of the emission file of ``tag --emissions-file``, of the dictionary of
+``extract --dict``, of the tsv input of ``extract --from-tags`` and of the
+relations files of ``eval --mode relation`` and of relation agreement.
 
 Each case mutates one of a command's input files and runs the command
 through ``main``: it must return 0, 2 or 3 without raising, and an exit-2
@@ -92,20 +94,37 @@ def test_eval_and_errors_pred_and_gold(tmp_path, capsys, corpora):
     run_mutated(tmp_path, capsys, [pred, gold], argv, seed=192, cases=300)
 
 
+def test_train_config(tmp_path, capsys, corpora):
+    """The ``--config`` file mutated, both corpora left valid."""
+    train, dev = tmp_path / "train.tsv", tmp_path / "dev.tsv"
+    train.write_bytes(corpora[0])
+    dev.write_bytes(corpora[1])
+    config = b'{"epochs": 2, "batch_size": 4, "lr": 0.5, "seed": 3}\n'
+
+    def argv(paths, rng):
+        return ["--config", str(paths[0]), "train", str(train), str(dev),
+                "--model-out", str(tmp_path / "model.json")]
+
+    run_mutated(tmp_path, capsys, [config], argv, seed=197, cases=60)
+
+
 @pytest.fixture
 def decode_files(tmp_path):
     """A text input, its emission file, a dictionary and a model whose
     weights tag each rule character as the rule corpus does, so ``extract``
     finds entities to match."""
     rng = np.random.default_rng(193)
-    sentences = [s for s, _ in build_rule_corpus(rng, 5, "s")]
+    corpus = build_rule_corpus(rng, 5, "s")
+    sentences = [s for s, _ in corpus]
     text = "".join(s.text for s in sentences)
     vocab = FeatureVocabulary.build(text, [len(s) for s in sentences])
     weights = np.zeros((vocab.size, len(TAG_LABELS)))
     for ch, tag in RULE_CHAR_TAG.items():
         weights[vocab.lookup(f"c0={ch}"), TAG_LABELS.index(tag)] = 5.0
-    files = {name: tmp_path / name for name in ("input.txt", "em.txt", "dict.txt", "model.json")}
+    files = {name: tmp_path / name
+             for name in ("input.txt", "em.txt", "dict.txt", "model.json", "tags.tsv")}
     files["input.txt"].write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
+    write_tagged_flat(FlatCorpus.from_pairs(corpus), files["tags.tsv"])
     write_emissions([EmissionMatrix(s.id, rng.standard_normal((len(s), len(TAG_LABELS))))
                      for s in sentences], files["em.txt"])
     files["dict.txt"].write_text("# parts\n" + "".join(t + "\n" for t in SP_TERMS), encoding="utf-8")
@@ -114,22 +133,44 @@ def decode_files(tmp_path):
     return files
 
 
-@pytest.mark.parametrize("mutated, seed", [("input.txt", 194), ("em.txt", 195), ("dict.txt", 196)])
+@pytest.mark.parametrize("mutated, seed", [("input.txt", 194), ("em.txt", 195), ("dict.txt", 196),
+                                           ("model.json", 198), ("tags.tsv", 199)])
 def test_decode_inputs(tmp_path, capsys, decode_files, mutated, seed):
-    """One file of ``tag`` (text input), ``tag --emissions-file`` (the
-    emission file) or ``extract --dict`` (the dictionary) mutated, the
-    others left valid.  A mutated text input next to a valid emission file
-    may leave a sentence without its block, an error that names the
-    emission file, so the text input is fuzzed without one."""
+    """One file of ``tag`` (text input, model), ``tag --emissions-file``
+    (the emission file), ``extract --dict`` (the dictionary) or ``extract
+    --from-tags`` (the tsv input) mutated, the others left valid.  A mutated
+    text input next to a valid emission file may leave a sentence without
+    its block, an error that names the emission file, so the text input is
+    fuzzed without one."""
     files, out = {k: str(v) for k, v in decode_files.items()}, str(tmp_path / "out")
 
     def argv(paths, rng):
         given = {**files, mutated: str(paths[0])}
-        if mutated == "dict.txt":
-            return ["extract", given["input.txt"], "--model", given["model.json"],
+        if mutated in ("dict.txt", "tags.tsv"):
+            source = (["--input-format", "tsv", "--from-tags", given["tags.tsv"]]
+                      if mutated == "tags.tsv" else [given["input.txt"]])
+            return ["extract", *source, "--model", given["model.json"],
                     "--dict", given["dict.txt"], "--out", out,
                     "--relations-out", str(tmp_path / "relations.jsonl")]
         emissions = ["--emissions-file", given["em.txt"]] if mutated == "em.txt" else []
         return ["tag", given["input.txt"], "--model", given["model.json"], *emissions, "--out", out]
 
     run_mutated(tmp_path, capsys, [decode_files[mutated].read_bytes()], argv, seed=seed, cases=60)
+
+
+def test_relation_eval_and_agreement(tmp_path, capsys, decode_files):
+    """The two relations files of ``eval --mode relation`` and of ``eval
+    --mode agreement --items relation`` mutated; the gold holds the
+    relations that ``extract --from-tags`` writes, the pred all but one."""
+    gold_path, quads = tmp_path / "gold.jsonl", tmp_path / "quads.jsonl"
+    assert main(["extract", "--input-format", "tsv", "--from-tags", str(decode_files["tags.tsv"]),
+                 "--model", str(decode_files["model.json"]), "--dict", str(decode_files["dict.txt"]),
+                 "--out", str(quads), "--relations-out", str(gold_path)]) == 0
+    gold = gold_path.read_bytes()
+    pred = gold[gold.index(b"\n") + 1:]
+
+    def argv(paths, rng):
+        mode = [["--mode", "relation"], ["--mode", "agreement", "--items", "relation"]]
+        return ["eval", *mode[int(rng.integers(2))], "--pred", str(paths[0]), "--gold", str(paths[1])]
+
+    run_mutated(tmp_path, capsys, [pred, gold], argv, seed=200, cases=120)

@@ -108,12 +108,34 @@ def test_tag_and_extract_run_on_the_flat_corpus():
                  if isinstance(node, ast.FunctionDef)}
     offenders = [
         f"{name}:{lineno} {found}"
-        for name in ("_cmd_tag", "_cmd_extract", "_tag_windows", "_cmd_train", "_aligned_entities")
+        for name in ("_cmd_tag", "_cmd_extract", "_tag_windows", "_cmd_train", "_aligned_corpora")
         for lineno, found in names(functions[name]) if found in per_sentence
     ]
     offenders += [f"trainer.py:{lineno} {found}" for lineno, found
                   in names(ast.parse(Path(trainer.__file__).read_text(encoding="utf-8")))
                   if found in per_sentence]
+    assert offenders == []
+
+
+def test_strict_counts_are_computed_only_in_evaluation():
+    """Dev F1, ``eval``, agreement and the library scorers count int keys
+    through ``radsigns.evaluation``: no other module intersects key arrays
+    or imports the run finder to key entities, and the eval reader builds
+    no ``Entity``."""
+    offenders = []
+    for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
+        if path.name == "evaluation.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{lineno} {found}" for lineno, found in names(tree)
+                      if found == "intersect1d"]
+        offenders += [f"{path.name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names
+                      if alias.name == "_run_arrays"]
+    reader = next(node for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_aligned_corpora")
+    offenders += [f"_aligned_corpora:{lineno} {found}" for lineno, found in names(reader)
+                  if found in ("Entity", "batch_entities")]
     assert offenders == []
 
 
