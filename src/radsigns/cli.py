@@ -1,8 +1,10 @@
 """Command-line pipeline: train, tag, extract, eval, errors.
 
-Exit codes: 0 success, 2 usage or input error, 3 numerical failure during
-training.  All commands are deterministic given identical inputs, flags and
-seed.  ``tag`` and ``extract`` decode, match and write in windows of
+Exit codes: 0 success, 2 bad input or flags, which reach :func:`main` only
+as ``CorpusFormatError``, ``OSError`` or an argparse error, 3 numerical
+failure during training; any other exception is a bug and exits 1 with a
+traceback.  All commands are deterministic given identical inputs, flags
+and seed.  ``tag`` and ``extract`` decode, match and write in windows of
 ``MATCH_WINDOW`` sentences in input order, in one process, each window in
 one flat Viterbi pass over its slice of the input's flat corpus; ``--jobs``
 is validated but accepted for compatibility only.
@@ -83,13 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dev_path", help="tagged development corpus")
     p.add_argument("--model-out", required=True)
     p.add_argument("--report-out", help="write the per-epoch report as JSON")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.5, help="first-epoch learning rate")
-    p.add_argument("--lr-decayed", type=float, default=0.1)
-    p.add_argument("--decay-epoch", type=int, default=2)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--epochs", type=_number(int, 1), default=200)
+    p.add_argument("--batch-size", type=_number(int, 1), default=16)
+    p.add_argument("--lr", type=_number(float, 0, above=True), default=0.5,
+                   help="first-epoch learning rate")
+    p.add_argument("--lr-decayed", type=_number(float, 0, above=True), default=0.1)
+    p.add_argument("--decay-epoch", type=_number(int, 1), default=2)
+    p.add_argument("--l2", type=_number(float, 0), default=0.0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
 
     p = sub.add_parser("tag", help="decode tags for input sentences")
     p.set_defaults(run=_cmd_tag, outputs=("out",),
@@ -142,31 +145,26 @@ def _add_decode_arguments(p: argparse.ArgumentParser) -> None:
                    help="decode without the BIO transition mask")
     p.add_argument("--emissions-file",
                    help="use precomputed emission blocks keyed by sentence id")
-    p.add_argument("--jobs", type=_jobs, default=1,
+    p.add_argument("--jobs", type=_number(int, 1), default=1,
                    help="accepted for compatibility; decoding always runs in one process")
 
 
-def _jobs(text: str) -> int:
-    """The ``--jobs`` type: an integer of at least 1, otherwise unused."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"--jobs must be an integer of at least 1, got {text!r}")
-    return jobs
+def _number(cast, low, above: bool = False):
+    """An option type: a finite ``cast`` number (``int`` or ``float``) of at
+    least ``low``, or above it if ``above``."""
+    wanted = (f"{'an integer' if cast is int else 'a finite number'} "
+              f"{'above' if above else 'of at least'} {low}")
 
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not (value > low if above else value >= low) or value == float("inf"):   # NaN fails too
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
 
-def _seed(text: str) -> int:
-    """The ``--seed`` type: an integer of at least 0, as numpy's generators
-    take."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
-    return seed
+    return parse
 
 
 def _emission_blocks(emissions_file, corpus: FlatCorpus) -> list[np.ndarray]:
@@ -318,9 +316,9 @@ def _breakdown_report(label: str, breakdown) -> tuple[dict, str]:
 
 def _cmd_eval(args) -> int:
     if args.confusion_csv and args.mode != "errors":
-        raise ValueError("--confusion-csv needs --mode errors")
+        raise CorpusFormatError("--confusion-csv needs --mode errors")
     if args.items and args.mode != "agreement":
-        raise ValueError("--items needs --mode agreement")
+        raise CorpusFormatError("--items needs --mode agreement")
     if args.mode == "errors":
         pred, gold = _aligned_corpora(args.pred, args.gold)
         records, confusion, summary = classify_errors(
@@ -375,6 +373,8 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
         if isinstance(value, (list, dict)) or value is None:
             raise CorpusFormatError(f"{path}: {key}: expected a string, number or boolean, "
                                     f"got {json.dumps(value)}")
+        if isinstance(value, str) and "\0" in value:   # no path, number or choice holds one
+            raise CorpusFormatError(f"{path}: {key}: a value cannot hold a NUL character")
         for p, action in owners:
             if action.nargs == 0:   # store_true / store_false
                 if not isinstance(value, bool):
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CorpusFormatError, OSError, ValueError) as exc:
+    except (CorpusFormatError, OSError) as exc:   # any other exception is a bug
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

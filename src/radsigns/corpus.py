@@ -65,7 +65,7 @@ RELATION_KINDS = tuple(RELATION_ENDPOINTS)
 
 
 class CorpusFormatError(ValueError):
-    """An input file does not follow its documented format."""
+    """Bad input: a file off its documented format, or flags that conflict."""
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -251,6 +251,23 @@ class EmissionMatrix:
         return int(self.scores.shape[0])
 
 
+def _sentence_lengths(lengths, size: int) -> np.ndarray:
+    """``lengths`` as a new read-only ``intp`` array; a ``ValueError`` names them
+    unless they are 1-D integers, all positive, that sum to ``size``."""
+    try:
+        given = np.asarray(lengths)
+    except ValueError:   # a ragged list
+        given = np.asarray(None)
+    if given.ndim != 1 or given.size and given.dtype.kind not in "iu":
+        raise ValueError(f"sentence lengths must be a 1-D array of integers, got {lengths!r:.80}")
+    lengths = given.astype(np.intp)
+    if (lengths < 1).any() or lengths.sum() != size:
+        raise ValueError(f"sentence lengths {lengths} must be positive and sum to "
+                         f"the text's length, {size}")
+    lengths.setflags(write=False)
+    return lengths
+
+
 @dataclass(frozen=True, eq=False)
 class FlatCorpus:
     """Sentences laid end to end: ``text``, the read-only ``lengths`` and,
@@ -263,14 +280,10 @@ class FlatCorpus:
     first: int = 1
 
     def __post_init__(self):
-        lengths = np.array(self.lengths, dtype=np.intp)
-        lengths.setflags(write=False)
-        object.__setattr__(self, "lengths", lengths)
-        if lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != len(self.text) or (
-                self.indices is not None and (len(self.indices) != len(self.text)
-                                              or max(self.indices, default=0) >= NUM_TAGS)):
-            raise ValueError("a flat corpus needs positive lengths that cover its text, "
-                             "and a tag index below NUM_TAGS per character")
+        object.__setattr__(self, "lengths", _sentence_lengths(self.lengths, len(self.text)))
+        if self.indices is not None and (len(self.indices) != len(self.text)
+                                         or max(self.indices, default=0) >= NUM_TAGS):
+            raise ValueError("a tagged flat corpus needs a tag index below NUM_TAGS per character")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Sentence, TagSequence]]) -> "FlatCorpus":

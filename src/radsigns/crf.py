@@ -40,7 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import NUM_TAGS, TAG_LABELS, EmissionMatrix, Sentence, TagSequence, read_json_object
+from .corpus import (NUM_TAGS, TAG_LABELS, CorpusFormatError, EmissionMatrix, Sentence,
+                     TagSequence, read_json_object)
 from .encoder import FeatureVocabulary, LinearScorerParams, score_sentence
 from .tagscheme import tags_from_indices
 
@@ -75,14 +76,6 @@ class TransitionMatrix:
             raise ValueError("non-finite transition score")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def start_index(self) -> int:
-        return START
-
-    @property
-    def end_index(self) -> int:
-        return END
 
     @classmethod
     def zeros(cls) -> "TransitionMatrix":
@@ -408,30 +401,28 @@ def _is_int(value) -> bool:
 
 
 def load_model(path) -> TaggerModel:
-    """Read a model file; any malformed document raises ``ValueError``
+    """Read a model file; any malformed document raises ``CorpusFormatError``
     naming the path."""
     document = read_json_object(path, "model")
     if document.get("format") != MODEL_FORMAT:
-        raise ValueError(
-            f"{path}: unsupported model format {document.get('format')!r}"
-        )
+        raise CorpusFormatError(f"{path}: unsupported model format {document.get('format')!r}")
     tags = document.get("tags")
     if not isinstance(tags, list) or tuple(tags) != TAG_LABELS:
-        raise ValueError(f"{path}: model tag set does not match {TAG_LABELS}")
+        raise CorpusFormatError(f"{path}: model tag set does not match {TAG_LABELS}")
     features = document.get("features")
     if not isinstance(features, dict) or not all(map(_is_int, features.values())):
-        raise ValueError(f"{path}: 'features' must map feature strings to integer columns")
+        raise CorpusFormatError(f"{path}: 'features' must map feature strings to integer columns")
     if not _is_int(document.get("unk_index")):
-        raise ValueError(f"{path}: 'unk_index' must be an integer")
+        raise CorpusFormatError(f"{path}: 'unk_index' must be an integer")
     for key in ("weights", "transitions"):
         if not isinstance(document.get(key), list):
-            raise ValueError(f"{path}: {key!r} must be a list of rows")
+            raise CorpusFormatError(f"{path}: {key!r} must be a list of rows")
     try:
         vocab = FeatureVocabulary(features, document["unk_index"])
         weights = LinearScorerParams(np.array(document["weights"], dtype=np.float64))
         transitions = TransitionMatrix(np.array(document["transitions"], dtype=np.float64))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:   # an int beyond float range
+        raise CorpusFormatError(f"{path}: {exc}") from exc
     if weights.weights.shape[0] != vocab.size:
-        raise ValueError(f"{path}: weight rows do not match feature count")
+        raise CorpusFormatError(f"{path}: weight rows do not match feature count")
     return TaggerModel(vocab, weights, transitions)

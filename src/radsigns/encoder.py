@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import NUM_TAGS, EmissionMatrix, Sentence, _code_points
+from .corpus import NUM_TAGS, EmissionMatrix, Sentence, _code_points, _sentence_lengths
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -165,15 +165,9 @@ def _template_values(lengths, char_ids: np.ndarray, classes: np.ndarray):
     for a bigram (``width = len(classes)``, the number of char ids), the
     class index of ``c0``, 0 for the bias.  Two pad ids (0) go before,
     between and after the sentences, placed by position, so every character
-    keeps its own id.  One template's array at a time.  Lengths must be 1-D
-    integers, all positive, that sum to the text's length (``ValueError``)."""
-    given = np.asarray(lengths)
-    if given.ndim != 1 or given.size and given.dtype.kind not in "iu":
-        raise ValueError(f"sentence lengths must be a 1-D array of integers, got {lengths!r:.80}")
-    lengths = given.astype(np.intp)
-    if (lengths < 1).any() or lengths.sum() != len(char_ids):
-        raise ValueError(f"sentence lengths {lengths} must be positive and sum to "
-                         f"the text's length, {len(char_ids)}")
+    keeps its own id.  One template's array at a time.  Lengths are checked
+    by :func:`corpus._sentence_lengths`."""
+    lengths = _sentence_lengths(lengths, len(char_ids))
     where = np.arange(len(char_ids)) + 2 * np.repeat(np.arange(1, len(lengths) + 1), lengths)
     chars = np.zeros(len(where) + 2 * len(lengths) + 2, dtype=np.intp)
     chars[where] = char_ids

@@ -130,7 +130,8 @@ class TestTrain:
             "--model-out", str(tmp_path / "m.json"), "--decay-epoch", "0",
         ])
         assert code == 2
-        assert "decay epoch must be >= 1, got 0" in capsys.readouterr().err
+        assert ("argument --decay-epoch: expected an integer of at least 1, got '0'"
+                in capsys.readouterr().err)
         assert not (tmp_path / "m.json").exists()
 
     def train_to_overflow(self, tmp_path, rate):
@@ -469,6 +470,30 @@ class TestTagAndExtract:
         assert code == 2
         assert "dictionary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["weights", "transitions"])
+    def test_model_number_beyond_float_range_is_input_error(self, workspace, tmp_path, capsys,
+                                                            key):
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        document = json.loads(workspace["model"].read_text(encoding="utf-8"))
+        document[key][0][0] = 10**400
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["tag", str(text_path), "--model", str(model_path),
+                     "--out", str(tmp_path / "out.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {model_path}: ")
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_internal_error_is_not_reported_as_bad_input(self, workspace, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "match_arrays", broken)
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        with pytest.raises(ValueError, match="^boom$"):
+            main(["extract", str(text_path), "--model", str(workspace["model"]),
+                  "--dict", str(workspace["dict"]), "--out", str(tmp_path / "q.jsonl")])
+
     def test_external_emissions_drive_decoding(self, tmp_path):
         sentence = Sentence.from_text("s1", "肺影好")
         vocab = FeatureVocabulary.build(sentence.text, [len(sentence)])
@@ -640,11 +665,16 @@ class TestTagAndExtract:
             code = main([*command, str(text_path), "--model", str(workspace["model"]),
                          "--out", str(tmp_path / "out"), "--jobs", jobs])
             assert code == 2
-            assert "--jobs must be" in capsys.readouterr().err
+            assert (f"argument --jobs: expected an integer of at least 1, got '{jobs}'"
+                    in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "true"])
-    def test_jobs_below_one_from_config_is_usage_error(self, workspace, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("jobs, message", [
+        ("0", "argument --jobs: expected an integer of at least 1, got '0'"),
+        ("true", "argument --jobs: invalid int value: 'true'"),
+    ], ids=["0", "true"])
+    def test_jobs_below_one_from_config_is_usage_error(self, workspace, tmp_path, capsys, jobs,
+                                                       message):
         text_path, _ = self.write_input(workspace, tmp_path, count=2)
         config_path = tmp_path / "config.json"
         config_path.write_text('{"jobs": %s}' % jobs, encoding="utf-8")
@@ -652,7 +682,7 @@ class TestTagAndExtract:
             code = main(["--config", str(config_path), *command, str(text_path),
                          "--model", str(workspace["model"]), "--out", str(tmp_path / "out")])
             assert code == 2
-            assert "--jobs must be" in capsys.readouterr().err
+            assert f"{config_path}: jobs: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def write_with_bom(self, workspace, tmp_path):
@@ -1260,6 +1290,8 @@ class TestConfigFile:
         ('{"epochs": "--"}', "config.json: epochs: argument --epochs: expected one argument, got '--'"),
         ('{"bogus_key": 1}', "config.json: bogus_key: no command has this option"),
         ('{"train_path": "x.tsv"}', "config.json: train_path: no command has this option"),
+        ('{"report_out": "r\\u0000.json"}', "config.json: report_out: a value cannot hold a NUL "
+                                            "character"),
     ])
     def test_mistyped_or_unknown_config_value_is_usage_error(
         self, workspace, tmp_path, capsys, config, message
@@ -1278,6 +1310,35 @@ class TestConfigFile:
             config_path.write_text(config, encoding="utf-8")
             assert main(["--config", str(config_path), "eval", "--pred", "x", "--gold", "y"]) == 2
             assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, wanted", [
+        ("batch_size", "0", "an integer of at least 1"),
+        ("epochs", "0", "an integer of at least 1"),
+        ("decay_epoch", "0", "an integer of at least 1"),
+        ("lr", "0", "a finite number above 0"),
+        ("lr", "NaN", "a finite number above 0"),
+        ("lr_decayed", "1e400", "a finite number above 0"),
+        ("l2", "-1", "a finite number of at least 0"),
+    ], ids=["batch_size=0", "epochs=0", "decay_epoch=0", "lr=0", "lr=NaN", "lr_decayed=1e400",
+            "l2=-1"])
+    def test_value_out_of_range_names_the_file_and_the_key(
+        self, workspace, tmp_path, capsys, key, value, wanted
+    ):
+        """Out of range in the file, the value exits 2 naming the file and the
+        key; as a flag, it is a usage error.  The file's value is checked as
+        the JSON text of what it parses to (``1e400`` as ``Infinity``)."""
+        option = "--" + key.replace("_", "-")
+        assert self.train_with_config(workspace, tmp_path, f'{{"{key}": {value}}}') == 2
+        captured = capsys.readouterr()
+        got = json.dumps(json.loads(value))
+        assert captured.err == (f"error: {tmp_path / 'config.json'}: {key}: "
+                                f"argument {option}: expected {wanted}, got '{got}'\n")
+        assert captured.out == ""
+        assert main(["train", str(workspace["train"]), str(workspace["dev"]),
+                     "--model-out", str(tmp_path / "m.json"), f"{option}={value}"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"radsigns train: error: argument {option}: expected {wanted}, got '{value}'\n")
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("config, message", [
         ('{"mode": "bogus"}', "config.json: mode: argument --mode: invalid choice: 'bogus'"),

@@ -345,9 +345,21 @@ class TestFlatCorpusIO:
             ("s2", "bc", ("B-P", "I-P")), ("s3", "def", ("B-D", "I-D", "B-Abn"))]
         with pytest.raises(ValueError):
             flat.lengths[0] = 6
-        for lengths, indices in (([1, 2, 2], None), ([0, 6], None), ([6], bytes(5)), ([6], b"\0" * 5 + b"\7")):
-            with pytest.raises(ValueError, match="flat corpus"):
-                FlatCorpus("abcdef", lengths, indices)
+        for lengths in ([1, 2, 2], [0, 6]):
+            with pytest.raises(ValueError, match=r"^sentence lengths \[.*\] must be positive and sum "
+                                                 r"to the text's length, 6$"):
+                FlatCorpus("abcdef", lengths)
+        for indices in (bytes(5), b"\0" * 5 + b"\7"):
+            with pytest.raises(ValueError, match="^a tagged flat corpus needs a tag index below "
+                                                 "NUM_TAGS per character$"):
+                FlatCorpus("abcdef", [6], indices)
+
+    @pytest.mark.parametrize("text, lengths", [
+        ("ab", [1.2, 1.7]), ("ab", [True, True]), ("abc", [[1], [2, 3]])])
+    def test_flat_corpus_lengths_must_be_a_1d_array_of_integers(self, text, lengths):
+        with pytest.raises(ValueError, match=r"^sentence lengths must be a 1-D array of "
+                                             r"integers, got " + re.escape(repr(lengths))):
+            FlatCorpus(text, lengths)
 
     def test_writing_an_untagged_corpus_needs_tags(self, tmp_path):
         with pytest.raises(ValueError, match="needs a tagged corpus, not an untagged one"):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from radsigns import crf
 
-from radsigns.corpus import EmissionMatrix, Sentence
+from radsigns.corpus import CorpusFormatError, EmissionMatrix, Sentence
 from radsigns.crf import (
     END,
     START,
@@ -681,6 +682,8 @@ class TestModelPersistence:
         {"weights": [["x"] * 7]},
         {"transitions": None},
         {"tags": "O"},
+        {"weights": [[10**400] * 7]},
+        {"transitions": [[10**400] * 9] * 9},
     ])
     def test_malformed_document_names_the_path(self, tmp_path, change):
         _, model = self.build_model()
@@ -689,7 +692,7 @@ class TestModelPersistence:
         document = json.loads(path.read_text(encoding="utf-8"))
         document.update(change)
         path.write_text(json.dumps(document), encoding="utf-8")
-        with pytest.raises(ValueError, match=str(path)):
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: "):
             load_model(path)
 
     def test_invalid_json_names_the_path(self, tmp_path):
@@ -708,6 +711,6 @@ class TestModelPersistence:
 
     def test_virtual_tag_indices(self):
         tm = TransitionMatrix.zeros()
-        assert tm.start_index == 7 == START
-        assert tm.end_index == 8 == END
+        assert START == 7
+        assert END == 8
         assert tm.matrix.shape == (9, 9)

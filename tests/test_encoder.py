@@ -153,7 +153,8 @@ class TestFeatureVocabulary:
         with pytest.raises(ValueError, match=bad_lengths_message(text)):
             FeatureVocabulary.build(text, lengths)
 
-    @pytest.mark.parametrize("lengths", [[1.5, 1.5], [[1, 2]], ["1", "2"], [True, True, True]])
+    @pytest.mark.parametrize("lengths", [[1.5, 1.5], [[1, 2]], ["1", "2"], [True, True, True],
+                                         [[1], [2, 3]]])
     def test_lengths_must_be_a_1d_array_of_integers(self, lengths):
         vocab = FeatureVocabulary.build("abc", [3])
         for call in (FeatureVocabulary.build, partial(text_feature_ids, vocab)):
