@@ -15,7 +15,9 @@ leading BOM is dropped, and an undecodable byte is reported as
   (:func:`read_tagged_flat`, :func:`write_tagged_flat`);
 * secondary-part dictionary: one term per line, ``#`` starts a comment;
 * emission file: header ``<sentence_id> <n> <k>`` followed by n rows of k
-  floats, one or more such blocks per file (:func:`read_emission_blocks`);
+  floats, one or more such blocks per file (:func:`read_emission_blocks`,
+  which parses rows in bounded batches with ``np.loadtxt`` and falls back
+  to Python ``float``, whose grammar decides which tokens are valid);
 * quadruples and relations: JSON Lines;
 * model and config files: one JSON object each, read by
   :func:`read_json_object`.
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -411,34 +414,28 @@ def read_dictionary(path) -> SecondaryPartDictionary:
     return SecondaryPartDictionary(frozenset(terms))
 
 
-def _raise_row_error(path, rows, k: int) -> NoReturn:
-    """Raise the first bad row's error, checking each row for its token
-    count, then a non-numeric value, then a non-finite one."""
+# emission rows per np.loadtxt call: it bounds the reader's memory, and batches
+# of 512 to 4,096 report-length rows parse equally fast
+_PARSE_ROWS = 512
+
+
+def _parse_block(path, rows) -> np.ndarray:
+    """The block's n x 7 scores, parsed row by row with Python ``float``; the
+    first bad row raises, checked for its token count, then a non-numeric
+    value, then a non-finite one."""
+    block = []
     for lineno, row in rows:
         values = row.split()
-        if len(values) != k:
-            raise CorpusFormatError(f"{path}:{lineno}: expected {k} values, got {len(values)}")
+        if len(values) != NUM_TAGS:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected {NUM_TAGS} values, got {len(values)}")
         try:
-            floats = [float(v) for v in values]
+            block.append([float(v) for v in values])
         except ValueError:
             raise CorpusFormatError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
-        if not all(map(math.isfinite, floats)):
+        if not all(map(math.isfinite, block[-1])):
             raise CorpusFormatError(f"{path}:{lineno}: non-finite value in {row!r}")
-
-
-def _parse_block(path, rows, k: int) -> np.ndarray:
-    """The block's n x k scores from one float pass and one finiteness
-    check; rows are checked one by one only when those fail."""
-    tokens = [row.split() for _, row in rows]
-    if all(len(t) == k for t in tokens):
-        try:
-            block = np.fromiter(map(float, chain.from_iterable(tokens)), np.float64, len(rows) * k)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(block).all():
-                return block.reshape(len(rows), k)
-    _raise_row_error(path, rows, k)
+    return np.array(block, np.float64)
 
 
 def _undecodable_line(path, exc: UnicodeDecodeError) -> CorpusFormatError:
@@ -487,44 +484,89 @@ def read_text_flat(path) -> FlatCorpus:
     return FlatCorpus(text.replace("\n", ""), lengths[lengths > 0])
 
 
+def _block_rows(path, fh) -> Iterator[tuple[str, list[tuple[int, str]]]]:
+    """Each emission block of the open file as its sentence id and its rows'
+    ``(lineno, stripped line)`` list, checking each header in file order."""
+    seen: set[str] = set()
+    lines = filter(itemgetter(1), enumerate(map(str.strip, fh), 1))   # non-blank lines, lazily
+    for lineno, header in lines:
+        fields = header.split()
+        if len(fields) != 3:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
+            )
+        sid = fields[0]
+        if sid in seen:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: a second emission block for sentence {sid!r}")
+        try:
+            n, k = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: header dimensions must be integers, got {header!r}"
+            ) from None
+        if k != NUM_TAGS:
+            raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
+        if n < 1:
+            raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
+        rows = list(islice(lines, min(n, sys.maxsize)))
+        if len(rows) < n:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: header promises {n} rows for {sid!r} "
+                f"but only {len(rows)} follow"
+            )
+        seen.add(sid)
+        yield sid, rows
+
+
+def _parse_blocks(path, queue: list[tuple[str, list]]) -> list[tuple[str, np.ndarray]]:
+    """Each queued ``(sentence id, rows)`` block with its n x 7 scores, from
+    one ``np.loadtxt`` call over all their rows; if that call fails or a value
+    is off the format, :func:`_parse_block` parses each block again."""
+    if not queue:
+        return []
+    sids, row_lists = zip(*queue)
+    sizes = list(map(len, row_lists))
+    try:
+        batch = np.loadtxt(map(itemgetter(1), chain.from_iterable(row_lists)), np.float64,
+                           comments=None, ndmin=2)
+    except ValueError:
+        batch = None
+    if batch is not None and batch.shape == (sum(sizes), NUM_TAGS) and np.isfinite(batch).all():
+        return list(zip(sids, np.split(batch, np.cumsum(sizes[:-1]))))
+    return [(sid, _parse_block(path, rows)) for sid, rows in queue]
+
+
 def read_emission_blocks(path) -> dict[str, np.ndarray]:
     """Every emission block in the file by sentence id, in order, as its
     n x 7 array; sentence ids must be unique.
 
-    The file is streamed one block at a time: each block's values are parsed
-    with Python ``float``, so its grammar decides which tokens are valid.
+    The file is streamed: headers are checked as they are read, and whole
+    blocks are queued until they hold ``_PARSE_ROWS`` rows, which one
+    ``np.loadtxt`` call then parses.  Beyond its result the reader thus
+    holds one batch's text (or one block's, if larger), never the file's.
+    Python ``float`` is the fallback and sets the grammar: a batch that
+    loadtxt rejects, or that holds a non-finite value or a row of other
+    than 7 values, is parsed again block by block with ``float``, which
+    accepts a superset of loadtxt's numbers and names the first bad row.
+    Errors come in file order: a bad row wins over a later bad header or
+    undecodable byte.
     """
     blocks: dict[str, np.ndarray] = {}
+    queue: list[tuple[str, list]] = []   # blocks read but not yet parsed
+    queued = 0
     with _open_text(path) as fh:
-        # (lineno, stripped line) for each non-blank line, read lazily
-        lines = ((i, line) for i, line in enumerate(map(str.strip, fh), 1) if line)
-        for lineno, header in lines:
-            fields = header.split()
-            if len(fields) != 3:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
-                )
-            sid = fields[0]
-            if sid in blocks:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: a second emission block for sentence {sid!r}")
-            try:
-                n, k = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: header dimensions must be integers, got {header!r}"
-                ) from None
-            if k != NUM_TAGS:
-                raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
-            if n < 1:
-                raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
-            rows = list(islice(lines, min(n, sys.maxsize)))
-            if len(rows) < n:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: header promises {n} rows for {sid!r} "
-                    f"but only {len(rows)} follow"
-                )
-            blocks[sid] = _parse_block(path, rows, k)
+        try:
+            for sid, rows in _block_rows(path, fh):
+                queue.append((sid, rows))
+                queued += len(rows)
+                if queued >= _PARSE_ROWS:
+                    ready, queue, queued = queue, [], 0
+                    blocks.update(_parse_blocks(path, ready))
+        except (CorpusFormatError, UnicodeDecodeError):
+            _parse_blocks(path, queue)   # a bad row before the bad header or byte wins
+            raise
+    blocks.update(_parse_blocks(path, queue))
     if not blocks:
         raise CorpusFormatError(f"{path}: no emission blocks found")
     return blocks

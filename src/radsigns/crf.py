@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -415,8 +416,10 @@ def load_model(path) -> TaggerModel:
     if not _is_int(document.get("unk_index")):
         raise CorpusFormatError(f"{path}: 'unk_index' must be an integer")
     for key in ("weights", "transitions"):
-        if not isinstance(document.get(key), list):
-            raise CorpusFormatError(f"{path}: {key!r} must be a list of rows")
+        rows = document.get(key)
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                and set(map(type, chain.from_iterable(rows))) <= {int, float}):   # no str, bool
+            raise CorpusFormatError(f"{path}: {key!r} must be a list of rows of numbers")
     try:
         vocab = FeatureVocabulary(features, document["unk_index"])
         weights = LinearScorerParams(np.array(document["weights"], dtype=np.float64))

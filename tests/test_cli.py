@@ -484,6 +484,21 @@ class TestTagAndExtract:
         assert capsys.readouterr().err.startswith(f"error: {model_path}: ")
         assert not (tmp_path / "out.tsv").exists()
 
+    @pytest.mark.parametrize("key", ["weights", "transitions"])
+    def test_model_number_written_as_a_string_or_boolean_is_input_error(
+            self, workspace, tmp_path, capsys, key):
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        document = json.loads(workspace["model"].read_text(encoding="utf-8"))
+        document[key] = [[repr(v) for v in row] for row in document[key]]
+        document["transitions"][0][0] = True
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["tag", str(text_path), "--model", str(model_path),
+                     "--out", str(tmp_path / "out.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {model_path}: {key!r} must be")
+        assert not (tmp_path / "out.tsv").exists()
+
     def test_internal_error_is_not_reported_as_bad_input(self, workspace, tmp_path, monkeypatch):
         def broken(*args):
             raise ValueError("boom")

@@ -695,6 +695,20 @@ class TestModelPersistence:
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: "):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["weights", "transitions"])
+    @pytest.mark.parametrize("value", ["1.5", True, False, [1.5], None])
+    def test_non_number_weight_names_the_path_and_key(self, tmp_path, key, value):
+        # json.loads gives str and bool, which np.array would turn into floats
+        _, model = self.build_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document[key][0][0] = value
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(CorpusFormatError,
+                           match=f"^{re.escape(str(path))}: '{key}' must be a list of rows of numbers$"):
+            load_model(path)
+
     def test_invalid_json_names_the_path(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_bytes(b"\xff{")
