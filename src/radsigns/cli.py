@@ -277,19 +277,16 @@ def _cmd_extract(args) -> int:
     corpus = (read_tagged_flat if args.input_format == "tsv" else read_text_flat)(args.input)
     windows = _tag_windows(model, corpus, args, args.from_tags)
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as quads_out, (
-        open(args.relations_out, "w", encoding="utf-8", newline="\n")
-        if args.relations_out else nullcontext()
-    ) as relations_out:
+    with (open(args.out, "wb") as quads_out,
+          open(args.relations_out, "wb") if args.relations_out else nullcontext() as relations_out):
         for window, path in windows:
             rows, starts, ends, kinds, texts = text_runs(window.text, path, window.lengths)
             relations, quads = match_arrays(rows, starts, ends, kinds, texts, dictionary)
             lines = RecordLines(zip(kinds.tolist(), starts.tolist(), ends.tolist(), texts),
                                 window.ids)
-            quads_out.writelines(lines.quadruples(*(a.tolist() for a in (rows[quads[3]], *quads))))
+            quads_out.write(b"".join(lines.quadruples(rows[quads[3]], *quads)))
             if relations_out:
-                relations_out.writelines(lines.relations(
-                    *(a.tolist() for a in (rows[relations[1]], *relations))))
+                relations_out.write(b"".join(lines.relations(rows[relations[1]], *relations)))
     return EXIT_OK
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -484,9 +483,10 @@ def read_text_flat(path) -> FlatCorpus:
     return FlatCorpus(text.replace("\n", ""), lengths[lengths > 0])
 
 
-def _block_rows(path, fh) -> Iterator[tuple[str, list[tuple[int, str]]]]:
+def _block_rows(path, fh) -> Iterator[tuple[str, list[tuple[int, str]] | np.ndarray]]:
     """Each emission block of the open file as its sentence id and its rows'
-    ``(lineno, stripped line)`` list, checking each header in file order."""
+    ``(lineno, stripped line)`` list, or if longer than ``_PARSE_ROWS`` rows
+    its n x 7 scores, checking each header in file order."""
     seen: set[str] = set()
     lines = filter(itemgetter(1), enumerate(map(str.strip, fh), 1))   # non-blank lines, lazily
     for lineno, header in lines:
@@ -509,12 +509,24 @@ def _block_rows(path, fh) -> Iterator[tuple[str, list[tuple[int, str]]]]:
             raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
         if n < 1:
             raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
-        rows = list(islice(lines, min(n, sys.maxsize)))
-        if len(rows) < n:
+        rows = list(islice(lines, min(n, _PARSE_ROWS)))
+        count, error = len(rows), None
+        if n > _PARSE_ROWS:   # parse in slices as read, into one array grown in place
+            rows, part, count = np.empty((_PARSE_ROWS, NUM_TAGS)), rows, 0
+            while part:
+                if count + len(part) > len(rows):
+                    rows.resize((min(n, 2 * len(rows)), NUM_TAGS))
+                try:
+                    rows[count:count + len(part)] = _parse_blocks(path, [(sid, part)])[0][1]
+                except CorpusFormatError as exc:
+                    error = error or exc
+                count += len(part)
+                part = list(islice(lines, min(n - count, _PARSE_ROWS)))
+        if count < n:
             raise CorpusFormatError(
-                f"{path}:{lineno}: header promises {n} rows for {sid!r} "
-                f"but only {len(rows)} follow"
-            )
+                f"{path}:{lineno}: header promises {n} rows for {sid!r} but only {count} follow")
+        if error:   # a bad row waits until the header's promise is checked
+            raise error
         seen.add(sid)
         yield sid, rows
 
@@ -525,6 +537,8 @@ def _parse_blocks(path, queue: list[tuple[str, list]]) -> list[tuple[str, np.nda
     is off the format, :func:`_parse_block` parses each block again."""
     if not queue:
         return []
+    if isinstance(queue[-1][1], np.ndarray):   # a long block, parsed as it was read
+        return [*_parse_blocks(path, queue[:-1]), queue[-1]]
     sids, row_lists = zip(*queue)
     sizes = list(map(len, row_lists))
     try:
@@ -543,8 +557,8 @@ def read_emission_blocks(path) -> dict[str, np.ndarray]:
 
     The file is streamed: headers are checked as they are read, and whole
     blocks are queued until they hold ``_PARSE_ROWS`` rows, which one
-    ``np.loadtxt`` call then parses.  Beyond its result the reader thus
-    holds one batch's text (or one block's, if larger), never the file's.
+    ``np.loadtxt`` call then parses, a longer block in slices as it is read.
+    Beyond its result the reader thus holds one batch's text, never the file's.
     Python ``float`` is the fallback and sets the grammar: a batch that
     loadtxt rejects, or that holds a non-finite value or a row of other
     than 7 values, is parsed again block by block with ``float``, which
@@ -600,33 +614,46 @@ def entity_from_dict(data: dict) -> Entity:
     return Entity(data["kind"], data["start"], data["end"], data["text"])
 
 
-class RecordLines:
-    """JSON Lines of quadruples and relations, each line equal to
-    ``json.dumps(record, ensure_ascii=False)`` of the writers' record.
+class _Unencodable(str):   # text UTF-8 cannot encode: bytes % calls __bytes__, which raises
+    __bytes__ = str.encode
 
-    Records refer to entities by index into ``entities``, whose ``(kind index
-    into ENTITY_KINDS, start, end, text)`` tuples are serialized once each;
-    -1 is an empty slot.  Each record also names a row of ``sentence_ids``,
-    whose id ends its line; ``NO_ID`` leaves the ``sentence_id`` field out."""
+
+def _utf8(text: str) -> bytes | _Unencodable:
+    try:
+        return text.encode()
+    except UnicodeEncodeError:   # a lone surrogate: raise when a line formats it
+        return _Unencodable(text)
+
+
+class RecordLines:
+    """JSON Lines of quadruples and relations as UTF-8 bytes, each line equal
+    to ``json.dumps(record, ensure_ascii=False)`` of the writers' record.
+
+    Records refer to entities by index arrays into ``entities``, whose ``(kind
+    index into ENTITY_KINDS, start, end, text)`` tuples are serialized and
+    encoded once each; -1 is an empty slot.  Each record also names a row of
+    ``sentence_ids``, whose id ends its line; ``NO_ID`` leaves the
+    ``sentence_id`` field out.  Text UTF-8 cannot encode raises in its line."""
 
     NO_ID = object()
 
     def __init__(self, entities: Iterable[tuple[int, int, int, str]], sentence_ids: Sequence):
-        self._entities = [f'{{"kind": "{ENTITY_KINDS[k]}", "start": {a}, "end": {b}, '
-                          f'"text": {encode_basestring(t)}}}' for k, a, b, t in entities] + ["null"]
-        self._ends = ["}\n" if sid is self.NO_ID else ', "sentence_id": %s}\n' % (
-            encode_basestring(sid) if isinstance(sid, str) else json.dumps(sid, ensure_ascii=False))
-            for sid in sentence_ids]
+        self._entities = np.array([*(_utf8(f'{{"kind": "{ENTITY_KINDS[k]}", "start": {a}, '
+                                          f'"end": {b}, "text": {encode_basestring(t)}}}')
+                                     for k, a, b, t in entities), b"null"], object)
+        self._ends = np.array([b"}\n" if sid is self.NO_ID else _utf8(', "sentence_id": %s}\n' % (
+            encode_basestring(sid) if isinstance(sid, str) else json.dumps(sid, ensure_ascii=False)))
+            for sid in sentence_ids], object)
 
-    def quadruples(self, rows, pp, sp, d, abn) -> Iterator[str]:
-        e, ends = self._entities, self._ends
-        return (f'{{"pp": {e[p]}, "sp": {e[s]}, "d": {e[g]}, "abn": {e[a]}{ends[r]}'
-                for r, p, s, g, a in zip(rows, pp, sp, d, abn))
+    def quadruples(self, rows, pp, sp, d, abn) -> Iterator[bytes]:
+        e = self._entities
+        return map(b'{"pp": %s, "sp": %s, "d": %s, "abn": %s%s'.__mod__,
+                   zip(e[pp], e[sp], e[d], e[abn], self._ends[rows]))
 
-    def relations(self, rows, kinds, heads, tails) -> Iterator[str]:
-        e, ends = self._entities, self._ends
-        return (f'{{"kind": {encode_basestring(k)}, "head": {e[h]}, "tail": {e[t]}{ends[r]}'
-                for r, k, h, t in zip(rows, kinds, heads, tails))
+    def relations(self, rows, kinds, heads, tails) -> Iterator[bytes]:
+        e = self._entities   # kinds are RELATION_KINDS names, which JSON does not escape
+        return map(b'{"kind": "%s", "head": %s, "tail": %s%s'.__mod__,
+                   zip(np.asarray(kinds, "S"), e[heads], e[tails], self._ends[rows]))
 
 
 def _write_records(records: Sequence, what: str, path, sentence_ids: Sequence | None,
@@ -643,7 +670,7 @@ def _write_records(records: Sequence, what: str, path, sentence_ids: Sequence | 
         sentence_ids = [RecordLines.NO_ID] * len(records)
     lines = RecordLines([(ENTITY_KINDS.index(e.kind), e.start, e.end, e.text)
                          for e in entities.values()], sentence_ids)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:   # line by line: the lines before a bad one are written
         fh.writelines(write(lines, range(len(records)),
                             *([index[id(e)] for e in column] for column in columns)))
 

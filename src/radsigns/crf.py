@@ -28,8 +28,9 @@ recursion repacks the rows step-major, the layout of PyTorch's
 ``PackedSequence``: step i holds position i of every row longer than i in
 one contiguous slice, longest row first, so the rows that go on to step
 i + 1 are a prefix of that slice and a step reads and writes slices only.
-Nothing is padded.  Per-row results are reduced over the flat rows.  The
-single-sentence functions are the batch-size-1 case.
+Viterbi holds its scores tag-major, as one ``(7, sum(lengths))`` table of
+columns in this order.  Nothing is padded.  Per-row results are reduced
+over the flat rows.  The single-sentence functions are the batch-size-1 case.
 """
 
 from __future__ import annotations
@@ -283,29 +284,19 @@ def viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     emissions, the rows laid end to end, as one flat ``uint8`` index path in
     the same layout.  Ties break toward the lowest tag index."""
     pack = _pack(P, lengths)
-    k = NUM_TAGS
-    P = P[pack.perm]
+    k, B = NUM_TAGS, len(pack.lengths)
+    D = P[pack.perm].T.copy()     # (tag, packed position): each step's best scores
+    D[:, :B] += A[START, :k, None]
+    for prev, cur in pack.pairs:   # the max over (from, to, row) candidates; no back-pointers
+        D[:, cur] += (D[:, None, prev] + A[:k, :k, None]).max(axis=0)
+    # the backtrace takes the argmax over the same candidate floats, for the chosen tag only
+    tag = (D[:, pack.last[pack.order]] + A[:k, END, None]).argmax(axis=0)
     path = np.empty(len(P), dtype=np.uint8)
-    moves = np.ascontiguousarray(A[:k, :k].T)   # (to, from)
-    # row r's first entry in a flat (m, to) array is r * k, and its (r, to)
-    # cell's first candidate in a flat (m, to, from) array is (r * k + to) * k
-    cells = np.arange(0, len(pack.lengths) * k * k, k)
-    delta = A[START, :k] + P[:len(pack.lengths)]
-    back = []
-    for _, cur in pack.pairs:
-        m = cur.stop - cur.start
-        candidates = (delta[:m, None, :] + moves).ravel()
-        best = candidates.reshape(m * k, k).argmax(axis=1)
-        back.append(best.astype(np.uint8))
-        # the max read back at the argmax: the same float a max() returns
-        delta[:m] = candidates[cells[:m * k] + best].reshape(m, k) + P[cur]
-    # rows that ended early kept the delta of their last position
-    tag = np.argmax(delta + A[:k, END], axis=1)
-    for (_, cur), best in zip(reversed(pack.pairs), reversed(back)):
+    for prev, cur in reversed(pack.pairs):
         m = cur.stop - cur.start
         path[cur] = tag[:m]
-        tag[:m] = best[cells[:m] + tag[:m]]
-    path[:len(tag)] = tag
+        tag[:m] = (D[:, prev] + A[:k, tag[:m]]).argmax(axis=0)
+    path[:B] = tag
     return path[pack.inv]
 
 

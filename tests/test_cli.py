@@ -286,6 +286,52 @@ class TestOutputsMatchPublicApi:
             outputs.add((quads.read_bytes(), relations.read_bytes()))
         assert len(outputs) == 1
 
+    # characters that JSON escapes or that UTF-8 encodes in 2 to 4 bytes;
+    # none of them ends a line of a text input
+    ESCAPED = ["\x01", "\x0b", "\x1c", "\x7f", "\x85", "\t", '"', "\\", "\u2028", "\ufeff",
+               "\U0001F600"]
+
+    @pytest.mark.parametrize("window", [1, 7, cli.MATCH_WINDOW])
+    def test_extract_escapes_like_the_reference_writers(
+            self, workspace, tmp_path, monkeypatch, window):
+        # emissions force each sentence's tags, so every awkward character
+        # lands inside entities of every kind; a U+FEFF opens no line
+        monkeypatch.setattr(cli, "MATCH_WINDOW", window)
+        rng = np.random.default_rng(47)
+        sentences, blocks = [], []
+        for i in range(20):
+            chars = rng.choice(self.ESCAPED + list("右肺结节影"), int(rng.integers(8, 16))).tolist()
+            tags = np.zeros(len(chars), np.intp)
+            for start in range(1, len(chars) - 2, 4):   # B-X I-X runs of each kind
+                tags[start:start + 2] = [2 * (i + start) % 6 + 1, 2 * (i + start) % 6 + 2]
+            sentences.append(Sentence.from_text(f"s{i + 1}", "肺" + "".join(chars)))
+            blocks.append(EmissionMatrix(f"s{i + 1}", 50.0 * np.eye(7)[np.append(0, tags)]))
+        text, emissions = tmp_path / "in.txt", tmp_path / "em.txt"
+        text.write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
+        write_emissions(blocks, emissions)
+        got_q, got_r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
+        assert main(["extract", str(text), "--model", str(workspace["model"]),
+                     "--dict", str(workspace["dict"]), "--out", str(got_q),
+                     "--relations-out", str(got_r), "--emissions-file", str(emissions)]) == 0
+
+        model, dictionary = load_model(workspace["model"]), read_dictionary(workspace["dict"])
+        quads, quad_ids, relations, relation_ids, texts = [], [], [], [], set()
+        for sentence, block in zip(sentences, blocks):
+            entities = tags_to_entities(sentence, viterbi_decode(block, model.transitions, True))
+            rels, qs = match(sentence, entities, dictionary)
+            texts.update(e.text for e in entities)
+            quads += qs
+            quad_ids += [sentence.id] * len(qs)
+            relations += rels
+            relation_ids += [sentence.id] * len(rels)
+        assert all(any(c in t for t in texts) for c in self.ESCAPED)
+        want_q, want_r = tmp_path / "want_q.jsonl", tmp_path / "want_r.jsonl"
+        reference_write_quadruples(quads, want_q, sentence_ids=quad_ids)
+        reference_write_relations(relations, want_r, sentence_ids=relation_ids)
+        assert quads and relations
+        assert got_q.read_bytes() == want_q.read_bytes()
+        assert got_r.read_bytes() == want_r.read_bytes()
+
     @pytest.mark.parametrize("flags", WINDOW_FLAGS)
     def test_tag_bytes_do_not_depend_on_the_match_window(
             self, workspace, decode_inputs, tmp_path, monkeypatch, flags):

@@ -626,6 +626,17 @@ class TestEmissions:
         assert blocks["s2"].tolist() == [[10.0, 3.0, 0, 0, 0, 0, 0]]
         assert blocks["s1"].tolist() == [[0.0] * 7]
 
+    @staticmethod
+    def read_with_transient(path):
+        """The file's blocks, and the reader's traced peak beyond them."""
+        tracemalloc.start()
+        try:
+            blocks = read_emission_blocks(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return blocks, peak - sum(b.nbytes for b in blocks.values())
+
     def test_transient_memory_is_bounded_by_the_batch(self, tmp_path):
         # a reader that held the whole file would grow by megabytes from
         # 4 to 16 batches; a batched one holds one batch whatever the size
@@ -636,15 +647,37 @@ class TestEmissions:
             rows = batches * corpus._PARSE_ROWS
             write_emissions([EmissionMatrix(f"s{i}", rng.standard_normal((64, 7)))
                              for i in range(rows // 64)], path)
-            tracemalloc.start()
-            try:
-                blocks = read_emission_blocks(path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            transient.append(peak - sum(b.nbytes for b in blocks.values()))
-            del blocks
+            transient.append(self.read_with_transient(path)[1])
         assert abs(transient[1] - transient[0]) <= 0.5e6, transient
+
+    def test_a_long_block_is_parsed_in_batches(self, tmp_path):
+        # 100,000 rows in one block cost the reader no more memory than the
+        # same rows in 1,000 blocks; holding the block's lines whole took
+        # about 27 MB more
+        rows = [" ".join(map(str, row)) for row in
+                np.random.default_rng(29).integers(-99, 100, (100_000, 7)).tolist()]
+        results, transient = [], []
+        for size in (len(rows), 100):
+            path = write_text(tmp_path / f"e{size}.txt", "".join(
+                f"s{i} {size} 7\n" + "\n".join(rows[i * size:(i + 1) * size]) + "\n"
+                for i in range(len(rows) // size)))
+            blocks, extra = self.read_with_transient(path)
+            results.append(np.concatenate(list(blocks.values())))
+            transient.append(extra)
+        np.testing.assert_array_equal(results[0], results[1])
+        assert abs(transient[1] - transient[0]) <= 0.5e6, transient
+
+    @pytest.mark.parametrize("parse_rows", [1, 3])
+    def test_a_long_block_reports_missing_rows_before_a_bad_row(self, tmp_path, monkeypatch,
+                                                                parse_rows):
+        monkeypatch.setattr(corpus, "_PARSE_ROWS", parse_rows)
+        content = "s1 9 7\n" + "0 0 0 0 0 0 0\n" * 2 + "0 0 x 0 0 0 0\n" + "0 0 0 0 0 0 0\n" * 2
+        with pytest.raises(CorpusFormatError, match=r"e\.txt:1: header promises 9 rows for 's1' "
+                                                    r"but only 5 follow$"):
+            read_emission_blocks(write_text(tmp_path / "e.txt", content))
+        content += "0 0 0 0 0 0 0\n" * 4
+        with pytest.raises(CorpusFormatError, match=r"e\.txt:4: non-numeric value in"):
+            read_emission_blocks(write_text(tmp_path / "e.txt", content))
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -839,7 +872,7 @@ class TestJsonLinesMatchReference:
         }
         assert list(lines.relations([1], ["P2P"], [1], [0])) == [json.dumps(
             {"kind": "P2P", "head": entity_to_dict(sp), "tail": entity_to_dict(pp)},
-            ensure_ascii=False) + "\n"]
+            ensure_ascii=False).encode() + b"\n"]
 
 
 class TestRelationsIO:

@@ -569,6 +569,20 @@ class TestFlatViterbi:
                 else:
                     assert row == brute_force_argmax(emissions, A)
 
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_matches_loop_at_window_scale(self, constrain):
+        # a decode window: 256 ragged rows up to 160 long, small integer
+        # scores so that many candidates tie exactly at every step
+        rng = np.random.default_rng(241 + constrain)
+        lengths = rng.integers(1, 161, 256)
+        P = rng.integers(-2, 3, (lengths.sum(), 7)).astype(float)
+        A = rng.integers(-2, 3, (9, 9)).astype(float)
+        if constrain:
+            A = np.where(BIO_TRANSITION_MASK, A, -np.inf)
+        rows = np.split(P, np.cumsum(lengths)[:-1])
+        for row, emissions in zip(split_path(viterbi(P, A, lengths), lengths), rows):
+            assert row == loop_viterbi(emissions, A)
+
     def test_empty_set(self):
         path = viterbi(np.zeros((0, 7)), np.zeros((9, 9)), np.array([], dtype=np.intp))
         assert path.dtype == np.uint8 and path.shape == (0,)
