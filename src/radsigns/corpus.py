@@ -15,9 +15,9 @@ leading BOM is dropped, and an undecodable byte is reported as
   (:func:`read_tagged_flat`, :func:`write_tagged_flat`);
 * secondary-part dictionary: one term per line, ``#`` starts a comment;
 * emission file: header ``<sentence_id> <n> <k>`` followed by n rows of k
-  floats, one or more such blocks per file (:func:`read_emission_blocks`,
-  which parses rows in bounded batches with ``np.loadtxt`` and falls back
-  to Python ``float``, whose grammar decides which tokens are valid);
+  floats, one or more such blocks per file (:func:`read_emission_blocks`
+  parses each block as it is read into an array of its own, with ``np.loadtxt``
+  or else Python ``float``, whose grammar decides which tokens are valid);
 * quadruples and relations: JSON Lines;
 * model and config files: one JSON object each, read by
   :func:`read_json_object`.
@@ -38,10 +38,10 @@ import json
 import math
 import re
 import unicodedata
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -301,8 +301,10 @@ class FlatCorpus:
 
     @cached_property
     def offsets(self) -> np.ndarray:
-        """Where each sentence starts in ``text``, then where the last one ends."""
-        return np.concatenate(([0], np.cumsum(self.lengths)))
+        """Where each sentence starts in ``text``, then where the last one ends; read-only."""
+        offsets = np.concatenate(([0], np.cumsum(self.lengths)))
+        offsets.setflags(write=False)
+        return offsets
 
     @property
     def ids(self) -> list[str]:
@@ -418,10 +420,14 @@ def read_dictionary(path) -> SecondaryPartDictionary:
 _PARSE_ROWS = 512
 
 
-def _parse_block(path, rows) -> np.ndarray:
-    """The block's n x 7 scores, parsed row by row with Python ``float``; the
-    first bad row raises, checked for its token count, then a non-numeric
-    value, then a non-finite one."""
+def _parse_rows(path, rows: list[tuple[int, str]]) -> np.ndarray:
+    """The n x 7 scores of ``(lineno, stripped line)`` rows, from one ``np.loadtxt``
+    call or else row by row with Python ``float``, whose first bad row raises,
+    checked for its token count, then a non-numeric value, then a non-finite one."""
+    with suppress(ValueError):   # loadtxt rejects a value or a row's length
+        scores = np.loadtxt(map(itemgetter(1), rows), np.float64, comments=None, ndmin=2)
+        if scores.shape == (len(rows), NUM_TAGS) and np.isfinite(scores).all():
+            return scores
     block = []
     for lineno, row in rows:
         values = row.split()
@@ -483,104 +489,53 @@ def read_text_flat(path) -> FlatCorpus:
     return FlatCorpus(text.replace("\n", ""), lengths[lengths > 0])
 
 
-def _block_rows(path, fh) -> Iterator[tuple[str, list[tuple[int, str]] | np.ndarray]]:
-    """Each emission block of the open file as its sentence id and its rows'
-    ``(lineno, stripped line)`` list, or if longer than ``_PARSE_ROWS`` rows
-    its n x 7 scores, checking each header in file order."""
-    seen: set[str] = set()
-    lines = filter(itemgetter(1), enumerate(map(str.strip, fh), 1))   # non-blank lines, lazily
-    for lineno, header in lines:
-        fields = header.split()
-        if len(fields) != 3:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}"
-            )
-        sid = fields[0]
-        if sid in seen:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: a second emission block for sentence {sid!r}")
-        try:
-            n, k = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: header dimensions must be integers, got {header!r}"
-            ) from None
-        if k != NUM_TAGS:
-            raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
-        if n < 1:
-            raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
-        rows = list(islice(lines, min(n, _PARSE_ROWS)))
-        count, error = len(rows), None
-        if n > _PARSE_ROWS:   # parse in slices as read, into one array grown in place
-            rows, part, count = np.empty((_PARSE_ROWS, NUM_TAGS)), rows, 0
-            while part:
-                if count + len(part) > len(rows):
-                    rows.resize((min(n, 2 * len(rows)), NUM_TAGS))
-                try:
-                    rows[count:count + len(part)] = _parse_blocks(path, [(sid, part)])[0][1]
-                except CorpusFormatError as exc:
-                    error = error or exc
-                count += len(part)
-                part = list(islice(lines, min(n - count, _PARSE_ROWS)))
-        if count < n:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: header promises {n} rows for {sid!r} but only {count} follow")
-        if error:   # a bad row waits until the header's promise is checked
-            raise error
-        seen.add(sid)
-        yield sid, rows
-
-
-def _parse_blocks(path, queue: list[tuple[str, list]]) -> list[tuple[str, np.ndarray]]:
-    """Each queued ``(sentence id, rows)`` block with its n x 7 scores, from
-    one ``np.loadtxt`` call over all their rows; if that call fails or a value
-    is off the format, :func:`_parse_block` parses each block again."""
-    if not queue:
-        return []
-    if isinstance(queue[-1][1], np.ndarray):   # a long block, parsed as it was read
-        return [*_parse_blocks(path, queue[:-1]), queue[-1]]
-    sids, row_lists = zip(*queue)
-    sizes = list(map(len, row_lists))
-    try:
-        batch = np.loadtxt(map(itemgetter(1), chain.from_iterable(row_lists)), np.float64,
-                           comments=None, ndmin=2)
-    except ValueError:
-        batch = None
-    if batch is not None and batch.shape == (sum(sizes), NUM_TAGS) and np.isfinite(batch).all():
-        return list(zip(sids, np.split(batch, np.cumsum(sizes[:-1]))))
-    return [(sid, _parse_block(path, rows)) for sid, rows in queue]
-
-
 def read_emission_blocks(path) -> dict[str, np.ndarray]:
     """Every emission block in the file by sentence id, in order, as its
-    n x 7 array; sentence ids must be unique.
+    read-only n x 7 array; sentence ids must be unique.
 
-    The file is streamed: headers are checked as they are read, and whole
-    blocks are queued until they hold ``_PARSE_ROWS`` rows, which one
-    ``np.loadtxt`` call then parses, a longer block in slices as it is read.
-    Beyond its result the reader thus holds one batch's text, never the file's.
-    Python ``float`` is the fallback and sets the grammar: a batch that
-    loadtxt rejects, or that holds a non-finite value or a row of other
-    than 7 values, is parsed again block by block with ``float``, which
-    accepts a superset of loadtxt's numbers and names the first bad row.
-    Errors come in file order: a bad row wins over a later bad header or
-    undecodable byte.
-    """
+    The file is streamed: each header is checked as it is read, and its rows
+    are parsed as they are read, by :func:`_parse_rows` in slices of at most
+    ``_PARSE_ROWS``, into an array of the block's own, so the reader holds one
+    slice's text, never the file's.  Errors come in file order: a block's
+    missing rows, else its first bad row, when it ends; an undecodable byte
+    where it is met."""
     blocks: dict[str, np.ndarray] = {}
-    queue: list[tuple[str, list]] = []   # blocks read but not yet parsed
-    queued = 0
     with _open_text(path) as fh:
-        try:
-            for sid, rows in _block_rows(path, fh):
-                queue.append((sid, rows))
-                queued += len(rows)
-                if queued >= _PARSE_ROWS:
-                    ready, queue, queued = queue, [], 0
-                    blocks.update(_parse_blocks(path, ready))
-        except (CorpusFormatError, UnicodeDecodeError):
-            _parse_blocks(path, queue)   # a bad row before the bad header or byte wins
-            raise
-    blocks.update(_parse_blocks(path, queue))
+        lines = filter(itemgetter(1), enumerate(map(str.strip, fh), 1))   # non-blank lines, lazily
+        for lineno, header in lines:
+            fields = header.split()
+            if len(fields) != 3:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}")
+            sid = fields[0]
+            if sid in blocks:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: a second emission block for sentence {sid!r}")
+            try:
+                n, k = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: header dimensions must be integers, got {header!r}") from None
+            if k != NUM_TAGS:
+                raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
+            if n < 1:
+                raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
+            scores, count, error = np.empty((min(n, _PARSE_ROWS), NUM_TAGS)), 0, None
+            while rows := list(islice(lines, min(n - count, _PARSE_ROWS))):
+                if count + len(rows) > len(scores):
+                    scores.resize((min(n, 2 * len(scores)), NUM_TAGS))
+                try:
+                    scores[count:count + len(rows)] = _parse_rows(path, rows)
+                except CorpusFormatError as exc:
+                    error = error or exc
+                count += len(rows)
+            if count < n:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: header promises {n} rows for {sid!r} but only {count} follow")
+            if error:   # a bad row waits until the header's promise is checked
+                raise error
+            scores.setflags(write=False)
+            blocks[sid] = scores
     if not blocks:
         raise CorpusFormatError(f"{path}: no emission blocks found")
     return blocks
@@ -614,15 +569,27 @@ def entity_from_dict(data: dict) -> Entity:
     return Entity(data["kind"], data["start"], data["end"], data["text"])
 
 
-class _Unencodable(str):   # text UTF-8 cannot encode: bytes % calls __bytes__, which raises
-    __bytes__ = str.encode
+class _Raises:   # a line piece that could not be built: bytes % calls __bytes__, which raises
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def __bytes__(self):
+        raise self.error
 
 
-def _utf8(text: str) -> bytes | _Unencodable:
+def _utf8(text: str) -> bytes | _Raises:
     try:
         return text.encode()
-    except UnicodeEncodeError:   # a lone surrogate: raise when a line formats it
-        return _Unencodable(text)
+    except UnicodeEncodeError as exc:   # a lone surrogate
+        return _Raises(exc)
+
+
+def _id_end(sid) -> bytes | _Raises:   # the end of a line naming sid, as json.dumps writes it
+    try:
+        text = encode_basestring(sid) if isinstance(sid, str) else json.dumps(sid, ensure_ascii=False)
+    except (TypeError, ValueError, RecursionError) as exc:   # an id JSON cannot serialize
+        return _Raises(exc)
+    return _utf8(', "sentence_id": %s}\n' % text)
 
 
 class RecordLines:
@@ -632,8 +599,8 @@ class RecordLines:
     Records refer to entities by index arrays into ``entities``, whose ``(kind
     index into ENTITY_KINDS, start, end, text)`` tuples are serialized and
     encoded once each; -1 is an empty slot.  Each record also names a row of
-    ``sentence_ids``, whose id ends its line; ``NO_ID`` leaves the
-    ``sentence_id`` field out.  Text UTF-8 cannot encode raises in its line."""
+    ``sentence_ids``, whose id ends its line; ``NO_ID`` leaves the ``sentence_id``
+    field out.  An id JSON rejects, then text UTF-8 cannot encode, raises in its line."""
 
     NO_ID = object()
 
@@ -641,19 +608,22 @@ class RecordLines:
         self._entities = np.array([*(_utf8(f'{{"kind": "{ENTITY_KINDS[k]}", "start": {a}, '
                                           f'"end": {b}, "text": {encode_basestring(t)}}}')
                                      for k, a, b, t in entities), b"null"], object)
-        self._ends = np.array([b"}\n" if sid is self.NO_ID else _utf8(', "sentence_id": %s}\n' % (
-            encode_basestring(sid) if isinstance(sid, str) else json.dumps(sid, ensure_ascii=False)))
-            for sid in sentence_ids], object)
+        self._ends = np.array([b"}\n" if sid is self.NO_ID else _id_end(sid)
+                               for sid in sentence_ids], object)
+        self._bad_end = any(isinstance(end, _Raises) for end in self._ends)
+
+    def _ends_of(self, rows):   # a bad id raises before its line's entities do, as in json.dumps
+        return map(bytes, self._ends[rows]) if self._bad_end else self._ends[rows]
 
     def quadruples(self, rows, pp, sp, d, abn) -> Iterator[bytes]:
         e = self._entities
         return map(b'{"pp": %s, "sp": %s, "d": %s, "abn": %s%s'.__mod__,
-                   zip(e[pp], e[sp], e[d], e[abn], self._ends[rows]))
+                   zip(e[pp], e[sp], e[d], e[abn], self._ends_of(rows)))
 
     def relations(self, rows, kinds, heads, tails) -> Iterator[bytes]:
         e = self._entities   # kinds are RELATION_KINDS names, which JSON does not escape
         return map(b'{"kind": "%s", "head": %s, "tail": %s%s'.__mod__,
-                   zip(np.asarray(kinds, "S"), e[heads], e[tails], self._ends[rows]))
+                   zip(np.asarray(kinds, "S"), e[heads], e[tails], self._ends_of(rows)))
 
 
 def _write_records(records: Sequence, what: str, path, sentence_ids: Sequence | None,

@@ -604,8 +604,9 @@ class TestEmissions:
         assert outcome(read_emission_blocks, path) == outcome(reference_read_emissions, path)
 
     @pytest.mark.parametrize("parse_rows", [1, corpus._PARSE_ROWS])
-    @pytest.mark.parametrize("later", [b"s0 1 8\n0 0 0 0 0 0 0 0\n", b"s0 1 7\n0 0 \xff 0 0 0 0\n"],
-                             ids=["header", "byte"])
+    @pytest.mark.parametrize("later", [b"s0 1 8\n0 0 0 0 0 0 0 0\n", b"s0 1 7\n0 0 \xff 0 0 0 0\n",
+                                       b"s0 3 7\n0 0 0 0 0 0 0\n"],
+                             ids=["header", "byte", "short"])
     def test_bad_row_wins_over_a_later_error(self, tmp_path, monkeypatch, parse_rows, later):
         # the good blocks between span more than the decoder's 8 KB read-ahead
         # and fewer rows than a batch
@@ -798,7 +799,12 @@ def entities_of(draw, kind, exotic):
 
 
 SLOT = st.integers(-1, 2)   # an index into an entity pool, -1 for a null slot
-SENTENCE_IDS = ['s1', 's"2', "s\\3", "\u2028", 1, True, None]
+SENTENCE_IDS = ['s1', 's"2', "s\\3", "\u2028", 1, True, None, object()]
+CIRCULAR_ID = []
+CIRCULAR_ID.append(CIRCULAR_ID)
+DEEP_ID = []   # deeper than json.dumps can recurse
+for _ in range(10_000):
+    DEEP_ID = [DEEP_ID]
 
 
 @st.composite
@@ -834,7 +840,7 @@ def write_outcome(writer, records, path, sentence_ids):
     try:
         writer(records, path, sentence_ids=sentence_ids)
         error = None
-    except (TypeError, UnicodeEncodeError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:   # ValueError: UnicodeEncodeError too
         error = type(exc)
     return path.read_bytes(), error
 
@@ -851,6 +857,15 @@ class TestJsonLinesMatchReference:
             got = write_outcome(writer, records, tmp_path / "got.jsonl", ids)
             want = write_outcome(reference, records, tmp_path / "want.jsonl", ids)
             assert got == want
+
+    @pytest.mark.parametrize("bad_id", [object(), CIRCULAR_ID, DEEP_ID],
+                             ids=["object", "circular", "deep"])
+    def test_an_id_json_rejects_raises_in_its_line(self, tmp_path, bad_id):
+        # after the lines before it, and ahead of a lone surrogate in its own record
+        quads = [Quadruple(None, None, None, Entity("Abn", 0, 1, text)) for text in "a\ud800"]
+        ids = ["s1", bad_id]
+        assert (write_outcome(write_quadruples, quads, tmp_path / "got.jsonl", ids)
+                == write_outcome(reference_write_quadruples, quads, tmp_path / "want.jsonl", ids))
 
     def test_shared_entity_and_quoted_id(self, tmp_path):
         abn = Entity("Abn", 2, 4, 'a"')
@@ -917,16 +932,28 @@ class TestTextInput:
                                                                 Sentence.from_text("s2", "右肺")]
 
 
-@pytest.mark.parametrize("reader, content", [
+array_readers = pytest.mark.parametrize("reader, content", [
     (read_tagged_flat, "右\tB-P\n肺\tI-P\n\n见\tO\n"),
     (read_text_flat, "右肺\n\n见斑影\n"),
     (read_emission_blocks, "s1 2 7\n0 1 2 3 4 5 6\n.5 .5 .5 .5 .5 .5 .5\n\ns2 1 7\n1 1 1 1 1 1 1\n"),
 ], ids=lambda value: getattr(value, "__name__", ""))
+
+
+@array_readers
 def test_crlf_file_reads_as_its_lf_copy(tmp_path, reader, content):
     lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
     lf.write_bytes(content.encode("utf-8"))
     crlf.write_bytes(content.replace("\n", "\r\n").encode("utf-8"))
     assert repr(reader(crlf)) == repr(reader(lf))
+
+
+@array_readers
+def test_every_returned_array_is_read_only(tmp_path, reader, content):
+    result = reader(write_text(tmp_path / "f.txt", content))
+    arrays = list(result.values()) if isinstance(result, dict) else [result.lengths, result.offsets]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 class TestUndecodableBytes:
