@@ -415,8 +415,8 @@ def read_dictionary(path) -> SecondaryPartDictionary:
     return SecondaryPartDictionary(frozenset(terms))
 
 
-# emission rows per np.loadtxt call: it bounds the reader's memory, and batches
-# of 512 to 4,096 report-length rows parse equally fast
+# emission rows per np.loadtxt call: it caps the rows held as text, and so the
+# reader's memory, when a block is long
 _PARSE_ROWS = 512
 
 
@@ -612,7 +612,8 @@ class RecordLines:
                                for sid in sentence_ids], object)
         self._bad_end = any(isinstance(end, _Raises) for end in self._ends)
 
-    def _ends_of(self, rows):   # a bad id raises before its line's entities do, as in json.dumps
+    def _ends_of(self, rows):   # a bad id raises before its line's entities do, as in json.dumps;
+        # map(bytes) costs extract about 3 %, so only a window holding a bad id pays it
         return map(bytes, self._ends[rows]) if self._bad_end else self._ends[rows]
 
     def quadruples(self, rows, pp, sp, d, abn) -> Iterator[bytes]:
