@@ -7,7 +7,10 @@ vocabulary is fixed, with these exact spellings, in index order (each B-X odd, i
 
 Every input file is opened by ``_open_text``: it is read as UTF-8, a
 leading BOM is dropped, and an undecodable byte is reported as
-``path:line``.  Each file format has one reader and at most one writer:
+``path:line``.  The one exception is the emission reader's fast path, which
+reads bytes, decodes each header strictly as UTF-8, accepts only ASCII number
+rows, and leaves any other file to the line reader and so to ``_open_text``.
+Each file format has one reader and at most one writer:
 
 * text input: one sentence per line, blank lines skipped (:func:`read_text_flat`);
 * tagged corpus: one ``<char>\\t<tag>`` per line, split at the line's last
@@ -15,9 +18,10 @@ leading BOM is dropped, and an undecodable byte is reported as
   (:func:`read_tagged_flat`, :func:`write_tagged_flat`);
 * secondary-part dictionary: one term per line, ``#`` starts a comment;
 * emission file: header ``<sentence_id> <n> <k>`` followed by n rows of k
-  floats, one or more such blocks per file (:func:`read_emission_blocks`
-  parses each block as it is read into an array of its own, with ``np.loadtxt``
-  or else Python ``float``, whose grammar decides which tokens are valid);
+  floats, one or more such blocks per file, whose values are what Python
+  ``float`` makes of each token (:func:`read_emission_blocks` parses plain
+  decimals in byte chunks with an exact vectorized kernel, and any other file
+  line by line);
 * quadruples and relations: JSON Lines;
 * model and config files: one JSON object each, read by
   :func:`read_json_object`.
@@ -34,6 +38,7 @@ are safe to share across threads.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import re
@@ -489,9 +494,8 @@ def read_text_flat(path) -> FlatCorpus:
     return FlatCorpus(text.replace("\n", ""), lengths[lengths > 0])
 
 
-def read_emission_blocks(path) -> dict[str, np.ndarray]:
-    """Every emission block in the file by sentence id, in order, as its
-    read-only n x 7 array; sentence ids must be unique.
+def _read_emission_lines(path) -> dict[str, np.ndarray]:
+    """The line reader of :func:`read_emission_blocks`.
 
     The file is streamed: each header is checked as it is read, and its rows
     are parsed as they are read, by :func:`_parse_rows` in slices of at most
@@ -541,6 +545,186 @@ def read_emission_blocks(path) -> dict[str, np.ndarray]:
     return blocks
 
 
+# bytes of an emission file that the fast reader takes at a time, read on to
+# the end of a line
+_PARSE_BYTES = 1 << 16
+
+# The fast reader divides a token's integer mantissa by a power of ten in x87
+# extended precision (64-bit significands).  Both operands are exact and the
+# one division is correctly rounded, so the cast to float64 gives the nearest
+# double, as Python float does, unless the quotient is itself the midpoint of
+# two doubles (low 11 bits 0x400); Python float reads those tokens again.
+_X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))   # 10**27 is still exact
+_LF, _SPACE, _DIGIT, _DOT, _PLUS, _MINUS, _EXP, _BAD = range(8)   # byte classes
+_BYTE_CLASS = bytes(next((kind for kind, members in enumerate(
+    (b"\n", b" \t\r", b"0123456789", b".", b"+", b"-", b"eE")) if byte in members), _BAD)
+    for byte in range(256))
+
+
+class _Unusual(Exception):
+    """A file that only the line reader can read, or report."""
+
+
+def _read_emission_chunks(path) -> dict[str, np.ndarray]:
+    """The fast reader of :func:`read_emission_blocks`: the file in chunks of
+    about ``_PARSE_BYTES`` that end at a line end.  A block inside one chunk is
+    a view of that chunk's rows; one that spans chunks grows an array of its
+    own.  Raises ``_Unusual`` on any error or grammar beyond plain decimals."""
+    blocks: dict[str, np.ndarray] = {}
+
+    def store(sid, block):
+        if sid in blocks:
+            raise _Unusual
+        blocks[sid] = block
+
+    sid, n, scores, count = None, 0, None, 0   # the block that runs on past a chunk
+    with open(path, "rb") as fh:
+        bom = codecs.BOM_UTF8
+        while chunk := fh.read(_PARSE_BYTES):
+            chunk = (chunk if chunk.endswith(b"\n") else chunk + fh.readline()).removeprefix(bom)
+            bom = b""
+            rows, heads = _chunk_rows(b"\n" + chunk.removesuffix(b"\n") + b"\n",
+                                      0 if sid is None else n - count)
+            if sid is not None:
+                taken = heads[0][2] if heads else len(rows)
+                if count + taken > len(scores):
+                    scores.resize((min(n, max(count + taken, 2 * len(scores))), NUM_TAGS),
+                                  refcheck=False)   # no view of it exists before it is stored
+                scores[count:count + taken] = rows[:taken]
+                count += taken
+                if count == n:
+                    scores.setflags(write=False)
+                    store(sid, scores)
+                    sid = None
+            stops = [first for _, _, first in heads[1:]] + [len(rows)]
+            for (head, size, first), stop in zip(heads, stops):
+                if stop - first == size:
+                    store(head, rows[first:stop])
+                else:   # the chunk's last block runs on
+                    sid, n, scores, count = head, size, rows[first:].copy(), stop - first
+    if sid is not None or not blocks:
+        raise _Unusual
+    return blocks
+
+
+def _chunk_rows(data: bytes, owed: int) -> tuple[np.ndarray, list[tuple[str, int, int]]]:
+    """The rows of ``data``, whole lines with a newline before the first and
+    after the last, as a read-only (rows, 7) array, and each header in it as
+    (sentence id, n, index of its first row); the first ``owed`` non-blank
+    lines are rows of a block begun before."""
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        raise _Unusual   # a lone CR ends a line
+    classes = np.frombuffer(data.translate(_BYTE_CLASS), np.uint8)
+    at = np.flatnonzero(classes != _DIGIT)   # the offset of every byte but a digit
+    kind = classes[at]
+    space = kind <= _SPACE
+    # each token as the index into ``at`` of the space after it, and each line
+    # as the one of the newline before it
+    ends = np.flatnonzero(space[1:] & ~(space[:-1] & (np.diff(at) == 1))) + 1
+    newlines = np.flatnonzero(kind == _LF)
+    tokens = np.diff(np.searchsorted(ends, newlines, "right"))   # per line
+    row_line = tokens > 0
+    nonblank = np.flatnonzero(row_line).tolist()
+    heads, header_spans = [], []
+    i = min(owed, len(nonblank))
+    while i < len(nonblank):
+        line = nonblank[i]
+        start, stop = at[newlines[line]] + 1, at[newlines[line + 1]]
+        try:
+            sid, n, k = data[start:stop].decode().split()
+            n, k = int(n), int(k)
+        except ValueError:
+            raise _Unusual from None
+        if k != NUM_TAGS or n < 1:
+            raise _Unusual
+        row_line[line] = False
+        heads.append((sid, n, i - len(heads)))
+        header_spans.append((start, stop))
+        i += 1 + n
+    bad = np.flatnonzero(kind == _BAD)
+    if (tokens[row_line] != NUM_TAGS).any() or row_line[np.searchsorted(newlines, bad) - 1].any():
+        raise _Unusual
+    rows = _token_values(data, at, kind, ends[np.repeat(row_line, tokens)], header_spans)
+    rows = rows.reshape(-1, NUM_TAGS)
+    rows.setflags(write=False)
+    return rows, heads
+
+
+def _token_values(data: bytes, at: np.ndarray, kind: np.ndarray, end: np.ndarray,
+                  header_spans: list[tuple[int, int]]) -> np.ndarray:
+    """The value of each row token of ``data``, given by the index into ``at``
+    of the space after it.  A token of the form ``[+-]?d*[.d*]`` is its
+    mantissa, parsed with the dot deleted, over 10 to the number of digits
+    after the dot; Python float reads any other token, ``-0``, a mantissa of
+    10**18 or more and a quotient on a midpoint."""
+    if not len(end):
+        return np.empty(0)
+    dot = kind[end - 1] == _DOT
+    lead = end - 1 - dot   # the space before the token's digits, or its sign
+    sign = kind[lead]
+    signed = (((sign == _PLUS) | (sign == _MINUS)) & (kind[lead - 1] <= _SPACE)
+              & (at[lead - 1] == at[lead] - 1))
+    places = (at[end] - at[end - 1] - 1) * dot
+    slow = (~(signed | (sign <= _SPACE)) | (at[end] - at[lead] - 1 - dot < 1)
+            | (places >= len(_POW10)))
+    spans = {j: _token_span(at, kind, end[j]) for j in np.flatnonzero(slow).tolist()}
+    text = bytearray(data)
+    for start, stop in header_spans:
+        text[start:stop] = b" " * (stop - start)
+    for start, stop in spans.values():
+        text[start:stop] = b"0".ljust(stop - start)
+    try:
+        mantissas = np.fromstring(bytes(text).replace(b".", b""), np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):   # numpy 2 raises, numpy 1 warns
+        raise _Unusual from None
+    if len(mantissas) != len(end):
+        raise _Unusual
+    places[slow] = 0
+    quotients = mantissas.astype(np.longdouble)
+    quotients /= _POW10[places]
+    values = quotients.astype(np.float64)
+    # strtoll stops at 2**63 - 1; 10**18 keeps the mantissa exact well below it
+    again = (((quotients.view(np.uint64)[::2] & 0x7FF) == 0x400) | (mantissas >= 10**18)
+             | (mantissas <= -10**18) | ((mantissas == 0) & (sign == _MINUS)))
+    for j in np.flatnonzero(again & ~slow).tolist():
+        spans[j] = _token_span(at, kind, end[j])
+    for j, (start, stop) in spans.items():
+        try:
+            values[j] = value = float(data[start:stop])
+        except ValueError:
+            raise _Unusual from None
+        if not math.isfinite(value):
+            raise _Unusual
+    return values
+
+
+def _token_span(at: np.ndarray, kind: np.ndarray, end: int) -> tuple[int, int]:
+    """The byte span of the token that ends at the space ``at[end]``."""
+    before = end - 1
+    while kind[before] > _SPACE:
+        before -= 1
+    return at[before] + 1, at[end]
+
+
+def read_emission_blocks(path) -> dict[str, np.ndarray]:
+    """Every emission block in the file by sentence id, in order, as its
+    read-only n x 7 array; sentence ids must be unique.
+
+    A file of plain decimal rows is read by :func:`_read_emission_chunks`,
+    which needs x87 extended precision.  Any other file, and every file with
+    an error, is read from its start by :func:`_read_emission_lines`, which
+    raises the file's first error; both give each token the value Python
+    ``float`` gives it."""
+    if _X87:
+        with suppress(_Unusual):
+            return _read_emission_chunks(path)
+    return _read_emission_lines(path)
+
+
+_EMISSION_ROW = "%.17g " * (NUM_TAGS - 1) + "%.17g\n"
+
+
 def write_emissions(matrices: Iterable[EmissionMatrix], path) -> None:
     """One block per matrix; an id that its reader rejects raises ``ValueError``."""
     seen: set[str] = set()
@@ -552,8 +736,7 @@ def write_emissions(matrices: Iterable[EmissionMatrix], path) -> None:
             if i == 0 and m.sentence_id.startswith("\ufeff"):   # readers drop one leading BOM
                 fh.write("\ufeff")
             fh.write(f"{m.sentence_id} {m.n} {NUM_TAGS}\n")
-            for row in m.scores:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(_EMISSION_ROW * m.n % tuple(m.scores.ravel().tolist()))
 
 
 def entity_to_dict(entity: Entity) -> dict:

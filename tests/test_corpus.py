@@ -1,7 +1,9 @@
 import json
 import math
+import random
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -526,6 +528,61 @@ def emission_files(draw):
     return "".join(parts)
 
 
+def near_midpoint_decimals(count: int, seed: int) -> list[str]:
+    """``count`` decimals of 15 to 18 significant digits, each within 1e-18
+    (relative) of the midpoint K / 2**(w + f) of two adjacent doubles, K odd
+    and of 54 bits.  The decimal q / 10**f differs from it by t / (2**w * 10**f)
+    when K * 5**f = q * 2**w + t, so K is drawn as a small odd t over 5**f
+    modulo 2**w, plus a random multiple of 2**w."""
+    rng = random.Random(seed)
+    decimals = []
+    while len(decimals) < count:
+        digits = rng.randint(15, 18)
+        places = rng.randint(digits - 1, digits + 3)   # values from about 1e-4 to 10
+        w = round(53.5 + places * math.log2(5) - (digits - 0.5) * math.log2(10))
+        t = rng.randrange(1, 2**53 * 5**places // 10**18, 2) * rng.choice((-1, 1))
+        k = t * pow(5**places, -1, 2**w) % 2**w + 2**w * rng.randrange(2**53 >> w, 2**54 >> w)
+        q, rest = divmod(k * 5**places - t, 2**w)
+        assert rest == 0 and k % 2 and 2**53 <= k < 2**54
+        midpoint = Fraction(k, 2**(w + places))
+        assert abs(Fraction(q, 10**places) - midpoint) < midpoint / 10**18
+        if len(str(q)) == digits:
+            text = str(q).rjust(places + 1, "0")
+            decimals.append(rng.choice(("", "-")) + text[:-places] + "." + text[-places:])
+    return decimals
+
+
+EXACT_CASES = [
+    "9007199254740993", "-0", "+.5", "5.", "-0.0", "+0", "0.1", "-.25",
+    "123456789012345678", "-999999999999999999", "0.123456789012345678",   # 18-digit mantissas
+    "1234567890123456789", "-9999999999999999999", "0.1234567890123456789",   # 19 digits
+    "9223372036854775807", "9223372036854775808", "-9223372036854775809",   # int64 ends
+    "00000000000000000000001.5", "1e-5", "2.5E+3", "-7.0e0",
+    "0.0000000000000000000000000001234", "1.00000000000000000000000000000000001",   # 28+ places
+]
+
+
+def no_line_reader(path):
+    raise AssertionError(f"{path} was read line by line")
+
+
+def test_values_equal_python_float_bit_for_bit(tmp_path, monkeypatch):
+    if corpus._X87:   # the fast reader must read every one of them
+        monkeypatch.setattr(corpus, "_read_emission_lines", no_line_reader)
+    tokens = near_midpoint_decimals(10_000, seed=43) + EXACT_CASES
+    tokens += ["0"] * (-len(tokens) % 7)
+    rows = len(tokens) // 7
+    path = write_text(tmp_path / "e.txt", f"s1 {rows} 7\n" + "".join(
+        " ".join(tokens[i:i + 7]) + "\n" for i in range(0, len(tokens), 7)))
+    expected = np.array([float(token) for token in tokens])
+    assert read_emission_blocks(path)["s1"].tobytes() == expected.reshape(rows, 7).tobytes()
+    if corpus._X87:   # a plain cast of the quotient misses some of them
+        mantissas = np.array([int(token.replace(".", "")) for token in tokens[:10_000]])
+        places = [len(token) - token.index(".") - 1 for token in tokens[:10_000]]
+        cast = (mantissas.astype(np.longdouble) / corpus._POW10[places]).astype(np.float64)
+        assert 0 < np.count_nonzero(cast != expected[:10_000]) < 1000
+
+
 class TestEmissions:
     def test_read_block(self, tmp_path):
         content = "s1 2 7\n" + "0 1 2 3 4 5 6\n" + ".5 .5 .5 .5 .5 .5 .5\n"
@@ -591,17 +648,95 @@ class TestEmissions:
         with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:5: 'utf-8' codec can't decode byte 0xff in position 4"):
             read_emission_blocks(path)
 
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=emission_files(), parse_rows=st.sampled_from([1, 3, corpus._PARSE_ROWS]))
-    @example(text="nan 1 7\n0 0 0 0 0 0 0\nnan 1 7\n0 0 0 0 0 0 0\n",   # two "bad" defects
-             parse_rows=corpus._PARSE_ROWS)                                # gave a repeated id
-    def test_matches_row_by_row_reference(self, tmp_path, monkeypatch, text, parse_rows):
-        # batches of 1 and 3 rows end inside and between the files' blocks
+    @staticmethod
+    def check_against_reference(tmp_path, monkeypatch, text, parse_rows, parse_bytes, x87):
+        # batches of 1 and 3 rows, and chunks of 1, 7 and 64 bytes, end inside
+        # and between the files' blocks, lines and tokens
         monkeypatch.setattr(corpus, "_PARSE_ROWS", parse_rows)
+        monkeypatch.setattr(corpus, "_PARSE_BYTES", parse_bytes)
+        monkeypatch.setattr(corpus, "_X87", x87)
         path = tmp_path / "e.txt"
         path.write_text(text, encoding="utf-8", newline="")
         assert outcome(read_emission_blocks, path) == outcome(reference_read_emissions, path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=emission_files(), parse_rows=st.sampled_from([1, 3, corpus._PARSE_ROWS]),
+           parse_bytes=st.sampled_from([1, 7, 64, corpus._PARSE_BYTES]))
+    @example(text="nan 1 7\n0 0 0 0 0 0 0\nnan 1 7\n0 0 0 0 0 0 0\n",   # two "bad" defects
+             parse_rows=corpus._PARSE_ROWS, parse_bytes=corpus._PARSE_BYTES)   # gave a repeated id
+    def test_matches_row_by_row_reference(self, tmp_path, monkeypatch, text, parse_rows,
+                                          parse_bytes):
+        self.check_against_reference(tmp_path, monkeypatch, text, parse_rows, parse_bytes,
+                                     corpus._X87)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=emission_files(), parse_rows=st.sampled_from([1, 3, corpus._PARSE_ROWS]))
+    def test_the_line_reader_alone_matches_row_by_row_reference(self, tmp_path, monkeypatch,
+                                                                text, parse_rows):
+        # the reader of every file on a machine without x87 extended precision
+        self.check_against_reference(tmp_path, monkeypatch, text, parse_rows,
+                                     corpus._PARSE_BYTES, False)
+
+    @pytest.mark.skipif(not corpus._X87, reason="the fast reader needs x87 extended precision")
+    def test_written_and_repr_files_take_the_fast_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "_read_emission_lines", no_line_reader)
+        rng = np.random.default_rng(37)
+        scales = 10.0 ** rng.integers(-30, 30, (200, 7))   # exponents in both writers' output
+        matrices = [EmissionMatrix(f"s{i}", rng.standard_normal((int(rng.integers(1, 20)), 7))
+                                   * scales[i]) for i in range(200)]
+        path = tmp_path / "written.txt"
+        write_emissions(matrices, path)
+        assert "e-" in path.read_text(encoding="utf-8")
+        loaded = read_emission_blocks(path)
+        assert [b.tobytes() for b in loaded.values()] == [m.scores.tobytes() for m in matrices]
+        path = write_text(tmp_path / "repr.txt", "".join(
+            f"r{i} {m.n} 7\r\n" + "".join(" ".join(map(repr, row)) + "\r\n"
+                                         for row in m.scores.tolist())
+            for i, m in enumerate(matrices)))
+        loaded = read_emission_blocks(path)
+        assert [b.tobytes() for b in loaded.values()] == [m.scores.tobytes() for m in matrices]
+
+    @pytest.mark.parametrize("content", [
+        "s1 1 7\n1 2\r3 4 5 6 7\n",   # a lone CR ends a line
+        "s1 1 7\n1 2 3 4 5 6 7\rs2 1 7\n1 2 3 4 5 6 7\n",
+        "s1 1 7\n1_0 0 0 0 0 0 0\n",   # Python float grammar
+        "s1 1 7\n\u0663 0 0 0 0 0 0\n",
+        "s1 1 7\n0\u00a00 0 0 0 0 0 0\n",   # Unicode whitespace
+        "s1 1 7\n\x1c0 0 0 0 0 0 0\n",
+        "s1 1 7\n0 0 0 0 0 0 1e999\n",   # beyond float range
+        "s1 1 7\n0 0 0 0 0 0 -inf\n",
+    ])
+    def test_other_grammar_goes_to_the_line_reader(self, tmp_path, monkeypatch, content):
+        calls, read_lines = [], corpus._read_emission_lines
+        monkeypatch.setattr(corpus, "_read_emission_lines",
+                            lambda path: calls.append(path) or read_lines(path))
+        path = write_text(tmp_path / "e.txt", content)
+        assert outcome(read_emission_blocks, path) == outcome(reference_read_emissions, path)
+        assert calls == [path]
+
+    @pytest.mark.parametrize("parse_bytes", [1, 7, 64])
+    def test_small_chunks_read_as_the_line_reader(self, tmp_path, monkeypatch, parse_bytes):
+        # with one line per chunk, a later id's leading U+FEFF starts a chunk
+        monkeypatch.setattr(corpus, "_PARSE_BYTES", parse_bytes)
+        rng = np.random.default_rng(47)
+        path = tmp_path / "e.txt"
+        write_emissions([EmissionMatrix(sid, rng.standard_normal((int(rng.integers(1, 9)), 7)))
+                         for sid in ("\ufeffa", "\ufeffb", "\u00e9.1e-5", "-1", "c")], path)
+        assert outcome(read_emission_blocks, path) == outcome(corpus._read_emission_lines, path)
+
+    def test_writer_bytes_equal_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(41)
+        scores = [rng.standard_normal((int(rng.integers(1, 30)), 7))
+                  * 10.0 ** rng.integers(-320, 300, (1, 7)) for _ in range(50)]
+        scores.append(np.array([[0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 1e17, 0.1]]))
+        path = tmp_path / "e.txt"
+        write_emissions([EmissionMatrix(f"s{i}", block) for i, block in enumerate(scores)], path)
+        assert path.read_bytes() == "".join(
+            f"s{i} {len(block)} 7\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                                            for row in block)
+            for i, block in enumerate(scores)).encode()
 
     @pytest.mark.parametrize("parse_rows", [1, corpus._PARSE_ROWS])
     @pytest.mark.parametrize("later", [b"s0 1 8\n0 0 0 0 0 0 0 0\n", b"s0 1 7\n0 0 \xff 0 0 0 0\n",

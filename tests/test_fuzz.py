@@ -14,6 +14,7 @@ so every run tries the same inputs.
 import numpy as np
 import pytest
 
+from radsigns import corpus
 from radsigns.cli import main
 from radsigns.corpus import TAG_LABELS, EmissionMatrix, FlatCorpus, write_emissions, write_tagged_flat
 from radsigns.crf import TaggerModel, TransitionMatrix, save_model
@@ -142,6 +143,17 @@ def test_decode_inputs(tmp_path, capsys, decode_files, mutated, seed):
     text input next to a valid emission file may leave a sentence without
     its block, an error that names the emission file, so the text input is
     fuzzed without one."""
+    run_decode_mutations(tmp_path, capsys, decode_files, mutated, seed)
+
+
+def test_emission_file_in_small_chunks(tmp_path, capsys, monkeypatch, decode_files):
+    """The emission file's mutations again, read in chunks of 64 bytes, so
+    that chunks end inside blocks, lines and tokens."""
+    monkeypatch.setattr(corpus, "_PARSE_BYTES", 64)
+    run_decode_mutations(tmp_path, capsys, decode_files, "em.txt", 195)
+
+
+def run_decode_mutations(tmp_path, capsys, decode_files, mutated, seed):
     files, out = {k: str(v) for k, v in decode_files.items()}, str(tmp_path / "out")
 
     def argv(paths, rng):

@@ -46,8 +46,11 @@ def open_mode(call):
 def test_src_reads_files_only_through_the_corpus_opener():
     """One opener, ``corpus._open_text``, reads every input file, so every
     format gets one decoding policy; the byte re-read that locates an
-    undecodable line is the one other read."""
-    allowed = {("corpus.py", "_open_text"): "r", ("corpus.py", "_undecodable_line"): "rb"}
+    undecodable line and the emission reader's fast path, which leaves every
+    file it cannot read as plain ASCII rows to the line reader, are the only
+    other reads."""
+    allowed = {("corpus.py", "_open_text"): "r", ("corpus.py", "_undecodable_line"): "rb",
+               ("corpus.py", "_read_emission_chunks"): "rb"}
     offenders = []
     for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
         for owner, call in calls_with_owner(ast.parse(path.read_text(encoding="utf-8"))):
