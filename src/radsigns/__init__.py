@@ -1,7 +1,7 @@
 """Character-level CRF tagging and dictionary chunk matching for structured
 findings in Chinese radiology report sentences."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from types import ModuleType as _ModuleType
 
@@ -11,7 +11,6 @@ from .corpus import (
     RELATION_KINDS,
     TAG_LABELS,
     CorpusFormatError,
-    EmissionMatrix,
     Entity,
     FlatCorpus,
     Quadruple,
@@ -27,18 +26,19 @@ from .corpus import (
 from .crf import (
     TaggerModel,
     TransitionMatrix,
+    batch_log_partition,
+    batch_nll_and_gradient,
+    decoding_transitions,
     load_model,
-    log_partition,
-    nll,
-    path_score,
     save_model,
-    viterbi_decode,
+    viterbi,
 )
 from .encoder import (
     FeatureVocabulary,
     LinearScorerParams,
     extract_features,
-    score_sentence,
+    score_ids,
+    text_feature_ids,
 )
 from .evaluation import (
     ConfusionMatrix,

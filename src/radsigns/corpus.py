@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -230,32 +230,6 @@ class SecondaryPartDictionary:
 
     def __iter__(self):
         return iter(sorted(self.terms))
-
-
-@dataclass(frozen=True, eq=False)
-class EmissionMatrix:
-    """Per-character tag scores for one sentence: an n x 7 real matrix."""
-
-    sentence_id: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.array(self.scores, dtype=np.float64)
-        if scores.ndim != 2 or scores.shape[1] != NUM_TAGS:
-            raise ValueError(
-                f"emission matrix for {self.sentence_id!r} must be n x {NUM_TAGS}, "
-                f"got shape {scores.shape}"
-            )
-        if scores.shape[0] == 0:
-            raise ValueError(f"emission matrix for {self.sentence_id!r} has no rows")
-        if not np.isfinite(scores).all():
-            raise ValueError(f"non-finite emission score for {self.sentence_id!r}")
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-
-    @property
-    def n(self) -> int:
-        return int(self.scores.shape[0])
 
 
 def _sentence_lengths(lengths, size: int) -> np.ndarray:
@@ -526,8 +500,8 @@ def _read_emission_lines(path) -> dict[str, np.ndarray]:
                 raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
             scores, count, error = np.empty((min(n, _PARSE_ROWS), NUM_TAGS)), 0, None
             while rows := list(islice(lines, min(n - count, _PARSE_ROWS))):
-                if count + len(rows) > len(scores):
-                    scores.resize((min(n, 2 * len(scores)), NUM_TAGS))
+                if count + len(rows) > len(scores):   # no view of it exists before it is stored
+                    scores.resize((min(n, 2 * len(scores)), NUM_TAGS), refcheck=False)
                 try:
                     scores[count:count + len(rows)] = _parse_rows(path, rows)
                 except CorpusFormatError as exc:
@@ -725,18 +699,25 @@ def read_emission_blocks(path) -> dict[str, np.ndarray]:
 _EMISSION_ROW = "%.17g " * (NUM_TAGS - 1) + "%.17g\n"
 
 
-def write_emissions(matrices: Iterable[EmissionMatrix], path) -> None:
-    """One block per matrix; an id that its reader rejects raises ``ValueError``."""
-    seen: set[str] = set()
+def write_emissions(blocks: Mapping[str, np.ndarray], path) -> None:
+    """One block per entry of a ``{sentence id: n x 7 array}`` mapping, such
+    as :func:`read_emission_blocks` returns.  An id that its reader rejects
+    (empty or holding whitespace), an array that is not n x 7 with n at least
+    1, or a non-finite score raises ``ValueError`` naming the id."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, m in enumerate(matrices):
-            if m.sentence_id.split() != [m.sentence_id] or m.sentence_id in seen:
-                raise ValueError(f"emission id {m.sentence_id!r} is empty, has whitespace or repeats")
-            seen.add(m.sentence_id)
-            if i == 0 and m.sentence_id.startswith("\ufeff"):   # readers drop one leading BOM
+        for i, (sid, scores) in enumerate(blocks.items()):
+            if sid.split() != [sid]:
+                raise ValueError(f"emission id {sid!r} is empty or has whitespace")
+            scores = np.asarray(scores, dtype=np.float64)
+            if scores.ndim != 2 or scores.shape[1] != NUM_TAGS or not len(scores):
+                raise ValueError(f"emission block for {sid!r} must be n x {NUM_TAGS} with n at "
+                                 f"least 1, got shape {scores.shape}")
+            if not np.isfinite(scores).all():
+                raise ValueError(f"non-finite emission score for {sid!r}")
+            if i == 0 and sid.startswith("\ufeff"):   # readers drop one leading BOM
                 fh.write("\ufeff")
-            fh.write(f"{m.sentence_id} {m.n} {NUM_TAGS}\n")
-            fh.write(_EMISSION_ROW * m.n % tuple(m.scores.ravel().tolist()))
+            fh.write(f"{sid} {len(scores)} {NUM_TAGS}\n")
+            fh.write(_EMISSION_ROW * len(scores) % tuple(scores.ravel().tolist()))
 
 
 def entity_to_dict(entity: Entity) -> dict:

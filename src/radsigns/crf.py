@@ -30,7 +30,8 @@ one contiguous slice, longest row first, so the rows that go on to step
 i + 1 are a prefix of that slice and a step reads and writes slices only.
 Viterbi holds its scores tag-major, as one ``(7, sum(lengths))`` table of
 columns in this order.  Nothing is padded.  Per-row results are reduced
-over the flat rows.  The single-sentence functions are the batch-size-1 case.
+over the flat rows.  One sentence of n positions is a batch of one: its
+``(n, 7)`` emissions with ``lengths`` of ``[n]``.
 """
 
 from __future__ import annotations
@@ -42,10 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (NUM_TAGS, TAG_LABELS, CorpusFormatError, EmissionMatrix, Sentence,
-                     TagSequence, read_json_object)
-from .encoder import FeatureVocabulary, LinearScorerParams, score_sentence
-from .tagscheme import tags_from_indices
+from .corpus import NUM_TAGS, TAG_LABELS, CorpusFormatError, read_json_object
+from .encoder import FeatureVocabulary, LinearScorerParams
 
 START = NUM_TAGS        # virtual start tag, row START is read for entry scores
 END = NUM_TAGS + 1      # virtual end tag, column END is read for exit scores
@@ -300,65 +299,6 @@ def viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return path[pack.inv]
 
 
-def _single(emissions: EmissionMatrix, tags: TagSequence | None = None):
-    """The batch-size-1 arguments for one sentence."""
-    P = emissions.scores
-    lengths = np.array([emissions.n], dtype=np.intp)
-    if tags is None:
-        return P, lengths
-    if len(tags) != emissions.n:
-        raise ValueError(
-            f"emission matrix has {emissions.n} rows but tag sequence "
-            f"for {tags.sentence_id!r} has {len(tags)}"
-        )
-    return P, lengths, np.frombuffer(tags.indices, np.uint8).astype(np.intp)
-
-
-def path_score(emissions: EmissionMatrix, transitions: TransitionMatrix, tags: TagSequence) -> float:
-    """Unnormalized log-score of one tag path."""
-    P, lengths, Y = _single(emissions, tags)
-    return float(_path_scores(P, transitions.matrix, lengths, Y)[0])
-
-
-def log_partition(emissions: EmissionMatrix, transitions: TransitionMatrix) -> float:
-    """log of the summed exp-scores of all 7^n paths, via the forward pass."""
-    P, lengths = _single(emissions)
-    return float(batch_log_partition(P, transitions.matrix, lengths)[0])
-
-
-def nll(emissions: EmissionMatrix, transitions: TransitionMatrix, gold: TagSequence) -> float:
-    """Negated log-likelihood of the gold path; non-negative."""
-    P, lengths, Y = _single(emissions, gold)
-    A = transitions.matrix
-    return float(batch_log_partition(P, A, lengths)[0] - _path_scores(P, A, lengths, Y)[0])
-
-
-def nll_and_gradient(
-    emissions: EmissionMatrix, transitions: TransitionMatrix, gold: TagSequence
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """NLL value together with both gradients, from one forward-backward
-    pass: per-position tag marginals minus gold indicators, and the
-    transition analogue from pairwise marginals."""
-    P, lengths, Y = _single(emissions, gold)
-    values, grad_p, grad_a = batch_nll_and_gradient(P, transitions.matrix, lengths, Y)
-    return float(values[0]), grad_p, grad_a[0]
-
-
-def viterbi_decode(
-    emissions: EmissionMatrix,
-    transitions: TransitionMatrix,
-    constrain_bio: bool = False,
-) -> TagSequence:
-    """Highest-scoring tag path; ties break toward the lowest tag index.
-
-    With ``constrain_bio`` the transitions are masked as in
-    :func:`decoding_transitions`.
-    """
-    A = decoding_transitions(transitions, constrain_bio)
-    path = viterbi(emissions.scores, A, np.array([emissions.n]))
-    return tags_from_indices(emissions.sentence_id, path)
-
-
 @dataclass(frozen=True, eq=False)
 class TaggerModel:
     """Trained feature scorer plus transition weights."""
@@ -366,12 +306,6 @@ class TaggerModel:
     vocab: FeatureVocabulary
     weights: LinearScorerParams
     transitions: TransitionMatrix
-
-    def emissions(self, sentence: Sentence) -> EmissionMatrix:
-        return score_sentence(sentence, self.weights, self.vocab)
-
-    def decode(self, sentence: Sentence, constrain_bio: bool = True) -> TagSequence:
-        return viterbi_decode(self.emissions(sentence), self.transitions, constrain_bio)
 
 
 def save_model(model: TaggerModel, path) -> None:

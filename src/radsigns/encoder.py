@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import NUM_TAGS, EmissionMatrix, Sentence, _code_points, _sentence_lengths
+from .corpus import NUM_TAGS, Sentence, _code_points, _sentence_lengths
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -263,19 +263,6 @@ class LinearScorerParams:
     @classmethod
     def zeros(cls, feature_count: int) -> "LinearScorerParams":
         return cls(np.zeros((feature_count, NUM_TAGS)))
-
-
-def score_sentence(
-    sentence: Sentence, params: LinearScorerParams, vocab: FeatureVocabulary
-) -> EmissionMatrix:
-    """Sum the weight rows of each position's active features."""
-    if params.weights.shape[0] != vocab.size:
-        raise ValueError(
-            f"scorer has {params.weights.shape[0]} rows but vocabulary has "
-            f"{vocab.size} features"
-        )
-    ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
-    return EmissionMatrix(sentence.id, score_ids(params.weights, ids))
 
 
 def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 import pytest
 
 from radsigns.corpus import Entity, SecondaryPartDictionary, Sentence, TagSequence
+from radsigns.crf import decoding_transitions, viterbi
+from radsigns.encoder import score_ids, text_feature_ids
+from radsigns.tagscheme import tags_from_indices
 
 # sentence: patchy dense shadows in the right upper lung, reduced from before
 FIG_TEXT = "右上肺见多发斑片状密影较前减少。"
@@ -16,6 +19,15 @@ OCCLUSION_LABELS = (
     "B-P", "I-P", "I-P", "B-P", "I-P", "I-P",
     "B-D", "I-D", "B-Abn", "I-Abn", "O",
 )
+
+
+def decode_sentence(model, sentence, constrain_bio=True) -> TagSequence:
+    """One sentence's Viterbi tags under ``model``: the flat library calls
+    that ``tag`` runs, at batch size 1."""
+    lengths = [len(sentence)]
+    P = score_ids(model.weights.weights, text_feature_ids(model.vocab, sentence.text, lengths))
+    path = viterbi(P, decoding_transitions(model.transitions, constrain_bio), lengths)
+    return tags_from_indices(sentence.id, path)
 
 
 @pytest.fixture

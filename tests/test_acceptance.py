@@ -8,8 +8,8 @@ import time
 
 import numpy as np
 
+from radsigns import crf
 from radsigns.corpus import (
-    EmissionMatrix,
     Entity,
     FlatCorpus,
     Quadruple,
@@ -18,7 +18,7 @@ from radsigns.corpus import (
     Sentence,
     TagSequence,
 )
-from radsigns.crf import TransitionMatrix, log_partition, nll, nll_and_gradient, viterbi_decode
+from radsigns.crf import batch_log_partition, batch_nll_and_gradient, viterbi
 from radsigns.evaluation import (
     PrfScores,
     agreement_f1,
@@ -45,7 +45,7 @@ from _synth import (
     random_entity_set,
     random_match_instance,
 )
-from conftest import FIG_LABELS, FIG_TEXT, OCCLUSION_LABELS, OCCLUSION_TEXT
+from conftest import FIG_LABELS, FIG_TEXT, OCCLUSION_LABELS, OCCLUSION_TEXT, decode_sentence
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -56,9 +56,9 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def random_crf_instance(rng, n):
-    emissions = EmissionMatrix("x", rng.standard_normal((n, 7)))
-    transitions = TransitionMatrix(rng.standard_normal((9, 9)))
-    return emissions, transitions
+    """One sentence's emissions P and a transition matrix A: a batch of one
+    row of length n."""
+    return rng.standard_normal((n, 7)), rng.standard_normal((9, 9))
 
 
 def test_criterion_1_crf_oracle_equivalence():
@@ -67,13 +67,13 @@ def test_criterion_1_crf_oracle_equivalence():
     ok = True
     for _ in range(200):
         n = int(rng.integers(1, 6))
-        emissions, transitions = random_crf_instance(rng, n)
-        decoded = list(viterbi_decode(emissions, transitions).indices)
-        if decoded != brute_force_argmax(emissions.scores, transitions.matrix):
+        P, A = random_crf_instance(rng, n)
+        decoded = viterbi(P, A, [n]).tolist()
+        if decoded != brute_force_argmax(P, A):
             ok = False
             break
-        expected = brute_force_log_partition(emissions.scores, transitions.matrix)
-        got = log_partition(emissions, transitions)
+        expected = brute_force_log_partition(P, A)
+        got = batch_log_partition(P, A, [n])[0]
         if not math.isclose(got, expected, rel_tol=1e-10):
             ok = False
             break
@@ -89,31 +89,27 @@ def test_criterion_2_gradient_correctness():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 7))
-        emissions, transitions = random_crf_instance(rng, n)
-        gold = tags_from_indices("x", rng.integers(0, 7, size=n).tolist())
-        _, grad_p, grad_a = nll_and_gradient(emissions, transitions, gold)
+        P, A = random_crf_instance(rng, n)
+        gold = rng.integers(0, 7, size=n)
+        _, grad_p, grad_a = batch_nll_and_gradient(P, A, [n], gold)
 
-        P, A = emissions.scores, transitions.matrix
+        def forward_nll(P, A):   # the forward pass's log Z minus the gold path's score
+            return batch_log_partition(P, A, [n])[0] - crf._path_scores(P, A, [n], gold)[0]
+
         for i in range(n):
             for t in range(7):
                 plus, minus = P.copy(), P.copy()
                 plus[i, t] += h
                 minus[i, t] -= h
-                fd = (
-                    nll(EmissionMatrix("x", plus), transitions, gold)
-                    - nll(EmissionMatrix("x", minus), transitions, gold)
-                ) / (2 * h)
+                fd = (forward_nll(plus, A) - forward_nll(minus, A)) / (2 * h)
                 worst = max(worst, abs(fd - grad_p[i, t]))
         for s in range(9):
             for t in range(9):
                 plus, minus = A.copy(), A.copy()
                 plus[s, t] += h
                 minus[s, t] -= h
-                fd = (
-                    nll(emissions, TransitionMatrix(plus), gold)
-                    - nll(emissions, TransitionMatrix(minus), gold)
-                ) / (2 * h)
-                worst = max(worst, abs(fd - grad_a[s, t]))
+                fd = (forward_nll(P, plus) - forward_nll(P, minus)) / (2 * h)
+                worst = max(worst, abs(fd - grad_a[0, s, t]))
     elapsed = time.perf_counter() - started
     report(2, "gradient matches finite differences", worst < 1e-4 and elapsed < 60,
            f"max abs deviation {worst:.2e}, {elapsed:.1f}s")
@@ -124,9 +120,9 @@ def test_criterion_3_probability_normalization():
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        emissions, transitions = random_crf_instance(rng, n)
-        _, scores = enumerate_paths(emissions.scores, transitions.matrix)
-        total = np.exp(scores - log_partition(emissions, transitions)).sum()
+        P, A = random_crf_instance(rng, n)
+        _, scores = enumerate_paths(P, A)
+        total = np.exp(scores - batch_log_partition(P, A, [n])[0]).sum()
         worst = max(worst, abs(total - 1.0))
     report(3, "path probabilities sum to one", worst < 1e-9,
            f"max |sum - 1| = {worst:.2e}")
@@ -215,7 +211,7 @@ def test_criterion_7_end_to_end_learnability():
     pred_relations = {}
     gold_relations = {}
     for sentence, gold_tags in dev:
-        decoded = model.decode(sentence, constrain_bio=True)
+        decoded = decode_sentence(model, sentence, constrain_bio=True)
         pred_relations[sentence.id] = match(
             sentence, tags_to_entities(sentence, decoded), RULE_DICTIONARY
         )[0]

@@ -13,7 +13,6 @@ from radsigns import cli
 from radsigns.cli import _apply_config, build_parser, main
 from radsigns.corpus import (
     TAG_LABELS,
-    EmissionMatrix,
     Entity,
     FlatCorpus,
     Sentence,
@@ -26,14 +25,15 @@ from radsigns.corpus import (
     write_relations,
     write_tagged_flat,
 )
-from radsigns.crf import TaggerModel, TransitionMatrix, load_model, save_model, viterbi_decode
-from radsigns.encoder import FeatureVocabulary, LinearScorerParams
+from radsigns.crf import (TaggerModel, TransitionMatrix, decoding_transitions, load_model,
+                          save_model, viterbi)
+from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
 from radsigns.tag2relation import match
 from radsigns.evaluation import agreement_f1, entity_prf
-from radsigns.tagscheme import batch_entities, entities_to_tags, tags_to_entities
+from radsigns.tagscheme import batch_entities, entities_to_tags, tags_from_indices, tags_to_entities
 
 from _synth import brute_force_match, build_rule_corpus
-from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT
+from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT, decode_sentence
 from test_corpus import CORPUS_CHARS, reference_write_quadruples, reference_write_relations
 from test_tagscheme import reference_tags_to_entities
 
@@ -206,7 +206,7 @@ def decode_inputs(tmp_path_factory):
     paths = {"text": root / "input.txt", "tsv": root / "input.tsv", "emissions": root / "em.txt"}
     paths["text"].write_text("".join(s.text + "\n" for s, _ in pairs), encoding="utf-8")
     write_tagged_flat(FlatCorpus.from_pairs(pairs), paths["tsv"])
-    write_emissions([EmissionMatrix(s.id, 3 * rng.standard_normal((len(s), 7))) for s, _ in pairs],
+    write_emissions({s.id: 3 * rng.standard_normal((len(s), 7)) for s, _ in pairs},
                     paths["emissions"])
     return paths
 
@@ -234,9 +234,9 @@ class TestOutputsMatchPublicApi:
             return [tags for _, tags in pairs]
         if case.startswith("emissions-file"):
             blocks = read_emission_blocks(emissions_path)
-            return [viterbi_decode(EmissionMatrix(s.id, blocks[s.id]), model.transitions, constrain)
-                    for s, _ in pairs]
-        return [model.decode(s, constrain) for s, _ in pairs]
+            A = decoding_transitions(model.transitions, constrain)
+            return [tags_from_indices(s.id, viterbi(blocks[s.id], A, [len(s)])) for s, _ in pairs]
+        return [decode_sentence(model, s, constrain) for s, _ in pairs]
 
     @pytest.mark.parametrize("case", CASES)
     def test_extract_equals_reference_writers(self, workspace, decode_inputs, tmp_path, case):
@@ -305,10 +305,10 @@ class TestOutputsMatchPublicApi:
             for start in range(1, len(chars) - 2, 4):   # B-X I-X runs of each kind
                 tags[start:start + 2] = [2 * (i + start) % 6 + 1, 2 * (i + start) % 6 + 2]
             sentences.append(Sentence.from_text(f"s{i + 1}", "肺" + "".join(chars)))
-            blocks.append(EmissionMatrix(f"s{i + 1}", 50.0 * np.eye(7)[np.append(0, tags)]))
+            blocks.append(50.0 * np.eye(7)[np.append(0, tags)])
         text, emissions = tmp_path / "in.txt", tmp_path / "em.txt"
         text.write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
-        write_emissions(blocks, emissions)
+        write_emissions({s.id: block for s, block in zip(sentences, blocks)}, emissions)
         got_q, got_r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
         assert main(["extract", str(text), "--model", str(workspace["model"]),
                      "--dict", str(workspace["dict"]), "--out", str(got_q),
@@ -317,7 +317,8 @@ class TestOutputsMatchPublicApi:
         model, dictionary = load_model(workspace["model"]), read_dictionary(workspace["dict"])
         quads, quad_ids, relations, relation_ids, texts = [], [], [], [], set()
         for sentence, block in zip(sentences, blocks):
-            entities = tags_to_entities(sentence, viterbi_decode(block, model.transitions, True))
+            path = viterbi(block, decoding_transitions(model.transitions, True), [len(block)])
+            entities = tags_to_entities(sentence, tags_from_indices(sentence.id, path))
             rels, qs = match(sentence, entities, dictionary)
             texts.update(e.text for e in entities)
             quads += qs
@@ -354,8 +355,10 @@ class TestOutputsMatchPublicApi:
             self, workspace, decode_inputs, tmp_path, constrain):
         model = load_model(workspace["model"])
         emissions = tmp_path / "own.txt"
-        write_emissions([model.emissions(s) for s, _ in read_tagged_flat(decode_inputs["tsv"]).pairs()],
-                        emissions)
+        corpus = read_tagged_flat(decode_inputs["tsv"])
+        ids = text_feature_ids(model.vocab, corpus.text, corpus.lengths)
+        scores = np.split(score_ids(model.weights.weights, ids), np.cumsum(corpus.lengths)[:-1])
+        write_emissions(dict(zip(corpus.ids, scores)), emissions)
         outputs = []
         for extra in ([], ["--emissions-file", str(emissions)]):
             out = tmp_path / f"tagged{len(extra)}.tsv"
@@ -388,8 +391,8 @@ def test_tag_on_text_equals_a_line_split_oracle(workspace, tmp_path, lines, ends
     model = load_model(workspace["model"])
     with open(source, encoding="utf-8-sig") as fh:
         texts = [text for text in fh.read().split("\n") if text]
-    blocks = ["".join(f"{ch}\t{label}\n"
-                      for ch, label in zip(text, model.decode(Sentence(f"s{i}", text)).tags))
+    blocks = ["".join(f"{ch}\t{label}\n" for ch, label
+                      in zip(text, decode_sentence(model, Sentence(f"s{i}", text)).tags))
               for i, text in enumerate(texts, 1)]
     expected = "\ufeff" * texts[0].startswith("\ufeff") + "\n".join(blocks) if texts else ""
     assert out.read_bytes() == expected.encode("utf-8")
@@ -569,7 +572,7 @@ class TestTagAndExtract:
         for i, tag in enumerate(forced):
             scores[i, ("O", "B-P", "I-P", "B-D", "I-D", "B-Abn", "I-Abn").index(tag)] = 9.0
         emissions_path = tmp_path / "emissions.txt"
-        write_emissions([EmissionMatrix("s1", scores)], emissions_path)
+        write_emissions({"s1": scores}, emissions_path)
 
         text_path = tmp_path / "input.txt"
         text_path.write_text("肺影好\n", encoding="utf-8")
@@ -582,7 +585,7 @@ class TestTagAndExtract:
     def run_with_emissions(self, workspace, tmp_path, texts, blocks):
         text_path = tmp_path / "input.txt"
         text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
-        # written by hand, not by write_emissions, which refuses a repeated id
+        # written by hand: write_emissions takes a mapping, which cannot repeat an id
         emissions_path = tmp_path / "emissions.txt"
         emissions_path.write_text("".join(f"{sid} {n} 7\n" + "0 0 0 0 0 0 0\n" * n
                                           for sid, n in blocks), encoding="utf-8")
@@ -614,8 +617,8 @@ class TestTagAndExtract:
         text_path = tmp_path / "input.txt"
         text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
         emissions_path = tmp_path / "emissions.txt"
-        write_emissions([EmissionMatrix(f"s{i}", np.zeros((n, 7)))
-                         for i, n in ((1, 2), (2, 3), (3, 3), (4, 2))], emissions_path)
+        write_emissions({f"s{i}": np.zeros((n, 7)) for i, n in ((1, 2), (2, 3), (3, 3), (4, 2))},
+                        emissions_path)
         outputs = [tmp_path / "out"]
         flags = ["--out", str(outputs[0])]
         if command == "extract":
@@ -700,11 +703,8 @@ class TestTagAndExtract:
         text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
         rng = np.random.default_rng(44)
         emissions_path = tmp_path / "emissions.txt"
-        write_emissions(
-            [EmissionMatrix(f"s{i + 1}", 3 * rng.standard_normal((len(t), 7)))
-             for i, t in enumerate(texts)],
-            emissions_path,
-        )
+        write_emissions({f"s{i + 1}": 3 * rng.standard_normal((len(t), 7))
+                         for i, t in enumerate(texts)}, emissions_path)
         outputs = {}
         for jobs in ("1", "2"):
             quads, relations = tmp_path / f"q{jobs}.jsonl", tmp_path / f"r{jobs}.jsonl"

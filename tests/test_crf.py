@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from radsigns import crf
 
-from radsigns.corpus import CorpusFormatError, EmissionMatrix, Sentence
+from radsigns.corpus import CorpusFormatError, Sentence
 from radsigns.crf import (
     END,
     START,
@@ -20,30 +20,33 @@ from radsigns.crf import (
     TransitionMatrix,
     batch_log_partition,
     batch_nll_and_gradient,
+    decoding_transitions,
     load_model,
-    log_partition,
-    nll,
-    nll_and_gradient,
-    path_score,
     save_model,
     viterbi,
-    viterbi_decode,
 )
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
 from radsigns.tagscheme import TAG_INDEX, tags_from_indices
 from radsigns.tagscheme import validate_path
 
 from _synth import brute_force_argmax, brute_force_log_partition, enumerate_paths
+from conftest import decode_sentence
 
 
 def random_instance(rng, n):
-    em = EmissionMatrix("x", rng.standard_normal((n, 7)))
-    tm = TransitionMatrix(rng.standard_normal((9, 9)))
-    return em, tm
+    """One sentence's emissions P and a transition matrix A."""
+    return rng.standard_normal((n, 7)), rng.standard_normal((9, 9))
 
 
 def random_gold(rng, n):
-    return tags_from_indices("x", rng.integers(0, 7, size=n).tolist())
+    return rng.integers(0, 7, size=n)
+
+
+def forward_nll(P, A, y):
+    """One sentence's NLL: the forward pass's log Z minus the score of the
+    gold path ``y``, at batch size 1."""
+    lengths = [len(P)]
+    return batch_log_partition(P, A, lengths)[0] - crf._path_scores(P, A, lengths, y)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -113,71 +116,59 @@ def loop_viterbi(P, A):
 
 class TestPathScore:
     def test_all_zero(self):
-        em = EmissionMatrix("x", np.zeros((4, 7)))
-        tm = TransitionMatrix.zeros()
-        assert path_score(em, tm, random_gold(np.random.default_rng(0), 4)) == 0.0
+        gold = random_gold(np.random.default_rng(0), 4)
+        assert crf._path_scores(np.zeros((4, 7)), np.zeros((9, 9)), [4], gold)[0] == 0.0
 
     def test_single_token_expansion(self):
         scores = np.arange(7, dtype=float)[None, :]
-        em = EmissionMatrix("x", scores)
         a = np.zeros((9, 9))
         t = 3
         a[START, t] = 1.5
         a[t, END] = -0.25
-        tm = TransitionMatrix(a)
-        got = path_score(em, tm, tags_from_indices("x", [t]))
+        got = crf._path_scores(scores, a, [1], np.array([t]))[0]
         assert got == pytest.approx(scores[0, t] + 1.5 - 0.25)
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            em, tm = random_instance(rng, 3)
+            P, A = random_instance(rng, 3)
             y = rng.integers(0, 7, size=3).tolist()
             # independent oracle: explicit sum of every term
-            expected = tm.matrix[START, y[0]]
+            expected = A[START, y[0]]
             for i in range(3):
-                expected += em.scores[i, y[i]]
+                expected += P[i, y[i]]
             for i in range(2):
-                expected += tm.matrix[y[i], y[i + 1]]
-            expected += tm.matrix[y[-1], END]
-            got = path_score(em, tm, tags_from_indices("x", y))
+                expected += A[y[i], y[i + 1]]
+            expected += A[y[-1], END]
+            got = crf._path_scores(P, A, [3], np.array(y))[0]
             assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_length_mismatch(self):
-        em = EmissionMatrix("x", np.zeros((3, 7)))
-        with pytest.raises(ValueError, match="3 rows"):
-            path_score(em, TransitionMatrix.zeros(), tags_from_indices("x", [0]))
 
 
 class TestLogPartition:
     def test_uniform_is_n_log_k(self):
         for n in (1, 2, 5, 9):
-            em = EmissionMatrix("x", np.zeros((n, 7)))
-            got = log_partition(em, TransitionMatrix.zeros())
+            got = batch_log_partition(np.zeros((n, 7)), np.zeros((9, 9)), [n])[0]
             assert got == pytest.approx(n * math.log(7), rel=1e-12)
 
     def test_single_position_is_logsumexp(self):
         rng = np.random.default_rng(5)
-        em, tm = random_instance(rng, 1)
-        terms = [
-            path_score(em, tm, tags_from_indices("x", [t])) for t in range(7)
-        ]
+        P, A = random_instance(rng, 1)
+        terms = [crf._path_scores(P, A, [1], np.array([t]))[0] for t in range(7)]
         expected = math.log(sum(math.exp(v) for v in terms))
-        assert log_partition(em, tm) == pytest.approx(expected, rel=1e-12)
+        assert batch_log_partition(P, A, [1])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            em, tm = random_instance(rng, 4)
-            expected = brute_force_log_partition(em.scores, tm.matrix)
-            assert log_partition(em, tm) == pytest.approx(expected, rel=1e-10)
+            P, A = random_instance(rng, 4)
+            expected = brute_force_log_partition(P, A)
+            assert batch_log_partition(P, A, [4])[0] == pytest.approx(expected, rel=1e-10)
 
     def test_forward_equals_backward(self):
         rng = np.random.default_rng(7)
         for n in (1, 2, 5, 12):
-            em, tm = random_instance(rng, n)
-            forward = log_partition(em, tm)
-            P, A = em.scores, tm.matrix
+            P, A = random_instance(rng, n)
+            forward = batch_log_partition(P, A, [n])[0]
             backward = float(_lse(A[START, :7] + P[0] + loop_backward(P, A)[0], axis=0))
             assert forward == pytest.approx(backward, rel=1e-10)
 
@@ -187,99 +178,85 @@ class TestNll:
         scores = np.zeros((1, 7))
         gold_tag = 2
         scores[0, gold_tag] = 50.0
-        value = nll(
-            EmissionMatrix("x", scores),
-            TransitionMatrix.zeros(),
-            tags_from_indices("x", [gold_tag]),
-        )
+        value = forward_nll(scores, np.zeros((9, 9)), np.array([gold_tag]))
         assert abs(value) < 1e-6
 
     def test_uniform_case(self):
         rng = np.random.default_rng(8)
         for n in (1, 3, 6):
-            em = EmissionMatrix("x", np.zeros((n, 7)))
-            value = nll(em, TransitionMatrix.zeros(), random_gold(rng, n))
+            value = forward_nll(np.zeros((n, 7)), np.zeros((9, 9)), random_gold(rng, n))
             assert value == pytest.approx(n * math.log(7), rel=1e-12)
 
     def test_matches_brute_force_probability(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            em, tm = random_instance(rng, 4)
+            P, A = random_instance(rng, 4)
             gold = random_gold(rng, 4)
-            paths, scores = enumerate_paths(em.scores, tm.matrix)
-            gold_idx = list(gold.indices)
-            mask = np.all(paths == gold_idx, axis=1)
-            probs = np.exp(scores - brute_force_log_partition(em.scores, tm.matrix))
+            paths, scores = enumerate_paths(P, A)
+            mask = np.all(paths == gold, axis=1)
+            probs = np.exp(scores - brute_force_log_partition(P, A))
             expected = -math.log(probs[mask][0])
-            assert nll(em, tm, gold) == pytest.approx(expected, rel=1e-9)
+            assert forward_nll(P, A, gold) == pytest.approx(expected, rel=1e-9)
 
     def test_non_negative_on_random_instances(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             n = int(rng.integers(1, 9))
-            em, tm = random_instance(rng, n)
-            assert nll(em, tm, random_gold(rng, n)) > 0.0
+            P, A = random_instance(rng, n)
+            assert forward_nll(P, A, random_gold(rng, n)) > 0.0
 
 
 class TestGradient:
-    def finite_difference(self, em, tm, gold, h=1e-5):
-        P, A = em.scores, tm.matrix
+    def finite_difference(self, P, A, gold, h=1e-5):
         fd_p = np.zeros_like(P)
         for i in range(P.shape[0]):
             for t in range(P.shape[1]):
                 plus, minus = P.copy(), P.copy()
                 plus[i, t] += h
                 minus[i, t] -= h
-                fd_p[i, t] = (
-                    nll(EmissionMatrix("x", plus), tm, gold)
-                    - nll(EmissionMatrix("x", minus), tm, gold)
-                ) / (2 * h)
+                fd_p[i, t] = (forward_nll(plus, A, gold) - forward_nll(minus, A, gold)) / (2 * h)
         fd_a = np.zeros_like(A)
         for s in range(9):
             for t in range(9):
                 plus, minus = A.copy(), A.copy()
                 plus[s, t] += h
                 minus[s, t] -= h
-                fd_a[s, t] = (
-                    nll(em, TransitionMatrix(plus), gold)
-                    - nll(em, TransitionMatrix(minus), gold)
-                ) / (2 * h)
+                fd_a[s, t] = (forward_nll(P, plus, gold) - forward_nll(P, minus, gold)) / (2 * h)
         return fd_p, fd_a
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(30)
         for _ in range(10):
             n = int(rng.integers(1, 7))
-            em, tm = random_instance(rng, n)
+            P, A = random_instance(rng, n)
             gold = random_gold(rng, n)
-            _, grad_p, grad_a = nll_and_gradient(em, tm, gold)
-            fd_p, fd_a = self.finite_difference(em, tm, gold)
+            _, grad_p, grad_a = batch_nll_and_gradient(P, A, [n], gold)
+            fd_p, fd_a = self.finite_difference(P, A, gold)
             np.testing.assert_allclose(grad_p, fd_p, atol=1e-4)
-            np.testing.assert_allclose(grad_a, fd_a, atol=1e-4)
+            np.testing.assert_allclose(grad_a[0], fd_a, atol=1e-4)
 
     def test_emission_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
             n = int(rng.integers(1, 9))
-            em, tm = random_instance(rng, n)
-            _, grad_p, _ = nll_and_gradient(em, tm, random_gold(rng, n))
+            P, A = random_instance(rng, n)
+            _, grad_p, _ = batch_nll_and_gradient(P, A, [n], random_gold(rng, n))
             np.testing.assert_allclose(grad_p.sum(axis=1), 0.0, atol=1e-12)
 
     def test_uniform_point_gives_uniform_marginals(self):
-        em = EmissionMatrix("x", np.zeros((1, 7)))
-        gold = tags_from_indices("x", [4])
-        _, grad_p, _ = nll_and_gradient(em, TransitionMatrix.zeros(), gold)
+        _, grad_p, _ = batch_nll_and_gradient(np.zeros((1, 7)), np.zeros((9, 9)), [1],
+                                              np.array([4]))
         expected = np.full(7, 1 / 7)
         expected[4] -= 1.0
         np.testing.assert_allclose(grad_p[0], expected, atol=1e-12)
 
     def test_value_and_gradient_agree_with_parts(self):
         rng = np.random.default_rng(32)
-        em, tm = random_instance(rng, 5)
+        P, A = random_instance(rng, 5)
         gold = random_gold(rng, 5)
-        value, grad_p, grad_a = nll_and_gradient(em, tm, gold)
-        assert value == pytest.approx(nll(em, tm, gold), rel=1e-12)
-        _, p2, a2 = nll_and_gradient(em, tm, gold)
+        values, grad_p, grad_a = batch_nll_and_gradient(P, A, [5], gold)
+        assert values[0] == pytest.approx(forward_nll(P, A, gold), rel=1e-12)
+        _, p2, a2 = batch_nll_and_gradient(P, A, [5], gold)
         np.testing.assert_array_equal(grad_p, p2)
         np.testing.assert_array_equal(grad_a, a2)
 
@@ -287,25 +264,24 @@ class TestGradient:
 class TestViterbi:
     def test_zero_transitions_reduce_to_argmax(self):
         rng = np.random.default_rng(40)
-        em = EmissionMatrix("x", rng.standard_normal((6, 7)))
-        decoded = viterbi_decode(em, TransitionMatrix.zeros())
-        assert list(decoded.indices) == np.argmax(em.scores, axis=1).tolist()
+        P = rng.standard_normal((6, 7))
+        decoded = viterbi(P, np.zeros((9, 9)), [6])
+        assert decoded.tolist() == np.argmax(P, axis=1).tolist()
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             n = int(rng.integers(1, 6))
-            em, tm = random_instance(rng, n)
-            decoded = viterbi_decode(em, tm)
-            assert list(decoded.indices) == brute_force_argmax(em.scores, tm.matrix)
+            P, A = random_instance(rng, n)
+            assert viterbi(P, A, [n]).tolist() == brute_force_argmax(P, A)
 
     def test_beats_random_paths(self):
         rng = np.random.default_rng(42)
-        em, tm = random_instance(rng, 10)
-        best = path_score(em, tm, viterbi_decode(em, tm))
+        P, A = random_instance(rng, 10)
+        best = crf._path_scores(P, A, [10], viterbi(P, A, [10]))[0]
         for _ in range(1000):
-            y = tags_from_indices("x", rng.integers(0, 7, size=10).tolist())
-            assert best >= path_score(em, tm, y)
+            y = rng.integers(0, 7, size=10)
+            assert best >= crf._path_scores(P, A, [10], y)[0]
 
     def test_constrained_decode_never_violates_bio(self):
         rng = np.random.default_rng(43)
@@ -314,20 +290,18 @@ class TestViterbi:
             n = int(rng.integers(1, 12))
             scores = rng.standard_normal((n, 7))
             scores[:, inside] += 3.0  # bait the decoder toward inside tags
-            em = EmissionMatrix("x", scores)
             tm = TransitionMatrix(rng.standard_normal((9, 9)))
-            decoded = viterbi_decode(em, tm, constrain_bio=True)
-            assert validate_path(decoded) == []
+            decoded = viterbi(scores, decoding_transitions(tm, True), [n])
+            assert validate_path(tags_from_indices("x", decoded)) == []
 
     def test_unconstrained_can_violate_bio(self):
         scores = np.zeros((2, 7))
         scores[0, TAG_INDEX["O"]] = 5.0
         scores[1, TAG_INDEX["I-P"]] = 5.0
-        em = EmissionMatrix("x", scores)
-        free = viterbi_decode(em, TransitionMatrix.zeros(), constrain_bio=False)
-        assert free.tags == ("O", "I-P")
-        constrained = viterbi_decode(em, TransitionMatrix.zeros(), constrain_bio=True)
-        assert validate_path(constrained) == []
+        free = viterbi(scores, decoding_transitions(TransitionMatrix.zeros(), False), [2])
+        assert tags_from_indices("x", free).tags == ("O", "I-P")
+        constrained = viterbi(scores, decoding_transitions(TransitionMatrix.zeros(), True), [2])
+        assert validate_path(tags_from_indices("x", constrained)) == []
 
     def test_mask_shape_and_content(self):
         mask = BIO_TRANSITION_MASK
@@ -341,13 +315,11 @@ class TestViterbi:
         scores = np.zeros((3, 7))
         scores[:, 2] = 1.0
         scores[:, 5] = 1.0  # two equally good columns
-        decoded = viterbi_decode(EmissionMatrix("x", scores), TransitionMatrix.zeros())
-        assert list(decoded.indices) == [2, 2, 2]
+        assert viterbi(scores, np.zeros((9, 9)), [3]).tolist() == [2, 2, 2]
 
     def test_all_zero_decodes_to_all_o(self):
-        em = EmissionMatrix("x", np.zeros((4, 7)))
-        decoded = viterbi_decode(em, TransitionMatrix.zeros())
-        assert decoded.tags == ("O",) * 4
+        decoded = viterbi(np.zeros((4, 7)), np.zeros((9, 9)), [4])
+        assert tags_from_indices("x", decoded).tags == ("O",) * 4
 
 
 class TestBatch:
@@ -374,18 +346,16 @@ class TestBatch:
         paths = split_path(viterbi(P, A, lens), lens)
         assert lens.tolist() == lengths
         for b, n in enumerate(lengths):
-            em = EmissionMatrix("x", emissions[b])
-            tm = TransitionMatrix(A)
-            gold = tags_from_indices("x", golds[b].tolist())
             ref_z, ref_nll, ref_p, ref_a = loop_nll_and_gradient(emissions[b], A, golds[b])
             assert log_z[b] == pytest.approx(ref_z, abs=1e-12)
-            assert log_z[b] == pytest.approx(log_partition(em, tm), abs=1e-12)
+            assert log_z[b] == pytest.approx(batch_log_partition(emissions[b], A, [n])[0],
+                                             abs=1e-12)
             assert values[b] == pytest.approx(ref_nll, abs=1e-12)
-            assert values[b] == pytest.approx(nll(em, tm, gold), abs=1e-12)
+            assert values[b] == pytest.approx(forward_nll(emissions[b], A, golds[b]), abs=1e-12)
             np.testing.assert_allclose(grad_p[b], ref_p, atol=1e-12)
             np.testing.assert_allclose(grad_a[b], ref_a, atol=1e-12)
             assert paths[b] == loop_viterbi(emissions[b], A)
-            assert paths[b] == list(viterbi_decode(em, tm).indices)
+            assert paths[b] == viterbi(emissions[b], A, [n]).tolist()
         assert paths[5] == [2] * 6
 
     def test_brute_force_oracles_hold_on_batches(self):
@@ -607,34 +577,34 @@ class TestDistributionProperties:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(50)
         for n in (1, 2, 3, 4):
-            em, tm = random_instance(rng, n)
-            _, scores = enumerate_paths(em.scores, tm.matrix)
-            total = np.exp(scores - log_partition(em, tm)).sum()
+            P, A = random_instance(rng, n)
+            _, scores = enumerate_paths(P, A)
+            total = np.exp(scores - batch_log_partition(P, A, [n])[0]).sum()
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_path_probability_in_unit_interval(self):
         rng = np.random.default_rng(51)
         for _ in range(50):
             n = int(rng.integers(1, 8))
-            em, tm = random_instance(rng, n)
-            gold = tags_from_indices("x", rng.integers(0, 7, size=n).tolist())
-            prob = math.exp(path_score(em, tm, gold) - log_partition(em, tm))
+            P, A = random_instance(rng, n)
+            gold = rng.integers(0, 7, size=n)
+            prob = math.exp(-forward_nll(P, A, gold))
             assert 0.0 < prob <= 1.0
 
     def test_uniform_emission_shift_preserves_decode_and_probabilities(self):
         rng = np.random.default_rng(52)
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            em, tm = random_instance(rng, n)
+            P, A = random_instance(rng, n)
             c = float(rng.uniform(-3, 3))
-            shifted = EmissionMatrix("x", em.scores + c)
-            gold = tags_from_indices("x", rng.integers(0, 7, size=n).tolist())
-            base = path_score(em, tm, gold)
-            assert path_score(shifted, tm, gold) == pytest.approx(base + n * c, rel=1e-9)
-            assert viterbi_decode(shifted, tm) == viterbi_decode(em, tm)
-            prob = path_score(em, tm, gold) - log_partition(em, tm)
-            shifted_prob = path_score(shifted, tm, gold) - log_partition(shifted, tm)
-            assert shifted_prob == pytest.approx(prob, abs=1e-9)
+            shifted = P + c
+            gold = rng.integers(0, 7, size=n)
+            base = crf._path_scores(P, A, [n], gold)[0]
+            assert crf._path_scores(shifted, A, [n], gold)[0] == pytest.approx(base + n * c,
+                                                                                rel=1e-9)
+            assert viterbi(shifted, A, [n]).tolist() == viterbi(P, A, [n]).tolist()
+            assert -forward_nll(shifted, A, gold) == pytest.approx(-forward_nll(P, A, gold),
+                                                                   abs=1e-9)
 
 
 class TestModelPersistence:
@@ -651,7 +621,7 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.decode(sentence) == model.decode(sentence)
+        assert decode_sentence(loaded, sentence) == decode_sentence(model, sentence)
         np.testing.assert_array_equal(
             loaded.weights.weights, model.weights.weights
         )

@@ -15,7 +15,7 @@ from radsigns.encoder import (
     LinearScorerParams,
     char_class,
     extract_features,
-    score_sentence,
+    score_ids,
     text_feature_ids,
 )
 from radsigns.tagscheme import TAG_INDEX
@@ -230,13 +230,14 @@ class TestFeatureIdBatch:
         assert ids.shape == (0, FEATURES_PER_POSITION)
 
 
-class TestScoreSentence:
+class TestScoreIds:
     def test_zero_weights_give_zero_scores(self, shadow_sentence):
         vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         params = LinearScorerParams.zeros(vocab.size)
-        emissions = score_sentence(shadow_sentence, params, vocab)
-        assert emissions.scores.shape == (len(shadow_sentence), 7)
-        np.testing.assert_array_equal(emissions.scores, 0.0)
+        ids = text_feature_ids(vocab, shadow_sentence.text, [len(shadow_sentence)])
+        emissions = score_ids(params.weights, ids)
+        assert emissions.shape == (len(shadow_sentence), 7)
+        np.testing.assert_array_equal(emissions, 0.0)
 
     def test_sparse_dot_product_hand_evaluated(self, shadow_sentence):
         vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
@@ -244,10 +245,11 @@ class TestScoreSentence:
         b_p = TAG_INDEX["B-P"]
         weights[vocab.lookup("c0=右"), b_p] = 2.0
         weights[vocab.lookup("bias"), b_p] = 0.5
-        emissions = score_sentence(shadow_sentence, LinearScorerParams(weights), vocab)
+        ids = text_feature_ids(vocab, shadow_sentence.text, [len(shadow_sentence)])
+        emissions = score_ids(weights, ids)
         # position 0 fires both features, every other position only the bias
-        assert emissions.scores[0, b_p] == pytest.approx(2.5)
-        assert emissions.scores[1, b_p] == pytest.approx(0.5)
+        assert emissions[0, b_p] == pytest.approx(2.5)
+        assert emissions[1, b_p] == pytest.approx(0.5)
 
     def test_scoring_is_linear_in_weights(self, shadow_sentence):
         vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
@@ -255,25 +257,15 @@ class TestScoreSentence:
         w1 = rng.standard_normal((vocab.size, 7))
         w2 = rng.standard_normal((vocab.size, 7))
         a, b = 0.7, -1.3
-        combined = score_sentence(
-            shadow_sentence, LinearScorerParams(a * w1 + b * w2), vocab
-        )
-        parts = a * score_sentence(
-            shadow_sentence, LinearScorerParams(w1), vocab
-        ).scores + b * score_sentence(shadow_sentence, LinearScorerParams(w2), vocab).scores
-        np.testing.assert_allclose(combined.scores, parts, atol=1e-12)
+        ids = text_feature_ids(vocab, shadow_sentence.text, [len(shadow_sentence)])
+        combined = score_ids(a * w1 + b * w2, ids)
+        parts = a * score_ids(w1, ids) + b * score_ids(w2, ids)
+        np.testing.assert_allclose(combined, parts, atol=1e-12)
 
     def test_unseen_characters_score_finite(self, shadow_sentence):
         vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
         rng = np.random.default_rng(4)
         params = LinearScorerParams(rng.standard_normal((vocab.size, 7)))
         unseen = Sentence.from_text("s9", "肝胆胰脾")
-        emissions = score_sentence(unseen, params, vocab)
-        assert np.isfinite(emissions.scores).all()
-
-    def test_weight_row_count_must_match_vocab(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
-        params = LinearScorerParams.zeros(vocab.size + 3)
-        with pytest.raises(ValueError, match="rows"):
-            score_sentence(shadow_sentence, params, vocab)
-
+        emissions = score_ids(params.weights, text_feature_ids(vocab, unseen.text, [len(unseen)]))
+        assert np.isfinite(emissions).all()

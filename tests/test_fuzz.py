@@ -16,7 +16,7 @@ import pytest
 
 from radsigns import corpus
 from radsigns.cli import main
-from radsigns.corpus import TAG_LABELS, EmissionMatrix, FlatCorpus, write_emissions, write_tagged_flat
+from radsigns.corpus import TAG_LABELS, FlatCorpus, write_emissions, write_tagged_flat
 from radsigns.crf import TaggerModel, TransitionMatrix, save_model
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
 
@@ -126,8 +126,8 @@ def decode_files(tmp_path):
              for name in ("input.txt", "em.txt", "dict.txt", "model.json", "tags.tsv")}
     files["input.txt"].write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
     write_tagged_flat(FlatCorpus.from_pairs(corpus), files["tags.tsv"])
-    write_emissions([EmissionMatrix(s.id, rng.standard_normal((len(s), len(TAG_LABELS))))
-                     for s in sentences], files["em.txt"])
+    write_emissions({s.id: rng.standard_normal((len(s), len(TAG_LABELS))) for s in sentences},
+                    files["em.txt"])
     files["dict.txt"].write_text("# parts\n" + "".join(t + "\n" for t in SP_TERMS), encoding="utf-8")
     save_model(TaggerModel(vocab, LinearScorerParams(weights), TransitionMatrix.zeros()),
                files["model.json"])

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import radsigns
-from radsigns import cli, corpus, encoder, trainer
+from radsigns import cli, corpus, crf, encoder, trainer
 
 
 def test_every_exported_name_resolves():
@@ -160,6 +160,28 @@ def test_one_reader_and_one_writer_per_file_format():
 
 MODULES = {info.name: importlib.import_module(f"radsigns.{info.name}")
            for info in pkgutil.iter_modules(radsigns.__path__)}
+
+
+PER_SENTENCE_API = {"EmissionMatrix", "score_sentence", "viterbi_decode", "log_partition", "nll",
+                    "nll_and_gradient", "path_score", "_single"}
+
+
+def test_the_flat_batch_functions_are_the_one_library_surface():
+    """No src module defines, imports or exports the per-sentence emission
+    type or a batch-size-1 CRF or scoring wrapper, and ``TaggerModel`` only
+    holds its vocabulary, weights and transitions: it defines no methods."""
+    offenders = [f"{name}.{found}" for name, module in (("radsigns", radsigns), *MODULES.items())
+                 for found in PER_SENTENCE_API & set(vars(module))]
+    for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
+        offenders += [f"{path.name}:{node.lineno} {node.name}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and node.name in PER_SENTENCE_API]
+    tagger = next(node for node in ast.parse(Path(crf.__file__).read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.ClassDef) and node.name == "TaggerModel")
+    offenders += [f"TaggerModel.{node.name}" for node in ast.walk(tagger)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert offenders == []
 
 
 def bound_names():

@@ -8,10 +8,10 @@ from radsigns.crf import (
     FULL_SIZE,
     TaggerModel,
     TransitionMatrix,
-    nll,
-    nll_and_gradient,
+    batch_log_partition,
+    batch_nll_and_gradient,
 )
-from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_sentence, text_feature_ids
+from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
 from radsigns import encoder, trainer
 from radsigns.evaluation import entity_prf
 from radsigns.tagscheme import TAG_INDEX, batch_entities, tags_from_indices, tags_to_entities
@@ -24,6 +24,7 @@ from radsigns.trainer import (
 )
 
 from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus
+from conftest import decode_sentence
 
 flat = FlatCorpus.from_pairs
 
@@ -78,14 +79,14 @@ class TestTraining:
         zero_w = LinearScorerParams.zeros(vocab.size)
         total = 0.0
         for sentence, tags in corpus:
-            emissions = score_sentence(sentence, zero_w, vocab)
-            value, grad_p, grad_a_j = nll_and_gradient(
-                emissions, TransitionMatrix.zeros(), tags
-            )
-            total += value
             ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
+            gold = np.frombuffer(tags.indices, np.uint8).astype(np.intp)
+            values, grad_p, grad_a_j = batch_nll_and_gradient(
+                score_ids(zero_w.weights, ids), TransitionMatrix.zeros().matrix,
+                [len(sentence)], gold)
+            total += values[0]
             np.add.at(grad_w, ids.ravel(), np.repeat(grad_p, ids.shape[1], axis=0))
-            grad_a += grad_a_j
+            grad_a += grad_a_j[0]
         grad_w /= len(corpus)
         grad_a /= len(corpus)
         np.testing.assert_allclose(
@@ -190,16 +191,20 @@ class TestTraining:
         vocab = FeatureVocabulary.build(sentence.text, [len(sentence)])
         weights = LinearScorerParams.zeros(vocab.size)
         transitions = TransitionMatrix.zeros()
-        emissions = score_sentence(sentence, weights, vocab)
-        before, grad_p, grad_a = nll_and_gradient(emissions, transitions, tags)
+        ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
+        lengths, gold = [len(sentence)], np.frombuffer(tags.indices, np.uint8).astype(np.intp)
+        values, grad_p, grad_a = batch_nll_and_gradient(
+            score_ids(weights.weights, ids), transitions.matrix, lengths, gold)
+        before = values[0]
 
         step = 1e-3
-        ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
         new_w = np.zeros((vocab.size, 7))
         np.add.at(new_w, ids.ravel(), np.repeat(grad_p, ids.shape[1], axis=0))
         stepped_w = LinearScorerParams(-step * new_w)
-        stepped_a = TransitionMatrix(-step * grad_a)
-        after = nll(score_sentence(sentence, stepped_w, vocab), stepped_a, tags)
+        stepped_a = TransitionMatrix(-step * grad_a[0])
+        P = score_ids(stepped_w.weights, ids)
+        after = (batch_log_partition(P, stepped_a.matrix, lengths)[0]
+                 - crf._path_scores(P, stepped_a.matrix, lengths, gold)[0])
         assert after < before
 
     def test_selected_epoch_is_earliest_maximum(self):
@@ -345,7 +350,7 @@ class TestEvaluateDev:
         corpus = build_rule_corpus(rng, 40, prefix="t")
         dev = build_rule_corpus(rng, 150, prefix="d")   # mixed lengths, one flat pass
         model, _ = train(flat(corpus), flat(dev), TrainConfig(epochs=1, batch_size=8, seed=6))
-        pred = {s.id: tags_to_entities(s, model.decode(s)) for s, _ in dev}
+        pred = {s.id: tags_to_entities(s, decode_sentence(model, s)) for s, _ in dev}
         gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
         expected = entity_prf(pred, gold).overall.f1
         assert 0.0 < expected < 100.0
