@@ -1,7 +1,7 @@
 """Character-level CRF tagging and dictionary chunk matching for structured
 findings in Chinese radiology report sentences."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from types import ModuleType as _ModuleType
 
@@ -16,8 +16,6 @@ from .corpus import (
     Quadruple,
     Relation,
     SecondaryPartDictionary,
-    Sentence,
-    TagSequence,
     read_dictionary,
     read_tagged_flat,
     write_quadruples,
@@ -50,8 +48,8 @@ from .evaluation import (
     entity_prf,
     relation_prf,
 )
-from .tag2relation import find_primary_parts, match
-from .tagscheme import entities_to_tags, tags_to_entities, validate_path
+from .tag2relation import match_arrays
+from .tagscheme import batch_entities, text_runs
 from .trainer import TrainConfig, TrainReport, evaluate_dev, train
 
 # every public name imported above, and nothing else

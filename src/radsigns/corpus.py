@@ -29,8 +29,6 @@ Each file format has one reader and at most one writer:
 ``\\r\\n`` and a lone ``\\r`` end a line, U+2028 and the like do not.  Text and
 tagged corpora are read and written as one :class:`FlatCorpus` in array
 passes over code points; only an error's report reads line by line.
-:meth:`FlatCorpus.pairs` and :meth:`FlatCorpus.from_pairs` convert it to
-and from ``(Sentence, TagSequence)`` pairs.
 
 Readers are pure functions and every returned value is immutable, so results
 are safe to share across threads.
@@ -73,77 +71,6 @@ RELATION_KINDS = tuple(RELATION_ENDPOINTS)
 
 class CorpusFormatError(ValueError):
     """Bad input: a file off its documented format, or flags that conflict."""
-
-
-@dataclass(frozen=True, init=False, slots=True)
-class Sentence:
-    """A report sentence stored as its non-empty ``text``; built from a string
-    or any sequence of single characters, which ``chars`` returns as a tuple."""
-
-    id: str
-    text: str
-
-    def __init__(self, id: str, chars: Iterable[str]):
-        text = chars
-        if not isinstance(chars, str):
-            chars = tuple(chars)
-            text = "".join(map(str, chars))   # a non-string element then fails the check
-            if tuple(text) != chars:
-                bad = next(ch for ch in chars if not isinstance(ch, str) or len(ch) != 1)
-                raise ValueError(f"sentence {id!r}: {bad!r} is not a single character")
-        if not text:
-            raise ValueError(f"sentence {id!r} has no characters")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "text", text)
-
-    @classmethod
-    def from_text(cls, sentence_id: str, text: str) -> "Sentence":
-        return cls(sentence_id, text)
-
-    @property
-    def chars(self) -> tuple[str, ...]:
-        return tuple(self.text)
-
-    def __len__(self) -> int:
-        return len(self.text)
-
-
-@dataclass(frozen=True, init=False, slots=True)
-class TagSequence:
-    """Per-character labels for one sentence, stored as ``indices``: one byte
-    per label, its index into ``TAG_LABELS``; ``tags`` returns the labels as a tuple."""
-
-    sentence_id: str
-    indices: bytes
-
-    def __init__(self, sentence_id: str, tags: Iterable[str]):
-        tags = tuple(tags)
-        try:
-            indices = bytes(map(TAG_INDEX.__getitem__, tags))
-        except (KeyError, TypeError):   # an unknown or unhashable label
-            bad = next(tag for tag in tags if tag not in TAG_LABELS)
-            raise ValueError(f"unknown tag {bad!r} in sequence for {sentence_id!r}") from None
-        self._fill(sentence_id, indices)
-
-    @classmethod
-    def _from_indices(cls, sentence_id: str, indices: bytes) -> "TagSequence":
-        """The sequence of ``indices``, each already known to be below ``NUM_TAGS``."""
-        tags = cls.__new__(cls)
-        tags._fill(sentence_id, indices)
-        return tags
-
-    def _fill(self, sentence_id: str, indices: bytes) -> None:
-        if not indices:
-            raise ValueError(f"tag sequence for {sentence_id!r} is empty")
-        object.__setattr__(self, "sentence_id", sentence_id)
-        object.__setattr__(self, "indices", indices)
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(map(TAG_LABELS.__getitem__, self.indices))
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -266,18 +193,6 @@ class FlatCorpus:
                                          or max(self.indices, default=0) >= NUM_TAGS):
             raise ValueError("a tagged flat corpus needs a tag index below NUM_TAGS per character")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Sentence, TagSequence]]) -> "FlatCorpus":
-        """The tagged corpus of ``(sentence, tags)`` pairs laid end to end in
-        order; its ids are positional, whatever the pairs' ids."""
-        pairs = list(pairs)
-        for sentence, tags in pairs:
-            if len(tags) != len(sentence):
-                raise ValueError(
-                    f"sentence {sentence.id!r}: {len(sentence)} chars but {len(tags)} tags")
-        return cls("".join(s.text for s, _ in pairs), [len(s) for s, _ in pairs],
-                   b"".join(t.indices for _, t in pairs))
-
     @cached_property
     def offsets(self) -> np.ndarray:
         """Where each sentence starts in ``text``, then where the last one ends; read-only."""
@@ -300,13 +215,6 @@ class FlatCorpus:
         a, b = self.offsets[[lo, min(hi, len(self.lengths))]].tolist()
         return FlatCorpus(self.text[a:b], self.lengths[lo:hi],
                           None if self.indices is None else self.indices[a:b], self.first + lo)
-
-    def pairs(self) -> list[tuple[Sentence, TagSequence | None]]:
-        """Each sentence and, in a tagged corpus, its tags, as the library's types."""
-        bounds = self.offsets.tolist()
-        return [(Sentence(sid, self.text[a:b]),
-                 None if self.indices is None else TagSequence._from_indices(sid, self.indices[a:b]))
-                for sid, a, b in zip(self.ids, bounds, bounds[1:])]
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -703,17 +611,20 @@ def write_emissions(blocks: Mapping[str, np.ndarray], path) -> None:
     """One block per entry of a ``{sentence id: n x 7 array}`` mapping, such
     as :func:`read_emission_blocks` returns.  An id that its reader rejects
     (empty or holding whitespace), an array that is not n x 7 with n at least
-    1, or a non-finite score raises ``ValueError`` naming the id."""
+    1, or a non-finite score raises ``ValueError`` naming the id, before the
+    file is opened."""
+    checked = {}
+    for sid, scores in blocks.items():
+        if sid.split() != [sid]:
+            raise ValueError(f"emission id {sid!r} is empty or has whitespace")
+        scores = checked[sid] = np.asarray(scores, dtype=np.float64)
+        if scores.ndim != 2 or scores.shape[1] != NUM_TAGS or not len(scores):
+            raise ValueError(f"emission block for {sid!r} must be n x {NUM_TAGS} with n at "
+                             f"least 1, got shape {scores.shape}")
+        if not np.isfinite(scores).all():
+            raise ValueError(f"non-finite emission score for {sid!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, (sid, scores) in enumerate(blocks.items()):
-            if sid.split() != [sid]:
-                raise ValueError(f"emission id {sid!r} is empty or has whitespace")
-            scores = np.asarray(scores, dtype=np.float64)
-            if scores.ndim != 2 or scores.shape[1] != NUM_TAGS or not len(scores):
-                raise ValueError(f"emission block for {sid!r} must be n x {NUM_TAGS} with n at "
-                                 f"least 1, got shape {scores.shape}")
-            if not np.isfinite(scores).all():
-                raise ValueError(f"non-finite emission score for {sid!r}")
+        for i, (sid, scores) in enumerate(checked.items()):
             if i == 0 and sid.startswith("\ufeff"):   # readers drop one leading BOM
                 fh.write("\ufeff")
             fh.write(f"{sid} {len(scores)} {NUM_TAGS}\n")

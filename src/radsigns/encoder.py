@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import NUM_TAGS, Sentence, _code_points, _sentence_lengths
+from .corpus import NUM_TAGS, _code_points, _sentence_lengths
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -47,17 +47,17 @@ def char_class(ch: str) -> str:
     return "other"
 
 
-def extract_features(sentence: Sentence, i: int) -> list[str]:
-    """Deterministic feature strings for position ``i``; out-of-range context
-    characters are replaced by the pad sentinel."""
-    n = len(sentence)
+def extract_features(text: str, i: int) -> list[str]:
+    """Deterministic feature strings for position ``i`` of a sentence's
+    ``text``; out-of-range context characters are replaced by the pad sentinel."""
+    n = len(text)
     if not 0 <= i < n:
         raise ValueError(f"position {i} outside sentence of length {n}")
 
     def at(j: int) -> str:
-        return sentence.text[j] if 0 <= j < n else PAD
+        return text[j] if 0 <= j < n else PAD
 
-    c0 = sentence.text[i]
+    c0 = text[i]
     c_m1, c_p1 = at(i - 1), at(i + 1)
     return [
         f"c-2={at(i - 2)}",

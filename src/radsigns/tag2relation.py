@@ -16,8 +16,7 @@ the unheaded chunk.  Inside a chunk:
 One quadruple is assembled per sign and per (secondary part, degree)
 combination attached to it; empty slots stay null.
 
-:func:`match_arrays` matches a whole batch of sentences in one array pass;
-:func:`match` is its batch-size-1 call on entity objects.
+:func:`match_arrays` matches a whole batch of sentences in one array pass.
 """
 
 from __future__ import annotations
@@ -26,46 +25,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ENTITY_KINDS, Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
+from .corpus import SecondaryPartDictionary
 
 _RELATION_KINDS = np.array(["D2Abn", "P2Abn", "P2P"])   # in name order, which relations sort by
 _P, _D, _ABN = range(3)   # indices into ENTITY_KINDS, which is in reverse name order
-
-
-def find_primary_parts(
-    entities: Sequence[Entity], dictionary: SecondaryPartDictionary
-) -> list[Entity]:
-    """P entities whose text is not a dictionary term, sorted by start."""
-    return sorted(
-        (e for e in entities if e.kind == "P" and e.text not in dictionary),
-        key=lambda e: e.start,
-    )
-
-
-def match(
-    sentence: Sentence,
-    entities: Sequence[Entity],
-    dictionary: SecondaryPartDictionary,
-) -> tuple[list[Relation], list[Quadruple]]:
-    """Assemble relations and quadruples from decoded entities.
-
-    Output is deterministic and invariant under permutation of ``entities``.
-    ``sentence`` is not read; the entities carry their own spans and text.
-    """
-    ordered = sorted(entities, key=lambda e: (e.start, e.end, e.kind))
-    spans = np.array([(e.start, e.end, ENTITY_KINDS.index(e.kind)) for e in ordered], np.intp)
-    relations, quadruples = match_arrays(np.zeros(len(ordered), np.intp), *spans.reshape(-1, 3).T,
-                                         [e.text for e in ordered], dictionary)
-    at = [*ordered, None].__getitem__   # index -1 is an empty slot
-    return ([Relation(k, at(h), at(t)) for k, h, t in zip(*(a.tolist() for a in relations))],
-            [Quadruple(*map(at, q)) for q in zip(*(a.tolist() for a in quadruples))])
 
 
 def match_arrays(rows, starts, ends, kinds, texts: Sequence[str],
                  dictionary: SecondaryPartDictionary):
     """Relations ``(kind, head, tail)`` and quadruples ``(pp, sp, d, abn)``,
     as arrays of relation kind names and of entity indices (-1: an empty
-    slot), sorted by sentence, then as :func:`match` sorts them.
+    slot), sorted by sentence, then relations by head start, head end, tail
+    start, tail end and kind name, and quadruples by sign start, then
+    secondary part start and degree start, an empty slot first.
     Entity ``i`` is in sentence ``rows[i]`` at ``[starts[i], ends[i])``, of
     kind ``ENTITY_KINDS[kinds[i]]`` and text ``texts[i]``.  Entities come
     sorted by sentence, start, end and kind name, and may overlap; those of

@@ -1,11 +1,10 @@
-"""Conversions between entity spans and per-character BIO tag paths.
+"""Entity spans decoded from per-character BIO tag paths.
 
 Entities are decoded from tag index paths, sequences of indices into
 ``TAG_LABELS``: the flat ``uint8`` arrays that Viterbi returns and the
-``indices`` bytes that a ``TagSequence`` stores.  :func:`text_runs` decodes
-a batch of paths, laid end to end with their texts, in one array pass;
-:func:`batch_entities` calls it, and :func:`tags_to_entities` is
-:func:`batch_entities` of one sentence.
+``indices`` bytes that a tagged ``FlatCorpus`` stores.  :func:`text_runs`
+decodes a batch of paths, laid end to end with their texts, in one array
+pass, and :func:`batch_entities` makes its runs ``Entity`` objects.
 
 Decoding is total: any tag sequence over the 7-tag vocabulary yields a valid
 entity set.  A run breaks at every sentence start, at every B tag and at
@@ -20,39 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ENTITY_KINDS, NUM_TAGS, TAG_INDEX, Entity, Sentence, TagSequence
-
-
-def tags_from_indices(sentence_id: str, indices: Sequence[int]) -> TagSequence:
-    indices = list(indices)   # bytes() of a numpy array would copy its raw buffer
-    if indices and not 0 <= min(indices) <= max(indices) < NUM_TAGS:
-        bad = next(i for i in indices if not 0 <= i < NUM_TAGS)
-        raise ValueError(f"tag index {bad} out of range")
-    return TagSequence._from_indices(sentence_id, bytes(indices))
-
-
-def entities_to_tags(sentence: Sentence, entities: Sequence[Entity]) -> TagSequence:
-    """Encode non-overlapping entities: first char B-kind, the rest I-kind."""
-    n = len(sentence)
-    indices = bytearray(n)
-    prev = None
-    for entity in sorted(entities, key=lambda e: (e.start, e.end)):
-        if entity.end > n:
-            raise ValueError(
-                f"entity [{entity.start}, {entity.end}) exceeds sentence "
-                f"{sentence.id!r} of length {n}"
-            )
-        if prev is not None and entity.start < prev.end:
-            raise ValueError(f"entities overlap: {prev} and {entity}")
-        if entity.text != sentence.text[entity.start:entity.end]:
-            raise ValueError(
-                f"entity text {entity.text!r} does not match sentence "
-                f"{sentence.id!r} at [{entity.start}, {entity.end})"
-            )
-        begin = TAG_INDEX["B-" + entity.kind]   # its I tag is begin + 1
-        indices[entity.start:entity.end] = bytes([begin] + [begin + 1] * (entity.end - entity.start - 1))
-        prev = entity
-    return TagSequence._from_indices(sentence.id, bytes(indices))
+from .corpus import ENTITY_KINDS, NUM_TAGS, Entity
 
 
 def text_runs(text: str, path, lengths: Sequence[int]):
@@ -103,15 +70,3 @@ def batch_entities(ids: Sequence[str], text: str, path,
     for row, start, end, kind, covered in zip(*(a.tolist() for a in (rows, *spans)), texts):
         entities[row].append(Entity(ENTITY_KINDS[kind], start, end, covered))
     return dict(zip(ids, entities, strict=True))
-
-
-def tags_to_entities(sentence: Sentence, tags: TagSequence) -> list[Entity]:
-    """:func:`batch_entities` of one sentence and its tag sequence."""
-    return batch_entities([sentence.id], sentence.text, tags.indices, [len(tags)])[sentence.id]
-
-
-def validate_path(tags: TagSequence) -> list[int]:
-    """Indices whose I-X tag follows neither B-X nor I-X of the same kind."""
-    path = tags.indices   # I tags have even nonzero indices, each one above its B tag
-    return [i for i, index in enumerate(path) if index and not index & 1
-            and (i == 0 or path[i - 1] not in (index - 1, index))]

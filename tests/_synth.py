@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force oracles and synthetic data generators.
+"""Shared test helpers: brute-force oracles, synthetic data generators, and
+sentence records with per-sentence calls of the flat library functions.
 
 The oracles here stay deliberately independent of the library code paths
 they check: path enumeration instead of the forward algorithm, and a
@@ -10,18 +11,102 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from radsigns.corpus import (
+    ENTITY_KINDS,
+    TAG_INDEX,
+    TAG_LABELS,
     Entity,
+    FlatCorpus,
     Quadruple,
     Relation,
     SecondaryPartDictionary,
-    Sentence,
-    TagSequence,
 )
 from radsigns.crf import END, START
+from radsigns.tag2relation import match_arrays
+from radsigns.tagscheme import batch_entities
+
+# ---------------------------------------------------------------------------
+# one sentence and its tags as test records, and per-sentence calls of the
+# flat library functions
+
+
+@dataclass(frozen=True, slots=True)
+class Text:
+    """A sentence's id and text; ``chars`` is the text as a tuple."""
+
+    id: str
+    text: str
+
+    @property
+    def chars(self) -> tuple[str, ...]:
+        return tuple(self.text)
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+
+@dataclass(frozen=True, slots=True)
+class Labels:
+    """A sentence's tags as ``TAG_LABELS`` index bytes, one byte per tag
+    since the benchmark's set-up holds thousands; ``tags`` gives the labels."""
+
+    indices: bytes
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        return tags_of(self.indices)
+
+
+def path_of(tags) -> bytes:
+    return bytes(map(TAG_INDEX.__getitem__, tags))
+
+
+def tags_of(path) -> tuple[str, ...]:
+    return tuple(TAG_LABELS[i] for i in path)
+
+
+def flat_corpus(pairs) -> FlatCorpus:
+    """The tagged flat corpus of ``(Text, Labels)`` pairs laid end to end."""
+    return FlatCorpus("".join(s.text for s, _ in pairs), [len(s) for s, _ in pairs],
+                      b"".join(t.indices for _, t in pairs))
+
+
+def entities_of(text: str, path) -> list[Entity]:
+    """The entities of one sentence's tag index path."""
+    return batch_entities([0], text, path, [len(text)])[0]
+
+
+def encode(n: int, entities) -> bytes:
+    """The tag index path of ``n`` characters that marks each of the
+    non-overlapping ``entities`` B-kind, then I-kind."""
+    path = bytearray(n)
+    for e in entities:
+        begin = TAG_INDEX["B-" + e.kind]
+        path[e.start:e.end] = bytes([begin] + [begin + 1] * (e.end - e.start - 1))
+    return bytes(path)
+
+
+def bio_violations(path) -> list[int]:
+    """Positions whose I-X tag follows neither B-X nor I-X of the same kind."""
+    return [i for i, t in enumerate(path)
+            if t and not t & 1 and (i == 0 or path[i - 1] not in (t - 1, t))]
+
+
+def match_entities(entities, dictionary: SecondaryPartDictionary):
+    """``match_arrays`` of one sentence's entities, given in any order, with
+    its index arrays turned back into ``Relation`` and ``Quadruple`` objects."""
+    ordered = sorted(entities, key=lambda e: (e.start, e.end, e.kind))
+    spans = np.array([(e.start, e.end, ENTITY_KINDS.index(e.kind)) for e in ordered], np.intp)
+    relations, quadruples = match_arrays(np.zeros(len(ordered), np.intp), *spans.reshape(-1, 3).T,
+                                         [e.text for e in ordered], dictionary)
+    at = [*ordered, None].__getitem__   # index -1 is an empty slot
+    return ([Relation(k, at(h), at(t)) for k, h, t in zip(*(a.tolist() for a in relations))],
+            [Quadruple(*map(at, q)) for q in zip(*(a.tolist() for a in quadruples))])
+
 
 # ---------------------------------------------------------------------------
 # CRF oracle: explicit enumeration of all k^n paths
@@ -61,9 +146,7 @@ def _gap(a: Entity, b: Entity) -> int:
     return 0
 
 
-def brute_force_match(
-    sentence: Sentence, entities, dictionary: SecondaryPartDictionary
-):
+def brute_force_match(sentence, entities, dictionary: SecondaryPartDictionary):
     ordered = sorted(entities, key=lambda e: (e.start, e.end, e.kind))
     primaries = [e for e in ordered if e.kind == "P" and e.text not in dictionary]
     starts = [p.start for p in primaries]
@@ -162,7 +245,7 @@ def random_match_instance(rng: np.random.Generator, max_chars: int = 31, max_ent
                     chars[start:end] = list(term)
         entities.append((kind, start, end))
 
-    sentence = Sentence(f"r{rng.integers(0, 10**9)}", tuple(chars))
+    sentence = Text(f"r{rng.integers(0, 10**9)}", "".join(chars))
     built = [
         Entity(kind, start, end, sentence.text[start:end])
         for kind, start, end in entities
@@ -265,6 +348,5 @@ def build_rule_corpus(rng: np.random.Generator, count: int, prefix: str = "s"):
             tags.extend(clause_tags)
             chars.append("，" if c + 1 < clauses else "。")
             tags.append("O")
-        sid = f"{prefix}{i + 1}"
-        corpus.append((Sentence(sid, tuple(chars)), TagSequence(sid, tuple(tags))))
+        corpus.append((Text(f"{prefix}{i + 1}", "".join(chars)), Labels(path_of(tags))))
     return corpus

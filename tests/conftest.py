@@ -1,9 +1,8 @@
 import pytest
 
-from radsigns.corpus import Entity, SecondaryPartDictionary, Sentence, TagSequence
+from radsigns.corpus import Entity, SecondaryPartDictionary
 from radsigns.crf import decoding_transitions, viterbi
 from radsigns.encoder import score_ids, text_feature_ids
-from radsigns.tagscheme import tags_from_indices
 
 # sentence: patchy dense shadows in the right upper lung, reduced from before
 FIG_TEXT = "右上肺见多发斑片状密影较前减少。"
@@ -21,23 +20,12 @@ OCCLUSION_LABELS = (
 )
 
 
-def decode_sentence(model, sentence, constrain_bio=True) -> TagSequence:
-    """One sentence's Viterbi tags under ``model``: the flat library calls
-    that ``tag`` runs, at batch size 1."""
-    lengths = [len(sentence)]
-    P = score_ids(model.weights.weights, text_feature_ids(model.vocab, sentence.text, lengths))
-    path = viterbi(P, decoding_transitions(model.transitions, constrain_bio), lengths)
-    return tags_from_indices(sentence.id, path)
-
-
-@pytest.fixture
-def shadow_sentence():
-    return Sentence.from_text("s1", FIG_TEXT)
-
-
-@pytest.fixture
-def shadow_tags():
-    return TagSequence("s1", FIG_LABELS)
+def decode_sentence(model, text: str, constrain_bio=True) -> bytes:
+    """One sentence's Viterbi tag index path under ``model``: the flat
+    library calls that ``tag`` runs, at batch size 1."""
+    lengths = [len(text)]
+    P = score_ids(model.weights.weights, text_feature_ids(model.vocab, text, lengths))
+    return viterbi(P, decoding_transitions(model.transitions, constrain_bio), lengths).tobytes()
 
 
 @pytest.fixture
@@ -47,16 +35,6 @@ def shadow_entities():
         Entity("D", 4, 6, "多发"),
         Entity("Abn", 6, 11, "斑片状密影"),
     ]
-
-
-@pytest.fixture
-def occlusion_sentence():
-    return Sentence.from_text("s1", OCCLUSION_TEXT)
-
-
-@pytest.fixture
-def occlusion_tags():
-    return TagSequence("s1", OCCLUSION_LABELS)
 
 
 @pytest.fixture

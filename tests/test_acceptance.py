@@ -11,12 +11,9 @@ import numpy as np
 from radsigns import crf
 from radsigns.corpus import (
     Entity,
-    FlatCorpus,
     Quadruple,
     Relation,
     SecondaryPartDictionary,
-    Sentence,
-    TagSequence,
 )
 from radsigns.crf import batch_log_partition, batch_nll_and_gradient, viterbi
 from radsigns.evaluation import (
@@ -26,24 +23,24 @@ from radsigns.evaluation import (
     entity_prf,
     relation_prf,
 )
-from radsigns.tag2relation import match
-from radsigns.tagscheme import (
-    entities_to_tags,
-    tags_from_indices,
-    tags_to_entities,
-    validate_path,
-)
 from radsigns.trainer import TrainConfig, train
 
 from _synth import (
     RULE_DICTIONARY,
+    bio_violations,
     brute_force_argmax,
     brute_force_log_partition,
     brute_force_match,
     build_rule_corpus,
+    encode,
+    entities_of,
     enumerate_paths,
+    flat_corpus,
+    match_entities,
+    path_of,
     random_entity_set,
     random_match_instance,
+    tags_of,
 )
 from conftest import FIG_LABELS, FIG_TEXT, OCCLUSION_LABELS, OCCLUSION_TEXT, decode_sentence
 
@@ -133,21 +130,20 @@ def test_criterion_4_tagging_round_trip():
     ok = True
     for _ in range(10_000):
         n = int(rng.integers(1, 41))
-        sentence = Sentence("s", tuple("字" for _ in range(n)))
+        text = "字" * n
         entities = [
-            Entity(kind, a, b, sentence.text[a:b])
+            Entity(kind, a, b, text[a:b])
             for kind, a, b in random_entity_set(rng, n)
         ]
-        if tags_to_entities(sentence, entities_to_tags(sentence, entities)) != entities:
+        if entities_of(text, encode(n, entities)) != entities:
             ok = False
             break
     repaired_ok = True
     for _ in range(10_000):
         n = int(rng.integers(1, 31))
-        sentence = Sentence("s", tuple("字" for _ in range(n)))
-        arbitrary = tags_from_indices("s", rng.integers(0, 7, size=n).tolist())
-        reencoded = entities_to_tags(sentence, tags_to_entities(sentence, arbitrary))
-        if validate_path(reencoded) != []:
+        arbitrary = rng.integers(0, 7, size=n)
+        reencoded = encode(n, entities_of("字" * n, arbitrary))
+        if bio_violations(reencoded) != []:
             repaired_ok = False
             break
     report(4, "tagging round-trip and repair", ok and repaired_ok,
@@ -155,22 +151,18 @@ def test_criterion_4_tagging_round_trip():
 
 
 def test_criterion_5_golden_examples():
-    sentence = Sentence.from_text("s1", FIG_TEXT)
     entities = [
         Entity("P", 0, 3, "右上肺"),
         Entity("D", 4, 6, "多发"),
         Entity("Abn", 6, 11, "斑片状密影"),
     ]
-    tags = entities_to_tags(sentence, entities)
-    forward_ok = tags.tags == FIG_LABELS
-    backward_ok = tags_to_entities(sentence, tags) == entities
+    path = encode(len(FIG_TEXT), entities)
+    forward_ok = tags_of(path) == FIG_LABELS
+    backward_ok = entities_of(FIG_TEXT, path) == entities
 
-    occlusion = Sentence.from_text("s1", OCCLUSION_TEXT)
-    occ_entities = tags_to_entities(
-        occlusion, TagSequence("s1", OCCLUSION_LABELS)
-    )
+    occ_entities = entities_of(OCCLUSION_TEXT, path_of(OCCLUSION_LABELS))
     dictionary = SecondaryPartDictionary(frozenset({"支气管"}))
-    relations, quadruples = match(occlusion, occ_entities, dictionary)
+    relations, quadruples = match_entities(occ_entities, dictionary)
     pp = Entity("P", 0, 3, "右上肺")
     sp = Entity("P", 3, 6, "支气管")
     d = Entity("D", 6, 8, "部分")
@@ -191,7 +183,7 @@ def test_criterion_6_matcher_oracle_equivalence():
     ok = True
     for _ in range(1000):
         sentence, entities, dictionary = random_match_instance(rng)
-        if match(sentence, entities, dictionary) != brute_force_match(
+        if match_entities(entities, dictionary) != brute_force_match(
             sentence, entities, dictionary
         ):
             ok = False
@@ -205,22 +197,22 @@ def test_criterion_7_end_to_end_learnability():
     corpus = build_rule_corpus(rng, 500, prefix="t")
     dev = build_rule_corpus(rng, 120, prefix="d")
     config = TrainConfig(epochs=50, batch_size=16, seed=11)
-    model, train_report = train(FlatCorpus.from_pairs(corpus), FlatCorpus.from_pairs(dev), config)
+    model, train_report = train(flat_corpus(corpus), flat_corpus(dev), config)
     entity_f1 = train_report.dev_f1[train_report.selected_epoch]
 
     pred_relations = {}
     gold_relations = {}
     for sentence, gold_tags in dev:
-        decoded = decode_sentence(model, sentence, constrain_bio=True)
-        pred_relations[sentence.id] = match(
-            sentence, tags_to_entities(sentence, decoded), RULE_DICTIONARY
+        decoded = decode_sentence(model, sentence.text, constrain_bio=True)
+        pred_relations[sentence.id] = match_entities(
+            entities_of(sentence.text, decoded), RULE_DICTIONARY
         )[0]
-        gold_relations[sentence.id] = match(
-            sentence, tags_to_entities(sentence, gold_tags), RULE_DICTIONARY
+        gold_relations[sentence.id] = match_entities(
+            entities_of(sentence.text, gold_tags.indices), RULE_DICTIONARY
         )[0]
     relation_f1 = relation_prf(pred_relations, gold_relations).overall.f1
 
-    _, second_report = train(FlatCorpus.from_pairs(corpus), FlatCorpus.from_pairs(dev), config)
+    _, second_report = train(flat_corpus(corpus), flat_corpus(dev), config)
     deterministic = second_report == train_report
     elapsed = time.perf_counter() - started
     report(7, "end-to-end learnability",
@@ -229,11 +221,8 @@ def test_criterion_7_end_to_end_learnability():
 
 
 def test_criterion_8_metrics_fidelity():
-    sentence_chars = tuple("字" for _ in range(30))
-    sentence = Sentence("s1", sentence_chars)
-
     def e(kind, start, end):
-        return Entity(kind, start, end, sentence.text[start:end])
+        return Entity(kind, start, end, "字" * (end - start))
 
     gold = {"s1": [e("P", 0, 2), e("P", 3, 5), e("Abn", 6, 8), e("D", 9, 10)]}
     pred = {"s1": [e("P", 0, 2), e("Abn", 11, 13)]}
@@ -294,17 +283,17 @@ def test_criterion_8_metrics_fidelity():
 
 
 def test_criterion_9_error_taxonomy_fidelity():
-    def spans(sentence, *specs):
+    def spans(text, *specs):
         return [
-            Entity(kind, start, end, sentence.text[start:end])
+            Entity(kind, start, end, text[start:end])
             for kind, start, end in specs
         ]
 
-    s1 = Sentence.from_text("s1", "食管全程扩张，局部较前增著")
-    s2 = Sentence.from_text("s2", "肝、胆无异常")
-    s3 = Sentence.from_text("s3", "两肺膨胀良好")
-    s4 = Sentence.from_text("s4", "可见食糜及液体潴留影像")
-    s5 = Sentence.from_text("s5", "食管下端贲门区未见异常")
+    s1 = "食管全程扩张，局部较前增著"
+    s2 = "肝、胆无异常"
+    s3 = "两肺膨胀良好"
+    s4 = "可见食糜及液体潴留影像"
+    s5 = "食管下端贲门区未见异常"
     gold = {
         "s1": spans(s1, ("D", 2, 4)),
         "s2": spans(s2, ("P", 0, 1)),
@@ -340,12 +329,11 @@ def test_criterion_9_error_taxonomy_fidelity():
     partition_ok = True
     for _ in range(1000):
         n = int(rng.integers(4, 30))
-        sentence = Sentence("s1", tuple("字" for _ in range(n)))
         gold_entities = [
-            Entity(k, a, b, sentence.text[a:b]) for k, a, b in random_entity_set(rng, n)
+            Entity(k, a, b, "字" * (b - a)) for k, a, b in random_entity_set(rng, n)
         ]
         pred_entities = [
-            Entity(k, a, b, sentence.text[a:b]) for k, a, b in random_entity_set(rng, n)
+            Entity(k, a, b, "字" * (b - a)) for k, a, b in random_entity_set(rng, n)
         ]
         recs, matrix, _ = classify_errors(
             {"s1": pred_entities}, {"s1": gold_entities}

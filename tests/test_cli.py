@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 from radsigns import cli
 from radsigns.cli import _apply_config, build_parser, main
 from radsigns.corpus import (
-    TAG_LABELS,
     Entity,
     FlatCorpus,
-    Sentence,
-    TagSequence,
     read_dictionary,
     read_emission_blocks,
     read_tagged_flat,
@@ -28,14 +25,19 @@ from radsigns.corpus import (
 from radsigns.crf import (TaggerModel, TransitionMatrix, decoding_transitions, load_model,
                           save_model, viterbi)
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
-from radsigns.tag2relation import match
 from radsigns.evaluation import agreement_f1, entity_prf
-from radsigns.tagscheme import batch_entities, entities_to_tags, tags_from_indices, tags_to_entities
+from radsigns.tagscheme import batch_entities
 
-from _synth import brute_force_match, build_rule_corpus
+from _synth import (Labels, Text, brute_force_match, build_rule_corpus, encode, entities_of,
+                    flat_corpus, match_entities, path_of, tags_of)
 from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT, decode_sentence
 from test_corpus import CORPUS_CHARS, reference_write_quadruples, reference_write_relations
 from test_tagscheme import reference_tags_to_entities
+
+
+def sentence_texts(corpus):
+    bounds = corpus.offsets.tolist()
+    return [corpus.text[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +49,8 @@ def workspace(tmp_path_factory):
     dev_corpus = build_rule_corpus(rng, 30, prefix="s")
     train_path = root / "train.tsv"
     dev_path = root / "dev.tsv"
-    write_tagged_flat(FlatCorpus.from_pairs(train_corpus), train_path)
-    write_tagged_flat(FlatCorpus.from_pairs(dev_corpus), dev_path)
+    write_tagged_flat(flat_corpus(train_corpus), train_path)
+    write_tagged_flat(flat_corpus(dev_corpus), dev_path)
 
     dict_path = root / "parts.txt"
     dict_path.write_text("支气管\n食管\n", encoding="utf-8")
@@ -135,15 +137,10 @@ class TestTrain:
         assert not (tmp_path / "m.json").exists()
 
     def train_to_overflow(self, tmp_path, rate):
-        chars = "字" * 2000
-        pairs = [
-            (Sentence.from_text("a", "字字字字字"), TagSequence("a", ("O",) * 5)),
-            (Sentence.from_text("b", chars), TagSequence("b", ("O",) * 2000)),
-        ]
         train_path = tmp_path / "train.tsv"
         dev_path = tmp_path / "dev.tsv"
-        write_tagged_flat(FlatCorpus.from_pairs(pairs), train_path)
-        write_tagged_flat(FlatCorpus.from_pairs(pairs[:1]), dev_path)
+        write_tagged_flat(FlatCorpus("字" * 2005, [5, 2000], bytes(2005)), train_path)
+        write_tagged_flat(FlatCorpus("字" * 5, [5], bytes(5)), dev_path)
         with np.errstate(all="ignore"):
             return main([
                 "train", str(train_path), str(dev_path),
@@ -190,34 +187,35 @@ class TestTrain:
 @pytest.fixture(scope="module")
 def decode_inputs(tmp_path_factory):
     """The same sentences as text and as a tagged corpus, and a noisy emission
-    block for each.  One sentence in three carries random tags, so reading
-    them with --from-tags meets orphan I tags and kind switches."""
+    block for each, with their ``(Text, Labels)`` pairs.  One sentence in
+    three carries random tags, so reading them with --from-tags meets orphan
+    I tags and kind switches."""
     root = tmp_path_factory.mktemp("decode")
     rng = np.random.default_rng(45)
     corpus = build_rule_corpus(rng, 160, prefix="s")
-    corpus += [(Sentence.from_text(f"s{161 + i}", text), None)
+    corpus += [(Text(f"s{161 + i}", text), None)
                for i, text in enumerate(['右上肺"见\\斑片影', "支气管\u2028积液𠀀", "食管"])]
     pairs = []
     for i, (sentence, tags) in enumerate(corpus):
         if tags is None or i % 3 == 0:
             random_tags = rng.integers(0, 7, len(sentence))
-            tags = TagSequence(sentence.id, [TAG_LABELS[t] for t in random_tags])
+            tags = Labels(bytes(random_tags.tolist()))
         pairs.append((sentence, tags))
     paths = {"text": root / "input.txt", "tsv": root / "input.tsv", "emissions": root / "em.txt"}
     paths["text"].write_text("".join(s.text + "\n" for s, _ in pairs), encoding="utf-8")
-    write_tagged_flat(FlatCorpus.from_pairs(pairs), paths["tsv"])
+    write_tagged_flat(flat_corpus(pairs), paths["tsv"])
     write_emissions({s.id: 3 * rng.standard_normal((len(s), 7)) for s, _ in pairs},
                     paths["emissions"])
-    return paths
+    return {**paths, "pairs": pairs}
 
 
 class TestOutputsMatchPublicApi:
-    """``extract`` writes the bytes that the public per-sentence API gives:
-    Viterbi tags -> tags_to_entities -> match -> the json.dumps-per-record
-    reference writers.  It also writes the bytes of the test-side oracles,
-    which share no code with the batched run finder and matcher:
-    reference_tags_to_entities -> _synth.brute_force_match -> the same
-    writers."""
+    """``extract`` writes the bytes that the library functions give one
+    sentence at a time: Viterbi tags -> batch_entities -> match_arrays ->
+    the json.dumps-per-record reference writers.  It also writes the bytes
+    of the test-side oracles, which share no code with the batched run
+    finder and matcher: reference_tags_to_entities ->
+    _synth.brute_force_match -> the same writers."""
 
     CASES = {
         "text": [],
@@ -228,15 +226,15 @@ class TestOutputsMatchPublicApi:
         "emissions-file-no-constrain": ["--emissions-file", "{emissions}", "--no-constrain"],
     }
 
-    def reference_tags(self, case, model, pairs, emissions_path):
+    def reference_paths(self, case, model, pairs, emissions_path):
         constrain = "no-constrain" not in case
         if case == "from-tags":
-            return [tags for _, tags in pairs]
+            return [tags.indices for _, tags in pairs]
         if case.startswith("emissions-file"):
             blocks = read_emission_blocks(emissions_path)
             A = decoding_transitions(model.transitions, constrain)
-            return [tags_from_indices(s.id, viterbi(blocks[s.id], A, [len(s)])) for s, _ in pairs]
-        return [decode_sentence(model, s, constrain) for s, _ in pairs]
+            return [viterbi(blocks[s.id], A, [len(s)]).tobytes() for s, _ in pairs]
+        return [decode_sentence(model, s.text, constrain) for s, _ in pairs]
 
     @pytest.mark.parametrize("case", CASES)
     def test_extract_equals_reference_writers(self, workspace, decode_inputs, tmp_path, case):
@@ -249,13 +247,15 @@ class TestOutputsMatchPublicApi:
 
         model = load_model(workspace["model"])
         dictionary = read_dictionary(workspace["dict"])
-        pairs = read_tagged_flat(decode_inputs["tsv"]).pairs()
-        tag_sequences = self.reference_tags(case, model, pairs, decode_inputs["emissions"])
-        for name, entities_of, matcher in (("api", tags_to_entities, match),
-                                           ("oracle", reference_tags_to_entities, brute_force_match)):
+        pairs = decode_inputs["pairs"]
+        paths = self.reference_paths(case, model, pairs, decode_inputs["emissions"])
+        for name, matched in (
+                ("api", lambda s, path: match_entities(entities_of(s.text, path), dictionary)),
+                ("oracle", lambda s, path: brute_force_match(
+                    s, reference_tags_to_entities(s.text, tags_of(path)), dictionary))):
             quads, quad_ids, relations, relation_ids = [], [], [], []
-            for (sentence, _), tags in zip(pairs, tag_sequences):
-                rels, qs = matcher(sentence, entities_of(sentence, tags), dictionary)
+            for (sentence, _), path in zip(pairs, paths):
+                rels, qs = matched(sentence, path)
                 quads += qs
                 quad_ids += [sentence.id] * len(qs)
                 relations += rels
@@ -304,7 +304,7 @@ class TestOutputsMatchPublicApi:
             tags = np.zeros(len(chars), np.intp)
             for start in range(1, len(chars) - 2, 4):   # B-X I-X runs of each kind
                 tags[start:start + 2] = [2 * (i + start) % 6 + 1, 2 * (i + start) % 6 + 2]
-            sentences.append(Sentence.from_text(f"s{i + 1}", "肺" + "".join(chars)))
+            sentences.append(Text(f"s{i + 1}", "肺" + "".join(chars)))
             blocks.append(50.0 * np.eye(7)[np.append(0, tags)])
         text, emissions = tmp_path / "in.txt", tmp_path / "em.txt"
         text.write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
@@ -318,8 +318,8 @@ class TestOutputsMatchPublicApi:
         quads, quad_ids, relations, relation_ids, texts = [], [], [], [], set()
         for sentence, block in zip(sentences, blocks):
             path = viterbi(block, decoding_transitions(model.transitions, True), [len(block)])
-            entities = tags_to_entities(sentence, tags_from_indices(sentence.id, path))
-            rels, qs = match(sentence, entities, dictionary)
+            entities = entities_of(sentence.text, path)
+            rels, qs = match_entities(entities, dictionary)
             texts.update(e.text for e in entities)
             quads += qs
             quad_ids += [sentence.id] * len(qs)
@@ -347,8 +347,8 @@ class TestOutputsMatchPublicApi:
                          "--out", str(tagged), *flags]) == 0
             outputs.add(tagged.read_bytes())
         assert len(outputs) == 1
-        assert [s.text for s, _ in read_tagged_flat(tagged).pairs()] == \
-            [s.text for s, _ in read_tagged_flat(decode_inputs["tsv"]).pairs()]
+        assert sentence_texts(read_tagged_flat(tagged)) == \
+            sentence_texts(read_tagged_flat(decode_inputs["tsv"]))
 
     @pytest.mark.parametrize("constrain", [[], ["--no-constrain"]])
     def test_tag_is_identical_with_the_models_own_emissions_file(
@@ -392,7 +392,7 @@ def test_tag_on_text_equals_a_line_split_oracle(workspace, tmp_path, lines, ends
     with open(source, encoding="utf-8-sig") as fh:
         texts = [text for text in fh.read().split("\n") if text]
     blocks = ["".join(f"{ch}\t{label}\n" for ch, label
-                      in zip(text, decode_sentence(model, Sentence(f"s{i}", text)).tags))
+                      in zip(text, tags_of(decode_sentence(model, text))))
               for i, text in enumerate(texts, 1)]
     expected = "\ufeff" * texts[0].startswith("\ufeff") + "\n".join(blocks) if texts else ""
     assert out.read_bytes() == expected.encode("utf-8")
@@ -411,14 +411,15 @@ class TestReadmeLibrarySnippet:
         shutil.copy(workspace["dict"], "parts.txt")
         namespace = {}
         exec(snippet, namespace)
-        sentence, tags, quadruples = (namespace[k] for k in ("sentence", "tags", "quadruples"))
-        Path("input.txt").write_text(sentence.text + "\n", encoding="utf-8")
+        corpus, path, quadruples = (namespace[k] for k in ("corpus", "path", "quadruples"))
+        Path("input.txt").write_text(corpus.text + "\n", encoding="utf-8")
         assert main(["tag", "input.txt", "--model", "model.json", "--out", "tagged.tsv"]) == 0
         assert main(["extract", "input.txt", "--model", "model.json", "--dict", "parts.txt",
                      "--out", "quads.jsonl"]) == 0
-        assert read_tagged_flat("tagged.tsv").pairs() == [(sentence, tags)]
+        tagged = read_tagged_flat("tagged.tsv")
+        assert (tagged.text, tagged.indices) == (corpus.text, path.tobytes())
         assert quadruples
-        write_quadruples(quadruples, "snippet.jsonl", sentence_ids=[sentence.id] * len(quadruples))
+        write_quadruples(quadruples, "snippet.jsonl", sentence_ids=corpus.ids * len(quadruples))
         assert Path("quads.jsonl").read_bytes() == Path("snippet.jsonl").read_bytes()
 
 
@@ -437,8 +438,7 @@ class TestTagAndExtract:
         code = main(["tag", str(text_path), "--model", str(workspace["model"]),
                      "--out", str(out)])
         assert code == 0
-        tagged = read_tagged_flat(out).pairs()
-        assert [s.text for s, _ in tagged] == [s.text for s, _ in corpus]
+        assert sentence_texts(read_tagged_flat(out)) == [s.text for s, _ in corpus]
 
     def test_tag_then_extract_equals_extract(self, workspace, tmp_path):
         text_path, _ = self.write_input(workspace, tmp_path)
@@ -491,7 +491,7 @@ class TestTagAndExtract:
         assert main(["tag", str(text_path), "--model", str(workspace["model"]),
                      "--out", str(out)]) == 0
         assert main(["eval", "--pred", str(out), "--gold", str(out)]) == 0
-        assert [s.text for s, _ in read_tagged_flat(out).pairs()] == ["左肺\t见斑影"]
+        assert sentence_texts(read_tagged_flat(out)) == ["左肺\t见斑影"]
 
     def test_empty_input_gives_empty_outputs(self, workspace, tmp_path):
         empty = tmp_path / "empty.txt"
@@ -559,8 +559,7 @@ class TestTagAndExtract:
                   "--dict", str(workspace["dict"]), "--out", str(tmp_path / "q.jsonl")])
 
     def test_external_emissions_drive_decoding(self, tmp_path):
-        sentence = Sentence.from_text("s1", "肺影好")
-        vocab = FeatureVocabulary.build(sentence.text, [len(sentence)])
+        vocab = FeatureVocabulary.build("肺影好", [3])
         model = TaggerModel(
             vocab, LinearScorerParams.zeros(vocab.size), TransitionMatrix.zeros()
         )
@@ -580,7 +579,7 @@ class TestTagAndExtract:
         code = main(["tag", str(text_path), "--model", str(model_path),
                      "--emissions-file", str(emissions_path), "--out", str(out)])
         assert code == 0
-        assert read_tagged_flat(out).pairs()[0][1].tags == forced
+        assert tags_of(read_tagged_flat(out).indices) == forced
 
     def run_with_emissions(self, workspace, tmp_path, texts, blocks):
         text_path = tmp_path / "input.txt"
@@ -650,7 +649,7 @@ class TestTagAndExtract:
 
     def test_from_tags_with_emissions_file_is_usage_error(self, workspace, tmp_path, capsys):
         _, corpus = self.write_input(workspace, tmp_path, count=2)
-        write_tagged_flat(FlatCorpus.from_pairs(corpus), tmp_path / "input.tsv")
+        write_tagged_flat(flat_corpus(corpus), tmp_path / "input.tsv")
         code = main(["extract", str(tmp_path / "input.tsv"), "--input-format", "tsv",
                      "--from-tags", "--emissions-file", str(tmp_path / "absent.txt"),
                      "--model", str(workspace["model"]), "--dict", str(workspace["dict"]),
@@ -717,7 +716,7 @@ class TestTagAndExtract:
                          "--jobs", jobs]) == 0
             outputs[jobs] = [path.read_bytes() for path in (quads, relations, tagged)]
         assert outputs["2"] == outputs["1"]
-        assert [s.text for s, _ in read_tagged_flat(tmp_path / "t2.tsv").pairs()] == texts
+        assert sentence_texts(read_tagged_flat(tmp_path / "t2.tsv")) == texts
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, workspace, tmp_path, capsys, jobs):
@@ -821,17 +820,16 @@ class TestTagAndExtract:
         assert str(model_path) in err and "JSON object" in err
 
 
-def write_entity_corpus(path, sentence, entities):
-    tags = entities_to_tags(sentence, entities)
-    write_tagged_flat(FlatCorpus.from_pairs([(sentence, tags)]), path)
+def write_entity_corpus(path, text, entities):
+    write_tagged_flat(FlatCorpus(text, [len(text)], encode(len(text), entities)), path)
 
 
 @pytest.fixture
 def metric_fixture(tmp_path):
-    sentence = Sentence("s1", tuple("字" for _ in range(14)))
+    sentence = "字" * 14
 
     def e(kind, start, end):
-        return Entity(kind, start, end, sentence.text[start:end])
+        return Entity(kind, start, end, sentence[start:end])
 
     gold = [e("P", 0, 2), e("P", 3, 5), e("Abn", 6, 8), e("D", 9, 10)]
     pred = [e("P", 0, 2), e("Abn", 11, 13)]
@@ -870,7 +868,7 @@ class TestEval:
 
     def test_sentence_mismatch_exits_2(self, metric_fixture, tmp_path, capsys):
         pred_path, gold_path = metric_fixture
-        other = Sentence("s1", tuple("别" for _ in range(9)))
+        other = "别" * 9
         other_path = tmp_path / "other.tsv"
         write_entity_corpus(other_path, other, [])
         code = main(["eval", "--pred", str(pred_path), "--gold", str(other_path)])
@@ -994,10 +992,10 @@ class TestEval:
         assert "P=50.00 R=100.00 F1=66.67" in capsys.readouterr().out
 
     def test_agreement_mode(self, tmp_path, capsys):
-        sentence = Sentence("s1", tuple("字" for _ in range(10)))
+        sentence = "字" * 10
 
         def e(kind, start, end):
-            return Entity(kind, start, end, sentence.text[start:end])
+            return Entity(kind, start, end, sentence[start:end])
 
         annot_a = [e("P", 0, 2), e("D", 3, 4), e("Abn", 5, 7), e("P", 8, 9)]
         annot_b = [e("P", 0, 2), e("D", 3, 4)]
@@ -1038,10 +1036,10 @@ class TestEval:
             assert capsys.readouterr().out == f"agreement {agreement_f1(*entities)}\n"
 
     def test_errors_subcommand_with_csv(self, tmp_path, capsys):
-        sentence = Sentence("s1", tuple("字" for _ in range(12)))
+        sentence = "字" * 12
 
         def e(kind, start, end):
-            return Entity(kind, start, end, sentence.text[start:end])
+            return Entity(kind, start, end, sentence[start:end])
 
         gold_path, pred_path = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
         write_entity_corpus(gold_path, sentence, [e("D", 2, 4), e("Abn", 6, 9)])
@@ -1086,15 +1084,14 @@ class TestByteOrderMark:
 
     @pytest.fixture
     def inputs(self, workspace, decode_inputs, tmp_path):
-        sentence = Sentence.from_text("s1", OCCLUSION_TEXT)
-        tags = TagSequence("s1", OCCLUSION_LABELS)
-        relations, _ = match(sentence, tags_to_entities(sentence, tags),
-                             read_dictionary(workspace["dict"]))
+        path = path_of(OCCLUSION_LABELS)
+        relations, _ = match_entities(entities_of(OCCLUSION_TEXT, path),
+                                      read_dictionary(workspace["dict"]))
         paths = {"text": decode_inputs["text"], "emissions": decode_inputs["emissions"],
                  "tsv": tmp_path / "gold.tsv", "dict": workspace["dict"],
                  "relations": tmp_path / "relations.jsonl", "model": workspace["model"],
                  "config": tmp_path / "config.json"}
-        write_tagged_flat(FlatCorpus.from_pairs([(sentence, tags)]), paths["tsv"])
+        write_tagged_flat(FlatCorpus(OCCLUSION_TEXT, [len(OCCLUSION_TEXT)], path), paths["tsv"])
         write_relations(relations, paths["relations"], sentence_ids=["s1"] * len(relations))
         paths["config"].write_text('{"constrain": false, "input_format": "text"}', encoding="utf-8")
         return paths

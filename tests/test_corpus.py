@@ -26,8 +26,6 @@ from radsigns.corpus import (
     RecordLines,
     Relation,
     SecondaryPartDictionary,
-    Sentence,
-    TagSequence,
     entity_to_dict,
     read_dictionary,
     read_emission_blocks,
@@ -39,14 +37,24 @@ from radsigns.corpus import (
     write_relations,
     write_tagged_flat,
 )
-from radsigns.tagscheme import tags_from_indices
 
+from _synth import Labels, Text, flat_corpus, path_of, tags_of
 from conftest import FIG_LABELS, FIG_TEXT
 
 
 def write_text(path, content):
     path.write_text(content, encoding="utf-8")
     return path
+
+
+def fields(flat):
+    return flat.text, flat.lengths.tolist(), flat.indices, flat.ids
+
+
+def rows_pairs(sentences):
+    """``(Text, Labels)`` pairs of lists of ``(character, label)`` rows."""
+    return [(Text(f"s{i}", "".join(c for c, _ in rows)), Labels(path_of(t for _, t in rows)))
+            for i, rows in enumerate(sentences, 1)]
 
 
 # sentence id characters: plain ones, whitespace of several kinds, a BOM and
@@ -68,20 +76,15 @@ CORPUS_CHARS = st.one_of(
 class TestTaggedCorpusReader:
     def test_example_sentence(self, tmp_path):
         lines = "".join(f"{c}\t{t}\n" for c, t in zip(FIG_TEXT, FIG_LABELS))
-        path = write_text(tmp_path / "corpus.tsv", lines)
-        pairs = read_tagged_flat(path).pairs()
-        assert len(pairs) == 1
-        sentence, tags = pairs[0]
-        assert len(sentence) == 16
-        assert sentence.text == FIG_TEXT
-        assert tags.tags == FIG_LABELS
+        flat = read_tagged_flat(write_text(tmp_path / "corpus.tsv", lines))
+        assert (flat.text, flat.lengths.tolist()) == (FIG_TEXT, [16])
+        assert tags_of(flat.indices) == FIG_LABELS
 
     def test_single_line_sentence(self, tmp_path):
         path = write_text(tmp_path / "one.tsv", "肺\tO\n")
-        pairs = read_tagged_flat(path).pairs()
-        assert len(pairs) == 1
-        assert len(pairs[0][0]) == 1
-        assert pairs[0][1].tags == ("O",)
+        flat = read_tagged_flat(path)
+        assert flat.lengths.tolist() == [1]
+        assert tags_of(flat.indices) == ("O",)
 
     def test_space_separated_line_is_malformed(self, tmp_path):
         path = write_text(tmp_path / "bad.tsv", "肺 O B-P\n")
@@ -105,22 +108,16 @@ class TestTaggedCorpusReader:
 
     def test_blank_lines_separate_sentences(self, tmp_path):
         path = write_text(tmp_path / "two.tsv", "肺\tO\n\n影\tB-Abn\n")
-        pairs = read_tagged_flat(path).pairs()
-        assert [s.text for s, _ in pairs] == ["肺", "影"]
-        assert [s.id for s, _ in pairs] == ["s1", "s2"]
+        flat = read_tagged_flat(path)
+        assert (flat.text, flat.lengths.tolist(), flat.ids) == ("肺影", [1, 1], ["s1", "s2"])
 
     def test_round_trip(self, tmp_path):
         lines = "".join(f"{c}\t{t}\n" for c, t in zip(FIG_TEXT, FIG_LABELS))
         lines += "\n肺\tO\n"
-        original = read_tagged_flat(write_text(tmp_path / "a.tsv", lines)).pairs()
+        original = read_tagged_flat(write_text(tmp_path / "a.tsv", lines))
         out = tmp_path / "b.tsv"
-        write_tagged_flat(FlatCorpus.from_pairs(original), out)
-        assert read_tagged_flat(out).pairs() == original
-
-    def test_writer_rejects_misaligned_tags(self, tmp_path):
-        pair = (Sentence.from_text("s1", "肺炎"), TagSequence("s1", ("O",)))
-        with pytest.raises(ValueError, match="2 chars but 1 tags"):
-            FlatCorpus.from_pairs([pair])
+        write_tagged_flat(original, out)
+        assert fields(read_tagged_flat(out)) == fields(original)
 
     def test_extra_field_names_path_and_line(self, tmp_path):
         path = write_text(tmp_path / "bad.tsv", "肺\tO\n肺\t炎\tO\n")
@@ -130,21 +127,13 @@ class TestTaggedCorpusReader:
 
     @pytest.mark.parametrize("char", ["\n", "\r"])
     def test_writer_rejects_line_breaks(self, tmp_path, char):
-        pair = (Sentence.from_text("s1", "肺" + char), TagSequence("s1", ("O", "O")))
-        with pytest.raises(ValueError, match="line break"):
-            write_tagged_flat(FlatCorpus.from_pairs([pair]), tmp_path / "out.tsv")
         with pytest.raises(ValueError, match="line break"):
             write_tagged_flat(FlatCorpus("肺" + char, [2], bytes(2)), tmp_path / "out.tsv")
 
     def test_writer_reports_the_first_bad_pair(self, tmp_path):
-        broken = (Sentence.from_text("b", "肺\n"), TagSequence("b", ("O", "O")))
-        short = (Sentence.from_text("c", "肺炎"), TagSequence("c", ("O",)))
-        fine = (Sentence.from_text("a", "肺"), TagSequence("a", ("O",)))
-        with pytest.raises(ValueError, match="sentence 'c': 2 chars but 1 tags"):
-            FlatCorpus.from_pairs([short, broken])
         # ids are positional: the first sentence with a line break is s2
         with pytest.raises(ValueError, match="sentence 's2': a line break"):
-            write_tagged_flat(FlatCorpus.from_pairs([fine, broken, broken]), tmp_path / "out.tsv")
+            write_tagged_flat(FlatCorpus("肺肺\n肺\n", [1, 2, 2], bytes(5)), tmp_path / "out.tsv")
         assert not (tmp_path / "out.tsv").exists()
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -153,11 +142,10 @@ class TestTaggedCorpusReader:
     @example(sentences=[[("\t", "O")], [("\ufeff", "B-P")]])
     @example(sentences=[[("\ufeff", "O"), ("\t", "B-P")]])
     def test_write_read_round_trip_is_exact(self, tmp_path, sentences):
-        pairs = [(Sentence(f"s{i}", [c for c, _ in rows]), TagSequence(f"s{i}", [t for _, t in rows]))
-                 for i, rows in enumerate(sentences, 1)]
+        flat = flat_corpus(rows_pairs(sentences))
         path = tmp_path / "c.tsv"
-        write_tagged_flat(FlatCorpus.from_pairs(pairs), path)
-        assert read_tagged_flat(path).pairs() == pairs
+        write_tagged_flat(flat, path)
+        assert fields(read_tagged_flat(path)) == fields(flat)
 
 
 def reference_lines(path):
@@ -184,8 +172,7 @@ def reference_read_tagged_corpus(path):
     for lineno, line in chain(reference_lines(path), [(0, "")]):
         if line == "":
             if chars:
-                sid = f"s{len(pairs) + 1}"
-                pairs.append((Sentence(sid, "".join(chars)), TagSequence(sid, tags)))
+                pairs.append((Text(f"s{len(pairs) + 1}", "".join(chars)), Labels(path_of(tags))))
                 chars, tags = [], []
             continue
         ch, tab, tag = line.rpartition("\t")
@@ -205,7 +192,7 @@ def reference_read_tagged_corpus(path):
 
 def reference_read_text_sentences(path):
     lines = [line for _, line in reference_lines(path) if line]
-    return [Sentence(f"s{i}", line) for i, line in enumerate(lines, 1)]
+    return [Text(f"s{i}", line) for i, line in enumerate(lines, 1)]
 
 
 def reference_write_tagged_corpus(pairs, path):
@@ -277,14 +264,10 @@ class TestFlatCorpusIO:
         expected = read_outcome(reference_read_tagged_corpus, path)
         flat = read_outcome(read_tagged_flat, path)
         if isinstance(expected, list):
-            assert flat.pairs() == expected
             assert flat.text == "".join(s.text for s, _ in expected)
             assert flat.indices == b"".join(t.indices for _, t in expected)
             assert flat.lengths.tolist() == [len(s) for s, _ in expected]
             assert flat.ids == [s.id for s, _ in expected]
-            joined = FlatCorpus.from_pairs(expected)
-            assert (joined.text, joined.lengths.tolist(), joined.indices, joined.ids) == (
-                flat.text, flat.lengths.tolist(), flat.indices, flat.ids)
         else:
             assert flat == expected
 
@@ -303,28 +286,18 @@ class TestFlatCorpusIO:
         path.write_bytes(content)
         expected = reference_read_text_sentences(path)
         flat = read_text_flat(path)
-        assert [s for s, _ in flat.pairs()] == expected
-        assert (flat.text, flat.lengths.tolist(), flat.indices) == (
-            "".join(s.text for s in expected), [len(s) for s in expected], None)
+        assert fields(flat) == ("".join(s.text for s in expected), [len(s) for s in expected], None,
+                                [s.id for s in expected])
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(sentences=st.lists(st.lists(st.tuples(CORPUS_CHARS, st.sampled_from(TAG_LABELS)),
                                        min_size=1, max_size=6), max_size=5))
     @example(sentences=[[("\ufeff", "O")], [("\ufeff", "I-Abn")]])
-    def test_flat_writer_bytes_equal_the_pair_writers(self, tmp_path, sentences):
-        # "pairs" writes the pairs through FlatCorpus.from_pairs
-        pairs = [(Sentence(f"s{i}", [c for c, _ in rows]), TagSequence(f"s{i}", [t for _, t in rows]))
-                 for i, rows in enumerate(sentences, 1)]
-        flat = FlatCorpus("".join(s.text for s, _ in pairs), [len(s) for s, _ in pairs],
-                          b"".join(t.indices for _, t in pairs))
-        written = {}
-        for name, write, value in (("flat", write_tagged_flat, flat),
-                                   ("pairs", lambda pairs, path: write_tagged_flat(
-                                       FlatCorpus.from_pairs(pairs), path), pairs),
-                                   ("reference", reference_write_tagged_corpus, pairs)):
-            write(value, tmp_path / name)
-            written[name] = (tmp_path / name).read_bytes()
-        assert written["flat"] == written["pairs"] == written["reference"]
+    def test_flat_writer_bytes_equal_the_reference_writer(self, tmp_path, sentences):
+        pairs = rows_pairs(sentences)
+        write_tagged_flat(flat_corpus(pairs), tmp_path / "flat")
+        reference_write_tagged_corpus(pairs, tmp_path / "reference")
+        assert (tmp_path / "flat").read_bytes() == (tmp_path / "reference").read_bytes()
 
     def test_a_bad_line_before_a_far_undecodable_byte_is_the_error(self, tmp_path):
         # text mode decodes 8 KB at a time: a byte past the first chunk is
@@ -345,8 +318,6 @@ class TestFlatCorpusIO:
         window = flat.window(1, 5)
         assert (window.text, window.lengths.tolist(), window.indices, window.ids) == (
             "bcdef", [2, 3], bytes([1, 2, 3, 4, 5]), ["s2", "s3"])
-        assert [(s.id, s.text, t.tags) for s, t in window.pairs()] == [
-            ("s2", "bc", ("B-P", "I-P")), ("s3", "def", ("B-D", "I-D", "B-Abn"))]
         with pytest.raises(ValueError):
             flat.lengths[0] = 6
         for lengths in ([1, 2, 2], [0, 6]):
@@ -868,6 +839,15 @@ class TestEmissions:
             write_emissions({"s1": np.zeros((1, 7)), sid: scores}, tmp_path / "e.txt")
         assert repr(sid) in str(raised.value)
 
+    def test_a_rejected_block_leaves_no_file_written(self, tmp_path):
+        blocks = {"s1": np.zeros((1, 7)), "x9": np.zeros((0, 7))}
+        new, old = tmp_path / "new.txt", write_text(tmp_path / "old.txt", "s0 1 7\n1 1 1 1 1 1 1\n")
+        for path in (new, old):
+            with pytest.raises(ValueError, match="'x9' must be n x 7"):
+                write_emissions(blocks, path)
+        assert not new.exists()
+        assert old.read_bytes() == b"s0 1 7\n1 1 1 1 1 1 1\n"
+
 
 class TestQuadrupleOutput:
     def test_full_quadruple_line(self, tmp_path, occlusion_entities):
@@ -893,14 +873,14 @@ class TestQuadrupleOutput:
         write_quadruples([], path)
         assert path.read_text(encoding="utf-8") == ""
 
-    def test_entity_offsets_stable_through_serialization(self, tmp_path, shadow_sentence, shadow_entities):
+    def test_entity_offsets_stable_through_serialization(self, tmp_path, shadow_entities):
         pp, d, abn = shadow_entities
         path = tmp_path / "q.jsonl"
         write_quadruples([Quadruple(pp, None, d, abn)], path)
         record = json.loads(path.read_text(encoding="utf-8"))
         for slot in ("pp", "d", "abn"):
             e = record[slot]
-            assert e["text"] == shadow_sentence.text[e["start"]:e["end"]]
+            assert e["text"] == FIG_TEXT[e["start"]:e["end"]]
 
 
 def reference_write_quadruples(quads, path, sentence_ids=None):
@@ -1087,8 +1067,8 @@ class TestTextInput:
     def test_blank_lines_skipped_and_bom_dropped(self, tmp_path):
         path = tmp_path / "in.txt"
         path.write_bytes("\ufeff肺炎\r\n\n右肺\n".encode("utf-8"))
-        assert [s for s, _ in read_text_flat(path).pairs()] == [Sentence.from_text("s1", "肺炎"),
-                                                                Sentence.from_text("s2", "右肺")]
+        flat = read_text_flat(path)
+        assert (flat.text, flat.lengths.tolist(), flat.ids) == ("肺炎右肺", [2, 2], ["s1", "s2"])
 
 
 array_readers = pytest.mark.parametrize("reader, content", [
@@ -1132,35 +1112,6 @@ class TestUndecodableBytes:
 
 
 class TestDomainTypes:
-    def test_sentence_must_be_non_empty(self):
-        with pytest.raises(ValueError):
-            Sentence("s1", ())
-
-    def test_tag_sequence_validates_labels(self):
-        with pytest.raises(ValueError, match="unknown tag"):
-            TagSequence("s1", ("O", "B-X"))
-
-    @given(text=st.text(CORPUS_CHARS, min_size=1, max_size=8),
-           labels=st.lists(st.sampled_from(TAG_LABELS), min_size=1, max_size=8))
-    def test_stored_fields_give_back_the_views(self, text, labels):
-        sentence = Sentence("s1", tuple(text))
-        assert sentence == Sentence("s1", text) == Sentence.from_text("s1", text)
-        assert sentence.text == text
-        assert type(sentence.chars) is tuple and sentence.chars == tuple(text)
-        tags = TagSequence("s1", labels)
-        assert type(tags.tags) is tuple and tags.tags == tuple(labels)
-        assert tags_from_indices("s1", [TAG_LABELS.index(t) for t in labels]) == tags
-
-    @pytest.mark.parametrize("elements", [["ab"], ["", "ab"], [1], [], ""])
-    def test_sentence_rejects_other_than_single_characters(self, elements):
-        with pytest.raises(ValueError):
-            Sentence("s1", elements)
-
-    @pytest.mark.parametrize("labels", [["ab"], ["", "ab"], [1], ["O", "B-X"], [["O"]], []])
-    def test_tag_sequence_rejects_other_than_labels(self, labels):
-        with pytest.raises(ValueError):
-            TagSequence("s1", labels)
-
     def test_entity_span_and_text_must_agree(self):
         with pytest.raises(ValueError):
             Entity("P", 2, 2, "")

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from radsigns import crf
 
-from radsigns.corpus import CorpusFormatError, Sentence
+from radsigns.corpus import TAG_INDEX, CorpusFormatError
 from radsigns.crf import (
     END,
     START,
@@ -26,10 +26,8 @@ from radsigns.crf import (
     viterbi,
 )
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
-from radsigns.tagscheme import TAG_INDEX, tags_from_indices
-from radsigns.tagscheme import validate_path
 
-from _synth import brute_force_argmax, brute_force_log_partition, enumerate_paths
+from _synth import bio_violations, brute_force_argmax, brute_force_log_partition, enumerate_paths, tags_of
 from conftest import decode_sentence
 
 
@@ -292,16 +290,16 @@ class TestViterbi:
             scores[:, inside] += 3.0  # bait the decoder toward inside tags
             tm = TransitionMatrix(rng.standard_normal((9, 9)))
             decoded = viterbi(scores, decoding_transitions(tm, True), [n])
-            assert validate_path(tags_from_indices("x", decoded)) == []
+            assert bio_violations(decoded) == []
 
     def test_unconstrained_can_violate_bio(self):
         scores = np.zeros((2, 7))
         scores[0, TAG_INDEX["O"]] = 5.0
         scores[1, TAG_INDEX["I-P"]] = 5.0
         free = viterbi(scores, decoding_transitions(TransitionMatrix.zeros(), False), [2])
-        assert tags_from_indices("x", free).tags == ("O", "I-P")
+        assert tags_of(free) == ("O", "I-P")
         constrained = viterbi(scores, decoding_transitions(TransitionMatrix.zeros(), True), [2])
-        assert validate_path(tags_from_indices("x", constrained)) == []
+        assert bio_violations(constrained) == []
 
     def test_mask_shape_and_content(self):
         mask = BIO_TRANSITION_MASK
@@ -319,7 +317,7 @@ class TestViterbi:
 
     def test_all_zero_decodes_to_all_o(self):
         decoded = viterbi(np.zeros((4, 7)), np.zeros((9, 9)), [4])
-        assert tags_from_indices("x", decoded).tags == ("O",) * 4
+        assert tags_of(decoded) == ("O",) * 4
 
 
 class TestBatch:
@@ -531,7 +529,7 @@ class TestFlatViterbi:
         for row, emissions in zip(split_path(path, lengths), rows):
             assert row == loop_viterbi(emissions, A)
             if constrain:
-                assert validate_path(tags_from_indices("x", row)) == []
+                assert bio_violations(row) == []
             if len(row) <= 4:
                 paths, scores = enumerate_paths(emissions, A)
                 if ties:   # integer scores are exact in any order of summation
@@ -609,19 +607,19 @@ class TestDistributionProperties:
 
 class TestModelPersistence:
     def build_model(self):
-        sentence = Sentence.from_text("s1", "右上肺见阴影。")
-        vocab = FeatureVocabulary.build(sentence.text, [len(sentence)])
+        text = "右上肺见阴影。"
+        vocab = FeatureVocabulary.build(text, [len(text)])
         rng = np.random.default_rng(60)
         weights = LinearScorerParams(rng.standard_normal((vocab.size, 7)))
         transitions = TransitionMatrix(rng.standard_normal((9, 9)))
-        return sentence, TaggerModel(vocab, weights, transitions)
+        return text, TaggerModel(vocab, weights, transitions)
 
     def test_round_trip_preserves_decoding(self, tmp_path):
-        sentence, model = self.build_model()
+        text, model = self.build_model()
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert decode_sentence(loaded, sentence) == decode_sentence(model, sentence)
+        assert decode_sentence(loaded, text) == decode_sentence(model, text)
         np.testing.assert_array_equal(
             loaded.weights.weights, model.weights.weights
         )

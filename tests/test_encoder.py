@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radsigns.corpus import Sentence
+from radsigns.corpus import TAG_INDEX
 from radsigns.encoder import (
     FEATURES_PER_POSITION,
     PAD,
@@ -18,25 +18,26 @@ from radsigns.encoder import (
     score_ids,
     text_feature_ids,
 )
-from radsigns.tagscheme import TAG_INDEX
+
+from conftest import FIG_TEXT, OCCLUSION_TEXT
 
 
-def reference_feature_ids(vocab, sentence):
+def reference_feature_ids(vocab, text):
     """The string path: every position's feature strings looked up one by one."""
-    ids = np.empty((len(sentence), FEATURES_PER_POSITION), dtype=np.intp)
-    for i in range(len(sentence)):
-        for j, feature in enumerate(extract_features(sentence, i)):
+    ids = np.empty((len(text), FEATURES_PER_POSITION), dtype=np.intp)
+    for i in range(len(text)):
+        for j, feature in enumerate(extract_features(text, i)):
             ids[i, j] = vocab.index.get(feature, vocab.unk_index)
     return ids
 
 
-def reference_build(sentences):
+def reference_build(texts):
     """The string loop: every position's feature strings numbered in order
     of first appearance, after ``<unk>`` at 0."""
     index = {UNK: 0}
-    for sentence in sentences:
-        for i in range(len(sentence)):
-            for feature in extract_features(sentence, i):
+    for text in texts:
+        for i in range(len(text)):
+            for feature in extract_features(text, i):
                 index.setdefault(feature, len(index))
     return index
 
@@ -78,36 +79,36 @@ def vocabularies(draw):
 
 
 class TestFeatureExtraction:
-    def test_sentence_start_uses_pad_sentinel(self, shadow_sentence):
-        features = extract_features(shadow_sentence, 0)
+    def test_sentence_start_uses_pad_sentinel(self):
+        features = extract_features(FIG_TEXT, 0)
         assert f"c-1={PAD}" in features
         assert f"c-2={PAD}" in features
 
-    def test_sentence_end_uses_pad_sentinel(self, shadow_sentence):
-        features = extract_features(shadow_sentence, len(shadow_sentence) - 1)
+    def test_sentence_end_uses_pad_sentinel(self):
+        features = extract_features(FIG_TEXT, len(FIG_TEXT) - 1)
         assert f"c+1={PAD}" in features
         assert f"bi0=。{PAD}" in features
 
-    def test_example_position_zero(self, shadow_sentence):
-        features = extract_features(shadow_sentence, 0)
+    def test_example_position_zero(self):
+        features = extract_features(FIG_TEXT, 0)
         assert "c0=右" in features
         assert "c+1=上" in features
         assert "bi0=右上" in features
 
-    def test_deterministic(self, shadow_sentence):
-        a = extract_features(shadow_sentence, 5)
-        b = extract_features(shadow_sentence, 5)
+    def test_deterministic(self):
+        a = extract_features(FIG_TEXT, 5)
+        b = extract_features(FIG_TEXT, 5)
         assert a == b
 
-    def test_fixed_feature_count(self, shadow_sentence):
-        for i in range(len(shadow_sentence)):
-            assert len(extract_features(shadow_sentence, i)) == FEATURES_PER_POSITION
+    def test_fixed_feature_count(self):
+        for i in range(len(FIG_TEXT)):
+            assert len(extract_features(FIG_TEXT, i)) == FEATURES_PER_POSITION
 
-    def test_out_of_range_rejected(self, shadow_sentence):
+    def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            extract_features(shadow_sentence, -1)
+            extract_features(FIG_TEXT, -1)
         with pytest.raises(ValueError):
-            extract_features(shadow_sentence, len(shadow_sentence))
+            extract_features(FIG_TEXT, len(FIG_TEXT))
 
     def test_char_classes(self):
         assert char_class("3") == "digit"
@@ -119,18 +120,17 @@ class TestFeatureExtraction:
 
 
 class TestFeatureVocabulary:
-    def test_build_covers_training_features(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+    def test_build_covers_training_features(self):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         assert vocab.lookup("c0=右") != vocab.unk_index
         assert vocab.lookup("bias") != vocab.unk_index
 
-    def test_unknown_features_fold_into_unk(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+    def test_unknown_features_fold_into_unk(self):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         assert vocab.lookup("c0=肝") == vocab.unk_index
 
-    def test_build_is_deterministic(self, shadow_sentence, occlusion_sentence):
-        sentences = [shadow_sentence, occlusion_sentence]
-        text, lengths = "".join(s.text for s in sentences), [len(s) for s in sentences]
+    def test_build_is_deterministic(self):
+        text, lengths = FIG_TEXT + OCCLUSION_TEXT, [len(FIG_TEXT), len(OCCLUSION_TEXT)]
         a = FeatureVocabulary.build(text, lengths)
         b = FeatureVocabulary.build(text, lengths)
         assert a.index == b.index
@@ -139,9 +139,8 @@ class TestFeatureVocabulary:
     @given(st.lists(st.text(SEEN + UNSEEN + "\t", min_size=1, max_size=9), max_size=6)
            .map(lambda texts: texts + texts[::2]))   # with repeated sentences
     def test_build_equals_the_string_loop(self, texts):
-        sentences = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
         built = FeatureVocabulary.build("".join(texts), [len(t) for t in texts])
-        assert list(built.index.items()) == list(reference_build(sentences).items())
+        assert list(built.index.items()) == list(reference_build(texts).items())
         assert built.unk_index == 0
 
     def test_build_of_nothing_holds_only_unk(self):
@@ -166,36 +165,33 @@ class TestFeatureVocabulary:
         with pytest.raises(ValueError, match="injective"):
             FeatureVocabulary({"a": 0, "b": 0})
 
-    def test_feature_ids_shape(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
-        ids = text_feature_ids(vocab, shadow_sentence.text, [len(shadow_sentence)])
-        assert ids.shape == (len(shadow_sentence), FEATURES_PER_POSITION)
+    def test_feature_ids_shape(self):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
+        ids = text_feature_ids(vocab, FIG_TEXT, [len(FIG_TEXT)])
+        assert ids.shape == (len(FIG_TEXT), FEATURES_PER_POSITION)
 
 
 class TestFeatureIdBatch:
     @settings(max_examples=300, deadline=None)
     @given(vocab=vocabularies(), texts=sentences(SEEN + UNSEEN, max_size=12))
     def test_matches_string_lookups_laid_end_to_end(self, vocab, texts):
-        batch = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
         ids = text_feature_ids(vocab, "".join(texts), [len(t) for t in texts])
-        expected = np.concatenate([reference_feature_ids(vocab, s) for s in batch])
+        expected = np.concatenate([reference_feature_ids(vocab, t) for t in texts])
         assert ids.dtype == np.intp
         np.testing.assert_array_equal(ids, expected)
 
     @settings(max_examples=100, deadline=None)
     @given(vocab=vocabularies(), text=st.text(SEEN + UNSEEN, min_size=1, max_size=12))
     def test_single_sentence_method_matches_string_lookups(self, vocab, text):
-        sentence = Sentence.from_text("s1", text)
         np.testing.assert_array_equal(text_feature_ids(vocab, text, [len(text)]),
-                                      reference_feature_ids(vocab, sentence))
+                                      reference_feature_ids(vocab, text))
 
     @settings(max_examples=200, deadline=None)
     @given(train=sentences(SEEN), texts=sentences(SEEN + UNSEEN, max_size=12))
     def test_built_and_parsed_tables_agree(self, train, texts):
         built = FeatureVocabulary.build("".join(train), [len(t) for t in train])
         parsed = FeatureVocabulary(built.index, built.unk_index)
-        batch = [Sentence.from_text(f"s{k}", t) for k, t in enumerate(texts)]
-        expected = np.concatenate([reference_feature_ids(built, s) for s in batch])
+        expected = np.concatenate([reference_feature_ids(built, t) for t in texts])
         lengths = [len(t) for t in texts]
         np.testing.assert_array_equal(text_feature_ids(built, "".join(texts), lengths), expected)
         np.testing.assert_array_equal(text_feature_ids(parsed, "".join(texts), lengths), expected)
@@ -203,14 +199,14 @@ class TestFeatureIdBatch:
     def test_an_empty_alphabet_knows_no_character(self):
         # no feature names a character, so U+0000 and the last code point
         # fall into their classes like any other character
-        batch = [Sentence.from_text("s1", "\x00" + UNSEEN), Sentence.from_text("s2", "\x001\U0010ffff")]
-        text, lengths = "".join(s.text for s in batch), [len(s) for s in batch]
+        batch = ["\x00" + UNSEEN, "\x001\U0010ffff"]
+        text, lengths = "".join(batch), [len(t) for t in batch]
         ids = text_feature_ids(FeatureVocabulary.build("", []), text, lengths)
         np.testing.assert_array_equal(ids, 0)
         vocab = FeatureVocabulary({UNK: 0, "cls0=digit": 1, "cls0=other": 2, "bias": 3})
         ids = text_feature_ids(vocab, text, lengths)
-        np.testing.assert_array_equal(ids, np.concatenate([reference_feature_ids(vocab, s)
-                                                           for s in batch]))
+        np.testing.assert_array_equal(ids, np.concatenate([reference_feature_ids(vocab, t)
+                                                           for t in batch]))
         assert ids[0, 7] == ids[-1, 7] == 2 and ids[-2, 7] == 1
 
     def test_never_firing_strings_stay_unk(self):
@@ -219,53 +215,52 @@ class TestFeatureIdBatch:
         np.testing.assert_array_equal(ids, 0)
 
     @pytest.mark.parametrize("text, lengths", BAD_LENGTHS)
-    def test_rejects_lengths_that_do_not_cover_the_text(self, shadow_sentence, text, lengths):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+    def test_rejects_lengths_that_do_not_cover_the_text(self, text, lengths):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         with pytest.raises(ValueError, match=bad_lengths_message(text)):
             text_feature_ids(vocab, text, lengths)
 
-    def test_empty_batch(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+    def test_empty_batch(self):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         ids = text_feature_ids(vocab, "", [])
         assert ids.shape == (0, FEATURES_PER_POSITION)
 
 
 class TestScoreIds:
-    def test_zero_weights_give_zero_scores(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+    def test_zero_weights_give_zero_scores(self):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         params = LinearScorerParams.zeros(vocab.size)
-        ids = text_feature_ids(vocab, shadow_sentence.text, [len(shadow_sentence)])
+        ids = text_feature_ids(vocab, FIG_TEXT, [len(FIG_TEXT)])
         emissions = score_ids(params.weights, ids)
-        assert emissions.shape == (len(shadow_sentence), 7)
+        assert emissions.shape == (len(FIG_TEXT), 7)
         np.testing.assert_array_equal(emissions, 0.0)
 
-    def test_sparse_dot_product_hand_evaluated(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+    def test_sparse_dot_product_hand_evaluated(self):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         weights = np.zeros((vocab.size, 7))
         b_p = TAG_INDEX["B-P"]
         weights[vocab.lookup("c0=右"), b_p] = 2.0
         weights[vocab.lookup("bias"), b_p] = 0.5
-        ids = text_feature_ids(vocab, shadow_sentence.text, [len(shadow_sentence)])
+        ids = text_feature_ids(vocab, FIG_TEXT, [len(FIG_TEXT)])
         emissions = score_ids(weights, ids)
         # position 0 fires both features, every other position only the bias
         assert emissions[0, b_p] == pytest.approx(2.5)
         assert emissions[1, b_p] == pytest.approx(0.5)
 
-    def test_scoring_is_linear_in_weights(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+    def test_scoring_is_linear_in_weights(self):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         rng = np.random.default_rng(3)
         w1 = rng.standard_normal((vocab.size, 7))
         w2 = rng.standard_normal((vocab.size, 7))
         a, b = 0.7, -1.3
-        ids = text_feature_ids(vocab, shadow_sentence.text, [len(shadow_sentence)])
+        ids = text_feature_ids(vocab, FIG_TEXT, [len(FIG_TEXT)])
         combined = score_ids(a * w1 + b * w2, ids)
         parts = a * score_ids(w1, ids) + b * score_ids(w2, ids)
         np.testing.assert_allclose(combined, parts, atol=1e-12)
 
-    def test_unseen_characters_score_finite(self, shadow_sentence):
-        vocab = FeatureVocabulary.build(shadow_sentence.text, [len(shadow_sentence)])
+    def test_unseen_characters_score_finite(self):
+        vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         rng = np.random.default_rng(4)
         params = LinearScorerParams(rng.standard_normal((vocab.size, 7)))
-        unseen = Sentence.from_text("s9", "肝胆胰脾")
-        emissions = score_ids(params.weights, text_feature_ids(vocab, unseen.text, [len(unseen)]))
+        emissions = score_ids(params.weights, text_feature_ids(vocab, "肝胆胰脾", [4]))
         assert np.isfinite(emissions).all()

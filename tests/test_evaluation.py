@@ -12,7 +12,6 @@ from radsigns.corpus import (
     RELATION_KINDS,
     Entity,
     Relation,
-    Sentence,
 )
 from radsigns.evaluation import (
     CONFUSION_AXES,
@@ -248,14 +247,14 @@ class TestAgreement:
         assert scores.recall == pytest.approx(100.0)
 
 
-def span(sentence, kind, start, end):
-    return Entity(kind, start, end, sentence.text[start:end])
+def span(text, kind, start, end):
+    return Entity(kind, start, end, text[start:end])
 
 
 class TestClassifyErrors:
     def test_type_error_same_span_wrong_kind(self):
         # the degree span is output with a body-part label
-        s = Sentence.from_text("s1", "食管全程扩张，局部较前增著")
+        s = "食管全程扩张，局部较前增著"
         gold = {"s1": [span(s, "D", 2, 4)]}
         pred = {"s1": [span(s, "P", 2, 4)]}
         records, confusion, summary = classify_errors(pred, gold)
@@ -267,7 +266,7 @@ class TestClassifyErrors:
 
     def test_long_extent_error(self):
         # output span swallows the following punctuation character
-        s = Sentence.from_text("s1", "肝、胆无异常")
+        s = "肝、胆无异常"
         gold = {"s1": [span(s, "P", 0, 1)]}
         pred = {"s1": [span(s, "P", 0, 2)]}
         records, _, summary = classify_errors(pred, gold)
@@ -276,21 +275,21 @@ class TestClassifyErrors:
         assert summary.category_counts["MISSING"] == 0
 
     def test_short_extent_error(self):
-        s = Sentence.from_text("s1", "食管下端区域")
+        s = "食管下端区域"
         gold = {"s1": [span(s, "P", 0, 4)]}
         pred = {"s1": [span(s, "P", 0, 2)]}
         records, _, _ = classify_errors(pred, gold)
         assert [(r.category, r.extent_subtype) for r in records] == [("EXTENT", "SHORT")]
 
     def test_straddling_extent_error(self):
-        s = Sentence.from_text("s1", "左肺下叶背段")
+        s = "左肺下叶背段"
         gold = {"s1": [span(s, "P", 0, 4)]}
         pred = {"s1": [span(s, "P", 2, 6)]}
         records, _, _ = classify_errors(pred, gold)
         assert [(r.category, r.extent_subtype) for r in records] == [("EXTENT", "S&L")]
 
     def test_spurious_and_missing(self):
-        s = Sentence.from_text("s1", "两肺膨胀良好食糜及液体潴留")
+        s = "两肺膨胀良好食糜及液体潴留"
         gold = {"s1": [span(s, "Abn", 6, 13)]}
         pred = {"s1": [span(s, "P", 0, 2)]}
         records, confusion, summary = classify_errors(pred, gold)
@@ -304,7 +303,7 @@ class TestClassifyErrors:
     def test_one_prediction_covering_two_golds(self):
         # one output span covering two gold parts: extent error against the
         # larger-overlap gold, the other gold goes missing
-        s = Sentence.from_text("s1", "食管下端贲门区未见异常")
+        s = "食管下端贲门区未见异常"
         gold = {"s1": [span(s, "P", 0, 4), span(s, "P", 4, 7)]}
         pred = {"s1": [span(s, "P", 0, 7)]}
         records, confusion, _ = classify_errors(pred, gold)
@@ -325,14 +324,14 @@ class TestClassifyErrors:
             ("SPURIOUS", None), ("MISSING", ent("D", 0, 2)), ("MISSING", ent("P", 2, 4))]
 
     def test_overlap_with_kind_and_span_mismatch_is_spurious_plus_missing(self):
-        s = Sentence.from_text("s1", "左肺纹理增多")
+        s = "左肺纹理增多"
         gold = {"s1": [span(s, "Abn", 2, 6)]}
         pred = {"s1": [span(s, "P", 0, 4)]}
         records, _, _ = classify_errors(pred, gold)
         assert sorted(r.category for r in records) == ["MISSING", "SPURIOUS"]
 
     def test_identity_yields_no_records_and_diagonal_matrix(self):
-        s = Sentence.from_text("s1", "右上肺见多发斑片状密影。")
+        s = "右上肺见多发斑片状密影。"
         gold = {
             "s1": [span(s, "P", 0, 3), span(s, "D", 4, 6), span(s, "Abn", 6, 11)]
         }
@@ -348,7 +347,7 @@ class TestClassifyErrors:
         rng = np.random.default_rng(77)
         for _ in range(100):
             n = int(rng.integers(4, 30))
-            s = Sentence("s1", tuple("字" for _ in range(n)))
+            s = "字" * n
             gold = {"s1": [span(s, k, a, b) for k, a, b in random_entity_set(rng, n)]}
             pred = {"s1": [span(s, k, a, b) for k, a, b in random_entity_set(rng, n)]}
             _, confusion, _ = classify_errors(pred, gold)
@@ -360,7 +359,7 @@ class TestClassifyErrors:
         rng = np.random.default_rng(78)
         for _ in range(200):
             n = int(rng.integers(4, 30))
-            s = Sentence("s1", tuple("字" for _ in range(n)))
+            s = "字" * n
             gold_entities = [span(s, k, a, b) for k, a, b in random_entity_set(rng, n)]
             pred_entities = [span(s, k, a, b) for k, a, b in random_entity_set(rng, n)]
             records, _, _ = classify_errors({"s1": pred_entities}, {"s1": gold_entities})
@@ -387,7 +386,7 @@ class TestClassifyErrors:
                 assert exact_hit or g in involved
 
     def test_missing_share_uses_gold_totals(self):
-        s = Sentence("s1", tuple("字" for _ in range(20)))
+        s = "字" * 20
         gold = {"s1": [span(s, "Abn", 0, 2), span(s, "Abn", 5, 7), span(s, "Abn", 10, 12)]}
         pred = {"s1": [span(s, "Abn", 0, 2), span(s, "Abn", 5, 7)]}
         _, _, summary = classify_errors(pred, gold)
@@ -395,7 +394,7 @@ class TestClassifyErrors:
         assert summary.missing_share("Abn") == pytest.approx(100 / 3)
 
     def test_category_shares_sum_to_hundred(self):
-        s = Sentence("s1", tuple("字" for _ in range(20)))
+        s = "字" * 20
         gold = {"s1": [span(s, "P", 0, 2), span(s, "D", 4, 6)]}
         pred = {"s1": [span(s, "P", 0, 3), span(s, "Abn", 10, 12)]}
         _, _, summary = classify_errors(pred, gold)
@@ -404,7 +403,7 @@ class TestClassifyErrors:
         assert total == pytest.approx(100.0)
 
     def test_summary_text_layout(self):
-        s = Sentence("s1", tuple("字" for _ in range(8)))
+        s = "字" * 8
         gold = {"s1": [span(s, "P", 0, 2)]}
         pred = {"s1": [span(s, "P", 0, 3)]}
         _, confusion, summary = classify_errors(pred, gold)

@@ -16,11 +16,11 @@ import pytest
 
 from radsigns import corpus
 from radsigns.cli import main
-from radsigns.corpus import TAG_LABELS, FlatCorpus, write_emissions, write_tagged_flat
+from radsigns.corpus import TAG_LABELS, write_emissions, write_tagged_flat
 from radsigns.crf import TaggerModel, TransitionMatrix, save_model
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
 
-from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus
+from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus, flat_corpus
 
 INSERTS = (b"\t", b"\r", b"\0", "\ufeff".encode(), "\u2028".encode())
 
@@ -51,7 +51,7 @@ def corpora(tmp_path):
     written = []
     for name, count in (("a", 6), ("b", 3)):
         path = tmp_path / f"{name}.tsv"
-        write_tagged_flat(FlatCorpus.from_pairs(build_rule_corpus(rng, count, name)), path)
+        write_tagged_flat(flat_corpus(build_rule_corpus(rng, count, name)), path)
         written.append(path.read_bytes())
     return written
 
@@ -125,7 +125,7 @@ def decode_files(tmp_path):
     files = {name: tmp_path / name
              for name in ("input.txt", "em.txt", "dict.txt", "model.json", "tags.tsv")}
     files["input.txt"].write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
-    write_tagged_flat(FlatCorpus.from_pairs(corpus), files["tags.tsv"])
+    write_tagged_flat(flat_corpus(corpus), files["tags.tsv"])
     write_emissions({s.id: rng.standard_normal((len(s), len(TAG_LABELS))) for s in sentences},
                     files["em.txt"])
     files["dict.txt"].write_text("# parts\n" + "".join(t + "\n" for t in SP_TERMS), encoding="utf-8")

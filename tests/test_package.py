@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import radsigns
-from radsigns import cli, corpus, crf, encoder, trainer
+from radsigns import cli, corpus, crf, encoder
 
 
 def test_every_exported_name_resolves():
@@ -68,19 +68,6 @@ def test_src_reads_files_only_through_the_corpus_opener():
     assert offenders == []
 
 
-def test_only_corpus_reads_the_tuple_views():
-    """``Sentence.chars`` and ``TagSequence.tags`` build a tuple on each
-    access, so src reads the stored ``text`` and ``indices`` instead: one
-    view read inside a per-position loop would make linear work quadratic."""
-    offenders = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(radsigns.__file__).parent.glob("*.py")) if path.name != "corpus.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in ("chars", "tags")
-    ]
-    assert offenders == []
-
-
 def test_src_writes_json_with_one_dumps_call():
     """``json.dump`` streams through the pure-Python encoder; ``json.dumps``
     runs the C encoder and writes the same text."""
@@ -100,24 +87,6 @@ def names(node):
         name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
         if name is not None:
             yield child.lineno, name
-
-
-def test_tag_and_extract_run_on_the_flat_corpus():
-    """``tag``, ``extract``, ``train``, ``eval`` and ``errors`` read, decode,
-    train, score and write flat corpora: the functions that run them name no
-    per-sentence type and no ``FlatCorpus.pairs``, and neither does the trainer."""
-    per_sentence = {"Sentence", "TagSequence", "tags_from_indices", "pairs"}
-    functions = {node.name: node for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
-                 if isinstance(node, ast.FunctionDef)}
-    offenders = [
-        f"{name}:{lineno} {found}"
-        for name in ("_cmd_tag", "_cmd_extract", "_tag_windows", "_cmd_train", "_aligned_corpora")
-        for lineno, found in names(functions[name]) if found in per_sentence
-    ]
-    offenders += [f"trainer.py:{lineno} {found}" for lineno, found
-                  in names(ast.parse(Path(trainer.__file__).read_text(encoding="utf-8")))
-                  if found in per_sentence]
-    assert offenders == []
 
 
 def test_strict_counts_are_computed_only_in_evaluation():
@@ -163,20 +132,31 @@ MODULES = {info.name: importlib.import_module(f"radsigns.{info.name}")
 
 
 PER_SENTENCE_API = {"EmissionMatrix", "score_sentence", "viterbi_decode", "log_partition", "nll",
-                    "nll_and_gradient", "path_score", "_single"}
+                    "nll_and_gradient", "path_score", "_single",
+                    "Sentence", "TagSequence", "from_pairs", "pairs", "tags_from_indices",
+                    "entities_to_tags", "tags_to_entities", "validate_path",
+                    "find_primary_parts", "match"}
 
 
 def test_the_flat_batch_functions_are_the_one_library_surface():
-    """No src module defines, imports or exports the per-sentence emission
-    type or a batch-size-1 CRF or scoring wrapper, and ``TaggerModel`` only
-    holds its vocabulary, weights and transitions: it defines no methods."""
+    """No src module defines, imports or exports a per-sentence type, a
+    ``FlatCorpus`` conversion to or from them, or a batch-size-1 CRF,
+    scoring, decoding or matching wrapper; ``extract_features`` takes a
+    ``str``, and ``TaggerModel`` only holds its vocabulary, weights and
+    transitions: it defines no methods."""
     offenders = [f"{name}.{found}" for name, module in (("radsigns", radsigns), *MODULES.items())
                  for found in PER_SENTENCE_API & set(vars(module))]
+    offenders += [f"FlatCorpus.{found}" for found in PER_SENTENCE_API & set(dir(corpus.FlatCorpus))]
     for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
-        offenders += [f"{path.name}:{node.lineno} {node.name}"
-                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                      and node.name in PER_SENTENCE_API]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            defined = getattr(node, "name", None) if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) else None
+            imported = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            offenders += [f"{path.name}:{node.lineno} {found}" for found in (defined, *imported)
+                          if found in PER_SENTENCE_API]
+    text = next(iter(inspect.signature(encoder.extract_features).parameters.values()))
+    if text.annotation not in (str, "str"):
+        offenders.append(f"extract_features({text.name}: {text.annotation})")
     tagger = next(node for node in ast.parse(Path(crf.__file__).read_text(encoding="utf-8")).body
                   if isinstance(node, ast.ClassDef) and node.name == "TaggerModel")
     offenders += [f"TaggerModel.{node.name}" for node in ast.walk(tagger)

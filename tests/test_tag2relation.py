@@ -4,47 +4,23 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radsigns.corpus import ENTITY_KINDS, Entity, Quadruple, Relation, SecondaryPartDictionary, Sentence
-from radsigns.tag2relation import find_primary_parts, match, match_arrays
-from radsigns.tagscheme import tags_to_entities
+from radsigns.corpus import ENTITY_KINDS, Entity, Quadruple, Relation, SecondaryPartDictionary
+from radsigns.tag2relation import match_arrays
 
-from _synth import brute_force_match, random_match_instance
+from _synth import brute_force_match, entities_of, match_entities, path_of, random_match_instance
+from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT
 
 EMPTY_DICT_FALLBACK = SecondaryPartDictionary(frozenset({"<none>"}))
 
 
-def padded_sentence(n, sid="s1"):
-    return Sentence(sid, tuple("字" for _ in range(n)))
-
-
-def entity(sentence, kind, start, end):
-    return Entity(kind, start, end, sentence.text[start:end])
-
-
-class TestFindPrimaryParts:
-    def test_dictionary_term_is_secondary(self, occlusion_entities, bronchus_dictionary):
-        primaries = find_primary_parts(occlusion_entities, bronchus_dictionary)
-        assert [e.text for e in primaries] == ["右上肺"]
-
-    def test_vacuous_dictionary_makes_all_parts_primary(self, occlusion_entities):
-        primaries = find_primary_parts(occlusion_entities, EMPTY_DICT_FALLBACK)
-        assert [e.text for e in primaries] == ["右上肺", "支气管"]
-
-    def test_no_parts(self, occlusion_entities):
-        abn_only = [e for e in occlusion_entities if e.kind == "Abn"]
-        assert find_primary_parts(abn_only, EMPTY_DICT_FALLBACK) == []
-
-    def test_sorted_by_start(self, bronchus_dictionary):
-        s = padded_sentence(12)
-        parts = [entity(s, "P", 8, 10), entity(s, "P", 0, 2)]
-        primaries = find_primary_parts(parts, bronchus_dictionary)
-        assert [e.start for e in primaries] == [0, 8]
+def entity(text, kind, start, end):
+    return Entity(kind, start, end, text[start:end])
 
 
 class TestMatch:
-    def test_occlusion_example(self, occlusion_sentence, occlusion_entities, bronchus_dictionary):
+    def test_occlusion_example(self, occlusion_entities, bronchus_dictionary):
         pp, sp, d, abn = occlusion_entities
-        relations, quadruples = match(occlusion_sentence, occlusion_entities, bronchus_dictionary)
+        relations, quadruples = match_entities(occlusion_entities, bronchus_dictionary)
         assert set(relations) == {
             Relation("P2Abn", pp, abn),
             Relation("P2Abn", sp, abn),
@@ -53,9 +29,16 @@ class TestMatch:
         }
         assert quadruples == [Quadruple(pp, sp, d, abn)]
 
-    def test_shadow_example(self, shadow_sentence, shadow_entities, bronchus_dictionary):
+    def test_a_part_outside_the_dictionary_heads_a_chunk(self, occlusion_entities):
+        # with no dictionary term, 支气管 is a primary part and heads the sign's chunk
+        pp, sp, d, abn = occlusion_entities
+        relations, quadruples = match_entities(occlusion_entities, EMPTY_DICT_FALLBACK)
+        assert relations == [Relation("P2Abn", sp, abn), Relation("D2Abn", d, abn)]
+        assert quadruples == [Quadruple(sp, None, d, abn)]
+
+    def test_shadow_example(self, shadow_entities, bronchus_dictionary):
         pp, d, abn = shadow_entities
-        relations, quadruples = match(shadow_sentence, shadow_entities, bronchus_dictionary)
+        relations, quadruples = match_entities(shadow_entities, bronchus_dictionary)
         assert set(relations) == {
             Relation("P2Abn", pp, abn),
             Relation("D2Abn", d, abn),
@@ -63,84 +46,84 @@ class TestMatch:
         assert quadruples == [Quadruple(pp, None, d, abn)]
 
     def test_degree_attaches_to_closest_sign(self):
-        s = padded_sentence(20)
+        s = "字" * 20
         pp = entity(s, "P", 0, 2)
         d = entity(s, "D", 5, 7)
         near = entity(s, "Abn", 9, 11)    # gap 2
         far = entity(s, "Abn", 16, 18)    # gap 9
-        relations, _ = match(s, [pp, d, near, far], EMPTY_DICT_FALLBACK)
+        relations, _ = match_entities([pp, d, near, far], EMPTY_DICT_FALLBACK)
         attached = [r for r in relations if r.kind == "D2Abn"]
         assert attached == [Relation("D2Abn", d, near)]
 
     def test_equidistant_tie_goes_to_later_sign(self):
-        s = padded_sentence(12)
+        s = "字" * 12
         pp = entity(s, "P", 0, 1)
         earlier = entity(s, "Abn", 2, 3)   # gap to d: 5 - 3 = 2
         d = entity(s, "D", 5, 7)
         later = entity(s, "Abn", 9, 11)    # gap to d: 9 - 7 = 2
-        relations, _ = match(s, [pp, earlier, d, later], EMPTY_DICT_FALLBACK)
+        relations, _ = match_entities([pp, earlier, d, later], EMPTY_DICT_FALLBACK)
         attached = [r for r in relations if r.kind == "D2Abn"]
         assert attached == [Relation("D2Abn", d, later)]
 
     def test_touching_sign_is_at_gap_zero(self):
         # the gap runs between the closest span ends, in either order, and is 0 when they touch
-        s = padded_sentence(12)
+        s = "字" * 12
         pp = entity(s, "P", 0, 1)
         touching = entity(s, "Abn", 1, 3)   # ends where d starts: gap 0
         d = entity(s, "D", 3, 5)
         later = entity(s, "Abn", 6, 8)      # gap 1
-        relations, _ = match(s, [pp, touching, d, later], EMPTY_DICT_FALLBACK)
+        relations, _ = match_entities([pp, touching, d, later], EMPTY_DICT_FALLBACK)
         assert [r for r in relations if r.kind == "D2Abn"] == [Relation("D2Abn", d, touching)]
 
     def test_primary_attaches_to_every_sign_in_chunk(self):
-        s = padded_sentence(14)
+        s = "字" * 14
         pp = entity(s, "P", 0, 2)
         first = entity(s, "Abn", 4, 6)
         second = entity(s, "Abn", 9, 11)
-        relations, quadruples = match(s, [pp, first, second], EMPTY_DICT_FALLBACK)
+        relations, quadruples = match_entities([pp, first, second], EMPTY_DICT_FALLBACK)
         p2abn = {(r.head, r.tail) for r in relations if r.kind == "P2Abn"}
         assert p2abn == {(pp, first), (pp, second)}
         assert [q.abn for q in quadruples] == [first, second]
         assert all(q.pp == pp for q in quadruples)
 
     def test_attribute_without_sign_in_chunk_attaches_nothing(self):
-        s = padded_sentence(16)
+        s = "字" * 16
         pp1 = entity(s, "P", 0, 2)
         d = entity(s, "D", 3, 5)          # chunk 1 has no sign
         pp2 = entity(s, "P", 8, 10)
         abn = entity(s, "Abn", 11, 13)    # chunk 2's sign
-        relations, quadruples = match(s, [pp1, d, pp2, abn], EMPTY_DICT_FALLBACK)
+        relations, quadruples = match_entities([pp1, d, pp2, abn], EMPTY_DICT_FALLBACK)
         assert [r for r in relations if r.kind == "D2Abn"] == []
         assert relations == [Relation("P2Abn", pp2, abn)]
         assert quadruples == [Quadruple(pp2, None, None, abn)]
 
     def test_secondary_in_signless_chunk_still_links_to_primary(self, bronchus_dictionary):
-        s = Sentence.from_text("s1", "右肺支气管见好。")
+        s = "右肺支气管见好。"
         pp = entity(s, "P", 0, 2)
         sp = entity(s, "P", 2, 5)
-        relations, quadruples = match(s, [pp, sp], bronchus_dictionary)
+        relations, quadruples = match_entities([pp, sp], bronchus_dictionary)
         assert relations == [Relation("P2P", sp, pp)]
         assert quadruples == []
 
     def test_no_relation_crosses_chunk_boundaries(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            sentence, entities, dictionary = random_match_instance(rng)
-            starts = [p.start for p in find_primary_parts(entities, dictionary)]
+            _, entities, dictionary = random_match_instance(rng)
+            starts = sorted(e.start for e in entities if e.kind == "P" and e.text not in dictionary)
 
             def chunk_of(e):
                 return bisect_right(starts, e.start)
 
-            relations, _ = match(sentence, entities, dictionary)
+            relations, _ = match_entities(entities, dictionary)
             for r in relations:
                 assert chunk_of(r.head) == chunk_of(r.tail)
 
     def test_each_attribute_attaches_at_most_once(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            sentence, entities, dictionary = random_match_instance(rng)
-            relations, _ = match(sentence, entities, dictionary)
-            primaries = set(find_primary_parts(entities, dictionary))
+            _, entities, dictionary = random_match_instance(rng)
+            relations, _ = match_entities(entities, dictionary)
+            primaries = {e for e in entities if e.kind == "P" and e.text not in dictionary}
             heads = [
                 r.head
                 for r in relations
@@ -148,20 +131,11 @@ class TestMatch:
             ]
             assert len(heads) == len(set(heads))
 
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            sentence, entities, dictionary = random_match_instance(rng)
-            baseline = match(sentence, entities, dictionary)
-            shuffled = list(entities)
-            rng.shuffle(shuffled)
-            assert match(sentence, shuffled, dictionary) == baseline
-
     def test_matches_brute_force_reference(self):
         rng = np.random.default_rng(10)
         for _ in range(300):
             sentence, entities, dictionary = random_match_instance(rng)
-            assert match(sentence, entities, dictionary) == brute_force_match(
+            assert match_entities(entities, dictionary) == brute_force_match(
                 sentence, entities, dictionary
             )
 
@@ -170,7 +144,7 @@ class TestMatch:
         rng = np.random.default_rng(11)
         for _ in range(300):
             sentence, entities, dictionary = random_match_instance(rng, 80, 20)
-            assert match(sentence, entities, dictionary) == brute_force_match(
+            assert match_entities(entities, dictionary) == brute_force_match(
                 sentence, entities, dictionary
             )
 
@@ -187,43 +161,42 @@ class TestMatch:
                 picks = copies.choice(len(entities), size=int(copies.integers(1, 4)))
                 entities += [Entity(e.kind, e.start, e.end, e.text)
                              for e in (entities[i] for i in picks)]
-                assert match(sentence, entities, dictionary) == brute_force_match(
+                assert match_entities(entities, dictionary) == brute_force_match(
                     sentence, entities, dictionary
                 )
 
     def test_equal_copy_of_the_primary_is_not_a_secondary_part(self):
-        s = padded_sentence(12)
+        s = "字" * 12
         pp, copy = entity(s, "P", 0, 2), entity(s, "P", 0, 2)
         abn = entity(s, "Abn", 6, 8)
-        relations, quadruples = match(s, [pp, copy, abn], EMPTY_DICT_FALLBACK)
+        relations, quadruples = match_entities([pp, copy, abn], EMPTY_DICT_FALLBACK)
         assert relations == [Relation("P2Abn", pp, abn)]
         assert quadruples == [Quadruple(pp, None, None, abn)]
 
     def test_equal_copies_of_a_sign_share_its_attributes(self):
-        s = padded_sentence(12)
+        s = "字" * 12
         pp = entity(s, "P", 0, 2)
         d = entity(s, "D", 3, 5)
         abn, copy = entity(s, "Abn", 6, 8), entity(s, "Abn", 6, 8)
         entities = [pp, d, abn, copy]
-        relations, quadruples = match(s, entities, EMPTY_DICT_FALLBACK)
+        relations, quadruples = match_entities(entities, EMPTY_DICT_FALLBACK)
         assert (relations, quadruples) == brute_force_match(s, entities, EMPTY_DICT_FALLBACK)
         assert [r for r in relations if r.kind == "D2Abn"] == [Relation("D2Abn", d, abn)]
         assert quadruples == [Quadruple(pp, None, d, abn)] * 2
 
     def test_multiple_attributes_cross_product_in_quadruples(self):
-        s = padded_sentence(20)
+        s = "字" * 20
         pp = entity(s, "P", 0, 2)
         d1 = entity(s, "D", 3, 4)
         d2 = entity(s, "D", 5, 6)
         abn = entity(s, "Abn", 7, 9)
-        sp_sentence = s
-        relations, quadruples = match(sp_sentence, [pp, d1, d2, abn], EMPTY_DICT_FALLBACK)
+        relations, quadruples = match_entities([pp, d1, d2, abn], EMPTY_DICT_FALLBACK)
         assert len(quadruples) == 2
         assert {(q.d, q.abn) for q in quadruples} == {(d1, abn), (d2, abn)}
 
-    def test_from_gold_tags(self, occlusion_sentence, occlusion_tags, bronchus_dictionary):
-        entities = tags_to_entities(occlusion_sentence, occlusion_tags)
-        relations, quadruples = match(occlusion_sentence, entities, bronchus_dictionary)
+    def test_from_gold_tags(self, bronchus_dictionary):
+        entities = entities_of(OCCLUSION_TEXT, path_of(OCCLUSION_LABELS))
+        relations, quadruples = match_entities(entities, bronchus_dictionary)
         assert len(relations) == 4
         assert len(quadruples) == 1
         quad = quadruples[0]

@@ -3,44 +3,30 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from radsigns.corpus import Entity, Sentence, TagSequence
-from radsigns.tagscheme import (
-    batch_entities,
-    entities_to_tags,
-    tags_from_indices,
-    tags_to_entities,
-    text_runs,
-    validate_path,
-)
+from radsigns.corpus import Entity
+from radsigns.tagscheme import batch_entities, text_runs
 
-from _synth import random_entity_set
-from conftest import FIG_LABELS
-
-
-def make_sentence(n, sid="s1"):
-    return Sentence(sid, tuple("字" for _ in range(n)))
+from _synth import bio_violations, encode, entities_of, path_of, random_entity_set, tags_of
+from conftest import FIG_LABELS, FIG_TEXT
 
 
 KIND_OF_LABEL = {"B-P": "P", "I-P": "P", "B-D": "D", "I-D": "D", "B-Abn": "Abn", "I-Abn": "Abn"}
 
 
-def reference_tags_to_entities(sentence, tags):
+def reference_tags_to_entities(text, tags):
     """The label-string decoder the index-path one replaced: maximal
     B-X (I-X)* runs, with orphan-I and kind-switch repair."""
-    if len(tags) != len(sentence):
-        raise ValueError(
-            f"sentence {sentence.id!r} has {len(sentence)} chars "
-            f"but tag sequence has {len(tags)}"
-        )
+    if len(tags) != len(text):
+        raise ValueError(f"{len(text)} chars but {len(tags)} tags")
     entities = []
     start = None
     kind = ""
 
     def close(end):
         if start is not None:
-            entities.append(Entity(kind, start, end, sentence.text[start:end]))
+            entities.append(Entity(kind, start, end, text[start:end]))
 
-    for i, label in enumerate(tags.tags):
+    for i, label in enumerate(tags):
         if label == "O":
             close(i)
             start = None
@@ -52,14 +38,13 @@ def reference_tags_to_entities(sentence, tags):
             if start is None or run_kind != kind:
                 close(i)
                 kind, start = run_kind, i
-    close(len(sentence))
+    close(len(text))
     return entities
 
 
 class TestTagIndex:
     def test_o_has_index_zero_and_mapping_is_a_bijection(self):
-        from radsigns.corpus import TAG_LABELS
-        from radsigns.tagscheme import TAG_INDEX
+        from radsigns.corpus import TAG_INDEX, TAG_LABELS
 
         assert TAG_INDEX["O"] == 0
         assert sorted(TAG_INDEX.values()) == list(range(7))
@@ -71,65 +56,44 @@ class TestTagIndex:
         assert TAG_LABELS == ("O", "B-P", "I-P", "B-D", "I-D", "B-Abn", "I-Abn")
 
 
-class TestEntitiesToTags:
-    def test_example_sentence(self, shadow_sentence, shadow_entities):
-        tags = entities_to_tags(shadow_sentence, shadow_entities)
-        assert tags.tags == FIG_LABELS
+class TestEncode:
+    """The test-side encoder of criterion 4 and the round trips below."""
 
-    def test_no_entities_is_all_o(self, shadow_sentence):
-        tags = entities_to_tags(shadow_sentence, [])
-        assert set(tags.tags) == {"O"}
+    def test_example_sentence(self, shadow_entities):
+        assert tags_of(encode(len(FIG_TEXT), shadow_entities)) == FIG_LABELS
 
-    def test_overlap_rejected(self):
-        s = make_sentence(6)
-        ents = [Entity("P", 0, 3, "字字字"), Entity("D", 2, 4, "字字")]
-        with pytest.raises(ValueError, match="overlap"):
-            entities_to_tags(s, ents)
-
-    def test_out_of_bounds_rejected(self):
-        s = make_sentence(3)
-        with pytest.raises(ValueError, match="exceeds"):
-            entities_to_tags(s, [Entity("P", 1, 5, "字字字字")])
-
-    def test_text_mismatch_rejected(self):
-        s = make_sentence(4)
-        with pytest.raises(ValueError, match="does not match"):
-            entities_to_tags(s, [Entity("P", 0, 2, "肺部")])
+    def test_no_entities_is_all_o(self):
+        assert set(tags_of(encode(len(FIG_TEXT), []))) == {"O"}
 
 
 class TestTagsToEntities:
-    def test_example_sentence(self, shadow_sentence, shadow_tags, shadow_entities):
-        assert tags_to_entities(shadow_sentence, shadow_tags) == shadow_entities
+    def test_example_sentence(self, shadow_entities):
+        assert entities_of(FIG_TEXT, path_of(FIG_LABELS)) == shadow_entities
 
     def test_all_o_is_empty(self):
-        s = make_sentence(5)
-        assert tags_to_entities(s, TagSequence("s1", ("O",) * 5)) == []
+        assert entities_of("字" * 5, bytes(5)) == []
 
     def test_orphan_inside_opens_entity(self):
-        s = make_sentence(3)
-        tags = TagSequence("s1", ("O", "I-P", "I-P"))
-        assert tags_to_entities(s, tags) == [Entity("P", 1, 3, "字字")]
+        path = path_of(("O", "I-P", "I-P"))
+        assert entities_of("字" * 3, path) == [Entity("P", 1, 3, "字字")]
 
     def test_kind_switch_splits_runs(self):
-        s = make_sentence(4)
-        tags = TagSequence("s1", ("B-Abn", "I-Abn", "I-P", "I-P"))
-        assert tags_to_entities(s, tags) == [
+        path = path_of(("B-Abn", "I-Abn", "I-P", "I-P"))
+        assert entities_of("字" * 4, path) == [
             Entity("Abn", 0, 2, "字字"),
             Entity("P", 2, 4, "字字"),
         ]
 
     def test_new_begin_closes_run(self):
-        s = make_sentence(3)
-        tags = TagSequence("s1", ("B-P", "B-P", "I-P"))
-        assert tags_to_entities(s, tags) == [
+        path = path_of(("B-P", "B-P", "I-P"))
+        assert entities_of("字" * 3, path) == [
             Entity("P", 0, 1, "字"),
             Entity("P", 1, 3, "字字"),
         ]
 
     def test_length_mismatch_rejected(self):
-        s = make_sentence(3)
         with pytest.raises(ValueError, match="3 chars"):
-            tags_to_entities(s, TagSequence("s1", ("O",)))
+            entities_of("字" * 3, [0])
 
 
 class TestEntitiesFromIndices:
@@ -144,11 +108,9 @@ class TestEntitiesFromIndices:
     @example(path=[5, 6, 2, 2, 4, 3, 4], chars="字" * 40)    # kind switches inside runs
     @example(path=[1, 1, 2, 6, 6, 0, 0, 4], chars="字" * 40)
     def test_equals_label_reference(self, path, chars):
-        sentence = Sentence.from_text("s1", chars[:len(path)])
-        tags = tags_from_indices("s1", path)
-        expected = reference_tags_to_entities(sentence, tags)
-        assert batch_entities(["s1"], sentence.text, path, [len(path)])["s1"] == expected
-        assert tags_to_entities(sentence, tags) == expected
+        text = chars[:len(path)]
+        expected = reference_tags_to_entities(text, tags_of(path))
+        assert batch_entities(["s1"], text, path, [len(path)])["s1"] == expected
 
     @given(
         path=st.lists(st.integers(0, 6), min_size=1, max_size=40),
@@ -157,15 +119,12 @@ class TestEntitiesFromIndices:
     )
     def test_out_of_range_index_rejected(self, path, bad, at):
         path[at % len(path)] = bad
-        sentence = make_sentence(len(path))
         with pytest.raises(ValueError, match="out of range"):
-            batch_entities(["s1"], sentence.text, path, [len(path)])
-        with pytest.raises(ValueError, match="out of range"):
-            tags_from_indices("s1", path)
+            batch_entities(["s1"], "字" * len(path), path, [len(path)])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="3 chars"):
-            batch_entities(["s1"], make_sentence(3).text, [0, 1], [2])
+            batch_entities(["s1"], "字" * 3, [0, 1], [2])
 
 
 # a batch of (tag index path, text) pairs of equal length, orphan I tags included
@@ -180,12 +139,12 @@ class TestFindRuns:
     @example(batch=[([5], "a"), ([2], "b"), ([0], "c"), ([6], "d")])   # length-1 sentences
     @example(batch=[([0, 4], "字" * 2), ([4, 4, 0], "字" * 3)])    # orphan I-D at a sentence start
     def test_batch_equals_label_reference_per_sentence(self, batch):
-        sentences = [Sentence.from_text(f"s{i}", text) for i, (_, text) in enumerate(batch)]
+        ids = [f"s{i}" for i in range(len(batch))]
+        expected = {sid: reference_tags_to_entities(text, tags_of(path))
+                    for sid, (path, text) in zip(ids, batch)}
         paths = [path for path, _ in batch]
-        expected = {s.id: reference_tags_to_entities(s, tags_from_indices(s.id, path))
-                    for s, path in zip(sentences, paths)}
         lengths = [len(path) for path in paths]
-        ids, text = [s.id for s in sentences], "".join(text for _, text in batch)
+        text = "".join(text for _, text in batch)
         assert batch_entities(ids, text, sum(paths, []), lengths) == expected
         assert batch_entities(ids, text, b"".join(map(bytes, paths)), lengths) == expected
         assert batch_entities(ids, text, np.array(sum(paths, []), np.uint8), lengths) == expected
@@ -213,26 +172,28 @@ class TestFindRuns:
 
     def test_path_count_must_match(self):
         with pytest.raises(ValueError):
-            batch_entities(["s1"], make_sentence(2).text, [0, 0, 0], [2, 1])
+            batch_entities(["s1"], "字" * 2, [0, 0, 0], [2, 1])
         with pytest.raises(ValueError, match="3 indices for 2 chars"):
-            batch_entities(["s1"], make_sentence(2).text, [0, 0, 0], [2])
+            batch_entities(["s1"], "字" * 2, [0, 0, 0], [2])
 
 
-class TestValidatePath:
-    def test_example_sequence_is_valid(self, shadow_tags):
-        assert validate_path(shadow_tags) == []
+class TestBioViolations:
+    """The test-side BIO check of criterion 4 and the Viterbi tests."""
+
+    def test_example_sequence_is_valid(self):
+        assert bio_violations(path_of(FIG_LABELS)) == []
 
     def test_inside_after_o(self):
-        assert validate_path(TagSequence("s1", ("O", "I-D"))) == [1]
+        assert bio_violations(path_of(("O", "I-D"))) == [1]
 
     def test_inside_after_other_kind(self):
-        assert validate_path(TagSequence("s1", ("B-P", "I-Abn"))) == [1]
+        assert bio_violations(path_of(("B-P", "I-Abn"))) == [1]
 
     def test_inside_at_start(self):
-        assert validate_path(TagSequence("s1", ("I-P", "I-P"))) == [0]
+        assert bio_violations(path_of(("I-P", "I-P"))) == [0]
 
     def test_inside_after_same_kind_ok(self):
-        assert validate_path(TagSequence("s1", ("B-P", "I-P", "I-P"))) == []
+        assert bio_violations(path_of(("B-P", "I-P", "I-P"))) == []
 
 
 class TestRoundTripProperties:
@@ -240,30 +201,24 @@ class TestRoundTripProperties:
         rng = np.random.default_rng(11)
         for _ in range(1000):
             n = int(rng.integers(1, 40))
-            s = make_sentence(n)
+            text = "字" * n
             entities = [
-                Entity(kind, a, b, s.text[a:b])
+                Entity(kind, a, b, text[a:b])
                 for kind, a, b in random_entity_set(rng, n)
             ]
-            tags = entities_to_tags(s, entities)
-            assert tags_to_entities(s, tags) == entities
+            assert entities_of(text, encode(n, entities)) == entities
 
     def test_repair_yields_valid_paths(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             n = int(rng.integers(1, 25))
-            s = make_sentence(n)
-            tags = tags_from_indices("s1", rng.integers(0, 7, size=n).tolist())
-            entities = tags_to_entities(s, tags)
-            reencoded = entities_to_tags(s, entities)
-            assert validate_path(reencoded) == []
+            entities = entities_of("字" * n, rng.integers(0, 7, size=n))
+            assert bio_violations(encode(n, entities)) == []
 
     def test_decoded_entities_sorted_and_disjoint(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
             n = int(rng.integers(1, 25))
-            s = make_sentence(n)
-            tags = tags_from_indices("s1", rng.integers(0, 7, size=n).tolist())
-            entities = tags_to_entities(s, tags)
+            entities = entities_of("字" * n, rng.integers(0, 7, size=n))
             for left, right in zip(entities, entities[1:]):
                 assert left.end <= right.start

@@ -3,7 +3,7 @@ import pytest
 
 from radsigns import crf
 from radsigns.cli import main
-from radsigns.corpus import FlatCorpus, Sentence, TagSequence
+from radsigns.corpus import TAG_INDEX, FlatCorpus
 from radsigns.crf import (
     FULL_SIZE,
     TaggerModel,
@@ -14,7 +14,7 @@ from radsigns.crf import (
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
 from radsigns import encoder, trainer
 from radsigns.evaluation import entity_prf
-from radsigns.tagscheme import TAG_INDEX, batch_entities, tags_from_indices, tags_to_entities
+from radsigns.tagscheme import batch_entities
 from radsigns.trainer import (
     NonFiniteLossError,
     TrainConfig,
@@ -23,17 +23,13 @@ from radsigns.trainer import (
     train,
 )
 
-from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus
+from _synth import RULE_CHAR_TAG, SP_TERMS, Labels, Text, build_rule_corpus, entities_of
+from _synth import flat_corpus as flat
 from conftest import decode_sentence
-
-flat = FlatCorpus.from_pairs
 
 
 def all_o_pair(sid, n):
-    return (
-        Sentence(sid, tuple("字" for _ in range(n))),
-        TagSequence(sid, ("O",) * n),
-    )
+    return Text(sid, "字" * n), Labels(bytes(n))
 
 
 class TestTrainConfig:
@@ -107,8 +103,8 @@ class TestTraining:
         rng = np.random.default_rng(111)
         corpus = build_rule_corpus(rng, 6, prefix="t")
         corpus += [
-            (Sentence.from_text("t-one-a", "肺"), TagSequence("t-one-a", ("B-P",))),
-            (Sentence.from_text("t-one-b", "。"), TagSequence("t-one-b", ("O",))),
+            (Text("t-one-a", "肺"), Labels(bytes([TAG_INDEX["B-P"]]))),
+            (Text("t-one-b", "。"), Labels(bytes(1))),
         ]
         corpus.insert(2, corpus.pop())
         dev = build_rule_corpus(rng, 2, prefix="d")
@@ -350,8 +346,8 @@ class TestEvaluateDev:
         corpus = build_rule_corpus(rng, 40, prefix="t")
         dev = build_rule_corpus(rng, 150, prefix="d")   # mixed lengths, one flat pass
         model, _ = train(flat(corpus), flat(dev), TrainConfig(epochs=1, batch_size=8, seed=6))
-        pred = {s.id: tags_to_entities(s, decode_sentence(model, s)) for s, _ in dev}
-        gold = {s.id: tags_to_entities(s, tags) for s, tags in dev}
+        pred = {s.id: entities_of(s.text, decode_sentence(model, s.text)) for s, _ in dev}
+        gold = {s.id: entities_of(s.text, tags.indices) for s, tags in dev}
         expected = entity_prf(pred, gold).overall.f1
         assert 0.0 < expected < 100.0
         assert evaluate_dev(model, flat(dev)) == expected
@@ -375,7 +371,7 @@ class TestDevScoring:
         for k in range(count):
             n = int(rng.integers(1, 7))
             indices = rng.integers(0, 7, n) * (rng.random(n) < 0.7)
-            dev.append((Sentence.from_text(f"d{k}", "字" * n), tags_from_indices(f"d{k}", indices)))
+            dev.append((Text(f"d{k}", "字" * n), Labels(bytes(indices.tolist()))))
         return dev
 
     def test_f1_equals_entity_prf_on_random_paths(self, monkeypatch):
@@ -395,7 +391,7 @@ class TestDevScoring:
                 path = (rng.integers(0, 7, n) * (rng.random(n) < 0.6)).astype(np.uint8)
             monkeypatch.setattr(trainer, "viterbi", lambda P, A, lengths: path)
             sentences = [s for s, _ in dev]
-            gold = {s.id: tags_to_entities(s, t) for s, t in dev}
+            gold = {s.id: entities_of(s.text, t.indices) for s, t in dev}
             expected = entity_prf(batch_entities([s.id for s in sentences], flat(dev).text,
                                                  path, lengths), gold).overall.f1
             assert dev_set.f1(model) == expected
