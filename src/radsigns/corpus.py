@@ -178,9 +178,10 @@ def _sentence_lengths(lengths, size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FlatCorpus:
-    """Sentences laid end to end: ``text``, the read-only ``lengths`` and,
-    for a tagged corpus, ``indices``, one ``TAG_LABELS`` index byte per
-    character.  Ids are positional: ``s<first>``, ``s<first + 1>``, ..."""
+    """Sentences laid end to end: the ``str`` ``text``, the read-only
+    ``lengths`` and, for a tagged corpus, ``indices``, ``bytes`` holding one
+    ``TAG_LABELS`` index per character.  Ids are positional: ``s<first>``,
+    ``s<first + 1>``, ..."""
 
     text: str
     lengths: np.ndarray
@@ -188,6 +189,9 @@ class FlatCorpus:
     first: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.text, str) or not isinstance(self.indices, (bytes, type(None))):
+            raise ValueError(f"a flat corpus needs str text and bytes or no indices, got "
+                             f"{type(self.text).__name__} and {type(self.indices).__name__}")
         object.__setattr__(self, "lengths", _sentence_lengths(self.lengths, len(self.text)))
         if self.indices is not None and (len(self.indices) != len(self.text)
                                          or max(self.indices, default=0) >= NUM_TAGS):
@@ -610,11 +614,13 @@ _EMISSION_ROW = "%.17g " * (NUM_TAGS - 1) + "%.17g\n"
 def write_emissions(blocks: Mapping[str, np.ndarray], path) -> None:
     """One block per entry of a ``{sentence id: n x 7 array}`` mapping, such
     as :func:`read_emission_blocks` returns.  An id that its reader rejects
-    (empty or holding whitespace), an array that is not n x 7 with n at least
+    (not a string, empty or holding whitespace), an array that is not n x 7 with n at least
     1, or a non-finite score raises ``ValueError`` naming the id, before the
     file is opened."""
     checked = {}
     for sid, scores in blocks.items():
+        if not isinstance(sid, str):
+            raise ValueError(f"emission id {sid!r} must be a string")
         if sid.split() != [sid]:
             raise ValueError(f"emission id {sid!r} is empty or has whitespace")
         scores = checked[sid] = np.asarray(scores, dtype=np.float64)

@@ -832,7 +832,11 @@ class TestEmissions:
         ("", np.zeros((1, 7)), "is empty or has whitespace"),
         ("x 9", np.zeros((1, 7)), "is empty or has whitespace"),
         ("x\u20289", np.zeros((1, 7)), "is empty or has whitespace"),
-    ], ids=["1-D", "6 columns", "0 rows", "nan", "inf", "empty id", "space", "U+2028"])
+        (9, np.zeros((1, 7)), "must be a string"),
+        (None, np.zeros((1, 7)), "must be a string"),
+        (b"x9", np.zeros((1, 7)), "must be a string"),
+    ], ids=["1-D", "6 columns", "0 rows", "nan", "inf", "empty id", "space", "U+2028",
+            "int id", "None id", "bytes id"])
     def test_writer_rejects_what_the_reader_would_naming_the_id(self, tmp_path, sid, scores,
                                                                message):
         with pytest.raises(ValueError, match=message) as raised:
@@ -1112,6 +1116,38 @@ class TestUndecodableBytes:
 
 
 class TestDomainTypes:
+    @pytest.mark.parametrize("text, lengths", [
+        (["ab"], [1]), (["a", "b"], [2]), (("a", "b"), [2]), (b"ab", [2]), ([1], [1])])
+    def test_flat_corpus_text_must_be_a_string(self, text, lengths):
+        with pytest.raises(ValueError, match=r"^a flat corpus needs str text and bytes or no "
+                                             rf"indices, got {type(text).__name__} and NoneType$"):
+            FlatCorpus(text, lengths)
+
+    @pytest.mark.parametrize("indices", [
+        [0, 1], (0, 1), "\0\1", np.zeros(2, np.uint8), bytearray(2), memoryview(bytes(2))])
+    def test_flat_corpus_indices_must_be_bytes(self, indices):
+        with pytest.raises(ValueError, match=r"^a flat corpus needs str text and bytes or no "
+                                             rf"indices, got str and {type(indices).__name__}$"):
+            FlatCorpus("ab", [2], indices)
+
+    def test_an_empty_flat_corpus_has_no_sentences(self):
+        for flat in (FlatCorpus("", []), FlatCorpus("", [], b"")):
+            assert (flat.lengths.tolist(), flat.offsets.tolist(), flat.ids) == ([], [0], [])
+            assert fields(flat.window(0, 3)) == fields(flat)
+
+    @given(sentences=st.lists(st.lists(st.tuples(CORPUS_CHARS, st.sampled_from(TAG_LABELS)),
+                                       min_size=1, max_size=6), min_size=1, max_size=4))
+    def test_stored_fields_give_back_the_sentences(self, sentences):
+        pairs = rows_pairs(sentences)
+        flat = FlatCorpus("".join(s.text for s, _ in pairs), [len(s) for s, _ in pairs],
+                          b"".join(t.indices for _, t in pairs))
+        assert flat.ids == [s.id for s, _ in pairs]
+        assert flat.tag_path("a test").tobytes() == flat.indices
+        for i, (s, t) in enumerate(pairs):
+            a, b = flat.offsets[i:i + 2].tolist()
+            assert (flat.text[a:b], flat.indices[a:b]) == (s.text, t.indices)
+            assert fields(flat.window(i, i + 1)) == (s.text, [len(s)], t.indices, [s.id])
+
     def test_entity_span_and_text_must_agree(self):
         with pytest.raises(ValueError):
             Entity("P", 2, 2, "")

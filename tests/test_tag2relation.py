@@ -17,6 +17,46 @@ def entity(text, kind, start, end):
     return Entity(kind, start, end, text[start:end])
 
 
+class TestPrimaryParts:
+    def test_dictionary_term_is_secondary(self, occlusion_entities, bronchus_dictionary):
+        pp, sp, d, abn = occlusion_entities
+        relations, quadruples = match_entities(occlusion_entities, bronchus_dictionary)
+        assert [q.pp for q in quadruples] == [pp]
+        assert [r for r in relations if r.kind == "P2P"] == [Relation("P2P", sp, pp)]
+
+    def test_vacuous_dictionary_makes_all_parts_primary(self):
+        s = "右肺见影左肺见影"
+        right, first, left, second = (entity(s, "P", 0, 2), entity(s, "Abn", 3, 4),
+                                      entity(s, "P", 4, 6), entity(s, "Abn", 7, 8))
+        entities = [right, first, left, second]
+        assert match_entities(entities, EMPTY_DICT_FALLBACK)[1] == [
+            Quadruple(right, None, None, first), Quadruple(left, None, None, second)]
+        relations, quadruples = match_entities(entities, SecondaryPartDictionary(frozenset({"左肺"})))
+        assert Relation("P2P", left, right) in relations
+        assert quadruples == [Quadruple(right, left, None, first), Quadruple(right, None, None, second)]
+
+    def test_no_parts(self):
+        s = "字" * 6
+        d, abn = entity(s, "D", 0, 2), entity(s, "Abn", 3, 5)
+        assert match_entities([d, abn], EMPTY_DICT_FALLBACK) == (
+            [Relation("D2Abn", d, abn)], [Quadruple(None, None, d, abn)])
+
+    def test_an_entity_before_every_primary_part_is_unheaded(self):
+        s = "字" * 10
+        early, pp, late = entity(s, "Abn", 0, 2), entity(s, "P", 4, 6), entity(s, "Abn", 7, 9)
+        assert match_entities([late, pp, early], EMPTY_DICT_FALLBACK) == (
+            [Relation("P2Abn", pp, late)],
+            [Quadruple(None, None, None, early), Quadruple(pp, None, None, late)])
+
+    def test_a_primary_part_heads_only_its_own_sentence(self):
+        # sentence 0 holds only a part and sentence 1 only a sign, both at 0..2
+        rows, starts, ends, kinds = (np.array(a, np.intp) for a in ([0, 1], [0, 0], [2, 2], [0, 2]))
+        (kind, head, tail), quads = match_arrays(rows, starts, ends, kinds, ["右肺", "闭塞"],
+                                                 EMPTY_DICT_FALLBACK)
+        assert (kind.tolist(), head.tolist(), tail.tolist()) == ([], [], [])
+        assert [a.tolist() for a in quads] == [[-1], [-1], [-1], [1]]
+
+
 class TestMatch:
     def test_occlusion_example(self, occlusion_entities, bronchus_dictionary):
         pp, sp, d, abn = occlusion_entities
@@ -212,6 +252,11 @@ def random_batch(seed, size, report_length):
 
 
 class TestMatchArrays:
+    def test_empty_batch(self):
+        none = np.zeros(0, np.intp)
+        relations, quadruples = match_arrays(none, none, none, none, [], EMPTY_DICT_FALLBACK)
+        assert [len(a) for a in (*relations, *quadruples)] == [0] * 7
+
     def test_pinned_batches_hold_overlapping_entities(self):
         for seed, report_length in ((36, False), (0, True)):
             batch = random_batch(seed, 4, report_length)

@@ -176,6 +176,16 @@ class TestFindRuns:
         with pytest.raises(ValueError, match="3 indices for 2 chars"):
             batch_entities(["s1"], "字" * 2, [0, 0, 0], [2])
 
+    def test_text_must_match_the_path(self):
+        for text, path in (("字" * 2, [0]), ("字", [0, 0])):
+            with pytest.raises(ValueError, match=f"^a text of {len(text)} chars for {len(path)} tags$"):
+                text_runs(text, path, [len(path)])
+
+    def test_one_id_per_sentence(self):
+        for ids in (["s1"], ["s1", "s2", "s3"]):
+            with pytest.raises(ValueError):
+                batch_entities(ids, "字" * 2, [0, 1], [1, 1])
+
 
 class TestBioViolations:
     """The test-side BIO check of criterion 4 and the Viterbi tests."""
