@@ -1,7 +1,7 @@
 """Character-level CRF tagging and dictionary chunk matching for structured
 findings in Chinese radiology report sentences."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from types import ModuleType as _ModuleType
 
@@ -14,11 +14,11 @@ from .corpus import (
     Entity,
     FlatCorpus,
     Quadruple,
+    RecordLines,
     Relation,
     SecondaryPartDictionary,
     read_dictionary,
     read_tagged_flat,
-    write_quadruples,
     write_tagged_flat,
 )
 from .crf import (

@@ -22,7 +22,8 @@ Each file format has one reader and at most one writer:
   ``float`` makes of each token (:func:`read_emission_blocks` parses plain
   decimals in byte chunks with an exact vectorized kernel, and any other file
   line by line);
-* quadruples and relations: JSON Lines;
+* quadruples and relations: JSON Lines, every line naming its ``sentence_id``
+  (:func:`read_relations`, :class:`RecordLines`);
 * model and config files: one JSON object each, read by
   :func:`read_json_object`.
 
@@ -455,8 +456,9 @@ class _Unusual(Exception):
 def _read_emission_chunks(path) -> dict[str, np.ndarray]:
     """The fast reader of :func:`read_emission_blocks`: the file in chunks of
     about ``_PARSE_BYTES`` that end at a line end.  A block inside one chunk is
-    a view of that chunk's rows; one that spans chunks grows an array of its
-    own.  Raises ``_Unusual`` on any error or grammar beyond plain decimals."""
+    a copy of that chunk's rows, and one that spans chunks grows an array of
+    its own, so each row is held once.  Raises ``_Unusual`` on any error or
+    grammar beyond plain decimals."""
     blocks: dict[str, np.ndarray] = {}
 
     def store(sid, block):
@@ -486,7 +488,9 @@ def _read_emission_chunks(path) -> dict[str, np.ndarray]:
             stops = [first for _, _, first in heads[1:]] + [len(rows)]
             for (head, size, first), stop in zip(heads, stops):
                 if stop - first == size:
-                    store(head, rows[first:stop])
+                    block = rows[first:stop].copy()
+                    block.setflags(write=False)
+                    store(head, block)
                 else:   # the chunk's last block runs on
                     sid, n, scores, count = head, size, rows[first:].copy(), stop - first
     if sid is not None or not blocks:
@@ -637,114 +641,38 @@ def write_emissions(blocks: Mapping[str, np.ndarray], path) -> None:
             fh.write(_EMISSION_ROW * len(scores) % tuple(scores.ravel().tolist()))
 
 
-def entity_to_dict(entity: Entity) -> dict:
-    return {
-        "kind": entity.kind,
-        "start": entity.start,
-        "end": entity.end,
-        "text": entity.text,
-    }
-
-
 def entity_from_dict(data: dict) -> Entity:
     return Entity(data["kind"], data["start"], data["end"], data["text"])
 
 
-class _Raises:   # a line piece that could not be built: bytes % calls __bytes__, which raises
-    def __init__(self, error: Exception):
-        self.error = error
-
-    def __bytes__(self):
-        raise self.error
-
-
-def _utf8(text: str) -> bytes | _Raises:
-    try:
-        return text.encode()
-    except UnicodeEncodeError as exc:   # a lone surrogate
-        return _Raises(exc)
-
-
-def _id_end(sid) -> bytes | _Raises:   # the end of a line naming sid, as json.dumps writes it
-    try:
-        text = encode_basestring(sid) if isinstance(sid, str) else json.dumps(sid, ensure_ascii=False)
-    except (TypeError, ValueError, RecursionError) as exc:   # an id JSON cannot serialize
-        return _Raises(exc)
-    return _utf8(', "sentence_id": %s}\n' % text)
-
-
 class RecordLines:
     """JSON Lines of quadruples and relations as UTF-8 bytes, each line equal
-    to ``json.dumps(record, ensure_ascii=False)`` of the writers' record.
+    to ``json.dumps(record, ensure_ascii=False)`` of its record as a dict,
+    with ``sentence_id`` last.
 
     Records refer to entities by index arrays into ``entities``, whose ``(kind
     index into ENTITY_KINDS, start, end, text)`` tuples are serialized and
     encoded once each; -1 is an empty slot.  Each record also names a row of
-    ``sentence_ids``, whose id ends its line; ``NO_ID`` leaves the ``sentence_id``
-    field out.  An id JSON rejects, then text UTF-8 cannot encode, raises in its line."""
+    ``sentence_ids``, whose ``str`` id ends its line.  A non-``str`` id
+    (``TypeError``) or a text UTF-8 cannot encode (``UnicodeEncodeError``)
+    raises here, before any line is built."""
 
-    NO_ID = object()
-
-    def __init__(self, entities: Iterable[tuple[int, int, int, str]], sentence_ids: Sequence):
-        self._entities = np.array([*(_utf8(f'{{"kind": "{ENTITY_KINDS[k]}", "start": {a}, '
-                                          f'"end": {b}, "text": {encode_basestring(t)}}}')
+    def __init__(self, entities: Iterable[tuple[int, int, int, str]], sentence_ids: Sequence[str]):
+        self._entities = np.array([*(f'{{"kind": "{ENTITY_KINDS[k]}", "start": {a}, "end": {b}, '
+                                     f'"text": {encode_basestring(t)}}}'.encode()
                                      for k, a, b, t in entities), b"null"], object)
-        self._ends = np.array([b"}\n" if sid is self.NO_ID else _id_end(sid)
+        self._ends = np.array([(', "sentence_id": %s}\n' % encode_basestring(sid)).encode()
                                for sid in sentence_ids], object)
-        self._bad_end = any(isinstance(end, _Raises) for end in self._ends)
-
-    def _ends_of(self, rows):   # a bad id raises before its line's entities do, as in json.dumps;
-        # map(bytes) costs extract about 3 %, so only a window holding a bad id pays it
-        return map(bytes, self._ends[rows]) if self._bad_end else self._ends[rows]
 
     def quadruples(self, rows, pp, sp, d, abn) -> Iterator[bytes]:
         e = self._entities
         return map(b'{"pp": %s, "sp": %s, "d": %s, "abn": %s%s'.__mod__,
-                   zip(e[pp], e[sp], e[d], e[abn], self._ends_of(rows)))
+                   zip(e[pp], e[sp], e[d], e[abn], self._ends[rows]))
 
     def relations(self, rows, kinds, heads, tails) -> Iterator[bytes]:
         e = self._entities   # kinds are RELATION_KINDS names, which JSON does not escape
         return map(b'{"kind": "%s", "head": %s, "tail": %s%s'.__mod__,
-                   zip(np.asarray(kinds, "S"), e[heads], e[tails], self._ends_of(rows)))
-
-
-def _write_records(records: Sequence, what: str, path, sentence_ids: Sequence | None,
-                   slots: Sequence[str], write) -> None:
-    """Write ``write(lines, rows, *columns)``: a :class:`RecordLines` over the
-    records' entities, each record's row, and per slot each record's entity."""
-    if sentence_ids is not None and len(sentence_ids) != len(records):
-        raise ValueError(f"sentence_ids must align with {what}")
-    columns = [[getattr(record, slot) for record in records] for slot in slots]
-    # each entity object once, keyed by id; the records keep the ids unique
-    entities = {id(e): e for column in columns for e in column if e is not None}
-    index = {key: i for i, key in enumerate(entities)} | {id(None): -1}
-    if sentence_ids is None:
-        sentence_ids = [RecordLines.NO_ID] * len(records)
-    lines = RecordLines([(ENTITY_KINDS.index(e.kind), e.start, e.end, e.text)
-                         for e in entities.values()], sentence_ids)
-    with open(path, "wb") as fh:   # line by line: the lines before a bad one are written
-        fh.writelines(write(lines, range(len(records)),
-                            *([index[id(e)] for e in column] for column in columns)))
-
-
-def write_quadruples(
-    quads: Sequence[Quadruple], path, sentence_ids: Sequence[str] | None = None
-) -> None:
-    """Write one JSON object per quadruple; absent attributes become null.
-
-    ``sentence_ids`` (aligned with ``quads``) adds a ``sentence_id`` field to
-    each line so downstream evaluation can key records by sentence.
-    """
-    _write_records(quads, "quads", path, sentence_ids, ("pp", "sp", "d", "abn"),
-                   RecordLines.quadruples)
-
-
-def write_relations(
-    relations: Sequence[Relation], path, sentence_ids: Sequence[str] | None = None
-) -> None:
-    kinds = [relation.kind for relation in relations]
-    _write_records(relations, "relations", path, sentence_ids, ("head", "tail"),
-                   lambda lines, rows, *ends: lines.relations(rows, kinds, *ends))
+                   zip(np.asarray(kinds, "S"), e[heads], e[tails], self._ends[rows]))
 
 
 def read_relations(path) -> dict[str, list[Relation]]:

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import NUM_TAGS, TAG_LABELS, CorpusFormatError, read_json_object
+from .corpus import NUM_TAGS, TAG_LABELS, CorpusFormatError, _sentence_lengths, read_json_object
 from .encoder import FeatureVocabulary, LinearScorerParams
 
 START = NUM_TAGS        # virtual start tag, row START is read for entry scores
@@ -120,11 +120,9 @@ class _Packed(NamedTuple):
 
 
 def _pack(P: np.ndarray, lengths) -> _Packed:
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if (P.ndim != 2 or P.shape[1] != NUM_TAGS or lengths.ndim != 1 or (lengths < 1).any()
-            or lengths.sum() != len(P)):
-        raise ValueError(f"emissions must be sum(lengths) x {NUM_TAGS} for lengths of at "
-                         f"least 1, got {P.shape} for {lengths.size} rows")
+    if P.ndim != 2 or P.shape[1] != NUM_TAGS:
+        raise ValueError(f"emissions must be sum(lengths) x {NUM_TAGS}, got {P.shape}")
+    lengths = _sentence_lengths(lengths, len(P))
     order = np.argsort(-lengths, kind="stable")
     ends = np.cumsum(lengths)
     # active[i] rows are longer than i; step i is packed[off[i]:off[i] + active[i]]
@@ -195,12 +193,11 @@ def _log_marginals(P: np.ndarray, A: np.ndarray, lengths: np.ndarray):
 _TINY = np.finfo(np.float64).tiny
 
 
-def _scaled_marginals(P: np.ndarray, A: np.ndarray, lengths: np.ndarray):
+def _scaled_marginals(P: np.ndarray, A: np.ndarray, pack: _Packed):
     """The same ``(log_z, gamma, pairwise)`` as :func:`_log_marginals`, from
-    the scaled recursion in probability space.  ``log_z`` is NaN on each row
-    the recursion cannot carry: a scale that is not a positive normal float,
-    or a non-finite log Z or marginal."""
-    pack = _pack(P, lengths)
+    the scaled recursion in probability space over ``P`` as ``pack`` lays it
+    out.  ``log_z`` is NaN on each row the recursion cannot carry: a scale
+    that is not a positive normal float, or a non-finite log Z or marginal."""
     B, k = len(pack.lengths), NUM_TAGS
     T = np.exp(A[:k, :k])
     start = np.exp(A[START, :k])
@@ -254,9 +251,10 @@ def batch_nll_and_gradient(
     """
     if Y.shape != P.shape[:1]:
         raise ValueError(f"gold path shape {Y.shape} does not match emission shape {P.shape}")
-    lengths = np.asarray(lengths, dtype=np.intp)
+    pack = _pack(P, lengths)
+    lengths = pack.lengths
     with np.errstate(all="ignore"):
-        log_z, gamma, pairwise = _scaled_marginals(P, A, lengths)
+        log_z, gamma, pairwise = _scaled_marginals(P, A, pack)
         slow = np.isnan(log_z)
         if slow.any():
             rows = np.repeat(slow, lengths)

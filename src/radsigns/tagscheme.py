@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ENTITY_KINDS, NUM_TAGS, Entity
+from .corpus import ENTITY_KINDS, NUM_TAGS, Entity, _sentence_lengths
 
 
 def text_runs(text: str, path, lengths: Sequence[int]):
@@ -46,9 +46,10 @@ def _run_arrays(path, lengths: Sequence[int]):
         raise ValueError("tag index out of range") from None
     if flat.size and not 0 <= flat.min() <= flat.max() < NUM_TAGS:
         raise ValueError(f"tag index {flat[(flat < 0) | (flat >= NUM_TAGS)][0]} out of range")
-    offsets = np.cumsum([0, *lengths])
-    if flat.shape != (offsets[-1],):
-        raise ValueError(f"a tag path of {flat.size} indices for {offsets[-1]} chars")
+    chars = np.sum([0, *lengths])
+    if flat.shape != (chars,):
+        raise ValueError(f"a tag path of {flat.size} indices for {chars} chars")
+    offsets = np.concatenate(([0], np.cumsum(_sentence_lengths(lengths, flat.size))))
     kind = (flat + 1) >> 1   # 0 for O, then 1 + the ENTITY_KINDS index; B tags are odd
     breaks = np.ones(flat.size + 1, bool)   # a run ends at the next break
     breaks[1:-1] = (flat[1:] & 1).astype(bool) | (kind[1:] != kind[:-1])

@@ -18,8 +18,6 @@ from radsigns.corpus import (
     read_emission_blocks,
     read_tagged_flat,
     write_emissions,
-    write_quadruples,
-    write_relations,
     write_tagged_flat,
 )
 from radsigns.crf import (TaggerModel, TransitionMatrix, decoding_transitions, load_model,
@@ -31,7 +29,7 @@ from radsigns.tagscheme import batch_entities
 from _synth import (Labels, Text, brute_force_match, build_rule_corpus, encode, entities_of,
                     flat_corpus, match_entities, path_of, tags_of)
 from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT, decode_sentence
-from test_corpus import CORPUS_CHARS, reference_write_quadruples, reference_write_relations
+from test_corpus import CORPUS_CHARS, reference_write_records
 from test_tagscheme import reference_tags_to_entities
 
 
@@ -261,8 +259,8 @@ class TestOutputsMatchPublicApi:
                 relations += rels
                 relation_ids += [sentence.id] * len(rels)
             want_q, want_r = tmp_path / f"{name}_q.jsonl", tmp_path / f"{name}_r.jsonl"
-            reference_write_quadruples(quads, want_q, sentence_ids=quad_ids)
-            reference_write_relations(relations, want_r, sentence_ids=relation_ids)
+            reference_write_records(quads, want_q, quad_ids)
+            reference_write_records(relations, want_r, relation_ids)
             assert quads and relations
             assert got_q.read_bytes() == want_q.read_bytes(), name
             assert got_r.read_bytes() == want_r.read_bytes(), name
@@ -327,8 +325,8 @@ class TestOutputsMatchPublicApi:
             relation_ids += [sentence.id] * len(rels)
         assert all(any(c in t for t in texts) for c in self.ESCAPED)
         want_q, want_r = tmp_path / "want_q.jsonl", tmp_path / "want_r.jsonl"
-        reference_write_quadruples(quads, want_q, sentence_ids=quad_ids)
-        reference_write_relations(relations, want_r, sentence_ids=relation_ids)
+        reference_write_records(quads, want_q, quad_ids)
+        reference_write_records(relations, want_r, relation_ids)
         assert quads and relations
         assert got_q.read_bytes() == want_q.read_bytes()
         assert got_r.read_bytes() == want_r.read_bytes()
@@ -411,16 +409,15 @@ class TestReadmeLibrarySnippet:
         shutil.copy(workspace["dict"], "parts.txt")
         namespace = {}
         exec(snippet, namespace)
-        corpus, path, quadruples = (namespace[k] for k in ("corpus", "path", "quadruples"))
+        corpus, path = namespace["corpus"], namespace["path"]
         Path("input.txt").write_text(corpus.text + "\n", encoding="utf-8")
         assert main(["tag", "input.txt", "--model", "model.json", "--out", "tagged.tsv"]) == 0
         assert main(["extract", "input.txt", "--model", "model.json", "--dict", "parts.txt",
                      "--out", "quads.jsonl"]) == 0
         tagged = read_tagged_flat("tagged.tsv")
         assert (tagged.text, tagged.indices) == (corpus.text, path.tobytes())
-        assert quadruples
-        write_quadruples(quadruples, "snippet.jsonl", sentence_ids=corpus.ids * len(quadruples))
-        assert Path("quads.jsonl").read_bytes() == Path("snippet.jsonl").read_bytes()
+        assert Path("quadruples.jsonl").read_bytes()
+        assert Path("quads.jsonl").read_bytes() == Path("quadruples.jsonl").read_bytes()
 
 
 class TestTagAndExtract:
@@ -1092,7 +1089,7 @@ class TestByteOrderMark:
                  "relations": tmp_path / "relations.jsonl", "model": workspace["model"],
                  "config": tmp_path / "config.json"}
         write_tagged_flat(FlatCorpus(OCCLUSION_TEXT, [len(OCCLUSION_TEXT)], path), paths["tsv"])
-        write_relations(relations, paths["relations"], sentence_ids=["s1"] * len(relations))
+        reference_write_records(relations, paths["relations"], ["s1"] * len(relations))
         paths["config"].write_text('{"constrain": false, "input_format": "text"}', encoding="utf-8")
         return paths
 

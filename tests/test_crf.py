@@ -563,7 +563,9 @@ class TestFlatViterbi:
         )
         P = np.zeros((5, 7))
         for entry in entries:
-            for lengths in ([2, 2], [2, 4], [5, 0], [6, -1], [0, 5], [3, 3]):
+            # the last three cover the rows once cast to integers
+            for lengths in ([2, 2], [2, 4], [5, 0], [6, -1], [0, 5], [3, 3], [2.9, 3.9],
+                            [1.0] * 5, [True] * 5):
                 with pytest.raises(ValueError, match="lengths"):
                     entry(P, np.zeros((9, 9)), np.array(lengths))
             for bad_P, lengths in ((np.zeros((5, 6)), [5]), (np.zeros((1, 5, 7)), [5]), (P, [[5]])):

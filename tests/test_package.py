@@ -113,13 +113,16 @@ def test_strict_counts_are_computed_only_in_evaluation():
 
 def test_one_reader_and_one_writer_per_file_format():
     """The public readers and writers of ``radsigns.corpus`` are one per file
-    format and direction, and ``text_feature_ids`` is the one feature-id
-    function of ``radsigns.encoder``."""
+    format and direction, ``RecordLines`` writing the quadruple and relation
+    JSON Lines, and ``text_feature_ids`` is the one feature-id function of
+    ``radsigns.encoder``."""
     io = {name for name, value in vars(corpus).items()
           if re.match(r"(read|write)_", name) and inspect.isfunction(value)}
     assert io == {"read_tagged_flat", "read_text_flat", "read_emission_blocks", "read_dictionary",
-                  "read_json_object", "read_relations", "write_tagged_flat", "write_emissions",
-                  "write_quadruples", "write_relations"}
+                  "read_json_object", "read_relations", "write_tagged_flat", "write_emissions"}
+    jsonl_writers = [name for name, value in vars(corpus).items()
+                     if inspect.isclass(value) and {"quadruples", "relations"} <= set(vars(value))]
+    assert jsonl_writers == ["RecordLines"]
     classes = [v for v in vars(encoder).values()
                if inspect.isclass(v) and v.__module__ == encoder.__name__]
     feature_ids = {name for owner in (encoder, *classes) for name in vars(owner)
@@ -136,24 +139,35 @@ PER_SENTENCE_API = {"EmissionMatrix", "score_sentence", "viterbi_decode", "log_p
                     "Sentence", "TagSequence", "from_pairs", "pairs", "tags_from_indices",
                     "entities_to_tags", "tags_to_entities", "validate_path",
                     "find_primary_parts", "match"}
+# the writers of Quadruple and Relation lists, and what only they used
+OBJECT_LIST_WRITERS = {"write_quadruples", "write_relations", "_write_records", "entity_to_dict",
+                       "NO_ID", "_Raises", "_utf8", "_id_end", "_bad_end", "_ends_of"}
+DELETED_API = PER_SENTENCE_API | OBJECT_LIST_WRITERS
 
 
 def test_the_flat_batch_functions_are_the_one_library_surface():
     """No src module defines, imports or exports a per-sentence type, a
-    ``FlatCorpus`` conversion to or from them, or a batch-size-1 CRF,
-    scoring, decoding or matching wrapper; ``extract_features`` takes a
-    ``str``, and ``TaggerModel`` only holds its vocabulary, weights and
-    transitions: it defines no methods."""
+    ``FlatCorpus`` conversion to or from them, a batch-size-1 CRF, scoring,
+    decoding or matching wrapper, or a writer of ``Quadruple`` or
+    ``Relation`` lists or a helper only those used, not even as an attribute;
+    ``extract_features`` takes a ``str``, and ``TaggerModel`` only holds its
+    vocabulary, weights and transitions: it defines no methods."""
     offenders = [f"{name}.{found}" for name, module in (("radsigns", radsigns), *MODULES.items())
-                 for found in PER_SENTENCE_API & set(vars(module))]
-    offenders += [f"FlatCorpus.{found}" for found in PER_SENTENCE_API & set(dir(corpus.FlatCorpus))]
+                 for found in DELETED_API & set(vars(module))]
+    offenders += [f"{cls.__name__}.{found}" for cls in (corpus.FlatCorpus, corpus.RecordLines)
+                  for found in DELETED_API & set(dir(cls))]
     for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             defined = getattr(node, "name", None) if isinstance(
                 node, (ast.FunctionDef, ast.ClassDef)) else None
             imported = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
             offenders += [f"{path.name}:{node.lineno} {found}" for found in (defined, *imported)
-                          if found in PER_SENTENCE_API]
+                          if found in DELETED_API]
+            # a local or attribute may be called pairs or match, not NO_ID or _bad_end
+            used = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else None)
+            if used in OBJECT_LIST_WRITERS:
+                offenders.append(f"{path.name}:{node.lineno} {used}")
     text = next(iter(inspect.signature(encoder.extract_features).parameters.values()))
     if text.annotation not in (str, "str"):
         offenders.append(f"extract_features({text.name}: {text.annotation})")

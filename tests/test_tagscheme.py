@@ -176,6 +176,15 @@ class TestFindRuns:
         with pytest.raises(ValueError, match="3 indices for 2 chars"):
             batch_entities(["s1"], "字" * 2, [0, 0, 0], [2])
 
+    def test_lengths_are_checked_as_the_flat_corpus_checks_them(self):
+        # lengths that sum to the path's length but are not all positive integers
+        for lengths in ([-1, 4], [3, 0], [0, 3]):
+            with pytest.raises(ValueError, match=r"^sentence lengths \[.*\] must be positive"):
+                batch_entities(["s1", "s2"], "abc", b"\x01\x02\x00", lengths)
+        for lengths in ([1.5, 1.5], [True, True, True]):
+            with pytest.raises(ValueError, match="^sentence lengths must be a 1-D array of integers"):
+                text_runs("abc", [1, 2, 0], lengths)
+
     def test_text_must_match_the_path(self):
         for text, path in (("字" * 2, [0]), ("字", [0, 0])):
             with pytest.raises(ValueError, match=f"^a text of {len(text)} chars for {len(path)} tags$"):
