@@ -1,7 +1,7 @@
 """Character-level CRF tagging and dictionary chunk matching for structured
 findings in Chinese radiology report sentences."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from types import ModuleType as _ModuleType
 

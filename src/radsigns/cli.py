@@ -167,11 +167,13 @@ def _number(cast, low, above: bool = False):
     return parse
 
 
-def _emission_blocks(emissions_file, corpus: FlatCorpus) -> list[np.ndarray]:
-    """Each sentence's block of the emission file, in input order; the first
+def _emission_blocks(emissions_file, corpus: FlatCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """The emission file's scores and each character's row in them; the first
     sentence, in input order, without a block of its length is an error."""
-    blocks, ids = read_emission_blocks(emissions_file), corpus.ids
-    rows = np.array([len(blocks.get(sid, ())) for sid in ids], dtype=np.intp)   # 0: no block
+    (file_ids, lengths, scores), ids = read_emission_blocks(emissions_file), corpus.ids
+    block = dict(zip(file_ids, range(len(file_ids))))
+    found = np.array([block.get(sid, -1) for sid in ids], dtype=np.intp)
+    rows = np.append(lengths, 0)[found]   # 0: no block
     bad = np.flatnonzero(rows != corpus.lengths)
     if bad.size:
         i = bad[0]
@@ -179,28 +181,29 @@ def _emission_blocks(emissions_file, corpus: FlatCorpus) -> list[np.ndarray]:
             f"{emissions_file}: no emission block for sentence {ids[i]!r}" if not rows[i] else
             f"{emissions_file}: emission matrix has {rows[i]} rows but sentence {ids[i]!r} "
             f"has {corpus.lengths[i]} characters")
-    return [blocks[sid] for sid in ids]
+    shift = (np.cumsum(lengths) - lengths)[found] - corpus.offsets[:-1]   # block - sentence start
+    return scores, np.repeat(shift, corpus.lengths) + np.arange(len(corpus.text))
 
 
 def _tag_windows(model: TaggerModel, corpus: FlatCorpus, args, from_tags: bool = False):
     """``(window, flat tag path)`` of each window of ``MATCH_WINDOW``
     sentences of ``corpus`` in input order, the window a
     :meth:`FlatCorpus.window`; the path is the window's ``indices`` if
-    ``from_tags``, else one Viterbi pass.  Every emission block is checked
-    before this returns, before any output."""
+    ``from_tags``, else one Viterbi pass over the model's scores or over one
+    gather of the emission file's rows, every block checked before any output."""
     A = decoding_transitions(model.transitions, args.constrain)
-    blocks = _emission_blocks(args.emissions_file, corpus) if args.emissions_file else None
+    emissions = _emission_blocks(args.emissions_file, corpus) if args.emissions_file else None
 
     def decode(lo):
         window = corpus.window(lo, lo + MATCH_WINDOW)
         if from_tags:
             return window, window.indices
-        if blocks is None:
+        if emissions is None:
             P = score_ids(model.weights.weights,
                           text_feature_ids(model.vocab, window.text, window.lengths))
-        else:   # the window's copy replaces its blocks, so each is held once
-            P = np.concatenate(blocks[lo:lo + MATCH_WINDOW])
-            blocks[lo:lo + MATCH_WINDOW] = [None] * len(window.lengths)
+        else:
+            scores, index = emissions
+            P = scores[index[corpus.offsets[lo]:corpus.offsets[lo] + len(window.text)]]
         return window, viterbi(P, A, window.lengths)
 
     return map(decode, range(0, len(corpus.lengths), MATCH_WINDOW))

@@ -31,8 +31,8 @@ Each file format has one reader and at most one writer:
 tagged corpora are read and written as one :class:`FlatCorpus` in array
 passes over code points; only an error's report reads line by line.
 
-Readers are pure functions and every returned value is immutable, so results
-are safe to share across threads.
+Readers are pure functions.  Every array they return is read-only, and
+:class:`FlatCorpus` and :class:`SecondaryPartDictionary` are frozen.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -160,9 +160,9 @@ class SecondaryPartDictionary:
         return iter(sorted(self.terms))
 
 
-def _sentence_lengths(lengths, size: int) -> np.ndarray:
+def _sentence_lengths(lengths, size: int | None) -> np.ndarray:
     """``lengths`` as a new read-only ``intp`` array; a ``ValueError`` names them
-    unless they are 1-D integers, all positive, that sum to ``size``."""
+    unless they are 1-D integers, all positive, that sum to ``size`` (any sum if None)."""
     try:
         given = np.asarray(lengths)
     except ValueError:   # a ragged list
@@ -170,6 +170,7 @@ def _sentence_lengths(lengths, size: int) -> np.ndarray:
     if given.ndim != 1 or given.size and given.dtype.kind not in "iu":
         raise ValueError(f"sentence lengths must be a 1-D array of integers, got {lengths!r:.80}")
     lengths = given.astype(np.intp)
+    size = lengths.sum() if size is None else size
     if (lengths < 1).any() or lengths.sum() != size:
         raise ValueError(f"sentence lengths {lengths} must be positive and sum to "
                          f"the text's length, {size}")
@@ -381,16 +382,17 @@ def read_text_flat(path) -> FlatCorpus:
     return FlatCorpus(text.replace("\n", ""), lengths[lengths > 0])
 
 
-def _read_emission_lines(path) -> dict[str, np.ndarray]:
+def _read_emission_lines(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The line reader of :func:`read_emission_blocks`.
 
     The file is streamed: each header is checked as it is read, and its rows
     are parsed as they are read, by :func:`_parse_rows` in slices of at most
-    ``_PARSE_ROWS``, into an array of the block's own, so the reader holds one
-    slice's text, never the file's.  Errors come in file order: a block's
-    missing rows, else its first bad row, when it ends; an undecodable byte
-    where it is met."""
-    blocks: dict[str, np.ndarray] = {}
+    ``_PARSE_ROWS``, so the reader holds one slice's text, never the file's;
+    the slices' rows are joined once at the end.  Errors come in file order: a
+    block's missing rows, else its first bad row, when it ends; an undecodable
+    byte where it is met."""
+    lengths: dict[str, int] = {}   # by sentence id, in file order
+    parts = []
     with _open_text(path) as fh:
         lines = filter(itemgetter(1), enumerate(map(str.strip, fh), 1))   # non-blank lines, lazily
         for lineno, header in lines:
@@ -399,7 +401,7 @@ def _read_emission_lines(path) -> dict[str, np.ndarray]:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected header '<sentence_id> <n> <k>', got {header!r}")
             sid = fields[0]
-            if sid in blocks:
+            if sid in lengths:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: a second emission block for sentence {sid!r}")
             try:
@@ -411,12 +413,10 @@ def _read_emission_lines(path) -> dict[str, np.ndarray]:
                 raise CorpusFormatError(f"{path}:{lineno}: k must be {NUM_TAGS}, got {k}")
             if n < 1:
                 raise CorpusFormatError(f"{path}:{lineno}: n must be positive, got {n}")
-            scores, count, error = np.empty((min(n, _PARSE_ROWS), NUM_TAGS)), 0, None
+            count, error = 0, None
             while rows := list(islice(lines, min(n - count, _PARSE_ROWS))):
-                if count + len(rows) > len(scores):   # no view of it exists before it is stored
-                    scores.resize((min(n, 2 * len(scores)), NUM_TAGS), refcheck=False)
                 try:
-                    scores[count:count + len(rows)] = _parse_rows(path, rows)
+                    parts.append(_parse_rows(path, rows))
                 except CorpusFormatError as exc:
                     error = error or exc
                 count += len(rows)
@@ -425,11 +425,17 @@ def _read_emission_lines(path) -> dict[str, np.ndarray]:
                     f"{path}:{lineno}: header promises {n} rows for {sid!r} but only {count} follow")
             if error:   # a bad row waits until the header's promise is checked
                 raise error
-            scores.setflags(write=False)
-            blocks[sid] = scores
-    if not blocks:
+            lengths[sid] = n
+    if not lengths:
         raise CorpusFormatError(f"{path}: no emission blocks found")
-    return blocks
+    return _joined(list(lengths), list(lengths.values()), parts)
+
+
+def _joined(ids: list[str], lengths: list[int], parts: list[np.ndarray]):
+    """``(ids, lengths, scores)``, ``parts``' rows joined into one read-only array."""
+    scores = np.concatenate(parts)
+    scores.setflags(write=False)
+    return ids, _sentence_lengths(lengths, len(scores)), scores
 
 
 # bytes of an emission file that the fast reader takes at a time, read on to
@@ -453,56 +459,31 @@ class _Unusual(Exception):
     """A file that only the line reader can read, or report."""
 
 
-def _read_emission_chunks(path) -> dict[str, np.ndarray]:
+def _read_emission_chunks(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The fast reader of :func:`read_emission_blocks`: the file in chunks of
-    about ``_PARSE_BYTES`` that end at a line end.  A block inside one chunk is
-    a copy of that chunk's rows, and one that spans chunks grows an array of
-    its own, so each row is held once.  Raises ``_Unusual`` on any error or
-    grammar beyond plain decimals."""
-    blocks: dict[str, np.ndarray] = {}
-
-    def store(sid, block):
-        if sid in blocks:
-            raise _Unusual
-        blocks[sid] = block
-
-    sid, n, scores, count = None, 0, None, 0   # the block that runs on past a chunk
+    about ``_PARSE_BYTES`` that end at a line end, whose rows are joined once
+    at the end.  Raises ``_Unusual`` on any error or grammar beyond plain
+    decimals."""
+    parts, heads, owed = [], [], 0   # owed: the rows the last block still needs
     with open(path, "rb") as fh:
         bom = codecs.BOM_UTF8
         while chunk := fh.read(_PARSE_BYTES):
             chunk = (chunk if chunk.endswith(b"\n") else chunk + fh.readline()).removeprefix(bom)
             bom = b""
-            rows, heads = _chunk_rows(b"\n" + chunk.removesuffix(b"\n") + b"\n",
-                                      0 if sid is None else n - count)
-            if sid is not None:
-                taken = heads[0][2] if heads else len(rows)
-                if count + taken > len(scores):
-                    scores.resize((min(n, max(count + taken, 2 * len(scores))), NUM_TAGS),
-                                  refcheck=False)   # no view of it exists before it is stored
-                scores[count:count + taken] = rows[:taken]
-                count += taken
-                if count == n:
-                    scores.setflags(write=False)
-                    store(sid, scores)
-                    sid = None
-            stops = [first for _, _, first in heads[1:]] + [len(rows)]
-            for (head, size, first), stop in zip(heads, stops):
-                if stop - first == size:
-                    block = rows[first:stop].copy()
-                    block.setflags(write=False)
-                    store(head, block)
-                else:   # the chunk's last block runs on
-                    sid, n, scores, count = head, size, rows[first:].copy(), stop - first
-    if sid is not None or not blocks:
+            rows, chunk_heads = _chunk_rows(b"\n" + chunk.removesuffix(b"\n") + b"\n", owed)
+            parts.append(rows)
+            heads += chunk_heads
+            owed += sum(n for _, n in chunk_heads) - len(rows)
+    ids = [sid for sid, _ in heads]
+    if owed or not ids or len(set(ids)) < len(ids):
         raise _Unusual
-    return blocks
+    return _joined(ids, [n for _, n in heads], parts)
 
 
-def _chunk_rows(data: bytes, owed: int) -> tuple[np.ndarray, list[tuple[str, int, int]]]:
+def _chunk_rows(data: bytes, owed: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
     """The rows of ``data``, whole lines with a newline before the first and
-    after the last, as a read-only (rows, 7) array, and each header in it as
-    (sentence id, n, index of its first row); the first ``owed`` non-blank
-    lines are rows of a block begun before."""
+    after the last, as a (rows, 7) array, and each header in it as (sentence
+    id, n); the first ``owed`` non-blank lines are rows of a block begun before."""
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         raise _Unusual   # a lone CR ends a line
     classes = np.frombuffer(data.translate(_BYTE_CLASS), np.uint8)
@@ -529,16 +510,14 @@ def _chunk_rows(data: bytes, owed: int) -> tuple[np.ndarray, list[tuple[str, int
         if k != NUM_TAGS or n < 1:
             raise _Unusual
         row_line[line] = False
-        heads.append((sid, n, i - len(heads)))
+        heads.append((sid, n))
         header_spans.append((start, stop))
         i += 1 + n
     bad = np.flatnonzero(kind == _BAD)
     if (tokens[row_line] != NUM_TAGS).any() or row_line[np.searchsorted(newlines, bad) - 1].any():
         raise _Unusual
     rows = _token_values(data, at, kind, ends[np.repeat(row_line, tokens)], header_spans)
-    rows = rows.reshape(-1, NUM_TAGS)
-    rows.setflags(write=False)
-    return rows, heads
+    return rows.reshape(-1, NUM_TAGS), heads
 
 
 def _token_values(data: bytes, at: np.ndarray, kind: np.ndarray, end: np.ndarray,
@@ -597,9 +576,10 @@ def _token_span(at: np.ndarray, kind: np.ndarray, end: int) -> tuple[int, int]:
     return at[before] + 1, at[end]
 
 
-def read_emission_blocks(path) -> dict[str, np.ndarray]:
-    """Every emission block in the file by sentence id, in order, as its
-    read-only n x 7 array; sentence ids must be unique.
+def read_emission_blocks(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(ids, lengths, scores)`` of an emission file: its unique sentence ids in
+    file order, each block's row count as a read-only ``intp`` array, and all
+    blocks' rows end to end as one read-only ``(sum(lengths), 7)`` array.
 
     A file of plain decimal rows is read by :func:`_read_emission_chunks`,
     which needs x87 extended precision.  Any other file, and every file with
@@ -615,30 +595,37 @@ def read_emission_blocks(path) -> dict[str, np.ndarray]:
 _EMISSION_ROW = "%.17g " * (NUM_TAGS - 1) + "%.17g\n"
 
 
-def write_emissions(blocks: Mapping[str, np.ndarray], path) -> None:
-    """One block per entry of a ``{sentence id: n x 7 array}`` mapping, such
-    as :func:`read_emission_blocks` returns.  An id that its reader rejects
-    (not a string, empty or holding whitespace), an array that is not n x 7 with n at least
-    1, or a non-finite score raises ``ValueError`` naming the id, before the
-    file is opened."""
-    checked = {}
-    for sid, scores in blocks.items():
+def write_emissions(ids: Sequence[str], lengths, scores, path) -> None:
+    """The file that :func:`read_emission_blocks` reads as ``(ids, lengths,
+    scores)``.  An id that the reader rejects (not a string, empty, holding
+    whitespace or repeated), lengths that are not positive integers summing
+    to the n rows of n x 7 ``scores``, or a non-finite score raises
+    ``ValueError``, naming the id, before the file is opened."""
+    seen = set()
+    for sid in ids:
         if not isinstance(sid, str):
             raise ValueError(f"emission id {sid!r} must be a string")
         if sid.split() != [sid]:
             raise ValueError(f"emission id {sid!r} is empty or has whitespace")
-        scores = checked[sid] = np.asarray(scores, dtype=np.float64)
-        if scores.ndim != 2 or scores.shape[1] != NUM_TAGS or not len(scores):
-            raise ValueError(f"emission block for {sid!r} must be n x {NUM_TAGS} with n at "
-                             f"least 1, got shape {scores.shape}")
-        if not np.isfinite(scores).all():
-            raise ValueError(f"non-finite emission score for {sid!r}")
+        if sid in seen:
+            raise ValueError(f"emission id {sid!r} is repeated")
+        seen.add(sid)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != NUM_TAGS:
+        raise ValueError(f"emission scores must be n x {NUM_TAGS}, got shape {scores.shape}")
+    ends = np.cumsum(_sentence_lengths(lengths, len(scores)))
+    if len(ends) != len(ids):
+        raise ValueError(f"{len(ids)} emission ids for {len(ends)} blocks")
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if bad.size:
+        sid = ids[np.searchsorted(ends, bad[0], "right")]
+        raise ValueError(f"non-finite emission score for {sid!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, (sid, scores) in enumerate(checked.items()):
-            if i == 0 and sid.startswith("\ufeff"):   # readers drop one leading BOM
-                fh.write("\ufeff")
-            fh.write(f"{sid} {len(scores)} {NUM_TAGS}\n")
-            fh.write(_EMISSION_ROW * len(scores) % tuple(scores.ravel().tolist()))
+        if ids and ids[0].startswith("\ufeff"):   # readers drop one leading BOM
+            fh.write("\ufeff")
+        for sid, a, b in zip(ids, [0, *ends.tolist()], ends.tolist()):
+            fh.write(f"{sid} {b - a} {NUM_TAGS}\n")
+            fh.write(_EMISSION_ROW * (b - a) % tuple(scores[a:b].ravel().tolist()))
 
 
 def entity_from_dict(data: dict) -> Entity:

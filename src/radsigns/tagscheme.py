@@ -46,10 +46,10 @@ def _run_arrays(path, lengths: Sequence[int]):
         raise ValueError("tag index out of range") from None
     if flat.size and not 0 <= flat.min() <= flat.max() < NUM_TAGS:
         raise ValueError(f"tag index {flat[(flat < 0) | (flat >= NUM_TAGS)][0]} out of range")
-    chars = np.sum([0, *lengths])
-    if flat.shape != (chars,):
-        raise ValueError(f"a tag path of {flat.size} indices for {chars} chars")
-    offsets = np.concatenate(([0], np.cumsum(_sentence_lengths(lengths, flat.size))))
+    lengths = _sentence_lengths(lengths, None)
+    if flat.shape != (lengths.sum(),):
+        raise ValueError(f"a tag path of {flat.size} indices for {lengths.sum()} chars")
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
     kind = (flat + 1) >> 1   # 0 for O, then 1 + the ENTITY_KINDS index; B tags are odd
     breaks = np.ones(flat.size + 1, bool)   # a run ends at the next break
     breaks[1:-1] = (flat[1:] & 1).astype(bool) | (kind[1:] != kind[:-1])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from radsigns.corpus import Entity, SecondaryPartDictionary
@@ -18,6 +19,18 @@ OCCLUSION_LABELS = (
     "B-P", "I-P", "I-P", "B-P", "I-P", "I-P",
     "B-D", "I-D", "B-Abn", "I-Abn", "O",
 )
+
+
+def emission_triple(blocks) -> tuple[list[str], list[int], np.ndarray]:
+    """The ``(ids, lengths, scores)`` that ``write_emissions`` takes, of a
+    ``{sentence id: n x 7 array}`` mapping, its blocks laid end to end in order."""
+    return list(blocks), [len(b) for b in blocks.values()], np.concatenate(list(blocks.values()))
+
+
+def emission_dict(ids, lengths, scores) -> dict:
+    """``read_emission_blocks``' ``(ids, lengths, scores)`` as a ``{sentence
+    id: n x 7 array}`` dict in file order, each array a view of ``scores``."""
+    return dict(zip(ids, np.split(scores, np.cumsum(lengths)[:-1])))
 
 
 def decode_sentence(model, text: str, constrain_bio=True) -> bytes:

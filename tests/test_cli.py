@@ -28,7 +28,8 @@ from radsigns.tagscheme import batch_entities
 
 from _synth import (Labels, Text, brute_force_match, build_rule_corpus, encode, entities_of,
                     flat_corpus, match_entities, path_of, tags_of)
-from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT, decode_sentence
+from conftest import (OCCLUSION_LABELS, OCCLUSION_TEXT, decode_sentence, emission_dict,
+                      emission_triple)
 from test_corpus import CORPUS_CHARS, reference_write_records
 from test_tagscheme import reference_tags_to_entities
 
@@ -202,8 +203,8 @@ def decode_inputs(tmp_path_factory):
     paths = {"text": root / "input.txt", "tsv": root / "input.tsv", "emissions": root / "em.txt"}
     paths["text"].write_text("".join(s.text + "\n" for s, _ in pairs), encoding="utf-8")
     write_tagged_flat(flat_corpus(pairs), paths["tsv"])
-    write_emissions({s.id: 3 * rng.standard_normal((len(s), 7)) for s, _ in pairs},
-                    paths["emissions"])
+    blocks = {s.id: 3 * rng.standard_normal((len(s), 7)) for s, _ in pairs}
+    write_emissions(*emission_triple(blocks), paths["emissions"])
     return {**paths, "pairs": pairs}
 
 
@@ -229,7 +230,7 @@ class TestOutputsMatchPublicApi:
         if case == "from-tags":
             return [tags.indices for _, tags in pairs]
         if case.startswith("emissions-file"):
-            blocks = read_emission_blocks(emissions_path)
+            blocks = emission_dict(*read_emission_blocks(emissions_path))
             A = decoding_transitions(model.transitions, constrain)
             return [viterbi(blocks[s.id], A, [len(s)]).tobytes() for s, _ in pairs]
         return [decode_sentence(model, s.text, constrain) for s, _ in pairs]
@@ -306,7 +307,8 @@ class TestOutputsMatchPublicApi:
             blocks.append(50.0 * np.eye(7)[np.append(0, tags)])
         text, emissions = tmp_path / "in.txt", tmp_path / "em.txt"
         text.write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
-        write_emissions({s.id: block for s, block in zip(sentences, blocks)}, emissions)
+        write_emissions([s.id for s in sentences], [len(b) for b in blocks], np.concatenate(blocks),
+                        emissions)
         got_q, got_r = tmp_path / "q.jsonl", tmp_path / "r.jsonl"
         assert main(["extract", str(text), "--model", str(workspace["model"]),
                      "--dict", str(workspace["dict"]), "--out", str(got_q),
@@ -355,8 +357,8 @@ class TestOutputsMatchPublicApi:
         emissions = tmp_path / "own.txt"
         corpus = read_tagged_flat(decode_inputs["tsv"])
         ids = text_feature_ids(model.vocab, corpus.text, corpus.lengths)
-        scores = np.split(score_ids(model.weights.weights, ids), np.cumsum(corpus.lengths)[:-1])
-        write_emissions(dict(zip(corpus.ids, scores)), emissions)
+        write_emissions(corpus.ids, corpus.lengths, score_ids(model.weights.weights, ids),
+                        emissions)
         outputs = []
         for extra in ([], ["--emissions-file", str(emissions)]):
             out = tmp_path / f"tagged{len(extra)}.tsv"
@@ -568,7 +570,7 @@ class TestTagAndExtract:
         for i, tag in enumerate(forced):
             scores[i, ("O", "B-P", "I-P", "B-D", "I-D", "B-Abn", "I-Abn").index(tag)] = 9.0
         emissions_path = tmp_path / "emissions.txt"
-        write_emissions({"s1": scores}, emissions_path)
+        write_emissions(["s1"], [3], scores, emissions_path)
 
         text_path = tmp_path / "input.txt"
         text_path.write_text("肺影好\n", encoding="utf-8")
@@ -581,7 +583,7 @@ class TestTagAndExtract:
     def run_with_emissions(self, workspace, tmp_path, texts, blocks):
         text_path = tmp_path / "input.txt"
         text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
-        # written by hand: write_emissions takes a mapping, which cannot repeat an id
+        # written by hand: n all-zero rows per (id, n) pair
         emissions_path = tmp_path / "emissions.txt"
         emissions_path.write_text("".join(f"{sid} {n} 7\n" + "0 0 0 0 0 0 0\n" * n
                                           for sid, n in blocks), encoding="utf-8")
@@ -613,8 +615,7 @@ class TestTagAndExtract:
         text_path = tmp_path / "input.txt"
         text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
         emissions_path = tmp_path / "emissions.txt"
-        write_emissions({f"s{i}": np.zeros((n, 7)) for i, n in ((1, 2), (2, 3), (3, 3), (4, 2))},
-                        emissions_path)
+        write_emissions(["s1", "s2", "s3", "s4"], [2, 3, 3, 2], np.zeros((10, 7)), emissions_path)
         outputs = [tmp_path / "out"]
         flags = ["--out", str(outputs[0])]
         if command == "extract":
@@ -628,6 +629,34 @@ class TestTagAndExtract:
                 "characters" in err)
         assert "s5" not in err
         assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("command", ["tag", "extract"])
+    def test_blocks_out_of_input_order_decode_as_the_ordered_file(
+            self, workspace, tmp_path, monkeypatch, command):
+        # windows of two sentences gather their rows from all over the
+        # shuffled file, whose block for s9, an id the input lacks, is unused
+        monkeypatch.setattr(cli, "MATCH_WINDOW", 2)
+        texts = ["右肺", "右上肺影", "见斑影", "左肺", "食管"]
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        rng = np.random.default_rng(61)
+        ordered = {f"s{i}": 3 * rng.standard_normal((len(t), 7)) for i, t in enumerate(texts, 1)}
+        shuffled = {"s4": ordered["s4"], "s9": rng.standard_normal((4, 7)),
+                    **{sid: ordered[sid] for sid in ("s2", "s5", "s1", "s3")}}
+        outputs = []
+        for name, blocks in (("ordered", ordered), ("shuffled", shuffled)):
+            emissions_path = tmp_path / f"{name}.txt"
+            write_emissions(*emission_triple(blocks), emissions_path)
+            files = [tmp_path / f"{name}.out"]
+            flags = ["--out", str(files[0])]
+            if command == "extract":
+                files.append(tmp_path / f"{name}.relations.jsonl")
+                flags += ["--dict", str(workspace["dict"]), "--relations-out", str(files[1])]
+            assert main([command, str(text_path), "--model", str(workspace["model"]),
+                         "--emissions-file", str(emissions_path), *flags]) == 0
+            outputs.append([path.read_bytes() for path in files])
+        assert outputs[1] == outputs[0]
+        assert all(outputs[0])
 
     def test_emission_file_without_blocks_is_usage_error(self, workspace, tmp_path, capsys):
         code, path = self.run_with_emissions(workspace, tmp_path, ["右肺"], [])
@@ -699,8 +728,8 @@ class TestTagAndExtract:
         text_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
         rng = np.random.default_rng(44)
         emissions_path = tmp_path / "emissions.txt"
-        write_emissions({f"s{i + 1}": 3 * rng.standard_normal((len(t), 7))
-                         for i, t in enumerate(texts)}, emissions_path)
+        write_emissions(*emission_triple({f"s{i + 1}": 3 * rng.standard_normal((len(t), 7))
+                                          for i, t in enumerate(texts)}), emissions_path)
         outputs = {}
         for jobs in ("1", "2"):
             quads, relations = tmp_path / f"q{jobs}.jsonl", tmp_path / f"r{jobs}.jsonl"

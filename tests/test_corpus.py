@@ -37,7 +37,7 @@ from radsigns.corpus import (
 )
 
 from _synth import Labels, Text, flat_corpus, path_of, tags_of
-from conftest import FIG_LABELS, FIG_TEXT
+from conftest import FIG_LABELS, FIG_TEXT, emission_dict, emission_triple
 
 
 def write_text(path, content):
@@ -438,11 +438,15 @@ def reference_read_emissions(path):
 
 
 def outcome(reader, path):
-    """(ids, block bytes) on success, (exception type, message) on failure."""
+    """(ids, block bytes) on success, (exception type, message) on failure;
+    a reader may give a ``{sentence id: block}`` dict or ``read_emission_blocks``'
+    ``(ids, lengths, scores)``."""
     try:
         blocks = reader(path)
     except Exception as exc:
         return type(exc), str(exc)
+    if isinstance(blocks, tuple):
+        blocks = emission_dict(*blocks)
     return list(blocks), [(b.shape, b.tobytes()) for b in blocks.values()]
 
 
@@ -544,7 +548,7 @@ def test_values_equal_python_float_bit_for_bit(tmp_path, monkeypatch):
     path = write_text(tmp_path / "e.txt", f"s1 {rows} 7\n" + "".join(
         " ".join(tokens[i:i + 7]) + "\n" for i in range(0, len(tokens), 7)))
     expected = np.array([float(token) for token in tokens])
-    assert read_emission_blocks(path)["s1"].tobytes() == expected.reshape(rows, 7).tobytes()
+    assert read_emission_blocks(path)[2].tobytes() == expected.reshape(rows, 7).tobytes()
     if corpus._X87:   # a plain cast of the quotient misses some of them
         mantissas = np.array([int(token.replace(".", "")) for token in tokens[:10_000]])
         places = [len(token) - token.index(".") - 1 for token in tokens[:10_000]]
@@ -555,8 +559,8 @@ def test_values_equal_python_float_bit_for_bit(tmp_path, monkeypatch):
 class TestEmissions:
     def test_read_block(self, tmp_path):
         content = "s1 2 7\n" + "0 1 2 3 4 5 6\n" + ".5 .5 .5 .5 .5 .5 .5\n"
-        [(sid, scores)] = read_emission_blocks(write_text(tmp_path / "e.txt", content)).items()
-        assert sid == "s1"
+        ids, lengths, scores = read_emission_blocks(write_text(tmp_path / "e.txt", content))
+        assert (ids, lengths.tolist(), lengths.dtype) == (["s1"], [2], np.intp)
         assert scores.shape == (2, 7)
         assert scores[0, 3] == 3.0
 
@@ -584,18 +588,19 @@ class TestEmissions:
         rng = np.random.default_rng(3)
         blocks = {"a": rng.standard_normal((3, 7)), "b": rng.standard_normal((1, 7))}
         path = tmp_path / "e.txt"
-        write_emissions(blocks, path)
-        loaded = read_emission_blocks(path)
+        write_emissions(*emission_triple(blocks), path)
+        loaded = emission_dict(*read_emission_blocks(path))
         assert list(loaded) == ["a", "b"]
         for original, copy in zip(blocks.values(), loaded.values()):
             np.testing.assert_array_equal(original, copy)
 
     def test_bom_read_is_dropped_but_a_written_leading_u_feff_survives(self, tmp_path):
         bom = write_text(tmp_path / "bom.txt", "\ufeffs1 1 7\n0 0 0 0 0 0 0\n")
-        assert list(read_emission_blocks(bom)) == ["s1"]
+        assert read_emission_blocks(bom)[0] == ["s1"]
         path = tmp_path / "e.txt"
-        write_emissions({"\ufeffs1": np.zeros((1, 7)), "\ufeffs2": np.ones((1, 7))}, path)
-        assert list(read_emission_blocks(path)) == ["\ufeffs1", "\ufeffs2"]
+        write_emissions(["\ufeffs1", "\ufeffs2"], [1, 1], np.r_[np.zeros((1, 7)), np.ones((1, 7))],
+                        path)
+        assert read_emission_blocks(path)[0] == ["\ufeffs1", "\ufeffs2"]
 
     def test_first_bad_row_wins_over_later_rows(self, tmp_path):
         content = "s1 3 7\n0 0 0 0 0 0 0\n0 0 x 0 0 0 0\n0 0\n"
@@ -652,15 +657,15 @@ class TestEmissions:
         blocks = {f"s{i}": rng.standard_normal((int(rng.integers(1, 20)), 7)) * scales[i]
                   for i in range(200)}
         path = tmp_path / "written.txt"
-        write_emissions(blocks, path)
+        write_emissions(*emission_triple(blocks), path)
         assert "e-" in path.read_text(encoding="utf-8")
-        loaded = read_emission_blocks(path)
+        loaded = emission_dict(*read_emission_blocks(path))
         assert [b.tobytes() for b in loaded.values()] == [b.tobytes() for b in blocks.values()]
         path = write_text(tmp_path / "repr.txt", "".join(
             f"r{i} {len(b)} 7\r\n" + "".join(" ".join(map(repr, row)) + "\r\n"
                                             for row in b.tolist())
             for i, b in enumerate(blocks.values())))
-        loaded = read_emission_blocks(path)
+        loaded = emission_dict(*read_emission_blocks(path))
         assert [b.tobytes() for b in loaded.values()] == [b.tobytes() for b in blocks.values()]
 
     @pytest.mark.parametrize("content", [
@@ -687,8 +692,9 @@ class TestEmissions:
         monkeypatch.setattr(corpus, "_PARSE_BYTES", parse_bytes)
         rng = np.random.default_rng(47)
         path = tmp_path / "e.txt"
-        write_emissions({sid: rng.standard_normal((int(rng.integers(1, 9)), 7))
-                         for sid in ("\ufeffa", "\ufeffb", "\u00e9.1e-5", "-1", "c")}, path)
+        blocks = {sid: rng.standard_normal((int(rng.integers(1, 9)), 7))
+                  for sid in ("\ufeffa", "\ufeffb", "\u00e9.1e-5", "-1", "c")}
+        write_emissions(*emission_triple(blocks), path)
         assert outcome(read_emission_blocks, path) == outcome(corpus._read_emission_lines, path)
 
     def test_writer_bytes_equal_per_value_formatting(self, tmp_path):
@@ -697,7 +703,7 @@ class TestEmissions:
                   * 10.0 ** rng.integers(-320, 300, (1, 7)) for _ in range(50)]
         scores.append(np.array([[0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 1e17, 0.1]]))
         path = tmp_path / "e.txt"
-        write_emissions({f"s{i}": block for i, block in enumerate(scores)}, path)
+        write_emissions(*emission_triple({f"s{i}": block for i, block in enumerate(scores)}), path)
         assert path.read_bytes() == "".join(
             f"s{i} {len(block)} 7\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
                                             for row in block)
@@ -723,20 +729,20 @@ class TestEmissions:
                                                           parse_rows):
         monkeypatch.setattr(corpus, "_PARSE_ROWS", parse_rows)
         content = "s1 1 7\n0 0 0 0 0 0 0\ns2 1 7\n1_0 \u0663 0 0 0 0 0\n"
-        blocks = read_emission_blocks(write_text(tmp_path / "e.txt", content))
+        blocks = emission_dict(*read_emission_blocks(write_text(tmp_path / "e.txt", content)))
         assert blocks["s2"].tolist() == [[10.0, 3.0, 0, 0, 0, 0, 0]]
         assert blocks["s1"].tolist() == [[0.0] * 7]
 
     @staticmethod
     def read_with_transient(path):
-        """The file's blocks, and the reader's traced peak beyond them."""
+        """The file's scores, and the reader's traced peak beyond its result."""
         tracemalloc.start()
         try:
-            blocks = read_emission_blocks(path)
+            _, lengths, scores = read_emission_blocks(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return blocks, peak - sum(b.nbytes for b in blocks.values())
+        return scores, peak - lengths.nbytes - scores.nbytes
 
     def test_transient_memory_is_bounded_by_the_batch(self, tmp_path):
         # a reader that held the whole file would grow by megabytes from
@@ -746,8 +752,8 @@ class TestEmissions:
         for batches in (4, 16):
             path = tmp_path / f"e{batches}.txt"
             rows = batches * corpus._PARSE_ROWS
-            write_emissions({f"s{i}": rng.standard_normal((64, 7)) for i in range(rows // 64)},
-                            path)
+            write_emissions(*emission_triple({f"s{i}": rng.standard_normal((64, 7))
+                                              for i in range(rows // 64)}), path)
             transient.append(self.read_with_transient(path)[1])
         assert abs(transient[1] - transient[0]) <= 0.5e6, transient
 
@@ -762,8 +768,8 @@ class TestEmissions:
             path = write_text(tmp_path / f"e{size}.txt", "".join(
                 f"s{i} {size} 7\n" + "\n".join(rows[i * size:(i + 1) * size]) + "\n"
                 for i in range(len(rows) // size)))
-            blocks, extra = self.read_with_transient(path)
-            results.append(np.concatenate(list(blocks.values())))
+            scores, extra = self.read_with_transient(path)
+            results.append(scores)
             transient.append(extra)
         np.testing.assert_array_equal(results[0], results[1])
         assert abs(transient[1] - transient[0]) <= 0.5e6, transient
@@ -773,7 +779,7 @@ class TestEmissions:
         # block outgrows its first slice; a profiler holds references that
         # made numpy's checked resize refuse to grow it
         path = tmp_path / "e.txt"
-        write_emissions({"s1": np.random.default_rng(53).standard_normal((2000, 7))}, path)
+        write_emissions(["s1"], [2000], np.random.default_rng(53).standard_normal((2000, 7)), path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r", 1))
         expected = read_emission_blocks(path)
         profiler = cProfile.Profile()
@@ -782,22 +788,23 @@ class TestEmissions:
             got = read_emission_blocks(path)
         finally:
             profiler.disable()
-        assert list(got) == list(expected)
-        assert [b.tobytes() for b in got.values()] == [b.tobytes() for b in expected.values()]
+        assert (got[0], got[1].tolist()) == (expected[0], expected[1].tolist())
+        assert got[2].tobytes() == expected[2].tobytes()
 
     @pytest.mark.skipif(not corpus._X87, reason="the fast reader needs x87 extended precision")
     def test_each_row_is_held_once(self, tmp_path, monkeypatch):
-        # 2 KB chunks end inside 11 of these 60 blocks of 1 to 8 rows; a
-        # block inside a chunk must not keep the chunk's other rows alive
+        # 2 KB chunks end inside 11 of these 60 blocks of 1 to 8 rows; the
+        # scores must be one array of their own, not a view that keeps a
+        # chunk's rows alive
         monkeypatch.setattr(corpus, "_PARSE_BYTES", 2048)
         monkeypatch.setattr(corpus, "_read_emission_lines", no_line_reader)
         rng = np.random.default_rng(59)
         path = tmp_path / "e.txt"
-        write_emissions({f"s{i}": rng.standard_normal((int(rng.integers(1, 9)), 7))
-                         for i in range(60)}, path)
-        blocks = read_emission_blocks(path).values()
-        held = {id(base): base for base in (b if b.base is None else b.base for b in blocks)}
-        assert sum(base.nbytes for base in held.values()) == sum(b.nbytes for b in blocks)
+        blocks = {f"s{i}": rng.standard_normal((int(rng.integers(1, 9)), 7)) for i in range(60)}
+        write_emissions(*emission_triple(blocks), path)
+        _, lengths, scores = read_emission_blocks(path)
+        assert scores.base is None and scores.flags.owndata
+        assert scores.tobytes() == emission_triple(blocks)[2].tobytes()
 
     @pytest.mark.parametrize("parse_rows", [1, 3])
     def test_a_long_block_reports_missing_rows_before_a_bad_row(self, tmp_path, monkeypatch,
@@ -822,45 +829,60 @@ class TestEmissions:
         # refuse exactly those, and writing what it reads copies a file
         ids = data.draw(st.lists(st.text(EMISSION_ID_CHARS, max_size=3),
                                  min_size=len(blocks), max_size=len(blocks), unique=True))
-        blocks = dict(zip(ids, blocks))
+        lengths, scores = [len(b) for b in blocks], np.concatenate(blocks)
         path, copy = tmp_path / "e.txt", tmp_path / "copy.txt"
         if any(not sid or any(c.isspace() for c in sid) for sid in ids):
             with pytest.raises(ValueError, match="is empty or has whitespace"):
-                write_emissions(blocks, path)
+                write_emissions(ids, lengths, scores, path)
             return
-        write_emissions(blocks, path)
+        write_emissions(ids, lengths, scores, path)
         loaded = read_emission_blocks(path)
-        assert list(loaded) == ids
-        assert [b.tobytes() for b in loaded.values()] == [b.tobytes() for b in blocks.values()]
-        write_emissions(loaded, copy)
+        assert (loaded[0], loaded[1].tolist()) == (ids, lengths)
+        assert loaded[2].tobytes() == scores.tobytes()
+        write_emissions(*loaded, copy)
         assert copy.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("sid, scores, message", [
-        ("x9", np.zeros(7), "must be n x 7"),
-        ("x9", np.zeros((2, 6)), "must be n x 7"),
-        ("x9", np.zeros((0, 7)), "must be n x 7"),
         ("x9", np.array([[0, 0, np.nan, 0, 0, 0, 0]]), "non-finite"),
         ("x9", np.array([[0, 0, 0, 0, 0, 0, -np.inf]]), "non-finite"),
         ("", np.zeros((1, 7)), "is empty or has whitespace"),
         ("x 9", np.zeros((1, 7)), "is empty or has whitespace"),
         ("x\u20289", np.zeros((1, 7)), "is empty or has whitespace"),
+        ("s1", np.zeros((1, 7)), "is repeated"),
         (9, np.zeros((1, 7)), "must be a string"),
         (None, np.zeros((1, 7)), "must be a string"),
         (b"x9", np.zeros((1, 7)), "must be a string"),
-    ], ids=["1-D", "6 columns", "0 rows", "nan", "inf", "empty id", "space", "U+2028",
-            "int id", "None id", "bytes id"])
+    ], ids=["nan", "inf", "empty id", "space", "U+2028", "repeated id", "int id", "None id",
+            "bytes id"])
     def test_writer_rejects_what_the_reader_would_naming_the_id(self, tmp_path, sid, scores,
                                                                message):
         with pytest.raises(ValueError, match=message) as raised:
-            write_emissions({"s1": np.zeros((1, 7)), sid: scores}, tmp_path / "e.txt")
+            write_emissions(["s1", sid], [1, 1], np.r_[np.zeros((1, 7)), scores],
+                            tmp_path / "e.txt")
         assert repr(sid) in str(raised.value)
 
+    @pytest.mark.parametrize("lengths, scores, message", [
+        ([1, 1], np.zeros(14), "must be n x 7"),
+        ([1, 1], np.zeros((2, 6)), "must be n x 7"),
+        ([2, 0], np.zeros((2, 7)), "must be positive and sum to the text's length, 2"),
+        ([1, 1], np.zeros((3, 7)), "must be positive and sum to the text's length, 3"),
+        ([1.0, 1.0], np.zeros((2, 7)), "must be a 1-D array of integers"),
+        ([[1, 1]], np.zeros((2, 7)), "must be a 1-D array of integers"),
+        ([2], np.zeros((2, 7)), "2 emission ids for 1 blocks"),
+    ], ids=["1-D", "6 columns", "0 rows", "too few rows", "float lengths", "2-D lengths",
+            "one length"])
+    def test_writer_rejects_lengths_that_do_not_fit_the_scores(self, tmp_path, lengths, scores,
+                                                               message):
+        with pytest.raises(ValueError, match=message):
+            write_emissions(["s1", "x9"], lengths, scores, tmp_path / "e.txt")
+        assert not (tmp_path / "e.txt").exists()
+
     def test_a_rejected_block_leaves_no_file_written(self, tmp_path):
-        blocks = {"s1": np.zeros((1, 7)), "x9": np.zeros((0, 7))}
+        scores = np.r_[np.zeros((1, 7)), np.full((1, 7), np.nan)]
         new, old = tmp_path / "new.txt", write_text(tmp_path / "old.txt", "s0 1 7\n1 1 1 1 1 1 1\n")
         for path in (new, old):
-            with pytest.raises(ValueError, match="'x9' must be n x 7"):
-                write_emissions(blocks, path)
+            with pytest.raises(ValueError, match="non-finite emission score for 'x9'"):
+                write_emissions(["s1", "x9"], [1, 1], scores, path)
         assert not new.exists()
         assert old.read_bytes() == b"s0 1 7\n1 1 1 1 1 1 1\n"
 
@@ -1070,7 +1092,7 @@ def test_crlf_file_reads_as_its_lf_copy(tmp_path, reader, content):
 @array_readers
 def test_every_returned_array_is_read_only(tmp_path, reader, content):
     result = reader(write_text(tmp_path / "f.txt", content))
-    arrays = list(result.values()) if isinstance(result, dict) else [result.lengths, result.offsets]
+    arrays = result[1:] if isinstance(result, tuple) else [result.lengths, result.offsets]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

@@ -170,6 +170,12 @@ class TestEntityKeys:
         assert length[-1] == 2**21 and (np.diff(keys) > 0).all()
         assert keys[-1] < len(ENTITY_KINDS) * lengths.sum() * (2**21 + 1)
 
+    def test_lengths_are_checked_before_they_are_summed(self):
+        # a 2-D or ragged list once reached numpy's sum, whose error named no argument
+        for lengths in ([[3]], [[1], [1, 1]], [1.5, 1.5]):
+            with pytest.raises(ValueError, match="^sentence lengths must be a 1-D array of int"):
+                entity_keys(np.array([1, 2, 0], np.uint8), lengths)
+
     def test_counts_repeated_keys_as_multisets(self):
         result = key_prf(np.array([5, 5, 5, 7, 9]), np.array([5, 5, 9, 9, 10]))
         assert result.overall == PrfScores(3, 5, 5)

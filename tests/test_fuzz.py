@@ -21,6 +21,7 @@ from radsigns.crf import TaggerModel, TransitionMatrix, save_model
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams
 
 from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus, flat_corpus
+from conftest import emission_triple
 
 INSERTS = (b"\t", b"\r", b"\0", "\ufeff".encode(), "\u2028".encode())
 
@@ -126,8 +127,8 @@ def decode_files(tmp_path):
              for name in ("input.txt", "em.txt", "dict.txt", "model.json", "tags.tsv")}
     files["input.txt"].write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
     write_tagged_flat(flat_corpus(corpus), files["tags.tsv"])
-    write_emissions({s.id: rng.standard_normal((len(s), len(TAG_LABELS))) for s in sentences},
-                    files["em.txt"])
+    write_emissions(*emission_triple({s.id: rng.standard_normal((len(s), len(TAG_LABELS)))
+                                      for s in sentences}), files["em.txt"])
     files["dict.txt"].write_text("# parts\n" + "".join(t + "\n" for t in SP_TERMS), encoding="utf-8")
     save_model(TaggerModel(vocab, LinearScorerParams(weights), TransitionMatrix.zeros()),
                files["model.json"])

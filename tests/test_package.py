@@ -6,6 +6,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import radsigns
 from radsigns import cli, corpus, crf, encoder
 
@@ -24,6 +26,12 @@ def test_every_public_import_is_exported():
     }
     assert set(radsigns.__all__) == {name for name in imported if not name.startswith("_")}
     assert len(radsigns.__all__) == len(set(radsigns.__all__))
+
+
+def test_the_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 and later
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert tomllib.loads(pyproject)["project"]["version"] == radsigns.__version__
 
 
 def calls_with_owner(node, owner=None):
