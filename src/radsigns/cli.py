@@ -39,9 +39,9 @@ from .corpus import (
 )
 from .crf import TaggerModel, decoding_transitions, load_model, save_model, viterbi
 from .encoder import score_ids, text_feature_ids
-from .evaluation import classify_errors, entity_keys, key_prf, relation_prf
+from .evaluation import entity_keys, key_prf, path_errors, relation_prf
 from .tag2relation import match_arrays
-from .tagscheme import batch_entities, text_runs
+from .tagscheme import text_runs
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 DICT_ENV = "RADSIGNS_DICT"
@@ -321,13 +321,12 @@ def _cmd_eval(args) -> int:
         raise CorpusFormatError("--items needs --mode agreement")
     if args.mode == "errors":
         pred, gold = _aligned_corpora(args.pred, args.gold)
-        records, confusion, summary = classify_errors(
-            *(batch_entities(pred.ids, pred.text, c.indices, pred.lengths) for c in (pred, gold)))
+        confusion, summary = path_errors(pred.indices, gold.indices, pred.lengths)
         report = {
             "mode": "errors",
             "summary": summary.to_dict(),
             "confusion": confusion.counts.tolist(),
-            "records": len(records),
+            "records": summary.total_errors,
         }
         text = summary.format_text() + "\n" + confusion.to_csv()
     else:   # agreement reads entities when --items is not given

@@ -599,8 +599,8 @@ def write_emissions(ids: Sequence[str], lengths, scores, path) -> None:
     """The file that :func:`read_emission_blocks` reads as ``(ids, lengths,
     scores)``.  An id that the reader rejects (not a string, empty, holding
     whitespace or repeated), lengths that are not positive integers summing
-    to the n rows of n x 7 ``scores``, or a non-finite score raises
-    ``ValueError``, naming the id, before the file is opened."""
+    to the n rows of n x 7 ``scores``, a non-finite score or no block at all
+    raises ``ValueError``, naming the id where there is one, before the file is opened."""
     seen = set()
     for sid in ids:
         if not isinstance(sid, str):
@@ -616,6 +616,8 @@ def write_emissions(ids: Sequence[str], lengths, scores, path) -> None:
     ends = np.cumsum(_sentence_lengths(lengths, len(scores)))
     if len(ends) != len(ids):
         raise ValueError(f"{len(ids)} emission ids for {len(ends)} blocks")
+    if not len(ids):
+        raise ValueError("no emission blocks to write")
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if bad.size:
         sid = ids[np.searchsorted(ends, bad[0], "right")]

@@ -18,14 +18,14 @@ Every gold entity is exactly matched, involved in a TYPE/EXTENT record, or
 MISSING.  A prediction overlapping several golds pairs with the one of
 maximal overlap (ties to the earlier gold); the others stay unmatched.
 
-The taxonomy assumes that the entities on each side of a sentence do not
-overlap, as entities decoded from one tag sequence never do;
-:func:`classify_errors` rejects a side that breaks this, duplicates included.
+The taxonomy is counted on span arrays, no two spans of a sentence's side
+overlapping, as one tag path's runs never do.  :func:`path_errors` counts two
+paths' runs, so ``batch_entities`` has no command caller; :func:`classify_errors`
+numbers its entities into the arrays, rejecting an overlapping side, duplicates included.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -95,6 +95,11 @@ def entity_keys(path, lengths: Sequence[int]) -> np.ndarray:
     two paths over the same lengths share a key exactly when they share an entity."""
     _, starts, ends, kinds = _run_arrays(path, lengths)
     return (starts * (int(np.max(lengths, initial=0)) + 1) + ends - starts) * len(ENTITY_KINDS) + kinds
+
+
+def path_errors(pred, gold, lengths: Sequence[int]) -> tuple[ConfusionMatrix, ErrorSummary]:
+    """:func:`classify_errors`' matrix and summary for two flat tag index paths over ``lengths``."""
+    return _span_errors(*(_run_arrays(path, lengths)[1:] for path in (pred, gold)))[4:]
 
 
 def key_prf(pred: np.ndarray, gold: np.ndarray, kinds: Sequence[str] = ENTITY_KINDS) -> PrfBreakdown:
@@ -282,18 +287,6 @@ class ErrorSummary:
         return "\n".join(lines) + "\n"
 
 
-def _overlap(a: Entity, b: Entity) -> int:
-    return max(0, min(a.end, b.end) - max(a.start, b.start))
-
-
-def _extent_subtype(pred: Entity, gold: Entity) -> str:
-    if pred.start >= gold.start and pred.end <= gold.end:
-        return "SHORT"
-    if pred.start <= gold.start and pred.end >= gold.end:
-        return "LONG"
-    return "S&L"
-
-
 def _disjoint(sentence_id: str, entities: Sequence[Entity]) -> list[Entity]:
     """``entities`` sorted by span; two that overlap raise ``ValueError``."""
     ordered = sorted(entities, key=lambda e: (e.start, e.end))
@@ -301,6 +294,39 @@ def _disjoint(sentence_id: str, entities: Sequence[Entity]) -> list[Entity]:
         if b.start < a.end:
             raise ValueError(f"sentence {sentence_id!r}: entities {a} and {b} overlap")
     return ordered
+
+
+def _span_errors(pred, gold):
+    """The taxonomy of two sides of flat ``(start, end, kind)`` int arrays, sentences laid end
+    to end, each side sorted by start with no two spans overlapping: per prediction its category,
+    extent subtype and paired gold (indices, -1 for none), per gold its MISSING flag, then the
+    confusion matrix and the summary."""
+    (ps, pe, pk), (gs, ge, gk) = ([np.asarray(a, np.intp) for a in side] for side in (pred, gold))
+    lo = np.searchsorted(ge, ps, "right")   # a prediction overlaps the golds lo up to lo + count
+    count = np.searchsorted(gs, pe) - lo
+    owner, first = np.repeat(np.arange(len(ps)), count), np.cumsum(count) - count
+    paired = lo[owner] + np.arange(len(owner)) - first[owner]
+    overlap = np.minimum(pe[owner], ge[paired]) - np.maximum(ps[owner], gs[paired])
+    best = np.full(len(ps), -1)   # of greatest overlap; the sort is stable, so ties: earlier gold
+    best[count > 0] = paired[np.lexsort((-overlap, owner))[first[count > 0]]]
+    b0, b1, bk = (np.append(a, -1)[best] for a in (gs, ge, gk))   # the best gold's; -1 for none
+    exact, same = (b0 == ps) & (b1 == pe), bk == pk
+    category = np.where(exact, np.where(same, -1, 0), np.where(same, 1, 2))
+    subtype = np.select([category != 1, (ps >= b0) & (pe <= b1), (ps <= b0) & (pe >= b1)],
+                        [-1, 0, 1], 2)
+    found, held = (np.bincount(best[m], minlength=len(gs)) > 0 for m in (exact, category == 1))
+    missing = ~found & ~held
+
+    other, kept = CONFUSION_AXES.index("O"), category != 1   # EXTENT's golds count in column O
+    cells = np.concatenate((np.where(exact, bk, other)[kept] * 4 + pk[kept], gk[~found] * 4 + other))
+    confusion = ConfusionMatrix(np.bincount(cells, minlength=16).reshape(4, 4))
+    *extent, missed, spurious, gold_totals, predicted_totals = (
+        dict(zip(ENTITY_KINDS, np.bincount(kinds, minlength=len(ENTITY_KINDS)).tolist()))
+        for kinds in (*(pk[subtype == t] for t in range(3)), gk[missing], pk[category == 2], gk, pk))
+    counts = [*np.bincount(category[category >= 0], minlength=3).tolist(), int(missing.sum())]
+    summary = ErrorSummary(dict(zip(ERROR_CATEGORIES, counts)), dict(zip(EXTENT_SUBTYPES, extent)),
+                           missed, spurious, gold_totals, predicted_totals)
+    return category, subtype, best, missing, confusion, summary
 
 
 def classify_errors(
@@ -312,44 +338,20 @@ def classify_errors(
     included; a side that does raises ``ValueError`` naming the sentence and
     two of its entities.
     """
-    records: list[ErrorRecord] = []
-    counts = np.zeros((4, 4), dtype=np.int64)
-    gold_totals, predicted_totals = Counter(), Counter()
-    axis, other = CONFUSION_AXES.index, CONFUSION_AXES.index("O")
-    for sid in sorted(set(pred) | set(gold)):
-        preds, golds = _disjoint(sid, pred.get(sid, ())), _disjoint(sid, gold.get(sid, ()))
-        gold_totals.update(g.kind for g in golds)
-        predicted_totals.update(p.kind for p in preds)
-        unshared = {(g.start, g.end): g for g in golds}   # golds no prediction shares a span with
-        held = set()                                      # spans of golds in EXTENT records
-        for p in preds:
-            g = unshared.pop((p.start, p.end), None)
-            if g is not None:
-                counts[axis(g.kind), axis(p.kind)] += 1
-                if g.kind != p.kind:
-                    records.append(ErrorRecord(sid, "TYPE", None, p, g))
-                continue
-            g = max(golds, key=lambda g: _overlap(p, g), default=None)   # ties: earlier gold
-            if g is not None and g.kind == p.kind and _overlap(p, g):
-                records.append(ErrorRecord(sid, "EXTENT", _extent_subtype(p, g), p, g))
-                held.add((g.start, g.end))
-            else:
-                records.append(ErrorRecord(sid, "SPURIOUS", None, p, None))
-                counts[other, axis(p.kind)] += 1
-        for span, g in unshared.items():
-            counts[axis(g.kind), other] += 1
-            if span not in held:
-                records.append(ErrorRecord(sid, "MISSING", None, None, g))
-
-    tally = Counter((r.category, r.extent_subtype, (r.predicted or r.gold).kind)
-                    for r in records)
-    summary = ErrorSummary(
-        category_counts={c: sum(r.category == c for r in records) for c in ERROR_CATEGORIES},
-        extent_counts={s: {k: tally["EXTENT", s, k] for k in ENTITY_KINDS}
-                       for s in EXTENT_SUBTYPES},
-        missing_by_kind={k: tally["MISSING", None, k] for k in ENTITY_KINDS},
-        spurious_by_kind={k: tally["SPURIOUS", None, k] for k in ENTITY_KINDS},
-        gold_totals=gold_totals,
-        predicted_totals=predicted_totals,
-    )
-    return records, ConfusionMatrix(counts), summary
+    sids = sorted(set(pred) | set(gold))
+    preds, golds = sides = ([], [])   # per side, (sentence number, entity) in span order
+    for row, sid in enumerate(sids):
+        for side, given in zip(sides, (pred, gold)):
+            side.extend((row, e) for e in _disjoint(sid, given.get(sid, ())))
+    stride = max((e.end for _, e in preds + golds), default=0)   # lays sentences end to end
+    category, subtype, paired, missing, confusion, summary = _span_errors(*(
+        np.array([(row * stride + e.start, row * stride + e.end, ENTITY_KINDS.index(e.kind))
+                  for row, e in side], np.intp).reshape(-1, 3).T for side in sides))
+    records = [(row, ErrorRecord(sids[row], ERROR_CATEGORIES[c], (*EXTENT_SUBTYPES, None)[t], p,
+                                 golds[g][1] if c < 2 else None))
+               for (row, p), c, t, g in zip(preds, *(a.tolist() for a in (category, subtype, paired)))
+               if c >= 0]
+    records += [(row, ErrorRecord(sids[row], "MISSING", None, None, g))
+                for (row, g), m in zip(golds, missing.tolist()) if m]
+    records.sort(key=lambda r: r[0])   # stable: a sentence's predictions, then its MISSING golds
+    return [r for _, r in records], confusion, summary

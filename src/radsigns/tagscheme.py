@@ -4,7 +4,7 @@ Entities are decoded from tag index paths, sequences of indices into
 ``TAG_LABELS``: the flat ``uint8`` arrays that Viterbi returns and the
 ``indices`` bytes that a tagged ``FlatCorpus`` stores.  :func:`text_runs`
 decodes a batch of paths, laid end to end with their texts, in one array
-pass, and :func:`batch_entities` makes its runs ``Entity`` objects.
+pass; :func:`batch_entities`, the library's decoder to ``Entity`` lists, has no command caller.
 
 Decoding is total: any tag sequence over the 7-tag vocabulary yields a valid
 entity set.  A run breaks at every sentence start, at every B tag and at
@@ -66,8 +66,8 @@ def batch_entities(ids: Sequence[str], text: str, path,
     """By sentence id, one id per sentence in ``ids``, the entities of each
     sentence's part of the flat tag index path, sorted by start; the other
     arguments are :func:`text_runs`'."""
+    rows, *spans, texts = text_runs(text, path, lengths)   # checks the lengths first
     entities: list[list[Entity]] = [[] for _ in lengths]
-    rows, *spans, texts = text_runs(text, path, lengths)
     for row, start, end, kind, covered in zip(*(a.tolist() for a in (rows, *spans)), texts):
         entities[row].append(Entity(ENTITY_KINDS[kind], start, end, covered))
     return dict(zip(ids, entities, strict=True))

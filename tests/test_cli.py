@@ -23,7 +23,7 @@ from radsigns.corpus import (
 from radsigns.crf import (TaggerModel, TransitionMatrix, decoding_transitions, load_model,
                           save_model, viterbi)
 from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
-from radsigns.evaluation import agreement_f1, entity_prf
+from radsigns.evaluation import agreement_f1, classify_errors, entity_prf
 from radsigns.tagscheme import batch_entities
 
 from _synth import (Labels, Text, brute_force_match, build_rule_corpus, encode, entities_of,
@@ -1034,9 +1034,10 @@ class TestEval:
         assert "P=50.00 R=100.00 F1=66.67" in capsys.readouterr().out
 
     def test_key_scores_match_the_entity_reference_on_random_paths(self, tmp_path, capsys):
-        """``eval`` and ``eval --mode agreement`` count entity keys; on random
-        tag paths (orphan I tags, kind switches, all-O sentences) they print
-        what ``entity_prf`` and ``agreement_f1`` give over ``Entity`` objects."""
+        """``eval`` and ``eval --mode agreement`` count entity keys and
+        ``errors`` classifies span arrays; on random tag paths (orphan I tags,
+        kind switches, all-O sentences) they print what ``entity_prf``,
+        ``agreement_f1`` and ``classify_errors`` give over ``Entity`` objects."""
         rng = np.random.default_rng(130)
         pred_path, gold_path = tmp_path / "pred.tsv", tmp_path / "gold.tsv"
         for trial in range(60):
@@ -1060,6 +1061,11 @@ class TestEval:
                 "mode": "entity", **entity_prf(*entities).to_dict()}
             assert main(["eval", "--mode", "agreement", *argv]) == 0
             assert capsys.readouterr().out == f"agreement {agreement_f1(*entities)}\n"
+            assert main(["errors", "--format", "json", *argv]) == 0
+            records, confusion, summary = classify_errors(*entities)
+            assert json.loads(capsys.readouterr().out) == {
+                "mode": "errors", "summary": summary.to_dict(),
+                "confusion": confusion.counts.tolist(), "records": len(records)}
 
     def test_errors_subcommand_with_csv(self, tmp_path, capsys):
         sentence = "字" * 12

@@ -861,20 +861,21 @@ class TestEmissions:
                             tmp_path / "e.txt")
         assert repr(sid) in str(raised.value)
 
-    @pytest.mark.parametrize("lengths, scores, message", [
-        ([1, 1], np.zeros(14), "must be n x 7"),
-        ([1, 1], np.zeros((2, 6)), "must be n x 7"),
-        ([2, 0], np.zeros((2, 7)), "must be positive and sum to the text's length, 2"),
-        ([1, 1], np.zeros((3, 7)), "must be positive and sum to the text's length, 3"),
-        ([1.0, 1.0], np.zeros((2, 7)), "must be a 1-D array of integers"),
-        ([[1, 1]], np.zeros((2, 7)), "must be a 1-D array of integers"),
-        ([2], np.zeros((2, 7)), "2 emission ids for 1 blocks"),
+    @pytest.mark.parametrize("ids, lengths, scores, message", [
+        (["s1", "x9"], [1, 1], np.zeros(14), "must be n x 7"),
+        (["s1", "x9"], [1, 1], np.zeros((2, 6)), "must be n x 7"),
+        (["s1", "x9"], [2, 0], np.zeros((2, 7)), "must be positive and sum to the text's length, 2"),
+        (["s1", "x9"], [1, 1], np.zeros((3, 7)), "must be positive and sum to the text's length, 3"),
+        (["s1", "x9"], [1.0, 1.0], np.zeros((2, 7)), "must be a 1-D array of integers"),
+        (["s1", "x9"], [[1, 1]], np.zeros((2, 7)), "must be a 1-D array of integers"),
+        (["s1", "x9"], [2], np.zeros((2, 7)), "2 emission ids for 1 blocks"),
+        ([], [], np.zeros((0, 7)), "^no emission blocks to write$"),
     ], ids=["1-D", "6 columns", "0 rows", "too few rows", "float lengths", "2-D lengths",
-            "one length"])
-    def test_writer_rejects_lengths_that_do_not_fit_the_scores(self, tmp_path, lengths, scores,
+            "one length", "no blocks"])
+    def test_writer_rejects_lengths_that_do_not_fit_the_scores(self, tmp_path, ids, lengths, scores,
                                                                message):
         with pytest.raises(ValueError, match=message):
-            write_emissions(["s1", "x9"], lengths, scores, tmp_path / "e.txt")
+            write_emissions(ids, lengths, scores, tmp_path / "e.txt")
         assert not (tmp_path / "e.txt").exists()
 
     def test_a_rejected_block_leaves_no_file_written(self, tmp_path):

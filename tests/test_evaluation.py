@@ -18,6 +18,7 @@ from radsigns.evaluation import (
     ERROR_CATEGORIES,
     EXTENT_SUBTYPES,
     ErrorRecord,
+    ErrorSummary,
     PrfScores,
     agreement_f1,
     classify_errors,
@@ -482,6 +483,81 @@ class TestClassifyErrorsProperties:
             classify_errors({"s2": entities}, other)
         with pytest.raises(ValueError, match=message):
             classify_errors(other, {"s2": entities})
+
+
+def reference_errors(pred, gold):
+    """The per-entity loop that classified errors before the array classifier,
+    for entities that do not overlap on either side of a sentence."""
+    def overlap(a, b):
+        return max(0, min(a.end, b.end) - max(a.start, b.start))
+
+    def subtype(p, g):
+        if p.start >= g.start and p.end <= g.end:
+            return "SHORT"
+        return "LONG" if p.start <= g.start and p.end >= g.end else "S&L"
+
+    records, counts = [], np.zeros((4, 4), dtype=np.int64)
+    gold_totals, predicted_totals = Counter(), Counter()
+    axis, other = CONFUSION_AXES.index, CONFUSION_AXES.index("O")
+    for sid in sorted(set(pred) | set(gold)):
+        preds, golds = (sorted(side.get(sid, ()), key=lambda e: (e.start, e.end)) for side in (pred, gold))
+        gold_totals.update(g.kind for g in golds)
+        predicted_totals.update(p.kind for p in preds)
+        unshared, held = {(g.start, g.end): g for g in golds}, set()
+        for p in preds:
+            g = unshared.pop((p.start, p.end), None)
+            if g is not None:
+                counts[axis(g.kind), axis(p.kind)] += 1
+                if g.kind != p.kind:
+                    records.append(ErrorRecord(sid, "TYPE", None, p, g))
+                continue
+            g = max(golds, key=lambda g: overlap(p, g), default=None)
+            if g is not None and g.kind == p.kind and overlap(p, g):
+                records.append(ErrorRecord(sid, "EXTENT", subtype(p, g), p, g))
+                held.add((g.start, g.end))
+            else:
+                records.append(ErrorRecord(sid, "SPURIOUS", None, p, None))
+                counts[other, axis(p.kind)] += 1
+        for span, g in unshared.items():
+            counts[axis(g.kind), other] += 1
+            if span not in held:
+                records.append(ErrorRecord(sid, "MISSING", None, None, g))
+    tally = Counter((r.category, r.extent_subtype, (r.predicted or r.gold).kind) for r in records)
+    return records, counts, {
+        "category_counts": {c: sum(r.category == c for r in records) for c in ERROR_CATEGORIES},
+        "extent_counts": {s: {k: tally["EXTENT", s, k] for k in ENTITY_KINDS} for s in EXTENT_SUBTYPES},
+        "missing_by_kind": {k: tally["MISSING", None, k] for k in ENTITY_KINDS},
+        "spurious_by_kind": {k: tally["SPURIOUS", None, k] for k in ENTITY_KINDS},
+        "gold_totals": gold_totals,
+        "predicted_totals": predicted_totals,
+    }
+
+
+class TestClassifyErrorsMatchesTheReference:
+    def test_random_corpora(self):
+        """Several sentences, entities in shuffled order, ids on one side only
+        and empty lists give the reference loop's records, matrix and tables."""
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            sides = []
+            for _ in "pg":
+                side = {}
+                for sid in rng.choice(["s1", "s2", "s3", "s4"], int(rng.integers(0, 5)), replace=False):
+                    entities = [ent(*e) for e in random_entity_set(rng, int(rng.integers(1, 13)))]
+                    side[str(sid)] = [entities[i] for i in rng.permutation(len(entities))]
+                sides.append(side)
+            records, confusion, summary = classify_errors(*sides)
+            want_records, want_counts, want = reference_errors(*sides)
+            assert records == want_records
+            assert np.array_equal(confusion.counts, want_counts)
+            for name, table in want.items():
+                if name.endswith("_totals"):
+                    assert all(getattr(summary, name).get(k, 0) == table[k] for k in ENTITY_KINDS)
+                else:
+                    assert getattr(summary, name) == table
+            reference = ErrorSummary(**want)
+            assert summary.to_dict() == reference.to_dict()
+            assert summary.format_text() == reference.format_text()
 
 
 class TestErrorRecordInvariants:

@@ -100,8 +100,8 @@ def names(node):
 def test_strict_counts_are_computed_only_in_evaluation():
     """Dev F1, ``eval``, agreement and the library scorers count int keys
     through ``radsigns.evaluation``: no other module intersects key arrays
-    or imports the run finder to key entities, and the eval reader builds
-    no ``Entity``."""
+    or imports the run finder to key entities, and neither the eval reader
+    nor ``eval`` itself builds an ``Entity``: ``errors`` classifies span arrays."""
     offenders = []
     for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
         if path.name == "evaluation.py":
@@ -112,10 +112,10 @@ def test_strict_counts_are_computed_only_in_evaluation():
         offenders += [f"{path.name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom) for alias in node.names
                       if alias.name == "_run_arrays"]
-    reader = next(node for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_aligned_corpora")
-    offenders += [f"_aligned_corpora:{lineno} {found}" for lineno, found in names(reader)
-                  if found in ("Entity", "batch_entities")]
+    for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("_aligned_corpora", "_cmd_eval"):
+            offenders += [f"{node.name}:{lineno} {found}" for lineno, found in names(node)
+                          if found in ("Entity", "batch_entities", "classify_errors")]
     assert offenders == []
 
 

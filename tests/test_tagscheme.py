@@ -181,9 +181,11 @@ class TestFindRuns:
         for lengths in ([-1, 4], [3, 0], [0, 3]):
             with pytest.raises(ValueError, match=r"^sentence lengths \[.*\] must be positive"):
                 batch_entities(["s1", "s2"], "abc", b"\x01\x02\x00", lengths)
-        for lengths in ([1.5, 1.5], [True, True, True], [[3]]):
+        for lengths in ([1.5, 1.5], [True, True, True], [[3]], None):
             with pytest.raises(ValueError, match="^sentence lengths must be a 1-D array of integers"):
                 text_runs("abc", [1, 2, 0], lengths)
+            with pytest.raises(ValueError, match="^sentence lengths must be a 1-D array of integers"):
+                batch_entities(["s1"], "abc", [1, 2, 0], lengths)
 
     def test_text_must_match_the_path(self):
         for text, path in (("字" * 2, [0]), ("字", [0, 0])):
