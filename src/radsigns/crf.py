@@ -13,11 +13,12 @@ recursion of Rabiner (1989, "A Tutorial on Hidden Markov Models", section
 V-A) in probability space.  ``exp(A)`` and ``exp(P - rowmax(P))`` are taken
 once per batch; each step is one ``(m, k) @ (k, k)`` matmul over the m rows
 still running, after which every row is divided by its sum, and log Z is the
-sum of the logs of those scales and row maxima.  A row the recursion cannot
-carry in floats (a scale that underflows below the smallest normal float or
-overflows, or a non-finite log Z or marginal) is recomputed on its own by
-the log-space recursion with max-shifted logsumexp, as is every row when
-``exp(A)`` is not finite.  :func:`batch_log_partition` keeps the log-space
+sum of the logs of those scales and row maxima.  A step writes into views of
+arrays allocated once per call.  A row the recursion cannot carry in floats
+(a scale that underflows below the smallest normal float or overflows, or a
+non-finite log Z or marginal) is recomputed on its own by the log-space
+recursion with max-shifted logsumexp, as is every row when ``exp(A)`` is not
+finite.  :func:`batch_log_partition` keeps the log-space
 forward pass, and Viterbi stays in log space because max-plus needs no exp.
 
 There is one implementation of each recursion, and one batch layout.  Every
@@ -31,7 +32,8 @@ i + 1 are a prefix of that slice and a step reads and writes slices only.
 Viterbi holds its scores tag-major, as one ``(7, sum(lengths))`` table of
 columns in this order.  Nothing is padded.  Per-row results are reduced
 over the flat rows.  One sentence of n positions is a batch of one: its
-``(n, 7)`` emissions with ``lengths`` of ``[n]``.
+``(n, 7)`` emissions with ``lengths`` of ``[n]``.  Each entry point checks
+its arguments, any real array-likes, once and converts them to float64 once.
 """
 
 from __future__ import annotations
@@ -119,9 +121,24 @@ class _Packed(NamedTuple):
     pairs: list             # per step i >= 1: (prefix of step i - 1, step i) slices
 
 
+def _arguments(P, A) -> tuple[np.ndarray, np.ndarray]:
+    """Emissions ``P`` and transitions ``A`` as float64 arrays; a ``ValueError``
+    names either one unless it is real numbers of shape (sum(lengths), 7) or (9, 9)."""
+    arrays = []
+    for name, x, rows, columns in (("emissions", P, None, NUM_TAGS),
+                                   ("transitions", A, FULL_SIZE, FULL_SIZE)):
+        try:
+            x = np.asarray(x)
+        except ValueError:   # a ragged list
+            x = np.asarray(None)
+        if x.dtype.kind not in "iuf" or x.shape[1:] != (columns,) or rows not in (None, len(x)):
+            raise ValueError(f"{name} must be real numbers of shape ({rows or 'sum(lengths)'}, "
+                             f"{columns}), got {x.dtype} {x.shape}")
+        arrays.append(x.astype(np.float64, copy=False))
+    return tuple(arrays)
+
+
 def _pack(P: np.ndarray, lengths) -> _Packed:
-    if P.ndim != 2 or P.shape[1] != NUM_TAGS:
-        raise ValueError(f"emissions must be sum(lengths) x {NUM_TAGS}, got {P.shape}")
     lengths = _sentence_lengths(lengths, len(P))
     order = np.argsort(-lengths, kind="stable")
     ends = np.cumsum(lengths)
@@ -147,22 +164,24 @@ def _forward(P: np.ndarray, A: np.ndarray, pack: _Packed) -> tuple[np.ndarray, n
     return alpha, _logsumexp(alpha[pack.last] + A[:k, END], axis=1)
 
 
-def _previous_tags(Y: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each flat position's previous gold tag, ``START`` at a row's start."""
+def _gold_index(Y: np.ndarray, starts: np.ndarray, lengths) -> tuple:
+    """Position indices, previous gold tags (``START`` at row starts), row starts and row ends."""
     previous = np.empty_like(Y)
     previous[1:] = Y[:-1]
     previous[starts] = START
-    return previous
+    return np.arange(len(Y)), previous, starts, starts + lengths - 1
 
 
-def _path_scores(P: np.ndarray, A: np.ndarray, lengths: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    ends = np.cumsum(lengths)
-    steps = P[np.arange(len(Y)), Y] + A[_previous_tags(Y, ends - lengths), Y]
-    return np.add.reduceat(steps, ends - lengths) + A[Y[ends - 1], END]
+def _path_scores(P: np.ndarray, A: np.ndarray, lengths, Y: np.ndarray, gold=None) -> np.ndarray:
+    """Each row's score of ``Y``, whose :func:`_gold_index` the caller may pass."""
+    positions, previous, starts, last = gold or _gold_index(Y, np.cumsum(lengths) - lengths, lengths)
+    steps = P[positions, Y] + A[previous, Y]
+    return np.add.reduceat(steps, starts) + A[Y[last], END]
 
 
-def batch_log_partition(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def batch_log_partition(P, A, lengths) -> np.ndarray:
     """log of the summed exp-scores of all paths, one value per row."""
+    P, A = _arguments(P, A)
     pack = _pack(P, lengths)
     return _forward(P[pack.perm], A, pack)[1]
 
@@ -199,33 +218,38 @@ def _scaled_marginals(P: np.ndarray, A: np.ndarray, pack: _Packed):
     out.  ``log_z`` is NaN on each row the recursion cannot carry: a scale
     that is not a positive normal float, or a non-finite log Z or marginal."""
     B, k = len(pack.lengths), NUM_TAGS
-    T = np.exp(A[:k, :k])
-    start = np.exp(A[START, :k])
-    end = np.exp(A[:k, END])
-    if not all(np.isfinite(x).all() for x in (T, start, end)):
+    expA = np.exp(A)
+    # end is a copy: ``@`` on a strided vector rounds a one-row batch differently
+    T, start, end = expA[:k, :k], expA[START, :k], expA[:k, END].copy()
+    if not (np.isfinite(expA[:START + 1, :k]).all() and np.isfinite(end).all()):
         return np.full(B, np.nan), np.zeros_like(P), np.zeros((B, k, k))
     shift = P.max(axis=1)
     E = np.exp(P - shift[:, None])[pack.perm]
 
-    # each alpha row sums to 1; c is the mass it was divided by
-    alpha = np.empty_like(E)
-    c = np.empty(len(E))
-    step = start * E[:B]
+    # each alpha row sums to 1; c is the mass it was divided by, in place: no __setitem__
+    alpha, c = np.empty_like(E), np.empty(len(E))
+    scale = c[:, None]
+    np.multiply(start, E[:B], out=alpha[:B])
     for prev, cur in [(None, slice(0, B)), *pack.pairs]:
+        step = alpha[cur]
         if prev is not None:
-            step = (alpha[prev] @ T) * E[cur]
-        c[cur] = step.sum(axis=1)
-        alpha[cur] = step / c[cur, None]
+            np.matmul(alpha[prev], T, out=step)
+            step *= E[cur]
+        np.add.reduce(step, 1, out=c[cur])
+        step /= scale[cur]
     # beta is the backward mass divided by the scales after its position,
     # and weighted the term each step feeds through T; pairwise sums each
-    # step's outer products, its rows longest first
-    beta = np.tile(end, (len(E), 1))
-    weighted = E / c[:, None]
-    pairwise = np.zeros((B, k, k))
+    # step's outer products, its rows longest first, the last step first
+    beta, weighted = end[None].repeat(len(E), axis=0), E / scale
+    pairwise, outer = np.zeros((B, k, k)), np.empty((B, k, k))
+    left, right, back = alpha[:, :, None], weighted[:, None, :], T.T
     for prev, cur in reversed(pack.pairs):
-        weighted[cur] *= beta[cur]
-        beta[prev] = weighted[cur] @ T.T
-        pairwise[:cur.stop - cur.start] += alpha[prev][:, :, None] * weighted[cur][:, None, :]
+        ahead, m = weighted[cur], cur.stop - cur.start
+        ahead *= beta[cur]
+        np.matmul(ahead, back, out=beta[prev])
+        product, total = outer[:m], pairwise[:m]
+        np.multiply(left[prev], right[cur], out=product)
+        total += product
 
     exit_mass = alpha[pack.last] @ end
     c = c[pack.inv]
@@ -240,17 +264,18 @@ def _scaled_marginals(P: np.ndarray, A: np.ndarray, pack: _Packed):
     return np.where(carried, log_z, np.nan), gamma, pairwise
 
 
-def batch_nll_and_gradient(
-    P: np.ndarray, A: np.ndarray, lengths: np.ndarray, Y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_nll_and_gradient(P, A, lengths, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row NLL of the gold paths ``Y`` with both gradients, from one
     forward-backward pass over the batch.
 
     Returns values ``(B,)``, flat emission gradients ``(sum(lengths), k)``
     and transition gradients ``(B, k+2, k+2)``.
     """
-    if Y.shape != P.shape[:1]:
-        raise ValueError(f"gold path shape {Y.shape} does not match emission shape {P.shape}")
+    P, A = _arguments(P, A)
+    Y = np.asarray(Y)
+    if (Y.shape != P.shape[:1] or Y.dtype.kind not in "iu"
+            or Y.size and not 0 <= Y.min() <= Y.max() < NUM_TAGS):
+        raise ValueError(f"gold path must be {len(P)} tag indices in [0, {NUM_TAGS}), got {Y!r:.60}")
     pack = _pack(P, lengths)
     lengths = pack.lengths
     with np.errstate(all="ignore"):
@@ -260,29 +285,29 @@ def batch_nll_and_gradient(
             rows = np.repeat(slow, lengths)
             log_z[slow], gamma[rows], pairwise[slow] = _log_marginals(P[rows], A, lengths[slow])
 
-    B, k = len(lengths), NUM_TAGS
-    ends = np.cumsum(lengths)
+    B, k, row_ids = len(lengths), NUM_TAGS, np.arange(len(lengths))
+    gold = positions, previous, starts, last = _gold_index(Y, pack.starts, lengths)
     grad_a = np.zeros((B, FULL_SIZE, FULL_SIZE))
     grad_a[:, :k, :k] = pairwise
-    grad_a[:, START, :k] += gamma[ends - lengths]
-    grad_a[:, :k, END] += gamma[ends - 1]
-    previous = _previous_tags(Y, ends - lengths)
-    np.add.at(grad_a, (np.repeat(np.arange(B), lengths), previous, Y), -1.0)
-    grad_a[np.arange(B), Y[ends - 1], END] -= 1.0
+    grad_a[:, START, :k] += gamma[starts]
+    grad_a[:, :k, END] += gamma[last]
+    np.add.at(grad_a, (np.repeat(row_ids, lengths), previous, Y), -1.0)
+    grad_a[row_ids, Y[last], END] -= 1.0
     grad_p = gamma      # gamma is not read again
-    grad_p[np.arange(len(Y)), Y] -= 1.0
+    grad_p[positions, Y] -= 1.0
 
-    values = log_z - _path_scores(P, A, lengths, Y)
+    values = log_z - _path_scores(P, A, lengths, Y, gold)
     return values, grad_p, grad_a
 
 
-def viterbi(P: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def viterbi(P, A, lengths) -> np.ndarray:
     """Highest-scoring tag path of each row of flat ``(sum(lengths), 7)``
     emissions, the rows laid end to end, as one flat ``uint8`` index path in
     the same layout.  Ties break toward the lowest tag index."""
+    P, A = _arguments(P, A)
     pack = _pack(P, lengths)
     k, B = NUM_TAGS, len(pack.lengths)
-    D = P[pack.perm].T.copy()     # (tag, packed position): each step's best scores
+    D = np.take(P.T, pack.perm, axis=1)   # (tag, packed position): each step's best scores
     D[:, :B] += A[START, :k, None]
     for prev, cur in pack.pairs:   # the max over (from, to, row) candidates; no back-pointers
         D[:, cur] += (D[:, None, prev] + A[:k, :k, None]).max(axis=0)

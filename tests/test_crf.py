@@ -499,6 +499,114 @@ class TestBatch:
             np.testing.assert_allclose(grad_a[b], ref_a, atol=tol)
 
 
+# ---------------------------------------------------------------------------
+# The scaled forward-backward and the gradient assembly as they were written
+# before every step wrote into views of arrays allocated once per call: each
+# step allocated its results and copied them in.  The current code must give
+# the same bits.
+
+
+def reference_scaled_marginals(P, A, pack):
+    B, k = len(pack.lengths), 7
+    T = np.exp(A[:k, :k])
+    start = np.exp(A[START, :k])
+    end = np.exp(A[:k, END])
+    if not all(np.isfinite(x).all() for x in (T, start, end)):
+        return np.full(B, np.nan), np.zeros_like(P), np.zeros((B, k, k))
+    shift = P.max(axis=1)
+    E = np.exp(P - shift[:, None])[pack.perm]
+    alpha = np.empty_like(E)
+    c = np.empty(len(E))
+    step = start * E[:B]
+    for prev, cur in [(None, slice(0, B)), *pack.pairs]:
+        if prev is not None:
+            step = (alpha[prev] @ T) * E[cur]
+        c[cur] = step.sum(axis=1)
+        alpha[cur] = step / c[cur, None]
+    beta = np.tile(end, (len(E), 1))
+    weighted = E / c[:, None]
+    pairwise = np.zeros((B, k, k))
+    for prev, cur in reversed(pack.pairs):
+        weighted[cur] *= beta[cur]
+        beta[prev] = weighted[cur] @ T.T
+        pairwise[:cur.stop - cur.start] += alpha[prev][:, :, None] * weighted[cur][:, None, :]
+    exit_mass = alpha[pack.last] @ end
+    c = c[pack.inv]
+    log_z = np.add.reduceat(np.log(c) + shift, pack.starts) + np.log(exit_mass)
+    gamma = (alpha * beta)[pack.inv] / np.repeat(exit_mass, pack.lengths)[:, None]
+    pairwise[pack.order] = pairwise * T / exit_mass[pack.order, None, None]
+    tiny = np.finfo(np.float64).tiny
+    carried = (
+        (np.minimum.reduceat(c, pack.starts) >= tiny) & (exit_mass >= tiny)
+        & np.isfinite(log_z + np.add.reduceat(gamma.sum(axis=1), pack.starts)
+                      + pairwise.sum(axis=(1, 2)))
+    )
+    return np.where(carried, log_z, np.nan), gamma, pairwise
+
+
+def reference_nll_and_gradient(P, A, lengths, Y):
+    pack = crf._pack(P, lengths)
+    lengths = pack.lengths
+    log_z, gamma, pairwise = reference_scaled_marginals(P, A, pack)
+    slow = np.isnan(log_z)
+    if slow.any():
+        rows = np.repeat(slow, lengths)
+        log_z[slow], gamma[rows], pairwise[slow] = crf._log_marginals(P[rows], A, lengths[slow])
+    B, k = len(lengths), 7
+    ends = np.cumsum(lengths)
+    previous = np.empty_like(Y)
+    previous[1:] = Y[:-1]
+    previous[ends - lengths] = START
+    grad_a = np.zeros((B, 9, 9))
+    grad_a[:, :k, :k] = pairwise
+    grad_a[:, START, :k] += gamma[ends - lengths]
+    grad_a[:, :k, END] += gamma[ends - 1]
+    np.add.at(grad_a, (np.repeat(np.arange(B), lengths), previous, Y), -1.0)
+    grad_a[np.arange(B), Y[ends - 1], END] -= 1.0
+    grad_p = gamma
+    grad_p[np.arange(len(Y)), Y] -= 1.0
+    steps = P[np.arange(len(Y)), Y] + A[previous, Y]
+    path_scores = np.add.reduceat(steps, ends - lengths) + A[Y[ends - 1], END]
+    return log_z - path_scores, grad_p, grad_a
+
+
+class TestSameBitsAsTheAllocatingLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 60), min_size=1, max_size=20),
+        scale=st.sampled_from([0.1, 1.0, 10.0]),
+        overflow_row=st.booleans(),
+        extreme_transitions=st.sampled_from([None, 800.0, -800.0]),
+    )
+    @example(seed=0, lengths=[1], scale=1.0, overflow_row=False, extreme_transitions=None)
+    @example(seed=1, lengths=[60], scale=10.0, overflow_row=False, extreme_transitions=None)
+    @example(seed=2, lengths=[1, 1, 13, 60, 1, 2], scale=1.0, overflow_row=True,
+             extreme_transitions=800.0)
+    @example(seed=3, lengths=[5, 1, 60, 9], scale=0.1, overflow_row=False,
+             extreme_transitions=-800.0)
+    def test_marginals_values_and_gradients_are_bit_identical(
+        self, seed, lengths, scale, overflow_row, extreme_transitions
+    ):
+        rng = np.random.default_rng(seed)
+        P = scale * rng.standard_normal((sum(lengths), 7))
+        A = scale * rng.standard_normal((9, 9))
+        if extreme_transitions is not None:   # exp(A) is not finite, or 0, at these entries
+            A[rng.random((9, 9)) < 0.2] = extreme_transitions
+        if overflow_row:   # a row the scaled recursion cannot carry: the log-space fallback
+            long = np.full((200, 7), 1e306)
+            long[:, 0] = -1e306
+            P, lengths = np.concatenate([P, long]), lengths + [200]
+        lens, Y = np.array(lengths), rng.integers(0, 7, len(P))
+        pack = crf._pack(P, lens)
+        with np.errstate(all="ignore"):
+            got = crf._scaled_marginals(P, A, pack) + batch_nll_and_gradient(P, A, lens, Y)
+            want = reference_scaled_marginals(P, A, pack) + reference_nll_and_gradient(P, A, lens, Y)
+        names = ("log_z", "gamma", "pairwise", "values", "grad_p", "grad_a")
+        for name, a, b in zip(names, got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+
+
 class TestFlatViterbi:
     """:func:`viterbi` on ragged sets laid end to end, row by row against the
     one-row loop reference and brute-force enumeration."""
@@ -571,6 +679,60 @@ class TestFlatViterbi:
             for bad_P, lengths in ((np.zeros((5, 6)), [5]), (np.zeros((1, 5, 7)), [5]), (P, [[5]])):
                 with pytest.raises(ValueError, match="lengths"):
                     entry(bad_P, np.zeros((9, 9)), np.array(lengths))
+
+
+ENTRY_POINTS = (
+    viterbi,
+    batch_log_partition,
+    lambda P, A, lengths: batch_nll_and_gradient(P, A, lengths, [0] * sum(lengths)),
+)
+
+
+class TestArguments:
+    """Each CRF entry point converts its emissions and transitions once, as
+    float64, and checks them and the gold path before any recursion."""
+
+    def test_integer_and_list_emissions_give_the_float_results(self):
+        rng = np.random.default_rng(0)
+        A = rng.normal(0, 1, (9, 9))
+        P = rng.integers(-3, 4, (5, 7))
+        F, Y, A_int = P.astype(float), rng.integers(0, 7, 5), rng.integers(-2, 3, (9, 9))
+        # an integer P once gave 20.071: the forward pass ran in its dtype
+        assert batch_log_partition(P, A, [5])[0] == pytest.approx(22.177, abs=1e-3)
+        for emissions, transitions, float_A in (
+            (P, A, A), (P.tolist(), A, A), (F.tolist(), A.tolist(), A),
+            (P.astype(np.int8), A_int, A_int.astype(float)),
+        ):
+            expected = (viterbi(F, float_A, [5]), batch_log_partition(F, float_A, [5]),
+                        *batch_nll_and_gradient(F, float_A, [5], Y))
+            got = (viterbi(emissions, transitions, [5]),
+                   batch_log_partition(emissions, transitions, [5]),
+                   *batch_nll_and_gradient(emissions, transitions, [5], Y.tolist()))
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_emissions_that_are_not_real_numbers_are_rejected(self, entry):
+        for bad in (np.zeros((2, 7), complex), np.zeros((2, 7), object), np.full((2, 7), "0"),
+                    [[0.0] * 7, [0.0] * 6], None, np.zeros(14)):
+            with pytest.raises(ValueError, match=r"^emissions must be real numbers of shape"):
+                entry(bad, np.zeros((9, 9)), [2])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_transitions_must_be_nine_by_nine_real_numbers(self, entry):
+        for bad in (np.zeros((7, 7)), np.zeros((9, 10)), np.zeros(81), np.zeros((9, 9), complex),
+                    [[0.0] * 9] * 8, [[0.0] * 9] * 8 + [[0.0] * 8]):
+            with pytest.raises(ValueError, match=r"^transitions must be real numbers of shape \(9, 9\)"):
+                entry(np.zeros((2, 7)), bad, [2])
+
+    def test_gold_paths_must_be_tag_indices(self):
+        P, A = np.zeros((2, 7)), np.zeros((9, 9))
+        # -1 once indexed the last tag silently; 9 and floats raised IndexError
+        for bad in ([0, -1], [0, 7], [0, 9], [0.0, 1.0], [True, False], ["0", "1"]):
+            with pytest.raises(ValueError, match=r"^gold path must be 2 tag indices in \[0, 7\)"):
+                batch_nll_and_gradient(P, A, [2], np.array(bad))
+        values, _, _ = batch_nll_and_gradient(np.zeros((7, 7)), A, [7], np.arange(7, dtype=np.uint8))
+        assert values[0] == pytest.approx(7 * math.log(7))
 
 
 class TestDistributionProperties:

@@ -89,6 +89,27 @@ def test_src_writes_json_with_one_dumps_call():
     assert offenders == []
 
 
+CONVERSIONS = {"array", "asarray", "asanyarray", "ascontiguousarray", "asfortranarray", "astype"}
+
+
+def test_crf_entry_points_convert_their_arguments_once():
+    """``viterbi``, ``batch_log_partition`` and ``batch_nll_and_gradient``
+    each convert and check their emissions and transitions with one call of
+    ``crf._arguments``, and no other ``crf`` function converts ``P``."""
+    callers, converters = [], []
+    for owner, call in calls_with_owner(ast.parse(Path(crf.__file__).read_text(encoding="utf-8"))):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "_arguments":
+            callers.append(owner)
+        operands = [*call.args, getattr(func, "value", None)]
+        if owner != "_arguments" and name in CONVERSIONS and any(
+                isinstance(x, ast.Name) and x.id == "P" for x in operands):
+            converters.append(f"{owner}:{call.lineno}")
+    assert sorted(callers) == ["batch_log_partition", "batch_nll_and_gradient", "viterbi"]
+    assert converters == []
+
+
 def names(node):
     """Every name and attribute that ``node`` holds, with its line."""
     for child in ast.walk(node):
