@@ -122,20 +122,22 @@ class _Packed(NamedTuple):
 
 
 def _arguments(P, A) -> tuple[np.ndarray, np.ndarray]:
-    """Emissions ``P`` and transitions ``A`` as float64 arrays; a ``ValueError``
-    names either one unless it is real numbers of shape (sum(lengths), 7) or (9, 9)."""
-    arrays = []
-    for name, x, rows, columns in (("emissions", P, None, NUM_TAGS),
-                                   ("transitions", A, FULL_SIZE, FULL_SIZE)):
-        try:
-            x = np.asarray(x)
-        except ValueError:   # a ragged list
-            x = np.asarray(None)
-        if x.dtype.kind not in "iuf" or x.shape[1:] != (columns,) or rows not in (None, len(x)):
-            raise ValueError(f"{name} must be real numbers of shape ({rows or 'sum(lengths)'}, "
-                             f"{columns}), got {x.dtype} {x.shape}")
-        arrays.append(x.astype(np.float64, copy=False))
-    return tuple(arrays)
+    """Emissions ``P`` and transitions ``A``, each checked, as float64 arrays."""
+    P, A = _array(P), _array(A)
+    if P.dtype.kind not in "iuf" or P.ndim != 2 or P.shape[1] != NUM_TAGS:
+        raise ValueError(f"emissions must be real numbers of shape (sum(lengths), {NUM_TAGS}), "
+                         f"got {P.dtype} {P.shape}")
+    if A.dtype.kind not in "iuf" or A.shape != (FULL_SIZE, FULL_SIZE):
+        raise ValueError(f"transitions must be real numbers of shape ({FULL_SIZE}, {FULL_SIZE}), "
+                         f"got {A.dtype} {A.shape}")
+    return P.astype(np.float64, copy=False), A.astype(np.float64, copy=False)
+
+
+def _array(x) -> np.ndarray:
+    try:
+        return np.asarray(x)
+    except ValueError:   # a ragged list: a bare object, which neither check accepts
+        return np.asarray(None)
 
 
 def _pack(P: np.ndarray, lengths) -> _Packed:
@@ -164,19 +166,18 @@ def _forward(P: np.ndarray, A: np.ndarray, pack: _Packed) -> tuple[np.ndarray, n
     return alpha, _logsumexp(alpha[pack.last] + A[:k, END], axis=1)
 
 
-def _gold_index(Y: np.ndarray, starts: np.ndarray, lengths) -> tuple:
-    """Position indices, previous gold tags (``START`` at row starts), row starts and row ends."""
+def _previous_tags(Y: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each flat position's previous gold tag, ``START`` at a row's start."""
     previous = np.empty_like(Y)
     previous[1:] = Y[:-1]
     previous[starts] = START
-    return np.arange(len(Y)), previous, starts, starts + lengths - 1
+    return previous
 
 
-def _path_scores(P: np.ndarray, A: np.ndarray, lengths, Y: np.ndarray, gold=None) -> np.ndarray:
-    """Each row's score of ``Y``, whose :func:`_gold_index` the caller may pass."""
-    positions, previous, starts, last = gold or _gold_index(Y, np.cumsum(lengths) - lengths, lengths)
-    steps = P[positions, Y] + A[previous, Y]
-    return np.add.reduceat(steps, starts) + A[Y[last], END]
+def _path_scores(P: np.ndarray, A: np.ndarray, lengths: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    ends = np.cumsum(lengths)
+    steps = P[np.arange(len(Y)), Y] + A[_previous_tags(Y, ends - lengths), Y]
+    return np.add.reduceat(steps, ends - lengths) + A[Y[ends - 1], END]
 
 
 def batch_log_partition(P, A, lengths) -> np.ndarray:
@@ -285,18 +286,17 @@ def batch_nll_and_gradient(P, A, lengths, Y) -> tuple[np.ndarray, np.ndarray, np
             rows = np.repeat(slow, lengths)
             log_z[slow], gamma[rows], pairwise[slow] = _log_marginals(P[rows], A, lengths[slow])
 
-    B, k, row_ids = len(lengths), NUM_TAGS, np.arange(len(lengths))
-    gold = positions, previous, starts, last = _gold_index(Y, pack.starts, lengths)
+    B, k, starts, last = len(lengths), NUM_TAGS, pack.starts, pack.starts + lengths - 1
     grad_a = np.zeros((B, FULL_SIZE, FULL_SIZE))
     grad_a[:, :k, :k] = pairwise
     grad_a[:, START, :k] += gamma[starts]
     grad_a[:, :k, END] += gamma[last]
-    np.add.at(grad_a, (np.repeat(row_ids, lengths), previous, Y), -1.0)
-    grad_a[row_ids, Y[last], END] -= 1.0
+    np.add.at(grad_a, (np.repeat(np.arange(B), lengths), _previous_tags(Y, starts), Y), -1.0)
+    grad_a[np.arange(B), Y[last], END] -= 1.0
     grad_p = gamma      # gamma is not read again
-    grad_p[positions, Y] -= 1.0
+    grad_p[np.arange(len(Y)), Y] -= 1.0
 
-    values = log_z - _path_scores(P, A, lengths, Y, gold)
+    values = log_z - _path_scores(P, A, lengths, Y)
     return values, grad_p, grad_a
 
 
