@@ -438,9 +438,9 @@ def _joined(ids: list[str], lengths: list[int], parts: list[np.ndarray]):
     return ids, _sentence_lengths(lengths, len(scores)), scores
 
 
-# bytes of an emission file that the fast reader takes at a time, read on to
-# the end of a line
-_PARSE_BYTES = 1 << 16
+# bytes of an emission file that the fast reader takes at a time (128 KiB),
+# read on to the end of a line
+_PARSE_BYTES = 1 << 17
 
 # The fast reader divides a token's integer mantissa by a power of ten in x87
 # extended precision (64-bit significands).  Both operands are exact and the
@@ -450,9 +450,9 @@ _PARSE_BYTES = 1 << 16
 _X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
 _POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))   # 10**27 is still exact
 _LF, _SPACE, _DIGIT, _DOT, _PLUS, _MINUS, _EXP, _BAD = range(8)   # byte classes
-_BYTE_CLASS = bytes(next((kind for kind, members in enumerate(
+_BYTE_CLASS = np.array([next((kind for kind, members in enumerate(
     (b"\n", b" \t\r", b"0123456789", b".", b"+", b"-", b"eE")) if byte in members), _BAD)
-    for byte in range(256))
+    for byte in range(256)], np.uint8)
 
 
 class _Unusual(Exception):
@@ -461,9 +461,9 @@ class _Unusual(Exception):
 
 def _read_emission_chunks(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The fast reader of :func:`read_emission_blocks`: the file in chunks of
-    about ``_PARSE_BYTES`` that end at a line end, whose rows are joined once
-    at the end.  Raises ``_Unusual`` on any error or grammar beyond plain
-    decimals."""
+    about ``_PARSE_BYTES`` (128 KiB) that end at a line end, each parsed by
+    :func:`_chunk_rows`, whose rows are joined once at the end.  Raises
+    ``_Unusual`` on any error or grammar beyond plain decimals."""
     parts, heads, owed = [], [], 0   # owed: the rows the last block still needs
     with open(path, "rb") as fh:
         bom = codecs.BOM_UTF8
@@ -483,12 +483,13 @@ def _read_emission_chunks(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 def _chunk_rows(data: bytes, owed: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
     """The rows of ``data``, whole lines with a newline before the first and
     after the last, as a (rows, 7) array, and each header in it as (sentence
-    id, n); the first ``owed`` non-blank lines are rows of a block begun before."""
+    id, n); the first ``owed`` non-blank lines are rows of a block begun before.
+    Only the bytes that are not digits are found and classified."""
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         raise _Unusual   # a lone CR ends a line
-    classes = np.frombuffer(data.translate(_BYTE_CLASS), np.uint8)
-    at = np.flatnonzero(classes != _DIGIT)   # the offset of every byte but a digit
-    kind = classes[at]
+    codes = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(np.subtract(codes, 48, dtype=np.uint8) > 9)   # every non-digit wraps above 9
+    kind = _BYTE_CLASS.take(codes.take(at))
     space = kind <= _SPACE
     # each token as the index into ``at`` of the space after it, and each line
     # as the one of the newline before it

@@ -29,11 +29,13 @@ recursion repacks the rows step-major, the layout of PyTorch's
 ``PackedSequence``: step i holds position i of every row longer than i in
 one contiguous slice, longest row first, so the rows that go on to step
 i + 1 are a prefix of that slice and a step reads and writes slices only.
-Viterbi holds its scores tag-major, as one ``(7, sum(lengths))`` table of
-columns in this order.  Nothing is padded.  Per-row results are reduced
-over the flat rows.  One sentence of n positions is a batch of one: its
-``(n, 7)`` emissions with ``lengths`` of ``[n]``.  Each entry point checks
-its arguments, any real array-likes, once and converts them to float64 once.
+Viterbi's forward pass holds its scores tag-major, as one ``(7,
+sum(lengths))`` table of columns in this order, and its backtrace reads a
+position-major copy of that table.  Nothing is padded.  Per-row results are
+reduced over the flat rows.  One sentence of n positions is a batch of one:
+its ``(n, 7)`` emissions with ``lengths`` of ``[n]``.  Each entry point
+checks its arguments, any real array-likes, once and converts them to
+float64 once.  A NaN transition is rejected; -inf marks a masked one.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ def _arguments(P, A) -> tuple[np.ndarray, np.ndarray]:
     if A.dtype.kind not in "iuf" or A.shape != (FULL_SIZE, FULL_SIZE):
         raise ValueError(f"transitions must be real numbers of shape ({FULL_SIZE}, {FULL_SIZE}), "
                          f"got {A.dtype} {A.shape}")
+    if np.isnan(A).any():   # one isnan over 81 entries; -inf, a masked transition, passes
+        raise ValueError("transitions must not be NaN")
     return P.astype(np.float64, copy=False), A.astype(np.float64, copy=False)
 
 
@@ -313,11 +317,12 @@ def viterbi(P, A, lengths) -> np.ndarray:
         D[:, cur] += (D[:, None, prev] + A[:k, :k, None]).max(axis=0)
     # the backtrace takes the argmax over the same candidate floats, for the chosen tag only
     tag = (D[:, pack.last[pack.order]] + A[:k, END, None]).argmax(axis=0)
+    D, into = D.T.copy(), A[:k, :k].T.copy()   # position-major: each argmax runs along rows
     path = np.empty(len(P), dtype=np.uint8)
     for prev, cur in reversed(pack.pairs):
         m = cur.stop - cur.start
         path[cur] = tag[:m]
-        tag[:m] = (D[:, prev] + A[:k, tag[:m]]).argmax(axis=0)
+        tag[:m] = (D[prev] + into.take(tag[:m], axis=0)).argmax(axis=1)
     path[:B] = tag
     return path[pack.inv]
 

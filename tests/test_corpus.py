@@ -556,6 +556,24 @@ def test_values_equal_python_float_bit_for_bit(tmp_path, monkeypatch):
         assert 0 < np.count_nonzero(cast != expected[:10_000]) < 1000
 
 
+# the byte classes of the fast reader as the ``bytes.translate`` table it once
+# ran over every byte of a chunk
+OLD_BYTE_CLASS = bytes(next((kind for kind, members in enumerate(
+    (b"\n", b" \t\r", b"0123456789", b".", b"+", b"-", b"eE")) if byte in members), 7)
+    for byte in range(256))
+
+
+def test_every_byte_keeps_its_translate_class():
+    # the reader finds the non-digits as the bytes that wrap above 9 once 48
+    # is taken away, and classifies only those
+    codes = np.arange(256, dtype=np.uint8)
+    old = np.frombuffer(codes.tobytes().translate(OLD_BYTE_CLASS), np.uint8)
+    at = np.flatnonzero(np.subtract(codes, 48, dtype=np.uint8) > 9)
+    assert at.tolist() == np.flatnonzero(old != corpus._DIGIT).tolist()
+    assert corpus._BYTE_CLASS.take(codes.take(at)).tolist() == old[at].tolist()
+    assert corpus._BYTE_CLASS.dtype == np.uint8 and corpus._BYTE_CLASS.tobytes() == OLD_BYTE_CLASS
+
+
 class TestEmissions:
     def test_read_block(self, tmp_path):
         content = "s1 2 7\n" + "0 1 2 3 4 5 6\n" + ".5 .5 .5 .5 .5 .5 .5\n"

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from radsigns import crf
 
-from radsigns.corpus import TAG_INDEX, CorpusFormatError
+from radsigns.corpus import NUM_TAGS, TAG_INDEX, CorpusFormatError
 from radsigns.crf import (
     END,
     START,
@@ -110,6 +110,26 @@ def loop_viterbi(P, A):
     for i in range(n - 1, 0, -1):
         path.append(int(back[i, path[-1]]))
     return path[::-1]
+
+
+def tag_major_viterbi(P, A, lengths):
+    """:func:`viterbi` with a tag-major backtrace, each step's argmax down
+    the columns of a ``(7, m)`` block of the forward table: the reference
+    for its position-major backtrace."""
+    pack = crf._pack(P, lengths)
+    k, B = NUM_TAGS, len(pack.lengths)
+    D = np.take(P.T, pack.perm, axis=1)
+    D[:, :B] += A[START, :k, None]
+    for prev, cur in pack.pairs:
+        D[:, cur] += (D[:, None, prev] + A[:k, :k, None]).max(axis=0)
+    tag = (D[:, pack.last[pack.order]] + A[:k, END, None]).argmax(axis=0)
+    path = np.empty(len(P), dtype=np.uint8)
+    for prev, cur in reversed(pack.pairs):
+        m = cur.stop - cur.start
+        path[cur] = tag[:m]
+        tag[:m] = (D[:, prev] + A[:k, tag[:m]]).argmax(axis=0)
+    path[:B] = tag
+    return path[pack.inv]
 
 
 class TestPathScore:
@@ -659,6 +679,30 @@ class TestFlatViterbi:
         for row, emissions in zip(split_path(viterbi(P, A, lengths), lengths), rows):
             assert row == loop_viterbi(emissions, A)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=20),
+        short=st.booleans(),
+        constrain=st.booleans(),
+    )
+    @example(seed=0, lengths=[1], short=False, constrain=False)
+    @example(seed=1, lengths=[1] * 9, short=False, constrain=True)
+    @example(seed=2, lengths=[40], short=False, constrain=True)
+    @example(seed=3, lengths=[3, 1, 7, 1, 1, 2], short=True, constrain=False)
+    def test_backtrace_matches_the_tag_major_reference(self, seed, lengths, short, constrain):
+        # integer scores in [-1, 1] tie on most steps; ``short`` turns a
+        # random half of the rows into rows of length 1
+        rng = np.random.default_rng(seed)
+        if short:
+            lengths = np.where(rng.random(len(lengths)) < 0.5, 1, lengths).tolist()
+        P = rng.integers(-1, 2, (sum(lengths), NUM_TAGS)).astype(float)
+        A = TransitionMatrix(rng.integers(-1, 2, (9, 9)).astype(float))
+        A = decoding_transitions(A, constrain)
+        path = viterbi(P, A, lengths)
+        want = tag_major_viterbi(P, A, lengths)
+        assert path.dtype == want.dtype and np.array_equal(path, want)
+
     def test_empty_set(self):
         path = viterbi(np.zeros((0, 7)), np.zeros((9, 9)), np.array([], dtype=np.intp))
         assert path.dtype == np.uint8 and path.shape == (0,)
@@ -724,6 +768,19 @@ class TestArguments:
                     [[0.0] * 9] * 8, [[0.0] * 9] * 8 + [[0.0] * 8]):
             with pytest.raises(ValueError, match=r"^transitions must be real numbers of shape \(9, 9\)"):
                 entry(np.zeros((2, 7)), bad, [2])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_nan_transitions_are_rejected_and_masked_ones_pass(self, entry):
+        # a NaN matrix once decoded to [0 0] and gave a NaN log Z and NLL
+        one_nan = np.zeros((9, 9))
+        one_nan[3, 4] = np.nan
+        for bad in (np.full((9, 9), np.nan), one_nan, one_nan.tolist()):
+            with pytest.raises(ValueError, match=r"^transitions must not be NaN"):
+                entry(np.zeros((2, 7)), bad, [2])
+        masked = decoding_transitions(TransitionMatrix.zeros(), True)
+        assert np.isneginf(masked).any()
+        result = entry(np.zeros((2, 7)), masked, [2])
+        assert all(np.isfinite(part).all() for part in (result if type(result) is tuple else [result]))
 
     def test_gold_paths_must_be_tag_indices(self):
         P, A = np.zeros((2, 7)), np.zeros((9, 9))
