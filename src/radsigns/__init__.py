@@ -1,7 +1,7 @@
 """Character-level CRF tagging and dictionary chunk matching for structured
 findings in Chinese radiology report sentences."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from types import ModuleType as _ModuleType
 
@@ -23,7 +23,6 @@ from .corpus import (
 )
 from .crf import (
     TaggerModel,
-    TransitionMatrix,
     batch_log_partition,
     batch_nll_and_gradient,
     decoding_transitions,
@@ -33,7 +32,6 @@ from .crf import (
 )
 from .encoder import (
     FeatureVocabulary,
-    LinearScorerParams,
     extract_features,
     score_ids,
     text_feature_ids,

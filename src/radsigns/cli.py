@@ -199,7 +199,7 @@ def _tag_windows(model: TaggerModel, corpus: FlatCorpus, args, from_tags: bool =
         if from_tags:
             return window, window.indices
         if emissions is None:
-            P = score_ids(model.weights.weights,
+            P = score_ids(model.weights,
                           text_feature_ids(model.vocab, window.text, window.lengths))
         else:
             scores, index = emissions

@@ -600,8 +600,8 @@ def write_emissions(ids: Sequence[str], lengths, scores, path) -> None:
     """The file that :func:`read_emission_blocks` reads as ``(ids, lengths,
     scores)``.  An id that the reader rejects (not a string, empty, holding
     whitespace or repeated), lengths that are not positive integers summing
-    to the n rows of n x 7 ``scores``, a non-finite score or no block at all
-    raises ``ValueError``, naming the id where there is one, before the file is opened."""
+    to the n rows of n x 7 real ``scores``, a non-finite score or no block at
+    all raises ``ValueError``, naming the id where there is one, before the file is opened."""
     seen = set()
     for sid in ids:
         if not isinstance(sid, str):
@@ -611,9 +611,11 @@ def write_emissions(ids: Sequence[str], lengths, scores, path) -> None:
         if sid in seen:
             raise ValueError(f"emission id {sid!r} is repeated")
         seen.add(sid)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] != NUM_TAGS:
-        raise ValueError(f"emission scores must be n x {NUM_TAGS}, got shape {scores.shape}")
+    scores = np.asarray(scores)
+    if scores.dtype.kind not in "iuf" or scores.ndim != 2 or scores.shape[1] != NUM_TAGS:
+        raise ValueError(f"emission scores must be n x {NUM_TAGS} real numbers, "
+                         f"got {scores.dtype} {scores.shape}")
+    scores = scores.astype(np.float64, copy=False)
     ends = np.cumsum(_sentence_lengths(lengths, len(scores)))
     if len(ends) != len(ids):
         raise ValueError(f"{len(ids)} emission ids for {len(ends)} blocks")

@@ -5,8 +5,8 @@ A tag path is scored as
     score(y) = A[start, y_1] + sum_i A[y_i, y_{i+1}] + A[y_n, end]
              + sum_i P[i, y_i]
 
-where P is the n x 7 emission matrix and A the 9 x 9 transition matrix with
-virtual start/end tags at indices 7 and 8.
+where P is the n x 7 emission matrix and A the 9 x 9 transition matrix that
+:class:`TaggerModel` holds, with virtual start/end tags at indices 7 and 8.
 
 Training's forward-backward (:func:`batch_nll_and_gradient`) runs the scaled
 recursion of Rabiner (1989, "A Tutorial on Hidden Markov Models", section
@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import NUM_TAGS, TAG_LABELS, CorpusFormatError, _sentence_lengths, read_json_object
-from .encoder import FeatureVocabulary, LinearScorerParams
+from .encoder import FeatureVocabulary
 
 START = NUM_TAGS        # virtual start tag, row START is read for entry scores
 END = NUM_TAGS + 1      # virtual end tag, column END is read for exit scores
@@ -61,30 +61,6 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """(k+2) x (k+2) tag-to-tag scores.  Entries into start and out of end
-    are never read."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.float64)
-        if matrix.shape != (FULL_SIZE, FULL_SIZE):
-            raise ValueError(
-                f"transition matrix must be {FULL_SIZE} x {FULL_SIZE}, "
-                f"got shape {matrix.shape}"
-            )
-        if not np.isfinite(matrix).all():
-            raise ValueError("non-finite transition score")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    def zeros(cls) -> "TransitionMatrix":
-        return cls(np.zeros((FULL_SIZE, FULL_SIZE)))
 
 
 def _bio_transition_mask() -> np.ndarray:
@@ -101,13 +77,13 @@ def _bio_transition_mask() -> np.ndarray:
 BIO_TRANSITION_MASK = _bio_transition_mask()
 
 
-def decoding_transitions(transitions: TransitionMatrix, constrain_bio: bool) -> np.ndarray:
+def decoding_transitions(transitions: np.ndarray, constrain_bio: bool) -> np.ndarray:
     """The transition scores Viterbi uses: with ``constrain_bio`` the masked
     transitions score -inf, so a decoded path never opens an entity with an
     inside tag.  Training stays unconstrained."""
     if not constrain_bio:
-        return transitions.matrix
-    return np.where(BIO_TRANSITION_MASK, transitions.matrix, -np.inf)
+        return transitions
+    return np.where(BIO_TRANSITION_MASK, transitions, -np.inf)
 
 
 class _Packed(NamedTuple):
@@ -329,11 +305,32 @@ def viterbi(P, A, lengths) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TaggerModel:
-    """Trained feature scorer plus transition weights."""
+    """The one model type: feature weights, a row per feature of ``vocab`` and
+    a column per tag, and 9 x 9 transition weights, kept as read-only float64
+    copies, since a trainer goes on updating its own arrays.  The always-on
+    bias feature absorbs a bias term, and transitions into start or out of
+    end are never read."""
 
     vocab: FeatureVocabulary
-    weights: LinearScorerParams
-    transitions: TransitionMatrix
+    weights: np.ndarray
+    transitions: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.vocab, FeatureVocabulary):
+            raise ValueError(f"vocab must be a FeatureVocabulary, got {type(self.vocab).__name__}")
+        for name, shape, wrong_shape in (
+                ("weights", (self.vocab.size, NUM_TAGS), "weight rows do not match feature count"),
+                ("transitions", (FULL_SIZE, FULL_SIZE), "transition matrix must be 9 x 9")):
+            array = _array(getattr(self, name))
+            if array.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must be real numbers, got {array.dtype}")
+            if array.shape != shape:
+                raise ValueError(f"{wrong_shape}: {name} of shape {array.shape}, not {shape}")
+            array = np.array(array, dtype=np.float64)
+            if not np.isfinite(array).all():
+                raise ValueError(f"non-finite {name}")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 def save_model(model: TaggerModel, path) -> None:
@@ -342,8 +339,8 @@ def save_model(model: TaggerModel, path) -> None:
         "tags": list(TAG_LABELS),
         "features": model.vocab.index,
         "unk_index": model.vocab.unk_index,
-        "weights": model.weights.weights.tolist(),
-        "transitions": model.transitions.matrix.tolist(),
+        "weights": model.weights.tolist(),
+        "transitions": model.transitions.tolist(),
     }
     # one json.dumps call runs the C encoder; json.dump would run the Python one
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -374,11 +371,8 @@ def load_model(path) -> TaggerModel:
                 and set(map(type, chain.from_iterable(rows))) <= {int, float}):   # no str, bool
             raise CorpusFormatError(f"{path}: {key!r} must be a list of rows of numbers")
     try:
-        vocab = FeatureVocabulary(features, document["unk_index"])
-        weights = LinearScorerParams(np.array(document["weights"], dtype=np.float64))
-        transitions = TransitionMatrix(np.array(document["transitions"], dtype=np.float64))
+        return TaggerModel(FeatureVocabulary(features, document["unk_index"]),
+                           np.array(document["weights"], dtype=np.float64),
+                           np.array(document["transitions"], dtype=np.float64))
     except (TypeError, ValueError, OverflowError) as exc:   # an int beyond float range
         raise CorpusFormatError(f"{path}: {exc}") from exc
-    if weights.weights.shape[0] != vocab.size:
-        raise CorpusFormatError(f"{path}: weight rows do not match feature count")
-    return TaggerModel(vocab, weights, transitions)

@@ -12,7 +12,7 @@ as the vocabulary's tables; a vocabulary read from a model file parses its
 strings into the same tables once.  :func:`text_feature_ids`, the one
 feature-id function, gathers the ids of sentences laid end to end as one
 flat ``(sum(lengths), 9)`` array, and :func:`score_ids` turns it into the
-batch's flat emissions.
+batch's flat emissions by a ``crf.TaggerModel``'s plain weight array.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import NUM_TAGS, _code_points, _sentence_lengths
+from .corpus import _code_points, _sentence_lengths
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -240,29 +240,6 @@ def text_feature_ids(vocab: FeatureVocabulary, text: str, lengths) -> np.ndarray
         else:
             tables.dense[t].take(values, out=ids[t])
     return ids.T
-
-
-@dataclass(frozen=True, eq=False)
-class LinearScorerParams:
-    """Weight row per feature, one column per tag.  No separate bias term:
-    the always-on bias feature absorbs it."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[1] != NUM_TAGS:
-            raise ValueError(
-                f"weights must be m x {NUM_TAGS}, got shape {weights.shape}"
-            )
-        if not np.isfinite(weights).all():
-            raise ValueError("non-finite scorer weight")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def zeros(cls, feature_count: int) -> "LinearScorerParams":
-        return cls(np.zeros((feature_count, NUM_TAGS)))
 
 
 def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:

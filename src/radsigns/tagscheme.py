@@ -40,10 +40,15 @@ def text_runs(text: str, path, lengths: Sequence[int]):
 def _run_arrays(path, lengths: Sequence[int]):
     """:func:`text_runs` without the texts, each span as flat offsets into
     the path: ``(row, start, end, kind)`` int arrays."""
-    try:
-        flat = np.frombuffer(path, np.uint8) if isinstance(path, bytes) else np.asarray(path, np.intp)
-    except OverflowError:   # an index too large for any tag array
-        raise ValueError("tag index out of range") from None
+    if isinstance(path, bytes):
+        flat = np.frombuffer(path, np.uint8)
+    else:
+        flat = np.asarray(path)
+        if flat.dtype == object and all(type(tag) is int for tag in flat.flat):
+            raise ValueError("tag index out of range")   # an int too large for any tag array
+        if flat.size and flat.dtype.kind not in "iu":   # [] is float64
+            raise ValueError(f"tag indices must be integers, got {flat.dtype}")
+        flat = flat.astype(np.intp, copy=False)
     if flat.size and not 0 <= flat.min() <= flat.max() < NUM_TAGS:
         raise ValueError(f"tag index {flat[(flat < 0) | (flat >= NUM_TAGS)][0]} out of range")
     lengths = _sentence_lengths(lengths, None)

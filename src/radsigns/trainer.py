@@ -21,12 +21,11 @@ from .corpus import NUM_TAGS, FlatCorpus
 from .crf import (
     FULL_SIZE,
     TaggerModel,
-    TransitionMatrix,
     batch_nll_and_gradient,
     decoding_transitions,
     viterbi,
 )
-from .encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
+from .encoder import FeatureVocabulary, score_ids, text_feature_ids
 from .evaluation import entity_keys, key_prf
 
 
@@ -113,7 +112,7 @@ class _DevSet:
         self.ids = text_feature_ids(vocab, dev.text, dev.lengths)
 
     def f1(self, model: TaggerModel) -> float:
-        P = score_ids(model.weights.weights, self.ids)
+        P = score_ids(model.weights, self.ids)
         path = viterbi(P, decoding_transitions(model.transitions, True), self.lengths)
         return key_prf(entity_keys(path, self.lengths), self.gold).overall.f1
 
@@ -179,7 +178,7 @@ def train(
             if not (np.isfinite(weights).all() and np.isfinite(transitions).all()):
                 raise NonFiniteLossError(corpus.ids[batch[0]], float("inf"), "parameter update")
 
-        model = TaggerModel(vocab, LinearScorerParams(weights), TransitionMatrix(transitions))
+        model = TaggerModel(vocab, weights, transitions)
         dev_f1 = dev_set.f1(model)
         nll_history.append(epoch_nll / len(lengths))
         f1_history.append(dev_f1)

@@ -37,7 +37,7 @@ def decode_sentence(model, text: str, constrain_bio=True) -> bytes:
     """One sentence's Viterbi tag index path under ``model``: the flat
     library calls that ``tag`` runs, at batch size 1."""
     lengths = [len(text)]
-    P = score_ids(model.weights.weights, text_feature_ids(model.vocab, text, lengths))
+    P = score_ids(model.weights, text_feature_ids(model.vocab, text, lengths))
     return viterbi(P, decoding_transitions(model.transitions, constrain_bio), lengths).tobytes()
 
 

@@ -20,9 +20,8 @@ from radsigns.corpus import (
     write_emissions,
     write_tagged_flat,
 )
-from radsigns.crf import (TaggerModel, TransitionMatrix, decoding_transitions, load_model,
-                          save_model, viterbi)
-from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
+from radsigns.crf import TaggerModel, decoding_transitions, load_model, save_model, viterbi
+from radsigns.encoder import FeatureVocabulary, score_ids, text_feature_ids
 from radsigns.evaluation import agreement_f1, classify_errors, entity_prf
 from radsigns.tagscheme import batch_entities
 
@@ -357,7 +356,7 @@ class TestOutputsMatchPublicApi:
         emissions = tmp_path / "own.txt"
         corpus = read_tagged_flat(decode_inputs["tsv"])
         ids = text_feature_ids(model.vocab, corpus.text, corpus.lengths)
-        write_emissions(corpus.ids, corpus.lengths, score_ids(model.weights.weights, ids),
+        write_emissions(corpus.ids, corpus.lengths, score_ids(model.weights, ids),
                         emissions)
         outputs = []
         for extra in ([], ["--emissions-file", str(emissions)]):
@@ -560,7 +559,7 @@ class TestTagAndExtract:
     def test_external_emissions_drive_decoding(self, tmp_path):
         vocab = FeatureVocabulary.build("肺影好", [3])
         model = TaggerModel(
-            vocab, LinearScorerParams.zeros(vocab.size), TransitionMatrix.zeros()
+            vocab, np.zeros((vocab.size, 7)), np.zeros((9, 9))
         )
         model_path = tmp_path / "zero.json"
         save_model(model, model_path)

@@ -888,8 +888,12 @@ class TestEmissions:
         (["s1", "x9"], [[1, 1]], np.zeros((2, 7)), "must be a 1-D array of integers"),
         (["s1", "x9"], [2], np.zeros((2, 7)), "2 emission ids for 1 blocks"),
         ([], [], np.zeros((0, 7)), "^no emission blocks to write$"),
+        (["s1"], [1], np.full((1, 7), 1 + 2j), "must be n x 7 real numbers, got complex128"),
+        (["s1"], [1], np.zeros((1, 7), bool), "must be n x 7 real numbers, got bool"),
+        (["s1"], [1], np.full((1, 7), "1.5"), "must be n x 7 real numbers, got <U3"),
+        (["s1"], [1], np.zeros((1, 7)).astype(object), "must be n x 7 real numbers, got object"),
     ], ids=["1-D", "6 columns", "0 rows", "too few rows", "float lengths", "2-D lengths",
-            "one length", "no blocks"])
+            "one length", "no blocks", "complex", "bool", "str", "object"])
     def test_writer_rejects_lengths_that_do_not_fit_the_scores(self, tmp_path, ids, lengths, scores,
                                                                message):
         with pytest.raises(ValueError, match=message):

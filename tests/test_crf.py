@@ -17,7 +17,6 @@ from radsigns.crf import (
     START,
     BIO_TRANSITION_MASK,
     TaggerModel,
-    TransitionMatrix,
     batch_log_partition,
     batch_nll_and_gradient,
     decoding_transitions,
@@ -25,7 +24,7 @@ from radsigns.crf import (
     save_model,
     viterbi,
 )
-from radsigns.encoder import FeatureVocabulary, LinearScorerParams
+from radsigns.encoder import FeatureVocabulary
 
 from _synth import bio_violations, brute_force_argmax, brute_force_log_partition, enumerate_paths, tags_of
 from conftest import decode_sentence
@@ -308,7 +307,7 @@ class TestViterbi:
             n = int(rng.integers(1, 12))
             scores = rng.standard_normal((n, 7))
             scores[:, inside] += 3.0  # bait the decoder toward inside tags
-            tm = TransitionMatrix(rng.standard_normal((9, 9)))
+            tm = rng.standard_normal((9, 9))
             decoded = viterbi(scores, decoding_transitions(tm, True), [n])
             assert bio_violations(decoded) == []
 
@@ -316,9 +315,9 @@ class TestViterbi:
         scores = np.zeros((2, 7))
         scores[0, TAG_INDEX["O"]] = 5.0
         scores[1, TAG_INDEX["I-P"]] = 5.0
-        free = viterbi(scores, decoding_transitions(TransitionMatrix.zeros(), False), [2])
+        free = viterbi(scores, decoding_transitions(np.zeros((9, 9)), False), [2])
         assert tags_of(free) == ("O", "I-P")
-        constrained = viterbi(scores, decoding_transitions(TransitionMatrix.zeros(), True), [2])
+        constrained = viterbi(scores, decoding_transitions(np.zeros((9, 9)), True), [2])
         assert bio_violations(constrained) == []
 
     def test_mask_shape_and_content(self):
@@ -697,7 +696,7 @@ class TestFlatViterbi:
         if short:
             lengths = np.where(rng.random(len(lengths)) < 0.5, 1, lengths).tolist()
         P = rng.integers(-1, 2, (sum(lengths), NUM_TAGS)).astype(float)
-        A = TransitionMatrix(rng.integers(-1, 2, (9, 9)).astype(float))
+        A = rng.integers(-1, 2, (9, 9)).astype(float)
         A = decoding_transitions(A, constrain)
         path = viterbi(P, A, lengths)
         want = tag_major_viterbi(P, A, lengths)
@@ -777,7 +776,7 @@ class TestArguments:
         for bad in (np.full((9, 9), np.nan), one_nan, one_nan.tolist()):
             with pytest.raises(ValueError, match=r"^transitions must not be NaN"):
                 entry(np.zeros((2, 7)), bad, [2])
-        masked = decoding_transitions(TransitionMatrix.zeros(), True)
+        masked = decoding_transitions(np.zeros((9, 9)), True)
         assert np.isneginf(masked).any()
         result = entry(np.zeros((2, 7)), masked, [2])
         assert all(np.isfinite(part).all() for part in (result if type(result) is tuple else [result]))
@@ -826,13 +825,16 @@ class TestDistributionProperties:
                                                                    abs=1e-9)
 
 
+AB = FeatureVocabulary.build("ab", [2])   # the features of one two-char sentence
+
+
 class TestModelPersistence:
     def build_model(self):
         text = "右上肺见阴影。"
         vocab = FeatureVocabulary.build(text, [len(text)])
         rng = np.random.default_rng(60)
-        weights = LinearScorerParams(rng.standard_normal((vocab.size, 7)))
-        transitions = TransitionMatrix(rng.standard_normal((9, 9)))
+        weights = rng.standard_normal((vocab.size, 7))
+        transitions = rng.standard_normal((9, 9))
         return text, TaggerModel(vocab, weights, transitions)
 
     def test_round_trip_preserves_decoding(self, tmp_path):
@@ -842,10 +844,10 @@ class TestModelPersistence:
         loaded = load_model(path)
         assert decode_sentence(loaded, text) == decode_sentence(model, text)
         np.testing.assert_array_equal(
-            loaded.weights.weights, model.weights.weights
+            loaded.weights, model.weights
         )
         np.testing.assert_array_equal(
-            loaded.transitions.matrix, model.transitions.matrix
+            loaded.transitions, model.transitions
         )
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -859,16 +861,16 @@ class TestModelPersistence:
         model = TaggerModel(
             FeatureVocabulary(dict(zip(features, columns)),
                               data.draw(st.integers(0, len(features) - 1))),
-            LinearScorerParams(data.draw(arrays(np.float64, (len(features), 7), elements=weight))),
-            TransitionMatrix(data.draw(arrays(np.float64, (9, 9), elements=weight))),
+            data.draw(arrays(np.float64, (len(features), 7), elements=weight)),
+            data.draw(arrays(np.float64, (9, 9), elements=weight)),
         )
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         assert list(loaded.vocab.index.items()) == list(model.vocab.index.items())
         assert loaded.vocab.unk_index == model.vocab.unk_index
-        assert loaded.weights.weights.tobytes() == model.weights.weights.tobytes()
-        assert loaded.transitions.matrix.tobytes() == model.transitions.matrix.tobytes()
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.transitions.tobytes() == model.transitions.tobytes()
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "model.json"
@@ -919,15 +921,42 @@ class TestModelPersistence:
             load_model(path)
 
     def test_transition_matrix_validation(self):
+        _, model = self.build_model()
         with pytest.raises(ValueError, match="9 x 9"):
-            TransitionMatrix(np.zeros((7, 7)))
+            TaggerModel(model.vocab, model.weights, np.zeros((7, 7)))
         bad = np.zeros((9, 9))
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            TransitionMatrix(bad)
+            TaggerModel(model.vocab, model.weights, bad)
 
     def test_virtual_tag_indices(self):
-        tm = TransitionMatrix.zeros()
+        model = TaggerModel(AB, np.zeros((AB.size, 7)), np.zeros((9, 9)))
         assert START == 7
         assert END == 8
-        assert tm.matrix.shape == (9, 9)
+        assert model.transitions.shape == (9, 9)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", np.zeros((2, 7)), "weight rows do not match feature count"),
+        ("weights", np.zeros((AB.size, 6)), "weight rows do not match feature count"),
+        ("weights", np.full((AB.size, 7), np.nan), "non-finite"),
+        ("weights", np.zeros((AB.size, 7), complex), "must be real numbers"),
+        ("transitions", np.zeros((9, 9), object), "must be real numbers"),
+        ("transitions", np.full((9, 9), "1"), "must be real numbers"),
+        ("vocab", AB.index, "vocab must be a FeatureVocabulary"),
+    ], ids=["2 rows", "6 columns", "nan weights", "complex weights", "object transitions",
+            "str transitions", "dict vocab"])
+    def test_every_construction_checks_the_fields(self, field, value, message):
+        fields = dict(vocab=AB, weights=np.zeros((AB.size, 7)), transitions=np.zeros((9, 9)))
+        with pytest.raises(ValueError, match=message):
+            TaggerModel(**{**fields, field: value})
+
+    def test_arrays_are_read_only_copies(self):
+        weights, transitions = np.zeros((AB.size, 7)), np.zeros((9, 9), np.int64)
+        model = TaggerModel(AB, weights, transitions)
+        weights += 1.0
+        transitions += 1
+        assert not model.weights.any() and not model.transitions.any()
+        assert model.weights.dtype == model.transitions.dtype == np.float64
+        for array in (model.weights, model.transitions):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0

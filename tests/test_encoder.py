@@ -12,7 +12,6 @@ from radsigns.encoder import (
     PAD,
     UNK,
     FeatureVocabulary,
-    LinearScorerParams,
     char_class,
     extract_features,
     score_ids,
@@ -229,9 +228,9 @@ class TestFeatureIdBatch:
 class TestScoreIds:
     def test_zero_weights_give_zero_scores(self):
         vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
-        params = LinearScorerParams.zeros(vocab.size)
+        weights = np.zeros((vocab.size, 7))
         ids = text_feature_ids(vocab, FIG_TEXT, [len(FIG_TEXT)])
-        emissions = score_ids(params.weights, ids)
+        emissions = score_ids(weights, ids)
         assert emissions.shape == (len(FIG_TEXT), 7)
         np.testing.assert_array_equal(emissions, 0.0)
 
@@ -261,6 +260,6 @@ class TestScoreIds:
     def test_unseen_characters_score_finite(self):
         vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         rng = np.random.default_rng(4)
-        params = LinearScorerParams(rng.standard_normal((vocab.size, 7)))
-        emissions = score_ids(params.weights, text_feature_ids(vocab, "肝胆胰脾", [4]))
+        weights = rng.standard_normal((vocab.size, 7))
+        emissions = score_ids(weights, text_feature_ids(vocab, "肝胆胰脾", [4]))
         assert np.isfinite(emissions).all()

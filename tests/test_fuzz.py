@@ -17,8 +17,8 @@ import pytest
 from radsigns import corpus
 from radsigns.cli import main
 from radsigns.corpus import TAG_LABELS, write_emissions, write_tagged_flat
-from radsigns.crf import TaggerModel, TransitionMatrix, save_model
-from radsigns.encoder import FeatureVocabulary, LinearScorerParams
+from radsigns.crf import TaggerModel, save_model
+from radsigns.encoder import FeatureVocabulary
 
 from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus, flat_corpus
 from conftest import emission_triple
@@ -130,7 +130,7 @@ def decode_files(tmp_path):
     write_emissions(*emission_triple({s.id: rng.standard_normal((len(s), len(TAG_LABELS)))
                                       for s in sentences}), files["em.txt"])
     files["dict.txt"].write_text("# parts\n" + "".join(t + "\n" for t in SP_TERMS), encoding="utf-8")
-    save_model(TaggerModel(vocab, LinearScorerParams(weights), TransitionMatrix.zeros()),
+    save_model(TaggerModel(vocab, weights, np.zeros((9, 9))),
                files["model.json"])
     return files
 

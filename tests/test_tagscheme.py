@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from radsigns.corpus import Entity
+from radsigns.evaluation import entity_keys
 from radsigns.tagscheme import batch_entities, text_runs
 
 from _synth import bio_violations, encode, entities_of, path_of, random_entity_set, tags_of
@@ -175,6 +176,18 @@ class TestFindRuns:
             batch_entities(["s1"], "字" * 2, [0, 0, 0], [2, 1])
         with pytest.raises(ValueError, match="3 indices for 2 chars"):
             batch_entities(["s1"], "字" * 2, [0, 0, 0], [2])
+
+    def test_paths_of_non_integers_are_rejected(self):
+        # an index conversion would truncate 1.7 to B-P and True to B-P
+        for path in ([1.7, 2.2], [True, False], [1.5, 2.5], np.array([1, 2], np.float32),
+                     [None, 1], ["1", "2"]):
+            with pytest.raises(ValueError, match="^tag indices must be integers"):
+                text_runs("ab", path, [2])
+            with pytest.raises(ValueError, match="^tag indices must be integers"):
+                entity_keys(path, [2])
+        for path in (b"\x01\x02", np.array([1, 2], np.uint8), np.array([1, 2], np.int16), [1, 2]):
+            *spans, texts = text_runs("ab", path, [2])
+            assert [a.tolist() for a in spans] == [[0], [0], [2], [0]] and texts == ["ab"]
 
     def test_lengths_are_checked_as_the_flat_corpus_checks_them(self):
         # lengths that sum to the path's length but are not all positive integers

@@ -7,11 +7,10 @@ from radsigns.corpus import TAG_INDEX, FlatCorpus
 from radsigns.crf import (
     FULL_SIZE,
     TaggerModel,
-    TransitionMatrix,
     batch_log_partition,
     batch_nll_and_gradient,
 )
-from radsigns.encoder import FeatureVocabulary, LinearScorerParams, score_ids, text_feature_ids
+from radsigns.encoder import FeatureVocabulary, score_ids, text_feature_ids
 from radsigns import encoder, trainer
 from radsigns.evaluation import entity_prf
 from radsigns.tagscheme import batch_entities
@@ -72,13 +71,13 @@ class TestTraining:
         vocab = FeatureVocabulary.build(flat(corpus).text, flat(corpus).lengths)
         grad_w = np.zeros((vocab.size, 7))
         grad_a = np.zeros((FULL_SIZE, FULL_SIZE))
-        zero_w = LinearScorerParams.zeros(vocab.size)
+        zero_w = np.zeros((vocab.size, 7))
         total = 0.0
         for sentence, tags in corpus:
             ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
             gold = np.frombuffer(tags.indices, np.uint8).astype(np.intp)
             values, grad_p, grad_a_j = batch_nll_and_gradient(
-                score_ids(zero_w.weights, ids), TransitionMatrix.zeros().matrix,
+                score_ids(zero_w, ids), np.zeros((9, 9)),
                 [len(sentence)], gold)
             total += values[0]
             np.add.at(grad_w, ids.ravel(), np.repeat(grad_p, ids.shape[1], axis=0))
@@ -86,10 +85,10 @@ class TestTraining:
         grad_w /= len(corpus)
         grad_a /= len(corpus)
         np.testing.assert_allclose(
-            model.weights.weights, -config.lr_initial * grad_w, atol=1e-12
+            model.weights, -config.lr_initial * grad_w, atol=1e-12
         )
         np.testing.assert_allclose(
-            model.transitions.matrix, -config.lr_initial * grad_a, atol=1e-12
+            model.transitions, -config.lr_initial * grad_a, atol=1e-12
         )
         assert report.train_nll[0] == pytest.approx(total / len(corpus), rel=1e-12)
 
@@ -156,10 +155,10 @@ class TestTraining:
         model_b, report_b = train(flat(corpus), flat(dev), config)
         assert report_a == report_b
         np.testing.assert_array_equal(
-            model_a.weights.weights, model_b.weights.weights
+            model_a.weights, model_b.weights
         )
         np.testing.assert_array_equal(
-            model_a.transitions.matrix, model_b.transitions.matrix
+            model_a.transitions, model_b.transitions
         )
 
     def test_on_epoch_sees_each_epoch_as_reported(self):
@@ -185,22 +184,22 @@ class TestTraining:
         corpus = build_rule_corpus(rng, 1, prefix="t")
         sentence, tags = corpus[0]
         vocab = FeatureVocabulary.build(sentence.text, [len(sentence)])
-        weights = LinearScorerParams.zeros(vocab.size)
-        transitions = TransitionMatrix.zeros()
+        weights = np.zeros((vocab.size, 7))
+        transitions = np.zeros((9, 9))
         ids = text_feature_ids(vocab, sentence.text, [len(sentence)])
         lengths, gold = [len(sentence)], np.frombuffer(tags.indices, np.uint8).astype(np.intp)
         values, grad_p, grad_a = batch_nll_and_gradient(
-            score_ids(weights.weights, ids), transitions.matrix, lengths, gold)
+            score_ids(weights, ids), transitions, lengths, gold)
         before = values[0]
 
         step = 1e-3
         new_w = np.zeros((vocab.size, 7))
         np.add.at(new_w, ids.ravel(), np.repeat(grad_p, ids.shape[1], axis=0))
-        stepped_w = LinearScorerParams(-step * new_w)
-        stepped_a = TransitionMatrix(-step * grad_a[0])
-        P = score_ids(stepped_w.weights, ids)
-        after = (batch_log_partition(P, stepped_a.matrix, lengths)[0]
-                 - crf._path_scores(P, stepped_a.matrix, lengths, gold)[0])
+        stepped_w = -step * new_w
+        stepped_a = -step * grad_a[0]
+        P = score_ids(stepped_w, ids)
+        after = (batch_log_partition(P, stepped_a, lengths)[0]
+                 - crf._path_scores(P, stepped_a, lengths, gold)[0])
         assert after < before
 
     def test_selected_epoch_is_earliest_maximum(self):
@@ -220,7 +219,7 @@ class TestTraining:
         ridged = TrainConfig(epochs=2, batch_size=5, seed=4, l2=0.5)
         model_a, _ = train(flat(corpus), flat(dev), base)
         model_b, _ = train(flat(corpus), flat(dev), ridged)
-        assert not np.array_equal(model_a.weights.weights, model_b.weights.weights)
+        assert not np.array_equal(model_a.weights, model_b.weights)
         # dev F1 is a pure function of the model, not of the penalty
         assert evaluate_dev(model_a, flat(dev)) == evaluate_dev(model_a, flat(dev))
 
@@ -308,8 +307,8 @@ class TestScaledForwardBackward:
         log_model, log_report = train(flat(corpus), flat(dev), config)
         monkeypatch.undo()
 
-        for got, expected in ((scaled_model.weights.weights, log_model.weights.weights),
-                              (scaled_model.transitions.matrix, log_model.transitions.matrix)):
+        for got, expected in ((scaled_model.weights, log_model.weights),
+                              (scaled_model.transitions, log_model.transitions)):
             assert np.abs(got - expected).max() / np.abs(expected).max() < 1e-9
         assert scaled_report.dev_f1 == log_report.dev_f1
         assert scaled_report.selected_epoch == log_report.selected_epoch
@@ -328,7 +327,7 @@ class TestEvaluateDev:
             if row != vocab.unk_index:
                 weights[row, TAG_INDEX[tag]] = 10.0
         return TaggerModel(
-            vocab, LinearScorerParams(weights), TransitionMatrix.zeros()
+            vocab, weights, np.zeros((9, 9))
         )
 
     def test_all_o_decoder_scores_zero(self):
@@ -336,7 +335,7 @@ class TestEvaluateDev:
         dev = build_rule_corpus(rng, 5, prefix="d")
         vocab = FeatureVocabulary.build(flat(dev).text, flat(dev).lengths)
         model = TaggerModel(
-            vocab, LinearScorerParams.zeros(vocab.size), TransitionMatrix.zeros()
+            vocab, np.zeros((vocab.size, 7)), np.zeros((9, 9))
         )
         # zero scores everywhere: ties resolve to O, so nothing is predicted
         assert evaluate_dev(model, flat(dev)) == 0.0
@@ -379,7 +378,7 @@ class TestDevScoring:
         for trial in range(300):
             dev = self.random_dev(rng, int(rng.integers(1, 9)))
             vocab = FeatureVocabulary.build(flat(dev).text, flat(dev).lengths)
-            model = TaggerModel(vocab, LinearScorerParams.zeros(vocab.size), TransitionMatrix.zeros())
+            model = TaggerModel(vocab, np.zeros((vocab.size, 7)), np.zeros((9, 9)))
             dev_set = trainer._DevSet(flat(dev), vocab)
             lengths = [len(s) for s, _ in dev]
             n = sum(lengths)
