@@ -1,7 +1,7 @@
 """Character-level CRF tagging and dictionary chunk matching for structured
 findings in Chinese radiology report sentences."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from types import ModuleType as _ModuleType
 
@@ -13,7 +13,6 @@ from .corpus import (
     CorpusFormatError,
     Entity,
     FlatCorpus,
-    Quadruple,
     RecordLines,
     Relation,
     SecondaryPartDictionary,

@@ -121,24 +121,6 @@ class Relation:
 
 
 @dataclass(frozen=True)
-class Quadruple:
-    """A structured finding: sign plus its (nullable) part and degree attributes."""
-
-    pp: Entity | None
-    sp: Entity | None
-    d: Entity | None
-    abn: Entity
-
-    def __post_init__(self):
-        if self.abn.kind != "Abn":
-            raise ValueError("quadruple sign slot must hold an Abn entity")
-        for slot, kind in (("pp", "P"), ("sp", "P"), ("d", "D")):
-            value = getattr(self, slot)
-            if value is not None and value.kind != kind:
-                raise ValueError(f"quadruple slot {slot} must hold a {kind} entity")
-
-
-@dataclass(frozen=True)
 class SecondaryPartDictionary:
     """Term set for secondary body parts; lookups are NFC-normalized."""
 
@@ -160,13 +142,17 @@ class SecondaryPartDictionary:
         return iter(sorted(self.terms))
 
 
+def _array(x) -> np.ndarray:
+    try:
+        return np.asarray(x)
+    except ValueError:   # a ragged list: a bare object, which no numeric check accepts
+        return np.asarray(None)
+
+
 def _sentence_lengths(lengths, size: int | None) -> np.ndarray:
     """``lengths`` as a new read-only ``intp`` array; a ``ValueError`` names them
     unless they are 1-D integers, all positive, that sum to ``size`` (any sum if None)."""
-    try:
-        given = np.asarray(lengths)
-    except ValueError:   # a ragged list
-        given = np.asarray(None)
+    given = _array(lengths)
     if given.ndim != 1 or given.size and given.dtype.kind not in "iu":
         raise ValueError(f"sentence lengths must be a 1-D array of integers, got {lengths!r:.80}")
     lengths = given.astype(np.intp)
@@ -224,6 +210,8 @@ class FlatCorpus:
 
 
 def _code_points(text: str) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, got {type(text).__name__}")
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
 
 
@@ -633,10 +621,6 @@ def write_emissions(ids: Sequence[str], lengths, scores, path) -> None:
             fh.write(_EMISSION_ROW * (b - a) % tuple(scores[a:b].ravel().tolist()))
 
 
-def entity_from_dict(data: dict) -> Entity:
-    return Entity(data["kind"], data["start"], data["end"], data["text"])
-
-
 class RecordLines:
     """JSON Lines of quadruples and relations as UTF-8 bytes, each line equal
     to ``json.dumps(record, ensure_ascii=False)`` of its record as a dict,
@@ -690,11 +674,9 @@ def read_relations(path) -> dict[str, list[Relation]]:
             if not isinstance(record["sentence_id"], str):
                 raise CorpusFormatError(f"{path}:{lineno}: sentence_id must be a string")
             try:
-                relation = Relation(
-                    record["kind"],
-                    entity_from_dict(record["head"]),
-                    entity_from_dict(record["tail"]),
-                )
+                relation = Relation(record["kind"], *(
+                    Entity(*itemgetter("kind", "start", "end", "text")(record[end]))
+                    for end in ("head", "tail")))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: bad relation: {exc}") from None
             by_sentence.setdefault(record["sentence_id"], []).append(relation)

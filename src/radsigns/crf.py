@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import NUM_TAGS, TAG_LABELS, CorpusFormatError, _sentence_lengths, read_json_object
+from .corpus import NUM_TAGS, TAG_LABELS, CorpusFormatError, _array, _sentence_lengths, read_json_object
 from .encoder import FeatureVocabulary
 
 START = NUM_TAGS        # virtual start tag, row START is read for entry scores
@@ -111,13 +111,6 @@ def _arguments(P, A) -> tuple[np.ndarray, np.ndarray]:
     if np.isnan(A).any():   # one isnan over 81 entries; -inf, a masked transition, passes
         raise ValueError("transitions must not be NaN")
     return P.astype(np.float64, copy=False), A.astype(np.float64, copy=False)
-
-
-def _array(x) -> np.ndarray:
-    try:
-        return np.asarray(x)
-    except ValueError:   # a ragged list: a bare object, which neither check accepts
-        return np.asarray(None)
 
 
 def _pack(P: np.ndarray, lengths) -> _Packed:

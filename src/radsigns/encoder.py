@@ -244,8 +244,14 @@ def text_feature_ids(vocab: FeatureVocabulary, text: str, lengths) -> np.ndarray
 
 def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Emission scores for feature ids of shape ``(..., 9)``: each position's
-    weight rows summed from left to right, shape ``(..., 7)``."""
-    scores = weights.take(ids[..., 0], axis=0)
-    for j in range(1, ids.shape[-1]):
-        scores += weights.take(ids[..., j], axis=0)
+    weight rows summed from left to right, shape ``(..., 7)``.  An id that is
+    not an integer in ``[0, len(weights))`` raises ``ValueError``."""
+    try:   # one min for negative ids, which take would wrap; take raises for the rest
+        if ids.dtype.kind not in "iu" or ids.size and ids.min() < 0:
+            raise IndexError
+        scores = weights.take(ids[..., 0], axis=0)
+        for j in range(1, ids.shape[-1]):
+            scores += weights.take(ids[..., j], axis=0)
+    except IndexError:
+        raise ValueError(f"feature ids must be integers in [0, {len(weights)})") from None
     return scores

@@ -21,7 +21,6 @@ from radsigns.corpus import (
     TAG_LABELS,
     Entity,
     FlatCorpus,
-    Quadruple,
     Relation,
     SecondaryPartDictionary,
 )
@@ -30,8 +29,8 @@ from radsigns.tag2relation import match_arrays
 from radsigns.tagscheme import batch_entities
 
 # ---------------------------------------------------------------------------
-# one sentence and its tags as test records, and per-sentence calls of the
-# flat library functions
+# one sentence, its tags and its quadruples as test records, and per-sentence
+# calls of the flat library functions
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +58,24 @@ class Labels:
     @property
     def tags(self) -> tuple[str, ...]:
         return tags_of(self.indices)
+
+
+@dataclass(frozen=True)
+class Quadruple:
+    """A structured finding: sign plus its (nullable) part and degree attributes."""
+
+    pp: Entity | None
+    sp: Entity | None
+    d: Entity | None
+    abn: Entity
+
+    def __post_init__(self):
+        if self.abn.kind != "Abn":
+            raise ValueError("quadruple sign slot must hold an Abn entity")
+        for slot, kind in (("pp", "P"), ("sp", "P"), ("d", "D")):
+            value = getattr(self, slot)
+            if value is not None and value.kind != kind:
+                raise ValueError(f"quadruple slot {slot} must hold a {kind} entity")
 
 
 def path_of(tags) -> bytes:

@@ -11,7 +11,6 @@ import numpy as np
 from radsigns import crf
 from radsigns.corpus import (
     Entity,
-    Quadruple,
     Relation,
     SecondaryPartDictionary,
 )
@@ -27,6 +26,7 @@ from radsigns.trainer import TrainConfig, train
 
 from _synth import (
     RULE_DICTIONARY,
+    Quadruple,
     bio_violations,
     brute_force_argmax,
     brute_force_log_partition,

@@ -23,7 +23,6 @@ from radsigns.corpus import (
     CorpusFormatError,
     Entity,
     FlatCorpus,
-    Quadruple,
     RecordLines,
     Relation,
     SecondaryPartDictionary,
@@ -36,7 +35,7 @@ from radsigns.corpus import (
     write_tagged_flat,
 )
 
-from _synth import Labels, Text, flat_corpus, path_of, tags_of
+from _synth import Labels, Quadruple, Text, flat_corpus, path_of, tags_of
 from conftest import FIG_LABELS, FIG_TEXT, emission_dict, emission_triple
 
 
@@ -1080,6 +1079,26 @@ class TestRelationsIO:
         for sentence_id, relation in zip(ids, relations):
             expected.setdefault(sentence_id, []).append(relation)
         assert list(read_relations(path).items()) == list(expected.items())
+
+    @pytest.mark.parametrize("head, tail, message", [
+        (None, {}, "'head'"),
+        (5, {}, "'int' object is not subscriptable"),
+        ({"kind": "P"}, 5, "'start'"),
+        ({"kind": "P", "start": 0, "end": 1, "text": "a"}, None, "'tail'"),
+        ({"kind": "P", "start": 0, "end": 1, "text": "a"}, [], "list indices must be integers"),
+        ({"kind": "P", "start": 0, "end": 1, "text": "a"}, {"kind": "Abn", "start": 1},
+         "'end'"),
+        ({"kind": "P", "start": 0, "end": 1.0, "text": "a"}, {},
+         re.escape("span [0, 1.0) must hold two ints")),
+    ])
+    def test_each_bad_head_or_tail_names_the_first_fault_head_first(
+            self, tmp_path, head, tail, message):
+        record = {"kind": "P2Abn", "sentence_id": "s1"}
+        record |= {key: value for key, value in (("head", head), ("tail", tail))
+                   if value is not None}
+        path = write_text(tmp_path / "r.jsonl", "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError, match=r"r\.jsonl:2: bad relation: " + message):
+            read_relations(path)
 
     def test_missing_sentence_id_rejected(self, tmp_path):
         path = tmp_path / "r.jsonl"

@@ -160,6 +160,14 @@ class TestFeatureVocabulary:
                                                  r"integers, got " + re.escape(repr(lengths))):
                 call("abc", lengths)
 
+    def test_text_that_is_not_a_str_raises_naming_its_type(self):
+        vocab = FeatureVocabulary.build("ab", [2])
+        for call in (FeatureVocabulary.build, partial(text_feature_ids, vocab)):
+            for text in (b"ab", bytearray(b"ab"), ["a", "b"]):
+                message = f"^text must be a str, got {type(text).__name__}$"
+                with pytest.raises(ValueError, match=message):
+                    call(text, [2])
+
     def test_injectivity_enforced(self):
         with pytest.raises(ValueError, match="injective"):
             FeatureVocabulary({"a": 0, "b": 0})
@@ -263,3 +271,16 @@ class TestScoreIds:
         weights = rng.standard_normal((vocab.size, 7))
         emissions = score_ids(weights, text_feature_ids(vocab, "肝胆胰脾", [4]))
         assert np.isfinite(emissions).all()
+
+    @pytest.mark.parametrize("ids", [np.full((2, 9), -1), np.full((2, 9), 4), np.full((2, 9), 1.0),
+                                     np.ones((2, 9), bool), np.array([[0, 1], [-2, 3]]),
+                                     np.array(1)])
+    def test_ids_outside_the_weight_rows_or_not_integers_raise(self, ids):
+        with pytest.raises(ValueError, match=r"^feature ids must be integers in \[0, 4\)$"):
+            score_ids(np.ones((4, 7)), ids)
+
+    def test_every_weight_row_and_an_empty_batch_score(self):
+        weights = np.arange(28.0).reshape(4, 7)
+        ids = np.array([[0, 3], [3, 3]], np.uint8)
+        np.testing.assert_array_equal(score_ids(weights, ids), weights[[0, 3]] + weights[3])
+        assert score_ids(weights, np.zeros((0, 9), np.intp)).shape == (0, 7)

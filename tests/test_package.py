@@ -1,4 +1,5 @@
 import ast
+import builtins
 import dataclasses
 import importlib
 import inspect
@@ -110,6 +111,30 @@ def test_crf_entry_points_convert_their_arguments_once():
     assert converters == []
 
 
+def guards_a_ragged_list(node):
+    """Whether ``node`` is a ``try`` that calls ``asarray`` and catches ``ValueError``."""
+    return isinstance(node, ast.Try) and any(
+        isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "asarray"
+        for statement in node.body for call in ast.walk(statement)) and any(
+        "ValueError" in {name for _, name in names(handler.type)}
+        for handler in node.handlers if handler.type is not None)
+
+
+def test_only_corpus_array_guards_a_ragged_list():
+    """``corpus._array`` is the one conversion that turns the ``ValueError``
+    that ``np.asarray`` raises for a ragged list into an array every check
+    rejects: no other src function wraps ``np.asarray`` that way."""
+    guards = []
+    for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): function.name for function in ast.walk(tree)   # innermost last
+                 if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(function)}
+        guards += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                   if guards_a_ragged_list(node)]
+    assert guards == ["corpus.py:_array"]
+
+
 def names(node):
     """Every name and attribute that ``node`` holds, with its line."""
     for child in ast.walk(node):
@@ -173,7 +198,9 @@ OBJECT_LIST_WRITERS = {"write_quadruples", "write_relations", "_write_records", 
                        "NO_ID", "_Raises", "_utf8", "_id_end", "_bad_end", "_ends_of"}
 # the wrappers of a model's two arrays, which TaggerModel now holds and checks itself
 MODEL_WRAPPERS = {"TransitionMatrix", "LinearScorerParams"}
-DELETED_API = PER_SENTENCE_API | OBJECT_LIST_WRITERS | MODEL_WRAPPERS
+# the quadruple record, built only by the tests' oracle, and the relation reader's entity helper
+TEST_SIDE_RECORDS = {"Quadruple", "entity_from_dict"}
+DELETED_API = PER_SENTENCE_API | OBJECT_LIST_WRITERS | MODEL_WRAPPERS | TEST_SIDE_RECORDS
 
 
 def test_the_flat_batch_functions_are_the_one_library_surface():
@@ -181,10 +208,11 @@ def test_the_flat_batch_functions_are_the_one_library_surface():
     ``FlatCorpus`` conversion to or from them, a batch-size-1 CRF, scoring,
     decoding or matching wrapper, or a writer of ``Quadruple`` or
     ``Relation`` lists or a helper only those used, or a wrapper of a model's
-    weight or transition array, not even as an attribute; ``extract_features``
-    takes a ``str``, and ``TaggerModel`` only holds its vocabulary, weights
-    and transitions: it defines no method but the ``__post_init__`` that
-    checks them."""
+    weight or transition array, or the ``Quadruple`` record, which lives in
+    ``tests/_synth.py``, or ``entity_from_dict``, not even as an attribute;
+    ``extract_features`` takes a ``str``, and ``TaggerModel`` only holds its
+    vocabulary, weights and transitions: it defines no method but the
+    ``__post_init__`` that checks them."""
     offenders = [f"{name}.{found}" for name, module in (("radsigns", radsigns), *MODULES.items())
                  for found in DELETED_API & set(vars(module))]
     offenders += [f"{cls.__name__}.{found}" for cls in (corpus.FlatCorpus, corpus.RecordLines)
@@ -238,24 +266,35 @@ def resolves(dotted):
 
 
 def test_readme_names_only_what_radsigns_binds():
-    """Every backticked dotted name or call in README.md, and every
-    backticked snake_case word that is not an option's dest, is bound in
-    ``radsigns``: a deleted or renamed function cannot linger in the docs."""
+    """Every backticked dotted name or call in README.md, every backticked
+    snake_case word that is not an option's dest, and every backticked
+    CamelCase word that is not a builtin exception, is bound in
+    ``radsigns``: a deleted or renamed function or type cannot linger in the
+    docs.  Only a version note, a paragraph that starts with "Version ", may
+    name what ``DELETED_API`` lists, as the API it replaced."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    paragraphs = re.split(r"\n\s*\n", re.sub(r"```.*?```", "", readme, flags=re.S))
     parser = cli.build_parser()
     dests = {a.dest for p in [parser, *cli._commands(parser).values()] for a in p._actions}
     bound = bound_names()
     offenders = []
-    for span in spans:
-        call = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?", span, re.S)
-        if call is None:
-            continue
-        name = call.group(1)
-        if "." in name or call.group(2):
-            if not resolves(name):
-                offenders.append(span)
-        elif re.fullmatch(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+", name):
-            if name not in bound and name not in dests:
-                offenders.append(span)
+    for paragraph in paragraphs:
+        for span in re.findall(r"`([^`]+)`", paragraph):
+            call = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?", span, re.S)
+            if call is None:
+                continue
+            name = call.group(1)
+            if paragraph.startswith("Version ") and name.split(".")[-1] in DELETED_API:
+                continue
+            if "." in name or call.group(2):
+                if not resolves(name):
+                    offenders.append(span)
+            elif re.fullmatch(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+", name):
+                if name not in bound and name not in dests:
+                    offenders.append(span)
+            elif re.fullmatch(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)*", name):
+                exception = getattr(builtins, name, None)
+                if name not in bound and not (inspect.isclass(exception)
+                                              and issubclass(exception, BaseException)):
+                    offenders.append(span)
     assert offenders == []

@@ -4,10 +4,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radsigns.corpus import ENTITY_KINDS, Entity, Quadruple, Relation, SecondaryPartDictionary
+from radsigns.corpus import ENTITY_KINDS, Entity, Relation, SecondaryPartDictionary
 from radsigns.tag2relation import match_arrays
 
-from _synth import brute_force_match, entities_of, match_entities, path_of, random_match_instance
+from _synth import (Quadruple, brute_force_match, entities_of, match_entities, path_of,
+                    random_match_instance)
 from conftest import OCCLUSION_LABELS, OCCLUSION_TEXT
 
 EMPTY_DICT_FALLBACK = SecondaryPartDictionary(frozenset({"<none>"}))
