@@ -1,7 +1,7 @@
 """Character-level CRF tagging and dictionary chunk matching for structured
 findings in Chinese radiology report sentences."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from types import ModuleType as _ModuleType
 
@@ -29,12 +29,7 @@ from .crf import (
     save_model,
     viterbi,
 )
-from .encoder import (
-    FeatureVocabulary,
-    extract_features,
-    score_ids,
-    text_feature_ids,
-)
+from .encoder import FeatureVocabulary, score_ids, text_feature_ids
 from .evaluation import (
     ConfusionMatrix,
     ErrorRecord,
@@ -47,7 +42,7 @@ from .evaluation import (
 )
 from .tag2relation import match_arrays
 from .tagscheme import batch_entities, text_runs
-from .trainer import TrainConfig, TrainReport, evaluate_dev, train
+from .trainer import TrainConfig, TrainReport, train
 
 # every public name imported above, and nothing else
 __all__ = sorted(

@@ -56,8 +56,11 @@ EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that rejects ``--`` as an option's value, which
-    some Python versions strip to an empty list and others keep."""
+    """An argument parser that takes no option prefix and rejects ``--`` as an
+    option's value, which some Python versions strip to an empty list and others keep."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
@@ -359,7 +362,7 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     boolean sets a switch; so a value for another command's option is checked
     too.  An option the file supplies is no longer required, and flags on the
     command line still win."""
-    scanner = argparse.ArgumentParser(add_help=False)
+    scanner = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     scanner.add_argument("--config")
     path = scanner.parse_known_args(argv)[0].config
     if not path:

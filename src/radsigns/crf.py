@@ -330,7 +330,7 @@ def save_model(model: TaggerModel, path) -> None:
     document = {
         "format": MODEL_FORMAT,
         "tags": list(TAG_LABELS),
-        "features": model.vocab.index,
+        "features": model.vocab.names(),
         "unk_index": model.vocab.unk_index,
         "weights": model.weights.tolist(),
         "transitions": model.transitions.tolist(),
@@ -345,8 +345,8 @@ def _is_int(value) -> bool:
 
 
 def load_model(path) -> TaggerModel:
-    """Read a model file; any malformed document raises ``CorpusFormatError``
-    naming the path."""
+    """Read a model file; any malformed document, such as a feature string
+    that no sentence produces, raises ``CorpusFormatError`` naming the path."""
     document = read_json_object(path, "model")
     if document.get("format") != MODEL_FORMAT:
         raise CorpusFormatError(f"{path}: unsupported model format {document.get('format')!r}")
@@ -364,7 +364,7 @@ def load_model(path) -> TaggerModel:
                 and set(map(type, chain.from_iterable(rows))) <= {int, float}):   # no str, bool
             raise CorpusFormatError(f"{path}: {key!r} must be a list of rows of numbers")
     try:
-        return TaggerModel(FeatureVocabulary(features, document["unk_index"]),
+        return TaggerModel(FeatureVocabulary.from_names(features, document["unk_index"]),
                            np.array(document["weights"], dtype=np.float64),
                            np.array(document["transitions"], dtype=np.float64))
     except (TypeError, ValueError, OverflowError) as exc:   # an int beyond float range

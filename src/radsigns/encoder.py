@@ -2,14 +2,8 @@
 scorer over character indicator features.  Score matrices computed offline
 by an external encoder are read by ``corpus.read_emission_blocks`` instead.
 
-Features are defined as strings (:func:`extract_features`) and the model
-file stores them as strings, but building and looking up work on one
-integer layout: char ids over a sorted alphabet of code points, the
-sentences laid end to end between pads, and an integer value per template
-(:func:`_template_values`).  :meth:`FeatureVocabulary.build` writes out the
-distinct values as strings, in order of first appearance, and keeps them
-as the vocabulary's tables; a vocabulary read from a model file parses its
-strings into the same tables once.  :func:`text_feature_ids`, the one
+A :class:`FeatureVocabulary` is integer arrays; feature strings such as
+``c0=肺`` exist only in the model file.  :func:`text_feature_ids`, the one
 feature-id function, gathers the ids of sentences laid end to end as one
 flat ``(sum(lengths), 9)`` array, and :func:`score_ids` turns it into the
 batch's flat emissions by a ``crf.TaggerModel``'s plain weight array.
@@ -18,20 +12,18 @@ batch's flat emissions by a ``crf.TaggerModel``'s plain weight array.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import _code_points, _sentence_lengths
+from .corpus import _array, _code_points, _sentence_lengths
 
 PAD = "<pad>"
 UNK = "<unk>"
 
 # fixed template set: 5 char windows, 2 bigrams, 1 char class, 1 bias
 FEATURES_PER_POSITION = 9
-WINDOW_TEMPLATES = ("c-2", "c-1", "c0", "c+1", "c+2")
-_TEMPLATES = WINDOW_TEMPLATES + ("bi-1", "bi0")   # those whose values name chars
+_TEMPLATES = ("c-2", "c-1", "c0", "c+1", "c+2", "bi-1", "bi0")   # those whose values name chars
 CHAR_CLASSES = ("digit", "latin", "punct", "cjk", "other")
 
 
@@ -47,90 +39,115 @@ def char_class(ch: str) -> str:
     return "other"
 
 
-def extract_features(text: str, i: int) -> list[str]:
-    """Deterministic feature strings for position ``i`` of a sentence's
-    ``text``; out-of-range context characters are replaced by the pad sentinel."""
-    n = len(text)
-    if not 0 <= i < n:
-        raise ValueError(f"position {i} outside sentence of length {n}")
-
-    def at(j: int) -> str:
-        return text[j] if 0 <= j < n else PAD
-
-    c0 = text[i]
-    c_m1, c_p1 = at(i - 1), at(i + 1)
-    return [
-        f"c-2={at(i - 2)}",
-        f"c-1={c_m1}",
-        f"c0={c0}",
-        f"c+1={c_p1}",
-        f"c+2={at(i + 2)}",
-        f"bi-1={c_m1}{c0}",
-        f"bi0={c0}{c_p1}",
-        f"cls0={char_class(c0)}",
-        "bias",
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureVocabulary:
-    """Frozen feature -> column map; unseen features fold into the UNK column."""
+    """Frozen feature -> weight row map: feature k has template ``templates[k]``,
+    value ``values[k]`` over the char ids of the sorted code points of
+    ``alphabet`` (:func:`_template_values`) and row ``columns[k]``; unseen
+    features fold into the ``unk_index`` row.  A window, class or bias
+    feature's row is read from a dense table, a bigram's from sorted keys."""
 
-    index: dict[str, int]
+    alphabet: np.ndarray
+    templates: np.ndarray
+    values: np.ndarray
+    columns: np.ndarray
     unk_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "index", dict(self.index))
-        values = list(self.index.values())
-        if len(set(values)) != len(values):
-            raise ValueError("feature indices must be injective")
-        if values and (min(values) < 0 or max(values) >= len(values)):
-            raise ValueError("feature indices must be a dense 0-based range")
-        if not 0 <= self.unk_index < max(len(values), 1):
-            raise ValueError(f"unk index {self.unk_index} out of range")
+        given = [_array(getattr(self, field.name)) for field in fields(self)]
+        if ([a.ndim for a in given] != [1, 1, 1, 1, 0] or len({len(a) for a in given[1:4]}) != 1
+                or any(a.size and a.dtype.kind not in "iu" for a in given)):
+            raise ValueError("a feature vocabulary needs 1-D integer arrays, with a template, "
+                             "value and column per feature, and an integer unk index")
+        alphabet, templates, values, columns, unk = arrays = [a.astype(np.intp) for a in given]
+        for field, array in zip(fields(self), arrays):
+            array.setflags(write=False)
+            object.__setattr__(self, field.name, array if array.ndim else int(array))
+        unk = self.unk_index
+        if not np.array_equal(np.sort(np.append(columns, unk)), np.arange(len(columns) + 1)):
+            raise ValueError(f"feature columns must be injective and, with the unk index {unk}, "
+                             f"number the rows 0 to {len(columns)}")
+        if not (np.diff(alphabet, prepend=-1, append=_NO_CODE) > 0).all():
+            raise ValueError("the alphabet must be sorted distinct code points")
+        n, width = len(alphabet), len(alphabet) + 1 + len(CHAR_CLASSES)   # pad, chars, classes
+        # per template, the lowest and highest (left, right) of its values, left * width + right:
+        # only bi0's left and c0's and bi-1's right are never the pad; a 10th template has none
+        low, high = np.array([[[0] * 6 + [1, 0, 0, 1], [0, 0, 1, 0, 0, 1, 0, 0, 0, 1]],
+                              [[0] * 5 + [n, n, 0, 0, 0], [n] * 7 + [len(CHAR_CLASSES) - 1, 0, 0]]]
+                             )[:, :, np.where((0 <= templates) & (templates < 9), templates, 9)]
+        pairs = np.stack(np.divmod(values, width))
+        if ((pairs < low) | (pairs > high)).any():
+            raise ValueError("a feature's template or value is out of range")
+        keys = templates * width**2 + values   # one per (template, value)
+        order = np.argsort(keys)
+        if (np.diff(keys[order]) == 0).any():
+            raise ValueError("two features share a template and value")
+        bigram = (templates == 5) | (templates == 6)
+        dense = np.full((FEATURES_PER_POSITION, width), unk, dtype=np.intp)
+        dense[templates[~bigram], values[~bigram]] = columns[~bigram]
+        order = order[bigram[order]]   # the bigrams by key
+        for name, array in (("_classes", _char_classes(alphabet)), ("_dense", dense),
+                            ("_keys", np.append(keys[order], _NO_KEY)),
+                            ("_key_columns", np.append(columns[order], unk))):
+            object.__setattr__(self, name, array)
 
     @classmethod
     def build(cls, text: str, lengths) -> "FeatureVocabulary":
-        """Every :func:`extract_features` string of the sentences of the given
-        ``lengths`` laid end to end in ``text``, numbered from 1 in order of
-        first appearance (position by position, template by template), after
-        ``<unk>`` at 0.  Each template's values are collected as integers
-        over the corpus's alphabet, only the distinct values are written out
-        as strings, and the vocabulary keeps them as its lookup tables."""
+        """Every feature of the sentences of the given ``lengths`` laid end to
+        end in ``text``: each template's distinct values over the corpus's
+        alphabet, in rows from 1 by first appearance (position by position,
+        template by template), after the unk row 0."""
         codes = _code_points(text)
         alphabet = np.unique(codes)
-        classes = _char_classes(alphabet)
         found = [np.unique(values, return_index=True) for values in _template_values(
-            lengths, _char_ids(codes, alphabet), classes)]
+            lengths, _char_ids(codes, alphabet), _char_classes(alphabet))]
         templates = np.repeat(np.arange(len(found)), [len(v) for v, _ in found])
-        values = np.concatenate([v for v, _ in found])
         order = np.argsort(np.concatenate([first * len(found) + t
                                            for t, (_, first) in enumerate(found)]))
-        names, width = [PAD, *map(chr, alphabet.tolist())], len(classes)
-        index = {UNK: 0}
-        for t, v in zip(templates[order].tolist(), values[order].tolist()):
-            if t < 5:
-                feature = f"{_TEMPLATES[t]}={names[v]}"
-            elif t < 7:
-                feature = f"{_TEMPLATES[t]}={names[v // width]}{names[v % width]}"
-            else:
-                feature = f"cls0={CHAR_CLASSES[v]}" if t == 7 else "bias"
-            index[feature] = len(index)
-        vocab = cls(index, unk_index=0)
-        columns = np.argsort(order) + 1   # each distinct value's column
-        vocab.__dict__["_tables"] = _Tables(alphabet, classes, templates, values, columns, 0)
-        return vocab
+        return cls(alphabet, templates[order], np.concatenate([v for v, _ in found])[order],
+                   np.arange(1, len(order) + 1), unk_index=0)
+
+    @classmethod
+    def from_names(cls, index: dict[str, int], unk_index: int) -> "FeatureVocabulary":
+        """The vocabulary that :meth:`names` renders as ``index``, parsed
+        once.  A string that no sentence produces, such as ``c0=<pad>``,
+        ``bi-1=x<pad>`` or ``cls0=nonsense``, or ``<unk>`` on a row other
+        than ``unk_index``, raises ``ValueError`` naming it."""
+        named, rows = [], []   # (template, left, right, column) and (template, value, column)
+        for feature, column in index.items():
+            template, _, value = feature.partition("=")
+            t = _TEMPLATE_INDEX.get(template, 7)
+            # only bi-1 can start and only bi0 can end with the pad, and c0 is never it
+            left, right = ((PAD, value) if t < 5 else (value[:-1], value[-1:]) if t == 5
+                           else (value[:1], value[1:]))
+            if t < 7 and (len(left) == 1 or left == PAD) and (
+                    len(right) == 1 or right == PAD and t != 2):
+                named.append((t, left, right, column))
+            elif feature == "bias" or template == "cls0" and value in _CLASS_INDEX:
+                rows.append((7, _CLASS_INDEX[value], column) if template == "cls0" else (8, 0, column))
+            elif feature != UNK or column != unk_index:
+                raise ValueError(f"feature {feature!r} is not one that a sentence produces")
+        chars = {ch for _, left, right, _ in named for ch in (left, right)} - {PAD}
+        char_id = {ch: k for k, ch in enumerate([PAD, *sorted(chars)])}
+        width = len(char_id) + len(CHAR_CLASSES)
+        rows += [(t, char_id[left] * width + char_id[right], c) for t, left, right, c in named]
+        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return cls(sorted(map(ord, chars)), *table[np.argsort(table[:, 2])].T, unk_index)
+
+    def names(self) -> dict[str, int]:
+        """Every row's feature string, as the model file holds it, in row
+        order: ``<unk>`` for the unk row."""
+        chars, width = [PAD, *map(chr, self.alphabet.tolist())], len(self._classes)
+        rows = [UNK] * self.size
+        for t, v, column in zip(*(a.tolist() for a in (self.templates, self.values, self.columns))):
+            rows[column] = (f"{_TEMPLATES[t]}={chars[v]}" if t < 5
+                            else f"{_TEMPLATES[t]}={chars[v // width]}{chars[v % width]}" if t < 7
+                            else f"cls0={CHAR_CLASSES[v]}" if t == 7 else "bias")
+        return {name: row for row, name in enumerate(rows)}
 
     @property
     def size(self) -> int:
-        return len(self.index)
-
-    def lookup(self, feature: str) -> int:
-        return self.index.get(feature, self.unk_index)
-
-    @cached_property
-    def _tables(self) -> _Tables:
-        return _parse_tables(self.index, self.unk_index)
+        return len(self.columns) + 1
 
 
 _CLASS_INDEX = {name: k for k, name in enumerate(CHAR_CLASSES)}
@@ -153,13 +170,12 @@ def _char_ids(codes: np.ndarray, alphabet: np.ndarray) -> np.ndarray:
     distinct, inverse = np.unique(codes, return_inverse=True)
     ids = np.searchsorted(alphabet, distinct) + 1
     unseen = np.append(alphabet, _NO_CODE)[ids - 1] != distinct
-    ids[unseen] = len(alphabet) + 1 + np.array(
-        [_CLASS_INDEX[char_class(chr(c))] for c in distinct[unseen].tolist()], dtype=np.intp)
+    ids[unseen] = len(alphabet) + 1 + _char_classes(distinct[unseen])[1:-len(CHAR_CLASSES)]
     return ids[inverse]
 
 
 def _template_values(lengths, char_ids: np.ndarray, classes: np.ndarray):
-    """Per template, in :func:`extract_features`' order, its integer value
+    """Per template, in order, its integer value
     at every character of sentences of the given lengths laid end to end,
     with the given char ids: a window's char id, ``left * width + right``
     for a bigram (``width = len(classes)``, the number of char ids), the
@@ -179,73 +195,32 @@ def _template_values(lengths, char_ids: np.ndarray, classes: np.ndarray):
     yield np.zeros_like(where)
 
 
-class _Tables:
-    """A vocabulary's feature columns by template value, built from one
-    ``(template, value, column)`` triple per feature, values as
-    :func:`_template_values` computes them over char ids of ``alphabet``.
-    A window, class or bias template indexes a dense row by value; a bigram
-    template has sorted keys, ending in a sentinel no pair reaches."""
-
-    def __init__(self, alphabet, classes, templates, values, columns, unk: int):
-        self.alphabet, self.classes, self.unk = alphabet, classes, unk
-        order = np.lexsort((values, templates))
-        templates, values, columns = templates[order], values[order], columns[order]
-        self.dense = np.full((FEATURES_PER_POSITION, len(classes)), unk, dtype=np.intp)
-        dense = (templates != 5) & (templates != 6)
-        self.dense[templates[dense], values[dense]] = columns[dense]
-        self.bigrams = {t: (np.append(values[templates == t], _NO_KEY),
-                            np.append(columns[templates == t], unk)) for t in (5, 6)}
-
-
-def _parse_tables(index: dict[str, int], unk: int) -> _Tables:
-    """The tables of a vocabulary's feature strings, over the characters its
-    window and bigram features name.  Strings that no sentence can produce,
-    such as ``bi-1=x<pad>`` or ``cls0=nonsense``, are left out, so they
-    never fire; ``c0=<pad>`` is kept, but ``c0`` is never the pad."""
-    named, rows = [], []   # (template, left, right, column) and (template, value, column)
-    for feature, column in index.items():
-        template, _, value = feature.partition("=")
-        t = _TEMPLATE_INDEX.get(template, 7)
-        if t < 7:   # only bi-1 can start and only bi0 can end with the pad
-            left, right = ((PAD, value) if t < 5 else (value[:-1], value[-1:]) if t == 5
-                           else (value[:1], value[1:]))
-            if (len(left) == 1 or left == PAD) and (len(right) == 1 or right == PAD):
-                named.append((t, left, right, column))
-        elif template == "cls0" and value in _CLASS_INDEX:
-            rows.append((7, _CLASS_INDEX[value], column))
-        elif feature == "bias":
-            rows.append((8, 0, column))
-    alphabet = np.unique(_code_points("".join(ch for _, *pair, _ in named for ch in pair if ch != PAD)))
-    classes = _char_classes(alphabet)
-    char_id = {ch: k for k, ch in enumerate([PAD, *map(chr, alphabet.tolist())])}
-    rows += [(t, char_id[left] * len(classes) + char_id[right], column)
-             for t, left, right, column in named]
-    templates, values, columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    return _Tables(alphabet, classes, templates, values, columns, unk)
-
-
 def text_feature_ids(vocab: FeatureVocabulary, text: str, lengths) -> np.ndarray:
     """Feature ids of sentences of the given ``lengths`` laid end to end in
-    ``text``, shape ``(sum(lengths), 9)``.  Equal, position by position, to
-    looking up every :func:`extract_features` string in ``vocab.index``,
-    with unseen strings mapped to ``vocab.unk_index``."""
-    tables = vocab._tables
-    char_ids = _char_ids(_code_points(text), tables.alphabet)
+    ``text``, shape ``(sum(lengths), 9)``; a feature that ``vocab`` lacks
+    takes ``vocab.unk_index``."""
+    if not isinstance(vocab, FeatureVocabulary):
+        raise ValueError(f"vocab must be a FeatureVocabulary, got {type(vocab).__name__}")
+    char_ids = _char_ids(_code_points(text), vocab.alphabet)
     ids = np.empty((FEATURES_PER_POSITION, len(char_ids)), dtype=np.intp)
-    for t, values in enumerate(_template_values(lengths, char_ids, tables.classes)):
-        if t in tables.bigrams:
-            keys, columns = tables.bigrams[t]
-            at = np.searchsorted(keys, values)
-            ids[t] = np.where(keys[at] == values, columns[at], tables.unk)
+    for t, values in enumerate(_template_values(lengths, char_ids, vocab._classes)):
+        if t in (5, 6):
+            values += t * len(vocab._classes) ** 2
+            at = np.searchsorted(vocab._keys, values)
+            ids[t] = np.where(vocab._keys[at] == values, vocab._key_columns[at], vocab.unk_index)
         else:
-            tables.dense[t].take(values, out=ids[t])
+            vocab._dense[t].take(values, out=ids[t])
     return ids.T
 
 
 def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Emission scores for feature ids of shape ``(..., 9)``: each position's
-    weight rows summed from left to right, shape ``(..., 7)``.  An id that is
-    not an integer in ``[0, len(weights))`` raises ``ValueError``."""
+    weight rows summed from left to right, shape ``(..., 7)``.  Weights that
+    are not a 2-D array of real numbers, or an id that is not an integer in
+    ``[0, len(weights))``, raise ``ValueError``."""
+    weights, ids = _array(weights), _array(ids)
+    if weights.dtype.kind not in "iuf" or weights.ndim != 2:
+        raise ValueError(f"weights must be 2-D real numbers, got {weights.dtype} {weights.shape}")
     try:   # one min for negative ids, which take would wrap; take raises for the rest
         if ids.dtype.kind not in "iu" or ids.size and ids.min() < 0:
             raise IndexError

@@ -117,11 +117,6 @@ class _DevSet:
         return key_prf(entity_keys(path, self.lengths), self.gold).overall.f1
 
 
-def evaluate_dev(model: TaggerModel, dev: FlatCorpus) -> float:
-    """Strict entity F1 (0-100) of constrained decoding against dev tags."""
-    return _DevSet(dev, model.vocab).f1(model)
-
-
 def train(
     corpus: FlatCorpus,
     dev: FlatCorpus,

@@ -25,8 +25,10 @@ from radsigns.corpus import (
     SecondaryPartDictionary,
 )
 from radsigns.crf import END, START
+from radsigns.encoder import PAD, char_class
 from radsigns.tag2relation import match_arrays
 from radsigns.tagscheme import batch_entities
+from radsigns.trainer import _DevSet
 
 # ---------------------------------------------------------------------------
 # one sentence, its tags and its quadruples as test records, and per-sentence
@@ -123,6 +125,46 @@ def match_entities(entities, dictionary: SecondaryPartDictionary):
     at = [*ordered, None].__getitem__   # index -1 is an empty slot
     return ([Relation(k, at(h), at(t)) for k, h, t in zip(*(a.tolist() for a in relations))],
             [Quadruple(*map(at, q)) for q in zip(*(a.tolist() for a in quadruples))])
+
+
+# ---------------------------------------------------------------------------
+# feature-string oracle: the strings a model file names features by, built one
+# position at a time, and dev scoring of a trained model
+
+
+def extract_features(text: str, i: int) -> list[str]:
+    """Deterministic feature strings for position ``i`` of a sentence's
+    ``text``; out-of-range context characters are replaced by the pad sentinel."""
+    n = len(text)
+    if not 0 <= i < n:
+        raise ValueError(f"position {i} outside sentence of length {n}")
+
+    def at(j: int) -> str:
+        return text[j] if 0 <= j < n else PAD
+
+    c0 = text[i]
+    c_m1, c_p1 = at(i - 1), at(i + 1)
+    return [
+        f"c-2={at(i - 2)}",
+        f"c-1={c_m1}",
+        f"c0={c0}",
+        f"c+1={c_p1}",
+        f"c+2={at(i + 2)}",
+        f"bi-1={c_m1}{c0}",
+        f"bi0={c0}{c_p1}",
+        f"cls0={char_class(c0)}",
+        "bias",
+    ]
+
+
+def lookup(vocab, feature: str) -> int:
+    """The weight row of a feature string in ``vocab``, its unk row if unseen."""
+    return vocab.names().get(feature, vocab.unk_index)
+
+
+def evaluate_dev(model, dev: FlatCorpus) -> float:
+    """Strict entity F1 (0-100) of constrained decoding against dev tags."""
+    return _DevSet(dev, model.vocab).f1(model)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from radsigns.corpus import Entity, SecondaryPartDictionary
 from radsigns.crf import decoding_transitions, viterbi
-from radsigns.encoder import score_ids, text_feature_ids
+from radsigns.encoder import FeatureVocabulary, score_ids, text_feature_ids
 
 # sentence: patchy dense shadows in the right upper lung, reduced from before
 FIG_TEXT = "右上肺见多发斑片状密影较前减少。"
@@ -19,6 +20,28 @@ OCCLUSION_LABELS = (
     "B-P", "I-P", "I-P", "B-P", "I-P", "I-P",
     "B-D", "I-D", "B-Abn", "I-Abn", "O",
 )
+
+
+# Characters the vocabulary may see in training: the letters of the pad
+# sentinel, U+0000, CJK, digits, punctuation and a non-BMP character.
+SEEN = "<pad>\x00右上肺见影1。，x😀"
+
+
+def sentences(alphabet, max_size=9):
+    return st.lists(st.text(alphabet, min_size=1, max_size=max_size), min_size=1, max_size=6)
+
+
+@st.composite
+def vocabularies(draw):
+    """A vocabulary built from drawn sentences, perhaps without ``bias``,
+    with its rows shuffled and the unk row anywhere; features in row order."""
+    texts = draw(sentences(SEEN))
+    built = FeatureVocabulary.build("".join(texts), [len(t) for t in texts])
+    keep = [k for k, t in enumerate(built.templates.tolist()) if t != 8 or draw(st.booleans())]
+    unk_index, *columns = draw(st.permutations(range(len(keep) + 1)))
+    order = np.argsort(columns)
+    return FeatureVocabulary(built.alphabet, built.templates[keep][order],
+                             built.values[keep][order], np.array(columns)[order], unk_index)
 
 
 def emission_triple(blocks) -> tuple[list[str], list[int], np.ndarray]:

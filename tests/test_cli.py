@@ -531,6 +531,25 @@ class TestTagAndExtract:
         assert capsys.readouterr().err.startswith(f"error: {model_path}: ")
         assert not (tmp_path / "out.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["tag", "extract"])
+    @pytest.mark.parametrize("feature", ["c0=<pad>", "bi-1=x<pad>", "cls0=nonsense", "<unk>"])
+    def test_model_feature_no_sentence_produces_is_input_error(
+            self, workspace, tmp_path, capsys, command, feature):
+        text_path, _ = self.write_input(workspace, tmp_path, count=2)
+        document = json.loads(workspace["model"].read_text(encoding="utf-8"))
+        if feature == "<unk>":   # row 0 stays the unnamed unk row
+            del document["features"]["<unk>"]
+        document["features"][feature] = len(document["weights"])
+        document["weights"].append([0.0] * 7)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(document), encoding="utf-8")
+        argv = [command, str(text_path), "--model", str(model_path), "--out", str(tmp_path / "out")]
+        code = main(argv + (["--dict", str(workspace["dict"])] if command == "extract" else []))
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {model_path}: feature {feature!r} is not one "
+                                           "that a sentence produces\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["weights", "transitions"])
     def test_model_number_written_as_a_string_or_boolean_is_input_error(
             self, workspace, tmp_path, capsys, key):
@@ -1306,6 +1325,24 @@ class TestUsage:
     def test_double_dash_value_is_usage_error(self, tmp_path, capsys, command, option):
         assert main(command) == 2
         assert f"argument {option}: expected one argument, got '--'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, prefix", [
+        ("--model", "--mod"), ("--no-constrain", "--no"), ("--config", "--conf")])
+    def test_an_option_prefix_is_not_the_option(self, workspace, tmp_path, capsys, option,
+                                                prefix):
+        text_path = tmp_path / "in.txt"
+        text_path.write_text("右上肺见斑片影。\n", encoding="utf-8")
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"jobs": 1}', encoding="utf-8")
+        argv = ["--config", str(config_path), "tag", str(text_path), "--model",
+                str(workspace["model"]), "--no-constrain", "--out", str(tmp_path / "o.tsv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        (tmp_path / "o.tsv").unlink()
+        argv[argv.index(option)] = prefix
+        assert main(argv) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "o.tsv").exists()
 
 
 SUBCOMMANDS = next(a for a in build_parser()._actions

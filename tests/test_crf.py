@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import math
 import re
@@ -11,9 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 from radsigns import crf
 
-from radsigns.corpus import NUM_TAGS, TAG_INDEX, CorpusFormatError
+from radsigns.corpus import NUM_TAGS, TAG_INDEX, TAG_LABELS, CorpusFormatError
 from radsigns.crf import (
     END,
+    MODEL_FORMAT,
     START,
     BIO_TRANSITION_MASK,
     TaggerModel,
@@ -24,10 +27,11 @@ from radsigns.crf import (
     save_model,
     viterbi,
 )
-from radsigns.encoder import FeatureVocabulary
+from radsigns.encoder import UNK, FeatureVocabulary
 
-from _synth import bio_violations, brute_force_argmax, brute_force_log_partition, enumerate_paths, tags_of
-from conftest import decode_sentence
+from _synth import (bio_violations, brute_force_argmax, brute_force_log_partition, enumerate_paths,
+                    extract_features, tags_of)
+from conftest import decode_sentence, vocabularies
 
 
 def random_instance(rng, n):
@@ -827,6 +831,35 @@ class TestDistributionProperties:
 
 AB = FeatureVocabulary.build("ab", [2])   # the features of one two-char sentence
 
+# one character of each class, so that a sentence can yield every cls0 string
+CLASS_SAMPLES = "1a。肺あ"
+# any string; strings shaped like the templates, from tokens that may name a
+# char or not; and, twice as often, a string some short sentence yields
+SENTENCE_STRINGS = st.builds(lambda text, i, j: extract_features(text, i % len(text))[j],
+                             st.text("x肺<=1", min_size=1, max_size=3), st.integers(0, 2),
+                             st.integers(0, 8))
+FEATURE_STRINGS = st.one_of(
+    st.text(st.characters(codec="utf-8"), max_size=6),
+    st.builds(lambda prefix, tokens: prefix + "".join(tokens),
+              st.sampled_from(["c-2=", "c-1=", "c0=", "c+1=", "c+2=", "bi-1=", "bi0=", "cls0=",
+                               "bias", UNK, ""]),
+              st.lists(st.sampled_from(["<pad>", "x", "肺", "<", "=", "cjk", "digit"]),
+                       max_size=3)),
+    SENTENCE_STRINGS, SENTENCE_STRINGS)
+
+
+@functools.lru_cache(maxsize=256)
+def sentence_features(chars: str) -> frozenset:
+    """Every feature string of every sentence of at most 3 of ``chars``."""
+    return frozenset(feature for n in (1, 2, 3) for sentence in itertools.product(chars, repeat=n)
+                     for i in range(n) for feature in extract_features("".join(sentence), i))
+
+
+def producible(feature: str) -> bool:
+    """Whether a sentence of at most 3 characters, each one of ``feature``'s
+    own or one of each class, yields ``feature``."""
+    return feature in sentence_features("".join(sorted(set(feature + CLASS_SAMPLES))))
+
 
 class TestModelPersistence:
     def build_model(self):
@@ -853,24 +886,48 @@ class TestModelPersistence:
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_save_load_round_trip_is_bit_exact(self, tmp_path, data):
-        features = data.draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=6),
-                                      min_size=1, max_size=8, unique=True))
-        columns = data.draw(st.permutations(range(len(features))))
+        vocab = data.draw(vocabularies())
         weight = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                            st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]))
         model = TaggerModel(
-            FeatureVocabulary(dict(zip(features, columns)),
-                              data.draw(st.integers(0, len(features) - 1))),
-            data.draw(arrays(np.float64, (len(features), 7), elements=weight)),
+            vocab,
+            data.draw(arrays(np.float64, (vocab.size, 7), elements=weight)),
             data.draw(arrays(np.float64, (9, 9), elements=weight)),
         )
-        path = tmp_path / "model.json"
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert list(loaded.vocab.index.items()) == list(model.vocab.index.items())
+        for field in ("alphabet", "templates", "values", "columns"):
+            assert getattr(loaded.vocab, field).tobytes() == getattr(vocab, field).tobytes()
         assert loaded.vocab.unk_index == model.vocab.unk_index
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert loaded.transitions.tobytes() == model.transitions.tobytes()
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_rejects_every_string_no_sentence_produces(self, tmp_path, data):
+        features = data.draw(st.lists(FEATURE_STRINGS, min_size=1, max_size=5, unique=True))
+        unk_index, *columns = data.draw(st.permutations(range(len(features) + 1)))
+        index = dict(zip(features, columns))
+        if UNK not in index and data.draw(st.booleans()):
+            index[UNK] = unk_index   # the unk row named as save_model names it
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": MODEL_FORMAT, "tags": list(TAG_LABELS), "features": index,
+            "unk_index": unk_index, "weights": [[0.0] * 7] * (len(features) + 1),
+            "transitions": [[0.0] * 9] * 9}), encoding="utf-8")
+        if all(map(producible, features)):
+            rows = [UNK] * (len(features) + 1)
+            for feature, column in zip(features, columns):
+                rows[column] = feature
+            assert list(load_model(path).vocab.names().items()) == [
+                (feature, row) for row, feature in enumerate(rows)]
+        else:
+            with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: "):
+                load_model(path)
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "model.json"
@@ -942,7 +999,7 @@ class TestModelPersistence:
         ("weights", np.zeros((AB.size, 7), complex), "must be real numbers"),
         ("transitions", np.zeros((9, 9), object), "must be real numbers"),
         ("transitions", np.full((9, 9), "1"), "must be real numbers"),
-        ("vocab", AB.index, "vocab must be a FeatureVocabulary"),
+        ("vocab", AB.names(), "vocab must be a FeatureVocabulary"),
     ], ids=["2 rows", "6 columns", "nan weights", "complex weights", "object transitions",
             "str transitions", "dict vocab"])
     def test_every_construction_checks_the_fields(self, field, value, message):

@@ -13,20 +13,21 @@ from radsigns.encoder import (
     UNK,
     FeatureVocabulary,
     char_class,
-    extract_features,
     score_ids,
     text_feature_ids,
 )
 
-from conftest import FIG_TEXT, OCCLUSION_TEXT
+from _synth import extract_features, lookup
+from conftest import FIG_TEXT, OCCLUSION_TEXT, SEEN, sentences, vocabularies
 
 
 def reference_feature_ids(vocab, text):
     """The string path: every position's feature strings looked up one by one."""
     ids = np.empty((len(text), FEATURES_PER_POSITION), dtype=np.intp)
+    names = vocab.names()
     for i in range(len(text)):
         for j, feature in enumerate(extract_features(text, i)):
-            ids[i, j] = vocab.index.get(feature, vocab.unk_index)
+            ids[i, j] = names.get(feature, vocab.unk_index)
     return ids
 
 
@@ -41,9 +42,6 @@ def reference_build(texts):
     return index
 
 
-# Characters the vocabulary may see in training: the letters of the pad
-# sentinel, U+0000, CJK, digits, punctuation and a non-BMP character.
-SEEN = "<pad>\x00右上肺见影1。，x😀"
 # Characters only test sentences use, one per class and two outside the BMP.
 UNSEEN = "肝7；Z𝟘😺あ"
 # Feature strings shaped like the templates that no sentence can produce.
@@ -51,30 +49,14 @@ NEVER_FIRING = ("c0=<pad>", "bi-1=x<pad>", "bi0=<pad>x", "c0=ab", "c-2=<pa",
                 "bi-1=<pad>", "bi0=<pad><pad>", "cls0=nonsense", "cls0=", "bias=")
 
 
+OUT_OF_RANGE = "a feature's template or value is out of range"
+
 # lengths too short, too long, with a negative or zero length, or none
 BAD_LENGTHS = [("abc", [2]), ("ab", [3]), ("ab", [3, -1]), ("ab", [0, 2]), ("ab", [])]
 
 
 def bad_lengths_message(text):
     return rf"sentence lengths \[.*\] must be positive and sum to the text's length, {len(text)}$"
-
-
-def sentences(alphabet, max_size=9):
-    return st.lists(st.text(alphabet, min_size=1, max_size=max_size), min_size=1, max_size=6)
-
-
-@st.composite
-def vocabularies(draw):
-    """A vocabulary built from drawn sentences, perhaps without ``bias``,
-    with never-firing strings added, columns shuffled and any unk index."""
-    texts = draw(sentences(SEEN))
-    built = FeatureVocabulary.build("".join(texts), [len(t) for t in texts])
-    features = [f for f in built.index if f != "bias" or draw(st.booleans())]
-    features += [f for f in draw(st.lists(st.sampled_from(NEVER_FIRING), unique=True))
-                 if f not in features]
-    columns = draw(st.permutations(range(len(features))))
-    unk_index = draw(st.integers(0, len(features) - 1))
-    return FeatureVocabulary(dict(zip(features, columns)), unk_index)
 
 
 class TestFeatureExtraction:
@@ -121,29 +103,31 @@ class TestFeatureExtraction:
 class TestFeatureVocabulary:
     def test_build_covers_training_features(self):
         vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
-        assert vocab.lookup("c0=右") != vocab.unk_index
-        assert vocab.lookup("bias") != vocab.unk_index
+        assert lookup(vocab, "c0=右") != vocab.unk_index
+        assert lookup(vocab, "bias") != vocab.unk_index
 
     def test_unknown_features_fold_into_unk(self):
         vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
-        assert vocab.lookup("c0=肝") == vocab.unk_index
+        assert lookup(vocab, "c0=肝") == vocab.unk_index
 
     def test_build_is_deterministic(self):
         text, lengths = FIG_TEXT + OCCLUSION_TEXT, [len(FIG_TEXT), len(OCCLUSION_TEXT)]
         a = FeatureVocabulary.build(text, lengths)
         b = FeatureVocabulary.build(text, lengths)
-        assert a.index == b.index
+        assert a.names() == b.names()
+        for field in ("alphabet", "templates", "values", "columns"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(SEEN + UNSEEN + "\t", min_size=1, max_size=9), max_size=6)
            .map(lambda texts: texts + texts[::2]))   # with repeated sentences
     def test_build_equals_the_string_loop(self, texts):
         built = FeatureVocabulary.build("".join(texts), [len(t) for t in texts])
-        assert list(built.index.items()) == list(reference_build(texts).items())
+        assert list(built.names().items()) == list(reference_build(texts).items())
         assert built.unk_index == 0
 
     def test_build_of_nothing_holds_only_unk(self):
-        assert FeatureVocabulary.build("", []).index == {UNK: 0}
+        assert FeatureVocabulary.build("", []).names() == {UNK: 0}
         assert FeatureVocabulary.build("", np.zeros(0, np.intp)).size == 1
 
     @pytest.mark.parametrize("text, lengths", BAD_LENGTHS)
@@ -169,8 +153,49 @@ class TestFeatureVocabulary:
                     call(text, [2])
 
     def test_injectivity_enforced(self):
-        with pytest.raises(ValueError, match="injective"):
-            FeatureVocabulary({"a": 0, "b": 0})
+        # c0=a and bias on one row, and a feature on the unk row
+        for columns, unk in (([1, 1], 0), ([0, 1], 0), ([1, 2], 3)):
+            with pytest.raises(ValueError, match="injective"):
+                FeatureVocabulary([ord("a")], [2, 8], [1, 0], columns, unk)
+
+    @pytest.mark.parametrize("fields", [
+        ([[97]], [2], [1], [1], 0), ([97], [2], [1], [1, 2], 0), ([97], [2.0], [1], [1], 0),
+        ([97], [True], [1], [1], 0), ([97], [2], [1], [1], 0.0), ([97], [2], [1], [1], [0]),
+        ([97], [2], [1], [1], None), ([97], "2", [1], [1], 0)])
+    def test_fields_must_be_1d_integer_arrays_of_matching_length(self, fields):
+        with pytest.raises(ValueError, match="^a feature vocabulary needs 1-D integer arrays"):
+            FeatureVocabulary(*fields)
+
+    @pytest.mark.parametrize("templates, values, message", [
+        ([9], [0], OUT_OF_RANGE), ([-1], [0], OUT_OF_RANGE),
+        ([2], [0], OUT_OF_RANGE),    # c0=<pad>
+        ([0], [2], OUT_OF_RANGE),    # a class's char id, past the alphabet
+        ([0], [-1], OUT_OF_RANGE),
+        ([0], [7], OUT_OF_RANGE),    # c-2 at width 7: left 1
+        ([5], [7], OUT_OF_RANGE),    # bi-1=a<pad>
+        ([6], [1], OUT_OF_RANGE),    # bi0=<pad>a
+        ([7], [5], OUT_OF_RANGE), ([8], [1], OUT_OF_RANGE),
+        ([2, 2], [1, 1], "share a template and value")])
+    def test_values_must_name_one_producible_feature_each(self, templates, values, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureVocabulary([ord("a")], templates, values, range(1, len(values) + 1))
+
+    @pytest.mark.parametrize("alphabet", [[98, 97], [97, 97], [-1], [0x110000]])
+    def test_alphabet_must_be_sorted_distinct_code_points(self, alphabet):
+        with pytest.raises(ValueError, match="alphabet must be sorted distinct code points"):
+            FeatureVocabulary(alphabet, [], [], [], 0)
+
+    def test_fields_are_read_only_integer_copies(self):
+        templates = np.array([2, 8], np.int32)
+        vocab = FeatureVocabulary(np.array([97], np.uint32), templates, [1, 0], [2, 1], np.int8(0))
+        templates[0] = 0
+        assert vocab.templates.tolist() == [2, 8] and vocab.size == 3
+        assert type(vocab.unk_index) is int
+        assert vocab.names() == {"<unk>": 0, "bias": 1, "c0=a": 2}
+        for field in ("alphabet", "templates", "values", "columns"):
+            assert getattr(vocab, field).dtype == np.intp
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(vocab, field)[0] = 1
 
     def test_feature_ids_shape(self):
         vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
@@ -197,7 +222,7 @@ class TestFeatureIdBatch:
     @given(train=sentences(SEEN), texts=sentences(SEEN + UNSEEN, max_size=12))
     def test_built_and_parsed_tables_agree(self, train, texts):
         built = FeatureVocabulary.build("".join(train), [len(t) for t in train])
-        parsed = FeatureVocabulary(built.index, built.unk_index)
+        parsed = FeatureVocabulary.from_names(built.names(), built.unk_index)
         expected = np.concatenate([reference_feature_ids(built, t) for t in texts])
         lengths = [len(t) for t in texts]
         np.testing.assert_array_equal(text_feature_ids(built, "".join(texts), lengths), expected)
@@ -210,16 +235,27 @@ class TestFeatureIdBatch:
         text, lengths = "".join(batch), [len(t) for t in batch]
         ids = text_feature_ids(FeatureVocabulary.build("", []), text, lengths)
         np.testing.assert_array_equal(ids, 0)
-        vocab = FeatureVocabulary({UNK: 0, "cls0=digit": 1, "cls0=other": 2, "bias": 3})
+        vocab = FeatureVocabulary.from_names({UNK: 0, "cls0=digit": 1, "cls0=other": 2,
+                                              "bias": 3}, 0)
         ids = text_feature_ids(vocab, text, lengths)
         np.testing.assert_array_equal(ids, np.concatenate([reference_feature_ids(vocab, t)
                                                            for t in batch]))
         assert ids[0, 7] == ids[-1, 7] == 2 and ids[-2, 7] == 1
 
-    def test_never_firing_strings_stay_unk(self):
-        vocab = FeatureVocabulary({"<unk>": 0, **{f: k for k, f in enumerate(NEVER_FIRING, 1)}})
-        ids = text_feature_ids(vocab, "x<pad>a", [6, 1])
-        np.testing.assert_array_equal(ids, 0)
+    def test_never_firing_strings_are_rejected(self):
+        for feature in NEVER_FIRING:
+            with pytest.raises(ValueError, match=f"^feature {re.escape(repr(feature))} is not "
+                                                 "one that a sentence produces$"):
+                FeatureVocabulary.from_names({UNK: 0, "bias": 1, feature: 2}, 0)
+
+    def test_unk_names_only_the_unk_row(self):
+        assert FeatureVocabulary.from_names({"bias": 0, UNK: 1}, 1).names() == {"bias": 0, UNK: 1}
+        with pytest.raises(ValueError, match="^feature '<unk>' is not one that a sentence"):
+            FeatureVocabulary.from_names({UNK: 0, "bias": 1}, 1)
+
+    def test_vocab_that_is_not_a_feature_vocabulary_raises(self):
+        with pytest.raises(ValueError, match="^vocab must be a FeatureVocabulary, got dict$"):
+            text_feature_ids({UNK: 0}, "ab", [2])
 
     @pytest.mark.parametrize("text, lengths", BAD_LENGTHS)
     def test_rejects_lengths_that_do_not_cover_the_text(self, text, lengths):
@@ -246,8 +282,8 @@ class TestScoreIds:
         vocab = FeatureVocabulary.build(FIG_TEXT, [len(FIG_TEXT)])
         weights = np.zeros((vocab.size, 7))
         b_p = TAG_INDEX["B-P"]
-        weights[vocab.lookup("c0=右"), b_p] = 2.0
-        weights[vocab.lookup("bias"), b_p] = 0.5
+        weights[lookup(vocab, "c0=右"), b_p] = 2.0
+        weights[lookup(vocab, "bias"), b_p] = 0.5
         ids = text_feature_ids(vocab, FIG_TEXT, [len(FIG_TEXT)])
         emissions = score_ids(weights, ids)
         # position 0 fires both features, every other position only the bias
@@ -284,3 +320,16 @@ class TestScoreIds:
         ids = np.array([[0, 3], [3, 3]], np.uint8)
         np.testing.assert_array_equal(score_ids(weights, ids), weights[[0, 3]] + weights[3])
         assert score_ids(weights, np.zeros((0, 9), np.intp)).shape == (0, 7)
+
+    def test_array_likes_are_converted(self):
+        weights, ids = np.arange(28.0).reshape(4, 7), [[0] * 9, [3] * 9]
+        expected = score_ids(weights, np.array(ids))
+        np.testing.assert_array_equal(score_ids(weights.tolist(), ids), expected)
+        np.testing.assert_array_equal(score_ids(weights, ids), expected)
+
+    @pytest.mark.parametrize("weights", [np.zeros((4, 7), complex), np.zeros(7),
+                                         np.zeros((2, 4, 7)), np.full((4, 7), "1"),
+                                         [[0.0] * 7, [0.0]], None])
+    def test_weights_that_are_not_a_real_2d_array_raise(self, weights):
+        with pytest.raises(ValueError, match="^weights must be 2-D real numbers, got "):
+            score_ids(weights, np.zeros((2, 9), np.intp))

@@ -20,7 +20,7 @@ from radsigns.corpus import TAG_LABELS, write_emissions, write_tagged_flat
 from radsigns.crf import TaggerModel, save_model
 from radsigns.encoder import FeatureVocabulary
 
-from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus, flat_corpus
+from _synth import RULE_CHAR_TAG, SP_TERMS, build_rule_corpus, flat_corpus, lookup
 from conftest import emission_triple
 
 INSERTS = (b"\t", b"\r", b"\0", "\ufeff".encode(), "\u2028".encode())
@@ -122,7 +122,7 @@ def decode_files(tmp_path):
     vocab = FeatureVocabulary.build(text, [len(s) for s in sentences])
     weights = np.zeros((vocab.size, len(TAG_LABELS)))
     for ch, tag in RULE_CHAR_TAG.items():
-        weights[vocab.lookup(f"c0={ch}"), TAG_LABELS.index(tag)] = 5.0
+        weights[lookup(vocab, f"c0={ch}"), TAG_LABELS.index(tag)] = 5.0
     files = {name: tmp_path / name
              for name in ("input.txt", "em.txt", "dict.txt", "model.json", "tags.tsv")}
     files["input.txt"].write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")

@@ -7,6 +7,7 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radsigns
@@ -200,7 +201,10 @@ OBJECT_LIST_WRITERS = {"write_quadruples", "write_relations", "_write_records", 
 MODEL_WRAPPERS = {"TransitionMatrix", "LinearScorerParams"}
 # the quadruple record, built only by the tests' oracle, and the relation reader's entity helper
 TEST_SIDE_RECORDS = {"Quadruple", "entity_from_dict"}
-DELETED_API = PER_SENTENCE_API | OBJECT_LIST_WRITERS | MODEL_WRAPPERS | TEST_SIDE_RECORDS
+# the feature-string oracle and dev scorer the tests keep, and the vocabulary's second form
+STRING_VOCABULARY = {"extract_features", "lookup", "evaluate_dev", "_Tables", "_parse_tables"}
+DELETED_API = (PER_SENTENCE_API | OBJECT_LIST_WRITERS | MODEL_WRAPPERS | TEST_SIDE_RECORDS
+               | STRING_VOCABULARY)
 
 
 def test_the_flat_batch_functions_are_the_one_library_surface():
@@ -209,13 +213,16 @@ def test_the_flat_batch_functions_are_the_one_library_surface():
     decoding or matching wrapper, or a writer of ``Quadruple`` or
     ``Relation`` lists or a helper only those used, or a wrapper of a model's
     weight or transition array, or the ``Quadruple`` record, which lives in
-    ``tests/_synth.py``, or ``entity_from_dict``, not even as an attribute;
-    ``extract_features`` takes a ``str``, and ``TaggerModel`` only holds its
+    ``tests/_synth.py``, or ``entity_from_dict``, or the feature-string
+    oracle, ``lookup``, ``evaluate_dev`` or the vocabulary's string-parsed
+    tables, not even as an attribute; ``text_feature_ids`` takes its text
+    as a ``str``, and ``TaggerModel`` only holds its
     vocabulary, weights and transitions: it defines no method but the
     ``__post_init__`` that checks them."""
     offenders = [f"{name}.{found}" for name, module in (("radsigns", radsigns), *MODULES.items())
                  for found in DELETED_API & set(vars(module))]
-    offenders += [f"{cls.__name__}.{found}" for cls in (corpus.FlatCorpus, corpus.RecordLines)
+    offenders += [f"{cls.__name__}.{found}" for cls in (corpus.FlatCorpus, corpus.RecordLines,
+                                                        encoder.FeatureVocabulary)
                   for found in DELETED_API & set(dir(cls))]
     for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -229,15 +236,28 @@ def test_the_flat_batch_functions_are_the_one_library_surface():
                     if isinstance(node, ast.Attribute) else None)
             if used in OBJECT_LIST_WRITERS:
                 offenders.append(f"{path.name}:{node.lineno} {used}")
-    text = next(iter(inspect.signature(encoder.extract_features).parameters.values()))
+    text = inspect.signature(encoder.text_feature_ids).parameters["text"]
     if text.annotation not in (str, "str"):
-        offenders.append(f"extract_features({text.name}: {text.annotation})")
+        offenders.append(f"text_feature_ids({text.name}: {text.annotation})")
     tagger = next(node for node in ast.parse(Path(crf.__file__).read_text(encoding="utf-8")).body
                   if isinstance(node, ast.ClassDef) and node.name == "TaggerModel")
     offenders += [f"TaggerModel.{node.name}" for node in ast.walk(tagger)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and node.name != "__post_init__"]
     assert offenders == []
+
+
+def test_a_vocabulary_holds_integer_arrays_and_ints_only(tmp_path):
+    """A built vocabulary and a loaded one hold no ``dict`` and no ``str``:
+    feature strings exist only in the model file."""
+    built = encoder.FeatureVocabulary.build("右上肺见影。1x", [4, 4])
+    path = tmp_path / "model.json"
+    crf.save_model(crf.TaggerModel(built, np.zeros((built.size, 7)), np.zeros((9, 9))), path)
+    for vocab in (built, crf.load_model(path).vocab):
+        kinds = {name: type(value) for name, value in vars(vocab).items()}
+        assert set(kinds.values()) == {np.ndarray, int}, kinds
+        assert all(value.dtype.kind == "i" for value in vars(vocab).values()
+                   if isinstance(value, np.ndarray))
 
 
 def bound_names():

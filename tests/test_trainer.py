@@ -11,18 +11,18 @@ from radsigns.crf import (
     batch_nll_and_gradient,
 )
 from radsigns.encoder import FeatureVocabulary, score_ids, text_feature_ids
-from radsigns import encoder, trainer
+from radsigns import trainer
 from radsigns.evaluation import entity_prf
 from radsigns.tagscheme import batch_entities
 from radsigns.trainer import (
     NonFiniteLossError,
     TrainConfig,
     TrainReport,
-    evaluate_dev,
     train,
 )
 
-from _synth import RULE_CHAR_TAG, SP_TERMS, Labels, Text, build_rule_corpus, entities_of
+from _synth import (RULE_CHAR_TAG, SP_TERMS, Labels, Text, build_rule_corpus, entities_of,
+                    evaluate_dev, lookup)
 from _synth import flat_corpus as flat
 from conftest import decode_sentence
 
@@ -126,25 +126,30 @@ class TestTraining:
         assert calls == [(c.text, c.lengths.tolist()) for c in (flat(corpus), flat(dev))]
 
     def test_train_never_parses_its_own_vocabulary(self, monkeypatch):
-        # build hands its vocabulary the tables it computed; only a vocabulary
-        # made from strings, such as a loaded model's, parses them
+        # feature strings exist only in the model file: train neither renders
+        # nor parses them
         rng = np.random.default_rng(113)
         corpus = build_rule_corpus(rng, 20, prefix="t")
         dev = build_rule_corpus(rng, 7, prefix="d")
-        parsed = []
-        original = encoder._parse_tables
+        calls = []
+        names, from_names = FeatureVocabulary.names, FeatureVocabulary.from_names.__func__
 
-        def counting(index, unk):
-            parsed.append(len(index))
-            return original(index, unk)
+        def counting_names(vocab):
+            calls.append("names")
+            return names(vocab)
 
-        monkeypatch.setattr(encoder, "_parse_tables", counting)
+        def counting_from_names(cls, index, unk_index):
+            calls.append("from_names")
+            return from_names(cls, index, unk_index)
+
+        monkeypatch.setattr(FeatureVocabulary, "names", counting_names)
+        monkeypatch.setattr(FeatureVocabulary, "from_names", classmethod(counting_from_names))
         model, _ = train(flat(corpus), flat(dev), TrainConfig(epochs=2, batch_size=8, seed=5))
         text = dev[0][0].text
         text_feature_ids(model.vocab, text, [len(text)])
-        assert parsed == []
-        text_feature_ids(FeatureVocabulary(model.vocab.index), text, [len(text)])
-        assert parsed == [model.vocab.size]
+        assert calls == []
+        FeatureVocabulary.from_names(model.vocab.names(), model.vocab.unk_index)
+        assert calls == ["names", "from_names"]
 
     def test_same_seed_gives_identical_runs(self):
         rng = np.random.default_rng(102)
@@ -323,7 +328,7 @@ class TestEvaluateDev:
         vocab = FeatureVocabulary.build(flat(corpus).text, flat(corpus).lengths)
         weights = np.zeros((vocab.size, 7))
         for ch, tag in RULE_CHAR_TAG.items():
-            row = vocab.lookup(f"c0={ch}")
+            row = lookup(vocab, f"c0={ch}")
             if row != vocab.unk_index:
                 weights[row, TAG_INDEX[tag]] = 10.0
         return TaggerModel(
