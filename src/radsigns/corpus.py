@@ -149,6 +149,28 @@ def _array(x) -> np.ndarray:
         return np.asarray(None)
 
 
+def _reals(x, what: str, rows: int | str = "n", columns: int | str = "k") -> np.ndarray:
+    """``x`` converted once, as float64; a ``ValueError`` names ``what`` unless it is a 2-D
+    array of real numbers with ``rows`` rows and ``columns`` columns, any number for a ``str``."""
+    a = _array(x)
+    if a.dtype.kind not in "iuf" or a.ndim != 2 or isinstance(rows, int) and len(a) != rows or (
+            isinstance(columns, int) and a.shape[1] != columns):
+        raise ValueError(f"{what} must be real numbers of shape ({rows}, {columns}), "
+                         f"got {a.dtype} {a.shape}")
+    return a.astype(np.float64, copy=False)
+
+
+def _tag_path(path, what: str, size: int | None = None) -> np.ndarray:
+    """``path``, ``bytes`` or integers, as ``uint8``; a ``ValueError`` names ``what`` unless it
+    is a 1-D path of tag indices in ``[0, NUM_TAGS)``, ``size`` of them where one is given."""
+    given = np.frombuffer(path, np.uint8) if isinstance(path, bytes) else _array(path)
+    if given.ndim != 1 or size is not None and len(given) != size or given.size and (
+            given.dtype.kind not in "iu" or not 0 <= given.min() <= given.max() < NUM_TAGS):
+        raise ValueError(f"{what} must be {'' if size is None else f'{size} '}tag indices in "
+                         f"[0, {NUM_TAGS}), got {path!r:.60}")
+    return given.astype(np.uint8, copy=False)
+
+
 def _sentence_lengths(lengths, size: int | None) -> np.ndarray:
     """``lengths`` as a new read-only ``intp`` array; a ``ValueError`` names them
     unless they are 1-D integers, all positive, that sum to ``size`` (any sum if None)."""
@@ -181,9 +203,8 @@ class FlatCorpus:
             raise ValueError(f"a flat corpus needs str text and bytes or no indices, got "
                              f"{type(self.text).__name__} and {type(self.indices).__name__}")
         object.__setattr__(self, "lengths", _sentence_lengths(self.lengths, len(self.text)))
-        if self.indices is not None and (len(self.indices) != len(self.text)
-                                         or max(self.indices, default=0) >= NUM_TAGS):
-            raise ValueError("a tagged flat corpus needs a tag index below NUM_TAGS per character")
+        if self.indices is not None:
+            _tag_path(self.indices, "indices", len(self.text))
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -209,10 +230,14 @@ class FlatCorpus:
                           None if self.indices is None else self.indices[a:b], self.first + lo)
 
 
-def _code_points(text: str) -> np.ndarray:
+def _text(text) -> str:
     if not isinstance(text, str):
         raise ValueError(f"text must be a str, got {type(text).__name__}")
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    return text
+
+
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(_text(text).encode("utf-32-le", "surrogatepass"), np.uint32)
 
 
 def read_tagged_flat(path) -> FlatCorpus:
@@ -278,9 +303,9 @@ def write_tagged_flat(corpus: FlatCorpus, path) -> None:
     for j in range(_LABEL_CODES.shape[1]):   # the labels, one code point column at a time
         has = label_sizes > j
         out[at[has] + 2 + j] = _LABEL_CODES[tags[has], j]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\ufeff" * corpus.text.startswith("\ufeff"))
-        fh.write(out.tobytes().decode("utf-32-le", "surrogatepass"))
+    data = out.tobytes().decode("utf-32-le", "surrogatepass").encode()   # before open empties it
+    with open(path, "wb") as fh:
+        fh.writelines((b"\xef\xbb\xbf" * corpus.text.startswith("\ufeff"), data))
 
 
 def read_dictionary(path) -> SecondaryPartDictionary:
@@ -586,24 +611,22 @@ _EMISSION_ROW = "%.17g " * (NUM_TAGS - 1) + "%.17g\n"
 
 def write_emissions(ids: Sequence[str], lengths, scores, path) -> None:
     """The file that :func:`read_emission_blocks` reads as ``(ids, lengths,
-    scores)``.  An id that the reader rejects (not a string, empty, holding
-    whitespace or repeated), lengths that are not positive integers summing
-    to the n rows of n x 7 real ``scores``, a non-finite score or no block at
-    all raises ``ValueError``, naming the id where there is one, before the file is opened."""
+    scores)``.  An id that is not a string, empty, holding whitespace or a lone
+    surrogate, or repeated, lengths that are not positive integers summing to
+    the n rows of n x 7 real ``scores``, a non-finite score or no block at all
+    raises ``ValueError``, naming the id where there is one, before the file is opened."""
     seen = set()
     for sid in ids:
         if not isinstance(sid, str):
             raise ValueError(f"emission id {sid!r} must be a string")
         if sid.split() != [sid]:
             raise ValueError(f"emission id {sid!r} is empty or has whitespace")
+        if sid.encode(errors="replace").decode() != sid:   # a lone surrogate became "?"
+            raise ValueError(f"emission id {sid!r} is not encodable as UTF-8")
         if sid in seen:
             raise ValueError(f"emission id {sid!r} is repeated")
         seen.add(sid)
-    scores = np.asarray(scores)
-    if scores.dtype.kind not in "iuf" or scores.ndim != 2 or scores.shape[1] != NUM_TAGS:
-        raise ValueError(f"emission scores must be n x {NUM_TAGS} real numbers, "
-                         f"got {scores.dtype} {scores.shape}")
-    scores = scores.astype(np.float64, copy=False)
+    scores = _reals(scores, "emission scores", columns=NUM_TAGS)
     ends = np.cumsum(_sentence_lengths(lengths, len(scores)))
     if len(ends) != len(ids):
         raise ValueError(f"{len(ids)} emission ids for {len(ends)} blocks")

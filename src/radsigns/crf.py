@@ -47,7 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import NUM_TAGS, TAG_LABELS, CorpusFormatError, _array, _sentence_lengths, read_json_object
+from .corpus import (NUM_TAGS, TAG_LABELS, CorpusFormatError, _array, _reals, _sentence_lengths,
+                     _tag_path, read_json_object)
 from .encoder import FeatureVocabulary
 
 START = NUM_TAGS        # virtual start tag, row START is read for entry scores
@@ -101,16 +102,11 @@ class _Packed(NamedTuple):
 
 def _arguments(P, A) -> tuple[np.ndarray, np.ndarray]:
     """Emissions ``P`` and transitions ``A``, each checked, as float64 arrays."""
-    P, A = _array(P), _array(A)
-    if P.dtype.kind not in "iuf" or P.ndim != 2 or P.shape[1] != NUM_TAGS:
-        raise ValueError(f"emissions must be real numbers of shape (sum(lengths), {NUM_TAGS}), "
-                         f"got {P.dtype} {P.shape}")
-    if A.dtype.kind not in "iuf" or A.shape != (FULL_SIZE, FULL_SIZE):
-        raise ValueError(f"transitions must be real numbers of shape ({FULL_SIZE}, {FULL_SIZE}), "
-                         f"got {A.dtype} {A.shape}")
+    P = _reals(P, "emissions", "sum(lengths)", NUM_TAGS)
+    A = _reals(A, "transitions", FULL_SIZE, FULL_SIZE)
     if np.isnan(A).any():   # one isnan over 81 entries; -inf, a masked transition, passes
         raise ValueError("transitions must not be NaN")
-    return P.astype(np.float64, copy=False), A.astype(np.float64, copy=False)
+    return P, A
 
 
 def _pack(P: np.ndarray, lengths) -> _Packed:
@@ -246,10 +242,7 @@ def batch_nll_and_gradient(P, A, lengths, Y) -> tuple[np.ndarray, np.ndarray, np
     and transition gradients ``(B, k+2, k+2)``.
     """
     P, A = _arguments(P, A)
-    Y = np.asarray(Y)
-    if (Y.shape != P.shape[:1] or Y.dtype.kind not in "iu"
-            or Y.size and not 0 <= Y.min() <= Y.max() < NUM_TAGS):
-        raise ValueError(f"gold path must be {len(P)} tag indices in [0, {NUM_TAGS}), got {Y!r:.60}")
+    Y = _tag_path(Y, "gold path", len(P))
     pack = _pack(P, lengths)
     lengths = pack.lengths
     with np.errstate(all="ignore"):
@@ -315,11 +308,9 @@ class TaggerModel:
                 ("weights", (self.vocab.size, NUM_TAGS), "weight rows do not match feature count"),
                 ("transitions", (FULL_SIZE, FULL_SIZE), "transition matrix must be 9 x 9")):
             array = _array(getattr(self, name))
-            if array.dtype.kind not in "iuf":
-                raise ValueError(f"{name} must be real numbers, got {array.dtype}")
             if array.shape != shape:
                 raise ValueError(f"{wrong_shape}: {name} of shape {array.shape}, not {shape}")
-            array = np.array(array, dtype=np.float64)
+            array = np.array(_reals(array, name, *shape))
             if not np.isfinite(array).all():
                 raise ValueError(f"non-finite {name}")
             array.setflags(write=False)
@@ -327,17 +318,17 @@ class TaggerModel:
 
 
 def save_model(model: TaggerModel, path) -> None:
-    document = {
+    # one json.dumps call runs the C encoder; json.dump would run the Python one
+    data = json.dumps({
         "format": MODEL_FORMAT,
         "tags": list(TAG_LABELS),
         "features": model.vocab.names(),
         "unk_index": model.vocab.unk_index,
         "weights": model.weights.tolist(),
         "transitions": model.transitions.tolist(),
-    }
-    # one json.dumps call runs the C encoder; json.dump would run the Python one
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(document, ensure_ascii=False) + "\n")
+    }, ensure_ascii=False).encode()   # encoded before open empties the file
+    with open(path, "wb") as fh:
+        fh.writelines((data, b"\n"))
 
 
 def _is_int(value) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import _array, _code_points, _sentence_lengths
+from .corpus import _array, _code_points, _reals, _sentence_lengths
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -218,9 +218,7 @@ def score_ids(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     weight rows summed from left to right, shape ``(..., 7)``.  Weights that
     are not a 2-D array of real numbers, or an id that is not an integer in
     ``[0, len(weights))``, raise ``ValueError``."""
-    weights, ids = _array(weights), _array(ids)
-    if weights.dtype.kind not in "iuf" or weights.ndim != 2:
-        raise ValueError(f"weights must be 2-D real numbers, got {weights.dtype} {weights.shape}")
+    weights, ids = _reals(weights, "weights"), _array(ids)
     try:   # one min for negative ids, which take would wrap; take raises for the rest
         if ids.dtype.kind not in "iu" or ids.size and ids.min() < 0:
             raise IndexError

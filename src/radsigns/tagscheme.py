@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ENTITY_KINDS, NUM_TAGS, Entity, _sentence_lengths
+from .corpus import ENTITY_KINDS, Entity, _sentence_lengths, _tag_path, _text
 
 
 def text_runs(text: str, path, lengths: Sequence[int]):
@@ -30,7 +30,7 @@ def text_runs(text: str, path, lengths: Sequence[int]):
     kind)``, the sentence's position, the span in it and an index into
     ``ENTITY_KINDS``, then the runs' texts."""
     rows, starts, ends, kinds = _run_arrays(path, lengths)
-    if len(text) != len(path):
+    if len(_text(text)) != len(path):
         raise ValueError(f"a text of {len(text)} chars for {len(path)} tags")
     at = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))[rows]
     texts = [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
@@ -40,17 +40,7 @@ def text_runs(text: str, path, lengths: Sequence[int]):
 def _run_arrays(path, lengths: Sequence[int]):
     """:func:`text_runs` without the texts, each span as flat offsets into
     the path: ``(row, start, end, kind)`` int arrays."""
-    if isinstance(path, bytes):
-        flat = np.frombuffer(path, np.uint8)
-    else:
-        flat = np.asarray(path)
-        if flat.dtype == object and all(type(tag) is int for tag in flat.flat):
-            raise ValueError("tag index out of range")   # an int too large for any tag array
-        if flat.size and flat.dtype.kind not in "iu":   # [] is float64
-            raise ValueError(f"tag indices must be integers, got {flat.dtype}")
-        flat = flat.astype(np.intp, copy=False)
-    if flat.size and not 0 <= flat.min() <= flat.max() < NUM_TAGS:
-        raise ValueError(f"tag index {flat[(flat < 0) | (flat >= NUM_TAGS)][0]} out of range")
+    flat = _tag_path(path, "path")
     lengths = _sentence_lengths(lengths, None)
     if flat.shape != (lengths.sum(),):
         raise ValueError(f"a tag path of {flat.size} indices for {lengths.sum()} chars")
@@ -72,6 +62,8 @@ def batch_entities(ids: Sequence[str], text: str, path,
     sentence's part of the flat tag index path, sorted by start; the other
     arguments are :func:`text_runs`'."""
     rows, *spans, texts = text_runs(text, path, lengths)   # checks the lengths first
+    if isinstance(ids, str):
+        raise ValueError(f"ids must be one id per sentence, not the str {ids!r:.60}")
     entities: list[list[Entity]] = [[] for _ in lengths]
     for row, start, end, kind, covered in zip(*(a.tolist() for a in (rows, *spans)), texts):
         entities[row].append(Entity(ENTITY_KINDS[kind], start, end, covered))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import radsigns
 from radsigns import cli
 from radsigns.cli import _apply_config, build_parser, main
 from radsigns.corpus import (
@@ -620,6 +621,21 @@ class TestTagAndExtract:
         code, path = self.run_with_emissions(workspace, tmp_path, ["见斑影"], [("s1", 2)])
         assert code == 2
         assert (f"{path}: emission matrix has 2 rows but sentence 's1' has 3 characters"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("token", ["1.2.3", "--1", "1e", "."])
+    def test_a_token_that_float_rejects_exits_2_naming_its_row(self, workspace, tmp_path, capsys,
+                                                                token):
+        # each token passes the fast reader's byte classes, and Python float rejects it
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("肺\n", encoding="utf-8")
+        emissions_path = tmp_path / "emissions.txt"
+        emissions_path.write_text(f"s1 1 7\n{token} 0 0 0 0 0 0\n", encoding="utf-8")
+        code = main(["tag", str(text_path), "--model", str(workspace["model"]),
+                     "--emissions-file", str(emissions_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"{emissions_path}:2: non-numeric value in '{token} 0 0 0 0 0 0'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
@@ -1317,6 +1333,13 @@ class TestUsage:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "radsigns" in capsys.readouterr().out
+
+    def test_main_without_argv_reads_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["radsigns", "--version"])
+        assert main() == 0
+        assert capsys.readouterr().out == f"radsigns {radsigns.__version__}\n"
+        monkeypatch.setattr("sys.argv", ["radsigns", "train", "--bogus"])
+        assert main() == 2
 
     @pytest.mark.parametrize("command, option", [
         (["train", "t.tsv", "d.tsv", "--model-out", "m.json", "--epochs=--"], "--epochs"),

@@ -322,8 +322,8 @@ class TestFlatCorpusIO:
                                                  r"to the text's length, 6$"):
                 FlatCorpus("abcdef", lengths)
         for indices in (bytes(5), b"\0" * 5 + b"\7"):
-            with pytest.raises(ValueError, match="^a tagged flat corpus needs a tag index below "
-                                                 "NUM_TAGS per character$"):
+            with pytest.raises(ValueError, match=r"^indices must be 6 tag indices in \[0, 7\), got "
+                                                 + re.escape(repr(indices)) + "$"):
                 FlatCorpus("abcdef", [6], indices)
 
     @pytest.mark.parametrize("text, lengths", [
@@ -337,6 +337,12 @@ class TestFlatCorpusIO:
         with pytest.raises(ValueError, match="needs a tagged corpus, not an untagged one"):
             write_tagged_flat(FlatCorpus("ab", [2]), tmp_path / "out.tsv")
         assert not (tmp_path / "out.tsv").exists()
+
+    def test_a_lone_surrogate_raises_before_the_file_is_emptied(self, tmp_path):
+        old = write_text(tmp_path / "old.tsv", "a\tO\n")
+        with pytest.raises(ValueError, match="surrogates not allowed"):
+            write_tagged_flat(FlatCorpus("a\ud800", [2], b"\0\0"), old)
+        assert old.read_bytes() == b"a\tO\n"
 
 
 class TestDictionary:
@@ -571,6 +577,9 @@ def test_every_byte_keeps_its_translate_class():
     assert at.tolist() == np.flatnonzero(old != corpus._DIGIT).tolist()
     assert corpus._BYTE_CLASS.take(codes.take(at)).tolist() == old[at].tolist()
     assert corpus._BYTE_CLASS.dtype == np.uint8 and corpus._BYTE_CLASS.tobytes() == OLD_BYTE_CLASS
+
+
+SCORES = r"^emission scores must be real numbers of shape \(n, 7\), "
 
 
 class TestEmissions:
@@ -879,18 +888,18 @@ class TestEmissions:
         assert repr(sid) in str(raised.value)
 
     @pytest.mark.parametrize("ids, lengths, scores, message", [
-        (["s1", "x9"], [1, 1], np.zeros(14), "must be n x 7"),
-        (["s1", "x9"], [1, 1], np.zeros((2, 6)), "must be n x 7"),
+        (["s1", "x9"], [1, 1], np.zeros(14), SCORES + r"got float64 \(14,\)$"),
+        (["s1", "x9"], [1, 1], np.zeros((2, 6)), SCORES + r"got float64 \(2, 6\)$"),
         (["s1", "x9"], [2, 0], np.zeros((2, 7)), "must be positive and sum to the text's length, 2"),
         (["s1", "x9"], [1, 1], np.zeros((3, 7)), "must be positive and sum to the text's length, 3"),
         (["s1", "x9"], [1.0, 1.0], np.zeros((2, 7)), "must be a 1-D array of integers"),
         (["s1", "x9"], [[1, 1]], np.zeros((2, 7)), "must be a 1-D array of integers"),
         (["s1", "x9"], [2], np.zeros((2, 7)), "2 emission ids for 1 blocks"),
         ([], [], np.zeros((0, 7)), "^no emission blocks to write$"),
-        (["s1"], [1], np.full((1, 7), 1 + 2j), "must be n x 7 real numbers, got complex128"),
-        (["s1"], [1], np.zeros((1, 7), bool), "must be n x 7 real numbers, got bool"),
-        (["s1"], [1], np.full((1, 7), "1.5"), "must be n x 7 real numbers, got <U3"),
-        (["s1"], [1], np.zeros((1, 7)).astype(object), "must be n x 7 real numbers, got object"),
+        (["s1"], [1], np.full((1, 7), 1 + 2j), SCORES + r"got complex128 \(1, 7\)$"),
+        (["s1"], [1], np.zeros((1, 7), bool), SCORES + r"got bool \(1, 7\)$"),
+        (["s1"], [1], np.full((1, 7), "1.5"), SCORES + r"got <U3 \(1, 7\)$"),
+        (["s1"], [1], np.zeros((1, 7)).astype(object), SCORES + r"got object \(1, 7\)$"),
     ], ids=["1-D", "6 columns", "0 rows", "too few rows", "float lengths", "2-D lengths",
             "one length", "no blocks", "complex", "bool", "str", "object"])
     def test_writer_rejects_lengths_that_do_not_fit_the_scores(self, tmp_path, ids, lengths, scores,
@@ -898,6 +907,15 @@ class TestEmissions:
         with pytest.raises(ValueError, match=message):
             write_emissions(ids, lengths, scores, tmp_path / "e.txt")
         assert not (tmp_path / "e.txt").exists()
+
+    def test_an_id_that_utf8_cannot_encode_leaves_the_file_as_it_was(self, tmp_path):
+        new, old = tmp_path / "new.txt", write_text(tmp_path / "old.txt", "s0 1 7\n1 1 1 1 1 1 1\n")
+        message = r"^emission id 's\\ud800' is not encodable as UTF-8$"
+        for path in (new, old):
+            with pytest.raises(ValueError, match=message):
+                write_emissions(["s1", "s\ud800"], [1, 1], np.zeros((2, 7)), path)
+        assert not new.exists()
+        assert old.read_bytes() == b"s0 1 7\n1 1 1 1 1 1 1\n"
 
     def test_a_rejected_block_leaves_no_file_written(self, tmp_path):
         scores = np.r_[np.zeros((1, 7)), np.full((1, 7), np.nan)]
@@ -1212,6 +1230,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Relation("P2P", pp, pp)
         assert Relation("P2P", sp, pp).head.text == "支气管"
+
+    def test_relation_kind_must_be_known(self, occlusion_entities):
+        pp, _, _, abn = occlusion_entities
+        with pytest.raises(ValueError, match="^unknown relation kind 'Abn2P'$"):
+            Relation("Abn2P", abn, pp)
 
     def test_quadruple_slot_kinds(self, occlusion_entities):
         pp, sp, d, abn = occlusion_entities

@@ -870,6 +870,16 @@ class TestModelPersistence:
         transitions = rng.standard_normal((9, 9))
         return text, TaggerModel(vocab, weights, transitions)
 
+    def test_a_feature_utf8_cannot_encode_raises_before_the_file_is_emptied(self, tmp_path):
+        vocab = FeatureVocabulary.build("a\ud800b", [3])
+        model = TaggerModel(vocab, np.zeros((vocab.size, 7)), np.zeros((9, 9)))
+        path = tmp_path / "model.json"
+        save_model(self.build_model()[1], path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="surrogates not allowed"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+
     def test_round_trip_preserves_decoding(self, tmp_path):
         text, model = self.build_model()
         path = tmp_path / "model.json"

@@ -331,5 +331,5 @@ class TestScoreIds:
                                          np.zeros((2, 4, 7)), np.full((4, 7), "1"),
                                          [[0.0] * 7, [0.0]], None])
     def test_weights_that_are_not_a_real_2d_array_raise(self, weights):
-        with pytest.raises(ValueError, match="^weights must be 2-D real numbers, got "):
+        with pytest.raises(ValueError, match=r"^weights must be real numbers of shape \(n, k\), got "):
             score_ids(weights, np.zeros((2, 9), np.intp))

@@ -17,6 +17,7 @@ from radsigns.evaluation import (
     CONFUSION_AXES,
     ERROR_CATEGORIES,
     EXTENT_SUBTYPES,
+    ConfusionMatrix,
     ErrorRecord,
     ErrorSummary,
     PrfScores,
@@ -571,3 +572,21 @@ class TestErrorRecordInvariants:
             ErrorRecord("s1", "TYPE", "LONG", e, e)
         with pytest.raises(ValueError):
             ErrorRecord("s1", "EXTENT", None, e, e)
+
+    def test_categories_and_subtypes_must_be_known(self):
+        e = ent("P", 0, 2)
+        with pytest.raises(ValueError, match="^unknown error category 'WRONG'$"):
+            ErrorRecord("s1", "WRONG", None, e, e)
+        with pytest.raises(ValueError, match="^unknown extent subtype 'WIDE'$"):
+            ErrorRecord("s1", "EXTENT", "WIDE", e, e)
+
+
+class TestConfusionMatrix:
+    def test_counts_must_be_a_non_negative_4_by_4_matrix(self):
+        with pytest.raises(ValueError, match=r"^confusion matrix must be 4 x 4, got \(3, 4\)$"):
+            ConfusionMatrix(np.zeros((3, 4), int))
+        negative = np.zeros((4, 4), int)
+        negative[2, 1] = -1
+        with pytest.raises(ValueError, match="^confusion counts must be non-negative$"):
+            ConfusionMatrix(negative)
+        assert ConfusionMatrix(np.eye(4, dtype=int)).cell("D", "D") == 1

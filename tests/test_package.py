@@ -136,6 +136,25 @@ def test_only_corpus_array_guards_a_ragged_list():
     assert guards == ["corpus.py:_array"]
 
 
+def test_only_the_shared_checkers_test_a_dtype_kind():
+    """``corpus._reals`` (2-D real arrays), ``corpus._tag_path`` (tag index paths) and
+    ``corpus._sentence_lengths`` are the array checks: no other src function reads
+    ``.dtype.kind``, but for the vocabulary's check of its integer fields and ``score_ids``,
+    which checks its ids through ``take``'s ``IndexError`` to skip a ``max``."""
+    readers = set()
+    for path in sorted(Path(radsigns.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): function.name for function in ast.walk(tree)   # innermost last
+                 if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(function)}
+        readers |= {f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "kind"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"}
+    assert sorted(readers) == ["corpus.py:_reals", "corpus.py:_sentence_lengths",
+                               "corpus.py:_tag_path", "encoder.py:__post_init__",
+                               "encoder.py:score_ids"]
+
+
 def names(node):
     """Every name and attribute that ``node`` holds, with its line."""
     for child in ast.walk(node):

@@ -120,7 +120,7 @@ class TestEntitiesFromIndices:
     )
     def test_out_of_range_index_rejected(self, path, bad, at):
         path[at % len(path)] = bad
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^path must be tag indices in \[0, 7\), got "):
             batch_entities(["s1"], "字" * len(path), path, [len(path)])
 
     def test_length_mismatch_rejected(self):
@@ -181,13 +181,22 @@ class TestFindRuns:
         # an index conversion would truncate 1.7 to B-P and True to B-P
         for path in ([1.7, 2.2], [True, False], [1.5, 2.5], np.array([1, 2], np.float32),
                      [None, 1], ["1", "2"]):
-            with pytest.raises(ValueError, match="^tag indices must be integers"):
+            with pytest.raises(ValueError, match=r"^path must be tag indices in \[0, 7\), got "):
                 text_runs("ab", path, [2])
-            with pytest.raises(ValueError, match="^tag indices must be integers"):
+            with pytest.raises(ValueError, match=r"^path must be tag indices in \[0, 7\), got "):
                 entity_keys(path, [2])
         for path in (b"\x01\x02", np.array([1, 2], np.uint8), np.array([1, 2], np.int16), [1, 2]):
             *spans, texts = text_runs("ab", path, [2])
             assert [a.tolist() for a in spans] == [[0], [0], [2], [0]] and texts == ["ab"]
+
+    def test_text_must_be_a_str_and_ids_not_one(self):
+        # a list or bytes text was once returned as an entity text, and one str read as the ids
+        for text in (["a", "b"], b"ab"):
+            with pytest.raises(ValueError, match=f"^text must be a str, got {type(text).__name__}$"):
+                text_runs(text, [1, 2], [2])
+        with pytest.raises(ValueError, match="^ids must be one id per sentence, not the str 'x'$"):
+            batch_entities("x", "ab", [1, 2], [2])
+        assert batch_entities(["x"], "ab", [1, 2], [2]) == {"x": [Entity("P", 0, 2, "ab")]}
 
     def test_lengths_are_checked_as_the_flat_corpus_checks_them(self):
         # lengths that sum to the path's length but are not all positive integers

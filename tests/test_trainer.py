@@ -50,6 +50,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(l2=-0.1)
 
+    def test_decay_epoch_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^decay epoch must be >= 1, got 0$"):
+            TrainConfig(decay_epoch=0)
+
 
 class TestTraining:
     def test_rule_corpus_reaches_perfect_dev_f1(self):
